@@ -415,6 +415,33 @@ func BenchmarkSparsePackUnpack(b *testing.B) {
 	}
 }
 
+// BenchmarkSparseChurn is the particle step's storage pattern: every row of
+// a populated 64-row window is emptied and refilled, four elements per
+// particle. One op is one particle; the recycled list nodes make it 0
+// allocs/op.
+func BenchmarkSparseChurn(b *testing.B) {
+	b.ReportAllocs()
+	const rows, perRow = 64, 96
+	s := matrix.NewSparse("P", rows, nil)
+	s.SetWindow(0, rows)
+	fill := func(g int) {
+		for k := 0; k < perRow; k++ {
+			for f := 0; f < 4; f++ {
+				s.Append(g, int32(k), float64(f))
+			}
+		}
+	}
+	for g := 0; g < rows; g++ {
+		fill(g)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i += perRow {
+		g := i / perRow % rows
+		s.ClearRow(g)
+		fill(g)
+	}
+}
+
 func BenchmarkNodeCompute(b *testing.B) {
 	b.ReportAllocs()
 	spec := cluster.Uniform(1).With(cluster.TimeEvent(0, 0, +1))

@@ -58,13 +58,17 @@ func rowPattern(seed uint64, g, n, nnz int) ([]int32, []float64) {
 	rng := vclock.NewPRNG(seed).Fork(uint64(g) + 1)
 	cols := make([]int32, 0, nnz)
 	vals := make([]float64, 0, nnz)
-	seen := map[int32]bool{int32(g): true}
+draw:
 	for len(cols) < nnz {
 		c := int32(rng.Intn(n))
-		if seen[c] {
+		if c == int32(g) {
 			continue
 		}
-		seen[c] = true
+		for _, seen := range cols { // at most nnz entries: cheaper than a set
+			if seen == c {
+				continue draw
+			}
+		}
 		cols = append(cols, c)
 		vals = append(vals, rng.Float64()*0.1)
 	}

@@ -43,6 +43,19 @@ func TestRowPatternDeterministicAndValid(t *testing.T) {
 		}
 		seen[c] = true
 	}
+	// The draw sequence is part of the model: 8 of row 3's 9 possible
+	// columns forces rejected draws, and a rejected draw must consume no
+	// value draw.
+	c3, v3 := rowPattern(7, 3, 10, 8)
+	want := []int32{1, 4, 8, 7, 0, 9, 5, 6}
+	for i := range want {
+		if c3[i] != want[i] {
+			t.Fatalf("draw sequence changed: cols %v, want %v", c3, want)
+		}
+	}
+	if v3[0] != 0.039137340169810325 || v3[7] != 0.011427485471610056 {
+		t.Fatalf("draw sequence changed: vals %v", v3)
+	}
 }
 
 func TestResidualDecreases(t *testing.T) {

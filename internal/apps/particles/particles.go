@@ -75,6 +75,20 @@ type particle struct {
 	x, y, vx, vy float64
 }
 
+// move is a particle that changed rows without leaving the rank's block.
+type move struct {
+	g  int
+	pt particle
+}
+
+// scratch holds one rank's step buffers, kept across steps so the steady
+// state allocates nothing for them: pts is the decoded row being advanced,
+// local the moves between the rank's own rows.
+type scratch struct {
+	pts   []particle
+	local []move
+}
+
 // Run executes the particle simulation and returns the result. CheckInt is
 // an order-independent integer checksum of the final particle states.
 func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
@@ -89,9 +103,10 @@ func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
 		lo, hi := ph.Bounds()
 		seedParticles(ps, cfg, c.Size(), lo, hi)
 
+		var sc scratch
 		for t := 0; t < cfg.Steps; t++ {
 			if rt.BeginCycle() {
-				stepOnce(rt, ps, cfg)
+				stepOnce(rt, ps, cfg, &sc)
 			}
 			rt.EndCycle()
 		}
@@ -153,9 +168,11 @@ func appendParticle(ps *matrix.Sparse, g int, pt particle) {
 	ps.Append(g, pt.pid, pt.vy)
 }
 
-// readRow decodes a row's particles (groups of four elements).
-func readRow(ps *matrix.Sparse, g int) []particle {
-	var out []particle
+// readRow decodes a row's particles (groups of four elements) into buf,
+// overwriting its contents, and returns the possibly regrown buffer. The
+// result is a copy: it stays valid after the row is cleared.
+func readRow(ps *matrix.Sparse, g int, buf []particle) []particle {
+	out := buf[:0]
 	e := ps.RowHead(g)
 	for e != nil {
 		pt := particle{pid: e.Col, x: e.Val}
@@ -198,22 +215,21 @@ func integrate(pt particle, cfg Config) particle {
 // travel to the owners of the adjacent rows (one exchange per neighbour per
 // step, possibly empty — both sides derive the pairing from the current
 // distribution, so matching is deterministic).
-func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config) {
+func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config, sc *scratch) {
 	me := rt.Comm().Rank()
 	lo, hi := rt.Dist().RangeOf(me)
 	if lo >= hi {
 		return
 	}
+	// The emigrant slices are handed to Isend and read by the neighbour
+	// after this rank has moved on to its next step, so unlike sc's buffers
+	// they must be freshly allocated every step — never reuse them.
 	var emUp, emDown []particle
-	type move struct {
-		g  int
-		pt particle
-	}
-	var local []move
+	sc.local = sc.local[:0]
 	for g := lo; g < hi; g++ {
-		pts := readRow(ps, g)
+		sc.pts = readRow(ps, g, sc.pts)
 		ps.ClearRow(g)
-		for _, pt := range pts {
+		for _, pt := range sc.pts {
 			pt = integrate(pt, cfg)
 			ng := int(math.Floor(pt.y))
 			switch {
@@ -224,12 +240,12 @@ func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config) {
 			case ng >= hi:
 				emDown = append(emDown, pt)
 			default:
-				local = append(local, move{g: ng, pt: pt})
+				sc.local = append(sc.local, move{g: ng, pt: pt})
 			}
 		}
-		rt.ComputeIter(g, vclock.Duration(float64(len(pts))*cfg.CostPerParticle))
+		rt.ComputeIter(g, vclock.Duration(float64(len(sc.pts))*cfg.CostPerParticle))
 	}
-	for _, m := range local {
+	for _, m := range sc.local {
 		appendParticle(ps, m.g, m.pt)
 	}
 	// Exchange emigrants with the adjacent block owners.
@@ -283,8 +299,10 @@ func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config) {
 // up to ~2^53 total).
 func localChecksum(ps *matrix.Sparse, lo, hi int) float64 {
 	var sum int64
+	var pts []particle
 	for g := lo; g < hi; g++ {
-		for _, pt := range readRow(ps, g) {
+		pts = readRow(ps, g, pts)
+		for _, pt := range pts {
 			h := uint64(pt.pid) * 2654435761
 			h ^= math.Float64bits(pt.x) * 31
 			h ^= math.Float64bits(pt.y) * 37

@@ -2,6 +2,8 @@ package particles
 
 import (
 	"math"
+	"math/bits"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -48,7 +50,7 @@ func TestParticleRowEncodingRoundTrip(t *testing.T) {
 	for _, pt := range in {
 		appendParticle(s, 0, pt)
 	}
-	out := readRow(s, 0)
+	out := readRow(s, 0, nil)
 	if len(out) != 2 {
 		t.Fatalf("decoded %d particles", len(out))
 	}
@@ -61,7 +63,7 @@ func TestParticleRowEncodingRoundTrip(t *testing.T) {
 	d := matrix.NewSparse("D", 4, nil)
 	d.SetWindow(0, 4)
 	d.UnpackRow(0, s.PackRow(0))
-	out = readRow(d, 0)
+	out = readRow(d, 0, nil)
 	if len(out) != 2 || out[1] != in[1] {
 		t.Fatal("particles corrupted by pack/unpack")
 	}
@@ -82,9 +84,10 @@ func TestConservationEveryStep(t *testing.T) {
 		lo, hi := ph.Bounds()
 		seedParticles(ps, cfg, c.Size(), lo, hi)
 		want := rt.AllreduceSum(float64(Census(ps, lo, hi)))
+		var sc scratch
 		for step := 0; step < cfg.Steps; step++ {
 			rt.BeginCycle()
-			stepOnce(rt, ps, cfg)
+			stepOnce(rt, ps, cfg, &sc)
 			rt.EndCycle()
 			got := rt.AllreduceSum(float64(Census(ps, lo, hi)))
 			if got != want {
@@ -229,4 +232,81 @@ func TestChecksumSensitivity(t *testing.T) {
 	if c1 == c2 {
 		t.Fatal("checksum insensitive to state changes")
 	}
+}
+
+// warmWorld runs body on every rank of a world that has taken ten particle
+// steps, so rows refill from the sparse array's recycled nodes and the
+// decode/move buffers in sc have reached their size.
+func warmWorld(t *testing.T, ranks int, cfg Config, body func(rt *core.Runtime, step func())) {
+	t.Helper()
+	err := mpi.Run(cluster.New(cluster.Uniform(ranks)), func(c *mpi.Comm) error {
+		rt := core.New(c, core.Config{Adapt: false})
+		ps := rt.RegisterSparse("P", cfg.Rows)
+		ph := rt.InitPhase(cfg.Rows)
+		ph.AddAccess("P", drsd.ReadWrite, 1, 0)
+		rt.Commit()
+		lo, hi := ph.Bounds()
+		seedParticles(ps, cfg, c.Size(), lo, hi)
+		var sc scratch
+		step := func() { stepOnce(rt, ps, cfg, &sc) }
+		for i := 0; i < 10; i++ {
+			rt.BeginCycle()
+			step()
+			rt.EndCycle()
+		}
+		body(rt, step)
+		rt.Finalize()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A rank with no neighbour builds no emigrant slice, so its steady-state
+// step allocates nothing at all.
+func TestSteadyStateStepAllocFree(t *testing.T) {
+	cfg := testConfig()
+	cfg.CostPerParticle = 100
+	warmWorld(t, 1, cfg, func(_ *core.Runtime, step func()) {
+		if n := testing.AllocsPerRun(20, step); n != 0 {
+			t.Errorf("steady-state step on one rank: %v allocs, want 0", n)
+		}
+	})
+}
+
+// With neighbours, two consecutive steady-state steps may allocate only the
+// freshly built emigrant slices: append growth plus one boxing into the
+// message payload each. Counted process-wide between barriers.
+func TestSteadyStateStepAllocatesOnlyEmigrantSlices(t *testing.T) {
+	cfg := testConfig()
+	cfg.CostPerParticle = 100
+	const ranks, steps = 3, 2
+	// |vy|*Dt < 1 row, so an emigrant slice holds at most one boundary row's
+	// particles; doubling growth from empty is bits.Len of that.
+	perSlice := bits.Len(uint(cfg.Cols*cfg.BasePerCell)) + 1
+	// The barriers themselves allocate a few objects (parked waiters), a
+	// different few each time: measured 0 to 8.
+	const barrierSlack = 16
+	budget := uint64(steps*2*(ranks-1)*perSlice + barrierSlack)
+	warmWorld(t, ranks, cfg, func(rt *core.Runtime, step func()) {
+		// mallocs reads the process-wide count on rank 0 while every other
+		// rank is parked between the two barriers.
+		mallocs := func() uint64 {
+			var m runtime.MemStats
+			rt.AllreduceSum(0)
+			if rt.Comm().Rank() == 0 {
+				runtime.ReadMemStats(&m)
+			}
+			rt.AllreduceSum(0)
+			return m.Mallocs
+		}
+		before := mallocs()
+		for i := 0; i < steps; i++ {
+			step()
+		}
+		if got := mallocs() - before; rt.Comm().Rank() == 0 && got > budget {
+			t.Errorf("%d steady-state steps on %d ranks allocated %d times, budget %d", steps, ranks, got, budget)
+		}
+	})
 }

@@ -4,6 +4,11 @@ import "fmt"
 
 // Elem is one stored element of a sparse row: a (column id, value) pair in
 // a singly linked list, exactly the paper's vector-of-lists format.
+//
+// Lifetime: the owning Sparse recycles its nodes, so an *Elem (from RowHead,
+// Next or an Iter) is valid only until the next ClearRow, UnpackRow or
+// UnpackRows of its row, or a SetWindow that drops the row. After that the
+// node may already hold an element of another row.
 type Elem struct {
 	Col  int32
 	Val  float64
@@ -33,8 +38,17 @@ type Sparse struct {
 	sink CostSink
 
 	lo, hi int
-	rows   []*sparseRow
+	rows   []sparseRow
+
+	// Node source. A Sparse belongs to one rank goroutine, so neither field
+	// is locked. free heads the recycled nodes, threaded through Elem.next;
+	// slab is the not yet issued rest of the newest slabElems-node block.
+	free *Elem
+	slab []Elem
 }
+
+// slabElems is the number of list nodes carved from one allocation (12 KiB).
+const slabElems = 512
 
 // NewSparse creates an empty sparse matrix descriptor; call SetWindow to
 // make rows resident. sink may be nil.
@@ -58,32 +72,63 @@ func (s *Sparse) row(g int) *sparseRow {
 	if g < s.lo || g >= s.hi {
 		panic(fmt.Sprintf("matrix: %s sparse row %d outside window [%d,%d)", s.Name, g, s.lo, s.hi))
 	}
-	if s.rows[g-s.lo] == nil {
-		s.rows[g-s.lo] = &sparseRow{}
+	return &s.rows[g-s.lo]
+}
+
+// push appends a node holding (col, val) to r, taking it from the free list
+// or, when that is empty, from the slab.
+func (s *Sparse) push(r *sparseRow, col int32, val float64) {
+	e := s.free
+	if e != nil {
+		s.free = e.next
+	} else {
+		if len(s.slab) == 0 {
+			s.slab = make([]Elem, slabElems)
+		}
+		e, s.slab = &s.slab[0], s.slab[1:]
 	}
-	return s.rows[g-s.lo]
+	e.Col, e.Val, e.next = col, val, nil
+	if r.tail == nil {
+		r.head = e
+	} else {
+		r.tail.next = e
+	}
+	r.tail = e
+	r.n++
+}
+
+// recycle empties r, splicing its whole list onto the free list in O(1).
+func (s *Sparse) recycle(r *sparseRow) {
+	if r.tail != nil {
+		r.tail.next = s.free
+		s.free = r.head
+	}
+	*r = sparseRow{}
 }
 
 // SetWindow resizes the resident window to [lo,hi), retaining overlapping
 // rows. Like the dense Projection scheme, only the top-level vector is
-// copied; list nodes of retained rows are reused in place.
+// copied; list nodes of retained rows are reused in place and those of
+// dropped rows are recycled. An empty window (the rank left the computation)
+// releases the recycled nodes too, so a parked rank does not pin its peak NNZ.
 func (s *Sparse) SetWindow(lo, hi int) {
 	if lo < 0 || hi > s.GlobalRows || lo > hi {
 		panic(fmt.Sprintf("matrix: %s bad window [%d,%d) of %d", s.Name, lo, hi, s.GlobalRows))
 	}
 	oldLo, oldHi, oldRows := s.lo, s.hi, s.rows
-	newRows := make([]*sparseRow, hi-lo)
+	newRows := make([]sparseRow, hi-lo)
 	var dropped int64
 	for g := oldLo; g < oldHi; g++ {
-		r := oldRows[g-oldLo]
-		if r == nil {
-			continue
-		}
+		r := &oldRows[g-oldLo]
 		if g >= lo && g < hi {
-			newRows[g-lo] = r
+			newRows[g-lo] = *r
 		} else {
 			dropped += int64(r.n)
+			s.recycle(r)
 		}
+	}
+	if lo == hi {
+		s.free, s.slab = nil, nil
 	}
 	if s.sink != nil {
 		s.sink.AdjustResident(-dropped * elemWireBytes)
@@ -94,15 +139,7 @@ func (s *Sparse) SetWindow(lo, hi int) {
 
 // Append adds (col, val) at the end of global row g.
 func (s *Sparse) Append(g int, col int32, val float64) {
-	r := s.row(g)
-	e := &Elem{Col: col, Val: val}
-	if r.tail == nil {
-		r.head, r.tail = e, e
-	} else {
-		r.tail.next = e
-		r.tail = e
-	}
-	r.n++
+	s.push(s.row(g), col, val)
 	if s.sink != nil {
 		s.sink.AdjustResident(elemWireBytes)
 		s.sink.ChargeTouch(elemWireBytes)
@@ -113,16 +150,16 @@ func (s *Sparse) Append(g int, col int32, val float64) {
 func (s *Sparse) RowLen(g int) int { return s.row(g).n }
 
 // RowHead returns the first element of global row g (nil if empty), for
-// direct traversal when the iterator API is unnecessarily heavy.
+// direct traversal when the iterator API is unnecessarily heavy. The list
+// is subject to the lifetime rule on Elem: finish the walk before clearing,
+// unpacking into or dropping row g.
 func (s *Sparse) RowHead(g int) *Elem { return s.row(g).head }
 
 // NNZ reports the number of stored elements in the resident window.
 func (s *Sparse) NNZ() int {
 	total := 0
-	for _, r := range s.rows {
-		if r != nil {
-			total += r.n
-		}
+	for i := range s.rows {
+		total += s.rows[i].n
 	}
 	return total
 }
@@ -136,6 +173,10 @@ func (s *Sparse) RowWireBytes(g int) int { return 8 + elemWireBytes*s.RowLen(g) 
 // "an iterator to access each element of a sparse matrix as well as
 // functions to get the next element, set the next element, advance the row,
 // and move to the first element."
+//
+// An Iter holds an *Elem, so the lifetime rule on Elem applies: after a
+// ClearRow/UnpackRow(s) of the row it is positioned in, or a SetWindow,
+// reposition it (MoveToFirst or AdvanceRow) before reading through it.
 type Iter struct {
 	s   *Sparse
 	g   int
@@ -236,16 +277,9 @@ func (s *Sparse) UnpackRow(g int, p PackedRow) {
 		s.sink.AdjustResident(int64(elemWireBytes * (len(p.Vals) - r.n)))
 		s.sink.ChargeTouch(int64(elemWireBytes * len(p.Vals)))
 	}
-	r.head, r.tail, r.n = nil, nil, 0
+	s.recycle(r)
 	for i := range p.Vals {
-		e := &Elem{Col: p.Cols[i], Val: p.Vals[i]}
-		if r.tail == nil {
-			r.head, r.tail = e, e
-		} else {
-			r.tail.next = e
-			r.tail = e
-		}
-		r.n++
+		s.push(r, p.Cols[i], p.Vals[i])
 	}
 }
 
@@ -305,16 +339,9 @@ func (s *Sparse) UnpackRows(lo int, p *PackedRows) {
 			s.sink.AdjustResident(int64(elemWireBytes * (end - start - r.n)))
 			s.sink.ChargeTouch(int64(elemWireBytes * (end - start)))
 		}
-		r.head, r.tail, r.n = nil, nil, 0
+		s.recycle(r)
 		for j := start; j < end; j++ {
-			e := &Elem{Col: p.Cols[j], Val: p.Vals[j]}
-			if r.tail == nil {
-				r.head, r.tail = e, e
-			} else {
-				r.tail.next = e
-				r.tail = e
-			}
-			r.n++
+			s.push(r, p.Cols[j], p.Vals[j])
 		}
 	}
 }
@@ -326,5 +353,5 @@ func (s *Sparse) ClearRow(g int) {
 	if s.sink != nil {
 		s.sink.AdjustResident(int64(-elemWireBytes * r.n))
 	}
-	r.head, r.tail, r.n = nil, nil, 0
+	s.recycle(r)
 }

@@ -18,8 +18,8 @@ func TestStamperStampAllocFree(t *testing.T) {
 	}
 }
 
-// Ring.Emit must not allocate once the record is boxed: the ring buffer is
-// fixed at construction and records are stored by value.
+// Ring.Emit must not allocate once the record is boxed and the ring has
+// reached its capacity: records are stored by value.
 func TestRingEmitAllocFree(t *testing.T) {
 	r := NewRing(64)
 	var rec Record = Base{K: KindIteration, Node: 1}

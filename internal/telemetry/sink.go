@@ -26,24 +26,29 @@ func Nop() Sink { return nopSink{} }
 // keeping the most recent ones; Dropped reports how many were lost.
 type Ring struct {
 	mu      sync.Mutex
-	buf     []Record
+	buf     []Record // grows by doubling up to max, then wraps
+	max     int
 	start   int // index of the oldest record
 	n       int // records currently held
 	dropped int
 }
+
+// ringInitial is the slot count a Ring starts with: most worlds of a sweep
+// emit far fewer records than the capacity their ring is allowed.
+const ringInitial = 256
 
 // NewRing creates a ring buffer holding up to capacity records.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		panic("telemetry: non-positive ring capacity")
 	}
-	return &Ring{buf: make([]Record, capacity)}
+	return &Ring{buf: make([]Record, min(capacity, ringInitial)), max: capacity}
 }
 
 // Emit implements Sink.
 func (r *Ring) Emit(rec Record) {
 	r.mu.Lock()
-	if r.n == len(r.buf) {
+	if r.n == len(r.buf) && !r.grow() {
 		r.buf[r.start] = rec
 		r.start = (r.start + 1) % len(r.buf)
 		r.dropped++
@@ -52,6 +57,19 @@ func (r *Ring) Emit(rec Record) {
 		r.n++
 	}
 	r.mu.Unlock()
+}
+
+// grow doubles a full buffer, up to max, and reports whether it could.
+// Nothing has been evicted before the buffer reaches max, so start is 0
+// and the held records are buf[:n] in arrival order: a plain copy.
+func (r *Ring) grow() bool {
+	if len(r.buf) == r.max {
+		return false
+	}
+	grown := make([]Record, min(2*len(r.buf), r.max))
+	copy(grown, r.buf)
+	r.buf = grown
+	return true
 }
 
 // Records returns a snapshot of the held records in arrival order.

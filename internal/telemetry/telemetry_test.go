@@ -23,22 +23,36 @@ func TestStamperSequencesPerNode(t *testing.T) {
 	}
 }
 
+// The ring keeps the newest min(emitted, capacity) records in arrival order
+// whether or not it had to grow on the way: below, at and past the initial
+// slot count, and at a capacity that is not a doubling of it.
 func TestRingKeepsMostRecent(t *testing.T) {
-	r := NewRing(3)
-	s := NewStamper(0)
-	for i := 0; i < 5; i++ {
-		r.Emit(IterationRecord{Base: s.Stamp(KindIteration, i, float64(i))})
-	}
-	if r.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", r.Dropped())
-	}
-	recs := r.Records()
-	if len(recs) != 3 {
-		t.Fatalf("len = %d, want 3", len(recs))
-	}
-	for i, rec := range recs {
-		if got := rec.Meta().Cycle; got != i+2 {
-			t.Fatalf("record %d has cycle %d, want %d (oldest evicted first)", i, got, i+2)
+	for _, tc := range []struct{ capacity, emit int }{
+		{3, 5},
+		{ringInitial, ringInitial + 7},
+		{1000, 300},
+		{1000, 1000},
+		{1000, 2500},
+	} {
+		r := NewRing(tc.capacity)
+		s := NewStamper(0)
+		for i := 0; i < tc.emit; i++ {
+			r.Emit(IterationRecord{Base: s.Stamp(KindIteration, i, float64(i))})
+		}
+		held := min(tc.emit, tc.capacity)
+		if r.Dropped() != tc.emit-held || r.Len() != held {
+			t.Fatalf("cap %d emit %d: dropped %d len %d, want %d and %d",
+				tc.capacity, tc.emit, r.Dropped(), r.Len(), tc.emit-held, held)
+		}
+		recs := r.Records()
+		if len(recs) != held {
+			t.Fatalf("cap %d emit %d: %d records, want %d", tc.capacity, tc.emit, len(recs), held)
+		}
+		for i, rec := range recs {
+			if got, want := rec.Meta().Cycle, tc.emit-held+i; got != want {
+				t.Fatalf("cap %d emit %d: record %d has cycle %d, want %d (oldest evicted first)",
+					tc.capacity, tc.emit, i, got, want)
+			}
 		}
 	}
 }

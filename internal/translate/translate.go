@@ -26,6 +26,13 @@
 // The subset handled mirrors the paper's model: unit-stride references
 // with constant offsets from the loop variable. References the analysis
 // cannot resolve are reported rather than silently dropped.
+//
+// A translated `for e := arr.RowHead(i); e != nil; e = e.Next()` loop is
+// bound by the sparse array's lifetime rule: the array recycles its list
+// nodes, so e is valid until the next ClearRow/UnpackRow(s) of row i or a
+// SetWindow that drops it. A loop body that clears or rewrites row i (a
+// write access the analysis reports) must copy the row out first; the
+// analysis derives accesses and does not check this.
 package translate
 
 import (
