@@ -79,12 +79,11 @@ const (
 )
 
 // Redistribution commit modes for Config.RedistMode (the zero value
-// RedistPipelined keeps virtual timelines byte-identical to the blocking
-// engine; RedistOverlap commits in arrival order; RedistRMA lands dense
-// slabs through one-sided windows).
+// RedistPipelined commits in schedule order, so virtual timelines do not
+// depend on physical arrival order; RedistOverlap commits in arrival
+// order; RedistRMA lands dense slabs through one-sided windows).
 const (
 	RedistPipelined = core.RedistPipelined
-	RedistBlocking  = core.RedistBlocking
 	RedistOverlap   = core.RedistOverlap
 	RedistRMA       = core.RedistRMA
 )

@@ -29,7 +29,7 @@ type RankStats struct {
 	SentBytes int64
 	SentMsgs  int64
 	// RefreshStall is the cumulative virtual stall this rank's replica
-	// refreshes cost it (paired receives, or fence settlements under
+	// refreshes cost it (paired receives, or epoch settlements under
 	// one-sided refresh); the RMA study compares it across modes.
 	RefreshStall vclock.Duration
 }

@@ -46,9 +46,9 @@ func (rt *Runtime) BeginCycle() bool {
 		return true
 	}
 	if len(rt.pendingDead) > 0 {
-		// A death detected mid-cycle (failed collective, redistribution
-		// receive, replica refresh) is recovered here, the one point every
-		// surviving active rank is guaranteed to reach.
+		// A death every survivor recorded mid-cycle (a failed collective, or
+		// a redistribution whose closing barrier failed) is recovered here,
+		// the one point every surviving active rank is guaranteed to reach.
 		rt.handleFailure()
 	}
 

@@ -121,24 +121,17 @@ type Config struct {
 	ReplicaEvery int
 	// ReplicaRMA switches the replica refresh from paired send/recv to
 	// one-sided Puts into the buddy's replica window with a deferred
-	// epoch-closing fence (rma.go): the holder no longer stalls in a
-	// paired receive during the refresh cycle, because the epoch opened at
-	// one refresh point is not settled until the next one — a full cycle of
-	// computation hides the wire. Recovery content is identical to the
-	// paired path at the same ReplicaEvery staleness.
+	// epoch close (rma.go): the holder no longer stalls in a paired receive
+	// during the refresh cycle, because the epoch opened at one refresh
+	// point is not settled until the next one — a full cycle of computation
+	// hides the wire. Recovery content is identical to the paired path at
+	// the same ReplicaEvery staleness.
 	ReplicaRMA bool
-	// ReplicaSync selects how an RMA replica refresh synchronises its
-	// epochs (only meaningful with ReplicaRMA). The zero value SyncPSCW is
-	// the pairwise post/start/complete/wait protocol: each (holder, buddy)
-	// pair settles with two 8-byte control messages instead of the legacy
-	// full-group fence, whose dissemination barrier is what made 256-rank
-	// makespan tick up even as stall vanished. SyncFence keeps the legacy
-	// fence path; SyncAdaptive picks paired-p2p vs deferred-Put transport
-	// per refresh from the measured cycle/wire ratio (see rma.go).
+	// ReplicaSync selects the transport policy of an RMA replica refresh
+	// (only meaningful with ReplicaRMA); see the constants.
 	ReplicaSync ReplicaSyncMode
-	// RedistMode selects how redistribution Phase 3 drains incoming slabs
-	// (see the constants; the zero value RedistPipelined keeps virtual
-	// timing byte-identical to the legacy blocking drain).
+	// RedistMode selects how redistribution Phase 3 moves and commits
+	// incoming slabs; see the constants.
 	RedistMode RedistMode
 	// Telemetry, when non-nil, receives a structured record for every
 	// adaptation action: per-cycle iteration breakdowns, distribution
@@ -166,24 +159,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// ReplicaSyncMode selects the epoch synchronisation of the one-sided
-// replica refresh (Config.ReplicaSync, only with ReplicaRMA).
+// ReplicaSyncMode selects the transport policy of the one-sided replica
+// refresh (Config.ReplicaSync, only with ReplicaRMA). Epochs always
+// synchronise pairwise (post/start/complete/wait between a holder and its
+// buddy): two 8-byte control messages per pair per refresh, O(1) in the
+// group size.
 type ReplicaSyncMode int
 
 const (
-	// SyncPSCW (default): pairwise general active-target sync. Each rank
-	// posts its windows to its ring predecessor, starts toward its
-	// successor, Puts its slab, completes, and waits — two 8-byte control
-	// messages per pair per refresh, O(1) in the group size, against the
-	// fence's ceil(log2 n) dissemination rounds paid by every member. Same
-	// deferred-epoch staleness and bit-identical recovery content as the
-	// fence path.
+	// SyncPSCW (default): every refresh is a deferred one-sided Put — each
+	// rank posts its windows to its ring predecessor, starts toward its
+	// successor, Puts its slab, and completes/waits at the next refresh
+	// point, a full cycle of computation later.
 	SyncPSCW ReplicaSyncMode = iota
-	// SyncFence is the legacy full-group fence synchronisation (PR 7's
-	// shape), kept as the equivalence oracle and for measuring the barrier
-	// cost the pairwise protocol removes.
-	SyncFence
-	// SyncAdaptive runs the PSCW handshake every refresh but lets each
+	// SyncAdaptive runs the same handshake every refresh but lets each
 	// holder choose, per pair, between the deferred one-sided Put (wire
 	// hidden behind the next cycle) and an immediate paired send/recv
 	// (fresher replica) from its measured cycle/wire ratio; the verdict
@@ -192,28 +181,24 @@ const (
 	SyncAdaptive
 )
 
-// RedistMode selects the Phase 3 drain strategy of applyDistribution.
+// RedistMode selects the Phase 3 strategy of applyDistribution.
 type RedistMode int
 
 const (
 	// RedistPipelined (default): post all Irecvs up front, Isend the
 	// outgoing slabs, harvest completions physically with Waitany, then
-	// commit in deterministic schedule order with replay-priced Waits.
-	// Virtual clocks, golden traces and checksums are byte-identical to
-	// RedistBlocking; only the simulator's wall-clock behaviour changes
-	// (senders fill posted requests directly and the receiver parks once
-	// per arrival instead of once per in-order transfer).
+	// commit in deterministic schedule order with replay-priced Waits —
+	// virtual clocks, traces and checksums are those of one blocking
+	// receive per transfer in schedule order, whatever physical order the
+	// slabs arrive in.
 	RedistPipelined RedistMode = iota
-	// RedistBlocking is the legacy serial drain: one blocking RecvErr per
-	// transfer, in schedule order. Kept as the equivalence oracle the
-	// randomized-order suite compares against.
-	RedistBlocking
 	// RedistOverlap commits in deterministic arrival order — transfers
 	// sorted by (arrival stamp, schedule index), dead-sender transfers
 	// last — so a slab stuck behind a slow sender no longer head-of-line
 	// blocks the unpacking of already-arrived ones. Virtual redistribution
 	// stall drops (Event.Stall records it); the virtual timeline
-	// legitimately differs from the blocking one, so this mode is opt-in.
+	// legitimately differs from the schedule-order one, so this mode is
+	// opt-in.
 	RedistOverlap
 	// RedistRMA commits dense transfers through one-sided windows
 	// (rma.go): after the resident windows resize, each receiver exposes
@@ -221,7 +206,8 @@ const (
 	// destination offsets computed from the schedule, collapsing the
 	// Phase-3 harvest/commit into a fence. The receiver pays no per-message
 	// CPU and no commit touches (the deposit is a modelled DMA); sparse
-	// arrays fall back to the blocking drain. Opt-in, like RedistOverlap.
+	// arrays, and every array after a failed fence, go through the
+	// pipelined drain. Opt-in, like RedistOverlap.
 	RedistRMA
 )
 
@@ -367,7 +353,7 @@ type Runtime struct {
 	repPrev     int                 // ring predecessor at the last open (world rank)
 	repNext     int                 // ring successor at the last open (world rank)
 	repOpen     bool                // a replica epoch is open (deposits or handshake pending)
-	repPend     map[string]repRange // range Put into this rank's window this epoch
+	repPend     repRange            // range Put into this rank's windows this epoch
 	repDirect   bool                // adaptive: this epoch's incoming slabs arrived paired (already committed)
 	repMark     vclock.Time         // adaptive: clock at the END of the last refresh
 	repMarked   bool                // adaptive: repMark holds a real previous refresh

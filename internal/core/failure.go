@@ -7,30 +7,41 @@ import (
 
 	"repro/internal/distribution"
 	"repro/internal/drsd"
-	"repro/internal/matrix"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
 
 // This file turns detected rank deaths into a forced membership change.
 //
-// Detection happens at two kinds of sites with different symmetry:
+// Detection happens at three kinds of sites with different symmetry:
 //
 //   - Collective errors (mpi.RankFailedError from an *Err collective) are
 //     observed by every group member at the same operation, so the observer
 //     may immediately shrink the membership (absorbFailure) and retry over
 //     the rebuilt group.
-//   - Point-to-point errors (RecvErr during a redistribution or replica
-//     refresh) may be observed by only some ranks mid-protocol. Those sites
-//     only record the death (absorbDead); an asymmetric group rebuild there
-//     could leave peers waiting on a group the observer abandoned. The
-//     trailing collective of the protocol fails for everyone, so by the
-//     next cycle boundary all survivors agree.
+//   - Point-to-point errors inside a redistribution or a recovery (a failed
+//     slab receive, fetch handshake or commit marker) may be observed by
+//     only some ranks, but the protocol ends in a barrier over the group the
+//     dead rank belonged to, which fails for every member. Those sites only
+//     record the death (absorbDead) — an asymmetric group rebuild there
+//     could leave peers waiting on a group the observer abandoned — and by
+//     the next cycle boundary every survivor holds the same pending set.
+//   - Point-to-point errors at a replica refresh site (paired receive,
+//     epoch start/complete/wait) are seen by the dead rank's ring
+//     neighbours only, and no collective trails the refresh. A neighbour
+//     that recorded the death would run recovery at the top of its next
+//     cycle and enter the load exchange on the rebuilt group while its
+//     peers are still on the old one — each side parked in a collective
+//     the other never joins. So these sites record nothing
+//     (tolerateDeath): the next collective on the old group — the load
+//     exchange, or an application reduction — fails for every member at
+//     once, and recovery starts from there.
 //
-// Recovery itself (handleFailure) runs at the top of BeginCycle — a point
-// every surviving active rank reaches — and, when the dead ranks held data,
-// executes a recovery redistribution that reconstructs their rows from
-// buddy replicas (Config.Replicate) or declares them lost.
+// Recovery itself (handleFailure) runs where every surviving active rank
+// holds the same pending set — the top of BeginCycle, or the load-exchange
+// error path — and, when the dead ranks held data, executes a recovery
+// redistribution that reconstructs their rows from buddy replicas
+// (Config.Replicate) or declares them lost.
 
 // LostRange identifies rows of one array that could not be reconstructed
 // after a failure: they were zero-filled and the application must treat
@@ -44,7 +55,7 @@ type LostRange struct {
 // array, refreshed by refreshReplicas (paired send/recv) or through the
 // one-sided window machinery in rma.go. data always holds the committed
 // replica; stage is the window memory remote Puts land in under ReplicaRMA,
-// promoted to data only when the epoch-closing fence settles — so an epoch
+// promoted to data only when the epoch's closing wait settles — so an epoch
 // that can no longer settle (the origin died mid-cycle without depositing)
 // leaves the committed replica intact.
 type replica struct {
@@ -94,6 +105,13 @@ func (rt *Runtime) absorbDead(ranks []int) {
 	}
 	sort.Ints(rt.pendingDead)
 }
+
+// tolerateDeath is the error path of the replica refresh sites, where only
+// the dead rank's ring neighbours see an error and no collective trails the
+// protocol: the death is deliberately not recorded (see the file comment),
+// so the observer stays in step with the peers that saw nothing. Any other
+// error aborts the world.
+func (rt *Runtime) tolerateDeath(err error) { rt.deadOf(err) }
 
 // absorbFailure handles an error from a collective operation: every group
 // member observed the identical error at the same operation, so the
@@ -177,109 +195,37 @@ func (rt *Runtime) handleFailure() {
 // recoverDistribution is applyDistribution with one extra concern: transfers
 // sourced at a dead rank cannot arrive. When replication is on and the dead
 // rank's buddy survives, the buddy serves those transfers from its replica;
-// otherwise the rows are declared lost. All surviving active ranks call this
-// collectively with identical arguments; rt.dist is still the pre-failure
-// distribution (including the dead ranks).
+// otherwise the rows are declared lost. Schedule, extraction, resize, slab
+// commit and the closing barrier/emit are applyDistribution's own; only the
+// exchange differs, because replica service shares the tag with owner slabs
+// and so must be received in the holder's serve order. All surviving active
+// ranks call this collectively with identical arguments; rt.dist is still
+// the pre-failure distribution (including the dead ranks).
 func (rt *Runtime) recoverDistribution(newDist *drsd.Block, dead []int) {
-	if rt.cfg.ReplicaRMA {
-		// Settle the replica epoch left open by the last refresh before any
-		// replica is read: the fence fails (the old replica group contains
-		// the dead ranks) and the adoption protocol decides, per array,
-		// whether the dead predecessor's deposit landed in full (rma.go).
-		rt.closeReplicaEpoch()
-	}
-	rt.record(EvRedistStart, 0, "failure")
+	p := rt.beginRedist(newDist, "failure")
 	me := rt.comm.Rank()
-	var bytesSent, bytesRecv int64
-	var moves []telemetry.ArrayMove
-	if rt.sink != nil {
-		moves = make([]telemetry.ArrayMove, 0, len(rt.order))
-	}
-	lost0 := rt.lostRows
 
 	deadSet := map[int]bool{}
-	for _, d := range dead {
-		deadSet[d] = true
-	}
 	// The buddy holding a dead rank's replica is its ring successor in the
 	// pre-failure distribution — the rank refreshReplicas shipped to.
 	holder := map[int]int{}
 	oldRanks := rt.dist.Ranks()
-	for i, r := range oldRanks {
-		if deadSet[r] {
-			holder[r] = oldRanks[(i+1)%len(oldRanks)]
+	for _, d := range dead {
+		deadSet[d] = true
+		if _, next, ok := ringNeighbours(oldRanks, d); ok {
+			holder[d] = next
 		}
 	}
 
-	olo, ohi := rt.dist.RangeOf(me)
 	for _, name := range rt.order {
 		a := rt.arrays[name]
-		// Same owned-only diff-schedule fast path as applyDistribution.
-		if drsd.OwnedOnly(a.accesses) {
-			rt.schedBuf = drsd.ScheduleDiffInto(rt.schedBuf[:0], rt.dist, newDist)
-		} else {
-			rt.schedBuf = drsd.ScheduleWindowsInto(rt.schedBuf[:0], rt.dist, newDist, a.accesses)
-		}
-		sched := rt.schedBuf
+		sched := rt.scheduleFor(a, newDist)
 		tag := tagRecover + a.index
+		outs, _, _ := rt.extractAndResize(a, sched, newDist, nil)
 
-		// Phase 1: extract this rank's own outgoing payloads before the
-		// window changes (identical to applyDistribution).
-		nlo, nhi := newDist.RangeOf(me)
-		wlo, whi := drsd.Window(a.accesses, nlo, nhi, rt.n)
-		if n := ohi - olo; cap(rt.destBuf) < n {
-			rt.destBuf = make([]int, n)
-		} else {
-			rt.destBuf = rt.destBuf[:n]
-		}
-		destCount := rt.destBuf
-		clear(destCount)
-		for _, tr := range sched {
-			if tr.From != me {
-				continue
-			}
-			for g := tr.Lo; g < tr.Hi; g++ {
-				destCount[g-olo]++
-			}
-		}
-		outs := rt.outsBuf[:0]
-		for _, tr := range sched {
-			if tr.From != me {
-				continue
-			}
-			m := redistOut{to: tr.To, lo: tr.Lo, rows: tr.Hi - tr.Lo}
-			if a.dense != nil {
-				slab := getDenseSlab(m.rows, a.dense.RowLen)
-				a.dense.CopyRowsTo(slab.data, tr.Lo, tr.Hi)
-				for g := tr.Lo; g < tr.Hi; g++ {
-					keep := g >= wlo && g < whi
-					destCount[g-olo]--
-					if keep || destCount[g-olo] > 0 || a.dense.Scheme() == matrix.Contiguous {
-						rt.node.ChargeTouch(a.dense.RowBytes())
-					}
-				}
-				m.dense = slab
-				m.bytes = m.rows * int(a.dense.RowBytes())
-			} else {
-				slab := getSparseSlab()
-				a.sparse.PackRowsTo(&slab.p, tr.Lo, tr.Hi)
-				m.spars = slab
-				m.bytes = slab.p.WireBytes()
-			}
-			outs = append(outs, m)
-		}
-		rt.outsBuf = outs
-
-		// Phase 2: resize the resident window.
-		if a.dense != nil {
-			a.dense.SetWindow(wlo, whi)
-		} else {
-			a.sparse.SetWindow(wlo, whi)
-		}
-
-		// Phase 3: ship own outgoing slabs, then serve the dead ranks'
-		// transfers this rank holds replicas for. Sends are eager, so the
-		// send-before-receive order makes the exchange deadlock-free.
+		// Ship own outgoing slabs, then serve the dead ranks' transfers this
+		// rank holds replicas for. Sends are eager, so the send-before-receive
+		// order makes the exchange deadlock-free.
 		mv := telemetry.ArrayMove{Name: name}
 		for i := range outs {
 			m := &outs[i]
@@ -290,9 +236,7 @@ func (rt *Runtime) recoverDistribution(newDist *drsd.Block, dead []int) {
 				rt.comm.Send(m.to, tag, m.spars, m.bytes)
 				m.spars = nil
 			}
-			mv.Rows += m.rows
-			mv.Bytes += int64(m.bytes)
-			bytesSent += int64(m.bytes)
+			p.sent(&mv, m.rows, m.bytes)
 		}
 		if rt.cfg.Replicate && a.dense != nil {
 			rep := rt.replicas[name]
@@ -312,23 +256,19 @@ func (rt *Runtime) recoverDistribution(newDist *drsd.Block, dead []int) {
 				}
 				bytes := 16 + rows*int(a.dense.RowBytes())
 				rt.comm.Send(tr.To, tag, replicaSlab{lo: plo, hi: phi, data: slab}, bytes)
-				mv.Rows += rows
-				mv.Bytes += int64(bytes)
-				bytesSent += int64(bytes)
+				p.sent(&mv, rows, bytes)
 			}
 		}
-		if rt.sink != nil && (mv.Rows > 0 || mv.Bytes > 0) {
-			moves = append(moves, mv)
-		}
+		p.moved(mv)
 
-		// Phase 4: receive, distinguishing live sources (normal slabs) from
-		// dead ones (replica service or declared loss).
+		// Receive, distinguishing live sources (normal slabs) from dead ones
+		// (replica service or declared loss).
 		for _, tr := range sched {
 			if tr.To != me {
 				continue
 			}
 			if deadSet[tr.From] {
-				rt.recoverTransfer(a, tag, tr, holder, deadSet, &bytesRecv)
+				rt.recoverTransfer(a, tag, tr, holder, deadSet, &p.bytesRecv)
 				continue
 			}
 			payload, st, err := rt.comm.RecvErr(tr.From, tag)
@@ -337,51 +277,12 @@ func (rt *Runtime) recoverDistribution(newDist *drsd.Block, dead []int) {
 				rt.loseRows(a, tr.Lo, tr.Hi)
 				continue
 			}
-			bytesRecv += int64(st.Bytes)
-			if a.dense != nil {
-				slab, ok := payload.(*denseSlab)
-				if !ok || slab.rows != tr.Hi-tr.Lo {
-					panic(fmt.Sprintf("core: bad dense recovery payload for %q", name))
-				}
-				a.dense.PutRows(tr.Lo, slab.data)
-				putDenseSlab(slab)
-			} else {
-				slab, ok := payload.(*sparseSlab)
-				if !ok || slab.p.Rows() != tr.Hi-tr.Lo {
-					panic(fmt.Sprintf("core: bad sparse recovery payload for %q", name))
-				}
-				a.sparse.UnpackRows(tr.Lo, &slab.p)
-				putSparseSlab(slab)
-			}
+			p.bytesRecv += int64(st.Bytes)
+			rt.commitSlab(a, tr.Lo, tr.Hi, payload)
 		}
 	}
 
-	rt.dist = newDist
-	if err := rt.comm.BarrierErr(rt.group); err != nil {
-		rt.absorbDead(rt.deadOf(err))
-	}
-	rt.events = append(rt.events, Event{
-		Kind: EvRedistEnd, Cycle: rt.cycle, Time: rt.node.Now(),
-		Bytes: bytesSent + bytesRecv, BytesSent: bytesSent, BytesRecv: bytesRecv,
-		Counts: newDist.Counts(), Info: "failure",
-	})
-	if rt.sink != nil {
-		rows, sent := 0, int64(0)
-		for _, mv := range moves {
-			rows += mv.Rows
-			sent += mv.Bytes
-		}
-		rt.sink.Emit(telemetry.RedistRecord{
-			Base:       rt.stamp(telemetry.KindRedist),
-			Arrays:     moves,
-			RowsSent:   rows,
-			BytesSent:  sent,
-			BytesRecv:  bytesRecv,
-			BytesMoved: sent + bytesRecv,
-			Counts:     newDist.Counts(),
-			LostRows:   rt.lostRows - lost0,
-		})
-	}
+	rt.endRedist(&p)
 	rt.refreshReplicasNow()
 }
 
@@ -475,38 +376,26 @@ func (rt *Runtime) refreshReplicas() {
 		return
 	}
 	me := rt.comm.Rank()
-	self := -1
-	for i, r := range ranks {
-		if r == me {
-			self = i
-		}
-	}
-	if self < 0 {
+	prev, next, ok := ringNeighbours(ranks, me)
+	if !ok {
 		return
 	}
-	next := ranks[(self+1)%len(ranks)]
-	prev := ranks[(self-1+len(ranks))%len(ranks)]
 	lo, hi := rt.dist.RangeOf(me)
 	for _, name := range rt.order {
 		a := rt.arrays[name]
 		if a.dense == nil {
 			continue
 		}
-		if !rt.comm.World().Alive(next) {
-			// The buddy died mid-cycle: its mailbox will never be drained, so
-			// shipping the refresh would only waste injection time. The death
-			// is recovered at the next cycle boundary; skipping here keeps the
-			// send side consistent with the receive side's error handling.
+		if rt.knownDead(next) {
+			// The buddy died inside the redistribution this refresh trails:
+			// its mailbox will never be drained, so shipping the refresh
+			// would only waste injection time. The guard is the recorded
+			// dead set, never the wall-clock Alive (see knownDead): a buddy
+			// dying concurrently with this refresh gets the slab either way.
 			continue
 		}
-		rows := hi - lo
-		slab := getDenseSlab(rows, a.dense.RowLen)
-		a.dense.CopyRowsTo(slab.data, lo, hi)
-		for g := lo; g < hi; g++ {
-			rt.node.ChargeTouch(a.dense.RowBytes())
-		}
-		rt.comm.Send(next, tagReplica+a.index, replicaSlab{lo: lo, hi: hi, data: slab},
-			16+rows*int(a.dense.RowBytes()))
+		rt.comm.Send(next, tagReplica+a.index, replicaSlab{lo: lo, hi: hi, data: rt.packRows(a, lo, hi)},
+			16+(hi-lo)*int(a.dense.RowBytes()))
 	}
 	if rt.replicas == nil {
 		rt.replicas = make(map[string]*replica)
@@ -518,33 +407,62 @@ func (rt *Runtime) refreshReplicas() {
 		}
 		p, _, err := rt.comm.RecvErr(prev, tagReplica+a.index)
 		if err != nil {
-			// The predecessor died before shipping its refresh; keep the
-			// stale replica and let the next cycle boundary run recovery.
-			rt.absorbDead(rt.deadOf(err))
+			// The predecessor died before shipping its refresh: keep the
+			// stale replica.
+			rt.tolerateDeath(err)
 			continue
 		}
-		rs, ok := p.(replicaSlab)
-		if !ok {
-			panic(fmt.Sprintf("core: bad replica refresh payload for %q", name))
-		}
-		rep := rt.replicas[name]
-		if rep == nil {
-			rep = &replica{}
-			rt.replicas[name] = rep
-		}
-		n := (rs.hi - rs.lo) * a.dense.RowLen
-		if cap(rep.data) < n {
-			rep.data = make([]float64, n)
-		} else {
-			rep.data = rep.data[:n]
-		}
-		copy(rep.data, rs.data.data[:n])
-		rep.lo, rep.hi = rs.lo, rs.hi
-		for g := rs.lo; g < rs.hi; g++ {
-			rt.node.ChargeTouch(a.dense.RowBytes())
-		}
-		putDenseSlab(rs.data)
+		rt.storeReplica(a, p)
 	}
+}
+
+// ringNeighbours returns me's predecessor and successor in the ring of
+// ranks (a distribution's rank list); ok is false when me is not in it.
+func ringNeighbours(ranks []int, me int) (prev, next int, ok bool) {
+	n := len(ranks)
+	for i, r := range ranks {
+		if r == me {
+			return ranks[(i-1+n)%n], ranks[(i+1)%n], true
+		}
+	}
+	return 0, 0, false
+}
+
+// packRows copies rows [lo,hi) of dense array a into a pooled slab the way
+// every replica shipper does: one RowBytes touch per row copied out.
+func (rt *Runtime) packRows(a *regArray, lo, hi int) *denseSlab {
+	slab := getDenseSlab(hi-lo, a.dense.RowLen)
+	a.dense.CopyRowsTo(slab.data, lo, hi)
+	for g := lo; g < hi; g++ {
+		rt.node.ChargeTouch(a.dense.RowBytes())
+	}
+	return slab
+}
+
+// storeReplica commits a paired replica payload as array a's replica — one
+// RowBytes touch per row stored — and recycles its slab.
+func (rt *Runtime) storeReplica(a *regArray, payload any) {
+	rs, ok := payload.(replicaSlab)
+	if !ok {
+		panic(fmt.Sprintf("core: bad replica payload for %q", a.name))
+	}
+	rep := rt.replicas[a.name]
+	if rep == nil {
+		rep = &replica{}
+		rt.replicas[a.name] = rep
+	}
+	n := (rs.hi - rs.lo) * a.dense.RowLen
+	if cap(rep.data) < n {
+		rep.data = make([]float64, n)
+	} else {
+		rep.data = rep.data[:n]
+	}
+	copy(rep.data, rs.data.data[:n])
+	rep.lo, rep.hi = rs.lo, rs.hi
+	for g := rs.lo; g < rs.hi; g++ {
+		rt.node.ChargeTouch(a.dense.RowBytes())
+	}
+	putDenseSlab(rs.data)
 }
 
 // intersect clips [lo,hi) to the replica's covered range; a nil replica

@@ -7,18 +7,10 @@ import (
 	"repro/internal/fault"
 )
 
-// Replica-sync mode suites: the pairwise PSCW refresh (default), the
-// legacy fence refresh (the equivalence oracle PR 7 shipped), and the
+// Replica-sync mode suites: the deferred-Put refresh (default) and the
 // adaptive per-pair mode. The default-mode crash matrix, leak checks and
-// determinism suites live in rma_test.go and now exercise SyncPSCW; this
-// file pins what is specific to the mode split.
-
-// replicaFenceCfg is replicaRMACfg pinned to the legacy full-group fence.
-func replicaFenceCfg() Config {
-	cfg := replicaRMACfg()
-	cfg.ReplicaSync = SyncFence
-	return cfg
-}
+// determinism suites live in rma_test.go; this file pins what is specific
+// to the mode split.
 
 // replicaAdaptiveCfg is replicaRMACfg with the per-pair adaptive verdict.
 func replicaAdaptiveCfg() Config {
@@ -27,60 +19,18 @@ func replicaAdaptiveCfg() Config {
 	return cfg
 }
 
-// TestReplicaSyncFenceRegression keeps the legacy fence mode working now
-// that the default moved to PSCW: crash recovery stays bit-exact and
-// leak-free through the full-group fence adoption protocol.
-func TestReplicaSyncFenceRegression(t *testing.T) {
-	for _, cycle := range []int{1, 6, 13} {
-		spec := cluster.Uniform(3)
-		spec.Faults = []fault.Fault{fault.CrashAtCycle(2, cycle)}
-		results, leaked := runRMAMini(t, spec, replicaFenceCfg(), 48, 4, 20)
-		if len(results) != 2 {
-			t.Fatalf("cycle %d: %d ranks reported, want the 2 survivors", cycle, len(results))
-		}
-		checkRMAValues(t, results, 48)
-		for r, res := range results {
-			if res.lost != 0 {
-				t.Errorf("cycle %d: rank %d lost %d rows", cycle, r, res.lost)
-			}
-		}
-		if leaked != 0 {
-			t.Errorf("cycle %d: %d deposits leaked", cycle, leaked)
-		}
-	}
-}
-
-// TestReplicaSyncPSCWBeatsFence pins the tentpole's scaling claim at the
-// runtime level: with per-cycle refreshes, every rank must finish strictly
-// earlier under pairwise sync than under the fence — the dissemination
-// butterfly is pure overhead the pairwise handshake does not pay.
-func TestReplicaSyncPSCWBeatsFence(t *testing.T) {
-	const n, rowLen, cycles = 64, 64, 12
-	fenceRes, _ := runRMAMini(t, cluster.Uniform(8), replicaFenceCfg(), n, rowLen, cycles)
-	pscwRes, leaked := runRMAMini(t, cluster.Uniform(8), replicaRMACfg(), n, rowLen, cycles)
-	checkRMAValues(t, fenceRes, n)
-	checkRMAValues(t, pscwRes, n)
-	if leaked != 0 {
-		t.Fatalf("%d deposits leaked", leaked)
-	}
-	for r := range pscwRes {
-		if pscwRes[r].final >= fenceRes[r].final {
-			t.Errorf("rank %d: PSCW finish %v not strictly before fence finish %v",
-				r, pscwRes[r].final, fenceRes[r].final)
-		}
-	}
-}
-
-// TestReplicaSyncModesSameValues: all three sync modes are transport-only
-// choices — each must end with identical bit-exact array contents and
-// identical final distributions on every rank.
+// TestReplicaSyncModesSameValues: paired, deferred-Put and adaptive refresh
+// are transport-only choices — each must end with identical bit-exact array
+// contents on every rank.
 func TestReplicaSyncModesSameValues(t *testing.T) {
 	const n, rowLen, cycles = 48, 4, 15
+	paired := replicaRMACfg()
+	paired.ReplicaRMA = false
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"fence", replicaFenceCfg()},
+		{"paired", paired},
 		{"pscw", replicaRMACfg()},
 		{"adaptive", replicaAdaptiveCfg()},
 	} {
@@ -152,9 +102,9 @@ func TestReplicaSyncAdaptiveCrash(t *testing.T) {
 	}
 }
 
-// TestReplicaSyncPSCWCrashDeterminism mirrors the fence determinism suite
-// under pairwise sync: the pairwise adoption protocol must make recovery
-// independent of physical scheduling.
+// TestReplicaSyncPSCWCrashDeterminism: the pairwise adoption protocol must
+// make recovery independent of physical scheduling, on a 4-rank ring where
+// the victim's two neighbours are distinct ranks.
 func TestReplicaSyncPSCWCrashDeterminism(t *testing.T) {
 	run := func() map[int]*rmaResult {
 		spec := cluster.Uniform(4)
@@ -200,12 +150,6 @@ func TestRedistBytesConservation(t *testing.T) {
 		name string
 		cfg  func() Config
 	}{
-		{"blocking", func() Config {
-			cfg := DefaultConfig()
-			cfg.Drop = DropNever
-			cfg.RedistMode = RedistBlocking
-			return cfg
-		}},
 		{"pipelined", func() Config {
 			cfg := DefaultConfig()
 			cfg.Drop = DropNever

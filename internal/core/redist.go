@@ -8,11 +8,8 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
+	"repro/internal/vclock"
 )
-
-// redistDone marks an array whose Phase 3 was fully committed through the
-// one-sided path (rma.go) — nothing left for the message-passing drains.
-const redistDone RedistMode = -1
 
 // commitSlab unpacks one received slab into a's resident window — charging
 // the same virtual touches as the per-row formulation (PutRows/UnpackRows
@@ -143,6 +140,192 @@ func arrivalLess(ins []redistIn, a, b int) bool {
 	return a < b
 }
 
+// redistPass is the bookkeeping one redistribution carries from its
+// EvRedistStart to its EvRedistEnd, shared by load-driven redistribution
+// (applyDistribution) and failure recovery (recoverDistribution).
+type redistPass struct {
+	newDist              *drsd.Block
+	info                 string // Event.Info of the start/end events
+	bytesSent, bytesRecv int64
+	moves                []telemetry.ArrayMove // per-array send volumes; nil without a sink
+	lost0                int
+	stall0               vclock.Duration
+}
+
+// beginRedist opens a redistribution to newDist. The replica epoch left
+// open by the last refresh settles first, before any row moves or any
+// replica is read: on an intact group the replicas commit at their
+// pre-redistribution ranges; after a death the close fails and the adoption
+// protocol decides, per array, whether the dead predecessor's deposit
+// landed in full (rma.go).
+func (rt *Runtime) beginRedist(newDist *drsd.Block, info string) redistPass {
+	if rt.cfg.ReplicaRMA {
+		rt.closeReplicaEpoch()
+	}
+	rt.record(EvRedistStart, 0, info)
+	p := redistPass{newDist: newDist, info: info, lost0: rt.lostRows, stall0: rt.comm.RecvStall}
+	if rt.sink != nil {
+		p.moves = make([]telemetry.ArrayMove, 0, len(rt.order))
+	}
+	return p
+}
+
+// sent accounts one outgoing transfer against the pass and its array.
+func (p *redistPass) sent(mv *telemetry.ArrayMove, rows, bytes int) {
+	mv.Rows += rows
+	mv.Bytes += int64(bytes)
+	p.bytesSent += int64(bytes)
+}
+
+// moved files one array's send volume once its outgoing side is done.
+func (p *redistPass) moved(mv telemetry.ArrayMove) {
+	if p.moves != nil && (mv.Rows > 0 || mv.Bytes > 0) {
+		p.moves = append(p.moves, mv)
+	}
+}
+
+// endRedist installs the new distribution, synchronises the group and
+// emits the redistribution's end event and telemetry record.
+func (rt *Runtime) endRedist(p *redistPass) {
+	rt.dist = p.newDist
+	if err := rt.comm.BarrierErr(rt.group); err != nil {
+		rt.absorbDead(rt.deadOf(err))
+	}
+	rt.events = append(rt.events, Event{
+		Kind: EvRedistEnd, Cycle: rt.cycle, Time: rt.node.Now(),
+		Bytes: p.bytesSent + p.bytesRecv, BytesSent: p.bytesSent, BytesRecv: p.bytesRecv,
+		Counts: p.newDist.Counts(),
+		Stall:  rt.comm.RecvStall - p.stall0,
+		Info:   p.info,
+	})
+	if rt.sink != nil {
+		rows, sent := 0, int64(0)
+		for _, mv := range p.moves {
+			rows += mv.Rows
+			sent += mv.Bytes
+		}
+		rt.sink.Emit(telemetry.RedistRecord{
+			Base:       rt.stamp(telemetry.KindRedist),
+			Arrays:     p.moves,
+			RowsSent:   rows,
+			BytesSent:  sent,
+			BytesRecv:  p.bytesRecv,
+			BytesMoved: sent + p.bytesRecv,
+			Counts:     p.newDist.Counts(),
+			LostRows:   rt.lostRows - p.lost0,
+		})
+	}
+}
+
+// scheduleFor derives array a's transfer schedule (§4.4 step 1) into the
+// runtime's schedule scratch. Owned-only arrays take the resize-aware diff
+// schedule: it emits exactly the owner-changed contiguous windows
+// ScheduleWindowsInto would (byte-identical transfers, same order — gap
+// coverage of an ownership range degenerates to the ownership delta when no
+// ghost access widens the window), computed per-rank from the two block
+// boundaries instead of walking every access pattern.
+func (rt *Runtime) scheduleFor(a *regArray, newDist *drsd.Block) []drsd.Transfer {
+	if drsd.OwnedOnly(a.accesses) {
+		rt.schedBuf = drsd.ScheduleDiffInto(rt.schedBuf[:0], rt.dist, newDist)
+	} else {
+		rt.schedBuf = drsd.ScheduleWindowsInto(rt.schedBuf[:0], rt.dist, newDist, a.accesses)
+	}
+	return rt.schedBuf
+}
+
+// extractAndResize runs §4.4 steps 2–3 for one array: it packs every
+// transfer this rank sources into a slab (Phase 1, before the window
+// changes) and then resizes the resident window to the new ownership
+// (Phase 2; reuses retained rows, the allocation scheme determines the
+// cost). Transfers bound for a rank in pulled — non-nil only while array
+// a's joiner-bound rows travel by one-sided fetch — pack back to back into
+// fbuf, the buffer the fetch window will expose, and are returned apart;
+// the joiner derives their offsets from the same schedule order.
+func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist *drsd.Block, pulled map[int]bool) (outs, fetchOuts []redistOut, fbuf []float64) {
+	me := rt.comm.Rank()
+	olo, ohi := rt.dist.RangeOf(me)
+	nlo, nhi := newDist.RangeOf(me)
+	wlo, whi := drsd.Window(a.accesses, nlo, nhi, rt.n)
+	// Destination multiplicity distinguishes a row's final destination (a
+	// move: the row's storage leaves with it) from earlier ones (a copy).
+	// Every transfer with From == me covers rows this rank owns under the
+	// old distribution, so a flat slice indexed by row offset into [olo,ohi)
+	// serves as the map.
+	if n := ohi - olo; cap(rt.destBuf) < n {
+		rt.destBuf = make([]int, n)
+	} else {
+		rt.destBuf = rt.destBuf[:n]
+	}
+	destCount := rt.destBuf
+	clear(destCount)
+	fetchLen := 0
+	for _, tr := range sched {
+		if tr.From != me {
+			continue
+		}
+		for g := tr.Lo; g < tr.Hi; g++ {
+			destCount[g-olo]++
+		}
+		if pulled[tr.To] {
+			fetchLen += (tr.Hi - tr.Lo) * a.dense.RowLen
+		}
+	}
+	outs, fetchOuts, fbuf = rt.outsBuf[:0], rt.fetchOutsBuf[:0], rt.fetchBuf[:0]
+	if cap(fbuf) < fetchLen {
+		fbuf = make([]float64, fetchLen)
+	} else {
+		fbuf = fbuf[:fetchLen]
+	}
+	foff := 0
+	for _, tr := range sched {
+		if tr.From != me {
+			continue
+		}
+		m := redistOut{to: tr.To, lo: tr.Lo, rows: tr.Hi - tr.Lo}
+		if a.dense == nil {
+			m.spars = getSparseSlab()
+			a.sparse.PackRowsTo(&m.spars.p, tr.Lo, tr.Hi)
+			m.bytes = m.spars.p.WireBytes()
+			outs = append(outs, m)
+			continue
+		}
+		n := m.rows * a.dense.RowLen
+		if pulled[tr.To] {
+			a.dense.CopyRowsTo(fbuf[foff:foff+n], tr.Lo, tr.Hi)
+			foff += n
+		} else {
+			m.dense = getDenseSlab(m.rows, a.dense.RowLen)
+			a.dense.CopyRowsTo(m.dense.data, tr.Lo, tr.Hi)
+		}
+		// Virtual cost per row, identical to the per-row path: a row that
+		// stays resident here or still has further destinations was copied
+		// out (one RowBytes touch); a leaving row's final destination was a
+		// move — free under Projection, a charged copy under Contiguous
+		// (TakeRow semantics).
+		for g := tr.Lo; g < tr.Hi; g++ {
+			keep := g >= wlo && g < whi
+			destCount[g-olo]--
+			if keep || destCount[g-olo] > 0 || a.dense.Scheme() == matrix.Contiguous {
+				rt.node.ChargeTouch(a.dense.RowBytes())
+			}
+		}
+		m.bytes = m.rows * int(a.dense.RowBytes())
+		if pulled[tr.To] {
+			fetchOuts = append(fetchOuts, m)
+		} else {
+			outs = append(outs, m)
+		}
+	}
+	rt.outsBuf, rt.fetchOutsBuf, rt.fetchBuf = outs, fetchOuts, fbuf
+
+	if a.dense != nil {
+		a.dense.SetWindow(wlo, whi)
+	} else {
+		a.sparse.SetWindow(wlo, whi)
+	}
+	return outs, fetchOuts, fbuf
+}
+
 // applyDistribution executes a redistribution to newDist (§4.4): for every
 // registered array each node (1) determines ownership from the DRSDs,
 // (2) extracts rows that leave it, (3) resizes its resident window —
@@ -150,23 +333,8 @@ func arrivalLess(ins []redistIn, a, b int) bool {
 // that stays — and (4) exchanges exactly the rows the schedule demands.
 // All active ranks call this collectively with identical arguments.
 func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
-	if rt.cfg.ReplicaRMA {
-		// Settle the replica epoch opened at the last refresh point before
-		// any rows move: the group is intact here, so the fence succeeds and
-		// the replicas commit at their pre-redistribution ranges.
-		rt.closeReplicaEpoch()
-	}
-	rt.record(EvRedistStart, 0, "")
-	me := rt.comm.Rank()
-	var bytesSent, bytesRecv int64
-	var moves []telemetry.ArrayMove
-	if rt.sink != nil {
-		moves = make([]telemetry.ArrayMove, 0, len(rt.order))
-	}
-	lost0 := rt.lostRows
-	stall0 := rt.comm.RecvStall
-	rmaDown := false // a fence failed: remaining arrays use the blocking drain
-	olo, ohi := rt.dist.RangeOf(me)
+	p := rt.beginRedist(newDist, "")
+	rmaDown := false // a fence failed: remaining arrays use the message-passing drain
 
 	// Resized-in ranks own nothing under the old distribution; in RMA mode
 	// their incoming dense transfers are pulled one-sided (Get under PSCW,
@@ -175,12 +343,8 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 	var newcomer map[int]bool
 	if rt.cfg.RedistMode == RedistRMA {
 		old := rt.dist.Ranks()
-		inOld := make(map[int]bool, len(old))
-		for _, r := range old {
-			inOld[r] = true
-		}
 		for _, r := range newDist.Ranks() {
-			if !inOld[r] {
+			if !containsInt(old, r) {
 				if newcomer == nil {
 					newcomer = map[int]bool{}
 				}
@@ -191,35 +355,23 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 
 	for _, name := range rt.order {
 		a := rt.arrays[name]
-		// Owned-only arrays take the resize-aware diff schedule: it emits
-		// exactly the owner-changed contiguous windows ScheduleWindowsInto
-		// would (byte-identical transfers, same order — gap coverage of an
-		// ownership range degenerates to the ownership delta when no ghost
-		// access widens the window), computed per-rank from the two block
-		// boundaries instead of walking every access pattern.
-		if drsd.OwnedOnly(a.accesses) {
-			rt.schedBuf = drsd.ScheduleDiffInto(rt.schedBuf[:0], rt.dist, newDist)
-		} else {
-			rt.schedBuf = drsd.ScheduleWindowsInto(rt.schedBuf[:0], rt.dist, newDist, a.accesses)
-		}
-		sched := rt.schedBuf
-		tag := tagRedist + a.index
+		sched := rt.scheduleFor(a, newDist)
 
 		// Split off joiner-bound transfers: the fetch protocol moves them
 		// before the push phase, and the push paths run on the remainder.
 		// The split is schedule-derived, so every member computes it
 		// identically (the fetch windows register collectively).
 		rest := sched
-		fetch := false
+		var pulled map[int]bool
 		if len(newcomer) > 0 && a.dense != nil && !rmaDown {
 			for _, tr := range sched {
 				if newcomer[tr.To] {
-					fetch = true
+					pulled = newcomer
 					break
 				}
 			}
 		}
-		if fetch {
+		if pulled != nil {
 			rest = rt.restBuf[:0]
 			for _, tr := range sched {
 				if !newcomer[tr.To] {
@@ -229,279 +381,119 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 			rt.restBuf = rest
 		}
 
-		// Phase 1: extract outgoing payloads before the window changes.
-		nlo, nhi := newDist.RangeOf(me)
-		wlo, whi := drsd.Window(a.accesses, nlo, nhi, rt.n)
-		// Destination multiplicity distinguishes a row's final destination
-		// (a move: the row's storage leaves with it) from earlier ones (a
-		// copy). Every transfer with From == me covers rows this rank owns
-		// under the old distribution, so a flat slice indexed by row offset
-		// into [olo,ohi) replaces the former map.
-		if n := ohi - olo; cap(rt.destBuf) < n {
-			rt.destBuf = make([]int, n)
-		} else {
-			rt.destBuf = rt.destBuf[:n]
-		}
-		destCount := rt.destBuf
-		clear(destCount)
-		for _, tr := range sched {
-			if tr.From != me {
-				continue
-			}
-			for g := tr.Lo; g < tr.Hi; g++ {
-				destCount[g-olo]++
-			}
-		}
-		outs := rt.outsBuf[:0]
-		fetchOuts := rt.fetchOutsBuf[:0]
-		fbuf := rt.fetchBuf[:0]
-		if fetch {
-			total := 0
-			for _, tr := range sched {
-				if tr.From == me && newcomer[tr.To] {
-					total += (tr.Hi - tr.Lo) * a.dense.RowLen
-				}
-			}
-			if cap(fbuf) < total {
-				fbuf = make([]float64, total)
-			} else {
-				fbuf = fbuf[:total]
-			}
-		}
-		foff := 0
-		for _, tr := range sched {
-			if tr.From != me {
-				continue
-			}
-			m := redistOut{to: tr.To, lo: tr.Lo, rows: tr.Hi - tr.Lo}
-			if fetch && newcomer[tr.To] {
-				// Joiner-bound rows pack back to back into the buffer the
-				// fetch window will expose — same extraction touches as a
-				// pushed slab; the joiner derives the offsets from the same
-				// schedule order.
-				a.dense.CopyRowsTo(fbuf[foff:foff+m.rows*a.dense.RowLen], tr.Lo, tr.Hi)
-				for g := tr.Lo; g < tr.Hi; g++ {
-					keep := g >= wlo && g < whi
-					destCount[g-olo]--
-					if keep || destCount[g-olo] > 0 || a.dense.Scheme() == matrix.Contiguous {
-						rt.node.ChargeTouch(a.dense.RowBytes())
-					}
-				}
-				m.bytes = m.rows * int(a.dense.RowBytes())
-				foff += m.rows * a.dense.RowLen
-				fetchOuts = append(fetchOuts, m)
-				continue
-			}
-			if a.dense != nil {
-				slab := getDenseSlab(m.rows, a.dense.RowLen)
-				a.dense.CopyRowsTo(slab.data, tr.Lo, tr.Hi)
-				// Virtual cost per row, identical to the per-row path: a row
-				// that stays resident here or still has further destinations
-				// was copied out (one RowBytes touch); a leaving row's final
-				// destination was a move — free under Projection, a charged
-				// copy under Contiguous (TakeRow semantics).
-				for g := tr.Lo; g < tr.Hi; g++ {
-					keep := g >= wlo && g < whi
-					destCount[g-olo]--
-					if keep || destCount[g-olo] > 0 || a.dense.Scheme() == matrix.Contiguous {
-						rt.node.ChargeTouch(a.dense.RowBytes())
-					}
-				}
-				m.dense = slab
-				m.bytes = m.rows * int(a.dense.RowBytes())
-			} else {
-				slab := getSparseSlab()
-				a.sparse.PackRowsTo(&slab.p, tr.Lo, tr.Hi)
-				m.spars = slab
-				m.bytes = slab.p.WireBytes()
-			}
-			outs = append(outs, m)
-		}
-		rt.outsBuf = outs
-		rt.fetchOutsBuf = fetchOuts
-		rt.fetchBuf = fbuf
+		outs, fetchOuts, fbuf := rt.extractAndResize(a, sched, newDist, pulled)
 
-		// Phase 2: resize the resident window (reuses retained rows; the
-		// allocation scheme determines the cost).
-		if a.dense != nil {
-			a.dense.SetWindow(wlo, whi)
-		} else {
-			a.sparse.SetWindow(wlo, whi)
-		}
-
-		// Phase 3: exchange exactly the rows the schedule demands. The
-		// nonblocking drain (default) posts every Irecv before shipping, so
-		// peers fill the posted requests directly and this rank parks once
-		// per arrival instead of once per in-order transfer; the blocking
-		// drain is the legacy oracle. Either way the commit — the only part
-		// that advances virtual time — runs in a deterministic order.
+		// Phase 3: exchange exactly the rows the schedule demands.
 		mv := telemetry.ArrayMove{Name: name}
-		if fetch {
+		if pulled != nil {
 			// Joiner-bound transfers move first, one-sided: sources expose
 			// their packed slabs, joiners pull with Get under PSCW. Every
 			// member participates (the fetch windows register collectively).
-			rt.rmaFetchArray(a, sched, newDist, newcomer, fetchOuts, fbuf, &mv, &bytesSent, &bytesRecv)
+			rt.rmaFetchArray(a, sched, newcomer, fetchOuts, fbuf, &mv, &p)
 		}
-		mode := rt.cfg.RedistMode
-		if mode == RedistRMA {
-			// One-sided commit for dense arrays while the windows are healthy;
-			// sparse arrays — and every array after a fence failure — take the
-			// blocking drain, whose failure handling is self-contained.
-			committed := false
-			if a.dense != nil && !rmaDown {
-				var down bool
-				committed, down = rt.rmaRedistArray(a, rest, newDist, outs, &mv, &bytesSent, &bytesRecv)
-				if down {
-					rmaDown = true
-				}
-			}
-			if committed {
-				mode = redistDone
-			} else {
-				mode = RedistBlocking
-			}
+		// One-sided commit for dense arrays while the windows are healthy;
+		// sparse arrays — and every array after a fence failure — go through
+		// the message-passing drain, whose failure handling is self-contained.
+		committed := false
+		if rt.cfg.RedistMode == RedistRMA && a.dense != nil && !rmaDown {
+			committed, rmaDown = rt.rmaRedistArray(a, rest, outs, &mv, &p)
 		}
-		if mode == RedistBlocking {
-			for i := range outs {
-				m := &outs[i]
-				if m.dense != nil {
-					rt.comm.Send(m.to, tag, m.dense, m.bytes)
-					m.dense = nil
-				} else {
-					rt.comm.Send(m.to, tag, m.spars, m.bytes)
-					m.spars = nil
-				}
-				mv.Rows += m.rows
-				mv.Bytes += int64(m.bytes)
-				bytesSent += int64(m.bytes)
-			}
-			for _, tr := range rest {
-				if tr.To != me {
-					continue
-				}
-				payload, st, err := rt.comm.RecvErr(tr.From, tag)
-				if err != nil {
-					// The sender died before shipping these rows. Record the
-					// death and declare the rows lost; the recovery pass at the
-					// next cycle boundary may still restore them from a replica.
-					rt.absorbDead(rt.deadOf(err))
-					rt.loseRows(a, tr.Lo, tr.Hi)
-					continue
-				}
-				bytesRecv += int64(st.Bytes)
-				rt.commitSlab(a, tr.Lo, tr.Hi, payload)
-			}
-		} else if mode != redistDone {
-			// Post all Irecvs up front (no virtual charge).
-			ins := rt.insBuf[:0]
-			for _, tr := range rest {
-				if tr.To != me {
-					continue
-				}
-				ins = append(ins, redistIn{lo: tr.Lo, hi: tr.Hi, req: rt.comm.Irecv(tr.From, tag)})
-			}
-			rt.insBuf = ins
-			// Isend the outgoing slabs: the same injection charges, in the
-			// same order, as the blocking path's Sends. Send requests
-			// complete at post; Waitall only recycles them.
-			reqs := rt.reqBuf[:0]
-			for i := range outs {
-				m := &outs[i]
-				if m.dense != nil {
-					reqs = append(reqs, rt.comm.Isend(m.to, tag, m.dense, m.bytes))
-					m.dense = nil
-				} else {
-					reqs = append(reqs, rt.comm.Isend(m.to, tag, m.spars, m.bytes))
-					m.spars = nil
-				}
-				mv.Rows += m.rows
-				mv.Bytes += int64(m.bytes)
-				bytesSent += int64(m.bytes)
-			}
-			rt.comm.Waitall(reqs)
-			// Harvest completions physically, in whatever order they
-			// arrive. No clock moves here: Waitany only claims.
-			reqs = reqs[:0]
-			for k := range ins {
-				reqs = append(reqs, ins[k].req)
-			}
-			rt.reqBuf = reqs
-			if redistHarvestShuffle != nil {
-				redistHarvestShuffle(rt.comm, reqs)
-			} else {
-				for range reqs {
-					rt.comm.Waitany(reqs)
-				}
-			}
-			// Commit deterministically. Pipelined replays the blocking
-			// schedule order with replay-priced Waits — clocks, traces and
-			// checksums stay byte-identical. Overlap commits in arrival
-			// order, trading trace equivalence for lower stall.
-			order := rt.ordBuf[:0]
-			for k := range ins {
-				order = append(order, k)
-			}
-			rt.ordBuf = order
-			if rt.cfg.RedistMode == RedistOverlap {
-				// Insertion sort by (arrival, schedule index): transfer
-				// counts per array are small and the scratch is reused.
-				for i := 1; i < len(order); i++ {
-					for j := i; j > 0 && arrivalLess(ins, order[j], order[j-1]); j-- {
-						order[j], order[j-1] = order[j-1], order[j]
-					}
-				}
-			}
-			for _, k := range order {
-				in := &ins[k]
-				var payload any
-				var st mpi.Status
-				var err error
-				if rt.cfg.RedistMode == RedistOverlap {
-					payload, st, err = rt.comm.WaitErr(in.req)
-				} else {
-					payload, st, err = rt.comm.WaitReplayErr(in.req)
-				}
-				in.req = nil
-				if err != nil {
-					rt.absorbDead(rt.deadOf(err))
-					rt.loseRows(a, in.lo, in.hi)
-					continue
-				}
-				bytesRecv += int64(st.Bytes)
-				rt.commitSlab(a, in.lo, in.hi, payload)
-			}
+		if !committed {
+			rt.drainArray(a, rest, outs, &mv, &p)
 		}
-		if rt.sink != nil && (mv.Rows > 0 || mv.Bytes > 0) {
-			moves = append(moves, mv)
-		}
+		p.moved(mv)
 	}
 
-	rt.dist = newDist
-	if err := rt.comm.BarrierErr(rt.group); err != nil {
-		rt.absorbDead(rt.deadOf(err))
-	}
-	rt.events = append(rt.events, Event{
-		Kind: EvRedistEnd, Cycle: rt.cycle, Time: rt.node.Now(),
-		Bytes: bytesSent + bytesRecv, BytesSent: bytesSent, BytesRecv: bytesRecv,
-		Counts: newDist.Counts(),
-		Stall:  rt.comm.RecvStall - stall0,
-	})
-	if rt.sink != nil {
-		rows, sent := 0, int64(0)
-		for _, mv := range moves {
-			rows += mv.Rows
-			sent += mv.Bytes
-		}
-		rt.sink.Emit(telemetry.RedistRecord{
-			Base:       rt.stamp(telemetry.KindRedist),
-			Arrays:     moves,
-			RowsSent:   rows,
-			BytesSent:  sent,
-			BytesRecv:  bytesRecv,
-			BytesMoved: sent + bytesRecv,
-			Counts:     newDist.Counts(),
-			LostRows:   rt.lostRows - lost0,
-		})
-	}
+	rt.endRedist(&p)
 	rt.refreshReplicas()
+}
+
+// drainArray is the message-passing Phase 3 of one array: every Irecv is
+// posted before anything ships, so peers fill the posted requests directly
+// and this rank parks once per arrival instead of once per in-order
+// transfer. The commit — the only part that advances virtual time — runs in
+// a deterministic order whatever the physical arrival order was.
+func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistOut, mv *telemetry.ArrayMove, p *redistPass) {
+	me := rt.comm.Rank()
+	tag := tagRedist + a.index
+	// Post all Irecvs up front (no virtual charge).
+	ins := rt.insBuf[:0]
+	for _, tr := range sched {
+		if tr.To != me {
+			continue
+		}
+		ins = append(ins, redistIn{lo: tr.Lo, hi: tr.Hi, req: rt.comm.Irecv(tr.From, tag)})
+	}
+	rt.insBuf = ins
+	// Isend the outgoing slabs: the injection charges of one blocking Send
+	// per slab, in schedule order. Send requests complete at post; Waitall
+	// only recycles them.
+	reqs := rt.reqBuf[:0]
+	for i := range outs {
+		m := &outs[i]
+		if m.dense != nil {
+			reqs = append(reqs, rt.comm.Isend(m.to, tag, m.dense, m.bytes))
+			m.dense = nil
+		} else {
+			reqs = append(reqs, rt.comm.Isend(m.to, tag, m.spars, m.bytes))
+			m.spars = nil
+		}
+		p.sent(mv, m.rows, m.bytes)
+	}
+	rt.comm.Waitall(reqs)
+	// Harvest completions physically, in whatever order they arrive. No
+	// clock moves here: Waitany only claims.
+	reqs = reqs[:0]
+	for k := range ins {
+		reqs = append(reqs, ins[k].req)
+	}
+	rt.reqBuf = reqs
+	if redistHarvestShuffle != nil {
+		redistHarvestShuffle(rt.comm, reqs)
+	} else {
+		for range reqs {
+			rt.comm.Waitany(reqs)
+		}
+	}
+	// Commit deterministically. Schedule order with replay-priced Waits
+	// prices every transfer as one blocking receive per transfer, in order,
+	// would — so clocks, traces and checksums do not depend on the harvest.
+	// Overlap commits in arrival order instead, trading that timeline for
+	// lower stall.
+	overlap := rt.cfg.RedistMode == RedistOverlap
+	order := rt.ordBuf[:0]
+	for k := range ins {
+		order = append(order, k)
+	}
+	rt.ordBuf = order
+	if overlap {
+		// Insertion sort by (arrival, schedule index): transfer counts per
+		// array are small and the scratch is reused.
+		for i := 1; i < len(order); i++ {
+			for j := i; j > 0 && arrivalLess(ins, order[j], order[j-1]); j-- {
+				order[j], order[j-1] = order[j-1], order[j]
+			}
+		}
+	}
+	for _, k := range order {
+		in := &ins[k]
+		var payload any
+		var st mpi.Status
+		var err error
+		if overlap {
+			payload, st, err = rt.comm.WaitErr(in.req)
+		} else {
+			payload, st, err = rt.comm.WaitReplayErr(in.req)
+		}
+		in.req = nil
+		if err != nil {
+			// The sender died before shipping these rows: record the death
+			// and declare the rows lost.
+			rt.absorbDead(rt.deadOf(err))
+			rt.loseRows(a, in.lo, in.hi)
+			continue
+		}
+		p.bytesRecv += int64(st.Bytes)
+		rt.commitSlab(a, in.lo, in.hi, payload)
+	}
 }

@@ -62,27 +62,20 @@ func sameOutcome(t *testing.T, label string, a, b map[int]*miniResult) {
 
 // TestRedistPipelinedOrderEquivalence is the randomized-completion-order
 // suite: the pipelined Phase 3 must produce byte-identical telemetry traces
-// and identical outcomes to the legacy blocking drain no matter in which
-// physical order the incoming slabs are harvested. Seeded shuffles force
-// adversarial claim orders through the redistHarvestShuffle hook; the
-// replay-priced commit must erase them all.
+// and identical outcomes no matter in which physical order the incoming
+// slabs are harvested. Seeded shuffles force adversarial claim orders
+// through the redistHarvestShuffle hook; the replay-priced commit must
+// erase them all. The reference is the unshuffled run, whose absolute
+// timeline the exp goldens and sweep checksums pin.
 func TestRedistPipelinedOrderEquivalence(t *testing.T) {
 	const n, cycles = 64, 25
 	scenario := func() cluster.Spec { return cpAtCycle(cluster.Uniform(4), 1, 3) }
 	cfg := DefaultConfig()
 	cfg.Drop = DropNever
 
-	cfg.RedistMode = RedistBlocking
 	refRes, refTrace := runMiniTraced(t, scenario(), cfg, n, cycles)
 	if refRes[0].redists == 0 {
 		t.Fatal("scenario produced no redistribution; suite is vacuous")
-	}
-
-	cfg.RedistMode = RedistPipelined
-	pipRes, pipTrace := runMiniTraced(t, scenario(), cfg, n, cycles)
-	sameOutcome(t, "pipelined", refRes, pipRes)
-	if !bytes.Equal(refTrace, pipTrace) {
-		t.Fatal("pipelined trace differs from blocking trace")
 	}
 
 	defer func() { redistHarvestShuffle = nil }()
@@ -101,7 +94,7 @@ func TestRedistPipelinedOrderEquivalence(t *testing.T) {
 		res, trace := runMiniTraced(t, scenario(), cfg, n, cycles)
 		sameOutcome(t, "shuffled", refRes, res)
 		if !bytes.Equal(refTrace, trace) {
-			t.Fatalf("seed %d: shuffled harvest trace differs from blocking trace", seed)
+			t.Fatalf("seed %d: shuffled harvest trace differs from the unshuffled trace", seed)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/drsd"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
@@ -16,7 +14,7 @@ import (
 // every holder stall in a blocking receive for its predecessor's slab. The
 // one-sided refresh defers that settlement a full cycle: at each refresh
 // point a rank first *closes* the epoch opened at the previous refresh —
-// by then an entire cycle of computation has hidden the wire, so the fence
+// by then an entire cycle of computation has hidden the wire, so the close
 // settles with (near) zero stall — and then opens the next epoch by
 // exposing a staging buffer and Putting its own rows into its successor's
 // window. The committed replica (replica.data) is only overwritten when an
@@ -24,66 +22,62 @@ import (
 // leaves the previous committed state intact, exactly like the paired
 // path's keep-the-stale-replica behaviour.
 //
-// Epoch synchronisation (Config.ReplicaSync):
-//
-// SyncFence (legacy) closes and opens epochs with full-group fences. The
-// fence's dissemination barrier prices as ceil(log2 n) latency rounds paid
-// by every member per refresh — the reason 256-rank makespan ticked up
-// even as holder stall hit zero.
-//
-// SyncPSCW (default) synchronises only the (holder, buddy) pairs with
-// general active-target sync: at each open every rank posts its windows to
-// its ring predecessor (the origin that will Put into it), starts toward
-// its successor, and Puts its slab; at the next close it completes toward
-// the successor and waits on the predecessor, settling that pair's epoch
-// with two 8-byte control messages instead of a butterfly. Ordering rules
+// Epochs synchronise only the (holder, buddy) pairs, with general
+// active-target sync: at each open every rank posts its windows to its ring
+// predecessor (the origin that will Put into it), starts toward its
+// successor, and Puts its slab; at the next close it completes toward the
+// successor and waits on the predecessor, settling that pair's epoch with
+// two 8-byte control messages — constant in the group size. Ordering rules
 // the pairwise protocol needs:
 //
-//   - open posts every array's window before starting any: a rank whose
-//     start fails (dead successor) abandons the open, and had it not
-//     already posted, its live predecessor would hang in a start.
+//   - open posts every array's window before starting any: a start blocks
+//     on the successor's post, so a ring that started first would wait on
+//     itself. A rank whose start fails (dead successor) gives up only its
+//     access side; its exposures stay open for the predecessor's deposit.
 //   - close completes every array before waiting on any: completion
 //     notifications must all be out before this rank can abandon in a
 //     failed wait, or a live successor would hang in its wait.
-//   - failure observation is pairwise-local (only the dead rank's ring
-//     neighbours see an error mid-refresh), which is exactly the runtime's
-//     asymmetric-detection contract: the next cycle boundary's collective
-//     fails for everyone and recovery converges there (failure.go).
+//   - failure observation is pairwise-local: only the dead rank's ring
+//     neighbours see an error mid-refresh, so they must not act on it
+//     (tolerateDeath) — the next cycle boundary's collective fails for
+//     everyone and recovery converges there (failure.go). In particular
+//     the windows are rebuilt only when the distribution's membership
+//     changes, which every member sees at once: a neighbour that rebuilt
+//     on its own observation would post and start on windows its live
+//     peers, still on the old ones, never touch.
 //
-// SyncAdaptive runs the same PSCW handshake every refresh but lets each
-// holder pick, per refresh, between the deferred one-sided Put (wire
-// hidden behind the next cycle of computation, one-cycle staleness) and an
-// immediate paired send/recv (fresher replica, paid stall) — chosen from
-// its measured cycle span against the wire time of its incoming slab. The
-// verdict rides in-band as the post notification's note, so both ends of
-// the pair agree without a global agreement step (a per-refresh allreduce
-// would cost the very butterfly PSCW removes). Clocks differ per rank
-// under competing-process load, so the verdict is per-pair by
-// construction, not per-group.
+// SyncAdaptive runs the same handshake every refresh but lets each holder
+// pick, per refresh, between the deferred one-sided Put (wire hidden behind
+// the next cycle of computation, one-cycle staleness) and an immediate
+// paired send/recv (fresher replica, paid stall) — chosen from its measured
+// cycle span against the wire time of its incoming slab. The verdict rides
+// in-band as the post notification's note, so both ends of the pair agree
+// without a global agreement step (a per-refresh allreduce would cost the
+// very butterfly pairwise sync avoids). Clocks differ per rank under
+// competing-process load, so the verdict is per-pair by construction, not
+// per-group.
 //
-// Epoch/visibility discipline (fence mode; PSCW replaces each fence with
-// its pairwise counterpart):
+// Epoch/visibility discipline:
 //
-//   - open: attach stage, fence, Put. The opening fence is the write
-//     barrier that orders every origin's next-epoch Put after every
-//     owner's close-time promotion of the previous stage — without it the
-//     promotion copy would race a fast predecessor's next Put. Under PSCW
-//     the owner's post is that barrier: the predecessor cannot Put until
-//     its start consumes this rank's post, which follows the promotion in
-//     program order.
-//   - close: fence (settles this rank's deposits), then promote stage to
-//     the committed replica. Promotion is host-only bookkeeping: the
-//     modelled deposit already landed by one-sided DMA, so no virtual
+//   - open: attach stage, post, start, Put. The owner's post is the write
+//     barrier that orders its predecessor's next-epoch Put after the
+//     owner's close-time promotion of the previous stage: the predecessor
+//     cannot Put until its start consumes the post, which follows the
+//     promotion in program order — without it the promotion copy would
+//     race a fast predecessor's next Put.
+//   - close: complete, wait (settles this rank's deposits), then promote
+//     stage to the committed replica. Promotion is host-only bookkeeping:
+//     the modelled deposit already landed by one-sided DMA, so no virtual
 //     charge is made (the paired path's receive CPU and commit touches are
 //     precisely the cost this mode saves).
-//   - failure: the fence returns *mpi.RankFailedError and settles nothing.
+//   - failure: the wait returns *mpi.RankFailedError and settles nothing.
 //     Only a *dead* predecessor's deposit may be adopted (its goroutine is
-//     gone, so the stage cannot be concurrently written): PendingFrom —
-//     PendingPSCW under pairwise sync — answers deterministically whether
-//     its Put landed in full — a crash fires at operation entry, so a Put
-//     either ran to completion or never started. A live predecessor's
-//     deposit is abandoned (the replica keeps its previous commit), and
-//     the windows are discarded and rebuilt on the post-recovery group.
+//     gone, so the stage cannot be concurrently written): PendingPSCW
+//     answers deterministically whether its Put landed in full — a crash
+//     fires at operation entry, so a Put either ran to completion or never
+//     started. A live predecessor's deposit is abandoned (the replica keeps
+//     its previous commit), and the windows are discarded and rebuilt on
+//     the post-recovery group.
 //
 // Redistribution (Config.RedistMode == RedistRMA): see rmaRedistArray. A
 // grow or rejoin redistribution additionally routes transfers bound for
@@ -91,13 +85,14 @@ import (
 // from the owners instead of the owners pushing them — see
 // rmaFetchArray.
 
-// repRange is the row range an open replica epoch will commit.
+// repRange is the row range an open replica epoch will commit — the
+// predecessor's owned rows, the same for every dense array.
 type repRange struct {
 	lo, hi int
 }
 
 // ReplicaStall reports the cumulative receive-side stall this rank's
-// replica refreshes have cost it (paired receives, or fence settlements
+// replica refreshes have cost it (paired receives, or epoch settlements
 // under ReplicaRMA). The RMA-vs-p2p study and the refresh benchmarks
 // compare it across modes.
 func (rt *Runtime) ReplicaStall() vclock.Duration { return rt.replicaStall }
@@ -182,13 +177,8 @@ func (rt *Runtime) openReplicaEpoch() {
 		return
 	}
 	me := rt.comm.Rank()
-	self := -1
-	for i, r := range ranks {
-		if r == me {
-			self = i
-		}
-	}
-	if self < 0 {
+	prev, next, ok := ringNeighbours(ranks, me)
+	if !ok {
 		return
 	}
 	stall0 := rt.comm.RecvStall
@@ -209,54 +199,16 @@ func (rt *Runtime) openReplicaEpoch() {
 		}
 		rt.repRanks = append(rt.repRanks[:0], ranks...)
 	}
-	rt.repPrev = ranks[(self-1+len(ranks))%len(ranks)]
-	rt.repNext = ranks[(self+1)%len(ranks)]
+	rt.repPrev, rt.repNext = prev, next
 	if rt.replicas == nil {
 		rt.replicas = make(map[string]*replica)
 	}
-	if rt.repPend == nil {
-		rt.repPend = make(map[string]repRange)
-	}
 	plo, phi := rt.dist.RangeOf(rt.repPrev)
+	rt.repPend = repRange{lo: plo, hi: phi}
 	lo, hi := rt.dist.RangeOf(me)
 
-	if rt.cfg.ReplicaSync == SyncFence {
-		for _, name := range rt.order {
-			a := rt.arrays[name]
-			if a.dense == nil {
-				continue
-			}
-			win := rt.repWins[name]
-			rt.stageReplica(a, phi-plo)
-			rt.comm.WinAttach(win, mpi.FlatMem(rt.replicas[name].stage))
-			// The opening fence publishes the attach and orders this epoch's
-			// remote Puts after every member's close of the previous one.
-			if err := rt.comm.FenceErr(win); err != nil {
-				// A member died before the epoch could open. Leave it closed;
-				// recovery at the next cycle boundary rebuilds the windows.
-				rt.absorbDead(rt.deadOf(err))
-				rt.repRanks = rt.repRanks[:0]
-				return
-			}
-			rt.repPend[name] = repRange{lo: plo, hi: phi}
-			if hi > lo {
-				// Origin-side injection: the same packing touches and Put CPU a
-				// paired sender pays — the saving is entirely holder-side.
-				slab := getDenseSlab(hi-lo, a.dense.RowLen)
-				a.dense.CopyRowsTo(slab.data, lo, hi)
-				for g := lo; g < hi; g++ {
-					rt.node.ChargeTouch(a.dense.RowBytes())
-				}
-				rt.comm.Put(win, rt.repNext, 0, slab.data)
-				putDenseSlab(slab)
-			}
-		}
-		rt.repOpen = true
-		return
-	}
-
-	// Pairwise open. The adaptive verdict is computed first — it rides on
-	// every post notification this rank sends its predecessor.
+	// The adaptive verdict is computed first — it rides on every post
+	// notification this rank sends its predecessor.
 	note := notePut
 	if rt.cfg.ReplicaSync == SyncAdaptive {
 		if rt.repSpanOK && rt.repSpan < rt.replicaWire(phi-plo) {
@@ -270,9 +222,8 @@ func (rt *Runtime) openReplicaEpoch() {
 	}
 
 	// Loop 1: attach and post every array's window toward the predecessor
-	// before starting any — a rank that abandons in loop 2 (dead successor)
-	// must already have posted everything its live predecessor will start
-	// toward, or that predecessor would hang (see the file comment).
+	// before starting any — a start blocks on the successor's post, so a
+	// ring that started before posting would wait on itself.
 	for _, name := range rt.order {
 		a := rt.arrays[name]
 		if a.dense == nil {
@@ -297,37 +248,26 @@ func (rt *Runtime) openReplicaEpoch() {
 		}
 		win := rt.repWins[name]
 		if err := rt.comm.WinStartErr(win, []int{rt.repNext}, peerNote[:]); err != nil {
-			// The successor died before posting. Abandon the open — the
-			// epoch never opens (repOpen stays false), and the exposures
-			// already posted settle nothing: the next open observes the
-			// membership change, discards any deposit a live predecessor
-			// lands meanwhile, and rebuilds the windows. Waiting on the
-			// predecessor here instead would deadlock: its completion only
-			// arrives at its next refresh point, beyond the failed
-			// collective this rank must still reach.
-			rt.absorbDead(rt.deadOf(err))
-			rt.repRanks = rt.repRanks[:0]
-			return
+			// The successor died before posting: this rank has nowhere to
+			// ship, for any array. Only the access side is given up — the
+			// exposures posted above stay open, so the next close still
+			// consumes the live predecessor's completion and commits its
+			// deposit. Abandoning them too would strand that completion in
+			// the mailbox, where the post-recovery windows' first wait would
+			// take it for their own and settle every epoch one refresh late.
+			rt.tolerateDeath(err)
+			break
 		}
-		rt.repPend[name] = repRange{lo: plo, hi: phi}
-		rows := hi - lo
+		// Origin-side injection is the same either way — the packing touches
+		// a paired sender pays; the saving of a Put is entirely holder-side.
 		if peerNote[0] == noteSend {
 			// The successor's cycles are too short to hide the wire: ship an
 			// immediate paired slab (refreshReplicas wire form); it receives
 			// and commits before leaving its own open.
-			slab := getDenseSlab(rows, a.dense.RowLen)
-			a.dense.CopyRowsTo(slab.data, lo, hi)
-			for g := lo; g < hi; g++ {
-				rt.node.ChargeTouch(a.dense.RowBytes())
-			}
 			rt.comm.Send(rt.repNext, tagAdaptive+a.index,
-				replicaSlab{lo: lo, hi: hi, data: slab}, 16+rows*int(a.dense.RowBytes()))
-		} else if rows > 0 {
-			slab := getDenseSlab(rows, a.dense.RowLen)
-			a.dense.CopyRowsTo(slab.data, lo, hi)
-			for g := lo; g < hi; g++ {
-				rt.node.ChargeTouch(a.dense.RowBytes())
-			}
+				replicaSlab{lo: lo, hi: hi, data: rt.packRows(a, lo, hi)}, 16+(hi-lo)*int(a.dense.RowBytes()))
+		} else if hi > lo {
+			slab := rt.packRows(a, lo, hi)
 			rt.comm.Put(win, rt.repNext, 0, slab.data)
 			putDenseSlab(slab)
 		}
@@ -347,26 +287,10 @@ func (rt *Runtime) openReplicaEpoch() {
 			p, _, err := rt.comm.RecvErr(rt.repPrev, tagAdaptive+a.index)
 			if err != nil {
 				// Keep the stale replica; recovery handles the death.
-				rt.absorbDead(rt.deadOf(err))
+				rt.tolerateDeath(err)
 				continue
 			}
-			rs, ok := p.(replicaSlab)
-			if !ok {
-				panic(fmt.Sprintf("core: bad adaptive replica payload for %q", name))
-			}
-			rep := rt.replicas[name]
-			n := (rs.hi - rs.lo) * a.dense.RowLen
-			if cap(rep.data) < n {
-				rep.data = make([]float64, n)
-			} else {
-				rep.data = rep.data[:n]
-			}
-			copy(rep.data, rs.data.data[:n])
-			rep.lo, rep.hi = rs.lo, rs.hi
-			for g := rs.lo; g < rs.hi; g++ {
-				rt.node.ChargeTouch(a.dense.RowBytes())
-			}
-			putDenseSlab(rs.data)
+			rt.storeReplica(a, p)
 		}
 	}
 	rt.repOpen = true
@@ -390,7 +314,7 @@ func (rt *Runtime) stageReplica(a *regArray, rows int) {
 
 // closeReplicaEpoch settles the replica epoch left open by the last
 // refresh point, promoting each staged deposit to the committed replica.
-// No-op when no epoch is open. On a failed fence it runs the adoption
+// No-op when no epoch is open. On a failed wait it runs the adoption
 // protocol documented at the top of the file.
 func (rt *Runtime) closeReplicaEpoch() {
 	if !rt.repOpen {
@@ -398,89 +322,53 @@ func (rt *Runtime) closeReplicaEpoch() {
 	}
 	rt.repOpen = false
 	stall0 := rt.comm.RecvStall
-	failed := false
-	if rt.cfg.ReplicaSync == SyncFence {
-		for _, name := range rt.order {
-			a := rt.arrays[name]
-			if a.dense == nil {
-				continue
-			}
-			win := rt.repWins[name]
-			rep := rt.replicas[name]
-			pend := rt.repPend[name]
-			if err := rt.comm.FenceErr(win); err != nil {
-				failed = true
-				rt.absorbDead(rt.deadOf(err))
-				adopt := false
-				if !rt.comm.World().Alive(rt.repPrev) {
-					want := (pend.hi - pend.lo) * a.dense.RowLen
-					elems, ok := rt.comm.PendingFrom(win, rt.repPrev)
-					adopt = want == 0 || (ok && elems == want)
-				}
-				rt.comm.DiscardPending(win)
-				if adopt {
-					rt.promoteReplica(a, rep, pend)
-				}
-				continue
-			}
-			rt.promoteReplica(a, rep, pend)
+	// Loop 1: complete toward the successor for every array before waiting
+	// on any — all completion notifications must be out before this rank can
+	// block (or abandon) in a wait, or a live successor would hang in its
+	// own wait (see the file comment). A successor recorded dead gets none:
+	// the windows are about to be rebuilt without it (the guard is the
+	// recorded set, never the wall-clock Alive — see knownDead).
+	for _, name := range rt.order {
+		a := rt.arrays[name]
+		if a.dense == nil || rt.knownDead(rt.repNext) {
+			continue
 		}
-	} else {
-		// Pairwise close. Loop 1: complete toward the successor for every
-		// array before waiting on any — all completion notifications must be
-		// out before this rank can block (or abandon) in a wait, or a live
-		// successor would hang in its own wait (see the file comment).
-		for _, name := range rt.order {
-			a := rt.arrays[name]
-			if a.dense == nil {
-				continue
-			}
-			if err := rt.comm.WinCompleteErr(rt.repWins[name]); err != nil {
-				// The successor died: this rank's deposits are gone with it.
-				// Nothing to settle on this side; the wait loop still runs.
-				failed = true
-				rt.absorbDead(rt.deadOf(err))
-			}
-		}
-		// Loop 2: wait on the predecessor's completion, settling the pair's
-		// epoch, and promote the staged deposit.
-		for _, name := range rt.order {
-			a := rt.arrays[name]
-			if a.dense == nil {
-				continue
-			}
-			win := rt.repWins[name]
-			rep := rt.replicas[name]
-			pend := rt.repPend[name]
-			if err := rt.comm.WinWaitErr(win); err != nil {
-				failed = true
-				rt.absorbDead(rt.deadOf(err))
-				// Same adoption protocol as the failed fence, with the
-				// pairwise pending probe; an adaptive epoch whose slabs
-				// arrived paired has already committed (repDirect) and has
-				// nothing staged to adopt.
-				adopt := false
-				if !rt.comm.World().Alive(rt.repPrev) && !rt.repDirect {
-					want := (pend.hi - pend.lo) * a.dense.RowLen
-					elems, ok := rt.comm.PendingPSCW(win, rt.repPrev)
-					adopt = want == 0 || (ok && elems == want)
-				}
-				rt.comm.DiscardPending(win)
-				if adopt {
-					rt.promoteReplica(a, rep, pend)
-				}
-				continue
-			}
-			if !rt.repDirect {
-				rt.promoteReplica(a, rep, pend)
-			}
+		if err := rt.comm.WinCompleteErr(rt.repWins[name]); err != nil {
+			// The successor died: this rank's deposits are gone with it.
+			// Nothing to settle on this side; the wait loop still runs.
+			rt.tolerateDeath(err)
 		}
 	}
-	if failed {
-		// Abandon the windows: the group lost a member, so no further epoch
-		// can settle on them. The next open discards any deposit a slow
-		// survivor lands in the meantime and rebuilds on the new group.
-		rt.repRanks = rt.repRanks[:0]
+	// Loop 2: wait on the predecessor's completion, settling the pair's
+	// epoch, and promote the staged deposit.
+	for _, name := range rt.order {
+		a := rt.arrays[name]
+		if a.dense == nil {
+			continue
+		}
+		win := rt.repWins[name]
+		rep := rt.replicas[name]
+		pend := rt.repPend
+		if err := rt.comm.WinWaitErr(win); err != nil {
+			rt.tolerateDeath(err)
+			// Only a dead predecessor's deposit may be adopted, and only when
+			// it landed in full; an adaptive epoch whose slabs arrived paired
+			// has already committed (repDirect) and has nothing staged.
+			adopt := false
+			if !rt.comm.World().Alive(rt.repPrev) && !rt.repDirect {
+				want := (pend.hi - pend.lo) * a.dense.RowLen
+				elems, ok := rt.comm.PendingPSCW(win, rt.repPrev)
+				adopt = want == 0 || (ok && elems == want)
+			}
+			rt.comm.DiscardPending(win)
+			if adopt {
+				rt.promoteReplica(a, rep, pend)
+			}
+			continue
+		}
+		if !rt.repDirect {
+			rt.promoteReplica(a, rep, pend)
+		}
 	}
 	rt.replicaStall += rt.comm.RecvStall - stall0
 }
@@ -570,14 +458,15 @@ func (rt *Runtime) redistWinFor(a *regArray) *mpi.Win {
 //
 // Returns (committed, down): committed reports whether the array's
 // exchange was fully handled here; down reports that a fence failed and
-// the remaining arrays must fall back to the blocking drain. An opening
-// -fence failure returns (false, true) with outs untouched — the caller
-// re-runs the array through the blocking path. A closing-fence failure is
+// the remaining arrays must fall back to the message-passing drain. An
+// opening-fence failure returns (false, true) with outs untouched — the
+// caller re-runs the array through that drain. A closing-fence failure is
 // handled in full: a marker exchange restores the ordering the fence
 // would have provided, live senders' rows are kept, and a dead sender's
 // rows are kept only when PendingFrom proves its Puts landed completely.
-func (rt *Runtime) rmaRedistArray(a *regArray, sched []drsd.Transfer, newDist *drsd.Block, outs []redistOut, mv *telemetry.ArrayMove, sent, recv *int64) (bool, bool) {
+func (rt *Runtime) rmaRedistArray(a *regArray, sched []drsd.Transfer, outs []redistOut, mv *telemetry.ArrayMove, p *redistPass) (bool, bool) {
 	me := rt.comm.Rank()
+	newDist := p.newDist
 	win := rt.redistWinFor(a)
 	nlo, nhi := newDist.RangeOf(me)
 	wlo, _ := drsd.Window(a.accesses, nlo, nhi, rt.n)
@@ -594,15 +483,13 @@ func (rt *Runtime) rmaRedistArray(a *regArray, sched []drsd.Transfer, newDist *d
 		rt.comm.Put(win, m.to, (m.lo-twlo)*a.dense.RowLen, m.dense.data)
 		putDenseSlab(m.dense)
 		m.dense = nil
-		mv.Rows += m.rows
-		mv.Bytes += int64(m.bytes)
-		*sent += int64(m.bytes)
+		p.sent(mv, m.rows, m.bytes)
 	}
 	err := rt.comm.FenceErr(win)
 	if err == nil {
 		for _, tr := range sched {
 			if tr.To == me {
-				*recv += int64(tr.Hi-tr.Lo) * a.dense.RowBytes()
+				p.bytesRecv += int64(tr.Hi-tr.Lo) * a.dense.RowBytes()
 			}
 		}
 		return true, false
@@ -615,7 +502,7 @@ func (rt *Runtime) rmaRedistArray(a *regArray, sched []drsd.Transfer, newDist *d
 	tag := tagRedistSync + a.index
 	sentTo := map[int]bool{}
 	for _, tr := range sched {
-		if tr.From == me && tr.To != me && !sentTo[tr.To] && rt.comm.World().Alive(tr.To) {
+		if tr.From == me && tr.To != me && !sentTo[tr.To] && !rt.knownDead(tr.To) {
 			rt.comm.Send(tr.To, tag, nil, 0)
 			sentTo[tr.To] = true
 		}
@@ -641,7 +528,7 @@ func (rt *Runtime) rmaRedistArray(a *regArray, sched []drsd.Transfer, newDist *d
 		}
 		if tr.From == me {
 			// This rank's own Put ran to completion by definition.
-			*recv += int64(tr.Hi-tr.Lo) * a.dense.RowBytes()
+			p.bytesRecv += int64(tr.Hi-tr.Lo) * a.dense.RowBytes()
 			continue
 		}
 		keep := synced[tr.From]
@@ -664,7 +551,7 @@ func (rt *Runtime) rmaRedistArray(a *regArray, sched []drsd.Transfer, newDist *d
 			keep = kept[tr.From]
 		}
 		if keep {
-			*recv += int64(tr.Hi-tr.Lo) * a.dense.RowBytes()
+			p.bytesRecv += int64(tr.Hi-tr.Lo) * a.dense.RowBytes()
 		} else {
 			rt.loseRows(a, tr.Lo, tr.Hi)
 		}
@@ -708,7 +595,7 @@ func (rt *Runtime) fetchWinFor(a *regArray) *mpi.Win {
 // the rest. Every group member calls this when the schedule routes any
 // transfer to a resized-in rank — the window registration must meet
 // collectively — and non-participants return after registering.
-func (rt *Runtime) rmaFetchArray(a *regArray, sched []drsd.Transfer, newDist *drsd.Block, newcomer map[int]bool, fetchOuts []redistOut, fbuf []float64, mv *telemetry.ArrayMove, sent, recv *int64) {
+func (rt *Runtime) rmaFetchArray(a *regArray, sched []drsd.Transfer, newcomer map[int]bool, fetchOuts []redistOut, fbuf []float64, mv *telemetry.ArrayMove, p *redistPass) {
 	me := rt.comm.Rank()
 	fwin := rt.fetchWinFor(a)
 	rl := a.dense.RowLen
@@ -733,9 +620,7 @@ func (rt *Runtime) rmaFetchArray(a *regArray, sched []drsd.Transfer, newDist *dr
 			if !seen {
 				fetchers = append(fetchers, m.to)
 			}
-			mv.Rows += m.rows
-			mv.Bytes += int64(m.bytes)
-			*sent += int64(m.bytes)
+			p.sent(mv, m.rows, m.bytes)
 		}
 		rt.comm.WinPost(fwin, fetchers, 0)
 		if err := rt.comm.WinWaitErr(fwin); err != nil {
@@ -752,7 +637,7 @@ func (rt *Runtime) rmaFetchArray(a *regArray, sched []drsd.Transfer, newDist *dr
 	}
 	// Joiner: pull from each source in one pairwise epoch per source, in
 	// schedule order (the same order every rank derives).
-	nlo, nhi := newDist.RangeOf(me)
+	nlo, nhi := p.newDist.RangeOf(me)
 	wlo, _ := drsd.Window(a.accesses, nlo, nhi, rt.n)
 	type pull struct {
 		lo, hi int
@@ -799,13 +684,13 @@ func (rt *Runtime) rmaFetchArray(a *regArray, sched []drsd.Transfer, newDist *dr
 			rt.absorbDead(rt.deadOf(err))
 			rt.comm.DiscardPending(fwin)
 		}
-		for _, p := range pulls {
+		for _, pl := range pulls {
 			// Raw landing into the resident window — one-sided DMA, priced
 			// by the Get settlement at completion, exactly like a pushed
 			// Put's landing (no per-row commit touches).
-			denseWinMem{d: a.dense, wlo: wlo}.WriteAt((p.lo-wlo)*rl, p.slab.data)
-			*recv += int64(p.hi-p.lo) * a.dense.RowBytes()
-			putDenseSlab(p.slab)
+			denseWinMem{d: a.dense, wlo: wlo}.WriteAt((pl.lo-wlo)*rl, pl.slab.data)
+			p.bytesRecv += int64(pl.hi-pl.lo) * a.dense.RowBytes()
+			putDenseSlab(pl.slab)
 		}
 	}
 }

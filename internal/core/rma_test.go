@@ -258,7 +258,7 @@ func redistRMACfg() Config {
 }
 
 // TestRedistRMAEquivalence: the direct-slab commit must move the same rows
-// to the same owners with the same values as the blocking drain — only the
+// to the same owners with the same values as the default drain — only the
 // virtual cost may differ. Both runs end with every row at its exact
 // fault-free value and identical distributions.
 func TestRedistRMAEquivalence(t *testing.T) {
@@ -283,7 +283,7 @@ func TestRedistRMAEquivalence(t *testing.T) {
 	}
 	for r, res := range rmaRes {
 		if res.redists != refRes[r].redists {
-			t.Errorf("rank %d: %d redistributions via RMA vs %d blocking", r, res.redists, refRes[r].redists)
+			t.Errorf("rank %d: %d redistributions via RMA vs %d pipelined", r, res.redists, refRes[r].redists)
 		}
 		for i := range res.counts {
 			if res.counts[i] != refRes[r].counts[i] {

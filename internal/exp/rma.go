@@ -17,12 +17,9 @@ import (
 // (no competing processes, no redistributions), so every second of stall
 // difference is the refresh mechanism itself.
 //
-// The one-sided runs settle their epochs pairwise by default (PSCW: each
-// holder synchronises only with its buddy and its own holder, never the
-// whole world), with the legacy full-group fence available as a third
-// column — the fence's dissemination barrier costs ceil(log2 n) rounds per
-// epoch per array, which is what made the original one-sided mode lose its
-// makespan advantage at 256 ranks.
+// The one-sided runs settle their epochs pairwise (PSCW: each holder
+// synchronises only with its buddy and its own holder, never the whole
+// world), so the synchronisation cost is constant in the world size.
 
 // RMAOptions parameterises the one-sided refresh study.
 type RMAOptions struct {
@@ -31,31 +28,21 @@ type RMAOptions struct {
 	Nodes []int
 	// Seed offsets the cluster seeds.
 	Seed uint64
-	// Sync selects the epoch discipline of the one-sided runs (default
-	// SyncPSCW, the pairwise post/start/complete/wait handshake).
-	Sync core.ReplicaSyncMode
-	// LegacyFence adds a third run per world size under the full-group
-	// fence, populating the fence columns for the scaling comparison.
-	LegacyFence bool
 }
 
-// DefaultRMAOptions returns the default ladder, with the legacy fence
-// comparison column enabled.
+// DefaultRMAOptions returns the default ladder.
 func DefaultRMAOptions() RMAOptions {
-	return RMAOptions{Nodes: []int{64, 256}, LegacyFence: true}
+	return RMAOptions{Nodes: []int{64, 256}}
 }
 
 // RMARow is one world-size measurement: total refresh stall across ranks
-// and the virtual makespan, under each refresh mode. The fence columns are
-// zero unless the study ran with LegacyFence.
+// and the virtual makespan, under each refresh mode.
 type RMARow struct {
 	Nodes        int
 	PairedStallS float64 // paired send/recv refresh stall, summed over ranks
 	RMAStallS    float64 // one-sided refresh stall (pairwise epochs)
 	PairedS      float64 // paired-mode virtual makespan
 	RMAS         float64 // one-sided virtual makespan (pairwise epochs)
-	FenceStallS  float64 // one-sided stall under the legacy full-group fence
-	FenceS       float64 // legacy fence virtual makespan
 }
 
 // StallReduction reports the fractional holder-side stall saving.
@@ -87,8 +74,8 @@ func (r *RMAResult) MinReduction() float64 {
 }
 
 // MakespanOK reports whether the one-sided makespan held at or under the
-// paired makespan on every world size — the regression the fence barrier
-// caused at 256 ranks and the pairwise epochs must not reintroduce.
+// paired makespan on every world size — a full-group synchronisation per
+// refresh loses this at 256 ranks; the pairwise epochs must not.
 func (r *RMAResult) MakespanOK() bool {
 	for _, row := range r.Rows {
 		if row.RMAS > row.PairedS {
@@ -105,7 +92,7 @@ func RunRMA(o RMAOptions) (*RMAResult, error) {
 	}
 	res := &RMAResult{}
 	const rows, cols, iters = 512, 1024, 20
-	run := func(n int, rma bool, sync core.ReplicaSyncMode) (apps.Result, error) {
+	run := func(n int, rma bool) (apps.Result, error) {
 		cfg := jacobi.DefaultConfig()
 		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = rows, cols, iters, 40
 		cfg.Core = core.DefaultConfig()
@@ -113,7 +100,6 @@ func RunRMA(o RMAOptions) (*RMAResult, error) {
 		cfg.Core.Replicate = true
 		cfg.Core.ReplicaEvery = 1
 		cfg.Core.ReplicaRMA = rma
-		cfg.Core.ReplicaSync = sync
 		spec := cluster.Uniform(n)
 		spec.Seed += o.Seed
 		return jacobi.Run(cluster.New(spec), cfg)
@@ -126,64 +112,39 @@ func RunRMA(o RMAOptions) (*RMAResult, error) {
 		return total
 	}
 	for _, n := range o.Nodes {
-		paired, err := run(n, false, o.Sync)
+		paired, err := run(n, false)
 		if err != nil {
 			return nil, fmt.Errorf("rma %d paired: %w", n, err)
 		}
-		onesided, err := run(n, true, o.Sync)
+		onesided, err := run(n, true)
 		if err != nil {
 			return nil, fmt.Errorf("rma %d one-sided: %w", n, err)
 		}
 		if paired.Checksum != onesided.Checksum {
 			return nil, fmt.Errorf("rma %d: one-sided refresh changed the checksum", n)
 		}
-		row := RMARow{
+		res.Rows = append(res.Rows, RMARow{
 			Nodes:        n,
 			PairedStallS: stallOf(paired),
 			RMAStallS:    stallOf(onesided),
 			PairedS:      paired.Elapsed,
 			RMAS:         onesided.Elapsed,
-		}
-		if o.LegacyFence {
-			fence, err := run(n, true, core.SyncFence)
-			if err != nil {
-				return nil, fmt.Errorf("rma %d fence: %w", n, err)
-			}
-			if fence.Checksum != paired.Checksum {
-				return nil, fmt.Errorf("rma %d: fence refresh changed the checksum", n)
-			}
-			row.FenceStallS = stallOf(fence)
-			row.FenceS = fence.Elapsed
-		}
-		res.Rows = append(res.Rows, row)
+		})
 	}
 	return res, nil
 }
 
 // Table renders the study.
 func (r *RMAResult) Table() *Table {
-	fence := false
-	for _, row := range r.Rows {
-		if row.FenceS > 0 {
-			fence = true
-		}
-	}
 	t := &Table{
 		Caption: "One-sided replica refresh: holder-side stall of per-cycle buddy replication, paired send/recv vs pairwise-epoch (PSCW) RMA windows (dedicated cluster)",
 		Header:  []string{"nodes", "paired-stall(s)", "rma-stall(s)", "reduction", "paired(s)", "rma(s)"},
 	}
-	if fence {
-		t.Header = append(t.Header, "fence-stall(s)", "fence(s)")
-	}
 	for _, row := range r.Rows {
-		cells := []string{
+		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(row.Nodes), f3(row.PairedStallS), f3(row.RMAStallS),
 			pct(row.StallReduction()), f2(row.PairedS), f2(row.RMAS),
-		}
-		if fence {
-			cells = append(cells, f3(row.FenceStallS), f2(row.FenceS))
-		}
-		t.Rows = append(t.Rows, cells)
+		})
 	}
 	return t
 }

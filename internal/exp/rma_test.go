@@ -29,11 +29,6 @@ func TestRMAStallReduction(t *testing.T) {
 	if !res.MakespanOK() {
 		t.Fatalf("one-sided makespan exceeds paired somewhere: %+v", res.Rows)
 	}
-	for _, row := range res.Rows {
-		if row.FenceS == 0 {
-			t.Fatalf("nodes=%d: legacy fence column missing from default study", row.Nodes)
-		}
-	}
 	if tbl := res.Table(); len(tbl.Rows) != len(res.Rows) {
 		t.Fatalf("table rows %d != result rows %d", len(tbl.Rows), len(res.Rows))
 	}

@@ -579,9 +579,12 @@ func (c *Comm) WinComplete(win *Win) {
 // each, carrying the epoch stamp the target's wait drains by), settles
 // this rank's own Get landings of the epoch, and advances the access-epoch
 // counter. A dead target fails the call with *RankFailedError — after
-// every live target has been notified, so surviving peers never hang —
-// without settling or advancing; the pending Get landings are left for
-// DiscardPending.
+// every target has been notified, so surviving peers never hang — without
+// settling or advancing; the pending Get landings are left for
+// DiscardPending. The notification is sent to a dead target too (delivery
+// drops it): a target may be dying concurrently with this call, and the
+// origin's send charge — so its virtual clock — must not depend on which
+// side of that wall-clock race the call lands.
 func (c *Comm) WinCompleteErr(win *Win) error {
 	c.checkFailed()
 	slot := c.groupSlot(win.g)
@@ -589,11 +592,10 @@ func (c *Comm) WinCompleteErr(win *Win) error {
 	ep := win.accEpoch[slot]
 	var dead []int
 	for _, t := range targets {
+		c.Send(t, win.pscwDoneTag(), ep, pscwCtlBytes)
 		if c.w.deadCount.Load() > 0 && c.w.dead[t].Load() {
 			dead = append(dead, t)
-			continue
 		}
-		c.Send(t, win.pscwDoneTag(), ep, pscwCtlBytes)
 	}
 	win.access[slot] = win.access[slot][:0]
 	if dead != nil {

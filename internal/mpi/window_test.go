@@ -276,6 +276,21 @@ func TestFenceDrainDeterministic(t *testing.T) {
 	}
 }
 
+// discardAfterSurvivorsSync is the discard step of the failed-fence
+// protocol. A failed fence returns as soon as the death is seen, without
+// waiting for the live members, so a slower survivor may still be about to
+// Put into this rank's slot; discarding first would leave that deposit
+// pending forever. A barrier over the survivors orders every survivor's
+// Puts (earlier in its program order) before anyone's discard — the
+// ordering the runtime restores with its marker exchange.
+func discardAfterSurvivorsSync(t *testing.T, c *Comm, win *Win, survivors []int) {
+	t.Helper()
+	if err := c.BarrierErr(c.World().NewGroup(survivors)); err != nil {
+		t.Errorf("rank %d: survivors' barrier failed: %v", c.Rank(), err)
+	}
+	c.DiscardPending(win)
+}
+
 // TestFenceCrashTargetBeforeDeposit is the failure-at-fence suite's "dead
 // rank never deposited" case: rank 2 crashes at a cycle boundary before
 // issuing that epoch's Put. Survivors' fences resolve to RankFailedError
@@ -312,7 +327,7 @@ func TestFenceCrashTargetBeforeDeposit(t *testing.T) {
 						t.Errorf("rank 0: dead rank 2 shows %d pending elems, want none", elems)
 					}
 				}
-				c.DiscardPending(win)
+				discardAfterSurvivorsSync(t, c, win, []int{0, 1})
 				return nil
 			}
 		}
@@ -368,7 +383,7 @@ func TestFenceCrashOriginAfterDeposit(t *testing.T) {
 					}
 					recovered = true
 				}
-				c.DiscardPending(win)
+				discardAfterSurvivorsSync(t, c, win, []int{0, 1})
 				return nil
 			}
 			src := make([]float64, 4)
