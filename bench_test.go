@@ -337,6 +337,26 @@ func BenchmarkHaloOverlap(b *testing.B) {
 	}
 }
 
+// BenchmarkHaloExchange isolates the blocking halo path in the shape SOR
+// gives it: a non-adaptive sor run, two HaloExchange calls per cycle with
+// the boundary rows rewritten between them, so a message buffer that fails
+// to circulate between neighbours shows up in allocs/op.
+func BenchmarkHaloExchange(b *testing.B) {
+	b.ReportAllocs()
+	cfg := sor.DefaultConfig()
+	cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = 128, 128, 80, 10e3
+	cfg.Core.Adapt = false
+	for i := 0; i < b.N; i++ {
+		res, err := sor.Run(cluster.New(cluster.Uniform(4)), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Elapsed <= 0 {
+			b.Fatal("run did not advance virtual time")
+		}
+	}
+}
+
 func BenchmarkMPIAllreduce8(b *testing.B) {
 	b.ReportAllocs()
 	err := mpi.Run(cluster.New(cluster.Uniform(8)), func(c *mpi.Comm) error {

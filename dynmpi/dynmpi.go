@@ -264,11 +264,12 @@ func SortTelemetry(recs []TelemetryRecord) { telemetry.Sort(recs) }
 
 // HaloExchange performs the standard nearest-neighbour boundary exchange
 // for the current block distribution: each rank sends its first owned row
-// up and its last owned row down (snapshotting them), receiving the
+// up and its last owned row down (copying them at the send), receiving the
 // adjacent ghost rows through store. It is safe across redistributions and
 // node removals: adjacency follows row ownership, not relative rank, and
 // ranks owning no rows neither send nor receive. n is the global row
-// count; rowOf must return resident row g; store receives ghost rows.
+// count; rowOf must return resident row g; store receives ghost rows, each
+// valid only during the call — store must copy what it keeps.
 func HaloExchange(rt *Runtime, tag, n int, rowOf func(g int) []float64, store func(g int, row []float64)) {
 	apps.HaloExchange(rt, tag, n, rowOf, store)
 }

@@ -141,54 +141,67 @@ func OrderedChecksum(rt *core.Runtime, n int, lo, hi int, rowVal func(g int) flo
 // HaloExchange performs the standard nearest-neighbour boundary exchange
 // for a block distribution: each rank sends its first owned row up and its
 // last owned row down, receiving the adjacent ghosts. rowOf must return the
-// (resident) row g to send; store is called with received ghost rows.
-// Ranks owning no rows neither send nor receive.
+// (resident) row g to send; store is called with received ghost rows. The
+// row passed to store is a message buffer, valid only during the call: store
+// must copy what it keeps. Ranks owning no rows neither send nor receive.
 func HaloExchange(rt *core.Runtime, tag int, n int, rowOf func(g int) []float64, store func(g int, row []float64)) {
-	if !rt.Participating() {
-		return
-	}
-	lo, hi := rt.Dist().RangeOf(rt.Comm().Rank())
+	lo, hi, up, down := haloNeighbours(rt, n)
 	if lo >= hi {
 		return
 	}
-	up, down := -1, -1 // world ranks of adjacent row owners
+	comm := rt.Comm()
+	// The sends copy the outgoing rows: the sender may overwrite a boundary
+	// row (SOR updates it in the very next half-phase) while the receiver is
+	// still reading the message.
+	if up >= 0 {
+		comm.SendF64s(up, tag, rowOf(lo))
+	}
+	if down >= 0 {
+		comm.SendF64s(down, tag, rowOf(hi-1))
+	}
+	// A dead neighbour cannot ship its boundary row; keep the stale ghost
+	// (the runtime's recovery pass re-partitions at the next cycle
+	// boundary, after which neighbours are live again).
+	if up >= 0 {
+		msg, err := comm.RecvF64sErr(up, tag)
+		lendGhost(comm, lo-1, msg, err, store)
+	}
+	if down >= 0 {
+		msg, err := comm.RecvF64sErr(down, tag)
+		lendGhost(comm, hi, msg, err, store)
+	}
+}
+
+// lendGhost hands a received ghost row to store for the duration of the call
+// and then returns the message buffer to the rank's free list. A failed
+// receive (dead neighbour) stores nothing.
+func lendGhost(comm *mpi.Comm, g int, msg *mpi.F64Msg, err error, store func(g int, row []float64)) {
+	if err == nil {
+		store(g, msg.Vals)
+		comm.ReleaseF64s(msg)
+	}
+}
+
+// haloNeighbours returns this rank's owned range and, when it is not empty,
+// the world ranks owning the rows adjacent to it (-1 at the grid edge). A
+// rank that does not take part — removed, or owning no rows — gets an empty
+// range.
+func haloNeighbours(rt *core.Runtime, n int) (lo, hi, up, down int) {
+	if !rt.Participating() {
+		return 0, 0, -1, -1
+	}
+	lo, hi = rt.Dist().RangeOf(rt.Comm().Rank())
+	up, down = -1, -1
+	if lo >= hi {
+		return lo, hi, up, down
+	}
 	if lo > 0 {
 		up = rt.Dist().Owner(lo - 1)
 	}
 	if hi < n {
 		down = rt.Dist().Owner(hi)
 	}
-	comm := rt.Comm()
-	// Snapshot outgoing rows: the sender may overwrite a boundary row (SOR
-	// updates it in the very next half-phase) while the receiver is still
-	// reading the payload.
-	snap := func(g int) []float64 {
-		src := rowOf(g)
-		out := make([]float64, len(src))
-		copy(out, src)
-		return out
-	}
-	if up >= 0 {
-		row := snap(lo)
-		comm.Send(up, tag, row, mpi.F64Bytes(len(row)))
-	}
-	if down >= 0 {
-		row := snap(hi - 1)
-		comm.Send(down, tag, row, mpi.F64Bytes(len(row)))
-	}
-	// A dead neighbour cannot ship its boundary row; keep the stale ghost
-	// (the runtime's recovery pass re-partitions at the next cycle
-	// boundary, after which neighbours are live again).
-	if up >= 0 {
-		if row, _, err := comm.RecvErr(up, tag); err == nil {
-			store(lo-1, row.([]float64))
-		}
-	}
-	if down >= 0 {
-		if row, _, err := comm.RecvErr(down, tag); err == nil {
-			store(hi, row.([]float64))
-		}
-	}
+	return lo, hi, up, down
 }
 
 // HaloHandle is an in-flight overlapped halo exchange started by
@@ -202,29 +215,19 @@ type HaloHandle struct {
 }
 
 // BeginHaloExchange starts the nearest-neighbour boundary exchange without
-// waiting for the ghosts: it posts the ghost Irecvs, snapshots and Isends
-// the boundary rows, and returns — charging only the send-side injection
+// waiting for the ghosts: it posts the ghost Irecvs, Isends copies of the
+// boundary rows, and returns — charging only the send-side injection
 // CPU. The caller then computes whatever does not need the incoming ghosts
 // (typically the interior rows) and calls Finish; wire time that elapses
 // behind that compute is genuinely free in virtual time and is credited to
 // the rank's HiddenWire counter by Finish's Waits. Boundary rows must hold
 // their final values before the call — they are shipped immediately.
 func BeginHaloExchange(rt *core.Runtime, tag int, n int, rowOf func(g int) []float64) HaloHandle {
-	if !rt.Participating() {
-		return HaloHandle{}
-	}
-	lo, hi := rt.Dist().RangeOf(rt.Comm().Rank())
+	lo, hi, up, down := haloNeighbours(rt, n)
 	if lo >= hi {
 		return HaloHandle{}
 	}
 	h := HaloHandle{rt: rt, lo: lo, hi: hi}
-	up, down := -1, -1
-	if lo > 0 {
-		up = rt.Dist().Owner(lo - 1)
-	}
-	if hi < n {
-		down = rt.Dist().Owner(hi)
-	}
 	comm := rt.Comm()
 	// Ghost receives first, so a neighbour's send fills the posted request
 	// directly instead of passing through the mailbox queues.
@@ -234,41 +237,32 @@ func BeginHaloExchange(rt *core.Runtime, tag int, n int, rowOf func(g int) []flo
 	if down >= 0 {
 		h.recvDown = comm.Irecv(down, tag)
 	}
-	snap := func(g int) []float64 {
-		src := rowOf(g)
-		out := make([]float64, len(src))
-		copy(out, src)
-		return out
-	}
 	if up >= 0 {
-		row := snap(lo)
-		h.sendUp = comm.Isend(up, tag, row, mpi.F64Bytes(len(row)))
+		h.sendUp = comm.IsendF64s(up, tag, rowOf(lo))
 	}
 	if down >= 0 {
-		row := snap(hi - 1)
-		h.sendDown = comm.Isend(down, tag, row, mpi.F64Bytes(len(row)))
+		h.sendDown = comm.IsendF64s(down, tag, rowOf(hi-1))
 	}
 	return h
 }
 
 // Finish waits for the ghost rows and stores them, keeping a stale ghost
-// when the neighbour died (the same policy as HaloExchange), and recycles
-// the send requests. It is idempotent.
+// when the neighbour died (the same policy as HaloExchange, including the
+// lifetime of the row store sees), and recycles the send requests. It is
+// idempotent.
 func (h *HaloHandle) Finish(store func(g int, row []float64)) {
 	if h.rt == nil {
 		return
 	}
 	comm := h.rt.Comm()
 	if h.recvUp != nil {
-		if row, _, err := comm.WaitErr(h.recvUp); err == nil {
-			store(h.lo-1, row.([]float64))
-		}
+		msg, err := comm.WaitF64sErr(h.recvUp)
+		lendGhost(comm, h.lo-1, msg, err, store)
 		h.recvUp = nil
 	}
 	if h.recvDown != nil {
-		if row, _, err := comm.WaitErr(h.recvDown); err == nil {
-			store(h.hi, row.([]float64))
-		}
+		msg, err := comm.WaitF64sErr(h.recvDown)
+		lendGhost(comm, h.hi, msg, err, store)
 		h.recvDown = nil
 	}
 	if h.sendUp != nil {

@@ -2,11 +2,13 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/drsd"
+	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/vclock"
 )
@@ -45,7 +47,7 @@ func TestHaloExchangeDeliversNeighbourRows(t *testing.T) {
 		got := map[int][]float64{}
 		HaloExchange(rt, 5, n,
 			func(g int) []float64 { return rows[g] },
-			func(g int, row []float64) { got[g] = row })
+			func(g int, row []float64) { got[g] = append([]float64(nil), row...) })
 		if lo > 0 {
 			want := float64((lo - 1) * 10)
 			if got[lo-1] == nil || got[lo-1][0] != want {
@@ -74,7 +76,7 @@ func TestHaloExchangeSnapshotsPayload(t *testing.T) {
 			func(g int) []float64 { return rows[g] },
 			func(g int, row []float64) {
 				if g == lo-1 {
-					ghost = row
+					ghost = append([]float64(nil), row...) // row is only lent
 				}
 			})
 		// Everyone trashes their boundary rows after sending.
@@ -86,6 +88,96 @@ func TestHaloExchangeSnapshotsPayload(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// A rank that crashes on entry to a halo exchange leaves its neighbours with
+// a dead peer: their boundary sends are dropped with the buffers they carry,
+// their ghost receives fail and keep the stale ghost, and the next cycle
+// boundary recovers. The run must terminate with nothing orphaned — no
+// posted receive, no undrained collective — for the blocking and the
+// overlapped exchange alike.
+func TestHaloCrashedNeighbourTerminatesWithoutLeaks(t *testing.T) {
+	const n, cols, cycles, victim, crashCycle = 32, 8, 12, 1, 3
+	const rowCost = vclock.Duration(vclock.Millisecond)
+	// run executes the stencil loop and reports the victim's clock on entry
+	// to crashCycle's exchange, how many ghost rows the survivors missed, and
+	// the world (for the leak check).
+	run := func(overlap bool, faults []fault.Fault) (haloAt vclock.Time, missed int, w *mpi.World) {
+		spec := cluster.Uniform(4)
+		spec.Faults = faults
+		w = mpi.NewWorld(cluster.New(spec))
+		var mu sync.Mutex
+		err := w.Run(func(c *mpi.Comm) error {
+			rt := core.New(c, core.DefaultConfig())
+			d := rt.RegisterDense("A", n, cols)
+			ph := rt.InitPhase(n)
+			ph.AddAccess("A", drsd.ReadWrite, 1, 0)
+			ph.AddAccess("A", drsd.Read, 1, -1)
+			ph.AddAccess("A", drsd.Read, 1, +1)
+			rt.Commit()
+			stored, want := 0, 0
+			rowOf := func(g int) []float64 { return d.Row(g) }
+			store := func(g int, row []float64) { copy(d.Row(g), row); stored++ }
+			for cyc := 0; cyc < cycles; cyc++ {
+				if rt.BeginCycle() {
+					lo, hi := ph.Bounds()
+					if lo > 0 {
+						want++
+					}
+					if hi < n {
+						want++
+					}
+					// One row of compute separates the exchange's first
+					// operation from BeginCycle's last.
+					rt.ComputeIter(lo, rowCost)
+					rest := func() {
+						for g := lo + 1; g < hi; g++ {
+							rt.ComputeIter(g, rowCost)
+						}
+					}
+					if !overlap {
+						rest()
+					}
+					if c.Rank() == victim && cyc == crashCycle {
+						mu.Lock()
+						haloAt = c.Now()
+						mu.Unlock()
+					}
+					if overlap {
+						HaloExchangeOverlap(rt, 5, n, rowOf, store, rest)
+					} else {
+						HaloExchange(rt, 5, n, rowOf, store)
+					}
+				}
+				rt.EndCycle()
+			}
+			rt.Finalize()
+			mu.Lock()
+			missed += want - stored
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("overlap=%v: %v", overlap, err)
+		}
+		return haloAt, missed, w
+	}
+	for _, overlap := range []bool{false, true} {
+		// Virtual time is deterministic, so the clock a fault-free run shows
+		// at the exchange is where the crash must strike: the first operation
+		// at or after it is the exchange's own first.
+		haloAt, missed, _ := run(overlap, nil)
+		if missed != 0 {
+			t.Fatalf("overlap=%v: fault-free run missed %d ghost rows", overlap, missed)
+		}
+		_, missed, w := run(overlap, []fault.Fault{fault.CrashAt(victim, haloAt)})
+		if missed != 2 {
+			t.Errorf("overlap=%v: survivors missed %d ghost rows, want 2 (one per neighbour of the dead rank)", overlap, missed)
+		}
+		if leaked := w.LeakedOps(); leaked != 0 {
+			t.Errorf("overlap=%v: %d operations leaked", overlap, leaked)
+		}
+	}
 }
 
 func TestOrderedChecksumDistributionIndependent(t *testing.T) {

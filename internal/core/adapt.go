@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/distribution"
 	"repro/internal/drsd"
@@ -147,11 +148,25 @@ func (rt *Runtime) EndCycle() {
 	rt.cycle++
 }
 
+// loadsInfo renders a load vector exactly as fmt's "loads=%v" does
+// ("loads=[1 0 2]") without boxing every element: each rank records one at
+// every load change.
+func loadsInfo(loads []int) string {
+	b := append(make([]byte, 0, 8+3*len(loads)), "loads=["...)
+	for i, l := range loads {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(l), 10)
+	}
+	return string(append(b, ']'))
+}
+
 // enterGrace starts (or restarts) the grace period: the application keeps
 // running on the old distribution while per-iteration unloaded times and
 // per-cycle communication are measured.
 func (rt *Runtime) enterGrace(loads []int) {
-	rt.record(EvLoadChange, 0, fmt.Sprintf("loads=%v", loads))
+	rt.record(EvLoadChange, 0, loadsInfo(loads))
 	rt.state = stGrace
 	rt.graceLoads = append([]int(nil), loads...)
 	lo, hi := rt.dist.RangeOf(rt.comm.Rank())

@@ -551,4 +551,20 @@ func TestEventTraceShape(t *testing.T) {
 	if evs[1].Time > evs[2].Time {
 		t.Error("redist events out of order")
 	}
+	if evs[0].Info != "loads=[0 1]" {
+		t.Errorf("load-change info %q, want %q", evs[0].Info, "loads=[0 1]")
+	}
+}
+
+// Event.Info of a load change is part of the trace format: loadsInfo must
+// render a load vector byte for byte as fmt's %v does.
+func TestLoadsInfoMatchesFmt(t *testing.T) {
+	for _, loads := range [][]int{nil, {}, {0}, {3, 0, 12}, {1, 0, 0, 0, 2, 10, 100, -1}} {
+		if got, want := loadsInfo(loads), fmt.Sprintf("loads=%v", loads); got != want {
+			t.Errorf("loadsInfo(%v) = %q, want %q", loads, got, want)
+		}
+	}
+	if got := loadsInfo([]int{1, 0, 2}); got != "loads=[1 0 2]" {
+		t.Errorf("loadsInfo = %q", got)
+	}
 }

@@ -54,24 +54,22 @@ type LostRange struct {
 // replica is a rank's copy of its ring predecessor's rows of one dense
 // array, refreshed by refreshReplicas (paired send/recv) or through the
 // one-sided window machinery in rma.go. data always holds the committed
-// replica; stage is the window memory remote Puts land in under ReplicaRMA,
-// promoted to data only when the epoch's closing wait settles — so an epoch
-// that can no longer settle (the origin died mid-cycle without depositing)
-// leaves the committed replica intact.
+// replica; stage is the window memory remote Puts land in under ReplicaRMA
+// (the replica is its own mpi.WinMem, so whichever buffer is the stage is
+// what the window exposes), promoted to data only when the epoch's closing
+// wait settles — so an epoch that can no longer settle (the origin died
+// mid-cycle without depositing) leaves the committed replica intact.
 type replica struct {
 	lo, hi int
 	data   []float64
 	stage  []float64
 }
 
-// replicaSlab is the wire form of a replica payload: the row range actually
-// covered plus the packed rows. A holder whose replica does not cover a
-// requested transfer ships the covered subrange (possibly empty); the
-// receiver zero-fills the rest as lost.
-type replicaSlab struct {
-	lo, hi int
-	data   *denseSlab
-}
+// WriteAt, ReadAt and Len implement mpi.WinMem: an mpi.FlatMem over
+// whichever buffer is the stage when the access lands.
+func (r *replica) WriteAt(off int, src []float64) { mpi.FlatMem(r.stage).WriteAt(off, src) }
+func (r *replica) ReadAt(off int, dst []float64)  { mpi.FlatMem(r.stage).ReadAt(off, dst) }
+func (r *replica) Len() int                       { return len(r.stage) }
 
 // DeadRanks returns the world ranks this runtime has absorbed as crashed.
 func (rt *Runtime) DeadRanks() []int { return append([]int(nil), rt.deadRanks...) }
@@ -247,6 +245,7 @@ func (rt *Runtime) recoverDistribution(newDist *drsd.Block, dead []int) {
 				plo, phi := intersect(tr.Lo, tr.Hi, rep)
 				rows := phi - plo
 				slab := getDenseSlab(rows, a.dense.RowLen)
+				slab.lo = plo
 				if rows > 0 {
 					off := (plo - rep.lo) * a.dense.RowLen
 					copy(slab.data, rep.data[off:off+rows*a.dense.RowLen])
@@ -255,7 +254,7 @@ func (rt *Runtime) recoverDistribution(newDist *drsd.Block, dead []int) {
 					}
 				}
 				bytes := 16 + rows*int(a.dense.RowBytes())
-				rt.comm.Send(tr.To, tag, replicaSlab{lo: plo, hi: phi, data: slab}, bytes)
+				rt.comm.Send(tr.To, tag, slab, bytes)
 				p.sent(&mv, rows, bytes)
 			}
 		}
@@ -308,17 +307,18 @@ func (rt *Runtime) recoverTransfer(a *regArray, tag int, tr drsd.Transfer, holde
 		return
 	}
 	*bytesRecv += int64(st.Bytes)
-	rs, ok := payload.(replicaSlab)
+	rs, ok := payload.(*denseSlab)
 	if !ok {
 		panic(fmt.Sprintf("core: bad replica recovery payload for %q", a.name))
 	}
-	if rs.hi > rs.lo {
-		a.dense.PutRows(rs.lo, rs.data.data)
-		rt.recoveredRows += rs.hi - rs.lo
+	rlo, rhi := rs.lo, rs.lo+rs.rows
+	if rhi > rlo {
+		a.dense.PutRows(rlo, rs.data)
+		rt.recoveredRows += rhi - rlo
 	}
-	putDenseSlab(rs.data)
-	rt.loseRows(a, tr.Lo, minI(rs.lo, tr.Hi))
-	rt.loseRows(a, maxI(rs.hi, tr.Lo), tr.Hi)
+	putDenseSlab(rs)
+	rt.loseRows(a, tr.Lo, minI(rlo, tr.Hi))
+	rt.loseRows(a, maxI(rhi, tr.Lo), tr.Hi)
 }
 
 // restoreLocal reconstructs rows [lo,hi) of a dense array from this rank's
@@ -394,8 +394,7 @@ func (rt *Runtime) refreshReplicas() {
 			// dying concurrently with this refresh gets the slab either way.
 			continue
 		}
-		rt.comm.Send(next, tagReplica+a.index, replicaSlab{lo: lo, hi: hi, data: rt.packRows(a, lo, hi)},
-			16+(hi-lo)*int(a.dense.RowBytes()))
+		rt.comm.Send(next, tagReplica+a.index, rt.packRows(a, lo, hi), 16+(hi-lo)*int(a.dense.RowBytes()))
 	}
 	if rt.replicas == nil {
 		rt.replicas = make(map[string]*replica)
@@ -432,6 +431,7 @@ func ringNeighbours(ranks []int, me int) (prev, next int, ok bool) {
 // every replica shipper does: one RowBytes touch per row copied out.
 func (rt *Runtime) packRows(a *regArray, lo, hi int) *denseSlab {
 	slab := getDenseSlab(hi-lo, a.dense.RowLen)
+	slab.lo = lo
 	a.dense.CopyRowsTo(slab.data, lo, hi)
 	for g := lo; g < hi; g++ {
 		rt.node.ChargeTouch(a.dense.RowBytes())
@@ -442,7 +442,7 @@ func (rt *Runtime) packRows(a *regArray, lo, hi int) *denseSlab {
 // storeReplica commits a paired replica payload as array a's replica — one
 // RowBytes touch per row stored — and recycles its slab.
 func (rt *Runtime) storeReplica(a *regArray, payload any) {
-	rs, ok := payload.(replicaSlab)
+	rs, ok := payload.(*denseSlab)
 	if !ok {
 		panic(fmt.Sprintf("core: bad replica payload for %q", a.name))
 	}
@@ -451,18 +451,18 @@ func (rt *Runtime) storeReplica(a *regArray, payload any) {
 		rep = &replica{}
 		rt.replicas[a.name] = rep
 	}
-	n := (rs.hi - rs.lo) * a.dense.RowLen
+	n := rs.rows * a.dense.RowLen
 	if cap(rep.data) < n {
 		rep.data = make([]float64, n)
 	} else {
 		rep.data = rep.data[:n]
 	}
-	copy(rep.data, rs.data.data[:n])
-	rep.lo, rep.hi = rs.lo, rs.hi
-	for g := rs.lo; g < rs.hi; g++ {
+	copy(rep.data, rs.data[:n])
+	rep.lo, rep.hi = rs.lo, rs.lo+rs.rows
+	for g := rep.lo; g < rep.hi; g++ {
 		rt.node.ChargeTouch(a.dense.RowBytes())
 	}
-	putDenseSlab(rs.data)
+	putDenseSlab(rs)
 }
 
 // intersect clips [lo,hi) to the replica's covered range; a nil replica

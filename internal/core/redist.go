@@ -56,10 +56,14 @@ var (
 	sparseSlabPool = sync.Pool{New: func() any { return new(sparseSlab) }}
 )
 
-// denseSlab is one dense transfer's rows, packed back to back.
+// denseSlab is one dense transfer's rows, packed back to back. lo is the
+// first global row, set only by the replica shippers: a replica payload
+// covers [lo, lo+rows), possibly less than the range asked for (a holder
+// whose replica does not cover a requested transfer ships the covered
+// subrange, possibly empty; the receiver zero-fills the rest as lost).
 type denseSlab struct {
-	rows int
-	data []float64
+	lo, rows int
+	data     []float64
 }
 
 // sparseSlab is one sparse transfer's rows in batched packed form.
@@ -300,8 +304,8 @@ func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist 
 		// Virtual cost per row, identical to the per-row path: a row that
 		// stays resident here or still has further destinations was copied
 		// out (one RowBytes touch); a leaving row's final destination was a
-		// move — free under Projection, a charged copy under Contiguous
-		// (TakeRow semantics).
+		// move — free under Projection (the model hands the row over), a
+		// charged copy out of the flat block under Contiguous.
 		for g := tr.Lo; g < tr.Hi; g++ {
 			keep := g >= wlo && g < whi
 			destCount[g-olo]--

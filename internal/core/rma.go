@@ -231,7 +231,7 @@ func (rt *Runtime) openReplicaEpoch() {
 		}
 		win := rt.repWins[name]
 		rt.stageReplica(a, phi-plo)
-		rt.comm.WinAttach(win, mpi.FlatMem(rt.replicas[name].stage))
+		rt.comm.WinAttach(win, rt.replicas[name])
 		// The post is this epoch's write barrier: the predecessor cannot Put
 		// until its start consumes it, and it follows this rank's close-time
 		// promotion of the previous stage in program order.
@@ -264,8 +264,7 @@ func (rt *Runtime) openReplicaEpoch() {
 			// The successor's cycles are too short to hide the wire: ship an
 			// immediate paired slab (refreshReplicas wire form); it receives
 			// and commits before leaving its own open.
-			rt.comm.Send(rt.repNext, tagAdaptive+a.index,
-				replicaSlab{lo: lo, hi: hi, data: rt.packRows(a, lo, hi)}, 16+(hi-lo)*int(a.dense.RowBytes()))
+			rt.comm.Send(rt.repNext, tagAdaptive+a.index, rt.packRows(a, lo, hi), 16+(hi-lo)*int(a.dense.RowBytes()))
 		} else if hi > lo {
 			slab := rt.packRows(a, lo, hi)
 			rt.comm.Put(win, rt.repNext, 0, slab.data)
@@ -373,17 +372,15 @@ func (rt *Runtime) closeReplicaEpoch() {
 	rt.replicaStall += rt.comm.RecvStall - stall0
 }
 
-// promoteReplica commits one settled stage as the array's replica.
-// Host-only bookkeeping: the modelled transfer already landed one-sided,
-// so no virtual cost is charged (see the file comment).
+// promoteReplica commits one settled stage as the array's replica by
+// swapping the two buffers: the deposit covers the whole stage, and the next
+// open re-sizes and exposes the other one (its post is the write barrier, so
+// no Put can land before then). Host-only bookkeeping: the modelled transfer
+// already landed one-sided, so no virtual cost is charged (see the file
+// comment).
 func (rt *Runtime) promoteReplica(a *regArray, rep *replica, pend repRange) {
 	n := (pend.hi - pend.lo) * a.dense.RowLen
-	if cap(rep.data) < n {
-		rep.data = make([]float64, n)
-	} else {
-		rep.data = rep.data[:n]
-	}
-	copy(rep.data, rep.stage[:n])
+	rep.data, rep.stage = rep.stage[:n], rep.data
 	rep.lo, rep.hi = pend.lo, pend.hi
 }
 

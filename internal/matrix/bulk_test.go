@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -36,34 +37,40 @@ func TestDenseCopyRowsToChargesNothing(t *testing.T) {
 	}
 }
 
-func TestDensePutRowsMatchesPutRowCharges(t *testing.T) {
+// PutRows copies the slab into the window's own rows and charges what
+// installing each row costs under the scheme: nothing under Projection (the
+// model adopts the incoming row), one RowBytes touch per row under
+// Contiguous, and no resident-set change either way.
+func TestDensePutRowsCharges(t *testing.T) {
 	for _, scheme := range []Alloc{Projection, Contiguous} {
-		bulkSink, rowSink := &recordSink{}, &recordSink{}
-		bulk := NewDense("A", 20, 3, scheme, bulkSink)
-		perRow := NewDense("A", 20, 3, scheme, rowSink)
-		bulk.SetWindow(5, 15)
-		perRow.SetWindow(5, 15)
-		bulkSink.touched, rowSink.touched = 0, 0
+		var got, want callLog
+		d := NewDense("A", 20, 3, scheme, &got)
+		d.SetWindow(5, 15)
+		got = got[:0]
 
 		slab := make([]float64, 4*3)
 		for i := range slab {
 			slab[i] = float64(i + 100)
 		}
-		bulk.PutRows(8, slab)
-		for g := 8; g < 12; g++ {
-			row := make([]float64, 3)
-			copy(row, slab[(g-8)*3:])
-			perRow.PutRow(g, row)
+		d.PutRows(8, slab)
+		if scheme == Contiguous {
+			for g := 8; g < 12; g++ {
+				want.ChargeTouch(d.RowBytes())
+			}
 		}
-		if bulkSink.touched != rowSink.touched {
-			t.Fatalf("%v PutRows charged %d, PutRow path charged %d", scheme, bulkSink.touched, rowSink.touched)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v PutRows cost calls %+v, want %+v", scheme, got, want)
 		}
 		for g := 8; g < 12; g++ {
 			for j := 0; j < 3; j++ {
-				if bulk.Row(g)[j] != perRow.Row(g)[j] {
-					t.Fatalf("%v row %d col %d: bulk %v per-row %v", scheme, g, j, bulk.Row(g)[j], perRow.Row(g)[j])
+				if d.Row(g)[j] != slab[(g-8)*3+j] {
+					t.Fatalf("%v row %d col %d: %v, want %v", scheme, g, j, d.Row(g)[j], slab[(g-8)*3+j])
 				}
 			}
+		}
+		slab[0] = -1
+		if d.Row(8)[0] == -1 {
+			t.Fatalf("%v: the window aliases the slab", scheme)
 		}
 	}
 }

@@ -8,6 +8,9 @@
 //   - Projection (the paper's scheme): a top-level vector of row pointers.
 //     Changing the resident window copies only the top-level vector and
 //     allocates/frees individual rows; retained rows are reused in place.
+//     A Dense owns its rows: "freeing" a row puts it on the array's own free
+//     list and "allocating" one takes it back zeroed, so a window that slides
+//     back and forth allocates nothing (see SetWindow).
 //   - Contiguous (the baseline): one flat backing array. Any change to the
 //     resident window reallocates and copies the whole local block, which
 //     for large arrays causes the excessive memory traffic (and paging)
@@ -68,6 +71,8 @@ type Dense struct {
 
 	lo, hi int
 	rows   [][]float64 // rows[g-lo] is global row g
+	spare  [][]float64 // the previous top-level vector, backing of the next one
+	free   [][]float64 // Projection: rows that left the window, reused for rows entering it
 	flat   []float64   // backing storage when scheme == Contiguous
 }
 
@@ -109,33 +114,65 @@ func (d *Dense) Row(g int) []float64 {
 // zero-valued. The virtual cost charged depends on the allocation scheme:
 // Projection pays a top-vector copy plus allocation of the new rows only;
 // Contiguous pays a full reallocation and copy of every retained row.
+//
+// Host-side, the storage is recycled without changing those charges. The
+// top-level vector alternates between two backings. Under Projection a row
+// leaving the window goes on the array's free list and a row entering it is
+// taken from there and zeroed; only when the list runs dry are the missing
+// rows carved from one fresh chunk. A row on the free list is referenced by
+// nothing else — Row never hands out a non-resident row, and bulk transfers
+// copy (CopyRowsTo, PutRows) — so a caller holding a slice from Row must drop
+// it when the row leaves the window, as with any reallocation. Emptying the
+// window (lo == hi) drops the free list.
 func (d *Dense) SetWindow(lo, hi int) {
 	if lo < 0 || hi > d.GlobalRows || lo > hi {
 		panic(fmt.Sprintf("matrix: %s bad window [%d,%d) of %d", d.Name, lo, hi, d.GlobalRows))
 	}
 	oldLo, oldHi, oldRows := d.lo, d.hi, d.rows
 	n := hi - lo
-	newRows := make([][]float64, n)
+	newRows := d.spare
+	if cap(newRows) < n {
+		newRows = make([][]float64, n)
+	}
+	newRows = newRows[:n]
 
 	keepLo, keepHi := maxInt(lo, oldLo), minInt(hi, oldHi) // retained global range
 	retained := maxInt(0, keepHi-keepLo)
 
 	switch d.scheme {
 	case Projection:
-		// Reuse retained row storage; allocate fresh rows elsewhere.
-		for g := keepLo; g < keepHi; g++ {
-			newRows[g-lo] = oldRows[g-oldLo]
-		}
-		var newBytes int64
-		for i := range newRows {
-			if newRows[i] == nil {
-				newRows[i] = make([]float64, d.RowLen)
-				newBytes += d.RowBytes()
+		for g := oldLo; g < oldHi; g++ {
+			if g < keepLo || g >= keepHi {
+				d.free = append(d.free, oldRows[g-oldLo])
 			}
+		}
+		var chunk []float64 // fresh storage for the rows the free list cannot supply
+		if missing := n - retained - len(d.free); missing > 0 {
+			chunk = make([]float64, missing*d.RowLen)
+		}
+		for g := lo; g < hi; g++ {
+			switch {
+			case g >= keepLo && g < keepHi:
+				newRows[g-lo] = oldRows[g-oldLo]
+			case len(d.free) > 0:
+				row := d.free[len(d.free)-1]
+				d.free[len(d.free)-1] = nil
+				d.free = d.free[:len(d.free)-1]
+				for j := range row {
+					row[j] = 0
+				}
+				newRows[g-lo] = row
+			default:
+				newRows[g-lo], chunk = chunk[:d.RowLen:d.RowLen], chunk[d.RowLen:]
+			}
+		}
+		if n == 0 {
+			d.free = nil
 		}
 		if d.sink != nil {
 			// Top-level vector copy (8 bytes per pointer) plus zeroing the
 			// newly allocated rows.
+			newBytes := int64(n-retained) * d.RowBytes()
 			d.sink.AdjustResident(newBytes - int64(oldHi-oldLo-retained)*d.RowBytes())
 			d.sink.ChargeTouch(int64(n)*8 + newBytes)
 		}
@@ -157,44 +194,10 @@ func (d *Dense) SetWindow(lo, hi int) {
 	default:
 		panic("matrix: unknown allocation scheme")
 	}
-	d.lo, d.hi, d.rows = lo, hi, newRows
-}
-
-// TakeRow detaches and returns global row g's storage for sending; the row
-// remains resident but its contents are considered surrendered. With the
-// Projection scheme this is zero-copy; with Contiguous the row must be
-// copied out (charged).
-func (d *Dense) TakeRow(g int) []float64 {
-	r := d.Row(g)
-	if d.scheme == Contiguous {
-		out := make([]float64, d.RowLen)
-		copy(out, r)
-		if d.sink != nil {
-			d.sink.ChargeTouch(d.RowBytes())
-		}
-		return out
+	for i := range oldRows {
+		oldRows[i] = nil // the spare vector must not keep rows reachable
 	}
-	return r
-}
-
-// PutRow installs data as global row g (receive side). With Projection the
-// incoming buffer is adopted directly when it has the right length;
-// Contiguous must copy into the flat backing.
-func (d *Dense) PutRow(g int, data []float64) {
-	if len(data) != d.RowLen {
-		panic(fmt.Sprintf("matrix: %s PutRow length %d != %d", d.Name, len(data), d.RowLen))
-	}
-	if g < d.lo || g >= d.hi {
-		panic(fmt.Sprintf("matrix: %s PutRow %d outside window [%d,%d)", d.Name, g, d.lo, d.hi))
-	}
-	if d.scheme == Projection {
-		d.rows[g-d.lo] = data
-		return
-	}
-	copy(d.rows[g-d.lo], data)
-	if d.sink != nil {
-		d.sink.ChargeTouch(d.RowBytes())
-	}
+	d.lo, d.hi, d.rows, d.spare = lo, hi, newRows, oldRows
 }
 
 // CopyRowsTo copies global rows [lo,hi) into the contiguous slab dst, which
@@ -216,11 +219,11 @@ func (d *Dense) CopyRowsTo(dst []float64, lo, hi int) {
 
 // PutRows installs the contiguous slab data as global rows starting at lo
 // (receive side of a bulk transfer); len(data) must be a whole number of
-// rows. It is the bulk counterpart of PutRow with adoption replaced by a
-// copy into the window's existing storage, so the slab stays recyclable.
-// The virtual cost matches PutRow exactly: Projection charges nothing (the
-// per-row path adopted the incoming buffer), Contiguous charges one
-// RowBytes touch per row.
+// rows. The rows are copied into the window's own storage, so the slab stays
+// the caller's to recycle and the window never aliases a foreign buffer. The
+// virtual cost is that of installing each row under the scheme: Projection
+// charges nothing (the model adopts the incoming row), Contiguous charges one
+// RowBytes touch per row (the copy into the flat block).
 func (d *Dense) PutRows(lo int, data []float64) {
 	if len(data)%d.RowLen != 0 {
 		panic(fmt.Sprintf("matrix: %s PutRows slab %d not a multiple of row length %d", d.Name, len(data), d.RowLen))

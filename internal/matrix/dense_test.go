@@ -120,41 +120,6 @@ func TestResidentAccountingBalances(t *testing.T) {
 	}
 }
 
-func TestTakeAndPutRow(t *testing.T) {
-	for _, scheme := range []Alloc{Projection, Contiguous} {
-		src := NewDense("S", 10, 4, scheme, nil)
-		dst := NewDense("D", 10, 4, scheme, nil)
-		src.SetWindow(0, 5)
-		dst.SetWindow(3, 8)
-		src.Fill(fillVal)
-		row := src.TakeRow(4)
-		dst.PutRow(4, row)
-		for j := 0; j < 4; j++ {
-			if dst.Row(4)[j] != fillVal(4, j) {
-				t.Fatalf("%v: transferred row corrupt at %d", scheme, j)
-			}
-		}
-	}
-}
-
-func TestPutRowValidates(t *testing.T) {
-	d := NewDense("A", 10, 4, Projection, nil)
-	d.SetWindow(0, 5)
-	for _, tc := range []func(){
-		func() { d.PutRow(2, make([]float64, 3)) }, // wrong length
-		func() { d.PutRow(7, make([]float64, 4)) }, // outside window
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
-				}
-			}()
-			tc()
-		}()
-	}
-}
-
 func TestBadShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

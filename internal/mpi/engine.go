@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -334,12 +335,19 @@ func (w *World) NewGroup(members []int) *Group {
 	if len(members) == 0 {
 		panic("mpi: empty group")
 	}
-	key := fmt.Sprint(members)
+	// The canonical key is built in a stack buffer and only becomes a heap
+	// string when a new group is registered: every rank asks for its group
+	// again at every membership change and replica-window rebuild.
+	var stack [128]byte
+	key := stack[:0]
+	for _, m := range members {
+		key = append(strconv.AppendInt(key, int64(m), 10), ' ')
+	}
 	w.groups.Lock()
 	if w.groups.byKey == nil {
 		w.groups.byKey = make(map[string]*Group)
 	}
-	if g, ok := w.groups.byKey[key]; ok {
+	if g, ok := w.groups.byKey[string(key)]; ok {
 		w.groups.Unlock()
 		return g
 	}
@@ -392,12 +400,12 @@ func (w *World) NewGroup(members []int) *Group {
 		g.ring[i] = op
 	}
 	w.groups.Lock()
-	if prior, ok := w.groups.byKey[key]; ok {
+	if prior, ok := w.groups.byKey[string(key)]; ok {
 		// Another rank registered the same group concurrently; use theirs.
 		w.groups.Unlock()
 		return prior
 	}
-	w.groups.byKey[key] = g
+	w.groups.byKey[string(key)] = g
 	w.groups.list = append(w.groups.list, g)
 	w.groups.Unlock()
 	return g

@@ -21,6 +21,33 @@ func TestGroupsAreCanonical(t *testing.T) {
 	}
 }
 
+// The canonical key separates members, so lists whose digits concatenate
+// alike are distinct groups, and asking again for a registered group — what
+// every rank does at every membership change — allocates nothing.
+func TestGroupKeySeparatesMembersAndLookupIsAllocFree(t *testing.T) {
+	w := NewWorld(cluster.New(cluster.Uniform(124)))
+	a, b, c := w.NewGroup([]int{1, 23}), w.NewGroup([]int{12, 3}), w.NewGroup([]int{123})
+	if a == b || a == c || b == c {
+		t.Fatal("member lists with the same digit string shared a group")
+	}
+	members := make([]int, 124) // key longer than NewGroup's stack buffer
+	for i := range members {
+		members[i] = i
+	}
+	if w.NewGroup(members) != w.AllGroup() {
+		t.Fatal("the all-ranks member list did not resolve to the all-ranks group")
+	}
+	small := []int{0, 2, 3, 17, 101}
+	g := w.NewGroup(small)
+	if n := testing.AllocsPerRun(100, func() {
+		if w.NewGroup(small) != g {
+			t.Fatal("lookup returned a different group")
+		}
+	}); n != 0 {
+		t.Errorf("looking up a registered group: %v allocs per call, want 0", n)
+	}
+}
+
 func TestConcurrentGroupCreation(t *testing.T) {
 	w := NewWorld(cluster.New(cluster.Uniform(8)))
 	const goroutines = 16

@@ -317,6 +317,18 @@ type Comm struct {
 	// no faults for this node, which keeps the hot-path cost to one nil
 	// check per operation.
 	flt *fault.NodeState
+
+	// bufFree is the rank-local free list of float64 message buffers.
+	// Ownership moves with the message: SendF64s/IsendF64s copy the caller's
+	// values into a buffer popped here (or a fresh one), the envelope carries
+	// it to the receiver, and the receiver — the only holder from then on —
+	// pushes it onto its own list with ReleaseF64s. Symmetric traffic (a halo
+	// exchange) therefore circulates a handful of buffers and allocates
+	// nothing; a buffer sent to a dead rank is simply dropped with its
+	// envelope. No lock: every Comm method runs on the rank's own goroutine,
+	// and the mailbox mutex orders the sender's fill before the receiver's
+	// reads.
+	bufFree []*F64Msg
 }
 
 // NewComm returns rank r's endpoint. Typically Run constructs these.
@@ -367,9 +379,34 @@ func wireTime(net cluster.NetParams, b int) vclock.Duration {
 // given tag. The payload is handed over by reference: the sender must not
 // mutate it afterwards (ownership transfer, as in a zero-copy MPI).
 func (c *Comm) Send(dst, tag int, payload any, bytes int) {
+	c.inject("send", dst, tag, payload, bytes)
+}
+
+// F64Msg is a float64 message buffer, the payload of SendF64s/IsendF64s.
+// It travels by pointer, so the envelope carries it without boxing a slice
+// header and without growing (an 80-byte envelope costs every message, typed
+// or not, a duffcopy per hop).
+type F64Msg struct {
+	Vals []float64
+}
+
+// SendF64s is Send with MPI's eager-copy contract for a float64 vector: vals
+// is copied into a recycled message buffer before the call returns, so the
+// caller may overwrite it immediately. Wire size, virtual cost and matching
+// are those of Send(dst, tag, vals, F64Bytes(len(vals))); the receiver takes
+// the message with RecvF64sErr (or WaitF64sErr) and hands the buffer back
+// with ReleaseF64s; an untyped receive sees the *F64Msg itself.
+func (c *Comm) SendF64s(dst, tag int, vals []float64) {
+	c.inject("send", dst, tag, c.copyBuf(vals), F64Bytes(len(vals)))
+}
+
+// inject is the send half shared by the blocking and nonblocking sends: it
+// charges the CPU injection cost, stamps the arrival time, delivers the
+// envelope and returns that stamp.
+func (c *Comm) inject(op string, dst, tag int, payload any, bytes int) vclock.Time {
 	c.checkFailed()
 	if dst < 0 || dst >= c.w.cap {
-		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
+		panic(fmt.Sprintf("mpi: %s to invalid rank %d", op, dst))
 	}
 	var faultDelay vclock.Duration
 	if c.flt != nil {
@@ -388,6 +425,49 @@ func (c *Comm) Send(dst, tag int, payload any, bytes int) {
 	c.SentMsgs++
 	c.SentBytes += int64(bytes)
 	c.w.deliver(dst, env)
+	return env.avail
+}
+
+// maxBufFree bounds a rank's message-buffer free list. Symmetric traffic
+// settles at two to four entries; the cap only matters to a rank that
+// receives more than it sends (a gather root), whose surplus goes to the GC.
+const maxBufFree = 8
+
+// copyBuf returns a message buffer holding a copy of vals, recycled from the
+// rank's free list when there is one.
+func (c *Comm) copyBuf(vals []float64) *F64Msg {
+	var m *F64Msg
+	if k := len(c.bufFree); k > 0 {
+		m = c.bufFree[k-1]
+		c.bufFree[k-1] = nil
+		c.bufFree = c.bufFree[:k-1]
+	} else {
+		m = new(F64Msg)
+	}
+	if cap(m.Vals) < len(vals) {
+		m.Vals = make([]float64, len(vals))
+	}
+	m.Vals = m.Vals[:len(vals)]
+	copy(m.Vals, vals)
+	return m
+}
+
+// ReleaseF64s hands a buffer returned by RecvF64sErr or WaitF64sErr to this
+// rank's free list; the caller must not touch it afterwards.
+func (c *Comm) ReleaseF64s(m *F64Msg) {
+	if len(c.bufFree) < maxBufFree {
+		c.bufFree = append(c.bufFree, m)
+	}
+}
+
+// asF64Msg unwraps the payload of a float64 send; anything else is a type
+// mismatch between the two ends and panics, like RecvF64s.
+func (c *Comm) asF64Msg(p any, st Status) *F64Msg {
+	m, ok := p.(*F64Msg)
+	if !ok {
+		panic(fmt.Sprintf("mpi: rank %d expected a float64 send from %d tag %d, got %T", c.rank, st.Source, st.Tag, p))
+	}
+	return m
 }
 
 // deliver hands env to dst's mailbox. A posted nonblocking receive matching
@@ -512,6 +592,18 @@ func (c *Comm) RecvErr(src, tag int) (any, Status, error) {
 	c.RecvMsgs++
 	c.RecvBytes += int64(env.bytes)
 	return env.payload, Status{Source: env.src, Tag: env.tag, Bytes: env.bytes}, nil
+}
+
+// RecvF64sErr is RecvErr for the message of a SendF64s/IsendF64s: the
+// returned buffer belongs to the caller, who copies out of Vals (or lends it
+// to a callback) and then hands it to ReleaseF64s so this rank's next
+// SendF64s can reuse it.
+func (c *Comm) RecvF64sErr(src, tag int) (*F64Msg, error) {
+	p, st, err := c.RecvErr(src, tag)
+	if err != nil {
+		return nil, err
+	}
+	return c.asF64Msg(p, st), nil
 }
 
 // RecvF64s receives a []float64 payload, panicking on type mismatch.

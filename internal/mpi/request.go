@@ -87,34 +87,25 @@ func (c *Comm) putReq(r *Request) {
 // nothing and recycles it. Ownership of payload transfers to the receiver,
 // as with Send.
 func (c *Comm) Isend(dst, tag int, payload any, bytes int) *Request {
-	c.checkFailed()
-	if dst < 0 || dst >= c.w.cap {
-		panic(fmt.Sprintf("mpi: isend to invalid rank %d", dst))
-	}
-	var faultDelay vclock.Duration
-	if c.flt != nil {
-		c.pollFaults()
-		faultDelay = c.messageFault(dst)
-	}
-	net := c.w.cl.Net()
-	c.node.Compute(cpuCost(net, bytes))
-	env := envelope{
-		src:     c.rank,
-		tag:     tag,
-		payload: payload,
-		bytes:   bytes,
-		avail:   c.node.Now().Add(wireTime(net, bytes) + faultDelay),
-	}
-	c.SentMsgs++
-	c.SentBytes += int64(bytes)
-	c.w.deliver(dst, env)
+	return c.sendReq(dst, tag, c.inject("isend", dst, tag, payload, bytes), bytes)
+}
+
+// IsendF64s is Isend with SendF64s's eager-copy contract: vals is copied
+// into a recycled message buffer at post time.
+func (c *Comm) IsendF64s(dst, tag int, vals []float64) *Request {
+	bytes := F64Bytes(len(vals))
+	return c.sendReq(dst, tag, c.inject("isend", dst, tag, c.copyBuf(vals), bytes), bytes)
+}
+
+// sendReq returns the (already complete) request of a send injected just now.
+func (c *Comm) sendReq(dst, tag int, avail vclock.Time, bytes int) *Request {
 	r := c.getReq()
 	r.send = true
 	r.src = dst
 	r.tag = tag
 	r.done = true
 	r.postVT = c.node.Now()
-	r.env.avail = env.avail
+	r.env.avail = avail
 	r.env.bytes = bytes
 	return r
 }
@@ -222,6 +213,17 @@ func (c *Comm) waitErr(req *Request, credit bool) (any, Status, error) {
 	payload := env.payload
 	c.putReq(req)
 	return payload, st, nil
+}
+
+// WaitF64sErr is WaitErr for a receive request whose message comes from a
+// SendF64s/IsendF64s, the nonblocking counterpart of RecvF64sErr; the caller
+// hands the returned buffer to ReleaseF64s when done with it.
+func (c *Comm) WaitF64sErr(req *Request) (*F64Msg, error) {
+	p, st, err := c.waitErr(req, true)
+	if err != nil {
+		return nil, err
+	}
+	return c.asF64Msg(p, st), nil
 }
 
 // Wait completes req, failing the whole world if the peer died (mirroring

@@ -384,11 +384,14 @@ func extractDeposits(ts *winSlot, match func(*deposit) bool) []deposit {
 	drain := ts.drain[:0]
 	keep := ts.dep[:0]
 	for i := range ts.dep {
-		d := ts.dep[i]
-		if match(&d) {
-			drain = append(drain, d)
+		// In place: a copy's address would escape through the indirect call
+		// and cost one heap object per deposit examined. keep never runs
+		// ahead of i, so d is read before its slot can be overwritten.
+		d := &ts.dep[i]
+		if match(d) {
+			drain = append(drain, *d)
 		} else {
-			keep = append(keep, d)
+			keep = append(keep, *d)
 		}
 	}
 	// Clear the tail so dropped entries do not linger in the backing array.

@@ -83,13 +83,12 @@ type Result struct {
 // row index (all of these reference the distributed dimension).
 var rowMethods = map[string]bool{
 	"Row": true, "RowHead": true, "RowLen": true, "Append": true,
-	"PackRow": true, "UnpackRow": true, "ClearRow": true, "TakeRow": true,
-	"PutRow": true, "RowWireBytes": true,
+	"PackRow": true, "UnpackRow": true, "ClearRow": true, "RowWireBytes": true,
 }
 
 // writeMethods are row methods that always store.
 var writeMethods = map[string]bool{
-	"Append": true, "UnpackRow": true, "ClearRow": true, "PutRow": true,
+	"Append": true, "UnpackRow": true, "ClearRow": true,
 }
 
 // AnalyzeFile parses and analyses one Go source file.
