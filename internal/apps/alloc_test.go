@@ -9,6 +9,7 @@ import (
 	"repro/internal/apps/sor"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 // mallocsOf reports how many heap objects one call of run allocated,
@@ -26,8 +27,8 @@ func mallocsOf(t *testing.T, run func() (apps.Result, error)) uint64 {
 }
 
 // TestSteadyStateCycleAllocBudget pins the allocation-free phase cycle of
-// the dense applications: on 8 unloaded ranks with a nil telemetry sink, a
-// run of 2N iterations allocates what a run of N iterations does — set-up,
+// the dense applications: on 8 unloaded ranks, with a nil telemetry sink or
+// a ring, a run of 2N iterations allocates what a run of N iterations does — set-up,
 // the first cycles' buffer warm-up and teardown are common to both, so the
 // difference is what the N extra cycles cost. Halo buffers circulate between
 // neighbours' free lists, Dense rows and replica stages are recycled in
@@ -70,6 +71,14 @@ func TestSteadyStateCycleAllocBudget(t *testing.T) {
 		{"jacobi-overlap", 0, jac(func(c *jacobi.Config) { c.Overlap = true })},
 		{"sor", 0, srun(func(*sor.Config) {})},
 		{"sor-overlap", 0, srun(func(c *sor.Config) { c.Overlap = true })},
+		// With a ring attached every rank-cycle emits an iteration record and
+		// a load sample. Both reach the ring by value and land in its typed
+		// chunks — one allocation per 64 records, inside the slack — where
+		// boxing them into telemetry.Record cost 2 per rank-cycle.
+		{"jacobi-ring", 0, jac(func(c *jacobi.Config) { c.Core.Telemetry = telemetry.NewRing(1 << 16) })},
+		{"sor-overlap-ring", 0, srun(func(c *sor.Config) {
+			c.Overlap, c.Core.Telemetry = true, telemetry.NewRing(1<<16)
+		})},
 		// A refresh packs one slab per array from core's sync.Pool and
 		// allocates nothing else. The pool may lose a slab — to a GC, and
 		// under the race detector deliberately to one Put in four — and a

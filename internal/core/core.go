@@ -674,7 +674,7 @@ func (rt *Runtime) endCycleTelemetry() {
 	if lo, hi := rt.dist.RangeOf(rt.comm.Rank()); hi > lo {
 		share = hi - lo
 	}
-	rt.sink.Emit(telemetry.IterationRecord{
+	rt.sink.EmitIteration(telemetry.IterationRecord{
 		Base:         rt.stamp(telemetry.KindIteration),
 		ComputeS:     compute,
 		CommS:        comm,

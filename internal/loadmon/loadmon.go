@@ -67,7 +67,7 @@ func (m *Monitor) Reading() int {
 		if m.cycleFn != nil {
 			cycle = m.cycleFn()
 		}
-		m.sink.Emit(telemetry.LoadSampleRecord{
+		m.sink.EmitLoadSample(telemetry.LoadSampleRecord{
 			Base:    m.stamper.Stamp(telemetry.KindLoadSample, cycle, m.node.Now().Seconds()),
 			Reading: r,
 		})

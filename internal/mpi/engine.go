@@ -26,9 +26,9 @@ import (
 //   - Completion is published by flipping one atomic flag. Members waiting
 //     for it spin briefly (yielding the processor), which resolves almost
 //     every rendezvous without a single scheduler park; a member that
-//     exhausts its spin budget parks on its own capacity-1 wake channel,
-//     and the publisher broadcasts tokens only when someone actually
-//     parked. No mutex is ever taken on the success path.
+//     exhausts its spin budget parks on its rank's capacity-1 wake channel
+//     (World.wake), and the publisher broadcasts tokens only when someone
+//     actually parked. No mutex is ever taken on the success path.
 //   - The element-wise allreduce runs through a combiner tree for large
 //     groups and non-trivial vectors: the second arriver at each internal
 //     node combines its two children, so the O(n·len) reduction is spread
@@ -224,33 +224,15 @@ type opState struct {
 	// rendezvous (the common case) perform no channel operations at all.
 	parked atomic.Int32
 
-	// wake[s] is member s's parking spot: a capacity-1 channel used as a
-	// binary semaphore. A blocked member receives from its own channel;
-	// signallers send non-blocking (a full channel means a token is already
-	// pending, which is just as good). Tokens carry no op identity — a
-	// receiver always rechecks pub — so a stale token from a previous
-	// generation costs one spurious recheck and can never cause a missed
-	// wakeup: after any post-publication send attempt the channel is
-	// non-empty, so a parked receiver is guaranteed to wake and observe pub.
-	wake []chan struct{}
-
 	mu       sync.Mutex
 	consumed []bool // error-path consumption accounting (under mu)
 	errLeft  int    // live members yet to consume the error (under mu)
 }
 
-// signalSlot hands member i a wakeup token, without blocking.
-func signalSlot(op *opState, i int) {
-	select {
-	case op.wake[i] <- struct{}{}:
-	default:
-	}
-}
-
-// signalAll hands every member a wakeup token.
-func signalAll(op *opState) {
-	for i := range op.wake {
-		signalSlot(op, i)
+// signal hands every member's rank a wakeup token.
+func (g *Group) signal() {
+	for _, m := range g.members {
+		g.w.signal(m)
 	}
 }
 
@@ -390,10 +372,6 @@ func (w *World) NewGroup(members []int) *Group {
 			op.treeCnt = make([]atomic.Int32, flat)
 			op.treeVal = make([][]float64, flat)
 			op.treeBuf = make([][]float64, flat)
-		}
-		op.wake = make([]chan struct{}, n)
-		for s := range op.wake {
-			op.wake[s] = make(chan struct{}, 1)
 		}
 		op.left.Store(int32(n))
 		op.ready.Store(int64(i))
@@ -537,7 +515,7 @@ func (c *Comm) rendezvousErr(g *Group, contrib any, vec []float64, desc *collDes
 	}
 
 	if !op.pub.Load() {
-		c.waitOp(g, op, slot)
+		c.waitOp(g, op)
 	}
 
 	if err := op.cErr; err != nil {
@@ -581,12 +559,12 @@ func (c *Comm) rendezvousErr(g *Group, contrib any, vec []float64, desc *collDes
 // waitOp blocks this member until the op publishes (success or error). It
 // first spins with scheduler yields — collectives between compute phases
 // publish within a round or two, so the common case costs no park/unpark —
-// and only then parks on its own wake channel, announcing itself through
+// and only then parks on its rank's wake channel, announcing itself through
 // op.parked so the publisher knows to broadcast tokens. Waiters are also
 // woken by a world failure or a death; on death the first waiter to observe
-// a dead non-depositor publishes the error itself. Spurious tokens (from a
-// previous generation of this ring slot) just re-run the checks.
-func (c *Comm) waitOp(g *Group, op *opState, slot int) {
+// a dead non-depositor publishes the error itself. Spurious tokens (from an
+// earlier op, of this group or another) just re-run the checks.
+func (c *Comm) waitOp(g *Group, op *opState) {
 	w := c.w
 	for i := 0; i < waitSpinRounds; i++ {
 		if w.failed.Load() {
@@ -612,7 +590,7 @@ func (c *Comm) waitOp(g *Group, op *opState, slot int) {
 		if w.deadCount.Load() > 0 && g.tryFailOp(op) {
 			return
 		}
-		<-op.wake[slot]
+		<-w.wake[c.rank]
 	}
 }
 
@@ -660,7 +638,7 @@ func (g *Group) tryFailOpLocked(op *opState) bool {
 	}
 	op.errLeft = live
 	op.pub.Store(true)
-	signalAll(op)
+	g.signal()
 	return true
 }
 
@@ -687,7 +665,7 @@ func (g *Group) publishResult(op *opState, desc *collDesc, cost collCost) {
 	g.noteOp(desc.kind, opBytes(op))
 	op.pub.Store(true)
 	if op.parked.Load() > 0 {
-		signalAll(op)
+		g.signal()
 	}
 }
 
@@ -875,14 +853,6 @@ func (g *Group) resetOp(op *opState) {
 	op.left.Store(int32(len(g.members)))
 	op.pub.Store(false)
 	op.ready.Store(op.ready.Load() + opRing)
-}
-
-// wakeAll wakes every waiter blocked on the group's rendezvous slots so
-// liveness checks re-run (world failure, rank death).
-func (g *Group) wakeAll() {
-	for _, op := range g.ring {
-		signalAll(op)
-	}
 }
 
 // adoptOrphans credits the dead rank's unconsumed error results across the

@@ -38,10 +38,11 @@ func (w *World) Kill(rank int) {
 		return
 	}
 	w.deadCount.Add(1)
-	for _, b := range w.boxes {
+	for r, b := range w.boxes {
 		b.mu.Lock()
 		b.cond.Broadcast()
 		b.mu.Unlock()
+		w.signal(r) // ranks parked in a collective recheck too
 	}
 	// The dead rank's own posted nonblocking receives are orphans: no Wait
 	// will ever drain them. Reclaim them here so they do not count as
@@ -78,7 +79,6 @@ func (w *World) Kill(rank int) {
 			// PendingFrom after its fence fails, then discards.
 			g.dropWindowSlot(slot)
 		}
-		g.wakeAll()
 	}
 }
 

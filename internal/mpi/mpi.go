@@ -202,6 +202,14 @@ type World struct {
 	dead      []atomic.Bool
 	deadCount atomic.Int32
 	flt       *fault.Set // scenario faults; nil when none are injected
+
+	// wake[r] is rank r's parking spot in collectives: a capacity-1 channel
+	// used as a binary semaphore. A rank blocks in at most one collective at
+	// a time, so one channel serves every op of every group it is in.
+	// Signallers send non-blocking (a full channel already holds a token). A
+	// token names no op: the receiver always rechecks its op's pub, so a
+	// stale one is a spurious recheck and a parked rank never misses its own.
+	wake []chan struct{}
 }
 
 // NewWorld creates a world with one rank per cluster seed node, plus
@@ -212,10 +220,12 @@ func NewWorld(cl *cluster.Cluster) *World {
 	w.spawned = make([]atomic.Bool, w.cap-w.n)
 	w.dead = make([]atomic.Bool, w.cap)
 	w.boxes = make([]*mailbox, w.cap)
+	w.wake = make([]chan struct{}, w.cap)
 	for i := range w.boxes {
 		b := &mailbox{queues: make(map[uint64]*envQueue)}
 		b.cond = sync.NewCond(&b.mu)
 		w.boxes[i] = b
+		w.wake[i] = make(chan struct{}, 1)
 	}
 	members := make([]int, w.n)
 	for i := range members {
@@ -249,7 +259,7 @@ func (w *World) fail(err error) {
 	}
 	w.errMu.Unlock()
 	w.failed.Store(true)
-	for _, b := range w.boxes {
+	for r, b := range w.boxes {
 		b.mu.Lock()
 		b.waiting = false // the posted pattern is void; everyone unwinds
 		b.reqWait = false
@@ -259,12 +269,16 @@ func (w *World) fail(err error) {
 		b.posted = b.posted[:0]
 		b.cond.Broadcast()
 		b.mu.Unlock()
+		w.signal(r) // ranks parked in a collective recheck too
 	}
-	w.groups.Lock()
-	for _, g := range w.groups.list {
-		g.wakeAll()
+}
+
+// signal hands rank a collective wakeup token, without blocking.
+func (w *World) signal(rank int) {
+	select {
+	case w.wake[rank] <- struct{}{}:
+	default:
 	}
-	w.groups.Unlock()
 }
 
 // Err returns the first error recorded by fail.

@@ -1,8 +1,10 @@
 package sweep
 
 import (
-	"container/heap"
+	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -54,32 +56,34 @@ type entry struct {
 	w *worldRun
 }
 
-type worldHeap []entry
+// worldQueue holds the active worlds latest-first, so the earliest pops off
+// the end. It never holds more than the admission bound, which is small.
+type worldQueue []entry
 
-func (h worldHeap) Len() int { return len(h) }
-func (h worldHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].w.cell.Index < h[j].w.cell.Index
+func (q *worldQueue) push(e entry) {
+	i := sort.Search(len(*q), func(i int) bool {
+		x := (*q)[i]
+		return x.t < e.t || x.t == e.t && x.w.cell.Index < e.w.cell.Index
+	})
+	*q = slices.Insert(*q, i, e)
 }
-func (h worldHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *worldHeap) Push(x any)   { *h = append(*h, x.(entry)) }
-func (h *worldHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (q *worldQueue) pop() *worldRun {
+	last := len(*q) - 1
+	w := (*q)[last].w
+	*q = slices.Delete(*q, last, last+1) // zeroes the vacated slot
+	return w
 }
 
 // Run executes the sweep: it admits worlds from the grid's cell list into
 // a bounded active set, keeps the active worlds in a priority queue by the
 // virtual time of their next event, and each round pops the globally
 // earliest (up to Jobs) worlds and steps them one phase-cycle wave each,
-// concurrently. Worlds whose gates report no pending events are finalized:
-// their telemetry ring is folded into per-cell statistics and the slot is
-// handed to the next queued cell.
+// concurrently: the scheduler goroutine steps one world itself and a pool
+// of Jobs-1 workers, standing for the whole sweep, steps the rest. Worlds
+// whose gates report no pending events are finalized: their telemetry ring
+// is folded into per-cell statistics and the slot is handed to the next
+// queued cell.
 //
 // The report is deterministic: each world is deterministic in virtual time
 // on its own and the gate's pacing is pure wall-clock control, so neither
@@ -108,17 +112,39 @@ func Run(o Options) (*Result, error) {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 
-	var h worldHeap
+	// The pool. A round holds at most width worlds, so its hand-offs fit
+	// the channel's buffer and never block on a busy worker.
+	width := min(jobs, len(cells))
+	var round, exited sync.WaitGroup
+	work := make(chan *worldRun, width-1)
+	for i := 1; i < width; i++ {
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			for w := range work {
+				w.gate.ProcessNextEvent()
+				round.Done()
+			}
+		}()
+	}
+	defer exited.Wait() // runs after the close: deferred calls run last-first
+	defer close(work)
+
+	var h worldQueue
 	active := 0
 	next := 0 // next cell to admit
 
 	finalize := func(w *worldRun) {
 		out := <-w.done
 		cr := CellResult{Cell: w.cell, Key: w.cell.Key()}
-		if out.err != nil {
+		switch dropped := w.ring.Dropped(); {
+		case out.err != nil:
 			cr.Err = out.err.Error()
-		} else {
-			cr.Stats = buildStats(w.ring.Records(), out.res)
+		case dropped > 0:
+			// Percentiles of a truncated stream would look like a result.
+			cr.Err = fmt.Sprintf("telemetry ring overflow: %d records dropped, raise RingCap", dropped)
+		default:
+			cr.Stats = buildStats(w.ring, out.res)
 		}
 		res.Cells[w.cell.Index] = cr
 		active--
@@ -130,39 +156,33 @@ func Run(o Options) (*Result, error) {
 	// another cycle, into finalize if it has completed.
 	classify := func(w *worldRun) {
 		if w.gate.HasPendingEvents() {
-			heap.Push(&h, entry{t: w.gate.PeekNextEventTime(), w: w})
+			h.push(entry{t: w.gate.PeekNextEventTime(), w: w})
 		} else {
 			finalize(w)
 		}
 	}
 
-	for next < len(cells) || h.Len() > 0 {
+	batch := make([]*worldRun, 0, width)
+	for next < len(cells) || len(h) > 0 {
 		for next < len(cells) && active < maxActive {
 			w := startWorld(&o.Grid, cells[next])
 			next++
 			active++
 			classify(w)
 		}
-		if h.Len() == 0 {
+		if len(h) == 0 {
 			continue
 		}
-		round := jobs
-		if round > h.Len() {
-			round = h.Len()
+		batch = batch[:0]
+		for len(batch) < jobs && len(h) > 0 {
+			batch = append(batch, h.pop())
 		}
-		batch := make([]*worldRun, 0, round)
-		for i := 0; i < round; i++ {
-			batch = append(batch, heap.Pop(&h).(entry).w)
+		round.Add(len(batch) - 1)
+		for _, w := range batch[1:] {
+			work <- w
 		}
-		var wg sync.WaitGroup
-		for _, w := range batch {
-			wg.Add(1)
-			go func(w *worldRun) {
-				defer wg.Done()
-				w.gate.ProcessNextEvent()
-			}(w)
-		}
-		wg.Wait()
+		batch[0].gate.ProcessNextEvent()
+		round.Wait()
 		res.Steps++
 		for _, w := range batch {
 			classify(w)

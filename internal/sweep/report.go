@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/apps"
@@ -36,21 +37,31 @@ type CellStats struct {
 	CheckInt int64   `json:"check_int,omitempty"`
 }
 
-// buildStats folds a world's record stream and application result into
-// CellStats. Records are sorted first so the aggregation order never
-// depends on emission interleaving across rank goroutines.
-func buildStats(recs []telemetry.Record, res apps.Result) CellStats {
-	telemetry.Sort(recs)
+// buildStats folds a world's telemetry ring and application result into
+// CellStats, straight from the ring's storage (the world is over, so the
+// record pointers stay valid). The hidden-wire float sum runs in
+// telemetry.Sort's order, not the order the rank goroutines emitted in; a
+// record that hid nothing would add an exact zero and is left out.
+func buildStats(ring *telemetry.Ring, res apps.Result) CellStats {
 	var st CellStats
-	var samples []float64
-	for _, rec := range recs {
-		switch v := rec.(type) {
-		case telemetry.IterationRecord:
+	var hidden []*telemetry.IterationRecord
+	samples := make([]float64, 0, ring.Len())
+	ring.Walk(telemetry.Visitor{
+		Iteration: func(v *telemetry.IterationRecord) {
 			samples = append(samples, v.ComputeS+v.CommS+v.WaitS)
-			st.HiddenWireS += float64(v.HiddenWireNs) / 1e9
-		case telemetry.RedistRecord:
-			st.LostRows += v.LostRows
-		}
+			if v.HiddenWireNs != 0 {
+				hidden = append(hidden, v)
+			}
+		},
+		Other: func(rec telemetry.Record) {
+			if v, ok := rec.(telemetry.RedistRecord); ok {
+				st.LostRows += v.LostRows
+			}
+		},
+	})
+	slices.SortFunc(hidden, func(a, b *telemetry.IterationRecord) int { return a.Compare(b.Base) })
+	for _, v := range hidden {
+		st.HiddenWireS += float64(v.HiddenWireNs) / 1e9
 	}
 	st.Cycles = len(samples)
 	sort.Float64s(samples)

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/apps/jacobi"
@@ -128,8 +129,8 @@ func TestWorldGateCrashDoesNotWedge(t *testing.T) {
 }
 
 // smokeReport runs the smoke grid at the given pool width and returns the
-// deterministic report (wall-time lines stripped).
-func smokeReport(t *testing.T, jobs int) string {
+// deterministic report (wall-time lines stripped) and the round count.
+func smokeReport(t *testing.T, jobs int) (string, int) {
 	t.Helper()
 	r, err := Run(Options{Grid: Smoke(), Jobs: jobs})
 	if err != nil {
@@ -144,31 +145,80 @@ func smokeReport(t *testing.T, jobs int) string {
 		}
 		kept = append(kept, line)
 	}
-	return strings.Join(kept, "\n")
+	return strings.Join(kept, "\n"), r.Steps
 }
 
 // TestSweepDeterministicAcrossJobs is the engine's determinism contract:
-// the smoke report is byte-identical between a serial pool and a wide pool
-// under a different GOMAXPROCS. Run with -race in CI.
+// the smoke report is byte-identical between a serial pool, narrow and wide
+// pools under a different GOMAXPROCS, and a pool wider than the grid. Each
+// width takes the rounds the (time, cell) pop order and the in-order
+// admission fix for it, and the pool's workers are gone when Run returns.
+// Run with -race in CI.
 func TestSweepDeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full smoke grid; skipped in -short")
 	}
-	serial := smokeReport(t, 1)
+	baseline := runtime.NumGoroutine()
+	serial, steps := smokeReport(t, 1)
+	if steps != 2880 { // one world per round: 96 cells of 30 cycles
+		t.Errorf("-jobs 1 took %d rounds, want 2880", steps)
+	}
 
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	wide := smokeReport(t, 8)
-
-	if serial != wide {
-		t.Errorf("report differs between -jobs 1 and -jobs 8/GOMAXPROCS=4")
+	for _, tc := range []struct{ jobs, steps int }{{2, 1440}, {8, 363}, {200, 30}} {
+		wide, steps := smokeReport(t, tc.jobs)
+		if serial != wide {
+			t.Errorf("report differs between -jobs 1 and -jobs %d/GOMAXPROCS=4", tc.jobs)
+		}
+		if steps != tc.steps {
+			t.Errorf("-jobs %d took %d rounds, want %d", tc.jobs, steps, tc.steps)
+		}
 	}
+	// A finished world's application goroutine may still be returning.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the sweeps, %d before: the pool or a world leaked", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	cells := strings.Count(serial, "\ncell ")
 	if cells < 48 {
 		t.Errorf("smoke grid has %d cells, want >= 48", cells)
 	}
 	if !strings.Contains(serial, "failed=0") {
 		t.Errorf("smoke sweep reported failures:\n%s", serial)
+	}
+}
+
+// TestRingOverflowFailsTheCell: a world that emitted more records than its
+// ring holds reports the overflow instead of percentiles of the truncated
+// stream; at the default capacity the same cell has statistics.
+func TestRingOverflowFailsTheCell(t *testing.T) {
+	g := Smoke()
+	if err := g.ParseSpec("scen=jacobi;ranks=4;overlap=0;fault=none;rep=0;rma=0;resize=none"); err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	full, err := Run(Options{Grid: g})
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	g.RingCap = 16
+	tiny, err := Run(Options{Grid: g})
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	for i, c := range tiny.Cells {
+		if full.Cells[i].Err != "" || full.Cells[i].Stats.Cycles <= 16 {
+			t.Fatalf("cell %s at the default RingCap: %+v", c.Key, full.Cells[i])
+		}
+		if !strings.Contains(c.Err, "telemetry ring overflow") || !strings.Contains(c.Err, "raise RingCap") {
+			t.Errorf("cell %s at RingCap 16: Err = %q, want a ring-overflow error", c.Key, c.Err)
+		}
+		if c.Stats != (CellStats{}) {
+			t.Errorf("cell %s overflowed but carries statistics %+v", c.Key, c.Stats)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package telemetry
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // The stamper sits on the runtime's per-cycle hot path: it runs even for
 // records that are ultimately cheap to build, so it must not allocate.
@@ -19,7 +22,7 @@ func TestStamperStampAllocFree(t *testing.T) {
 }
 
 // Ring.Emit must not allocate once the record is boxed and the ring has
-// reached its capacity: records are stored by value.
+// reached its capacity: an evicted record's chunk is reused.
 func TestRingEmitAllocFree(t *testing.T) {
 	r := NewRing(64)
 	var rec Record = Base{K: KindIteration, Node: 1}
@@ -31,5 +34,39 @@ func TestRingEmitAllocFree(t *testing.T) {
 	}
 	if r.Len() != 64 || r.Dropped() == 0 {
 		t.Fatalf("ring did not wrap: len=%d dropped=%d", r.Len(), r.Dropped())
+	}
+}
+
+// The two per-cycle kinds reach a sink by value: through the Sink interface
+// nothing is boxed, neither into a Ring nor through Multi and Nop. A ring at
+// capacity allocates nothing at all; one still growing allocates its chunks,
+// one per 64 records of a kind.
+func TestByValueEmitAllocFree(t *testing.T) {
+	const pairs = 6400
+	s := NewStamper(0)
+	emit := func(sink Sink) {
+		sink.EmitIteration(IterationRecord{Base: s.Stamp(KindIteration, 1, 1), ComputeS: 1})
+		sink.EmitLoadSample(LoadSampleRecord{Base: s.Stamp(KindLoadSample, 1, 1), Reading: 2})
+	}
+	full := NewRing(128)
+	for name, sink := range map[string]Sink{"full ring": full, "multi": Multi(Nop(), full)} {
+		if n := testing.AllocsPerRun(pairs, func() { emit(sink) }); n != 0 {
+			t.Errorf("%s: %v allocations per iteration + load-sample pair, want 0", name, n)
+		}
+	}
+	if full.Len() != 128 || full.Dropped() == 0 {
+		t.Fatalf("full ring holds %d records, dropped %d", full.Len(), full.Dropped())
+	}
+
+	var growing Sink = NewRing(1 << 20)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < pairs; i++ {
+		emit(growing)
+	}
+	runtime.ReadMemStats(&m1)
+	const chunks = 2*pairs/64 + 2*pairs/1024 + 1
+	if got := m1.Mallocs - m0.Mallocs; got > chunks+32 { // slack: the chunk lists' own growth
+		t.Errorf("growing ring: %d allocations for %d records, want its %d chunks", got, 2*pairs, chunks)
 	}
 }

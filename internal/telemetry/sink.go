@@ -10,76 +10,159 @@ import (
 
 // Sink receives telemetry records. Implementations must be safe for
 // concurrent use: every rank goroutine of a run emits into the same sink.
+// The two kinds emitted on every rank every cycle travel by value through
+// their own methods — a struct argument to an interface method is not boxed,
+// so a sink that stores them typed (Ring) costs a cycle no allocation. Every
+// other kind goes through Emit; handing Emit one of the two means the same.
 type Sink interface {
 	Emit(Record)
+	EmitIteration(IterationRecord)
+	EmitLoadSample(LoadSampleRecord)
 }
 
-// nopSink swallows everything.
-type nopSink struct{}
+// Nop returns the no-op sink: a fan-out to no sinks.
+func Nop() Sink { return multiSink(nil) }
 
-func (nopSink) Emit(Record) {}
+// fifo is a queue kept in fixed-size chunks: growing it never copies a
+// record and over-allocates by at most one chunk, and a chunk drained at
+// the head is reused at the tail, so a full Ring evicts without allocating.
+type fifo[T any] struct {
+	chunks [][]T // each of length 1<<bits
+	bits   uint8
+	head   int // offset of the oldest element in chunks[0]
+	n      int
+}
 
-// Nop returns the no-op sink.
-func Nop() Sink { return nopSink{} }
+func (q *fifo[T]) push(v T) {
+	if (q.head+q.n)>>q.bits == len(q.chunks) {
+		q.chunks = append(q.chunks, make([]T, 1<<q.bits))
+	}
+	q.n++
+	*q.at(q.n - 1) = v
+}
+
+// at returns the i-th oldest element.
+func (q *fifo[T]) at(i int) *T {
+	pos := q.head + i
+	return &q.chunks[pos>>q.bits][pos&(1<<q.bits-1)]
+}
+
+func (q *fifo[T]) drop() {
+	q.n--
+	if q.head++; q.head == 1<<q.bits {
+		spare := q.chunks[0]
+		copy(q.chunks, q.chunks[1:])
+		q.chunks[len(q.chunks)-1] = spare
+		q.head = 0
+	}
+}
 
 // Ring is a bounded in-memory sink. When full it drops the oldest records,
-// keeping the most recent ones; Dropped reports how many were lost.
+// keeping the most recent ones; Dropped reports how many were lost. The two
+// by-value kinds are held typed, every other kind as the Record it arrived
+// as; order names the store of each held record, oldest first, so arrival
+// order and oldest-first eviction span the stores.
 type Ring struct {
 	mu      sync.Mutex
-	buf     []Record // grows by doubling up to max, then wraps
 	max     int
-	start   int // index of the oldest record
-	n       int // records currently held
+	order   fifo[uint8]
+	iters   fifo[IterationRecord]
+	loads   fifo[LoadSampleRecord]
+	others  fifo[Record]
 	dropped int
 }
 
-// ringInitial is the slot count a Ring starts with: most worlds of a sweep
-// emit far fewer records than the capacity their ring is allowed.
-const ringInitial = 256
+// The stores of a Ring, as order names them.
+const (
+	storeIter uint8 = iota
+	storeLoad
+	storeOther
+)
 
 // NewRing creates a ring buffer holding up to capacity records.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		panic("telemetry: non-positive ring capacity")
 	}
-	return &Ring{buf: make([]Record, min(capacity, ringInitial)), max: capacity}
+	// A sweep's world emits a few hundred records: one 1024-entry index chunk.
+	r := &Ring{max: capacity, order: fifo[uint8]{bits: 10}}
+	r.iters.bits, r.loads.bits, r.others.bits = 6, 6, 6
+	return r
+}
+
+// ringPush appends rec to q, the store of r that order calls store.
+func ringPush[T any](r *Ring, q *fifo[T], store uint8, rec T) {
+	r.mu.Lock()
+	if r.order.n == r.max {
+		switch *r.order.at(0) {
+		case storeIter:
+			r.iters.drop()
+		case storeLoad:
+			r.loads.drop()
+		default:
+			r.others.drop()
+		}
+		r.order.drop()
+		r.dropped++
+	}
+	r.order.push(store)
+	q.push(rec)
+	r.mu.Unlock()
 }
 
 // Emit implements Sink.
 func (r *Ring) Emit(rec Record) {
-	r.mu.Lock()
-	if r.n == len(r.buf) && !r.grow() {
-		r.buf[r.start] = rec
-		r.start = (r.start + 1) % len(r.buf)
-		r.dropped++
-	} else {
-		r.buf[(r.start+r.n)%len(r.buf)] = rec
-		r.n++
+	switch v := rec.(type) {
+	case IterationRecord:
+		r.EmitIteration(v)
+	case LoadSampleRecord:
+		r.EmitLoadSample(v)
+	default:
+		ringPush(r, &r.others, storeOther, rec)
 	}
-	r.mu.Unlock()
 }
 
-// grow doubles a full buffer, up to max, and reports whether it could.
-// Nothing has been evicted before the buffer reaches max, so start is 0
-// and the held records are buf[:n] in arrival order: a plain copy.
-func (r *Ring) grow() bool {
-	if len(r.buf) == r.max {
-		return false
-	}
-	grown := make([]Record, min(2*len(r.buf), r.max))
-	copy(grown, r.buf)
-	r.buf = grown
-	return true
+// EmitIteration and EmitLoadSample implement Sink.
+func (r *Ring) EmitIteration(rec IterationRecord)   { ringPush(r, &r.iters, storeIter, rec) }
+func (r *Ring) EmitLoadSample(rec LoadSampleRecord) { ringPush(r, &r.loads, storeLoad, rec) }
+
+// Visitor receives a Ring's records without boxing the by-value kinds; a
+// nil function skips its records. The pointers are into the ring's storage,
+// valid until an emission evicts the record; the functions must not emit.
+type Visitor struct {
+	Iteration  func(*IterationRecord)
+	LoadSample func(*LoadSampleRecord)
+	Other      func(Record) // every kind that arrived through Emit
 }
 
-// Records returns a snapshot of the held records in arrival order.
-func (r *Ring) Records() []Record {
+// Walk visits the held records in arrival order.
+func (r *Ring) Walk(v Visitor) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Record, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
+	var next [storeOther + 1]int // per store, the next record to visit
+	for i := 0; i < r.order.n; i++ {
+		store := *r.order.at(i)
+		switch j := next[store]; {
+		case store == storeIter && v.Iteration != nil:
+			v.Iteration(r.iters.at(j))
+		case store == storeLoad && v.LoadSample != nil:
+			v.LoadSample(r.loads.at(j))
+		case store == storeOther && v.Other != nil:
+			v.Other(*r.others.at(j))
+		}
+		next[store]++
 	}
+}
+
+// Records materialises a snapshot of the held records in arrival order,
+// boxing each by-value record: the post-run path of traces and summaries.
+func (r *Ring) Records() []Record {
+	out := make([]Record, 0, r.Len())
+	r.Walk(Visitor{
+		Iteration:  func(v *IterationRecord) { out = append(out, *v) },
+		LoadSample: func(v *LoadSampleRecord) { out = append(out, *v) },
+		Other:      func(rec Record) { out = append(out, rec) },
+	})
 	return out
 }
 
@@ -94,7 +177,7 @@ func (r *Ring) Dropped() int {
 func (r *Ring) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.order.n
 }
 
 // JSONLWriter encodes each record as one JSON object per line. Encoding
@@ -127,6 +210,10 @@ func (j *JSONLWriter) Emit(rec Record) {
 	}
 }
 
+// EmitIteration and EmitLoadSample implement Sink.
+func (j *JSONLWriter) EmitIteration(rec IterationRecord)   { j.Emit(rec) }
+func (j *JSONLWriter) EmitLoadSample(rec LoadSampleRecord) { j.Emit(rec) }
+
 // Flush flushes buffered output and returns the first error encountered.
 func (j *JSONLWriter) Flush() error {
 	j.mu.Lock()
@@ -146,6 +233,18 @@ func (m multiSink) Emit(rec Record) {
 	}
 }
 
+func (m multiSink) EmitIteration(rec IterationRecord) {
+	for _, s := range m {
+		s.EmitIteration(rec)
+	}
+}
+
+func (m multiSink) EmitLoadSample(rec LoadSampleRecord) {
+	for _, s := range m {
+		s.EmitLoadSample(rec)
+	}
+}
+
 // Multi returns a sink that forwards every record to all of sinks.
 func Multi(sinks ...Sink) Sink { return multiSink(sinks) }
 
@@ -159,6 +258,26 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// decodeAs parses one JSONL line as a T.
+func decodeAs[T Record](raw []byte) (Record, error) {
+	var v T
+	err := json.Unmarshal(raw, &v)
+	return v, err
+}
+
+// decoders maps every kind the runtime emits to its record type.
+var decoders = map[string]func([]byte) (Record, error){
+	KindIteration:  decodeAs[IterationRecord],
+	KindDecision:   decodeAs[DecisionRecord],
+	KindRedist:     decodeAs[RedistRecord],
+	KindMembership: decodeAs[MembershipRecord],
+	KindLoadSample: decodeAs[LoadSampleRecord],
+	KindLoadEvent:  decodeAs[LoadEventRecord],
+	KindFailure:    decodeAs[FailureRecord],
+	KindCollective: decodeAs[CollectiveRecord],
+	KindRMA:        decodeAs[RMARecord],
 }
 
 // DecodeJSONL parses a JSONL trace back into typed records. Unknown kinds
@@ -178,40 +297,11 @@ func DecodeJSONL(r io.Reader) ([]Record, error) {
 		if err := json.Unmarshal(raw, &base); err != nil {
 			return nil, fmt.Errorf("telemetry: line %d: %w", line, err)
 		}
-		var rec Record
-		var err error
-		switch base.K {
-		case KindIteration:
-			var v IterationRecord
-			err = json.Unmarshal(raw, &v)
-			rec = v
-		case KindDecision:
-			var v DecisionRecord
-			err = json.Unmarshal(raw, &v)
-			rec = v
-		case KindRedist:
-			var v RedistRecord
-			err = json.Unmarshal(raw, &v)
-			rec = v
-		case KindMembership:
-			var v MembershipRecord
-			err = json.Unmarshal(raw, &v)
-			rec = v
-		case KindLoadSample:
-			var v LoadSampleRecord
-			err = json.Unmarshal(raw, &v)
-			rec = v
-		case KindLoadEvent:
-			var v LoadEventRecord
-			err = json.Unmarshal(raw, &v)
-			rec = v
-		case KindFailure:
-			var v FailureRecord
-			err = json.Unmarshal(raw, &v)
-			rec = v
-		default:
+		decode, ok := decoders[base.K]
+		if !ok {
 			return nil, fmt.Errorf("telemetry: line %d: unknown kind %q", line, base.K)
 		}
+		rec, err := decode(raw)
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: line %d: %w", line, err)
 		}

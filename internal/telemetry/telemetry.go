@@ -20,7 +20,10 @@
 // sink depends on goroutine scheduling.
 package telemetry
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Record kinds, as written to the "kind" field of JSONL output.
 const (
@@ -203,17 +206,26 @@ type RMARecord struct {
 	HiddenS  float64 `json:"hidden_s"` // wire time hidden behind computation
 }
 
-// Sort orders records by (virtual time, node, per-node sequence), the
-// deterministic global order of a simulated run.
+// Compare orders the common fields of two records by (virtual time, node,
+// per-node sequence), the deterministic global order of a simulated run. A
+// node's sequence numbers are unique, so no two records of a run tie.
+func (b Base) Compare(o Base) int {
+	return cmp.Or(cmp.Compare(b.Time, o.Time), cmp.Compare(b.Node, o.Node), cmp.Compare(b.Seq, o.Seq))
+}
+
+// Sort orders records by Base.Compare. Each record's Base is extracted
+// once; the sort never calls back into Meta.
 func Sort(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		a, b := recs[i].Meta(), recs[j].Meta()
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Seq < b.Seq
-	})
+	type keyed struct {
+		Base
+		rec Record
+	}
+	ks := make([]keyed, len(recs))
+	for i, rec := range recs {
+		ks[i] = keyed{rec.Meta(), rec}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return a.Compare(b.Base) })
+	for i := range ks {
+		recs[i] = ks[i].rec
+	}
 }

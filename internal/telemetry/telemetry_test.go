@@ -2,7 +2,11 @@ package telemetry
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -24,12 +28,12 @@ func TestStamperSequencesPerNode(t *testing.T) {
 }
 
 // The ring keeps the newest min(emitted, capacity) records in arrival order
-// whether or not it had to grow on the way: below, at and past the initial
-// slot count, and at a capacity that is not a doubling of it.
+// whether or not it had to grow on the way: below, at and past one chunk of
+// its index, and at a capacity that is not a multiple of a chunk.
 func TestRingKeepsMostRecent(t *testing.T) {
 	for _, tc := range []struct{ capacity, emit int }{
 		{3, 5},
-		{ringInitial, ringInitial + 7},
+		{1024, 1024 + 7},
 		{1000, 300},
 		{1000, 1000},
 		{1000, 2500},
@@ -76,6 +80,81 @@ func TestRingConcurrentEmit(t *testing.T) {
 	}
 }
 
+// mixedEmit sends n records through every door of the ring in rotation:
+// the two by-value methods, Emit with a by-value kind, Emit with another.
+// Record i carries cycle i.
+func mixedEmit(r *Ring, n int) {
+	s := NewStamper(0)
+	for i := 0; i < n; i++ {
+		switch i % 4 {
+		case 0:
+			r.EmitIteration(IterationRecord{Base: s.Stamp(KindIteration, i, float64(i))})
+		case 1:
+			r.EmitLoadSample(LoadSampleRecord{Base: s.Stamp(KindLoadSample, i, float64(i)), Reading: i})
+		case 2:
+			r.Emit(IterationRecord{Base: s.Stamp(KindIteration, i, float64(i))})
+		default:
+			r.Emit(LoadEventRecord{Base: s.Stamp(KindLoadEvent, i, float64(i))})
+		}
+	}
+}
+
+// Arrival order and oldest-first eviction span the ring's typed stores:
+// whichever door a record came through, Records and Walk return the newest
+// min(emitted, capacity) of them in the order they arrived, as the record
+// types they were emitted as.
+func TestRingOrderSpansTypedStores(t *testing.T) {
+	for _, tc := range []struct{ capacity, emit int }{{1000, 300}, {100, 100}, {100, 1037}, {7, 500}} {
+		r := NewRing(tc.capacity)
+		mixedEmit(r, tc.emit)
+		held := min(tc.emit, tc.capacity)
+		if r.Len() != held || r.Dropped() != tc.emit-held {
+			t.Fatalf("cap %d emit %d: len %d dropped %d", tc.capacity, tc.emit, r.Len(), r.Dropped())
+		}
+		var walked []int
+		r.Walk(Visitor{
+			Iteration:  func(v *IterationRecord) { walked = append(walked, v.Cycle) },
+			LoadSample: func(v *LoadSampleRecord) { walked = append(walked, v.Cycle) },
+			Other:      func(rec Record) { walked = append(walked, rec.Meta().Cycle) },
+		})
+		recs := r.Records()
+		if len(recs) != held || len(walked) != held {
+			t.Fatalf("cap %d emit %d: %d records, %d walked, want %d", tc.capacity, tc.emit, len(recs), len(walked), held)
+		}
+		wantIters := 0
+		for i, rec := range recs {
+			cycle := tc.emit - held + i
+			if cycle%2 == 0 {
+				wantIters++
+			}
+			if rec.Meta().Cycle != cycle || walked[i] != cycle {
+				t.Fatalf("cap %d emit %d: position %d holds cycle %d (walk: %d), want %d",
+					tc.capacity, tc.emit, i, rec.Meta().Cycle, walked[i], cycle)
+			}
+			var ok bool
+			switch cycle % 4 {
+			case 0, 2:
+				_, ok = rec.(IterationRecord)
+			case 1:
+				var v LoadSampleRecord
+				v, ok = rec.(LoadSampleRecord)
+				ok = ok && v.Reading == cycle
+			default:
+				_, ok = rec.(LoadEventRecord)
+			}
+			if !ok {
+				t.Fatalf("cap %d emit %d: cycle %d came back as %T", tc.capacity, tc.emit, cycle, rec)
+			}
+		}
+		// A nil visitor function skips its store and leaves the rest in order.
+		iters := 0
+		r.Walk(Visitor{Iteration: func(*IterationRecord) { iters++ }})
+		if iters != wantIters {
+			t.Fatalf("cap %d emit %d: walked %d iteration records, want %d", tc.capacity, tc.emit, iters, wantIters)
+		}
+	}
+}
+
 func TestSortIsDeterministicOrder(t *testing.T) {
 	recs := []Record{
 		IterationRecord{Base: Base{K: KindIteration, Node: 1, Time: 2.0, Seq: 0}},
@@ -96,35 +175,86 @@ func TestSortIsDeterministicOrder(t *testing.T) {
 	}
 }
 
+// kindConstants parses telemetry.go for the Kind* constants, so the
+// round-trip table below cannot fall behind the package: a kind added
+// without a sample there — or without a decoder — fails the test.
+func kindConstants(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "telemetry.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]string{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok || len(spec.Values) != len(spec.Names) {
+			return true
+		}
+		for i, name := range spec.Names {
+			lit, ok := spec.Values[i].(*ast.BasicLit)
+			if !ok || !strings.HasPrefix(name.Name, "Kind") {
+				continue
+			}
+			v, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatalf("%s: %v", name.Name, err)
+			}
+			kinds[name.Name] = v
+		}
+		return true
+	})
+	return kinds
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
-	recs := []Record{
-		IterationRecord{Base: Base{K: KindIteration, Node: 0, Cycle: 3, Time: 0.25, Seq: 0},
+	samples := map[string]Record{
+		KindIteration: IterationRecord{Base: Base{K: KindIteration, Node: 0, Cycle: 3, Time: 0.25, Seq: 0},
 			ComputeS: 0.2, CommS: 0.01, WaitS: 0.04, Share: 32, Load: 1},
-		DecisionRecord{Base: Base{K: KindDecision, Node: 0, Cycle: 5, Time: 0.5, Seq: 1},
+		KindDecision: DecisionRecord{Base: Base{K: KindDecision, Node: 0, Cycle: 5, Time: 0.5, Seq: 1},
 			Method: "successive-balancing", Loads: []int{0, 1, 0, 0},
 			Candidates: []Candidate{
 				{Label: "relative-power", Counts: []int{37, 18, 37, 36}, PredictedS: 0.02},
 				{Label: "successive-balancing", Counts: []int{40, 9, 40, 39}, PredictedS: 0.015, Rounds: 3},
 			},
 			Chosen: "successive-balancing", Counts: []int{40, 9, 40, 39}, PredictedS: 0.015},
-		RedistRecord{Base: Base{K: KindRedist, Node: 2, Cycle: 5, Time: 0.51, Seq: 0},
+		KindRedist: RedistRecord{Base: Base{K: KindRedist, Node: 2, Cycle: 5, Time: 0.51, Seq: 0},
 			Arrays:   []ArrayMove{{Name: "A", Rows: 7, Bytes: 7168}},
 			RowsSent: 7, BytesSent: 7168, BytesMoved: 14336, Counts: []int{40, 9, 40, 39}},
-		MembershipRecord{Base: Base{K: KindMembership, Node: 1, Cycle: 20, Time: 1.5, Seq: 2},
+		KindMembership: MembershipRecord{Base: Base{K: KindMembership, Node: 1, Cycle: 20, Time: 1.5, Seq: 2},
 			Change: "removed", Active: []int{0, 2, 3}, Removed: []int{1}, Remap: []int{0, 2, 3}},
-		LoadSampleRecord{Base: Base{K: KindLoadSample, Node: 3, Cycle: 8, Time: 0.8, Seq: 4}, Reading: 2},
-		LoadEventRecord{Base: Base{K: KindLoadEvent, Node: 1, Cycle: 10, Time: 1.0, Seq: 9}, Delta: 1, Count: 1},
+		KindLoadSample: LoadSampleRecord{Base: Base{K: KindLoadSample, Node: 3, Cycle: 8, Time: 0.8, Seq: 4}, Reading: 2},
+		KindLoadEvent:  LoadEventRecord{Base: Base{K: KindLoadEvent, Node: 1, Cycle: 10, Time: 1.0, Seq: 9}, Delta: 1, Count: 1},
+		KindFailure: FailureRecord{Base: Base{K: KindFailure, Node: 2, Cycle: 11, Time: 1.1, Seq: 3},
+			Fault: "delay", Target: 1, DelayS: 0.05},
+		KindCollective: CollectiveRecord{Base: Base{K: KindCollective, Node: 0, Cycle: -1, Time: 2.5, Seq: 12},
+			Op: "allreduce", Algorithm: "recursive-doubling", Ranks: 256, Steps: 8, Count: 40, Bytes: 81920},
+		KindRMA: RMARecord{Base: Base{K: KindRMA, Node: 3, Cycle: 6, Time: 0.6, Seq: 7},
+			Op: "fence", Window: 1, Deposits: 2, Bytes: 16384, StallS: 0.001, HiddenS: 0.004},
 	}
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, recs); err != nil {
-		t.Fatal(err)
+	for name, kind := range kindConstants(t) {
+		t.Run(name, func(t *testing.T) {
+			rec, ok := samples[kind]
+			if !ok {
+				t.Fatalf("no sample record of kind %q: add one, and its decoder", kind)
+			}
+			if rec.Kind() != kind {
+				t.Fatalf("the sample for %q is of kind %q", kind, rec.Kind())
+			}
+			var buf bytes.Buffer
+			if err := WriteJSONL(&buf, []Record{rec}); err != nil {
+				t.Fatal(err)
+			}
+			back, err := DecodeJSONL(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(back) != 1 || !reflect.DeepEqual(rec, back[0]) {
+				t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", back, rec)
+			}
+		})
 	}
-	back, err := DecodeJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(recs, back) {
-		t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", back, recs)
+	if n := len(kindConstants(t)); n != len(samples) || n != len(decoders) {
+		t.Fatalf("%d Kind constants, %d samples, %d decoders", n, len(samples), len(decoders))
 	}
 }
 
