@@ -104,3 +104,100 @@ func TestSteadyStateCycleAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestWorldAllocBudget holds "construction is O(ranks) small objects" as a
+// line instead of a profile reading. A quiet world of 30 cycles on the sweep's
+// cell shape (24 rows of 96 per rank) allocates a + b·ranks objects: the
+// per-world part (the cluster, the world's slices, one group) does not grow
+// with the world, and b is what one more rank costs to build, run and tear
+// down. The second case prices one membership change the same way: what a
+// DropAlways removal adds per rank over the quiet run — grace period,
+// decision, redistribution, a new group, the removed rank's send-out
+// traffic. Both are pinned a little above what this tree measures; the
+// parent of the PR that added the test stood at 66–72 and 74–86.
+func TestWorldAllocBudget(t *testing.T) {
+	const (
+		perRank    = 36 // b: objects per extra rank of a quiet world (measured 24 and 30, to 32 under -race)
+		perRemoval = 44 // extra objects per rank of one removal (measured 34–38, to 41 under -race)
+	)
+	run := func(ranks int, loaded bool) func() (apps.Result, error) {
+		return func() (apps.Result, error) {
+			cfg := jacobi.DefaultConfig()
+			cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = 24*ranks, 96, 30, 40e3
+			cfg.Overlap = true
+			cfg.Core.Drop = core.DropAlways
+			cfg.Core.GracePeriod = 3
+			spec := cluster.Uniform(ranks)
+			if loaded {
+				spec = spec.With(cluster.CycleEvent(1, 10, +1))
+			}
+			res, err := jacobi.Run(cluster.New(spec), cfg)
+			if err == nil && loaded != (res.Redists == 1 && res.Stats[1].Removed) {
+				t.Errorf("%d ranks, loaded %v: %d redistributions, rank 1 removed %v", ranks, loaded, res.Redists, res.Stats[1].Removed)
+			}
+			return res, err
+		}
+	}
+	run(16, true)() // warm process-wide pools
+	quiet, loaded := map[int]float64{}, map[int]float64{}
+	least := func(run func() (apps.Result, error)) float64 {
+		// Scheduling only ever adds objects (a park, a pool miss): take the
+		// least of three.
+		m := mallocsOf(t, run)
+		for i := 0; i < 2; i++ {
+			m = min(m, mallocsOf(t, run))
+		}
+		return float64(m)
+	}
+	for _, n := range []int{4, 8, 16} {
+		quiet[n], loaded[n] = least(run(n, false)), least(run(n, true))
+		t.Logf("%2d ranks: quiet %v objects, one removal %+v (%.1f per rank)", n, quiet[n], loaded[n]-quiet[n], (loaded[n]-quiet[n])/float64(n))
+	}
+	for _, step := range [][2]int{{4, 8}, {8, 16}} {
+		lo, hi := step[0], step[1]
+		if b := (quiet[hi] - quiet[lo]) / float64(hi-lo); b > perRank {
+			t.Errorf("quiet world: %.1f objects per rank between %d and %d ranks, budget %d", b, lo, hi, perRank)
+		}
+	}
+	for _, n := range []int{4, 8, 16} {
+		if extra := (loaded[n] - quiet[n]) / float64(n); extra > perRemoval {
+			t.Errorf("%d ranks: one removal costs %.1f extra objects per rank, budget %d", n, extra, perRemoval)
+		}
+	}
+}
+
+// TestFinishedWorldReleasesItsArrays guards the one hazard of building a
+// world from slabs: an interior pointer keeps its whole owner alive. Every
+// mpi.Group carries a sync.Pool, and the Go runtime keeps a used pool — hence
+// its group, the World, the Comms and the cluster's Nodes — reachable for two
+// collections after the world is over. None of those may lead to a rank's
+// Runtime: when the telemetry stamper the Node points at was a field of the
+// Runtime, every finished world's rows stayed live that long, the live heap
+// of a sweep quintupled and the pacer collected a fifth as often. One
+// collection after a world with 6 MB of rows, at most a sixth of that may
+// still be reachable.
+func TestFinishedWorldReleasesItsArrays(t *testing.T) {
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	cfg := jacobi.DefaultConfig()
+	cfg.Rows, cfg.Cols, cfg.Iters = 8*96, 512, 4 // two arrays of 3 MB
+	cfg.Core.Telemetry = telemetry.NewRing(1 << 10)
+	run := func() {
+		if _, err := jacobi.Run(cluster.New(cluster.Uniform(8)), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm pools and the ring
+	heap()
+	heap()
+	before := heap() // three collections on: the warm-up world is gone either way
+	run()
+	if after := heap(); after > before+1<<20 {
+		t.Errorf("%d KB still reachable one collection after the world finished: something the world keeps points into a Runtime",
+			(after-before)>>10)
+	}
+}

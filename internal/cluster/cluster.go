@@ -161,7 +161,7 @@ type Cluster struct {
 	spec    Spec
 	quantum vclock.Duration
 	seed    int        // number of seed nodes; nodes[seed:] are arrivals
-	nodes   []*Node    // seed nodes followed by arrival nodes
+	nodes   []Node     // seed nodes followed by arrival nodes; never reallocated
 	faults  *fault.Set // nil when the scenario injects no faults
 
 	// rankExit, when set, is called by the mpi run harness as each rank
@@ -200,19 +200,14 @@ func New(spec Spec) *Cluster {
 	}
 	c.faults = fs
 	master := vclock.NewPRNG(spec.Seed)
-	c.nodes = make([]*Node, len(all))
+	c.nodes = make([]Node, len(all))
 	for i, ns := range all {
 		if ns.Power <= 0 {
 			panic(fmt.Sprintf("cluster: node %d has non-positive power %v", i, ns.Power))
 		}
-		n := &Node{
-			id:    i,
-			power: ns.Power,
-			mem:   ns.MemBytes,
-			cl:    c,
-			rng:   master.Fork(uint64(i)),
-			segs:  []segment{{start: 0, count: 0}},
-		}
+		n := &c.nodes[i]
+		*n = Node{id: i, power: ns.Power, mem: ns.MemBytes, cl: c, rng: *master.Fork(uint64(i))}
+		n.segs = n.segs0[:1] // unloaded from time zero
 		// Time-triggered events are known up front; install them sorted.
 		var evs []Event
 		for _, ev := range spec.Events {
@@ -228,7 +223,6 @@ func New(spec Spec) *Cluster {
 		for _, ev := range evs {
 			n.appendEvent(ev.At, ev.Delta)
 		}
-		c.nodes[i] = n
 	}
 	return c
 }
@@ -271,7 +265,7 @@ func (c *Cluster) Reserves() []int {
 }
 
 // Node returns the handle for node id.
-func (c *Cluster) Node(id int) *Node { return c.nodes[id] }
+func (c *Cluster) Node(id int) *Node { return &c.nodes[id] }
 
 // Net returns the interconnect parameters.
 func (c *Cluster) Net() NetParams { return c.spec.Net }
@@ -290,15 +284,6 @@ func (c *Cluster) SetRankExitHook(fn func(rank int)) { c.rankExit = fn }
 // RankExitHook returns the installed rank-exit hook, or nil.
 func (c *Cluster) RankExitHook() func(rank int) { return c.rankExit }
 
-// Powers returns the static relative powers of all nodes.
-func (c *Cluster) Powers() []float64 {
-	out := make([]float64, len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = n.power
-	}
-	return out
-}
-
 // Node is one simulated machine as seen by the rank running on it. All
 // methods must be called only from that rank's goroutine.
 type Node struct {
@@ -306,7 +291,7 @@ type Node struct {
 	power float64
 	mem   int64
 	cl    *Cluster
-	rng   *vclock.PRNG
+	rng   vclock.PRNG
 
 	clock     vclock.Clock
 	cpuUsed   vclock.Duration // application CPU time (the /PROC view)
@@ -315,9 +300,10 @@ type Node struct {
 	debt      vclock.Duration // CPU owed to competitors before the app runs again
 	resident  int64           // bytes of registered application data
 
-	segs         []segment // CP timeline, sorted by start
-	segIdx       int       // index of the segment containing the clock
-	pendingCycle []Event   // cycle-triggered events not yet materialised
+	segs         []segment // CP timeline, sorted by start; starts on segs0
+	segs0        [2]segment
+	segIdx       int     // index of the segment containing the clock
+	pendingCycle []Event // cycle-triggered events not yet materialised
 
 	sink    telemetry.Sink     // nil: no emission
 	stamper *telemetry.Stamper // shared with the rank runtime on this node
@@ -351,7 +337,7 @@ func (n *Node) Now() vclock.Time { return n.clock.Now() }
 func (n *Node) CPUTime() vclock.Duration { return n.cpuUsed }
 
 // RNG returns the node's deterministic random stream.
-func (n *Node) RNG() *vclock.PRNG { return n.rng }
+func (n *Node) RNG() *vclock.PRNG { return &n.rng }
 
 func (n *Node) appendEvent(at vclock.Time, delta int) {
 	last := n.segs[len(n.segs)-1]

@@ -338,9 +338,8 @@ func TestPowersAndAccessors(t *testing.T) {
 	if cl.N() != 3 {
 		t.Fatal("N")
 	}
-	p := cl.Powers()
-	if p[0] != 1 || p[2] != 1.5 {
-		t.Fatalf("Powers = %v", p)
+	if p0, p2 := cl.Node(0).Power(), cl.Node(2).Power(); p0 != 1 || p2 != 1.5 {
+		t.Fatalf("powers = %v, %v", p0, p2)
 	}
 	if cl.Node(1).ID() != 1 || cl.Node(2).Power() != 1.5 {
 		t.Fatal("node accessors")

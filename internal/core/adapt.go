@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/distribution"
 	"repro/internal/drsd"
@@ -148,29 +147,17 @@ func (rt *Runtime) EndCycle() {
 	rt.cycle++
 }
 
-// loadsInfo renders a load vector exactly as fmt's "loads=%v" does
-// ("loads=[1 0 2]") without boxing every element: each rank records one at
-// every load change.
-func loadsInfo(loads []int) string {
-	b := append(make([]byte, 0, 8+3*len(loads)), "loads=["...)
-	for i, l := range loads {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(l), 10)
-	}
-	return string(append(b, ']'))
-}
-
 // enterGrace starts (or restarts) the grace period: the application keeps
 // running on the old distribution while per-iteration unloaded times and
 // per-cycle communication are measured.
 func (rt *Runtime) enterGrace(loads []int) {
-	rt.record(EvLoadChange, 0, loadsInfo(loads))
+	var info [64]byte
+	rt.record(EvLoadChange, 0, string(appendInts(info[:0], "loads=", loads)))
 	rt.state = stGrace
-	rt.graceLoads = append([]int(nil), loads...)
+	rt.graceLoads = append(rt.graceLoads[:0], loads...)
 	lo, hi := rt.dist.RangeOf(rt.comm.Rank())
-	rt.collector = timing.NewCollector(rt.node, lo, hi)
+	rt.grace.Reset(rt.node, lo, hi)
+	rt.collector = &rt.grace
 	rt.graceMsgs0 = rt.comm.SentMsgs + rt.comm.RecvMsgs
 	rt.graceBytes0 = rt.comm.SentBytes + rt.comm.RecvBytes
 	rt.graceHidden0 = rt.comm.HiddenWire
@@ -252,7 +239,7 @@ func (rt *Runtime) decideRedistribution(loads []int) {
 	rt.collector = nil
 	rt.iterCosts = iterCosts
 	rt.commCPU, rt.commWire = commCPU, commWire
-	nodes := rt.nodesFromLoads(loads)
+	nodes := rt.nodesOf(rt.active, loads)
 
 	anyLoaded, anyUnloaded := false, false
 	for _, l := range loads {
@@ -364,7 +351,7 @@ func (rt *Runtime) maybeDrop(loads []int) {
 		rt.absorbFailure(err)
 		return
 	}
-	nodes := rt.nodesFromLoads(loads)
+	nodes := rt.nodesOf(rt.active, loads)
 	drop, predicted := distribution.DropDecision(nodes, rt.iterCosts, measured, rt.commCPU, rt.commWire)
 	if rt.sink != nil {
 		verdict := "keep"
@@ -396,13 +383,15 @@ func (rt *Runtime) maybeDrop(loads []int) {
 // unloaded nodes, the collective group shrinks, relative ranks are
 // re-assigned, and removed ranks switch to the send-out-only protocol.
 func (rt *Runtime) dropLoaded(nodes []distribution.Node, iterCosts []float64) {
-	var stay, out []int
-	var stayNodes []distribution.Node
+	// With rejoin enabled, or once any rank is removed, the send-out root is
+	// pinned: removed nodes address it by the membership they last saw
+	// (colls.go), so it must stay alive and addressable.
+	pinRoot := rt.cfg.AllowRejoin || len(rt.removed) > 0
+	stay := make([]int, 0, len(nodes))
+	var out []int
+	stayNodes := nodes[:0] // filtered in place: nodes is scratch
 	for _, n := range nodes {
-		// With rejoin enabled the send-out root is pinned: removed nodes
-		// poll it every cycle, so it must stay alive and addressable.
-		pinned := rt.cfg.AllowRejoin && n.Rank == rt.sendOutRoot()
-		if n.Load == 0 || pinned {
+		if n.Load == 0 || pinRoot && n.Rank == rt.sendOutRoot() {
 			stay = append(stay, n.Rank)
 			stayNodes = append(stayNodes, n)
 		} else {
@@ -412,32 +401,24 @@ func (rt *Runtime) dropLoaded(nodes []distribution.Node, iterCosts []float64) {
 	if len(stay) == 0 || len(out) == 0 {
 		return
 	}
-	fractions := distribution.RelativePowerFractions(stayNodes)
-	counts := distribution.PartitionWeighted(iterCosts, fractions)
-	newDist := drsd.NewBlock(stay, counts)
 	// The removal redistribution happens while the dropped nodes are still
 	// in the group, so they can ship their rows out.
-	rt.applyDistribution(newDist)
+	rt.applyDistribution(drsd.NewBlock(stay, rt.powerCounts(stayNodes, iterCosts)))
 	rt.redists++
 
 	rt.active = stay
 	rt.removed = append(rt.removed, out...)
 	rt.group = rt.comm.World().NewGroup(stay)
-	newBase := make([]int, len(stay))
-	rt.baseLoads = newBase // unloaded by construction
-	me := rt.comm.Rank()
-	for _, r := range out {
-		if r == me {
-			rt.isOut = true
-			rt.record(EvRemoved, 0, "")
-		}
-	}
-	if !rt.isOut {
-		rt.record(EvDrop, 0, fmt.Sprintf("active=%v removed=%v", stay, out))
-		rt.emitMembership("drop")
-	} else {
+	rt.baseLoads = make([]int, len(stay)) // unloaded by construction
+	if containsInt(out, rt.comm.Rank()) {
+		rt.isOut = true
+		rt.record(EvRemoved, 0, "")
 		rt.emitMembership("removed")
+		return
 	}
+	var info [128]byte
+	rt.record(EvDrop, 0, string(appendInts(appendInts(info[:0], "active=", stay), " removed=", out)))
+	rt.emitMembership("drop")
 }
 
 // logicalDrop keeps loaded nodes in the computation with a minimum
@@ -459,8 +440,7 @@ func (rt *Runtime) logicalDrop(nodes []distribution.Node, iterCosts []float64) {
 	// iteration costs, exact for uniform workloads — the regime in which
 	// logical dropping is compared against physical dropping.)
 	remaining := rt.n - len(loadedIdx)
-	fractions := distribution.RelativePowerFractions(stayNodes)
-	sub := distribution.PartitionWeighted(iterCosts[:remaining], fractions)
+	sub := rt.powerCounts(stayNodes, iterCosts[:remaining])
 	counts := logicalDropCounts(rt.n, loadedIdx, len(nodes), sub)
 	rt.applyDistribution(drsd.NewBlock(rt.active, counts))
 	rt.redists++

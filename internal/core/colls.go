@@ -18,6 +18,13 @@ import (
 // redistribution runs at the next cycle boundary). Removed ranks cannot
 // take part in that agreement — if their send-out root crashes they abort
 // the world with an explicit error instead of hanging.
+//
+// The root is a fixed address. A removed rank keeps the membership it was
+// removed under (only a rejoin verdict updates it), so it receives from the
+// root of that day; nothing forwards it a hand-over. Hence no drop may remove
+// the root while any rank is removed (dropLoaded pins it, as shrink always
+// kept active[0]): a second drop that took it left the earlier leaver parked
+// in recvOut on a rank that no longer sends — the smoke grid's deadlock.
 
 // sendOutRoot is the active rank responsible for forwarding global results
 // to removed nodes.

@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/distribution"
@@ -219,13 +218,17 @@ const (
 	stPost
 )
 
-// regArray is one registered redistributable array.
+// regArray is one registered redistributable array and what the runtime keeps
+// per array: accesses, buddy replica, and the windows that move its rows.
 type regArray struct {
 	name     string
 	dense    *matrix.Dense
 	sparse   *matrix.Sparse
-	accesses []drsd.Access
-	index    int // tag offset
+	accesses []drsd.Access // sized for a stencil's three at registration
+	index    int           // registration index: tag offset, position in Runtime.arrays
+
+	rep  *replica    // the ring predecessor's rows; nil until one is stored or staged
+	wins [3]*mpi.Win // by winKind (rma.go); dense arrays only
 }
 
 // EventKind labels trace events.
@@ -297,24 +300,24 @@ type Runtime struct {
 	node *cluster.Node
 	cfg  Config
 
-	n      int // distributed iteration space size
-	phases []*Phase
-	arrays map[string]*regArray
-	order  []string // array names in registration order
+	n      int        // distributed iteration space size
+	phase  Phase      // the handle InitPhase returns
+	arrays []regArray // in registration order, identical on every rank
 
 	active  []int // active world ranks in relative-rank order
 	removed []int // removed world ranks
 	group   *mpi.Group
 	isOut   bool // this rank has been physically removed
 	dist    *drsd.Block
-	monitor *loadmon.Monitor
+	monitor loadmon.Monitor
 
 	committed  bool
 	cycle      int
 	state      adaptState
 	baseLoads  []int // load vector underlying the current distribution
 	graceLoads []int
-	collector  *timing.Collector
+	grace      timing.Collector  // reset at every grace period, never rebuilt
+	collector  *timing.Collector // &grace while a grace period is measured
 	cycTimer   *timing.CycleTimer
 	cycOpen    bool
 	iterCosts  []float64 // latest global per-iteration estimates
@@ -339,32 +342,28 @@ type Runtime struct {
 	resizedOut    []int // ranks removed by explicit shrink; excluded from automatic rejoin
 
 	// Failure state (failure.go).
-	pendingDead   []int               // dead ranks detected, recovery not yet run
-	deadRanks     []int               // every dead rank absorbed so far
-	lost          []LostRange         // rows declared lost by failure recovery
-	lostRows      int                 // total rows lost
-	recoveredRows int                 // total rows reconstructed from replicas
-	replicas      map[string]*replica // predecessor's rows, per dense array
-	replicaStall  vclock.Duration     // receive-side stall accumulated by refreshes
+	pendingDead   []int           // dead ranks detected, recovery not yet run
+	deadRanks     []int           // every dead rank absorbed so far
+	lost          []LostRange     // rows declared lost by failure recovery
+	lostRows      int             // total rows lost
+	recoveredRows int             // total rows reconstructed from replicas
+	replicaStall  vclock.Duration // receive-side stall accumulated by refreshes
 
-	// One-sided replica/redistribution state (rma.go).
-	repWins     map[string]*mpi.Win // replica window per dense array
-	repRanks    []int               // replica-group member list at the last open
-	repPrev     int                 // ring predecessor at the last open (world rank)
-	repNext     int                 // ring successor at the last open (world rank)
-	repOpen     bool                // a replica epoch is open (deposits or handshake pending)
-	repPend     repRange            // range Put into this rank's windows this epoch
-	repDirect   bool                // adaptive: this epoch's incoming slabs arrived paired (already committed)
-	repMark     vclock.Time         // adaptive: clock at the END of the last refresh
-	repMarked   bool                // adaptive: repMark holds a real previous refresh
-	repSpan     vclock.Duration     // adaptive: compute window between the last two refreshes
-	repSpanOK   bool                // adaptive: repSpan is a real measurement
-	adaptPut    int                 // adaptive refreshes that chose the deferred one-sided Put
-	adaptSend   int                 // adaptive refreshes that chose the immediate paired send
-	fetchWins   map[string]*mpi.Win // joiner-fetch window per dense array (Get under PSCW)
-	fetchGroup  *mpi.Group          // group the fetch windows span
-	redistWins  map[string]*mpi.Win // redistribution window per dense array
-	redistGroup *mpi.Group          // group the redistribution windows span
+	// One-sided replica/redistribution state (rma.go); the windows themselves
+	// are per array, on regArray.
+	repRanks  []int           // replica-group member list at the last open
+	repPrev   int             // ring predecessor at the last open (world rank)
+	repNext   int             // ring successor at the last open (world rank)
+	repOpen   bool            // a replica epoch is open (deposits or handshake pending)
+	repPend   repRange        // range Put into this rank's windows this epoch
+	repDirect bool            // adaptive: this epoch's incoming slabs arrived paired (already committed)
+	repMark   vclock.Time     // adaptive: clock at the END of the last refresh
+	repMarked bool            // adaptive: repMark holds a real previous refresh
+	repSpan   vclock.Duration // adaptive: compute window between the last two refreshes
+	repSpanOK bool            // adaptive: repSpan is a real measurement
+	adaptPut  int             // adaptive refreshes that chose the deferred one-sided Put
+	adaptSend int             // adaptive refreshes that chose the immediate paired send
+	winGroup  [2]*mpi.Group   // group the winRedist and winFetch windows span
 
 	// Redistribution scratch, reused across applyDistribution calls so a
 	// steady stream of redistributions performs no per-call allocation for
@@ -386,15 +385,22 @@ type Runtime struct {
 	loadBuf  []float64
 	loadInts []int
 
+	// Adaptation-event scratch: what a membership change or a redistribution
+	// decision computes and nothing retains (scratch.go).
+	nodesBuf  []distribution.Node
+	fracBuf   []float64
+	countBuf  []int
+	unitCosts []float64 // all ones: the iteration costs before any grace period measured them
+
 	// Telemetry state (sink == nil disables everything).
 	sink       telemetry.Sink
-	stamper    *telemetry.Stamper
-	cycVT0     vclock.Time     // cycle-start wall clock
-	cycCPU0    vclock.Duration // cycle-start application CPU time
-	cycMsgs0   int64           // cycle-start message counter
-	cycBytes0  int64           // cycle-start byte counter
-	cycHidden0 vclock.Duration // cycle-start hidden-wire counter
-	cycLoad    int             // this rank's load observed this cycle
+	stamper    *telemetry.Stamper // its own object: the node points at it, and must not reach the Runtime
+	cycVT0     vclock.Time        // cycle-start wall clock
+	cycCPU0    vclock.Duration    // cycle-start application CPU time
+	cycMsgs0   int64              // cycle-start message counter
+	cycBytes0  int64              // cycle-start byte counter
+	cycHidden0 vclock.Duration    // cycle-start hidden-wire counter
+	cycLoad    int                // this rank's load observed this cycle
 }
 
 // New creates the runtime for this rank (DMPI_init). All ranks of the
@@ -414,11 +420,11 @@ func New(comm *mpi.Comm, cfg Config) *Runtime {
 		comm:    comm,
 		node:    comm.Node(),
 		cfg:     cfg,
-		arrays:  make(map[string]*regArray),
 		active:  active,
 		group:   comm.World().AllGroup(),
-		monitor: loadmon.New(comm.Node()),
+		monitor: *loadmon.New(comm.Node()),
 	}
+	rt.phase.rt = rt
 	rt.hasArrivals = comm.World().Cluster().HasArrivals()
 	if comm.Spawned() {
 		// A joiner: the true membership, cycle and distribution arrive in
@@ -432,7 +438,7 @@ func New(comm *mpi.Comm, cfg Config) *Runtime {
 	if cfg.Telemetry != nil {
 		rt.sink = cfg.Telemetry
 		rt.stamper = telemetry.NewStamper(comm.Rank())
-		rt.monitor.Attach(rt.sink, rt.stamper, func() int { return rt.cycle })
+		rt.monitor.Attach(rt.sink, rt.stamper, &rt.cycle)
 		rt.node.AttachTelemetry(rt.sink, rt.stamper)
 	}
 	return rt
@@ -454,8 +460,7 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 func (rt *Runtime) RegisterDense(name string, rows, rowLen int) *matrix.Dense {
 	rt.checkRegistration(name, rows)
 	d := matrix.NewDense(name, rows, rowLen, rt.cfg.Alloc, rt.node)
-	rt.arrays[name] = &regArray{name: name, dense: d, index: len(rt.order)}
-	rt.order = append(rt.order, name)
+	rt.register(regArray{name: name, dense: d})
 	return d
 }
 
@@ -464,16 +469,36 @@ func (rt *Runtime) RegisterDense(name string, rows, rowLen int) *matrix.Dense {
 func (rt *Runtime) RegisterSparse(name string, rows int) *matrix.Sparse {
 	rt.checkRegistration(name, rows)
 	s := matrix.NewSparse(name, rows, rt.node)
-	rt.arrays[name] = &regArray{name: name, sparse: s, index: len(rt.order)}
-	rt.order = append(rt.order, name)
+	rt.register(regArray{name: name, sparse: s})
 	return s
+}
+
+// register files a at the next registration index. The array list starts at
+// a stencil's ping-pong pair and each access list at a stencil's three.
+func (rt *Runtime) register(a regArray) {
+	if rt.arrays == nil {
+		rt.arrays = make([]regArray, 0, 2)
+	}
+	a.index = len(rt.arrays)
+	a.accesses = make([]drsd.Access, 0, 3)
+	rt.arrays = append(rt.arrays, a)
+}
+
+// array returns the registered array called name, or nil.
+func (rt *Runtime) array(name string) *regArray {
+	for i := range rt.arrays {
+		if rt.arrays[i].name == name {
+			return &rt.arrays[i]
+		}
+	}
+	return nil
 }
 
 func (rt *Runtime) checkRegistration(name string, rows int) {
 	if rt.committed {
 		panic("core: arrays must be registered before the first cycle")
 	}
-	if _, dup := rt.arrays[name]; dup {
+	if rt.array(name) != nil {
 		panic(fmt.Sprintf("core: array %q registered twice", name))
 	}
 	if rt.n != 0 && rows != rt.n {
@@ -485,10 +510,10 @@ func (rt *Runtime) checkRegistration(name string, rows int) {
 }
 
 // Phase is one computation/communication section of the phase cycle
-// (DMPI_init_phase). All phases share the runtime's distribution.
+// (DMPI_init_phase). All phases share the runtime's distribution and file
+// their accesses with the arrays, so a Phase is only a handle on its runtime.
 type Phase struct {
-	rt       *Runtime
-	accesses []drsd.Access
+	rt *Runtime
 }
 
 // InitPhase declares a phase over the distributed iteration space [0,n)
@@ -501,9 +526,7 @@ func (rt *Runtime) InitPhase(n int) *Phase {
 		panic(fmt.Sprintf("core: phase over %d iterations, space is %d", n, rt.n))
 	}
 	rt.n = n
-	ph := &Phase{rt: rt}
-	rt.phases = append(rt.phases, ph)
-	return ph
+	return &rt.phase
 }
 
 // AddAccess declares one array reference of the phase's partitioned loop
@@ -512,13 +535,11 @@ func (ph *Phase) AddAccess(array string, mode drsd.Mode, step, off int) {
 	if ph.rt.committed {
 		panic("core: accesses must be declared before the first cycle")
 	}
-	a, ok := ph.rt.arrays[array]
-	if !ok {
+	a := ph.rt.array(array)
+	if a == nil {
 		panic(fmt.Sprintf("core: access to unregistered array %q", array))
 	}
-	acc := drsd.Access{Array: array, Mode: mode, Step: step, Off: off}
-	ph.accesses = append(ph.accesses, acc)
-	a.accesses = append(a.accesses, acc)
+	a.accesses = append(a.accesses, drsd.Access{Array: array, Mode: mode, Step: step, Off: off})
 }
 
 // Bounds returns this rank's current iteration range [lo,hi)
@@ -607,9 +628,17 @@ func (rt *Runtime) Events() []Event { return rt.events }
 func (rt *Runtime) Redistributions() int { return rt.redists }
 
 func (rt *Runtime) record(kind EventKind, bytes int64, info string) {
-	rt.events = append(rt.events, Event{
-		Kind: kind, Cycle: rt.cycle, Time: rt.node.Now(), Bytes: bytes, Info: info,
-	})
+	rt.recordEvent(Event{Kind: kind, Bytes: bytes, Info: info})
+}
+
+// recordEvent stamps ev and appends it to the trace, which starts at eight
+// entries: a load change with its redistribution and drop is five.
+func (rt *Runtime) recordEvent(ev Event) {
+	if rt.events == nil {
+		rt.events = make([]Event, 0, 8)
+	}
+	ev.Cycle, ev.Time = rt.cycle, rt.node.Now()
+	rt.events = append(rt.events, ev)
 }
 
 // stamp builds the common telemetry fields for a record emitted now. Only
@@ -625,12 +654,16 @@ func (rt *Runtime) emitMembership(change string) {
 	if rt.sink == nil {
 		return
 	}
+	// One copy serves all three lists: nothing writes a record's slices, and
+	// the remap is the active list.
+	na := len(rt.active)
+	ranks := append(append(make([]int, 0, na+len(rt.removed)), rt.active...), rt.removed...)
 	rt.sink.Emit(telemetry.MembershipRecord{
 		Base:    rt.stamp(telemetry.KindMembership),
 		Change:  change,
-		Active:  append([]int(nil), rt.active...),
-		Removed: append([]int(nil), rt.removed...),
-		Remap:   append([]int(nil), rt.active...),
+		Active:  ranks[:na:na],
+		Removed: ranks[na:],
+		Remap:   ranks[:na:na],
 	})
 }
 
@@ -699,8 +732,8 @@ func (rt *Runtime) ensureCommitted() {
 		return
 	}
 	rt.dist = drsd.EqualBlock(rt.active, rt.n)
-	for _, name := range rt.order {
-		a := rt.arrays[name]
+	for i := range rt.arrays {
+		a := &rt.arrays[i]
 		lo, hi := rt.dist.RangeOf(rt.comm.Rank())
 		wlo, whi := drsd.Window(a.accesses, lo, hi, rt.n)
 		if a.dense != nil {
@@ -717,23 +750,11 @@ func (rt *Runtime) ensureCommitted() {
 // can fill its arrays (windows exist after this call).
 func (rt *Runtime) Commit() { rt.ensureCommitted() }
 
-func (rt *Runtime) powers() []float64 {
-	return rt.comm.World().Cluster().Powers()
-}
-
-// nodesFromLoads builds the balancer's view of the active nodes.
-func (rt *Runtime) nodesFromLoads(loads []int) []distribution.Node {
-	powers := rt.powers()
-	nodes := make([]distribution.Node, len(rt.active))
-	for i, r := range rt.active {
-		nodes[i] = distribution.Node{Rank: r, Power: powers[r], Load: loads[i]}
+// arrayNames returns the registered array names in registration order.
+func (rt *Runtime) arrayNames() []string {
+	out := make([]string, len(rt.arrays))
+	for i := range rt.arrays {
+		out[i] = rt.arrays[i].name
 	}
-	return nodes
-}
-
-// sortedArrayNames returns registration order (stable across ranks).
-func (rt *Runtime) sortedArrayNames() []string {
-	out := append([]string(nil), rt.order...)
-	sort.Strings(out)
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/drsd"
@@ -215,5 +216,45 @@ func TestPagingSlowsContiguousRedistribution(t *testing.T) {
 	contig := elapsed(matrix.Contiguous)
 	if contig <= proj {
 		t.Fatalf("paging contiguous run (%.3fs) not slower than projection (%.3fs)", contig, proj)
+	}
+}
+
+// TestSecondDropKeepsSendOutRoot drops twice, the second time naming the
+// send-out root. Rank 1 leaves first and from then on receives every global
+// result from rank 0, the root of the membership it was removed under; the
+// later load lands on ranks 0 and 2. Rank 2 must leave and rank 0 must not
+// (colls.go): when the second drop took the root, rank 1 stayed parked in
+// recvOut on a rank that no longer sent and the world never finished.
+func TestSecondDropKeepsSendOutRoot(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Drop = DropAlways
+	spec := cpAtCycle(cpAtCycle(cpAtCycle(cluster.Uniform(4), 1, 2), 0, 14), 2, 14)
+	done := make(chan map[int]*miniResult, 1)
+	go func() {
+		defer close(done) // a failed run must not look like a hang
+		done <- runMini(t, spec, cfg, 64, 40, true)
+	}()
+	var results map[int]*miniResult
+	select {
+	case results = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("world hung: a removed rank is parked on a send-out root that was dropped")
+	}
+	if results == nil {
+		return // runMini reported the failure
+	}
+	checkValuesAndCoverage(t, results, 64)
+	for r, want := range []bool{false, true, true, false} {
+		if results[r].removed != want {
+			t.Errorf("rank %d removed = %v, want %v", r, results[r].removed, want)
+		}
+	}
+	if results[0].redists < 2 {
+		t.Fatalf("%d redistributions: the second drop never happened", results[0].redists)
+	}
+	for r := 1; r < 4; r++ {
+		if fmt.Sprint(results[r].globals) != fmt.Sprint(results[0].globals) {
+			t.Errorf("rank %d saw globals %v, the root %v", r, results[r].globals, results[0].globals)
+		}
 	}
 }

@@ -556,15 +556,19 @@ func TestEventTraceShape(t *testing.T) {
 	}
 }
 
-// Event.Info of a load change is part of the trace format: loadsInfo must
-// render a load vector byte for byte as fmt's %v does.
+// Event.Info of a load change or a membership change is part of the trace
+// format: appendInts must render an int slice byte for byte as fmt's %v does,
+// from a buffer it outgrows as from one it fits.
 func TestLoadsInfoMatchesFmt(t *testing.T) {
 	for _, loads := range [][]int{nil, {}, {0}, {3, 0, 12}, {1, 0, 0, 0, 2, 10, 100, -1}} {
-		if got, want := loadsInfo(loads), fmt.Sprintf("loads=%v", loads); got != want {
-			t.Errorf("loadsInfo(%v) = %q, want %q", loads, got, want)
+		var small [4]byte
+		if got, want := string(appendInts(small[:0], "loads=", loads)), fmt.Sprintf("loads=%v", loads); got != want {
+			t.Errorf("appendInts(%v) = %q, want %q", loads, got, want)
 		}
 	}
-	if got := loadsInfo([]int{1, 0, 2}); got != "loads=[1 0 2]" {
-		t.Errorf("loadsInfo = %q", got)
+	stay, out := []int{0, 2, 3}, []int{1}
+	got := string(appendInts(appendInts(nil, "active=", stay), " removed=", out))
+	if want := fmt.Sprintf("active=%v removed=%v", stay, out); got != want {
+		t.Errorf("appendInts twice = %q, want %q", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/distribution"
 	"repro/internal/drsd"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
@@ -152,7 +151,8 @@ func (rt *Runtime) handleFailure() {
 	rt.pendingDead = nil
 	rt.deadRanks = append(rt.deadRanks, dead...)
 	sort.Ints(rt.deadRanks)
-	rt.record(EvFailure, 0, fmt.Sprintf("dead=%v", dead))
+	var info [64]byte
+	rt.record(EvFailure, 0, string(appendInts(info[:0], "dead=", dead)))
 
 	touchesData := false
 	for _, r := range rt.dist.Ranks() {
@@ -165,27 +165,10 @@ func (rt *Runtime) handleFailure() {
 		// Re-partition over the survivors by relative power (their loads are
 		// re-measured next cycle; recovery must not depend on load state the
 		// dead rank can no longer contribute to).
-		iterCosts := rt.iterCosts
-		if iterCosts == nil {
-			iterCosts = make([]float64, rt.n)
-			for i := range iterCosts {
-				iterCosts[i] = 1
-			}
-		}
-		powers := rt.powers()
-		nodes := make([]distribution.Node, len(rt.active))
-		for i, r := range rt.active {
-			nodes[i] = distribution.Node{Rank: r, Power: powers[r]}
-		}
-		fractions := distribution.RelativePowerFractions(nodes)
-		counts := distribution.PartitionWeighted(iterCosts, fractions)
+		counts := rt.powerCounts(rt.nodesOf(rt.active, nil), rt.costs())
 		rt.recoverDistribution(drsd.NewBlock(rt.active, counts), dead)
 		rt.redists++
-		rt.baseLoads = make([]int, len(rt.active))
-		rt.state = stNormal
-		rt.collector = nil
-		rt.cycTimer = nil
-		rt.cycOpen = false
+		rt.rebase(make([]int, len(rt.active)))
 	}
 	rt.emitMembership("failure-drop")
 }
@@ -215,8 +198,8 @@ func (rt *Runtime) recoverDistribution(newDist *drsd.Block, dead []int) {
 		}
 	}
 
-	for _, name := range rt.order {
-		a := rt.arrays[name]
+	for i := range rt.arrays {
+		a := &rt.arrays[i]
 		sched := rt.scheduleFor(a, newDist)
 		tag := tagRecover + a.index
 		outs, _, _ := rt.extractAndResize(a, sched, newDist, nil)
@@ -224,7 +207,7 @@ func (rt *Runtime) recoverDistribution(newDist *drsd.Block, dead []int) {
 		// Ship own outgoing slabs, then serve the dead ranks' transfers this
 		// rank holds replicas for. Sends are eager, so the send-before-receive
 		// order makes the exchange deadlock-free.
-		mv := telemetry.ArrayMove{Name: name}
+		mv := telemetry.ArrayMove{Name: a.name}
 		for i := range outs {
 			m := &outs[i]
 			if m.dense != nil {
@@ -237,7 +220,7 @@ func (rt *Runtime) recoverDistribution(newDist *drsd.Block, dead []int) {
 			p.sent(&mv, m.rows, m.bytes)
 		}
 		if rt.cfg.Replicate && a.dense != nil {
-			rep := rt.replicas[name]
+			rep := a.rep
 			for _, tr := range sched {
 				if !deadSet[tr.From] || holder[tr.From] != me || tr.To == me {
 					continue
@@ -324,7 +307,7 @@ func (rt *Runtime) recoverTransfer(a *regArray, tag int, tr drsd.Transfer, holde
 // restoreLocal reconstructs rows [lo,hi) of a dense array from this rank's
 // own replica (the dead rank was this rank's ring predecessor).
 func (rt *Runtime) restoreLocal(a *regArray, lo, hi int) {
-	rep := rt.replicas[a.name]
+	rep := a.rep
 	plo, phi := intersect(lo, hi, rep)
 	if phi > plo {
 		off := (plo - rep.lo) * a.dense.RowLen
@@ -372,7 +355,7 @@ func (rt *Runtime) refreshReplicas() {
 	}
 	ranks := rt.dist.Ranks()
 	if len(ranks) < 2 {
-		rt.replicas = nil
+		rt.dropReplicas()
 		return
 	}
 	me := rt.comm.Rank()
@@ -381,8 +364,8 @@ func (rt *Runtime) refreshReplicas() {
 		return
 	}
 	lo, hi := rt.dist.RangeOf(me)
-	for _, name := range rt.order {
-		a := rt.arrays[name]
+	for i := range rt.arrays {
+		a := &rt.arrays[i]
 		if a.dense == nil {
 			continue
 		}
@@ -396,11 +379,8 @@ func (rt *Runtime) refreshReplicas() {
 		}
 		rt.comm.Send(next, tagReplica+a.index, rt.packRows(a, lo, hi), 16+(hi-lo)*int(a.dense.RowBytes()))
 	}
-	if rt.replicas == nil {
-		rt.replicas = make(map[string]*replica)
-	}
-	for _, name := range rt.order {
-		a := rt.arrays[name]
+	for i := range rt.arrays {
+		a := &rt.arrays[i]
 		if a.dense == nil {
 			continue
 		}
@@ -412,6 +392,13 @@ func (rt *Runtime) refreshReplicas() {
 			continue
 		}
 		rt.storeReplica(a, p)
+	}
+}
+
+// dropReplicas forgets every replica: a ring of one has no buddy.
+func (rt *Runtime) dropReplicas() {
+	for i := range rt.arrays {
+		rt.arrays[i].rep = nil
 	}
 }
 
@@ -446,23 +433,33 @@ func (rt *Runtime) storeReplica(a *regArray, payload any) {
 	if !ok {
 		panic(fmt.Sprintf("core: bad replica payload for %q", a.name))
 	}
-	rep := rt.replicas[a.name]
-	if rep == nil {
-		rep = &replica{}
-		rt.replicas[a.name] = rep
-	}
+	rep := a.replica()
 	n := rs.rows * a.dense.RowLen
-	if cap(rep.data) < n {
-		rep.data = make([]float64, n)
-	} else {
-		rep.data = rep.data[:n]
-	}
+	rep.data = resized(rep.data, n)
 	copy(rep.data, rs.data[:n])
 	rep.lo, rep.hi = rs.lo, rs.lo+rs.rows
 	for g := rep.lo; g < rep.hi; g++ {
 		rt.node.ChargeTouch(a.dense.RowBytes())
 	}
 	putDenseSlab(rs)
+}
+
+// replica returns a's replica record, creating it on first use.
+func (a *regArray) replica() *replica {
+	if a.rep == nil {
+		a.rep = &replica{}
+	}
+	return a.rep
+}
+
+// resized returns buf with n elements, reallocated at exactly n when it holds
+// fewer: a predecessor's range grows once or twice per world, by a third or
+// more, so geometric headroom was measured to cost bytes (EXPERIMENTS.md).
+func resized(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // intersect clips [lo,hi) to the replica's covered range; a nil replica

@@ -98,6 +98,11 @@ func putSparseSlab(s *sparseSlab) {
 	sparseSlabPool.Put(s)
 }
 
+// neighbourSlabs is where a rank's per-redistribution lists start: a block
+// that shifts trades one slab with each neighbour, two when ghost rows move
+// apart from owned ones. Longer lists grow by append.
+const neighbourSlabs = 4
+
 // redistOut is one outgoing transfer staged during the extraction phase.
 // lo is the transfer's first global row — the RMA commit path derives the
 // destination window offset from it.
@@ -169,7 +174,7 @@ func (rt *Runtime) beginRedist(newDist *drsd.Block, info string) redistPass {
 	rt.record(EvRedistStart, 0, info)
 	p := redistPass{newDist: newDist, info: info, lost0: rt.lostRows, stall0: rt.comm.RecvStall}
 	if rt.sink != nil {
-		p.moves = make([]telemetry.ArrayMove, 0, len(rt.order))
+		p.moves = make([]telemetry.ArrayMove, 0, len(rt.arrays))
 	}
 	return p
 }
@@ -195,10 +200,11 @@ func (rt *Runtime) endRedist(p *redistPass) {
 	if err := rt.comm.BarrierErr(rt.group); err != nil {
 		rt.absorbDead(rt.deadOf(err))
 	}
-	rt.events = append(rt.events, Event{
-		Kind: EvRedistEnd, Cycle: rt.cycle, Time: rt.node.Now(),
+	counts := p.newDist.Counts() // one copy, shared by the event and the record
+	rt.recordEvent(Event{
+		Kind:  EvRedistEnd,
 		Bytes: p.bytesSent + p.bytesRecv, BytesSent: p.bytesSent, BytesRecv: p.bytesRecv,
-		Counts: p.newDist.Counts(),
+		Counts: counts,
 		Stall:  rt.comm.RecvStall - p.stall0,
 		Info:   p.info,
 	})
@@ -215,7 +221,7 @@ func (rt *Runtime) endRedist(p *redistPass) {
 			BytesSent:  sent,
 			BytesRecv:  p.bytesRecv,
 			BytesMoved: sent + p.bytesRecv,
-			Counts:     p.newDist.Counts(),
+			Counts:     counts,
 			LostRows:   rt.lostRows - p.lost0,
 		})
 	}
@@ -229,10 +235,13 @@ func (rt *Runtime) endRedist(p *redistPass) {
 // ghost access widens the window), computed per-rank from the two block
 // boundaries instead of walking every access pattern.
 func (rt *Runtime) scheduleFor(a *regArray, newDist *drsd.Block) []drsd.Transfer {
+	// Every rank of the new distribution fetches at most a gap on each side of
+	// what it holds, most often from one old owner each.
+	buf := atLeast(rt.schedBuf, 2*len(newDist.Ranks()))
 	if drsd.OwnedOnly(a.accesses) {
-		rt.schedBuf = drsd.ScheduleDiffInto(rt.schedBuf[:0], rt.dist, newDist)
+		rt.schedBuf = drsd.ScheduleDiffInto(buf, rt.dist, newDist)
 	} else {
-		rt.schedBuf = drsd.ScheduleWindowsInto(rt.schedBuf[:0], rt.dist, newDist, a.accesses)
+		rt.schedBuf = drsd.ScheduleWindowsInto(buf, rt.dist, newDist, a.accesses)
 	}
 	return rt.schedBuf
 }
@@ -274,7 +283,7 @@ func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist 
 			fetchLen += (tr.Hi - tr.Lo) * a.dense.RowLen
 		}
 	}
-	outs, fetchOuts, fbuf = rt.outsBuf[:0], rt.fetchOutsBuf[:0], rt.fetchBuf[:0]
+	outs, fetchOuts, fbuf = atLeast(rt.outsBuf, neighbourSlabs), rt.fetchOutsBuf[:0], rt.fetchBuf[:0]
 	if cap(fbuf) < fetchLen {
 		fbuf = make([]float64, fetchLen)
 	} else {
@@ -357,8 +366,8 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 		}
 	}
 
-	for _, name := range rt.order {
-		a := rt.arrays[name]
+	for i := range rt.arrays {
+		a := &rt.arrays[i]
 		sched := rt.scheduleFor(a, newDist)
 
 		// Split off joiner-bound transfers: the fetch protocol moves them
@@ -376,7 +385,7 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 			}
 		}
 		if pulled != nil {
-			rest = rt.restBuf[:0]
+			rest = atLeast(rt.restBuf, len(sched))
 			for _, tr := range sched {
 				if !newcomer[tr.To] {
 					rest = append(rest, tr)
@@ -388,7 +397,7 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 		outs, fetchOuts, fbuf := rt.extractAndResize(a, sched, newDist, pulled)
 
 		// Phase 3: exchange exactly the rows the schedule demands.
-		mv := telemetry.ArrayMove{Name: name}
+		mv := telemetry.ArrayMove{Name: a.name}
 		if pulled != nil {
 			// Joiner-bound transfers move first, one-sided: sources expose
 			// their packed slabs, joiners pull with Get under PSCW. Every
@@ -421,7 +430,7 @@ func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistO
 	me := rt.comm.Rank()
 	tag := tagRedist + a.index
 	// Post all Irecvs up front (no virtual charge).
-	ins := rt.insBuf[:0]
+	ins := atLeast(rt.insBuf, neighbourSlabs)
 	for _, tr := range sched {
 		if tr.To != me {
 			continue
@@ -432,7 +441,7 @@ func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistO
 	// Isend the outgoing slabs: the injection charges of one blocking Send
 	// per slab, in schedule order. Send requests complete at post; Waitall
 	// only recycles them.
-	reqs := rt.reqBuf[:0]
+	reqs := atLeast(rt.reqBuf, neighbourSlabs)
 	for i := range outs {
 		m := &outs[i]
 		if m.dense != nil {
@@ -465,7 +474,7 @@ func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistO
 	// Overlap commits in arrival order instead, trading that timeline for
 	// lower stall.
 	overlap := rt.cfg.RedistMode == RedistOverlap
-	order := rt.ordBuf[:0]
+	order := atLeast(rt.ordBuf, len(ins))
 	for k := range ins {
 		order = append(order, k)
 	}

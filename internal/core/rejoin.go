@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/distribution"
 	"repro/internal/drsd"
 )
 
@@ -108,16 +107,15 @@ func (rt *Runtime) exchangeLoads() (active []int, removedRanks, removedLoads []i
 	// not move.
 	if !rt.cfg.AllowRejoin || len(rt.removed) == 0 {
 		n := rt.group.Size()
-		if cap(rt.loadBuf) < n {
-			rt.loadBuf = make([]float64, n)
+		if rt.loadBuf == nil {
+			// Sized once for the largest group the world can hold.
+			rt.loadBuf = make([]float64, rt.comm.World().Cap())
+			rt.loadInts = make([]int, rt.comm.World().Cap())
 		}
 		buf := rt.loadBuf[:n]
 		err := rt.comm.AllgatherF64sIntoErr(rt.group, float64(rt.monitor.CompetingProcesses()), buf)
 		if err != nil {
 			return nil, nil, nil, err
-		}
-		if cap(rt.loadInts) < n {
-			rt.loadInts = make([]int, n)
 		}
 		active = rt.loadInts[:n]
 		for i, v := range buf {
@@ -190,8 +188,6 @@ func (rt *Runtime) maybeRejoin(activeLoads, removedRanks, removedLoads []int) bo
 	}
 	sort.Ints(rejoining)
 
-	newActive := append(append([]int(nil), rt.active...), rejoining...)
-	sort.Ints(newActive)
 	var newRemoved []int
 	for _, r := range rt.removed {
 		keep := true
@@ -207,33 +203,12 @@ func (rt *Runtime) maybeRejoin(activeLoads, removedRanks, removedLoads []int) bo
 
 	// Balance over the new membership: rejoiners are unloaded by
 	// definition; survivors keep their just-gathered loads.
-	loadOf := map[int]int{}
-	for i, r := range rt.active {
-		loadOf[r] = activeLoads[i]
-	}
-	powers := rt.powers()
-	nodes := make([]distribution.Node, len(newActive))
-	for i, r := range newActive {
-		nodes[i] = distribution.Node{Rank: r, Power: powers[r], Load: loadOf[r]}
-	}
-	iterCosts := rt.iterCosts
-	if iterCosts == nil {
-		iterCosts = make([]float64, rt.n)
-		for i := range iterCosts {
-			iterCosts[i] = 1
-		}
-	}
-	fractions := distribution.RelativePowerFractions(nodes)
-	counts := distribution.PartitionWeighted(iterCosts, fractions)
-	newDist := drsd.NewBlock(newActive, counts)
+	newActive, newBase, nodes := rt.admitted(rejoining, activeLoads)
+	newDist := drsd.NewBlock(newActive, rt.powerCounts(nodes, rt.costs()))
 
-	newBase := make([]int, len(newActive))
-	for i, r := range newActive {
-		newBase[i] = loadOf[r] // rejoiners default to 0
-	}
 	pkt := rejoinPacket{
 		NewActive:  newActive,
-		NewCounts:  counts,
+		NewCounts:  newDist.Counts(),
 		OldActive:  rt.dist.Ranks(),
 		OldCounts:  rt.dist.Counts(),
 		NewRemoved: newRemoved,
@@ -258,11 +233,7 @@ func (rt *Runtime) maybeRejoin(activeLoads, removedRanks, removedLoads []int) bo
 	rt.redists++
 	rt.record(EvRejoin, 0, "")
 	rt.emitMembership("rejoin")
-	rt.baseLoads = newBase
-	rt.state = stNormal
-	rt.collector = nil
-	rt.cycTimer = nil
-	rt.cycOpen = false
+	rt.rebase(newBase)
 	return true
 }
 
@@ -306,9 +277,5 @@ func (rt *Runtime) removedCycle() {
 	rt.redists++
 	rt.record(EvRejoin, 0, "rejoined")
 	rt.emitMembership("rejoined")
-	rt.baseLoads = append([]int(nil), pkt.BaseLoads...)
-	rt.state = stNormal
-	rt.collector = nil
-	rt.cycTimer = nil
-	rt.cycOpen = false
+	rt.rebase(append([]int(nil), pkt.BaseLoads...))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/distribution"
 	"repro/internal/drsd"
 	"repro/internal/mpi"
 )
@@ -120,31 +119,9 @@ func (rt *Runtime) maybeResize(loads []int) bool {
 // their rows. loads is this cycle's gathered active load vector.
 func (rt *Runtime) grow(joiners []int, loads []int) {
 	sort.Ints(joiners)
-	newActive := append(append([]int(nil), rt.active...), joiners...)
-	sort.Ints(newActive)
-	loadOf := map[int]int{}
-	for i, r := range rt.active {
-		loadOf[r] = loads[i]
-	}
-	powers := rt.powers()
-	nodes := make([]distribution.Node, len(newActive))
-	for i, r := range newActive {
-		nodes[i] = distribution.Node{Rank: r, Power: powers[r], Load: loadOf[r]}
-	}
-	iterCosts := rt.iterCosts
-	if iterCosts == nil {
-		iterCosts = make([]float64, rt.n)
-		for i := range iterCosts {
-			iterCosts[i] = 1
-		}
-	}
-	fractions := distribution.RelativePowerFractions(nodes)
-	counts := distribution.PartitionWeighted(iterCosts, fractions)
+	newActive, newBase, nodes := rt.admitted(joiners, loads) // joiners default to load 0
+	counts := rt.powerCounts(nodes, rt.costs())
 	newDist := drsd.NewBlock(newActive, counts)
-	newBase := make([]int, len(newActive))
-	for i, r := range newActive {
-		newBase[i] = loadOf[r] // joiners default to 0
-	}
 	rt.claimed = append(rt.claimed, joiners...)
 
 	if rt.comm.Rank() == rt.sendOutRoot() {
@@ -157,12 +134,12 @@ func (rt *Runtime) grow(joiners []int, loads []int) {
 		pkt := bootstrapPacket{
 			Cycle:     rt.cycle,
 			Space:     rt.n,
-			Arrays:    append([]string(nil), rt.order...),
+			Arrays:    rt.arrayNames(),
 			Claimed:   append([]int(nil), rt.claimed...),
 			OldActive: rt.dist.Ranks(),
 			OldCounts: rt.dist.Counts(),
 			NewActive: newActive,
-			NewCounts: counts,
+			NewCounts: newDist.Counts(),
 			Removed:   append([]int(nil), rt.removed...),
 			BaseLoads: newBase,
 		}
@@ -177,13 +154,10 @@ func (rt *Runtime) grow(joiners []int, loads []int) {
 	rt.group = rt.comm.World().NewGroup(newActive)
 	rt.applyDistribution(newDist)
 	rt.redists++
-	rt.record(EvResize, 0, fmt.Sprintf("grow joiners=%v", joiners))
+	var info [64]byte
+	rt.record(EvResize, 0, string(appendInts(info[:0], "grow joiners=", joiners)))
 	rt.emitMembership("resize-grow")
-	rt.baseLoads = newBase
-	rt.state = stNormal
-	rt.collector = nil
-	rt.cycTimer = nil
-	rt.cycOpen = false
+	rt.rebase(newBase)
 }
 
 // shrink reduces the active set to its first target members. The dropped
@@ -194,22 +168,9 @@ func (rt *Runtime) grow(joiners []int, loads []int) {
 func (rt *Runtime) shrink(target int, loads []int) {
 	stay := append([]int(nil), rt.active[:target]...)
 	out := append([]int(nil), rt.active[target:]...)
-	powers := rt.powers()
-	stayNodes := make([]distribution.Node, len(stay))
-	for i, r := range stay {
-		stayNodes[i] = distribution.Node{Rank: r, Power: powers[r], Load: loads[i]}
-	}
-	iterCosts := rt.iterCosts
-	if iterCosts == nil {
-		iterCosts = make([]float64, rt.n)
-		for i := range iterCosts {
-			iterCosts[i] = 1
-		}
-	}
-	fractions := distribution.RelativePowerFractions(stayNodes)
-	counts := distribution.PartitionWeighted(iterCosts, fractions)
 	// The removal redistribution happens while the dropped ranks are still
 	// in the group, so they can ship their rows out.
+	counts := rt.powerCounts(rt.nodesOf(stay, loads), rt.costs())
 	rt.applyDistribution(drsd.NewBlock(stay, counts))
 	rt.redists++
 
@@ -217,17 +178,9 @@ func (rt *Runtime) shrink(target int, loads []int) {
 	rt.removed = append(rt.removed, out...)
 	rt.resizedOut = append(rt.resizedOut, out...)
 	rt.group = rt.comm.World().NewGroup(stay)
-	newBase := make([]int, len(stay))
-	for i := range stay {
-		newBase[i] = loads[i]
-	}
-	rt.baseLoads = newBase
-	me := rt.comm.Rank()
-	for _, r := range out {
-		if r == me {
-			rt.isOut = true
-			rt.record(EvRemoved, 0, "resize")
-		}
+	if containsInt(out, rt.comm.Rank()) {
+		rt.isOut = true
+		rt.record(EvRemoved, 0, "resize")
 	}
 	rt.record(EvResize, 0, fmt.Sprintf("shrink active=%v removed=%v", stay, out))
 	if rt.isOut {
@@ -235,10 +188,7 @@ func (rt *Runtime) shrink(target int, loads []int) {
 	} else {
 		rt.emitMembership("resize-shrink")
 	}
-	rt.state = stNormal
-	rt.collector = nil
-	rt.cycTimer = nil
-	rt.cycOpen = false
+	rt.rebase(append([]int(nil), loads[:target]...))
 }
 
 // bootstrap is the joiner's side of growth, run from ensureCommitted when
@@ -259,14 +209,14 @@ func (rt *Runtime) bootstrap() {
 		rt.comm.Abort(fmt.Errorf("core: joiner rank %d registered iteration space %d, world has %d",
 			rt.comm.Rank(), rt.n, pkt.Space))
 	}
-	if len(pkt.Arrays) != len(rt.order) {
+	if len(pkt.Arrays) != len(rt.arrays) {
 		rt.comm.Abort(fmt.Errorf("core: joiner rank %d registered %d arrays, world has %d",
-			rt.comm.Rank(), len(rt.order), len(pkt.Arrays)))
+			rt.comm.Rank(), len(rt.arrays), len(pkt.Arrays)))
 	}
 	for i, name := range pkt.Arrays {
-		if rt.order[i] != name {
+		if rt.arrays[i].name != name {
 			rt.comm.Abort(fmt.Errorf("core: joiner rank %d registered array %q at slot %d, world has %q",
-				rt.comm.Rank(), rt.order[i], i, name))
+				rt.comm.Rank(), rt.arrays[i].name, i, name))
 		}
 	}
 	rt.cycle = pkt.Cycle

@@ -145,8 +145,8 @@ const (
 func (rt *Runtime) replicaWire(rows int) vclock.Duration {
 	net := rt.comm.World().Cluster().Net()
 	var d vclock.Duration
-	for _, name := range rt.order {
-		a := rt.arrays[name]
+	for i := range rt.arrays {
+		a := &rt.arrays[i]
 		if a.dense == nil {
 			continue
 		}
@@ -173,7 +173,7 @@ func (rt *Runtime) openReplicaEpoch() {
 	}
 	ranks := rt.dist.Ranks()
 	if len(ranks) < 2 {
-		rt.replicas = nil
+		rt.dropReplicas()
 		return
 	}
 	me := rt.comm.Rank()
@@ -186,23 +186,13 @@ func (rt *Runtime) openReplicaEpoch() {
 	if !equalInts(rt.repRanks, ranks) {
 		// Membership changed (or first open): discard whatever is pending
 		// on the abandoned windows, then register fresh ones on the new
-		// group. Registration order is rt.order on every member, so the
+		// group. Registration order is rt.arrays on every member, so the
 		// k-th WinCreate of each member meets on the same window.
 		rt.discardReplicaWindows()
-		g := rt.comm.World().NewGroup(ranks)
-		rt.repWins = make(map[string]*mpi.Win, len(rt.order))
-		for _, name := range rt.order {
-			if rt.arrays[name].dense == nil {
-				continue
-			}
-			rt.repWins[name] = rt.comm.WinCreate(g, nil)
-		}
+		rt.createWins(winReplica, rt.comm.World().NewGroup(ranks))
 		rt.repRanks = append(rt.repRanks[:0], ranks...)
 	}
 	rt.repPrev, rt.repNext = prev, next
-	if rt.replicas == nil {
-		rt.replicas = make(map[string]*replica)
-	}
 	plo, phi := rt.dist.RangeOf(rt.repPrev)
 	rt.repPend = repRange{lo: plo, hi: phi}
 	lo, hi := rt.dist.RangeOf(me)
@@ -224,14 +214,13 @@ func (rt *Runtime) openReplicaEpoch() {
 	// Loop 1: attach and post every array's window toward the predecessor
 	// before starting any — a start blocks on the successor's post, so a
 	// ring that started before posting would wait on itself.
-	for _, name := range rt.order {
-		a := rt.arrays[name]
+	for i := range rt.arrays {
+		a := &rt.arrays[i]
 		if a.dense == nil {
 			continue
 		}
-		win := rt.repWins[name]
-		rt.stageReplica(a, phi-plo)
-		rt.comm.WinAttach(win, rt.replicas[name])
+		win := a.wins[winReplica]
+		rt.comm.WinAttach(win, rt.stageReplica(a, phi-plo))
 		// The post is this epoch's write barrier: the predecessor cannot Put
 		// until its start consumes it, and it follows this rank's close-time
 		// promotion of the previous stage in program order.
@@ -241,12 +230,12 @@ func (rt *Runtime) openReplicaEpoch() {
 	// Loop 2: start toward the successor and ship this rank's slab the way
 	// the successor's note asks for.
 	var peerNote [1]int64
-	for _, name := range rt.order {
-		a := rt.arrays[name]
+	for i := range rt.arrays {
+		a := &rt.arrays[i]
 		if a.dense == nil {
 			continue
 		}
-		win := rt.repWins[name]
+		win := a.wins[winReplica]
 		if err := rt.comm.WinStartErr(win, []int{rt.repNext}, peerNote[:]); err != nil {
 			// The successor died before posting: this rank has nowhere to
 			// ship, for any array. Only the access side is given up — the
@@ -278,8 +267,8 @@ func (rt *Runtime) openReplicaEpoch() {
 		// receive and commit them now, exactly as the paired refresh would
 		// (receive CPU plus commit touches) — the freshness this verdict
 		// buys is paid for with the stall the Put path hides.
-		for _, name := range rt.order {
-			a := rt.arrays[name]
+		for i := range rt.arrays {
+			a := &rt.arrays[i]
 			if a.dense == nil {
 				continue
 			}
@@ -296,19 +285,12 @@ func (rt *Runtime) openReplicaEpoch() {
 }
 
 // stageReplica (re)sizes array a's staging buffer for an incoming deposit
-// of `rows` rows, creating the replica record on first use.
-func (rt *Runtime) stageReplica(a *regArray, rows int) {
-	rep := rt.replicas[a.name]
-	if rep == nil {
-		rep = &replica{}
-		rt.replicas[a.name] = rep
-	}
-	n := rows * a.dense.RowLen
-	if cap(rep.stage) < n {
-		rep.stage = make([]float64, n)
-	} else {
-		rep.stage = rep.stage[:n]
-	}
+// of `rows` rows, creating the replica record on first use, and returns the
+// record — the window memory the deposit lands in.
+func (rt *Runtime) stageReplica(a *regArray, rows int) *replica {
+	rep := a.replica()
+	rep.stage = resized(rep.stage, rows*a.dense.RowLen)
+	return rep
 }
 
 // closeReplicaEpoch settles the replica epoch left open by the last
@@ -327,12 +309,12 @@ func (rt *Runtime) closeReplicaEpoch() {
 	// own wait (see the file comment). A successor recorded dead gets none:
 	// the windows are about to be rebuilt without it (the guard is the
 	// recorded set, never the wall-clock Alive — see knownDead).
-	for _, name := range rt.order {
-		a := rt.arrays[name]
+	for i := range rt.arrays {
+		a := &rt.arrays[i]
 		if a.dense == nil || rt.knownDead(rt.repNext) {
 			continue
 		}
-		if err := rt.comm.WinCompleteErr(rt.repWins[name]); err != nil {
+		if err := rt.comm.WinCompleteErr(a.wins[winReplica]); err != nil {
 			// The successor died: this rank's deposits are gone with it.
 			// Nothing to settle on this side; the wait loop still runs.
 			rt.tolerateDeath(err)
@@ -340,14 +322,12 @@ func (rt *Runtime) closeReplicaEpoch() {
 	}
 	// Loop 2: wait on the predecessor's completion, settling the pair's
 	// epoch, and promote the staged deposit.
-	for _, name := range rt.order {
-		a := rt.arrays[name]
+	for i := range rt.arrays {
+		a := &rt.arrays[i]
 		if a.dense == nil {
 			continue
 		}
-		win := rt.repWins[name]
-		rep := rt.replicas[name]
-		pend := rt.repPend
+		win, rep, pend := a.wins[winReplica], a.rep, rt.repPend
 		if err := rt.comm.WinWaitErr(win); err != nil {
 			rt.tolerateDeath(err)
 			// Only a dead predecessor's deposit may be adopted, and only when
@@ -388,8 +368,10 @@ func (rt *Runtime) promoteReplica(a *regArray, rep *replica, pend repRange) {
 // rank's slots of the current replica windows, releasing them before the
 // windows are abandoned for a new group.
 func (rt *Runtime) discardReplicaWindows() {
-	for _, win := range rt.repWins {
-		rt.comm.DiscardPending(win)
+	for i := range rt.arrays {
+		if win := rt.arrays[i].wins[winReplica]; win != nil {
+			rt.comm.DiscardPending(win)
+		}
 	}
 }
 
@@ -427,22 +409,38 @@ func (m denseWinMem) ReadAt(off int, dst []float64) {
 
 func (m denseWinMem) Len() int { return (m.d.Hi() - m.d.Lo()) * m.d.RowLen }
 
-// redistWinFor returns the one-sided window redistribution uses for array
-// a, creating the per-array windows the first time the active group needs
-// them. All active ranks call applyDistribution collectively, so creation
-// order (rt.order) is identical on every member.
-func (rt *Runtime) redistWinFor(a *regArray) *mpi.Win {
-	if rt.redistGroup != rt.group {
-		rt.redistGroup = rt.group
-		rt.redistWins = make(map[string]*mpi.Win, len(rt.order))
-		for _, name := range rt.order {
-			if rt.arrays[name].dense == nil {
-				continue
-			}
-			rt.redistWins[name] = rt.comm.WinCreate(rt.group, nil)
+// winKind names the one-sided windows the runtime keeps per dense array. They
+// stay apart because they expose different memories: the replica window a
+// staging buffer, the redistribution window a receiver's resident rows for
+// Puts, the fetch window a source's packed outgoing slabs for Gets.
+type winKind int
+
+const (
+	winRedist winKind = iota
+	winFetch
+	winReplica
+)
+
+// createWins registers one window of kind k per dense array on g. Every
+// member of g does so in registration order (identical on every rank), so the
+// k-th WinCreate of each member meets on the same window.
+func (rt *Runtime) createWins(k winKind, g *mpi.Group) {
+	for i := range rt.arrays {
+		if a := &rt.arrays[i]; a.dense != nil {
+			a.wins[k] = rt.comm.WinCreate(g, nil)
 		}
 	}
-	return rt.redistWins[a.name]
+}
+
+// groupWin returns array a's redistribution or fetch window, creating that
+// kind's windows the first time the active group needs them. All active ranks
+// reach it collectively (applyDistribution), so creation meets.
+func (rt *Runtime) groupWin(a *regArray, k winKind) *mpi.Win {
+	if rt.winGroup[k] != rt.group {
+		rt.winGroup[k] = rt.group
+		rt.createWins(k, rt.group)
+	}
+	return a.wins[k]
 }
 
 // rmaRedistArray runs Phase 3 of one dense array's redistribution through
@@ -464,13 +462,13 @@ func (rt *Runtime) redistWinFor(a *regArray) *mpi.Win {
 func (rt *Runtime) rmaRedistArray(a *regArray, sched []drsd.Transfer, outs []redistOut, mv *telemetry.ArrayMove, p *redistPass) (bool, bool) {
 	me := rt.comm.Rank()
 	newDist := p.newDist
-	win := rt.redistWinFor(a)
+	win := rt.groupWin(a, winRedist)
 	nlo, nhi := newDist.RangeOf(me)
 	wlo, _ := drsd.Window(a.accesses, nlo, nhi, rt.n)
 	rt.comm.WinAttach(win, denseWinMem{d: a.dense, wlo: wlo})
 	if err := rt.comm.FenceErr(win); err != nil {
 		rt.absorbDead(rt.deadOf(err))
-		rt.redistGroup = nil
+		rt.winGroup[winRedist] = nil
 		return false, true
 	}
 	for i := range outs {
@@ -554,30 +552,8 @@ func (rt *Runtime) rmaRedistArray(a *regArray, sched []drsd.Transfer, outs []red
 		}
 	}
 	rt.comm.DiscardPending(win)
-	rt.redistGroup = nil
+	rt.winGroup[winRedist] = nil
 	return true, true
-}
-
-// fetchWinFor returns the one-sided window joiner fetch uses for array a,
-// distinct from the redistribution windows because the two expose
-// different memories: the redistribution window exposes a receiver's
-// resident rows for Puts, the fetch window exposes a source's packed
-// outgoing slabs for Gets. Creation mirrors redistWinFor — every group
-// member registers the per-array windows in rt.order the first time the
-// group needs them, so the k-th WinCreate of each member meets on the
-// same window.
-func (rt *Runtime) fetchWinFor(a *regArray) *mpi.Win {
-	if rt.fetchGroup != rt.group {
-		rt.fetchGroup = rt.group
-		rt.fetchWins = make(map[string]*mpi.Win, len(rt.order))
-		for _, name := range rt.order {
-			if rt.arrays[name].dense == nil {
-				continue
-			}
-			rt.fetchWins[name] = rt.comm.WinCreate(rt.group, nil)
-		}
-	}
-	return rt.fetchWins[a.name]
 }
 
 // rmaFetchArray moves one dense array's joiner-bound transfers with Get
@@ -594,7 +570,7 @@ func (rt *Runtime) fetchWinFor(a *regArray) *mpi.Win {
 // collectively — and non-participants return after registering.
 func (rt *Runtime) rmaFetchArray(a *regArray, sched []drsd.Transfer, newcomer map[int]bool, fetchOuts []redistOut, fbuf []float64, mv *telemetry.ArrayMove, p *redistPass) {
 	me := rt.comm.Rank()
-	fwin := rt.fetchWinFor(a)
+	fwin := rt.groupWin(a, winFetch)
 	rl := a.dense.RowLen
 
 	if len(fetchOuts) > 0 {

@@ -44,27 +44,26 @@ const (
 // never wedge the controller.
 type WorldGate struct {
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond sync.Cond // L is &mu
 
-	n        int
-	state    []gateState
-	released []bool
-	times    []vclock.Time // park time per rank, valid while parked
-	parked   int
-	exited   int
+	ranks  []gateRank
+	parked int
+	exited int
+}
+
+// gateRank is one rank's side of the gate.
+type gateRank struct {
+	state    gateState
+	released bool
+	time     vclock.Time // park time, valid while parked
 }
 
 // NewWorldGate creates a gate for a world of n ranks, all initially
 // running (the pre-first-cycle prologue: registration, array fill,
 // initial replica exchange).
 func NewWorldGate(n int) *WorldGate {
-	g := &WorldGate{
-		n:        n,
-		state:    make([]gateState, n),
-		released: make([]bool, n),
-		times:    make([]vclock.Time, n),
-	}
-	g.cond = sync.NewCond(&g.mu)
+	g := &WorldGate{ranks: make([]gateRank, n)}
+	g.cond.L = &g.mu
 	return g
 }
 
@@ -72,14 +71,13 @@ func NewWorldGate(n int) *WorldGate {
 // releases its next cycle.
 func (g *WorldGate) Checkpoint(rank, cycle int, now vclock.Time) {
 	g.mu.Lock()
-	g.state[rank] = gateParked
-	g.times[rank] = now
+	g.ranks[rank].state, g.ranks[rank].time = gateParked, now
 	g.parked++
 	g.cond.Broadcast()
-	for !g.released[rank] {
+	for !g.ranks[rank].released { // indexed each time: Grow may move the slice
 		g.cond.Wait()
 	}
-	g.released[rank] = false
+	g.ranks[rank].released = false
 	g.mu.Unlock()
 }
 
@@ -88,8 +86,8 @@ func (g *WorldGate) Checkpoint(rank, cycle int, now vclock.Time) {
 // cluster's rank-exit hook, on every exit path.
 func (g *WorldGate) RankExit(rank int) {
 	g.mu.Lock()
-	if g.state[rank] != gateExited {
-		g.state[rank] = gateExited
+	if g.ranks[rank].state != gateExited {
+		g.ranks[rank].state = gateExited
 		g.exited++
 		g.cond.Broadcast()
 	}
@@ -104,23 +102,15 @@ func (g *WorldGate) RankExit(rank int) {
 // stepping controller accounts for the joiners from the moment they exist.
 func (g *WorldGate) Grow(ranks []int) {
 	g.mu.Lock()
-	max := g.n
 	for _, r := range ranks {
-		if r+1 > max {
-			max = r + 1
+		for len(g.ranks) <= r {
+			g.ranks = append(g.ranks, gateRank{state: gateExited})
+			g.exited++
 		}
 	}
-	for g.n < max {
-		g.state = append(g.state, gateExited)
-		g.released = append(g.released, false)
-		var zero vclock.Time
-		g.times = append(g.times, zero)
-		g.exited++
-		g.n++
-	}
 	for _, r := range ranks {
-		if g.state[r] == gateExited {
-			g.state[r] = gateRunning
+		if g.ranks[r].state == gateExited {
+			g.ranks[r].state = gateRunning
 			g.exited--
 		}
 	}
@@ -129,10 +119,10 @@ func (g *WorldGate) Grow(ranks []int) {
 }
 
 // waitQuiescent blocks until every rank is parked or exited. Callers hold
-// g.mu. The loop re-reads g.n each pass, so a concurrent Grow (the root
-// admitting joiners mid-wave) safely raises the quiescence bar.
+// g.mu. The loop re-reads the rank count each pass, so a concurrent Grow (the
+// root admitting joiners mid-wave) safely raises the quiescence bar.
 func (g *WorldGate) waitQuiescent() {
-	for g.parked+g.exited < g.n {
+	for g.parked+g.exited < len(g.ranks) {
 		g.cond.Wait()
 	}
 }
@@ -155,12 +145,12 @@ func (g *WorldGate) PeekNextEventTime() vclock.Time {
 	g.waitQuiescent()
 	var min vclock.Time
 	first := true
-	for r, st := range g.state {
-		if st != gateParked {
+	for _, r := range g.ranks {
+		if r.state != gateParked {
 			continue
 		}
-		if first || g.times[r] < min {
-			min, first = g.times[r], false
+		if first || r.time < min {
+			min, first = r.time, false
 		}
 	}
 	g.mu.Unlock()
@@ -177,10 +167,9 @@ func (g *WorldGate) ProcessNextEvent() {
 		g.mu.Unlock()
 		return
 	}
-	for r, st := range g.state {
-		if st == gateParked {
-			g.state[r] = gateRunning
-			g.released[r] = true
+	for r := range g.ranks {
+		if g.ranks[r].state == gateParked {
+			g.ranks[r].state, g.ranks[r].released = gateRunning, true
 			g.parked--
 		}
 	}

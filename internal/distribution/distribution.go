@@ -95,7 +95,14 @@ func (m *TableModel) Fraction(k int, ratio float64) float64 {
 // RelativePowerFractions is the baseline from CRAUL [2]: each node's share
 // is proportional to power/(1+load), ignoring communication.
 func RelativePowerFractions(nodes []Node) []float64 {
-	caps := make([]float64, len(nodes))
+	return RelativePowerFractionsInto(nil, nodes)
+}
+
+// RelativePowerFractionsInto is RelativePowerFractions with the result in
+// buf's array when that is large enough: callers that decide at every
+// membership change keep one buffer.
+func RelativePowerFractionsInto(buf []float64, nodes []Node) []float64 {
+	caps := sized(buf, len(nodes))
 	var sum float64
 	for i, n := range nodes {
 		caps[i] = n.Power / float64(1+n.Load)
@@ -230,8 +237,14 @@ func (c *phiCache) get(model PairModel, k int, ratio float64) float64 {
 // the unloaded cost of iteration g (uniform apps pass all-equal costs);
 // fractions must sum to ~1. The result is per-node counts in order.
 func PartitionWeighted(iterCosts []float64, fractions []float64) []int {
+	return PartitionWeightedInto(nil, iterCosts, fractions)
+}
+
+// PartitionWeightedInto is PartitionWeighted with the counts in buf's array
+// when that is large enough.
+func PartitionWeightedInto(buf []int, iterCosts []float64, fractions []float64) []int {
 	n, p := len(iterCosts), len(fractions)
-	counts := make([]int, p)
+	counts := sized(buf, p)
 	if n == 0 {
 		return counts
 	}
@@ -244,7 +257,7 @@ func PartitionWeighted(iterCosts []float64, fractions []float64) []int {
 	}
 	if total == 0 {
 		// Degenerate: treat iterations as uniform.
-		return PartitionWeighted(ones(n), fractions)
+		return PartitionWeightedInto(counts, ones(n), fractions)
 	}
 	// Walk the prefix sums, cutting at the cumulative targets; each block
 	// boundary goes to whichever side is closer to its target.
@@ -270,6 +283,16 @@ func PartitionWeighted(iterCosts []float64, fractions []float64) []int {
 		counts[p-1] += n - g
 	}
 	return counts
+}
+
+// sized returns a zeroed slice of length n, buf's array when it holds n.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 func ones(n int) []float64 {

@@ -143,10 +143,19 @@ type Distribution interface {
 
 // Block is a variable block distribution: rank Ranks[i] owns rows
 // [Bounds[i], Bounds[i+1]). len(Bounds) == len(Ranks)+1, Bounds[0] == 0 and
-// Bounds[len(Ranks)] == Rows. Blocks may be empty.
+// Bounds[len(Ranks)] == Rows. Blocks may be empty. Both lists are cut from
+// one array.
 type Block struct {
 	bounds []int
 	ranks  []int
+}
+
+// newBlock returns a block over a copy of ranks with every bound zero.
+func newBlock(ranks []int) *Block {
+	p := len(ranks)
+	both := make([]int, 2*p+1)
+	copy(both, ranks)
+	return &Block{ranks: both[:p:p], bounds: both[p:]}
 }
 
 // NewBlock builds a variable block distribution. counts[i] rows go to
@@ -155,7 +164,7 @@ func NewBlock(ranks, counts []int) *Block {
 	if len(ranks) == 0 || len(ranks) != len(counts) {
 		panic("drsd: NewBlock needs matching non-empty ranks and counts")
 	}
-	b := &Block{ranks: append([]int(nil), ranks...), bounds: make([]int, len(ranks)+1)}
+	b := newBlock(ranks)
 	for i, c := range counts {
 		if c < 0 {
 			panic(fmt.Sprintf("drsd: negative block count %d", c))
@@ -168,16 +177,15 @@ func NewBlock(ranks, counts []int) *Block {
 // EqualBlock distributes n rows over ranks as evenly as possible (the
 // DMPI_BLOCK initial distribution), giving earlier ranks the remainder.
 func EqualBlock(ranks []int, n int) *Block {
-	p := len(ranks)
-	counts := make([]int, p)
-	base, rem := n/p, n%p
-	for i := range counts {
-		counts[i] = base
+	b := newBlock(ranks)
+	base, rem := n/len(ranks), n%len(ranks)
+	for i := range ranks {
+		b.bounds[i+1] = b.bounds[i] + base
 		if i < rem {
-			counts[i]++
+			b.bounds[i+1]++
 		}
 	}
-	return NewBlock(ranks, counts)
+	return b
 }
 
 // Owner implements Distribution.

@@ -28,15 +28,16 @@ type Monitor struct {
 
 	sink    telemetry.Sink // nil: no emission
 	stamper *telemetry.Stamper
-	cycleFn func() int // current phase cycle of the monitored application
+	cycle   *int // current phase cycle of the monitored application
 }
 
 // Attach routes every dmpi_ps reading through sink as a LoadSampleRecord.
-// cycleFn supplies the application's current phase cycle (may be nil).
-func (m *Monitor) Attach(sink telemetry.Sink, stamper *telemetry.Stamper, cycleFn func() int) {
+// cycle points at the application's current phase cycle (may be nil); the
+// monitor reads it on the application's own goroutine.
+func (m *Monitor) Attach(sink telemetry.Sink, stamper *telemetry.Stamper, cycle *int) {
 	m.sink = sink
 	m.stamper = stamper
-	m.cycleFn = cycleFn
+	m.cycle = cycle
 }
 
 // New creates a monitor for node with the default 1 s refresh.
@@ -64,8 +65,8 @@ func (m *Monitor) Reading() int {
 	r := 1 + m.node.CPCountAt(m.lastTick())
 	if m.sink != nil {
 		cycle := -1
-		if m.cycleFn != nil {
-			cycle = m.cycleFn()
+		if m.cycle != nil {
+			cycle = *m.cycle
 		}
 		m.sink.EmitLoadSample(telemetry.LoadSampleRecord{
 			Base:    m.stamper.Stamp(telemetry.KindLoadSample, cycle, m.node.Now().Seconds()),

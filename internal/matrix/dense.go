@@ -25,7 +25,10 @@
 // visible in virtual time.
 package matrix
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Alloc selects the dense allocation scheme.
 type Alloc int
@@ -141,6 +144,7 @@ func (d *Dense) SetWindow(lo, hi int) {
 
 	switch d.scheme {
 	case Projection:
+		d.free = slices.Grow(d.free, oldHi-oldLo-retained) // once, not row by row
 		for g := oldLo; g < oldHi; g++ {
 			if g < keepLo || g >= keepHi {
 				d.free = append(d.free, oldRows[g-oldLo])

@@ -240,11 +240,14 @@ func (g *Group) signal() {
 // together. All members must call each collective in the same order.
 type Group struct {
 	w       *World
-	members []int       // world ranks
-	slot    map[int]int // world rank -> index in members
+	members []int   // world ranks
+	slot    []int32 // world rank -> index in members plus one; 0: not a member
 
+	// The ring slots live in the group and each per-member field of theirs is
+	// one array cut in opRing pieces: a group costs the same few allocations
+	// at any size.
 	seq  []int64 // per-slot local op counter (written only by the owner)
-	ring [opRing]*opState
+	ring [opRing]opState
 
 	// Combiner-tree geometry, shared by the ring slots: lvlWidth[l] nodes
 	// at level l (level 0 = the leaves/slots), lvlOff[l] the flat offset.
@@ -334,20 +337,16 @@ func (w *World) NewGroup(members []int) *Group {
 		return g
 	}
 	w.groups.Unlock()
-	g := &Group{
-		w:       w,
-		members: append([]int(nil), members...),
-		slot:    make(map[int]int, len(members)),
-		seq:     make([]int64, len(members)),
-		winSeq:  make([]int64, len(members)),
-	}
-	for i, m := range members {
-		if _, dup := g.slot[m]; dup {
+	n := len(members)
+	g := &Group{w: w, members: append([]int(nil), members...), slot: make([]int32, w.cap)}
+	counters := make([]int64, 2*n)
+	g.seq, g.winSeq = counters[:n:n], counters[n:]
+	for i, m := range members { // a rank outside the world's capacity panics on the index
+		if g.slot[m] != 0 {
 			panic(fmt.Sprintf("mpi: duplicate rank %d in group", m))
 		}
-		g.slot[m] = i
+		g.slot[m] = int32(i + 1)
 	}
-	n := len(members)
 	flat := 0
 	if n >= treeMinRanks {
 		for width := n; ; width = (width + 1) / 2 {
@@ -359,23 +358,25 @@ func (w *World) NewGroup(members []int) *Group {
 			}
 		}
 	}
+	times := make([]vclock.Time, opRing*n)
+	bytes := make([]int, opRing*n)
+	contribs := make([]any, opRing*n)
+	contribsF64 := make([][]float64, opRing*n)
+	depSeq := make([]atomic.Int64, opRing*n)
+	consumed := make([]bool, opRing*n)
+	treeCnt := make([]atomic.Int32, opRing*flat)
+	treeVal := make([][]float64, opRing*flat)
+	treeBuf := make([][]float64, opRing*flat)
 	for i := range g.ring {
-		op := &opState{
-			times:       make([]vclock.Time, n),
-			bytes:       make([]int, n),
-			contribs:    make([]any, n),
-			contribsF64: make([][]float64, n),
-			depSeq:      make([]atomic.Int64, n),
-			consumed:    make([]bool, n),
-		}
-		if flat > 0 {
-			op.treeCnt = make([]atomic.Int32, flat)
-			op.treeVal = make([][]float64, flat)
-			op.treeBuf = make([][]float64, flat)
-		}
+		op := &g.ring[i]
+		lo, hi := i*n, (i+1)*n
+		op.times, op.bytes = times[lo:hi:hi], bytes[lo:hi:hi]
+		op.contribs, op.contribsF64 = contribs[lo:hi:hi], contribsF64[lo:hi:hi]
+		op.depSeq, op.consumed = depSeq[lo:hi:hi], consumed[lo:hi:hi]
+		lo, hi = i*flat, (i+1)*flat
+		op.treeCnt, op.treeVal, op.treeBuf = treeCnt[lo:hi:hi], treeVal[lo:hi:hi], treeBuf[lo:hi:hi]
 		op.left.Store(int32(n))
 		op.ready.Store(int64(i))
-		g.ring[i] = op
 	}
 	w.groups.Lock()
 	if prior, ok := w.groups.byKey[string(key)]; ok {
@@ -400,8 +401,10 @@ func (g *Group) Size() int { return len(g.members) }
 
 // Slot reports rank's index within the group and whether it is a member.
 func (g *Group) Slot(rank int) (int, bool) {
-	s, ok := g.slot[rank]
-	return s, ok
+	if uint(rank) >= uint(len(g.slot)) {
+		return 0, false
+	}
+	return int(g.slot[rank]) - 1, g.slot[rank] != 0
 }
 
 // getF64 returns a pool box holding a []float64 of length n. The box (a
@@ -453,7 +456,7 @@ func (c *Comm) groupSlot(g *Group) int {
 	if g == c.lastGroup {
 		return c.lastSlot
 	}
-	slot, ok := g.slot[c.rank]
+	slot, ok := g.Slot(c.rank)
 	if !ok {
 		panic(fmt.Sprintf("mpi: rank %d not in group", c.rank))
 	}
@@ -486,7 +489,7 @@ func (c *Comm) rendezvousErr(g *Group, contrib any, vec []float64, desc *collDes
 	seq := g.seq[slot]
 	g.seq[slot]++
 
-	op := g.ring[seq&opRingMask]
+	op := &g.ring[seq&opRingMask]
 	// Generation gate: wait until the slot's previous tenant has drained.
 	// Steady state never spins (the previous op drained two generations
 	// ago); the loop exists for the rare descheduled-resetter window and
@@ -860,7 +863,8 @@ func (g *Group) resetOp(op *opState) {
 // dies after an error was published (and was therefore counted as a live
 // consumer) can no longer consume its share. Called by World.Kill.
 func (g *Group) adoptOrphans(slot int) {
-	for _, op := range g.ring {
+	for i := range g.ring {
+		op := &g.ring[i]
 		op.mu.Lock()
 		if op.pub.Load() && op.cErr != nil && !op.consumed[slot] {
 			op.consumed[slot] = true
@@ -877,7 +881,8 @@ func (g *Group) adoptOrphans(slot int) {
 // published result some member never released.
 func (g *Group) leakedOps() int {
 	n := 0
-	for _, op := range g.ring {
+	for i := range g.ring {
+		op := &g.ring[i]
 		op.mu.Lock()
 		dirty := op.pub.Load()
 		if !dirty {
@@ -913,7 +918,8 @@ func (w *World) LeakedOps() int {
 		total += g.pendingDeposits()
 	}
 	w.groups.Unlock()
-	for _, b := range w.boxes {
+	for i := range w.boxes {
+		b := &w.boxes[i]
 		b.mu.Lock()
 		total += len(b.posted)
 		b.mu.Unlock()

@@ -38,7 +38,8 @@ func (w *World) Kill(rank int) {
 		return
 	}
 	w.deadCount.Add(1)
-	for r, b := range w.boxes {
+	for r := range w.boxes {
+		b := &w.boxes[r]
 		b.mu.Lock()
 		b.cond.Broadcast()
 		b.mu.Unlock()
@@ -52,25 +53,15 @@ func (w *World) Kill(rank int) {
 	// same reason — nothing will ever receive them — and deliver drops any
 	// that arrive later, so a corpse's mailbox stays empty instead of
 	// accreting protocol pings forever.
-	db := w.boxes[rank]
+	db := &w.boxes[rank]
 	db.mu.Lock()
-	for i := range db.posted {
-		db.posted[i] = nil
-	}
-	db.posted = db.posted[:0]
-	for k, q := range db.queues {
-		for !q.empty() {
-			q.pop()
-		}
-		delete(db.queues, k)
-	}
-	db.total = 0
+	db.store, db.posted, db.total = nil, nil, 0
 	db.mu.Unlock()
 	w.groups.Lock()
 	groups := append([]*Group(nil), w.groups.list...)
 	w.groups.Unlock()
 	for _, g := range groups {
-		if slot, ok := g.slot[rank]; ok {
+		if slot, ok := g.Slot(rank); ok {
 			g.adoptOrphans(slot)
 			// Deposits targeting the dead rank's window slots will never be
 			// fence-drained (only the owner drains its slot); drop them so

@@ -92,6 +92,26 @@ func matchKey(src, tag int) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(tag))
 }
 
+// inlineKeys sizes a boxStore. A sweep's short worlds use 5 distinct (src,tag)
+// keys per rank on average, 8 or fewer on nine ranks in ten, never queue a
+// second envelope behind a first and post at most two receives at a time.
+const inlineKeys = 8
+
+// boxStore is a mailbox's point-to-point storage, one allocation made the
+// first time a message waits in the mailbox or a receive is posted on it (a
+// rank that only takes part in collectives never pays for it). The first
+// inlineKeys keys get a queue and its first envelope here, found by scanning
+// keys; later keys spill to a map of heap queues. Keys are never released: a
+// world reuses its (src,tag) pairs.
+type boxStore struct {
+	n      int // inline queues in use
+	keys   [inlineKeys]uint64
+	queues [inlineKeys]envQueue
+	first  [inlineKeys]envelope // queues[i].items starts as first[i:i:i+1]
+	posted [4]*Request          // where mailbox.posted starts
+	spill  map[uint64]*envQueue
+}
+
 // mailbox is one rank's incoming message store, indexed by (src,tag) so
 // matching is O(1) instead of a linear scan of one shared queue. Only the
 // owning rank's goroutine receives from a mailbox, so there is at most one
@@ -103,11 +123,11 @@ func matchKey(src, tag int) uint64 {
 // lowest arrival number across all queues, preserving the arrival-order
 // semantics of the old single-queue implementation exactly.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[uint64]*envQueue
-	seq    uint64 // next arrival number
-	total  int    // envelopes currently queued across all keys
+	mu    sync.Mutex
+	cond  sync.Cond // L is &mu
+	store *boxStore // nil until first used, see storage
+	seq   uint64    // next arrival number
+	total int       // envelopes currently queued across all keys
 
 	// The receiver's posted wait, valid while waiting is true.
 	waiting bool
@@ -121,6 +141,45 @@ type mailbox struct {
 	reqWait bool
 }
 
+// storage returns the mailbox's store, allocating it on first use. Callers
+// hold b.mu.
+func (b *mailbox) storage() *boxStore {
+	if b.store == nil {
+		b.store = new(boxStore)
+		b.posted = b.store.posted[:0]
+	}
+	return b.store
+}
+
+// queue returns the FIFO of key, or nil when the mailbox never saw the key;
+// with create set it makes one instead. Callers hold b.mu.
+func (b *mailbox) queue(key uint64, create bool) *envQueue {
+	if b.store == nil && !create {
+		return nil
+	}
+	s := b.storage()
+	for i, k := range s.keys[:s.n] {
+		if k == key {
+			return &s.queues[i]
+		}
+	}
+	if q := s.spill[key]; q != nil || !create {
+		return q
+	}
+	if i := s.n; i < inlineKeys {
+		s.n++
+		s.keys[i] = key
+		s.queues[i].items = s.first[i : i : i+1]
+		return &s.queues[i]
+	}
+	if s.spill == nil {
+		s.spill = make(map[uint64]*envQueue)
+	}
+	q := new(envQueue)
+	s.spill[key] = q
+	return q
+}
+
 func matches(e *envelope, src, tag int) bool {
 	return (src == AnySource || e.src == src) && (tag == AnyTag || e.tag == tag)
 }
@@ -132,7 +191,7 @@ func (b *mailbox) take(src, tag int) (envelope, bool) {
 		return envelope{}, false
 	}
 	if src != AnySource && tag != AnyTag {
-		q := b.queues[matchKey(src, tag)]
+		q := b.queue(matchKey(src, tag), false)
 		if q == nil || q.empty() {
 			return envelope{}, false
 		}
@@ -141,18 +200,19 @@ func (b *mailbox) take(src, tag int) (envelope, bool) {
 	}
 	// Wildcard: earliest arrival across all matching queues.
 	var best *envQueue
-	var bestSeq uint64
-	for _, q := range b.queues {
-		if q.empty() {
-			continue
+	consider := func(q *envQueue) {
+		if q.empty() || !matches(q.front(), src, tag) {
+			return
 		}
-		e := q.front()
-		if !matches(e, src, tag) {
-			continue
+		if best == nil || q.front().seq < best.front().seq {
+			best = q
 		}
-		if best == nil || e.seq < bestSeq {
-			best, bestSeq = q, e.seq
-		}
+	}
+	for i := range b.store.queues[:b.store.n] {
+		consider(&b.store.queues[i])
+	}
+	for _, q := range b.store.spill {
+		consider(q)
 	}
 	if best == nil {
 		return envelope{}, false
@@ -165,17 +225,18 @@ func (b *mailbox) take(src, tag int) (envelope, bool) {
 // all-ranks group, and failure propagation.
 //
 // A world's capacity is fixed at creation from the cluster's seed size plus
-// its arrival capacity. Every per-rank structure (mailboxes, dead bitmap)
-// is preallocated to that capacity and never reallocated, so Spawn — which
-// grows the running world into the preallocated slots — is race-free with
-// zero cost on the steady-state paths: a send to a not-yet-spawned rank
-// simply enqueues into its (empty) mailbox and is drained when the joiner
-// starts.
+// its arrival capacity. Every per-rank structure (mailboxes, endpoints, dead
+// bitmap) is one slice of that capacity, made once and never reallocated, so
+// Spawn — which grows the running world into the preallocated slots — is
+// race-free with zero cost on the steady-state paths: a send to a
+// not-yet-spawned rank simply enqueues into its (empty) mailbox and is
+// drained when the joiner starts.
 type World struct {
 	cl     *cluster.Cluster
 	n      int // seed size: ranks [0,n) run from the start
 	cap    int // capacity: seed + arrivals; bounds every rank ID
-	boxes  []*mailbox
+	boxes  []mailbox
+	comms  []Comm // rank r's endpoint, initialised by NewComm(r)
 	all    *Group
 	failed atomic.Bool
 	errMu  sync.Mutex
@@ -219,12 +280,11 @@ func NewWorld(cl *cluster.Cluster) *World {
 	w.size.Store(int32(w.n))
 	w.spawned = make([]atomic.Bool, w.cap-w.n)
 	w.dead = make([]atomic.Bool, w.cap)
-	w.boxes = make([]*mailbox, w.cap)
+	w.boxes = make([]mailbox, w.cap)
+	w.comms = make([]Comm, w.cap)
 	w.wake = make([]chan struct{}, w.cap)
 	for i := range w.boxes {
-		b := &mailbox{queues: make(map[uint64]*envQueue)}
-		b.cond = sync.NewCond(&b.mu)
-		w.boxes[i] = b
+		w.boxes[i].cond.L = &w.boxes[i].mu
 		w.wake[i] = make(chan struct{}, 1)
 	}
 	members := make([]int, w.n)
@@ -259,7 +319,8 @@ func (w *World) fail(err error) {
 	}
 	w.errMu.Unlock()
 	w.failed.Store(true)
-	for r, b := range w.boxes {
+	for r := range w.boxes {
+		b := &w.boxes[r]
 		b.mu.Lock()
 		b.waiting = false // the posted pattern is void; everyone unwinds
 		b.reqWait = false
@@ -311,15 +372,17 @@ type Comm struct {
 	// stalled on. Telemetry reports it per cycle as HiddenWireNs.
 	HiddenWire vclock.Duration
 
-	// reqFree is the rank-local nonblocking request pool (see request.go).
+	// reqFree is the rank-local nonblocking request pool (see request.go),
+	// on reqArr until more than that many requests are free at once.
 	reqFree []*Request
+	reqArr  [4]*Request
 
 	// sbuf is a pinned scratch vector for the scalar collectives
 	// (AllreduceSum/Max, AllgatherF64sInto), so depositing a scalar into a
 	// collective performs no per-op allocation. Safe because every Comm
 	// method runs on the rank's own goroutine and each collective copies
 	// its result out before returning.
-	sbuf []float64
+	sbuf [1]float64
 
 	// lastGroup/lastSlot cache this rank's slot in the most recently used
 	// group, so the steady state (the same group every cycle) resolves its
@@ -341,15 +404,17 @@ type Comm struct {
 	// nothing; a buffer sent to a dead rank is simply dropped with its
 	// envelope. No lock: every Comm method runs on the rank's own goroutine,
 	// and the mailbox mutex orders the sender's fill before the receiver's
-	// reads.
+	// reads. The list lives on bufArr: maxBufFree bounds it.
 	bufFree []*F64Msg
+	bufArr  [maxBufFree]*F64Msg
 }
 
-// NewComm returns rank r's endpoint. Typically Run constructs these.
+// NewComm returns rank r's endpoint, the world's one per rank. Typically Run
+// constructs these.
 func (w *World) NewComm(r int) *Comm {
-	c := &Comm{w: w, rank: r, node: w.cl.Node(r)}
-	c.sbuf = make([]float64, 1)
-	c.flt = w.flt.Node(r)
+	c := &w.comms[r]
+	*c = Comm{w: w, rank: r, node: w.cl.Node(r), flt: w.flt.Node(r)}
+	c.reqFree, c.bufFree = c.reqArr[:0], c.bufArr[:0]
 	return c
 }
 
@@ -502,7 +567,7 @@ func (w *World) deliver(dst int, env envelope) {
 	if w.deadCount.Load() > 0 && w.dead[dst].Load() {
 		return
 	}
-	box := w.boxes[dst]
+	box := &w.boxes[dst]
 	box.mu.Lock()
 	env.seq = box.seq
 	box.seq++
@@ -521,13 +586,7 @@ func (w *World) deliver(dst int, env envelope) {
 			return
 		}
 	}
-	key := matchKey(env.src, env.tag)
-	q := box.queues[key]
-	if q == nil {
-		q = &envQueue{}
-		box.queues[key] = q
-	}
-	q.push(env)
+	box.queue(matchKey(env.src, env.tag), true).push(env)
 	box.total++
 	// Targeted wakeup: only disturb the receiver when this message can
 	// complete its posted receive.
@@ -575,7 +634,7 @@ func (c *Comm) RecvErr(src, tag int) (any, Status, error) {
 	if c.flt != nil {
 		c.pollFaults()
 	}
-	box := c.w.boxes[c.rank]
+	box := &c.w.boxes[c.rank]
 	box.mu.Lock()
 	var env envelope
 	for {
@@ -679,6 +738,11 @@ func (w *World) launch(rank int) {
 					w.fail(fmt.Errorf("rank %d panicked: %v", rank, p))
 				}
 			}
+			// The world outlives its ranks (a used sync.Pool keeps its group
+			// reachable for two GC cycles): let go of what only this rank used.
+			comm.reqFree, comm.bufFree = nil, nil
+			clear(comm.reqArr[:])
+			clear(comm.bufArr[:])
 			if exitHook != nil {
 				exitHook(rank)
 			}
@@ -721,7 +785,7 @@ func (w *World) Spawn(ranks []int) {
 // mailbox (excluding filled posted requests). Tests use it to assert dead
 // ranks' mailboxes do not accrete messages.
 func (w *World) QueuedMsgs(rank int) int {
-	b := w.boxes[rank]
+	b := &w.boxes[rank]
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.total
@@ -763,7 +827,7 @@ func (c *Comm) BarrierErr(g *Group) error {
 // bcastRootSlot resolves root to its group slot, panicking (and thereby
 // failing the world from inside a rank) when root is not a member.
 func (g *Group) bcastRootSlot(root int) int {
-	s, ok := g.slot[root]
+	s, ok := g.Slot(root)
 	if !ok {
 		panic(fmt.Sprintf("mpi: bcast root %d not in group", root))
 	}
@@ -861,14 +925,14 @@ func ropOf(op func(a, b float64) float64) uint8 {
 // AllreduceSum reduces a single value by summation.
 func (c *Comm) AllreduceSum(g *Group, v float64) float64 {
 	c.sbuf[0] = v
-	c.rendezvous(g, nil, c.sbuf, &collDesc{kind: opAllreduce, bytes: 8, rfn: Sum, rop: ropSum, pooled: true}, c.sbuf)
+	c.rendezvous(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Sum, rop: ropSum, pooled: true}, c.sbuf[:])
 	return c.sbuf[0]
 }
 
 // AllreduceMax reduces a single value by maximum.
 func (c *Comm) AllreduceMax(g *Group, v float64) float64 {
 	c.sbuf[0] = v
-	c.rendezvous(g, nil, c.sbuf, &collDesc{kind: opAllreduce, bytes: 8, rfn: Max, rop: ropMax, pooled: true}, c.sbuf)
+	c.rendezvous(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Max, rop: ropMax, pooled: true}, c.sbuf[:])
 	return c.sbuf[0]
 }
 
@@ -895,7 +959,7 @@ func (c *Comm) AllreduceF64sIntoErr(g *Group, buf []float64, op func(a, b float6
 // world when a group member is dead.
 func (c *Comm) AllreduceSumErr(g *Group, v float64) (float64, error) {
 	c.sbuf[0] = v
-	if _, err := c.rendezvousErr(g, nil, c.sbuf, &collDesc{kind: opAllreduce, bytes: 8, rfn: Sum, rop: ropSum, pooled: true}, c.sbuf); err != nil {
+	if _, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Sum, rop: ropSum, pooled: true}, c.sbuf[:]); err != nil {
 		return 0, err
 	}
 	return c.sbuf[0], nil
@@ -905,7 +969,7 @@ func (c *Comm) AllreduceSumErr(g *Group, v float64) (float64, error) {
 // world when a group member is dead.
 func (c *Comm) AllreduceMaxErr(g *Group, v float64) (float64, error) {
 	c.sbuf[0] = v
-	if _, err := c.rendezvousErr(g, nil, c.sbuf, &collDesc{kind: opAllreduce, bytes: 8, rfn: Max, rop: ropMax, pooled: true}, c.sbuf); err != nil {
+	if _, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Max, rop: ropMax, pooled: true}, c.sbuf[:]); err != nil {
 		return 0, err
 	}
 	return c.sbuf[0], nil
@@ -947,7 +1011,7 @@ func (c *Comm) AllgatherF64(g *Group, v float64) []float64 {
 // Allgather.
 func (c *Comm) AllgatherF64sInto(g *Group, v float64, dst []float64) {
 	c.sbuf[0] = v
-	c.rendezvous(g, nil, c.sbuf, &collDesc{kind: opAllgatherF64, bytes: 8, pooled: true}, dst)
+	c.rendezvous(g, nil, c.sbuf[:], &collDesc{kind: opAllgatherF64, bytes: 8, pooled: true}, dst)
 }
 
 // AllgatherF64sIntoErr is AllgatherF64sInto returning an error instead of
@@ -955,7 +1019,7 @@ func (c *Comm) AllgatherF64sInto(g *Group, v float64, dst []float64) {
 // so the caller may retry over a rebuilt group.
 func (c *Comm) AllgatherF64sIntoErr(g *Group, v float64, dst []float64) error {
 	c.sbuf[0] = v
-	_, err := c.rendezvousErr(g, nil, c.sbuf, &collDesc{kind: opAllgatherF64, bytes: 8, pooled: true}, dst)
+	_, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllgatherF64, bytes: 8, pooled: true}, dst)
 	return err
 }
 
@@ -975,7 +1039,7 @@ func (c *Comm) AllgatherInt(g *Group, v int) []int {
 // wire in total (see gatherCost) — and non-root members are handed nil
 // without a copy of the gathered slice.
 func (c *Comm) Gather(g *Group, root int, contrib any, bytes int) []any {
-	rootSlot, ok := g.slot[root]
+	rootSlot, ok := g.Slot(root)
 	if !ok {
 		panic(fmt.Sprintf("mpi: gather root %d not in group", root))
 	}

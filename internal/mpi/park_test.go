@@ -14,7 +14,7 @@ import (
 // awaitParked returns once want members are blocked on their wake channels
 // in g's op number seq — every one of them past its spin budget.
 func awaitParked(g *Group, seq int64, want int) {
-	op := g.ring[seq&opRingMask]
+	op := &g.ring[seq&opRingMask]
 	for op.ready.Load() != seq || int(op.parked.Load()) != want {
 		time.Sleep(20 * time.Microsecond)
 	}
@@ -98,26 +98,37 @@ func TestCollectiveParkPath(t *testing.T) {
 	}
 }
 
-// TestNewGroupAllocsIndependentOfSize pins where the parking spots live: a
-// group's allocations are a fixed number of per-op arrays whatever its size,
-// where one wake channel per ring slot per member cost opRing × members.
+// TestNewGroupAllocsIndependentOfSize pins what a group is made of: the Group
+// with its ring slots inside, the member list, the slot index, the two
+// per-member counters on one array and one array per per-member field of the
+// ring — each cut in opRing pieces — whatever the group's size, where an
+// opState and six arrays per ring slot cost 28 and one wake channel per ring
+// slot per member cost opRing × members before that. Past treeMinRanks the
+// combiner tree adds its geometry and three arrays; only the registry key grows
+// with the member count.
 func TestNewGroupAllocsIndependentOfSize(t *testing.T) {
 	w := NewWorld(cluster.New(cluster.Uniform(256)))
 	allocs := func(n int) float64 {
 		members := make([]int, n)
 		shift := 0
 		return testing.AllocsPerRun(20, func() {
-			// A new rotation each call: an unregistered group every time.
+			// A window sliding round the world: an unregistered group every time.
 			for i := range members {
-				members[i] = (i + shift) % n
+				members[i] = (i + shift) % w.Cap()
 			}
 			shift++
 			runtime.KeepAlive(w.NewGroup(members))
 		})
 	}
-	small, large := allocs(32), allocs(256)
-	t.Logf("NewGroup: %v allocs at 32 members, %v at 256", small, large)
-	if large > small+8 { // the slot map's buckets are the only part that scales
+	flat, small, large := allocs(8), allocs(32), allocs(256)
+	t.Logf("NewGroup: %v allocs at 8 members, %v at 32, %v at 256", flat, small, large)
+	if flat > 12 { // 10 for the group, the key string, the registry's own growth
+		t.Errorf("NewGroup allocates %v objects at 8 members, want at most 12", flat)
+	}
+	if small > 23 {
+		t.Errorf("NewGroup allocates %v objects at 32 members, want at most 23", small)
+	}
+	if large > small+8 { // the key outgrows its stack buffer
 		t.Errorf("NewGroup allocates %v objects at 256 members against %v at 32: growing with group size", large, small)
 	}
 }

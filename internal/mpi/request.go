@@ -52,7 +52,7 @@ type Request struct {
 // requests). It does not advance any clock; deterministic drains use it to
 // order their Wait calls.
 func (r *Request) Arrival() (vclock.Time, bool) {
-	box := r.c.w.boxes[r.c.rank]
+	box := &r.c.w.boxes[r.c.rank]
 	box.mu.Lock()
 	defer box.mu.Unlock()
 	if !r.done {
@@ -61,15 +61,22 @@ func (r *Request) Arrival() (vclock.Time, bool) {
 	return r.env.avail, true
 }
 
-// getReq pops a pooled request (or allocates the pool's high-water mark).
+// getReq pops a pooled request. A dry pool is refilled with one slab of
+// len(reqArr) requests — a halo exchange holds that many at once — so a rank
+// reaches its high-water mark in slabs, not one request at a time.
 func (c *Comm) getReq() *Request {
-	if n := len(c.reqFree); n > 0 {
-		r := c.reqFree[n-1]
-		c.reqFree[n-1] = nil
-		c.reqFree = c.reqFree[:n-1]
-		return r
+	if len(c.reqFree) == 0 {
+		slab := make([]Request, len(c.reqArr))
+		for i := range slab {
+			slab[i].c = c
+			c.reqFree = append(c.reqFree, &slab[i])
+		}
 	}
-	return &Request{c: c}
+	n := len(c.reqFree)
+	r := c.reqFree[n-1]
+	c.reqFree[n-1] = nil
+	c.reqFree = c.reqFree[:n-1]
+	return r
 }
 
 // putReq resets and recycles a request. Only the owning goroutine calls it.
@@ -129,12 +136,13 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	r := c.getReq()
 	r.src, r.tag = src, tag
 	r.postVT = c.node.Now()
-	box := c.w.boxes[c.rank]
+	box := &c.w.boxes[c.rank]
 	box.mu.Lock()
 	if env, ok := box.take(src, tag); ok {
 		r.env = env
 		r.done = true
 	} else {
+		box.storage()
 		box.posted = append(box.posted, r)
 	}
 	box.mu.Unlock()
@@ -171,7 +179,7 @@ func (c *Comm) waitErr(req *Request, credit bool) (any, Status, error) {
 		c.putReq(req)
 		return nil, Status{}, nil
 	}
-	box := c.w.boxes[c.rank]
+	box := &c.w.boxes[c.rank]
 	box.mu.Lock()
 	for !req.done {
 		if c.w.failed.Load() {
@@ -294,7 +302,7 @@ func (c *Comm) Waitall(reqs []*Request) error {
 // the virtual timeline stays fully determined by the subsequent Wait calls.
 func (c *Comm) Waitany(reqs []*Request) int {
 	c.checkFailed()
-	box := c.w.boxes[c.rank]
+	box := &c.w.boxes[c.rank]
 	box.mu.Lock()
 	defer box.mu.Unlock()
 	for {
@@ -328,7 +336,7 @@ func (c *Comm) Test(req *Request) bool {
 	if req.send {
 		return true
 	}
-	box := c.w.boxes[c.rank]
+	box := &c.w.boxes[c.rank]
 	box.mu.Lock()
 	defer box.mu.Unlock()
 	return req.done || (c.w.deadCount.Load() > 0 && c.w.dead[req.src].Load())

@@ -223,7 +223,7 @@ func (c *Comm) WinAttach(win *Win, mem WinMem) {
 func (c *Comm) Put(win *Win, target, off int, src []float64) {
 	c.checkFailed()
 	g := win.g
-	tslot, ok := g.slot[target]
+	tslot, ok := g.Slot(target)
 	if !ok {
 		panic(fmt.Sprintf("mpi: put to rank %d outside window group", target))
 	}
@@ -283,7 +283,7 @@ func (c *Comm) Put(win *Win, target, off int, src []float64) {
 func (c *Comm) Get(win *Win, target, off int, dst []float64) {
 	c.checkFailed()
 	g := win.g
-	tslot, ok := g.slot[target]
+	tslot, ok := g.Slot(target)
 	if !ok {
 		panic(fmt.Sprintf("mpi: get from rank %d outside window group", target))
 	}
@@ -507,7 +507,7 @@ func (c *Comm) WinPost(win *Win, origins []int, note int64) {
 		panic(fmt.Sprintf("mpi: rank %d posting window %d with exposure epoch already open", c.rank, win.id))
 	}
 	for _, o := range origins {
-		if _, ok := win.g.slot[o]; !ok {
+		if _, ok := win.g.Slot(o); !ok {
 			panic(fmt.Sprintf("mpi: post to rank %d outside window group", o))
 		}
 		if o == c.rank {
@@ -542,7 +542,7 @@ func (c *Comm) WinStartErr(win *Win, targets []int, notes []int64) error {
 	}
 	var dead []int
 	for i, t := range targets {
-		if _, ok := win.g.slot[t]; !ok {
+		if _, ok := win.g.Slot(t); !ok {
 			panic(fmt.Sprintf("mpi: start toward rank %d outside window group", t))
 		}
 		if t == c.rank {
@@ -658,7 +658,8 @@ func (c *Comm) WinWaitErr(win *Win) error {
 			win.expose[slot] = win.expose[slot][:0]
 			return err
 		}
-		stamps = append(stamps, doneStamp{oslot: win.g.slot[o], epoch: p.(int64)})
+		oslot, _ := win.g.Slot(o) // WinPost checked membership
+		stamps = append(stamps, doneStamp{oslot: oslot, epoch: p.(int64)})
 	}
 	win.expose[slot] = win.expose[slot][:0]
 	if dead != nil {
@@ -695,7 +696,7 @@ func (c *Comm) WinWaitErr(win *Win) error {
 // pair, so an epoch-agnostic count answers deterministically whether the
 // dead origin's transfer landed in full.
 func (c *Comm) PendingPSCW(win *Win, origin int) (elems int, ok bool) {
-	oslot, member := win.g.slot[origin]
+	oslot, member := win.g.Slot(origin)
 	if !member {
 		return 0, false
 	}
@@ -720,7 +721,7 @@ func (c *Comm) PendingPSCW(win *Win, origin int) (elems int, ok bool) {
 // whether the dead origin's transfer landed in full — a Put either ran to
 // completion or never started (crashes fire at operation entry).
 func (c *Comm) PendingFrom(win *Win, origin int) (elems int, ok bool) {
-	oslot, member := win.g.slot[origin]
+	oslot, member := win.g.Slot(origin)
 	if !member {
 		return 0, false
 	}

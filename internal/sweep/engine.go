@@ -131,6 +131,7 @@ func Run(o Options) (*Result, error) {
 	defer close(work)
 
 	var h worldQueue
+	var scratch statsScratch
 	active := 0
 	next := 0 // next cell to admit
 
@@ -144,7 +145,7 @@ func Run(o Options) (*Result, error) {
 			// Percentiles of a truncated stream would look like a result.
 			cr.Err = fmt.Sprintf("telemetry ring overflow: %d records dropped, raise RingCap", dropped)
 		default:
-			cr.Stats = buildStats(w.ring, out.res)
+			cr.Stats = scratch.buildStats(w.ring, out.res)
 		}
 		res.Cells[w.cell.Index] = cr
 		active--

@@ -37,15 +37,21 @@ type CellStats struct {
 	CheckInt int64   `json:"check_int,omitempty"`
 }
 
+// statsScratch is the two lists buildStats fills per cell; Run owns one and
+// every cell of the sweep reuses it.
+type statsScratch struct {
+	samples []float64
+	hidden  []*telemetry.IterationRecord
+}
+
 // buildStats folds a world's telemetry ring and application result into
 // CellStats, straight from the ring's storage (the world is over, so the
 // record pointers stay valid). The hidden-wire float sum runs in
 // telemetry.Sort's order, not the order the rank goroutines emitted in; a
 // record that hid nothing would add an exact zero and is left out.
-func buildStats(ring *telemetry.Ring, res apps.Result) CellStats {
+func (sc *statsScratch) buildStats(ring *telemetry.Ring, res apps.Result) CellStats {
 	var st CellStats
-	var hidden []*telemetry.IterationRecord
-	samples := make([]float64, 0, ring.Len())
+	samples, hidden := sc.samples[:0], sc.hidden[:0]
 	ring.Walk(telemetry.Visitor{
 		Iteration: func(v *telemetry.IterationRecord) {
 			samples = append(samples, v.ComputeS+v.CommS+v.WaitS)
@@ -63,6 +69,8 @@ func buildStats(ring *telemetry.Ring, res apps.Result) CellStats {
 	for _, v := range hidden {
 		st.HiddenWireS += float64(v.HiddenWireNs) / 1e9
 	}
+	sc.samples, sc.hidden = samples, hidden
+	clear(hidden) // the ring they point into is the finished cell's
 	st.Cycles = len(samples)
 	sort.Float64s(samples)
 	st.IterP50 = percentile(samples, 50)

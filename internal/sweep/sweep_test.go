@@ -455,3 +455,42 @@ func TestGrowSkewChecksums(t *testing.T) {
 		}
 	}
 }
+
+// TestSecondDropCellFinishes is the smoke grid's one known hang as a one-cell
+// grid: the competing process on node 1 at cycle 8 removes rank 1, and the
+// skew process that precedes the grow then loads node 0 — the send-out root
+// rank 1 listens to. The second drop used to remove it, and rank 1 never left
+// the final checksum's send-out receive (core/colls.go). The cell must finish,
+// under a watchdog, and — fault-free — with the checksum of the same cell
+// without any resize.
+func TestSecondDropCellFinishes(t *testing.T) {
+	checksum := func(resize string) float64 {
+		g := Smoke()
+		spec := "scen=jacobi;ranks=4;fault=none;rep=0;rma=0;cpnode=1;cpcycle=8;resize=" + resize
+		if err := g.ParseSpec(spec); err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		type outcome struct {
+			r   *Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			r, err := Run(Options{Grid: g, Jobs: 1})
+			done <- outcome{r, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err != nil || len(o.r.Cells) != 1 || o.r.Cells[0].Err != "" {
+				t.Fatalf("%s: err %v, cells %+v", spec, o.err, o.r)
+			}
+			return o.r.Cells[0].Stats.Checksum
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: the world hung", spec)
+		}
+		return 0
+	}
+	if skew, plain := checksum("growskew"), checksum("none"); skew != plain {
+		t.Errorf("checksum %v with the skewed grow, %v without a resize", skew, plain)
+	}
+}

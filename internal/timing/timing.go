@@ -40,36 +40,49 @@ func quantize(d vclock.Duration) vclock.Duration {
 }
 
 // Collector accumulates per-iteration timing for a node across the grace
-// period, for the iteration range [lo,hi) currently assigned to it.
+// period, for the iteration range [lo,hi) currently assigned to it. Its
+// owner keeps one and Resets it at every grace period: the per-iteration
+// array is reused whenever the new range fits.
 type Collector struct {
 	node   *cluster.Node
 	lo, hi int
 
-	cycles    int
-	wallMin   []vclock.Duration // per local iteration, min over cycles
-	procSum   []vclock.Duration
-	procCount []int
+	cycles int
+	iters  []iterTiming // per local iteration
 
 	iterWallStart vclock.Time
 	iterProcStart vclock.Duration
 	inIter        bool
 }
 
+// iterTiming is what the grace period has measured of one iteration.
+type iterTiming struct {
+	wallMin   vclock.Duration // min over cycles
+	procSum   vclock.Duration
+	procCount int
+}
+
 // NewCollector starts collecting for iterations [lo,hi) on node.
 func NewCollector(node *cluster.Node, lo, hi int) *Collector {
+	c := new(Collector)
+	c.Reset(node, lo, hi)
+	return c
+}
+
+// Reset discards everything measured and starts collecting for iterations
+// [lo,hi) on node, as a fresh collector would.
+func (c *Collector) Reset(node *cluster.Node, lo, hi int) {
 	if lo > hi {
 		panic(fmt.Sprintf("timing: bad iteration range [%d,%d)", lo, hi))
 	}
-	n := hi - lo
-	c := &Collector{node: node, lo: lo, hi: hi,
-		wallMin:   make([]vclock.Duration, n),
-		procSum:   make([]vclock.Duration, n),
-		procCount: make([]int, n),
+	iters := c.iters[:0]
+	if cap(iters) < hi-lo {
+		iters = make([]iterTiming, 0, hi-lo)
 	}
-	for i := range c.wallMin {
-		c.wallMin[i] = vclock.Duration(1) << 62
+	*c = Collector{node: node, lo: lo, hi: hi, iters: iters[:hi-lo]}
+	for i := range c.iters {
+		c.iters[i] = iterTiming{wallMin: vclock.Duration(1) << 62}
 	}
-	return c
 }
 
 // BeginIter marks the start of one iteration's computation.
@@ -91,14 +104,14 @@ func (c *Collector) EndIter(g int) {
 	if g < c.lo || g >= c.hi {
 		panic(fmt.Sprintf("timing: iteration %d outside [%d,%d)", g, c.lo, c.hi))
 	}
-	i := g - c.lo
+	it := &c.iters[g-c.lo]
 	wall := c.node.Now().Sub(c.iterWallStart)
 	proc := quantize(c.node.CPUTime()) - c.iterProcStart
-	if wall < c.wallMin[i] {
-		c.wallMin[i] = wall
+	if wall < it.wallMin {
+		it.wallMin = wall
 	}
-	c.procSum[i] += proc
-	c.procCount[i]++
+	it.procSum += proc
+	it.procCount++
 }
 
 // EndCycle marks the end of one measured phase cycle.
@@ -122,16 +135,16 @@ func (c *Collector) Estimates() []float64 {
 	if cycles == 0 {
 		cycles = 1
 	}
-	for i := range out {
-		samplesPerCycle := c.procCount[i] / cycles
+	for i, it := range c.iters {
+		samplesPerCycle := it.procCount / cycles
 		if samplesPerCycle == 0 {
 			samplesPerCycle = 1
 		}
 		var local vclock.Duration
-		if c.procCount[i] > 0 && c.wallMin[i] >= ProcGranularity && c.procSum[i] > 0 {
-			local = c.procSum[i] / vclock.Duration(cycles)
+		if it.procCount > 0 && it.wallMin >= ProcGranularity && it.procSum > 0 {
+			local = it.procSum / vclock.Duration(cycles)
 		} else {
-			local = c.wallMin[i] * vclock.Duration(samplesPerCycle)
+			local = it.wallMin * vclock.Duration(samplesPerCycle)
 		}
 		out[i] = local.Seconds() * c.node.Power()
 	}

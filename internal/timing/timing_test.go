@@ -217,3 +217,47 @@ func TestQuantize(t *testing.T) {
 		t.Fatal("quantize 10ms")
 	}
 }
+
+// A reset collector is a fresh one: after measuring one range it must report,
+// over a different range — smaller (its array is reused) and larger (it is
+// regrown) — exactly what a new collector measuring only that range reports
+// on an identical node, with nothing of the earlier grace period left: no
+// minimum, no /PROC sum, no cycle count, no open iteration.
+func TestResetCollectorMatchesFresh(t *testing.T) {
+	run := func(c *Collector, node *cluster.Node, lo, hi, cycles int, cost vclock.Duration) []float64 {
+		for cy := 0; cy < cycles; cy++ {
+			for g := lo; g < hi; g++ {
+				c.BeginIter()
+				node.Compute(cost * vclock.Duration(1+g%3))
+				c.EndIter(g)
+			}
+			c.EndCycle()
+		}
+		return c.Estimates()
+	}
+	for _, second := range [][2]int{{20, 31}, {3, 90}} {
+		lo, hi := second[0], second[1]
+		// Two identical loaded nodes run the same history: the first range
+		// leaves their clocks, timeslices and PRNG streams in the same state.
+		used, fresh := loadedNode(1), loadedNode(1)
+		reused := NewCollector(used, 10, 50)
+		run(reused, used, 10, 50, 4, vclock.Millisecond) // short: a stale minimum would win later
+		run(NewCollector(fresh, 10, 50), fresh, 10, 50, 4, vclock.Millisecond)
+
+		reused.BeginIter() // left open: Reset must close it
+		reused.Reset(used, lo, hi)
+		got := run(reused, used, lo, hi, 2, 6*vclock.Millisecond)
+		want := run(NewCollector(fresh, lo, hi), fresh, lo, hi, 2, 6*vclock.Millisecond)
+		if rlo, rhi := reused.Range(); rlo != lo || rhi != hi || reused.Cycles() != 2 {
+			t.Fatalf("reset collector covers [%d,%d) after %d cycles, want [%d,%d) after 2", rlo, rhi, reused.Cycles(), lo, hi)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("[%d,%d): %d estimates from the reset collector, %d from a fresh one", lo, hi, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("[%d,%d): estimate %d is %v from the reset collector, %v from a fresh one", lo, hi, i, got[i], want[i])
+			}
+		}
+	}
+}
