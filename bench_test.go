@@ -472,6 +472,55 @@ func BenchmarkNodeCompute(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeComputeN is the bulk form at adapt_dense's shape: 1.6 ms rows
+// against 5–15 ms timeslices, charged 64 at a time. One op is one row.
+func BenchmarkNodeComputeN(b *testing.B) {
+	b.ReportAllocs()
+	spec := cluster.Uniform(1).With(cluster.TimeEvent(0, 0, +1))
+	n := cluster.New(spec).Node(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 64 {
+		n.ComputeN(1600*vclock.Microsecond, 64)
+	}
+}
+
+// BenchmarkChargeTouch is the charge matrix.Sparse.Append makes per element.
+func BenchmarkChargeTouch(b *testing.B) {
+	b.ReportAllocs()
+	spec := cluster.Uniform(1).With(cluster.TimeEvent(0, 0, +1))
+	n := cluster.New(spec).Node(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.ChargeTouch(32)
+	}
+}
+
+// BenchmarkStencilRows runs the two dense kernels with their charges and
+// nothing else: one rank (no halo traffic), no adaptation, 64 rows × 32
+// columns per cycle. One op is one row of one cycle (both colours for SOR);
+// the world's set-up amortises to 0 allocs/op.
+func BenchmarkStencilRows(b *testing.B) {
+	const rows, cols = 64, 32
+	b.Run("jacobi", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := jacobi.DefaultConfig()
+		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = rows, cols, (b.N+rows-1)/rows, 50e3
+		cfg.Core.Adapt = false
+		if _, err := jacobi.Run(cluster.New(cluster.Uniform(1)), cfg); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("sor", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := sor.DefaultConfig()
+		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = rows, cols, (b.N+rows-1)/rows, 50e3
+		cfg.Core.Adapt = false
+		if _, err := sor.Run(cluster.New(cluster.Uniform(1)), cfg); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 // BenchmarkTelemetryOverhead prices the observability layer on the canonical
 // loaded-4 scenario: the same adaptive jacobi cell with no sink (the
 // default — instrumentation must cost nothing) and with a ring sink

@@ -22,8 +22,8 @@
 //	                lo, hi := ph.Bounds()
 //	                for i := lo; i < hi; i++ {
 //	                    // real computation on a.Row(i)
-//	                    rt.ComputeIter(i, costOfRow)
 //	                }
+//	                rt.ComputeIters(lo, hi, costOfRow)
 //	                // explicit communication via rt.SendRel / rt.RecvRel
 //	            }
 //	            rt.EndCycle()
@@ -31,6 +31,18 @@
 //	        rt.Finalize()
 //	        return nil
 //	    })
+//
+// The model time of the loop is charged in one of two forms, which agree
+// exactly — ComputeIters(lo, hi, c) is ComputeIter(g, c) for every g in
+// [lo,hi), in virtual time, traces and telemetry. Use ComputeIters when
+// every iteration of the range costs the same (dense stencils): the range
+// is charged in bulk and costs the host next to nothing. Use
+//
+//	rt.ComputeIter(i, costOfRow(i))
+//
+// inside the loop when the cost differs per iteration (sparse rows,
+// particle cells, triangular work). Either way, charge a range before the
+// next message leaves the rank: a send carries the clock it is sent at.
 //
 // The underlying cluster, message passing, matrices, section descriptors
 // and distribution algorithms live in the internal packages; this package
@@ -199,8 +211,12 @@ func WithFaults(spec ClusterSpec, faults ...Fault) ClusterSpec {
 
 // Launch runs fn as an SPMD program: one goroutine per cluster node, each
 // receiving its own Runtime built from cfg. It returns the first error any
-// rank produced (a failing rank unwinds the whole world).
+// rank produced (a failing rank unwinds the whole world), or what is wrong
+// with spec (ClusterSpec.Validate) before any rank starts.
 func Launch(spec ClusterSpec, cfg Config, fn func(rt *Runtime) error) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
 	return mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
 		return fn(core.New(c, cfg))
 	})

@@ -2,6 +2,8 @@ package dynmpi_test
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -126,5 +128,44 @@ func TestErrorPropagatesFromLaunch(t *testing.T) {
 func TestF64Bytes(t *testing.T) {
 	if dynmpi.F64Bytes(10) != 80 {
 		t.Fatal("F64Bytes")
+	}
+}
+
+// A cluster description the model cannot run is an error from Launch, not a
+// panic, and no rank starts: a NaN or infinite power would charge every
+// computation zero (or unbounded) virtual time without a word.
+func TestLaunchRejectsBadSpec(t *testing.T) {
+	power := func(p float64) dynmpi.ClusterSpec {
+		s := dynmpi.Uniform(2)
+		s.Nodes[1].Power = p
+		return s
+	}
+	negMem := dynmpi.Uniform(2)
+	negMem.Nodes[0].MemBytes = -1
+	cases := []struct {
+		name string
+		spec dynmpi.ClusterSpec
+		want string
+	}{
+		{"no nodes", dynmpi.ClusterSpec{}, "no nodes"},
+		{"NaN power", power(math.NaN()), "node 1 has non-positive or non-finite power NaN"},
+		{"+Inf power", power(math.Inf(1)), "node 1 has non-positive or non-finite power +Inf"},
+		{"-Inf power", power(math.Inf(-1)), "node 1 has non-positive or non-finite power -Inf"},
+		{"zero power", power(0), "node 1 has non-positive or non-finite power 0"},
+		{"negative power", power(-2), "node 1 has non-positive or non-finite power -2"},
+		{"NaN arrival", dynmpi.Uniform(2).WithArrival(math.NaN(), 5), "node 2 has non-positive or non-finite power NaN"},
+		{"negative memory", negMem, "node 0 has negative memory -1"},
+		{"fault on a missing node", dynmpi.WithFaults(dynmpi.Uniform(2), dynmpi.CrashAtCycle(7, 1)), "node 7 out of range"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := dynmpi.Launch(tc.spec, dynmpi.DefaultConfig(), func(*dynmpi.Runtime) error {
+				t.Error("a rank started")
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Launch = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

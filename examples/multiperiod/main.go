@@ -52,8 +52,8 @@ func run(adapt bool, maxRedists int) (float64, int) {
 					for j := range row {
 						row[j] = row[j]*0.5 + 1
 					}
-					rt.ComputeIter(g, rowCost)
 				}
+				rt.ComputeIters(lo, hi, rowCost) // every row costs the same: charge the range
 			}
 			rt.EndCycle()
 		}

@@ -50,8 +50,8 @@ func run(policy dynmpi.DropPolicy) (elapsed float64, removed []int, trace []stri
 					for j := range row {
 						row[j] *= 0.999
 					}
-					rt.ComputeIter(g, rowCost)
 				}
+				rt.ComputeIters(lo, hi, rowCost) // every row costs the same: charge the range
 				// Halo exchange through the ownership-aware helper: it
 				// follows the distribution across redistributions, zero-row
 				// assignments and node removals.

@@ -58,8 +58,8 @@ func main() {
 						}
 						copy(mid, scratch)
 					}
-					rt.ComputeIter(g, rowCost)
 				}
+				rt.ComputeIters(lo, hi, rowCost) // every row costs the same: charge the range
 				// Explicit nearest-neighbour halo exchange (relative ranks).
 				rr := rt.RelRank()
 				if rr > 0 {

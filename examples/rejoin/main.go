@@ -50,8 +50,8 @@ func main() {
 					for j := range row {
 						row[j] += 1
 					}
-					rt.ComputeIter(g, rowCost)
 				}
+				rt.ComputeIters(lo, hi, rowCost) // every row costs the same: charge the range
 			}
 			rt.EndCycle()
 		}

@@ -25,6 +25,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/fault"
@@ -173,10 +174,47 @@ type Cluster struct {
 	rankExit func(rank int)
 }
 
-// New builds a cluster and its node handles from spec.
+// Validate reports what is wrong with s, or nil: a spec needs a node, a
+// finite positive Power on every node and arrival (any other runs its
+// computations in zero or unbounded virtual time), no negative MemBytes,
+// and a consistent fault list.
+func (s Spec) Validate() error { _, err := s.faultSet(); return err }
+
+// faultSet is Validate, handing New the fault set its last check builds.
+func (s Spec) faultSet() (*fault.Set, error) {
+	if len(s.Nodes) == 0 {
+		return nil, fmt.Errorf("cluster: no nodes")
+	}
+	for i := 0; i < len(s.Nodes)+len(s.Arrivals); i++ {
+		ns := s.node(i)
+		if !(ns.Power > 0) || math.IsInf(ns.Power, 1) {
+			return nil, fmt.Errorf("cluster: node %d has non-positive or non-finite power %v", i, ns.Power)
+		}
+		if ns.MemBytes < 0 {
+			return nil, fmt.Errorf("cluster: node %d has negative memory %d", i, ns.MemBytes)
+		}
+	}
+	fs, err := fault.NewSet(len(s.Nodes)+len(s.Arrivals), s.Faults)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	return fs, nil
+}
+
+// node returns the description of node i: seed nodes, then arrivals.
+func (s Spec) node(i int) NodeSpec {
+	if i < len(s.Nodes) {
+		return s.Nodes[i]
+	}
+	return s.Arrivals[i-len(s.Nodes)].Node
+}
+
+// New builds a cluster and its node handles from spec. It panics with
+// spec.Validate's error: validate a spec from outside the program first.
 func New(spec Spec) *Cluster {
-	if len(spec.Nodes) == 0 {
-		panic("cluster: no nodes")
+	fs, err := spec.faultSet()
+	if err != nil {
+		panic(err.Error())
 	}
 	q := spec.Quantum
 	if q == 0 {
@@ -185,26 +223,11 @@ func New(spec Spec) *Cluster {
 	if spec.Net.BytesPerSec == 0 {
 		spec.Net = DefaultNet()
 	}
-	c := &Cluster{spec: spec, quantum: q, seed: len(spec.Nodes)}
-	all := spec.Nodes
-	if len(spec.Arrivals) > 0 {
-		all = make([]NodeSpec, 0, len(spec.Nodes)+len(spec.Arrivals))
-		all = append(all, spec.Nodes...)
-		for _, a := range spec.Arrivals {
-			all = append(all, a.Node)
-		}
-	}
-	fs, err := fault.NewSet(len(all), spec.Faults)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: %v", err))
-	}
-	c.faults = fs
+	c := &Cluster{spec: spec, quantum: q, seed: len(spec.Nodes), faults: fs}
 	master := vclock.NewPRNG(spec.Seed)
-	c.nodes = make([]Node, len(all))
-	for i, ns := range all {
-		if ns.Power <= 0 {
-			panic(fmt.Sprintf("cluster: node %d has non-positive power %v", i, ns.Power))
-		}
+	c.nodes = make([]Node, len(spec.Nodes)+len(spec.Arrivals))
+	for i := range c.nodes {
+		ns := spec.node(i)
 		n := &c.nodes[i]
 		*n = Node{id: i, power: ns.Power, mem: ns.MemBytes, cl: c, rng: *master.Fork(uint64(i))}
 		n.segs = n.segs0[:1] // unloaded from time zero
@@ -299,6 +322,13 @@ type Node struct {
 	curSlice  vclock.Duration // length of the current timeslice (jittered)
 	debt      vclock.Duration // CPU owed to competitors before the app runs again
 	resident  int64           // bytes of registered application data
+
+	// One-entry memos of the charge path's float conversions (need: cost →
+	// CPU time; ChargeTouch: bytes → reference cost while not paging). Power
+	// and the network never change, so the key is the whole input.
+	lastCost, lastNeed vclock.Duration
+	touchBytes         int64
+	touchRef           vclock.Duration
 
 	segs         []segment // CP timeline, sorted by start; starts on segs0
 	segs0        [2]segment
@@ -428,11 +458,58 @@ func (n *Node) nextSliceLen() vclock.Duration {
 // wall clock according to the round-robin model and accumulating /PROC CPU
 // time. It returns the wall duration that elapsed.
 func (n *Node) Compute(cost vclock.Duration) vclock.Duration {
-	if cost < 0 {
-		panic("cluster: negative compute cost")
+	need := n.need(cost)
+	if n.debt == 0 && need < n.curSlice-n.sliceUsed {
+		// Nothing owed and no slice boundary reached: wall time is CPU time.
+		n.clock.Advance(need)
+		n.cpuUsed += need
+		n.sliceUsed += need
+		return need
 	}
+	return n.run(need)
+}
+
+// ComputeN is k successive Compute(cost) calls — same clock, /PROC time,
+// slice state, competitor debt and PRNG draws — at the price of one call per
+// timeslice crossed: the calls that cannot reach a slice boundary are
+// skipped in integer arithmetic and only the one that does walks the slices.
+func (n *Node) ComputeN(cost vclock.Duration, k int) vclock.Duration {
 	start := n.clock.Now()
-	need := vclock.Duration(float64(cost) / n.power) // node CPU time required
+	need := n.need(cost)
+	for need > 0 && k > 0 {
+		room := n.curSlice - n.sliceUsed - 1
+		if n.debt > 0 || room < need {
+			n.run(need) // the call that pays the debt or reaches the boundary
+			k--
+			continue
+		}
+		// Call i (from 1) stays inside the slice iff i*need <= room.
+		m := min(vclock.Duration(k), room/need)
+		n.clock.Advance(m * need)
+		n.cpuUsed += m * need
+		n.sliceUsed += m * need
+		k -= int(m)
+	}
+	return n.clock.Now().Sub(start)
+}
+
+// need converts a reference cost to this node's CPU time. Charges come in
+// runs of one cost (a row, an appended element), so the last conversion —
+// the same float expression, not an approximation — is remembered.
+func (n *Node) need(cost vclock.Duration) vclock.Duration {
+	if cost != n.lastCost {
+		if cost < 0 {
+			panic("cluster: negative compute cost")
+		}
+		n.lastCost, n.lastNeed = cost, vclock.Duration(float64(cost)/n.power)
+	}
+	return n.lastNeed
+}
+
+// run consumes need of this node's CPU time slice by slice: the one place
+// the round-robin model lives.
+func (n *Node) run(need vclock.Duration) vclock.Duration {
+	start := n.clock.Now()
 	q := n.cl.quantum
 	for need > 0 {
 		if n.debt > 0 {
@@ -540,17 +617,25 @@ const wakeDelayProb = 0.01
 // ChargeTouch charges the cost of writing (or copying into) `bytes` of
 // memory: bytes/MemBandwidth of CPU, plus a disk penalty for the fraction of
 // resident data beyond physical memory. Used by the allocator comparison.
+// While the node is not paging the charge depends on bytes alone, so the
+// last one is remembered; the paging charge follows resident.
 func (n *Node) ChargeTouch(bytes int64) {
 	if bytes <= 0 {
 		return
 	}
-	net := n.cl.spec.Net
-	cost := vclock.FromSeconds(float64(bytes) / net.MemBandwidth)
-	if n.mem > 0 && n.resident > n.mem {
-		over := float64(n.resident-n.mem) / float64(n.resident)
-		cost += vclock.FromSeconds(over * float64(bytes) / net.DiskBandwidth)
+	paging := n.mem > 0 && n.resident > n.mem
+	if paging || bytes != n.touchBytes {
+		net := &n.cl.spec.Net
+		cost := vclock.FromSeconds(float64(bytes) / net.MemBandwidth)
+		n.touchBytes = bytes
+		if paging {
+			over := float64(n.resident-n.mem) / float64(n.resident)
+			cost += vclock.FromSeconds(over * float64(bytes) / net.DiskBandwidth)
+			n.touchBytes = 0 // not a charge to remember
+		}
+		n.touchRef = vclock.Duration(float64(cost) * n.power) // cost is wall-ish; express as reference
 	}
-	n.Compute(vclock.Duration(float64(cost) * n.power)) // cost is wall-ish; express as reference
+	n.Compute(n.touchRef)
 }
 
 // AdjustResident records allocation (positive) or release (negative) of

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fault"
 	"repro/internal/vclock"
 )
 
@@ -280,6 +281,43 @@ func TestZeroPowerPanics(t *testing.T) {
 	s := Uniform(1)
 	s.Nodes[0].Power = 0
 	New(s)
+}
+
+// Every spec Validate rejects makes New panic with the same text, and a NaN
+// or infinite power — which `Power <= 0` let through, to run every Compute
+// in zero virtual time — is among them, on seed nodes and arrivals alike.
+func TestNewPanicsWithValidateError(t *testing.T) {
+	power := func(p float64) Spec {
+		s := Uniform(2)
+		s.Nodes[1].Power = p
+		return s
+	}
+	negMem := Uniform(1)
+	negMem.Nodes[0].MemBytes = -1
+	badFault := Uniform(2)
+	badFault.Faults = []fault.Fault{fault.CrashAtCycle(2, 1)}
+	for name, spec := range map[string]Spec{
+		"no nodes": {}, "NaN": power(math.NaN()), "+Inf": power(math.Inf(1)), "-Inf": power(math.Inf(-1)),
+		"zero": power(0), "negative": power(-1), "arrival NaN": Uniform(1).WithArrival(math.NaN(), -1),
+		"arrival zero": Uniform(1).WithArrival(0, 3), "negative memory": negMem, "fault": badFault,
+	} {
+		err := spec.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted the spec", name)
+			continue
+		}
+		func() {
+			defer func() {
+				if got := recover(); got != err.Error() {
+					t.Errorf("%s: New panicked with %v, Validate says %q", name, got, err)
+				}
+			}()
+			New(spec)
+		}()
+	}
+	if err := Uniform(3).WithArrival(2, -1).Validate(); err != nil {
+		t.Errorf("Validate rejected a good spec: %v", err)
+	}
 }
 
 func TestNegativeCPPanics(t *testing.T) {

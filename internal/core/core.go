@@ -618,6 +618,20 @@ func (rt *Runtime) ComputeIter(g int, cost vclock.Duration) {
 	rt.node.Compute(cost)
 }
 
+// ComputeIters is ComputeIter(g, cost) for every g in [lo,hi), for a loop
+// whose iterations cost the same: one bulk charge (cluster.Node.ComputeN,
+// identical to hi-lo single ones) unless a grace-period collector is active,
+// which needs its stamps around each iteration.
+func (rt *Runtime) ComputeIters(lo, hi int, cost vclock.Duration) {
+	if rt.collector == nil {
+		rt.node.ComputeN(cost, hi-lo)
+		return
+	}
+	for g := lo; g < hi; g++ {
+		rt.ComputeIter(g, cost)
+	}
+}
+
 // Dist exposes the current distribution (for tests and the harness).
 func (rt *Runtime) Dist() *drsd.Block { return rt.dist }
 

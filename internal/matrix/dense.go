@@ -107,9 +107,16 @@ func (d *Dense) RowBytes() int64 { return int64(d.RowLen) * 8 }
 // access is always an ownership bug in the caller.
 func (d *Dense) Row(g int) []float64 {
 	if g < d.lo || g >= d.hi {
-		panic(fmt.Sprintf("matrix: %s row %d outside resident window [%d,%d)", d.Name, g, d.lo, d.hi))
+		d.outside(g)
 	}
 	return d.rows[g-d.lo]
+}
+
+// outside is Row's panic, kept out of line so that Row inlines.
+//
+//go:noinline
+func (d *Dense) outside(g int) {
+	panic(fmt.Sprintf("matrix: %s row %d outside resident window [%d,%d)", d.Name, g, d.lo, d.hi))
 }
 
 // SetWindow resizes the resident window to [lo,hi), preserving the contents

@@ -37,12 +37,20 @@ func TestDenseWindowBasics(t *testing.T) {
 func TestDenseRowOutsideWindowPanics(t *testing.T) {
 	d := NewDense("A", 10, 2, Projection, nil)
 	d.SetWindow(2, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	d.Row(5)
+	// Row inlines with its panic out of line; the message is unchanged.
+	for g, want := range map[int]string{
+		5: "matrix: A row 5 outside resident window [2,5)",
+		1: "matrix: A row 1 outside resident window [2,5)",
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != want {
+					t.Errorf("Row(%d) panicked with %v, want %q", g, got, want)
+				}
+			}()
+			d.Row(g)
+		}()
+	}
 }
 
 func testWindowPreservesOverlap(t *testing.T, scheme Alloc) {

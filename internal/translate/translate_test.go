@@ -245,6 +245,21 @@ func TestRealApplications(t *testing.T) {
 			t.Fatalf("jacobi analysis missing %s; got %v", want, res.Accesses)
 		}
 	}
+	// SOR's range sweep holds its partitioned loop itself (it used to sit
+	// behind a two-argument per-row closure the analysis does not follow).
+	res, err = AnalyzeFileWithWrites("../apps/sor/sor.go", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found = map[string]bool{}
+	for _, a := range res.Accesses {
+		found[a.Array+plus(a.Off)] = true
+	}
+	for _, want := range []string{"u-1", "u+0", "u+1"} {
+		if !found[want] {
+			t.Fatalf("sor analysis missing %s; got %v", want, res.Accesses)
+		}
+	}
 }
 
 // overlapSrc is the overlapped-halo idiom: the stencil lives in a
