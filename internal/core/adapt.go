@@ -17,7 +17,7 @@ import (
 // redistribution, and the drop decision. It reports whether this rank
 // participates in the cycle.
 func (rt *Runtime) BeginCycle() bool {
-	if rt.cfg.Pacer != nil && !rt.skipPaceOnce {
+	if rt.cfg.Pacer != nil && !rt.lateEntry {
 		// Park before anything of the cycle happens — scenario events,
 		// fault injection, adaptation — so a stepping controller observes
 		// the world exactly at cycle boundaries.
@@ -31,15 +31,14 @@ func (rt *Runtime) BeginCycle() bool {
 		return !rt.isOut // true exactly when this node just rejoined
 	}
 	rt.beginCycleTelemetry()
-	if rt.skipPaceOnce || rt.skipAdaptOnce {
+	if rt.lateEntry {
 		// A joiner's first BeginCycle: the wave it joined was already
 		// released, and the actives ran this cycle's adaptation step before
 		// admitting it — parking would wedge the wave, and entering the load
 		// exchange would wait on a collective nobody else runs. Run the
 		// cycle body directly; normal pacing and adaptation resume next
 		// cycle.
-		rt.skipPaceOnce = false
-		rt.skipAdaptOnce = false
+		rt.lateEntry = false
 		return true
 	}
 	if !rt.cfg.Adapt {
@@ -260,7 +259,7 @@ func (rt *Runtime) decideRedistribution(loads []int) {
 			})
 		}
 		rt.baseLoads = append([]int(nil), loads...)
-		rt.dropLoaded(nodes, iterCosts)
+		rt.dropLoaded(nodes)
 		rt.state = stNormal
 		return
 	}
@@ -376,49 +375,29 @@ func (rt *Runtime) maybeDrop(loads []int) {
 	}
 	rt.record(EvDrop, 0, fmt.Sprintf("dropping: measured=%.4fs predicted=%.4fs", measured, predicted))
 	rt.baseLoads = append([]int(nil), loads...)
-	rt.dropLoaded(nodes, rt.iterCosts)
+	rt.dropLoaded(nodes)
 }
 
 // dropLoaded physically removes every loaded node: data moves to the
 // unloaded nodes, the collective group shrinks, relative ranks are
 // re-assigned, and removed ranks switch to the send-out-only protocol.
-func (rt *Runtime) dropLoaded(nodes []distribution.Node, iterCosts []float64) {
+func (rt *Runtime) dropLoaded(nodes []distribution.Node) {
 	// With rejoin enabled, or once any rank is removed, the send-out root is
 	// pinned: removed nodes address it by the membership they last saw
 	// (colls.go), so it must stay alive and addressable.
 	pinRoot := rt.cfg.AllowRejoin || len(rt.removed) > 0
-	stay := make([]int, 0, len(nodes))
+	stay, loads := make([]int, 0, len(nodes)), make([]int, 0, len(nodes))
 	var out []int
-	stayNodes := nodes[:0] // filtered in place: nodes is scratch
 	for _, n := range nodes {
 		if n.Load == 0 || pinRoot && n.Rank == rt.sendOutRoot() {
-			stay = append(stay, n.Rank)
-			stayNodes = append(stayNodes, n)
+			stay, loads = append(stay, n.Rank), append(loads, n.Load)
 		} else {
 			out = append(out, n.Rank)
 		}
 	}
-	if len(stay) == 0 || len(out) == 0 {
-		return
+	if len(stay) > 0 && len(out) > 0 {
+		rt.transit(rt.removal(causeDrop, stay, out, loads, make([]int, len(stay)))) // unloaded by construction
 	}
-	// The removal redistribution happens while the dropped nodes are still
-	// in the group, so they can ship their rows out.
-	rt.applyDistribution(drsd.NewBlock(stay, rt.powerCounts(stayNodes, iterCosts)))
-	rt.redists++
-
-	rt.active = stay
-	rt.removed = append(rt.removed, out...)
-	rt.group = rt.comm.World().NewGroup(stay)
-	rt.baseLoads = make([]int, len(stay)) // unloaded by construction
-	if containsInt(out, rt.comm.Rank()) {
-		rt.isOut = true
-		rt.record(EvRemoved, 0, "")
-		rt.emitMembership("removed")
-		return
-	}
-	var info [128]byte
-	rt.record(EvDrop, 0, string(appendInts(appendInts(info[:0], "active=", stay), " removed=", out)))
-	rt.emitMembership("drop")
 }
 
 // logicalDrop keeps loaded nodes in the computation with a minimum

@@ -15,16 +15,14 @@ import (
 // Every routine survives rank crashes: a collective that fails because a
 // group member died is retried over the shrunken group (absorbFailure; the
 // error is identical on every member, so all retry together and the data
-// redistribution runs at the next cycle boundary). Removed ranks cannot
-// take part in that agreement — if their send-out root crashes they abort
-// the world with an explicit error instead of hanging.
+// redistribution runs at the next cycle boundary).
 //
 // The root is a fixed address. A removed rank keeps the membership it was
-// removed under (only a rejoin verdict updates it), so it receives from the
-// root of that day; nothing forwards it a hand-over. Hence no drop may remove
-// the root while any rank is removed (dropLoaded pins it, as shrink always
-// kept active[0]): a second drop that took it left the earlier leaver parked
-// in recvOut on a rank that no longer sends — the smoke grid's deadlock.
+// removed under (only a non-empty rejoin verdict replaces it), so it receives
+// from the root of that day; nothing forwards it a hand-over. Hence no drop
+// may remove the root while any rank is removed (dropLoaded pins it, as shrink
+// always keeps active[0]): a second drop that took it left the earlier leaver
+// parked in recvOut on a rank that no longer sends — the smoke grid's deadlock.
 
 // sendOutRoot is the active rank responsible for forwarding global results
 // to removed nodes.
@@ -46,15 +44,20 @@ func (rt *Runtime) sendOut(v []float64) {
 	}
 }
 
-// recvOut receives the next global result on a removed rank.
-func (rt *Runtime) recvOut() []float64 {
-	p, _, err := rt.comm.RecvErr(rt.sendOutRoot(), tagGlobal)
+// recvRoot is a removed rank's receive from its send-out root. Removed ranks
+// take no part in the survivors' agreement on a new root, so a crashed root
+// aborts the world with an explicit error instead of leaving them parked.
+func (rt *Runtime) recvRoot(tag int) any {
+	p, _, err := rt.comm.RecvErr(rt.sendOutRoot(), tag)
 	if err != nil {
 		rt.comm.Abort(fmt.Errorf("core: removed rank %d: send-out root %d crashed: %w",
 			rt.comm.Rank(), rt.sendOutRoot(), err))
 	}
-	return p.([]float64)
+	return p
 }
+
+// recvOut receives the next global result on a removed rank.
+func (rt *Runtime) recvOut() []float64 { return rt.recvRoot(tagGlobal).([]float64) }
 
 // AllreduceF64s reduces a vector across the active nodes; removed nodes
 // receive the result without contributing. Every rank — active or removed —
@@ -184,10 +187,7 @@ func (rt *Runtime) Barrier() {
 func (rt *Runtime) Finalize() {
 	rt.ensureCommitted()
 	if rt.isOut {
-		if _, _, err := rt.comm.RecvErr(rt.sendOutRoot(), tagDone); err != nil {
-			rt.comm.Abort(fmt.Errorf("core: removed rank %d: send-out root %d crashed: %w",
-				rt.comm.Rank(), rt.sendOutRoot(), err))
-		}
+		rt.recvRoot(tagDone)
 		return
 	}
 	rt.Barrier()

@@ -68,8 +68,7 @@ const (
 	tagDone       = tagBase + 513
 	tagPing       = tagBase + 514
 	tagLoadReply  = tagBase + 515
-	tagRejoin     = tagBase + 516
-	tagBootstrap  = tagBase + 517  // joiner bootstrap packet (resize.go)
+	tagMembership = tagBase + 516  // membership packet (membership.go)
 	tagReplica    = tagBase + 1024 // + array registration index (buddy-replica refresh)
 	tagRecover    = tagBase + 1536 // + array registration index (failure recovery)
 	tagRedistSync = tagBase + 2048 // + array registration index (RMA commit marker sync)
@@ -304,26 +303,23 @@ type Runtime struct {
 	phase  Phase      // the handle InitPhase returns
 	arrays []regArray // in registration order, identical on every rank
 
-	active  []int // active world ranks in relative-rank order
-	removed []int // removed world ranks
-	group   *mpi.Group
-	isOut   bool // this rank has been physically removed
+	membership // who computes, and what they agreed on (membership.go)
+
+	group   *mpi.Group // the collective group over active
+	isOut   bool       // this rank is not in active: it has been physically removed
 	dist    *drsd.Block
 	monitor loadmon.Monitor
 
 	committed  bool
 	cycle      int
 	state      adaptState
-	baseLoads  []int // load vector underlying the current distribution
 	graceLoads []int
 	grace      timing.Collector  // reset at every grace period, never rebuilt
 	collector  *timing.Collector // &grace while a grace period is measured
 	cycTimer   *timing.CycleTimer
 	cycOpen    bool
-	iterCosts  []float64 // latest global per-iteration estimates
-	commCPU    float64   // measured per-node per-cycle comm CPU (s)
-	commWire   float64   // estimated per-node per-cycle wire time (s)
-	redists    int
+	commCPU    float64 // measured per-node per-cycle comm CPU (s)
+	commWire   float64 // estimated per-node per-cycle wire time (s)
 
 	graceMsgs0   int64 // counter snapshots at grace start
 	graceBytes0  int64
@@ -333,13 +329,10 @@ type Runtime struct {
 	events []Event
 
 	// Resize state (resize.go).
-	joined        bool  // this rank spawned mid-run; membership arrives in the bootstrap packet
-	skipPaceOnce  bool  // joiner's first BeginCycle: the wave it joins was already released
-	skipAdaptOnce bool  // joiner's first BeginCycle: actives already ran this cycle's adapt step
-	pendingResize int   // explicit Resize target (0 = none), consumed at the next cycle boundary
-	hasArrivals   bool  // the cluster declares arrival capacity (cached)
-	claimed       []int // arrival ranks claimed so far, in claim order (identical on every rank)
-	resizedOut    []int // ranks removed by explicit shrink; excluded from automatic rejoin
+	joined        bool // this rank spawned mid-run; its membership arrives in a packet at Commit
+	lateEntry     bool // joiner's first BeginCycle: the wave it joins was already released and adapted
+	pendingResize int  // explicit Resize target (0 = none), consumed at the next cycle boundary
+	hasArrivals   bool // the cluster declares arrival capacity (cached)
 
 	// Failure state (failure.go).
 	pendingDead   []int           // dead ranks detected, recovery not yet run
@@ -412,29 +405,29 @@ func New(comm *mpi.Comm, cfg Config) *Runtime {
 	if cfg.PostRedistGrace <= 0 {
 		cfg.PostRedistGrace = timing.DefaultPostRedistGrace
 	}
-	active := make([]int, comm.Size())
-	for i := range active {
-		active[i] = i
+	var m membership
+	var all *mpi.Group
+	if !comm.Spawned() {
+		// Every rank of the world, unloaded. A joiner's membership, cycle and
+		// distribution arrive in a packet when its application commits.
+		m = membership{active: make([]int, comm.Size()), baseLoads: make([]int, comm.Size())}
+		for i := range m.active {
+			m.active[i] = i
+		}
+		all = comm.World().AllGroup()
 	}
 	rt := &Runtime{
-		comm:    comm,
-		node:    comm.Node(),
-		cfg:     cfg,
-		active:  active,
-		group:   comm.World().AllGroup(),
-		monitor: *loadmon.New(comm.Node()),
+		comm:       comm,
+		node:       comm.Node(),
+		cfg:        cfg,
+		membership: m,
+		group:      all,
+		monitor:    *loadmon.New(comm.Node()),
+		joined:     comm.Spawned(),
+		lateEntry:  comm.Spawned(),
 	}
 	rt.phase.rt = rt
 	rt.hasArrivals = comm.World().Cluster().HasArrivals()
-	if comm.Spawned() {
-		// A joiner: the true membership, cycle and distribution arrive in
-		// the bootstrap packet when the application commits (resize.go).
-		rt.joined = true
-		rt.skipPaceOnce = true
-		rt.skipAdaptOnce = true
-		rt.active = nil
-		rt.group = nil
-	}
 	if cfg.Telemetry != nil {
 		rt.sink = cfg.Telemetry
 		rt.stamper = telemetry.NewStamper(comm.Rank())
@@ -555,8 +548,8 @@ func (rt *Runtime) Participating() bool { return !rt.isOut }
 
 // Joined reports whether this rank spawned mid-run (elastic growth). A
 // joined rank's application must start its cycle loop at Cycle() instead of
-// zero and skip its initial array fill — the bootstrap redistribution
-// already shipped it current data (resize.go).
+// zero and skip its initial array fill — the admission redistribution
+// already shipped it current data (membership.go).
 func (rt *Runtime) Joined() bool { return rt.joined }
 
 // Cycle reports the phase cycle the next BeginCycle will open. Joiners read
@@ -638,7 +631,8 @@ func (rt *Runtime) Dist() *drsd.Block { return rt.dist }
 // Events returns the adaptation trace recorded by this rank.
 func (rt *Runtime) Events() []Event { return rt.events }
 
-// Redistributions reports how many redistributions have occurred.
+// Redistributions reports how many redistributions the world has made — the
+// count the members agree on, also on a rank that joined after some of them.
 func (rt *Runtime) Redistributions() int { return rt.redists }
 
 func (rt *Runtime) record(kind EventKind, bytes int64, info string) {
@@ -742,7 +736,12 @@ func (rt *Runtime) ensureCommitted() {
 	}
 	rt.committed = true
 	if rt.joined {
-		rt.bootstrap()
+		// Whoever the root is sends the packet; a spawned rank cannot know.
+		p, _, err := rt.comm.RecvErr(mpi.AnySource, tagMembership)
+		if err != nil {
+			rt.comm.Abort(fmt.Errorf("core: joiner rank %d: membership packet: %w", rt.comm.Rank(), err))
+		}
+		rt.adopt(p.(*packet))
 		return
 	}
 	rt.dist = drsd.EqualBlock(rt.active, rt.n)
@@ -756,7 +755,6 @@ func (rt *Runtime) ensureCommitted() {
 			a.sparse.SetWindow(wlo, whi)
 		}
 	}
-	rt.baseLoads = make([]int, len(rt.active))
 	rt.refreshReplicasNow()
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/drsd"
@@ -123,21 +124,21 @@ func (rt *Runtime) absorbFailure(err error) {
 	rt.shrinkActive(rf.Ranks)
 }
 
-// shrinkActive removes dead ranks from the membership and rebuilds the
-// collective group. Idempotent: shrinking by an already-absorbed death is a
-// no-op (NewGroup is canonical by member list).
-func (rt *Runtime) shrinkActive(dead []int) {
-	newActive := withoutInts(rt.active, dead)
-	if len(newActive) == 0 {
+// survivors returns the membership with the dead struck from its active and
+// removed lists.
+func (rt *Runtime) survivors(dead []int) membership {
+	m := rt.membership
+	m.active, m.removed = withoutInts(m.active, dead), withoutInts(m.removed, dead)
+	if len(m.active) == 0 {
 		rt.comm.Abort(fmt.Errorf("core: every active rank is dead (%v)", dead))
 	}
-	changed := len(newActive) != len(rt.active)
-	rt.active = newActive
-	rt.removed = withoutInts(rt.removed, dead)
-	if changed {
-		rt.group = rt.comm.World().NewGroup(rt.active)
-	}
+	return m
 }
+
+// shrinkActive strikes dead ranks from the membership mid-collective, so the
+// caller can retry over the survivors' group; the rows wait for handleFailure.
+// Idempotent: the group of an unchanged member list is the same group.
+func (rt *Runtime) shrinkActive(dead []int) { rt.install(rt.survivors(dead)) }
 
 // handleFailure turns the pending dead set into a forced membership change
 // and, when the dead ranks held data, a recovery redistribution. Every
@@ -154,23 +155,15 @@ func (rt *Runtime) handleFailure() {
 	var info [64]byte
 	rt.record(EvFailure, 0, string(appendInts(info[:0], "dead=", dead)))
 
-	touchesData := false
-	for _, r := range rt.dist.Ranks() {
-		if containsInt(dead, r) {
-			touchesData = true
-		}
+	t := transition{cause: causeFailure, leavers: dead, next: rt.survivors(dead)}
+	if slices.ContainsFunc(rt.dist.Ranks(), func(r int) bool { return containsInt(dead, r) }) {
+		// The dead held rows: re-partition over the survivors by relative
+		// power (their loads are re-measured next cycle; recovery must not
+		// depend on load state the dead rank can no longer contribute to).
+		t.next.baseLoads = make([]int, len(t.next.active))
+		t.dist = drsd.NewBlock(t.next.active, rt.powerCounts(rt.nodesOf(t.next.active, nil), rt.costs()))
 	}
-	rt.shrinkActive(dead)
-	if touchesData {
-		// Re-partition over the survivors by relative power (their loads are
-		// re-measured next cycle; recovery must not depend on load state the
-		// dead rank can no longer contribute to).
-		counts := rt.powerCounts(rt.nodesOf(rt.active, nil), rt.costs())
-		rt.recoverDistribution(drsd.NewBlock(rt.active, counts), dead)
-		rt.redists++
-		rt.rebase(make([]int, len(rt.active)))
-	}
-	rt.emitMembership("failure-drop")
+	rt.transit(t)
 }
 
 // recoverDistribution is applyDistribution with one extra concern: transfers

@@ -1,50 +1,16 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/drsd"
-)
-
-// This file implements node re-addition, the §2.2 capability the paper
-// leaves mostly to future work: "Dyn-MPI may remove (and potentially later
-// add back) non dedicated nodes from the computation."
+// This file implements the polling side of node re-addition, the §2.2
+// capability the paper leaves mostly to future work: "Dyn-MPI may remove (and
+// potentially later add back) non dedicated nodes from the computation."
 //
 // The protocol must stay deterministic in virtual time, so removed nodes
 // are polled synchronously: each cycle the send-out root pings every
 // removed node, which replies with its current dmpi_ps reading, and then
-// receives a verdict. When a removed node's competing processes have
+// receives a verdict packet. When a removed node's competing processes have
 // vanished, every active rank reaches the same decision (the removed loads
-// travel in the root's load-exchange contribution), the group is rebuilt
-// to include the rejoiner, and a redistribution ships it its share of the
-// data — the DRSD window machinery treats a rank with an empty old range
-// exactly like any other under-provisioned node.
-
-// rejoinPacket is the verdict the root sends each removed node every
-// cycle. A nil NewActive means "stay removed"; otherwise it carries
-// everything the rejoiner needs to take part in the membership change
-// (including the case where it stays removed but the active set changed
-// because another node rejoined).
-type rejoinPacket struct {
-	NewActive  []int
-	NewCounts  []int
-	OldActive  []int
-	OldCounts  []int
-	NewRemoved []int
-	Rejoining  []int
-	BaseLoads  []int // the load baseline all members adopt, so change detection stays in lockstep
-}
-
-// wireBytes is the modelled wire size of the packet: 8 bytes of header plus
-// 8 per int across all seven slices. The former flat 8+16*len(NewActive)
-// undercharged badly — OldActive, OldCounts, NewRemoved, Rejoining and
-// BaseLoads rode for free.
-func (p *rejoinPacket) wireBytes() int {
-	n := len(p.NewActive) + len(p.NewCounts) + len(p.OldActive) + len(p.OldCounts) +
-		len(p.NewRemoved) + len(p.Rejoining) + len(p.BaseLoads)
-	return 8 + 8*n
-}
+// travel in the root's load-exchange contribution) and the rejoin goes
+// through transit like any other membership change (membership.go).
 
 // loadMsg is one rank's contribution to the per-cycle load exchange. Only
 // the send-out root fills the removed-node fields.
@@ -125,7 +91,7 @@ func (rt *Runtime) exchangeLoads() (active []int, removedRanks, removedLoads []i
 	}
 
 	my := loadMsg{Load: rt.monitor.CompetingProcesses()}
-	if rt.cfg.AllowRejoin && rt.comm.Rank() == rt.sendOutRoot() && len(rt.removed) > 0 {
+	if rt.comm.Rank() == rt.sendOutRoot() {
 		my.RemovedRanks = append([]int(nil), rt.removed...)
 		my.RemovedLoads = rt.pollRemoved()
 	}
@@ -137,11 +103,7 @@ func (rt *Runtime) exchangeLoads() (active []int, removedRanks, removedLoads []i
 	// carry both the removed ranks and their loads, which the former price
 	// ignored (RemovedLoads rode for free): 8 bytes of load plus 24 per
 	// removed node.
-	bytes := 8
-	if rt.cfg.AllowRejoin && len(rt.removed) > 0 {
-		bytes += 24 * len(rt.removed)
-	}
-	parts, err := rt.comm.AllgatherErr(rt.group, my, bytes)
+	parts, err := rt.comm.AllgatherErr(rt.group, my, 8+24*len(rt.removed))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -157,83 +119,30 @@ func (rt *Runtime) exchangeLoads() (active []int, removedRanks, removedLoads []i
 }
 
 // maybeRejoin checks the polled removed-node loads and, when some node has
-// become unloaded, executes the membership change. It reports whether a
-// rejoin happened. All active ranks call this with identical arguments;
-// the root additionally distributes verdicts to the removed nodes.
+// become unloaded, readmits it. It reports whether a rejoin happened. All
+// active ranks call this with identical arguments; the root additionally
+// sends every removed node its verdict.
 func (rt *Runtime) maybeRejoin(activeLoads, removedRanks, removedLoads []int) bool {
 	if !rt.cfg.AllowRejoin || len(rt.removed) == 0 {
 		return false
 	}
 	var rejoining []int
 	for i, r := range removedRanks {
-		// Ranks an explicit Resize shrank out stay removed even when
-		// unloaded: re-admitting released capacity the next cycle would
-		// flap the membership straight back.
-		if removedLoads[i] == 0 && !containsInt(rt.resizedOut, r) {
+		if removedLoads[i] == 0 && !containsInt(rt.heldOut, r) {
 			rejoining = append(rejoining, r)
 		}
 	}
-	isRoot := rt.comm.Rank() == rt.sendOutRoot()
 	if len(rejoining) == 0 {
-		if isRoot {
-			empty := rejoinPacket{}
-			for _, r := range rt.removed {
-				if rt.knownDead(r) {
-					continue
-				}
-				rt.comm.Send(r, tagRejoin, empty, empty.wireBytes())
-			}
+		if rt.comm.Rank() == rt.sendOutRoot() {
+			rt.tell(rt.removed, &packet{})
 		}
 		return false
 	}
-	sort.Ints(rejoining)
-
-	var newRemoved []int
-	for _, r := range rt.removed {
-		keep := true
-		for _, j := range rejoining {
-			if j == r {
-				keep = false
-			}
-		}
-		if keep {
-			newRemoved = append(newRemoved, r)
-		}
-	}
-
-	// Balance over the new membership: rejoiners are unloaded by
-	// definition; survivors keep their just-gathered loads.
-	newActive, newBase, nodes := rt.admitted(rejoining, activeLoads)
-	newDist := drsd.NewBlock(newActive, rt.powerCounts(nodes, rt.costs()))
-
-	pkt := rejoinPacket{
-		NewActive:  newActive,
-		NewCounts:  newDist.Counts(),
-		OldActive:  rt.dist.Ranks(),
-		OldCounts:  rt.dist.Counts(),
-		NewRemoved: newRemoved,
-		Rejoining:  rejoining,
-		BaseLoads:  newBase,
-	}
-	if isRoot {
-		for _, r := range rt.removed {
-			if rt.knownDead(r) {
-				continue
-			}
-			rt.comm.Send(r, tagRejoin, pkt, pkt.wireBytes())
-		}
-	}
-
-	// Rebuild membership, then redistribute with the rejoiners inside the
-	// collective group so they receive their rows.
-	rt.active = newActive
-	rt.removed = newRemoved
-	rt.group = rt.comm.World().NewGroup(newActive)
-	rt.applyDistribution(newDist)
-	rt.redists++
-	rt.record(EvRejoin, 0, "")
-	rt.emitMembership("rejoin")
-	rt.rebase(newBase)
+	// Rejoiners are unloaded by definition; survivors keep their
+	// just-gathered loads.
+	t := rt.admission(causeRejoin, rejoining, activeLoads)
+	t.next.removed = withoutInts(rt.removed, rejoining)
+	rt.transit(t)
 	return true
 }
 
@@ -243,39 +152,7 @@ func (rt *Runtime) removedCycle() {
 	if !rt.cfg.AllowRejoin {
 		return
 	}
-	root := rt.sendOutRoot()
-	if _, _, err := rt.comm.RecvErr(root, tagPing); err != nil {
-		rt.comm.Abort(fmt.Errorf("core: removed rank %d: send-out root %d crashed: %w", rt.comm.Rank(), root, err))
-	}
-	rt.comm.Send(root, tagLoadReply, rt.monitor.CompetingProcesses(), 8)
-	p, _, err := rt.comm.RecvErr(root, tagRejoin)
-	if err != nil {
-		rt.comm.Abort(fmt.Errorf("core: removed rank %d: send-out root %d crashed: %w", rt.comm.Rank(), root, err))
-	}
-	pkt := p.(rejoinPacket)
-	if pkt.NewActive == nil {
-		return
-	}
-	// Membership changed. Even if this node stays removed, it must track
-	// the new active set (the send-out root may have moved).
-	me := rt.comm.Rank()
-	rejoining := false
-	for _, r := range pkt.Rejoining {
-		if r == me {
-			rejoining = true
-		}
-	}
-	rt.active = pkt.NewActive
-	rt.removed = pkt.NewRemoved
-	if !rejoining {
-		return
-	}
-	rt.isOut = false
-	rt.group = rt.comm.World().NewGroup(pkt.NewActive)
-	rt.dist = drsd.NewBlock(pkt.OldActive, pkt.OldCounts)
-	rt.applyDistribution(drsd.NewBlock(pkt.NewActive, pkt.NewCounts))
-	rt.redists++
-	rt.record(EvRejoin, 0, "rejoined")
-	rt.emitMembership("rejoined")
-	rt.rebase(append([]int(nil), pkt.BaseLoads...))
+	rt.recvRoot(tagPing)
+	rt.comm.Send(rt.sendOutRoot(), tagLoadReply, rt.monitor.CompetingProcesses(), 8)
+	rt.adopt(rt.recvRoot(tagMembership).(*packet))
 }

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/drsd"
 	"repro/internal/fault"
 	"repro/internal/mpi"
+	"repro/internal/vclock"
 )
 
 // runElastic executes the runMini workload on a cluster that may have
@@ -364,14 +367,19 @@ func TestCrashWhileRemovedDeterministic(t *testing.T) {
 	}
 }
 
+// uniformCost charges every row iterCost.
+func uniformCost(int) vclock.Duration { return iterCost }
+
 // runReshape is runElastic with an arbitrary sequence of Resize steps:
-// steps[cycle] = target. Every active rank issues the same requests at the
-// same iterations, as the SPMD discipline requires.
-func runReshape(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, steps map[int]int) map[int]*miniResult {
+// steps[cycle] = target, and row g costing cost(g). Every active rank issues
+// the same requests at the same iterations, as the SPMD discipline requires.
+// A world that has not finished after ten seconds is reported as hung: a
+// membership disagreement parks ranks in collectives nobody else joins.
+func runReshape(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, steps map[int]int, cost func(g int) vclock.Duration) map[int]*miniResult {
 	t.Helper()
 	var mu sync.Mutex
 	results := map[int]*miniResult{}
-	err := mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
+	body := func(c *mpi.Comm) error {
 		rt := New(c, cfg)
 		x := rt.RegisterDense("X", n, 4)
 		ph := rt.InitPhase(n)
@@ -396,7 +404,7 @@ func runReshape(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, step
 					for j := range row {
 						row[j]++
 					}
-					rt.ComputeIter(g, iterCost)
+					rt.ComputeIter(g, cost(g))
 				}
 			}
 			rt.EndCycle()
@@ -426,26 +434,37 @@ func runReshape(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, step
 		results[c.Rank()] = res
 		mu.Unlock()
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- mpi.Run(cluster.New(spec), body) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the world hung")
 	}
 	return results
 }
 
 // reshapeCfgs are the configurations the multi-step reshape suites sweep:
-// the default message-passing paths and the full one-sided configuration
-// (RMA redistribution with joiner fetch, PSCW replica refresh).
+// the default message-passing paths, the same with automatic rejoin on (the
+// ranks a Resize released must stay out on every member, joiners included),
+// and the full one-sided configuration (RMA redistribution with joiner fetch,
+// PSCW replica refresh).
 func reshapeCfgs() map[string]Config {
 	base := DefaultConfig()
 	base.Drop = DropNever
+	rejoin := base
+	rejoin.AllowRejoin = true
 	rma := DefaultConfig()
 	rma.Drop = DropNever
 	rma.RedistMode = RedistRMA
 	rma.Replicate = true
 	rma.ReplicaEvery = 1
 	rma.ReplicaRMA = true
-	return map[string]Config{"default": base, "rma-pscw": rma}
+	return map[string]Config{"default": base, "rejoin": rejoin, "rma-pscw": rma}
 }
 
 // TestReshapeGrowThenShrink runs both reshape directions in one run: the
@@ -455,7 +474,7 @@ func reshapeCfgs() map[string]Config {
 func TestReshapeGrowThenShrink(t *testing.T) {
 	for name, cfg := range reshapeCfgs() {
 		spec := cluster.Uniform(4).WithArrival(1.0, -1).WithArrival(1.0, -1)
-		results := runReshape(t, spec, cfg, 64, 30, map[int]int{8: 6, 18: 4})
+		results := runReshape(t, spec, cfg, 64, 30, map[int]int{8: 6, 18: 4}, uniformCost)
 		checkValuesAndCoverage(t, results, 64)
 		if len(results) != 6 {
 			t.Fatalf("%s: %d ranks reported, want 6 (4 seed + 2 reserves)", name, len(results))
@@ -486,7 +505,7 @@ func TestReshapeGrowThenShrink(t *testing.T) {
 func TestReshapeShrinkThenGrow(t *testing.T) {
 	for name, cfg := range reshapeCfgs() {
 		spec := cluster.Uniform(4).WithArrival(1.0, -1).WithArrival(1.0, -1)
-		results := runReshape(t, spec, cfg, 64, 30, map[int]int{8: 3, 18: 5})
+		results := runReshape(t, spec, cfg, 64, 30, map[int]int{8: 3, 18: 5}, uniformCost)
 		checkValuesAndCoverage(t, results, 64)
 		if len(results) != 6 {
 			t.Fatalf("%s: %d ranks reported, want 6", name, len(results))
@@ -518,7 +537,7 @@ func TestReshapeDeterministic(t *testing.T) {
 	cfg := reshapeCfgs()["rma-pscw"]
 	run := func() map[int]*miniResult {
 		spec := cluster.Uniform(4).WithArrival(1.0, -1).WithArrival(1.0, -1)
-		return runReshape(t, spec, cfg, 64, 30, map[int]int{8: 6, 18: 4})
+		return runReshape(t, spec, cfg, 64, 30, map[int]int{8: 6, 18: 4}, uniformCost)
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -531,6 +550,98 @@ func TestReshapeDeterministic(t *testing.T) {
 		}
 		if len(res.events) != len(other.events) {
 			t.Fatalf("rank %d event counts differ: %d vs %d", r, len(res.events), len(other.events))
+		}
+	}
+}
+
+// sameFinalCounts fails unless every participating rank ended on the same
+// distribution, and returns it.
+func sameFinalCounts(t *testing.T, results map[int]*miniResult) []int {
+	t.Helper()
+	var counts []int
+	for r, res := range results {
+		if res.removed {
+			continue
+		}
+		if counts == nil {
+			counts = res.counts
+		}
+		if !reflect.DeepEqual(res.counts, counts) {
+			t.Fatalf("rank %d ended on distribution %v, another rank on %v", r, res.counts, counts)
+		}
+	}
+	return counts
+}
+
+// TestReshapeJoinerPartitionsByMeasuredCosts: rows cost ∝ 1+g and a load
+// change has made every member measure them, then the world grows 4→6 and
+// shrinks 6→5. The shrink is partitioned by each member alone, so a joiner
+// that was not handed the measured costs cuts the rows by unit costs, disagrees
+// with the incumbents on who owns what, and the world parks forever.
+func TestReshapeJoinerPartitionsByMeasuredCosts(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Drop = DropNever
+	spec := cluster.Uniform(4).WithArrival(1.0, -1).WithArrival(1.0, -1).With(cluster.CycleEvent(1, 3, +1))
+	cost := func(g int) vclock.Duration { return iterCost * vclock.Duration(1+g) / 8 }
+	results := runReshape(t, spec, cfg, 64, 40, map[int]int{20: 6, 28: 5}, cost)
+	checkValuesAndCoverage(t, results, 64)
+	if counts := sameFinalCounts(t, results); len(counts) != 5 {
+		t.Fatalf("final distribution %v does not span 5 ranks", counts)
+	}
+	if results[4].removed || !results[5].removed {
+		t.Fatalf("after Resize(5): joiner 4 removed=%v, joiner 5 removed=%v", results[4].removed, results[5].removed)
+	}
+}
+
+// TestReshapeRejoinAcrossGrow: rank 3 is dropped, the world claims reserve 4
+// while it is out, and it rejoins. The claim ledger must reach it with the
+// rejoin verdict: the next grow claims a reserve on every member alone, and a
+// rank on the ledger of the day it left claims rank 4 a second time.
+func TestReshapeRejoinAcrossGrow(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Drop = DropAlways
+	cfg.AllowRejoin = true
+	spec := cluster.Uniform(4).WithArrival(1.0, -1).WithArrival(1.0, -1).WithArrival(1.0, -1).
+		With(cluster.CycleEvent(3, 2, +1)).With(cluster.CycleEvent(3, 18, -1))
+	results := runReshape(t, spec, cfg, 64, 40, map[int]int{12: 4, 30: 6}, uniformCost)
+	checkValuesAndCoverage(t, results, 64)
+	if len(results) != 6 {
+		t.Fatalf("%d ranks reported, want 6 (4 seed + 2 of 3 reserves)", len(results))
+	}
+	for r, res := range results {
+		if res.removed {
+			t.Fatalf("rank %d removed at the end", r)
+		}
+	}
+	if counts := sameFinalCounts(t, results); len(counts) != 6 {
+		t.Fatalf("final distribution %v does not span 6 ranks", counts)
+	}
+}
+
+// TestReshapeJoinerHonoursMaxRedists: the redistribution cap is spent — one
+// load-driven redistribution, one admission — before a second load change. A
+// joiner that counts only the redistributions it took part in still has
+// budget, opens a grace period the incumbents do not, and its decision
+// collectives cross their load exchanges.
+func TestReshapeJoinerHonoursMaxRedists(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Drop = DropNever
+	cfg.MaxRedists = 2
+	spec := cluster.Uniform(4).WithArrival(1.0, 14).
+		With(cluster.CycleEvent(1, 2, +1)).With(cluster.CycleEvent(2, 22, +1))
+	results := runReshape(t, spec, cfg, 64, 40, nil, uniformCost)
+	checkValuesAndCoverage(t, results, 64)
+	if len(results) != 5 {
+		t.Fatalf("%d ranks reported, want 5", len(results))
+	}
+	for r, res := range results {
+		if res.redists != cfg.MaxRedists {
+			t.Errorf("rank %d reports %d redistributions, the world made %d", r, res.redists, cfg.MaxRedists)
+		}
+		for _, ev := range res.events {
+			if ev.Kind == EvLoadChange && ev.Cycle >= 14 {
+				t.Errorf("rank %d opened a grace period at cycle %d, after the cap was spent", r, ev.Cycle)
+			}
 		}
 	}
 }

@@ -32,28 +32,6 @@ func (rt *Runtime) nodesOf(ranks, loads []int) []distribution.Node {
 	return nodes
 }
 
-// admitted returns the membership that takes in extra (joiners or rejoiners,
-// unloaded by definition) beside the active ranks carrying loads: the new
-// active list and the load baseline it adopts, in rank order and fresh (both
-// are installed and shipped), and its node view in scratch.
-func (rt *Runtime) admitted(extra, loads []int) (newActive, newBase []int, nodes []distribution.Node) {
-	nodes = rt.nodesOf(rt.active, loads)
-	for _, r := range extra {
-		nodes = append(nodes, distribution.Node{Rank: r, Power: rt.comm.World().Cluster().Node(r).Power()})
-		// Insertion by rank: the active list is in rank order already.
-		for i := len(nodes) - 1; i > 0 && nodes[i].Rank < nodes[i-1].Rank; i-- {
-			nodes[i], nodes[i-1] = nodes[i-1], nodes[i]
-		}
-	}
-	rt.nodesBuf = nodes
-	both := make([]int, 2*len(nodes))
-	newActive, newBase = both[:len(nodes):len(nodes)], both[len(nodes):]
-	for i, n := range nodes {
-		newActive[i], newBase[i] = n.Rank, n.Load
-	}
-	return newActive, newBase, nodes
-}
-
 // costs returns the measured iteration costs, uniform ones before any grace
 // period measured them.
 func (rt *Runtime) costs() []float64 {
@@ -83,16 +61,6 @@ func atLeast[T any](buf []T, n int) []T {
 		return make([]T, 0, n)
 	}
 	return buf[:0]
-}
-
-// rebase installs the load baseline a membership change leaves behind and
-// returns the state machine to normal: what was being measured is void.
-func (rt *Runtime) rebase(base []int) {
-	rt.baseLoads = base
-	rt.state = stNormal
-	rt.collector = nil
-	rt.cycTimer = nil
-	rt.cycOpen = false
 }
 
 // appendInts appends key and then xs as fmt's %v renders an int slice
