@@ -435,10 +435,10 @@ func BenchmarkSparsePackUnpack(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseChurn is the particle step's storage pattern: every row of
-// a populated 64-row window is emptied and refilled, four elements per
-// particle. One op is one particle; the recycled list nodes make it 0
-// allocs/op.
+// BenchmarkSparseChurn is the unpack pattern (what a redistribution does to
+// the rows it receives): every row of a populated 64-row window is emptied
+// and refilled element by element, four elements per particle. One op is one
+// particle; the recycled list nodes make it 0 allocs/op.
 func BenchmarkSparseChurn(b *testing.B) {
 	b.ReportAllocs()
 	const rows, perRow = 64, 96
@@ -459,6 +459,75 @@ func BenchmarkSparseChurn(b *testing.B) {
 		g := i / perRow % rows
 		s.ClearRow(g)
 		fill(g)
+	}
+}
+
+// rowEditWindow is the particle step's storage pattern: a 64-row window of
+// four-element particles, each row rewritten in place. edit(g) keeps seven
+// particles in nine (≈ 78%) in their own nodes and moves the other two to the
+// next row, and returns how many it handled; the population only circulates.
+func rowEditWindow(sink matrix.CostSink) (rows int, edit func(g int) int) {
+	const perRow = 96
+	rows = 64
+	s := matrix.NewSparse("P", rows, sink)
+	s.SetWindow(0, rows)
+	for g := 0; g < rows; g++ {
+		for k := 0; k < perRow; k++ {
+			s.AppendRun(g, int32(k), 0, 1, 2, 3)
+		}
+	}
+	type moved struct {
+		pid int32
+		v   [4]float64
+	}
+	var out []moved
+	return rows, func(g int) int {
+		out = out[:0]
+		n := 0
+		ed := s.EditRow(g)
+		for ; ed.More(); n++ {
+			var v [4]float64
+			pid := ed.Read(v[:])
+			if n%9 < 7 {
+				ed.Keep(v[0]+v[2], v[1]+v[3], v[2], v[3])
+				continue
+			}
+			ed.Drop()
+			out = append(out, moved{pid, v})
+		}
+		ed.Settle()
+		for _, m := range out {
+			s.AppendRun((g+1)%rows, m.pid, m.v[0], m.v[1], m.v[2], m.v[3])
+		}
+		return n
+	}
+}
+
+// BenchmarkSparseRowEdit is one particle of rowEditWindow, charges included
+// (a node that cannot page, as in every bench workload). 0 allocs/op:
+// TestSparseRowEditAllocFree.
+func BenchmarkSparseRowEdit(b *testing.B) {
+	b.ReportAllocs()
+	rows, edit := rowEditWindow(cluster.New(cluster.Uniform(1)).Node(0))
+	for g := 0; g < rows; g++ {
+		edit(g) // the move buffer reaches its size
+	}
+	b.ResetTimer()
+	for i, g := 0, 0; i < b.N; g = (g + 1) % rows {
+		i += edit(g)
+	}
+}
+
+func TestSparseRowEditAllocFree(t *testing.T) {
+	rows, edit := rowEditWindow(cluster.New(cluster.Uniform(1)).Node(0))
+	sweep := func() {
+		for g := 0; g < rows; g++ {
+			edit(g)
+		}
+	}
+	sweep()
+	if n := testing.AllocsPerRun(10, sweep); n != 0 {
+		t.Errorf("in-place edit of every row: %v allocs per sweep, want 0", n)
 	}
 }
 
@@ -492,6 +561,27 @@ func BenchmarkChargeTouch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.ChargeTouch(32)
+	}
+}
+
+// BenchmarkChargeGrowN is the bulk charge of a run of sparse elements at the
+// particle step's two shapes — one particle appended (AppendRun) and one
+// row's stayers settled (RowEdit.Settle) — on a loaded node that cannot page.
+// One op is one element.
+func BenchmarkChargeGrowN(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		k    int
+	}{{"particle4", 4}, {"row300", 300}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			spec := cluster.Uniform(1).With(cluster.TimeEvent(0, 0, +1))
+			n := cluster.New(spec).Node(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i += c.k {
+				n.ChargeGrowN(12, c.k)
+			}
+		})
 	}
 }
 

@@ -19,6 +19,7 @@
 package particles
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/apps"
@@ -81,11 +82,9 @@ type move struct {
 	pt particle
 }
 
-// scratch holds one rank's step buffers, kept across steps so the steady
-// state allocates nothing for them: pts is the decoded row being advanced,
-// local the moves between the rank's own rows.
+// scratch holds one rank's step buffer, kept across steps so the steady
+// state allocates nothing for it: the moves between the rank's own rows.
 type scratch struct {
-	pts   []particle
 	local []move
 }
 
@@ -162,16 +161,16 @@ func seedParticles(ps *matrix.Sparse, cfg Config, worldSize, lo, hi int) {
 }
 
 func appendParticle(ps *matrix.Sparse, g int, pt particle) {
-	ps.Append(g, pt.pid, pt.x)
-	ps.Append(g, pt.pid, pt.y)
-	ps.Append(g, pt.pid, pt.vx)
-	ps.Append(g, pt.pid, pt.vy)
+	ps.AppendRun(g, pt.pid, pt.x, pt.y, pt.vx, pt.vy)
 }
 
 // readRow decodes a row's particles (groups of four elements) into buf,
 // overwriting its contents, and returns the possibly regrown buffer. The
 // result is a copy: it stays valid after the row is cleared.
 func readRow(ps *matrix.Sparse, g int, buf []particle) []particle {
+	if n := ps.RowLen(g); n%4 != 0 {
+		panic(fmt.Sprintf("particles: %s row %d holds %d elements, not runs of four", ps.Name, g, n))
+	}
 	out := buf[:0]
 	e := ps.RowHead(g)
 	for e != nil {
@@ -188,68 +187,78 @@ func readRow(ps *matrix.Sparse, g int, buf []particle) []particle {
 	return out
 }
 
-// integrate advances one particle, bouncing off the domain walls. It is a
-// pure function of the particle's own state, so results are bit-identical
-// regardless of which rank computes it.
-func integrate(pt particle, cfg Config) particle {
-	pt.x += pt.vx * cfg.Dt
-	pt.y += pt.vy * cfg.Dt
-	w, h := float64(cfg.Cols), float64(cfg.Rows)
-	if pt.x < 0 {
-		pt.x, pt.vx = -pt.x, -pt.vx
+// integrate advances one particle's state by dt, bouncing off the walls of
+// the w×h domain: a pure function, bit-identical on whichever rank computes
+// it. A bounce off a far wall stays strictly inside (y == h is a row nobody
+// owns). Scalars in and out: a 40-byte particle by value goes through memory.
+func integrate(x, y, vx, vy, dt, w, h float64) (float64, float64, float64, float64) {
+	x += vx * dt
+	y += vy * dt
+	if x < 0 {
+		x, vx = -x, -vx
 	}
-	if pt.x >= w {
-		pt.x, pt.vx = 2*w-pt.x, -pt.vx
+	if x >= w {
+		x, vx = min(2*w-x, math.Nextafter(w, 0)), -vx
 	}
-	if pt.y < 0 {
-		pt.y, pt.vy = -pt.y, -pt.vy
+	if y < 0 {
+		y, vy = -y, -vy
 	}
-	if pt.y >= h {
-		pt.y, pt.vy = 2*h-pt.y, -pt.vy
+	if y >= h {
+		y, vy = min(2*h-y, math.Nextafter(h, 0)), -vy
 	}
-	return pt
+	return x, y, vx, vy
 }
 
-// step advances every owned particle one time step, migrating particles
-// that cross row boundaries: local moves are reinserted directly; emigrants
-// travel to the owners of the adjacent rows (one exchange per neighbour per
-// step, possibly empty — both sides derive the pairing from the current
-// distribution, so matching is deterministic).
+// stepOnce advances every owned particle one time step where it lies: one
+// that stays in its row is written back into its own four nodes, one that
+// crosses a row boundary is unlinked — local moves are reinserted once every
+// row is done; emigrants travel to the owners of the adjacent rows (one
+// exchange per neighbour per step, possibly empty; both sides derive the
+// pairing from the distribution). A row ends as its stayers in list order,
+// then local moves, then immigrants.
 func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config, sc *scratch) {
-	me := rt.Comm().Rank()
-	lo, hi := rt.Dist().RangeOf(me)
+	comm := rt.Comm()
+	lo, hi := rt.Dist().RangeOf(comm.Rank())
 	if lo >= hi {
 		return
 	}
+	dt, w, h := cfg.Dt, float64(cfg.Cols), float64(cfg.Rows)
 	// The emigrant slices are handed to Isend and read by the neighbour
-	// after this rank has moved on to its next step, so unlike sc's buffers
+	// after this rank has moved on to its next step, so unlike sc's buffer
 	// they must be freshly allocated every step — never reuse them.
 	var emUp, emDown []particle
 	sc.local = sc.local[:0]
 	for g := lo; g < hi; g++ {
-		sc.pts = readRow(ps, g, sc.pts)
-		ps.ClearRow(g)
-		for _, pt := range sc.pts {
-			pt = integrate(pt, cfg)
-			ng := int(math.Floor(pt.y))
+		n := ps.RowLen(g) / 4
+		ed := ps.EditRow(g)
+		for ed.More() {
+			var v [4]float64
+			pid := ed.Read(v[:])
+			x, y, vx, vy := integrate(v[0], v[1], v[2], v[3], dt, w, h)
+			ng := int(math.Floor(y))
+			if ng == g {
+				ed.Keep(x, y, vx, vy)
+				continue
+			}
+			ed.Drop()
 			switch {
-			case ng == g:
-				appendParticle(ps, g, pt)
+			case ng < 0 || ng >= cfg.Rows: // no neighbour to go to: say so, do not lose it
+				comm.Abort(fmt.Errorf("particles: %+v left the %d-row domain", particle{pid, x, y, vx, vy}, cfg.Rows))
 			case ng < lo:
-				emUp = append(emUp, pt)
+				emUp = append(emUp, particle{pid, x, y, vx, vy})
 			case ng >= hi:
-				emDown = append(emDown, pt)
+				emDown = append(emDown, particle{pid, x, y, vx, vy})
 			default:
-				sc.local = append(sc.local, move{g: ng, pt: pt})
+				sc.local = append(sc.local, move{ng, particle{pid, x, y, vx, vy}})
 			}
 		}
-		rt.ComputeIter(g, vclock.Duration(float64(len(sc.pts))*cfg.CostPerParticle))
+		ed.Settle()
+		rt.ComputeIter(g, vclock.Duration(float64(n)*cfg.CostPerParticle))
 	}
 	for _, m := range sc.local {
 		appendParticle(ps, m.g, m.pt)
 	}
 	// Exchange emigrants with the adjacent block owners.
-	comm := rt.Comm()
 	up, down := -1, -1
 	if lo > 0 {
 		up = rt.Dist().Owner(lo - 1)
@@ -279,8 +288,7 @@ func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config, sc *scratch) {
 	}
 	insert := func(pts []particle) {
 		for _, pt := range pts {
-			g := int(math.Floor(pt.y))
-			appendParticle(ps, g, pt)
+			appendParticle(ps, int(math.Floor(pt.y)), pt)
 		}
 	}
 	if recvUp != nil {

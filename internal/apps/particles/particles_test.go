@@ -25,18 +25,26 @@ func loadedSpec(n, node, cycle int) cluster.Spec {
 }
 
 func TestIntegrateBounces(t *testing.T) {
-	cfg := Config{Rows: 10, Cols: 10, Dt: 1}
-	pt := integrate(particle{x: 0.5, y: 0.5, vx: -1, vy: -1}, cfg)
+	step := func(pt particle) particle {
+		pt.x, pt.y, pt.vx, pt.vy = integrate(pt.x, pt.y, pt.vx, pt.vy, 1, 10, 10)
+		return pt
+	}
+	pt := step(particle{x: 0.5, y: 0.5, vx: -1, vy: -1})
 	if pt.x != 0.5 || pt.y != 0.5 || pt.vx != 1 || pt.vy != 1 {
 		t.Fatalf("bounce at origin wrong: %+v", pt)
 	}
-	pt = integrate(particle{x: 9.5, y: 9.5, vx: 1, vy: 1}, cfg)
+	pt = step(particle{x: 9.5, y: 9.5, vx: 1, vy: 1})
 	if pt.x != 9.5 || pt.y != 9.5 || pt.vx != -1 || pt.vy != -1 {
 		t.Fatalf("bounce at far corner wrong: %+v", pt)
 	}
-	pt = integrate(particle{x: 5, y: 5, vx: 0.25, vy: -0.25}, cfg)
+	pt = step(particle{x: 5, y: 5, vx: 0.25, vy: -0.25})
 	if pt.x != 5.25 || pt.y != 4.75 {
 		t.Fatalf("free flight wrong: %+v", pt)
+	}
+	// Landing exactly on a far wall stays strictly inside the domain.
+	pt = step(particle{x: 9, y: 9.5, vx: 1, vy: 0.5})
+	if !(pt.x < 10 && pt.y < 10) || pt.vx != -1 || pt.vy != -0.5 {
+		t.Fatalf("landing on the far walls wrong: %+v", pt)
 	}
 }
 

@@ -638,6 +638,24 @@ func (n *Node) ChargeTouch(bytes int64) {
 	n.Compute(n.touchRef)
 }
 
+// ChargeGrowN is k × {AdjustResident(bytes); ChargeTouch(bytes)}: a run of k
+// equal elements joining registered data. A node that cannot page (mem == 0)
+// prices every touch alike, so the first fixes touchRef and the rest are one
+// ComputeN; with mem > 0 any element may cross the paging threshold and
+// reprice the next, so the loop stays literal.
+func (n *Node) ChargeGrowN(bytes int64, k int) {
+	if n.mem == 0 && bytes > 0 && k > 0 {
+		n.AdjustResident(bytes * int64(k))
+		n.ChargeTouch(bytes)
+		n.ComputeN(n.touchRef, k-1)
+		return
+	}
+	for ; k > 0; k-- {
+		n.AdjustResident(bytes)
+		n.ChargeTouch(bytes)
+	}
+}
+
 // AdjustResident records allocation (positive) or release (negative) of
 // application data bytes, for the paging model.
 func (n *Node) AdjustResident(delta int64) {

@@ -132,9 +132,11 @@ func oracleSpec(seed uint64) Spec {
 
 // TestChargePathMatchesOracle drives two same-seed nodes through one
 // random interleaving of every call that touches the charge path — the
-// production Compute/ComputeN/ChargeTouch on one, the pre-PR bodies on the
-// other — and requires clock, /PROC time, slice state, debt, timeline
-// cursor and the next PRNG draw to be equal after every step.
+// production Compute/ComputeN/ChargeTouch/ChargeGrowN on one, the pre-PR
+// bodies (for ChargeGrowN, the loop it is defined as) on the other — and
+// requires clock, /PROC time, slice state, debt, resident bytes, timeline
+// cursor and the next PRNG draw to be equal after every step. Two nodes in
+// three can page (oracleMem), so the bulk charge runs both of its branches.
 func TestChargePathMatchesOracle(t *testing.T) {
 	seeds, steps := uint64(300), 250
 	if testing.Short() {
@@ -188,7 +190,18 @@ func chargeOracleCase(seed uint64, steps int) string {
 
 	for step := 0; step < steps; step++ {
 		var what string
-		switch op.Intn(8) {
+		switch op.Intn(9) {
+		case 8:
+			// A run of sparse elements, a run of nothing, a release, and
+			// elements large enough to cross the paging threshold mid-run.
+			b := []int64{12, 24, 0, -12, 4096}[bytes.Intn(5)]
+			k := oracleKs[ks.Intn(len(oracleKs))]
+			what = fmt.Sprintf("ChargeGrowN(%d, %d)", b, k)
+			got.ChargeGrowN(b, k)
+			for i := 0; i < k; i++ {
+				want.AdjustResident(b)
+				oracleChargeTouch(want, b)
+			}
 		case 0, 1:
 			c := drawCost(1)
 			what = fmt.Sprintf("Compute(%d)", c)

@@ -59,6 +59,8 @@ type CostSink interface {
 	ChargeTouch(bytes int64)
 	// AdjustResident tracks allocated application bytes for the paging model.
 	AdjustResident(delta int64)
+	// ChargeGrowN is k × {AdjustResident(bytes); ChargeTouch(bytes)}.
+	ChargeGrowN(bytes int64, k int)
 }
 
 // Dense is one rank's resident window of a block-distributed dense array.

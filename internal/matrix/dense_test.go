@@ -13,6 +13,9 @@ type recordSink struct {
 
 func (r *recordSink) ChargeTouch(b int64)    { r.touched += b }
 func (r *recordSink) AdjustResident(d int64) { r.resident += d }
+func (r *recordSink) ChargeGrowN(b int64, k int) {
+	r.touched, r.resident = r.touched+b*int64(k), r.resident+b*int64(k)
+}
 
 func fillVal(g, j int) float64 { return float64(g*1000 + j) }
 

@@ -7,8 +7,8 @@ import "fmt"
 //
 // Lifetime: the owning Sparse recycles its nodes, so an *Elem (from RowHead,
 // Next or an Iter) is valid only until the next ClearRow, UnpackRow or
-// UnpackRows of its row, or a SetWindow that drops the row. After that the
-// node may already hold an element of another row.
+// UnpackRows of its row, a RowEdit that drops it, or a SetWindow that drops
+// the row. After that the node may already hold an element of another row.
 type Elem struct {
 	Col  int32
 	Val  float64
@@ -143,6 +143,97 @@ func (s *Sparse) Append(g int, col int32, val float64) {
 	if s.sink != nil {
 		s.sink.AdjustResident(elemWireBytes)
 		s.sink.ChargeTouch(elemWireBytes)
+	}
+}
+
+// AppendRun adds (col, v) for each v of vals at the end of global row g: one
+// Append per value, at the price of one row lookup and one charge.
+func (s *Sparse) AppendRun(g int, col int32, vals ...float64) {
+	r := s.row(g)
+	for _, v := range vals {
+		s.push(r, col, v)
+	}
+	if s.sink != nil {
+		s.sink.ChargeGrowN(elemWireBytes, len(vals))
+	}
+}
+
+// RowEdit rewrites one row in place, run by run: Read the next run of
+// elements, Keep it (same nodes, new values) or Drop it, Settle at the end of
+// the row. The cost is by definition that of what it replaces — ClearRow(g),
+// then one Append per kept element, whose list order is unchanged — charged at
+// Settle. Lifetime: dropped nodes are on the free list at once (an AppendRun
+// to another row may reuse them mid-edit), and like an *Elem the edit dies
+// with the next ClearRow, UnpackRow(s) or Append(Run) of its row and with any
+// SetWindow. Misuse it can see — a run that straddles the end of the row, Keep
+// or Drop with no run read, Settle before the end — panics, naming the row.
+type RowEdit struct {
+	s             *Sparse
+	g             int
+	r             *sparseRow
+	link          **Elem // points at the first undecided node: &r.head, then &prev.next
+	prev, last    *Elem  // last kept node; end of the run read
+	run, left, n0 int    // width of that run; undecided elements (-1: settled); r.n at EditRow
+}
+
+// EditRow starts an in-place edit of global row g.
+func (s *Sparse) EditRow(g int) RowEdit {
+	r := s.row(g)
+	return RowEdit{s: s, g: g, r: r, link: &r.head, left: r.n, n0: r.n}
+}
+
+// More reports whether elements remain to be read.
+func (ed *RowEdit) More() bool { return ed.left > 0 }
+
+func (ed *RowEdit) must(ok bool, op string, k int) {
+	if !ok {
+		ed.misuse(op, k)
+	}
+}
+
+// misuse is out of line so that must inlines.
+func (ed *RowEdit) misuse(op string, k int) {
+	panic(fmt.Sprintf("matrix: %s sparse row %d edit: %s(%d) with a run of %d read and %d of %d elements left",
+		ed.s.Name, ed.g, op, k, ed.run, ed.left, ed.n0))
+}
+
+// Read copies the values of the next len(vals) elements into vals and
+// returns the column id of the first. Keep or Drop then decides that run.
+func (ed *RowEdit) Read(vals []float64) int32 {
+	ed.must(ed.run == 0 && len(vals) > 0 && len(vals) <= ed.left, "Read", len(vals))
+	e := *ed.link
+	for i := range vals {
+		vals[i], ed.last, e = e.Val, e, e.next
+	}
+	ed.run = len(vals)
+	return (*ed.link).Col
+}
+
+// Keep overwrites the values of the run just read and moves past it.
+func (ed *RowEdit) Keep(vals ...float64) {
+	ed.must(ed.run > 0 && len(vals) == ed.run, "Keep", len(vals))
+	e := *ed.link
+	for _, v := range vals {
+		e.Val, e = v, e.next
+	}
+	ed.prev, ed.link, ed.left, ed.run = ed.last, &ed.last.next, ed.left-ed.run, 0
+}
+
+// Drop unlinks the run just read and recycles its nodes.
+func (ed *RowEdit) Drop() {
+	ed.must(ed.run > 0, "Drop", 0)
+	*ed.link, ed.last.next, ed.s.free = ed.last.next, ed.s.free, *ed.link // unlink the run, push it whole
+	ed.r.n -= ed.run
+	ed.left, ed.run = ed.left-ed.run, 0
+}
+
+// Settle ends the edit, at the end of the row, and charges it.
+func (ed *RowEdit) Settle() {
+	ed.must(ed.run == 0 && ed.left == 0, "Settle", 0)
+	ed.r.tail, ed.left = ed.prev, -1
+	if s := ed.s; s.sink != nil {
+		s.sink.AdjustResident(int64(-elemWireBytes * ed.n0))
+		s.sink.ChargeGrowN(elemWireBytes, ed.r.n)
 	}
 }
 

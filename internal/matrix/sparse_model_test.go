@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -19,6 +20,15 @@ type callLog []costCall
 
 func (l *callLog) ChargeTouch(n int64)    { *l = append(*l, costCall{true, n}) }
 func (l *callLog) AdjustResident(n int64) { *l = append(*l, costCall{false, n}) }
+
+// ChargeGrowN logs what it is defined as, so a bulk charge and the loop it
+// replaces compare equal.
+func (l *callLog) ChargeGrowN(n int64, k int) {
+	for ; k > 0; k-- {
+		l.AdjustResident(n)
+		l.ChargeTouch(n)
+	}
+}
 
 type refElem struct {
 	col int32
@@ -59,6 +69,22 @@ func (r *refSparse) append(g int, col int32, val float64) {
 func (r *refSparse) clearRow(g int) {
 	r.sink.AdjustResident(int64(-elemWireBytes * len(r.rows[g-r.lo])))
 	r.rows[g-r.lo] = nil
+}
+
+// edit is what RowEdit is defined as: run i of the row (widths[i] elements)
+// survives, with the values rewrite gives it, iff keep[i]; the cost is
+// ClearRow followed by one Append per kept element.
+func (r *refSparse) edit(g int, widths []int, keep []bool, rewrite func(float64) float64) {
+	old := r.rows[g-r.lo]
+	r.clearRow(g)
+	for i, w := range widths {
+		for _, e := range old[:w] {
+			if keep[i] {
+				r.append(g, e.col, rewrite(e.val))
+			}
+		}
+		old = old[w:]
+	}
 }
 
 func (r *refSparse) unpackRow(g int, cols []int32, vals []float64) {
@@ -146,6 +172,50 @@ func (r *refSparse) checkAgainst(s *Sparse) error {
 	return nil
 }
 
+// editRow drives a RowEdit over global row g with the same script as
+// refSparse.edit, checking what Read hands back on the way.
+func editRow(s *Sparse, g int, widths []int, keep []bool, rewrite func(float64) float64) error {
+	e := s.RowHead(g)
+	ed := s.EditRow(g)
+	for i, w := range widths {
+		want := make([]float64, w)
+		col := e.Col
+		for j := range want {
+			want[j], e = e.Val, e.Next() // before the run is dropped: lifetime rule
+		}
+		vals := make([]float64, w)
+		if !ed.More() {
+			return fmt.Errorf("run %d: More() = false with elements left", i)
+		}
+		if c := ed.Read(vals); c != col || !slices.Equal(vals, want) {
+			return fmt.Errorf("run %d: Read = (%d, %v), want (%d, %v)", i, c, vals, col, want)
+		}
+		if !keep[i] {
+			ed.Drop()
+			continue
+		}
+		for j := range vals {
+			vals[j] = rewrite(vals[j])
+		}
+		ed.Keep(vals...)
+	}
+	if ed.More() {
+		return fmt.Errorf("More() = true at the end of the row")
+	}
+	ed.Settle()
+	return nil
+}
+
+// randomRuns cuts n elements into runs of 1 to 5.
+func randomRuns(rng *rand.Rand, n int) []int {
+	var widths []int
+	for n > 0 {
+		w := 1 + rng.Intn(min(5, n))
+		widths, n = append(widths, w), n-w
+	}
+	return widths
+}
+
 // TestSparseMatchesFreshAllocationOracle drives a seeded random operation
 // sequence through the recycling Sparse and the oracle in lock step.
 func TestSparseMatchesFreshAllocationOracle(t *testing.T) {
@@ -170,12 +240,37 @@ func TestSparseMatchesFreshAllocationOracle(t *testing.T) {
 			}
 			var desc string
 			switch {
-			case op < 55:
+			case op < 35:
 				g := randomResident()
 				col, val := int32(rng.Intn(1000)), rng.Float64()
 				desc = fmt.Sprintf("Append(%d)", g)
 				s.Append(g, col, val)
 				ref.append(g, col, val)
+			case op < 45:
+				g := randomResident()
+				_, vals := randomRow(rng.Intn(6)) // an empty run too
+				col := int32(rng.Intn(1000))
+				desc = fmt.Sprintf("AppendRun(%d, %d vals)", g, len(vals))
+				s.AppendRun(g, col, vals...)
+				for _, v := range vals {
+					ref.append(g, col, v)
+				}
+			case op < 55:
+				// Random keep/drop pattern over random run widths; one edit in
+				// four keeps or drops everything.
+				g := randomResident()
+				widths := randomRuns(rng, s.RowLen(g))
+				keep := make([]bool, len(widths))
+				mode := rng.Intn(8)
+				for i := range keep {
+					keep[i] = mode == 0 || mode > 1 && rng.Intn(100) < 78
+				}
+				rewrite := func(v float64) float64 { return v + 1 }
+				desc = fmt.Sprintf("EditRow(%d) widths %v keep %v", g, widths, keep)
+				if err := editRow(s, g, widths, keep, rewrite); err != nil {
+					t.Fatalf("seed %d step %d %s: %v", seed, step, desc, err)
+				}
+				ref.edit(g, widths, keep, rewrite)
 			case op < 65:
 				g := randomResident()
 				desc = fmt.Sprintf("ClearRow(%d)", g)
@@ -220,6 +315,95 @@ func TestSparseMatchesFreshAllocationOracle(t *testing.T) {
 				t.Fatalf("seed %d step %d after %s: cost calls %+v, want %+v", seed, step, desc, got, want)
 			}
 			got, want = got[:0], want[:0]
+		}
+	}
+}
+
+// The edges of an in-place edit, each against ClearRow + Appends, with
+// populated neighbour rows and an Append afterwards to use the tail pointer.
+func TestRowEditEdges(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		widths []int
+		keep   []bool
+	}{
+		{"empty row", nil, nil},
+		{"keep every run", []int{4, 4, 4}, []bool{true, true, true}},
+		{"drop the first run", []int{4, 4, 4}, []bool{false, true, true}},
+		{"drop the last run", []int{4, 4, 4}, []bool{true, true, false}},
+		{"drop a middle run", []int{4, 1, 4}, []bool{true, false, true}},
+		{"drop every run", []int{4, 4, 4}, []bool{false, false, false}},
+		{"drop the only run", []int{3}, []bool{false}},
+		{"keep only the last element", []int{5, 1}, []bool{false, true}},
+	} {
+		var got, want callLog
+		s := NewSparse("M", 3, &got)
+		ref := &refSparse{sink: &want}
+		s.SetWindow(0, 3)
+		ref.setWindow(0, 3)
+		n := 0
+		for _, w := range c.widths {
+			n += w
+		}
+		for g, k := range []int{2, n, 2} {
+			for i := 0; i < k; i++ {
+				s.Append(g, int32(i), float64(10*g+i))
+				ref.append(g, int32(i), float64(10*g+i))
+			}
+		}
+		got, want = got[:0], want[:0]
+		rewrite := func(v float64) float64 { return -v }
+		if err := editRow(s, 1, c.widths, c.keep, rewrite); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		ref.edit(1, c.widths, c.keep, rewrite)
+		s.Append(1, 99, 99)
+		ref.append(1, 99, 99)
+		if err := ref.checkAgainst(s); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: cost calls %+v, want %+v", c.name, got, want)
+		}
+	}
+}
+
+// Misuse an edit can see panics and names the row: settling before the end
+// of the row, keeping or dropping with no run read (so also past the end),
+// and a run that straddles the end.
+func TestRowEditMisusePanicsNamingTheRow(t *testing.T) {
+	two := make([]float64, 2)
+	four := make([]float64, 4)
+	dropAll := func(ed *RowEdit) { ed.Read(four); ed.Drop(); ed.Read(two); ed.Drop() } // the row holds six
+	for _, c := range []struct {
+		name string
+		do   func(ed *RowEdit)
+	}{
+		{"settle before the end", func(ed *RowEdit) { ed.Read(two); ed.Keep(two...); ed.Settle() }},
+		{"settle with a run undecided", func(ed *RowEdit) { ed.Read(four); ed.Drop(); ed.Read(two); ed.Settle() }},
+		{"keep past the end", func(ed *RowEdit) { dropAll(ed); ed.Keep(two...) }},
+		{"drop past the end", func(ed *RowEdit) { dropAll(ed); ed.Drop() }},
+		{"read past the end", func(ed *RowEdit) { dropAll(ed); ed.Read(two) }},
+		{"run straddles the end", func(ed *RowEdit) { ed.Read(four); ed.Keep(four...); ed.Read(four) }},
+		{"keep before any read", func(ed *RowEdit) { ed.Keep(two...) }},
+		{"keep of another width", func(ed *RowEdit) { ed.Read(four); ed.Keep(two...) }},
+		{"read twice", func(ed *RowEdit) { ed.Read(two); ed.Read(two) }},
+		{"empty read", func(ed *RowEdit) { ed.Read(nil) }},
+		{"settle twice", func(ed *RowEdit) { dropAll(ed); ed.Settle(); ed.Settle() }},
+	} {
+		s := NewSparse("M", 8, nil)
+		s.SetWindow(4, 8)
+		for i := 0; i < 6; i++ {
+			s.Append(5, int32(i), float64(i))
+		}
+		ed := s.EditRow(5)
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			c.do(&ed)
+			return
+		}()
+		if !strings.Contains(msg, "M sparse row 5 edit") {
+			t.Errorf("%s: panic %q does not name the row", c.name, msg)
 		}
 	}
 }
