@@ -60,6 +60,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -68,6 +69,24 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
+
+// parseNodes reads the -nodes list: comma-separated positive integers, each
+// a whole number (strconv, not Sscanf — "%d" stops at the first non-digit and
+// would read "8x" as 8). Empty means the experiment's own default.
+func parseNodes(list string) ([]int, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var nodes []int
+	for _, part := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad -nodes value %q", part)
+		}
+		nodes = append(nodes, n)
+	}
+	return nodes, nil
+}
 
 func usage() {
 	fmt.Fprintf(os.Stderr, "usage: dynexp [-paper] [-nodes n,n,...] [-trace out.jsonl] [-summary] [-fault specs] [-replicate] [-replica-every n] [-scale-n n] [-smoke] [-grid spec] [-jobs n] [-out f.jsonl] [-stream] [-cpuprofile f] [-memprofile f] {fig4|cg-table|fig5|fig6|fig7|alloc|microbench|virt|trace|scale|overlap|rma|resize|sweep|all}\n")
@@ -131,16 +150,10 @@ func main() {
 		}
 	}
 
-	var nodes []int
-	if *nodesFlag != "" {
-		for _, part := range strings.Split(*nodesFlag, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "dynexp: bad -nodes value %q\n", part)
-				os.Exit(2)
-			}
-			nodes = append(nodes, n)
-		}
+	nodes, err := parseNodes(*nodesFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dynexp: %v\n", err)
+		os.Exit(2)
 	}
 
 	run := func(name string) error {

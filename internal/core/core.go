@@ -71,8 +71,6 @@ const (
 	tagMembership = tagBase + 516  // membership packet (membership.go)
 	tagReplica    = tagBase + 1024 // + array registration index (buddy-replica refresh)
 	tagRecover    = tagBase + 1536 // + array registration index (failure recovery)
-	tagRedistSync = tagBase + 2048 // + array registration index (RMA commit marker sync)
-	tagAdaptive   = tagBase + 2560 // + array registration index (adaptive paired replica slab)
 )
 
 // Config parameterises the runtime (the DMPI_init arguments plus the
@@ -125,9 +123,6 @@ type Config struct {
 	// hides the wire. Recovery content is identical to the paired path at
 	// the same ReplicaEvery staleness.
 	ReplicaRMA bool
-	// ReplicaSync selects the transport policy of an RMA replica refresh
-	// (only meaningful with ReplicaRMA); see the constants.
-	ReplicaSync ReplicaSyncMode
 	// RedistMode selects how redistribution Phase 3 moves and commits
 	// incoming slabs; see the constants.
 	RedistMode RedistMode
@@ -157,28 +152,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// ReplicaSyncMode selects the transport policy of the one-sided replica
-// refresh (Config.ReplicaSync, only with ReplicaRMA). Epochs always
-// synchronise pairwise (post/start/complete/wait between a holder and its
-// buddy): two 8-byte control messages per pair per refresh, O(1) in the
-// group size.
-type ReplicaSyncMode int
-
-const (
-	// SyncPSCW (default): every refresh is a deferred one-sided Put — each
-	// rank posts its windows to its ring predecessor, starts toward its
-	// successor, Puts its slab, and completes/waits at the next refresh
-	// point, a full cycle of computation later.
-	SyncPSCW ReplicaSyncMode = iota
-	// SyncAdaptive runs the same handshake every refresh but lets each
-	// holder choose, per pair, between the deferred one-sided Put (wire
-	// hidden behind the next cycle) and an immediate paired send/recv
-	// (fresher replica) from its measured cycle/wire ratio; the verdict
-	// travels in-band on the post notification, so both ends of a pair
-	// agree without any global agreement step.
-	SyncAdaptive
-)
-
 // RedistMode selects the Phase 3 strategy of applyDistribution.
 type RedistMode int
 
@@ -200,12 +173,12 @@ const (
 	RedistOverlap
 	// RedistRMA commits dense transfers through one-sided windows
 	// (rma.go): after the resident windows resize, each receiver exposes
-	// its new window and senders Put packed row slabs directly at
-	// destination offsets computed from the schedule, collapsing the
-	// Phase-3 harvest/commit into a fence. The receiver pays no per-message
-	// CPU and no commit touches (the deposit is a modelled DMA); sparse
-	// arrays, and every array after a failed fence, go through the
-	// pipelined drain. Opt-in, like RedistOverlap.
+	// its new window to the ranks the schedule has sending to it, and they
+	// Put packed row slabs directly at destination offsets computed from
+	// the schedule, collapsing the Phase-3 harvest/commit into one pairwise
+	// epoch per (sender, receiver). The receiver pays no per-message CPU
+	// and no commit touches (the deposit is a modelled DMA); sparse arrays
+	// go through the pipelined drain. Opt-in, like RedistOverlap.
 	RedistRMA
 )
 
@@ -227,7 +200,7 @@ type regArray struct {
 	index    int           // registration index: tag offset, position in Runtime.arrays
 
 	rep  *replica    // the ring predecessor's rows; nil until one is stored or staged
-	wins [3]*mpi.Win // by winKind (rma.go); dense arrays only
+	wins [2]*mpi.Win // by winKind (rma.go); dense arrays only
 }
 
 // EventKind labels trace events.
@@ -344,32 +317,23 @@ type Runtime struct {
 
 	// One-sided replica/redistribution state (rma.go); the windows themselves
 	// are per array, on regArray.
-	repRanks  []int           // replica-group member list at the last open
-	repPrev   int             // ring predecessor at the last open (world rank)
-	repNext   int             // ring successor at the last open (world rank)
-	repOpen   bool            // a replica epoch is open (deposits or handshake pending)
-	repPend   repRange        // range Put into this rank's windows this epoch
-	repDirect bool            // adaptive: this epoch's incoming slabs arrived paired (already committed)
-	repMark   vclock.Time     // adaptive: clock at the END of the last refresh
-	repMarked bool            // adaptive: repMark holds a real previous refresh
-	repSpan   vclock.Duration // adaptive: compute window between the last two refreshes
-	repSpanOK bool            // adaptive: repSpan is a real measurement
-	adaptPut  int             // adaptive refreshes that chose the deferred one-sided Put
-	adaptSend int             // adaptive refreshes that chose the immediate paired send
-	winGroup  [2]*mpi.Group   // group the winRedist and winFetch windows span
+	repRanks    []int      // replica-group member list at the last open
+	repPrev     int        // ring predecessor at the last open (world rank)
+	repNext     int        // ring successor at the last open (world rank)
+	repOpen     bool       // a replica epoch is open (deposits or handshake pending)
+	repPend     repRange   // range Put into this rank's windows this epoch
+	redistGroup *mpi.Group // group the redistribution windows span
 
 	// Redistribution scratch, reused across applyDistribution calls so a
 	// steady stream of redistributions performs no per-call allocation for
 	// schedules or bookkeeping (see redist.go for the slab pool invariants).
-	schedBuf     []drsd.Transfer
-	restBuf      []drsd.Transfer // schedule minus joiner-fetch transfers
-	destBuf      []int
-	outsBuf      []redistOut
-	fetchOutsBuf []redistOut // joiner-bound outgoing transfers (pulled, not pushed)
-	fetchBuf     []float64   // packed joiner-bound slabs a fetch window exposes
-	insBuf       []redistIn
-	reqBuf       []*mpi.Request
-	ordBuf       []int
+	schedBuf  []drsd.Transfer
+	destBuf   []int
+	outsBuf   []redistOut
+	insBuf    []redistIn
+	reqBuf    []*mpi.Request
+	ordBuf    []int
+	originBuf []int // the ranks Putting into this rank's window (rma.go)
 
 	// Load-exchange scratch: the per-cycle allgather of load readings goes
 	// through the pooled float64 collective when no removed-node sidecar is

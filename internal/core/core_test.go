@@ -29,6 +29,7 @@ type miniResult struct {
 	final    vclock.Time
 	relRank  int
 	globals  []float64
+	lost     int // rows declared lost (runElastic only)
 }
 
 // runMini executes a synthetic workload: one dense array of N rows; every

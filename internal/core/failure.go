@@ -195,7 +195,7 @@ func (rt *Runtime) recoverDistribution(newDist *drsd.Block, dead []int) {
 		a := &rt.arrays[i]
 		sched := rt.scheduleFor(a, newDist)
 		tag := tagRecover + a.index
-		outs, _, _ := rt.extractAndResize(a, sched, newDist, nil)
+		outs := rt.extractAndResize(a, sched, newDist)
 
 		// Ship own outgoing slabs, then serve the dead ranks' transfers this
 		// rank holds replicas for. Sends are eager, so the send-before-receive

@@ -7,20 +7,13 @@ import (
 	"repro/internal/fault"
 )
 
-// Replica-sync mode suites: the deferred-Put refresh (default) and the
-// adaptive per-pair mode. The default-mode crash matrix, leak checks and
-// determinism suites live in rma_test.go; this file pins what is specific
-// to the mode split.
+// Pairwise-epoch suites: the deferred-Put replica refresh against the
+// paired one, and the byte accounting of the one-sided redistribution
+// commit. The crash matrix, leak checks and determinism suites of the
+// refresh live in rma_test.go.
 
-// replicaAdaptiveCfg is replicaRMACfg with the per-pair adaptive verdict.
-func replicaAdaptiveCfg() Config {
-	cfg := replicaRMACfg()
-	cfg.ReplicaSync = SyncAdaptive
-	return cfg
-}
-
-// TestReplicaSyncModesSameValues: paired, deferred-Put and adaptive refresh
-// are transport-only choices — each must end with identical bit-exact array
+// TestReplicaSyncModesSameValues: paired and deferred-Put refresh are
+// transport-only choices — each must end with identical bit-exact array
 // contents on every rank.
 func TestReplicaSyncModesSameValues(t *testing.T) {
 	const n, rowLen, cycles = 48, 4, 15
@@ -32,72 +25,11 @@ func TestReplicaSyncModesSameValues(t *testing.T) {
 	}{
 		{"paired", paired},
 		{"pscw", replicaRMACfg()},
-		{"adaptive", replicaAdaptiveCfg()},
 	} {
 		results, leaked := runRMAMini(t, cluster.Uniform(4), tc.cfg, n, rowLen, cycles)
 		checkRMAValues(t, results, n)
 		if leaked != 0 {
 			t.Errorf("%s: %d deposits leaked", tc.name, leaked)
-		}
-	}
-}
-
-// TestReplicaSyncAdaptivePicksPut: with the default fast cycles (compute
-// dwarfs the slab wire time) every adaptive verdict after the first mark
-// must stay with the deferred Put — the cheap steady-state choice.
-func TestReplicaSyncAdaptivePicksPut(t *testing.T) {
-	results, leaked := runRMAMini(t, cluster.Uniform(4), replicaAdaptiveCfg(), 64, 4, 12)
-	checkRMAValues(t, results, 64)
-	if leaked != 0 {
-		t.Fatalf("%d deposits leaked", leaked)
-	}
-	for r, res := range results {
-		if res.adaptPut == 0 {
-			t.Errorf("rank %d made no put-mode refreshes", r)
-		}
-		if res.adaptSend != 0 {
-			t.Errorf("rank %d chose %d paired refreshes despite wire ≪ cycle span", r, res.adaptSend)
-		}
-	}
-}
-
-// TestReplicaSyncAdaptivePicksSend: with slabs so large the wire time
-// exceeds the cycle span, the verdict must flip to immediate paired sends
-// — a deferred Put could never hide behind one cycle of computation.
-func TestReplicaSyncAdaptivePicksSend(t *testing.T) {
-	// 16 rows/rank × 32768 × 8 B ≈ 4.2 MB/slab ≈ 0.34 s on the default
-	// 12.5 MB/s wire, against a 16-iteration × 10 ms ≈ 0.16 s cycle.
-	results, leaked := runRMAMini(t, cluster.Uniform(4), replicaAdaptiveCfg(), 64, 32768, 6)
-	checkRMAValues(t, results, 64)
-	if leaked != 0 {
-		t.Fatalf("%d deposits leaked", leaked)
-	}
-	for r, res := range results {
-		if res.adaptSend == 0 {
-			t.Errorf("rank %d never flipped to paired sends despite wire > cycle span (put=%d)", r, res.adaptPut)
-		}
-	}
-}
-
-// TestReplicaSyncAdaptiveCrash drives the adaptive mode through the crash
-// matrix: whatever the per-epoch transport, recovery must stay exact and
-// leak-free (the adoption guard skips epochs whose slabs arrived paired).
-func TestReplicaSyncAdaptiveCrash(t *testing.T) {
-	for _, cycle := range []int{1, 6, 13} {
-		spec := cluster.Uniform(3)
-		spec.Faults = []fault.Fault{fault.CrashAtCycle(1, cycle)}
-		results, leaked := runRMAMini(t, spec, replicaAdaptiveCfg(), 48, 4, 20)
-		if len(results) != 2 {
-			t.Fatalf("cycle %d: %d ranks reported", cycle, len(results))
-		}
-		checkRMAValues(t, results, 48)
-		for r, res := range results {
-			if res.lost != 0 {
-				t.Errorf("cycle %d: rank %d lost %d rows", cycle, r, res.lost)
-			}
-		}
-		if leaked != 0 {
-			t.Errorf("cycle %d: %d deposits leaked", cycle, leaked)
 		}
 	}
 }
@@ -187,8 +119,8 @@ func TestRedistBytesConservation(t *testing.T) {
 }
 
 // TestRedistBytesConservationOnGrow extends the conservation invariant
-// through a grow: the joiner-fetch path (Get under PSCW) must account its
-// pulls as receives that exactly match the sources' packed sends.
+// through a grow: rows Put into a joiner's window must be accounted as
+// receives that exactly match the sources' packed sends.
 func TestRedistBytesConservationOnGrow(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -206,11 +138,7 @@ func TestRedistBytesConservationOnGrow(t *testing.T) {
 		if len(results) != 6 {
 			t.Fatalf("%s: %d ranks reported, want 6", tc.name, len(results))
 		}
-		events := map[int][]Event{}
-		for r, res := range results {
-			events[r] = res.events
-		}
-		sent, recv, _ := sumRedistBytes(events)
+		sent, recv, _ := sumRedistBytes(eventsOf(results))
 		if sent == 0 {
 			t.Fatalf("%s: zero bytes sent", tc.name)
 		}

@@ -104,7 +104,7 @@ func putSparseSlab(s *sparseSlab) {
 const neighbourSlabs = 4
 
 // redistOut is one outgoing transfer staged during the extraction phase.
-// lo is the transfer's first global row — the RMA commit path derives the
+// lo is the transfer's first global row — the one-sided commit derives the
 // destination window offset from it.
 type redistOut struct {
 	to    int
@@ -250,11 +250,8 @@ func (rt *Runtime) scheduleFor(a *regArray, newDist *drsd.Block) []drsd.Transfer
 // transfer this rank sources into a slab (Phase 1, before the window
 // changes) and then resizes the resident window to the new ownership
 // (Phase 2; reuses retained rows, the allocation scheme determines the
-// cost). Transfers bound for a rank in pulled — non-nil only while array
-// a's joiner-bound rows travel by one-sided fetch — pack back to back into
-// fbuf, the buffer the fetch window will expose, and are returned apart;
-// the joiner derives their offsets from the same schedule order.
-func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist *drsd.Block, pulled map[int]bool) (outs, fetchOuts []redistOut, fbuf []float64) {
+// cost).
+func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist *drsd.Block) []redistOut {
 	me := rt.comm.Rank()
 	olo, ohi := rt.dist.RangeOf(me)
 	nlo, nhi := newDist.RangeOf(me)
@@ -271,7 +268,6 @@ func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist 
 	}
 	destCount := rt.destBuf
 	clear(destCount)
-	fetchLen := 0
 	for _, tr := range sched {
 		if tr.From != me {
 			continue
@@ -279,17 +275,8 @@ func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist 
 		for g := tr.Lo; g < tr.Hi; g++ {
 			destCount[g-olo]++
 		}
-		if pulled[tr.To] {
-			fetchLen += (tr.Hi - tr.Lo) * a.dense.RowLen
-		}
 	}
-	outs, fetchOuts, fbuf = atLeast(rt.outsBuf, neighbourSlabs), rt.fetchOutsBuf[:0], rt.fetchBuf[:0]
-	if cap(fbuf) < fetchLen {
-		fbuf = make([]float64, fetchLen)
-	} else {
-		fbuf = fbuf[:fetchLen]
-	}
-	foff := 0
+	outs := atLeast(rt.outsBuf, neighbourSlabs)
 	for _, tr := range sched {
 		if tr.From != me {
 			continue
@@ -302,14 +289,8 @@ func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist 
 			outs = append(outs, m)
 			continue
 		}
-		n := m.rows * a.dense.RowLen
-		if pulled[tr.To] {
-			a.dense.CopyRowsTo(fbuf[foff:foff+n], tr.Lo, tr.Hi)
-			foff += n
-		} else {
-			m.dense = getDenseSlab(m.rows, a.dense.RowLen)
-			a.dense.CopyRowsTo(m.dense.data, tr.Lo, tr.Hi)
-		}
+		m.dense = getDenseSlab(m.rows, a.dense.RowLen)
+		a.dense.CopyRowsTo(m.dense.data, tr.Lo, tr.Hi)
 		// Virtual cost per row, identical to the per-row path: a row that
 		// stays resident here or still has further destinations was copied
 		// out (one RowBytes touch); a leaving row's final destination was a
@@ -323,20 +304,16 @@ func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist 
 			}
 		}
 		m.bytes = m.rows * int(a.dense.RowBytes())
-		if pulled[tr.To] {
-			fetchOuts = append(fetchOuts, m)
-		} else {
-			outs = append(outs, m)
-		}
+		outs = append(outs, m)
 	}
-	rt.outsBuf, rt.fetchOutsBuf, rt.fetchBuf = outs, fetchOuts, fbuf
+	rt.outsBuf = outs
 
 	if a.dense != nil {
 		a.dense.SetWindow(wlo, whi)
 	} else {
 		a.sparse.SetWindow(wlo, whi)
 	}
-	return outs, fetchOuts, fbuf
+	return outs
 }
 
 // applyDistribution executes a redistribution to newDist (§4.4): for every
@@ -347,72 +324,19 @@ func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist 
 // All active ranks call this collectively with identical arguments.
 func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 	p := rt.beginRedist(newDist, "")
-	rmaDown := false // a fence failed: remaining arrays use the message-passing drain
-
-	// Resized-in ranks own nothing under the old distribution; in RMA mode
-	// their incoming dense transfers are pulled one-sided (Get under PSCW,
-	// rmaFetchArray) instead of pushed, so established owners never stall
-	// serving joiner state.
-	var newcomer map[int]bool
-	if rt.cfg.RedistMode == RedistRMA {
-		old := rt.dist.Ranks()
-		for _, r := range newDist.Ranks() {
-			if !containsInt(old, r) {
-				if newcomer == nil {
-					newcomer = map[int]bool{}
-				}
-				newcomer[r] = true
-			}
-		}
-	}
-
 	for i := range rt.arrays {
 		a := &rt.arrays[i]
 		sched := rt.scheduleFor(a, newDist)
+		outs := rt.extractAndResize(a, sched, newDist)
 
-		// Split off joiner-bound transfers: the fetch protocol moves them
-		// before the push phase, and the push paths run on the remainder.
-		// The split is schedule-derived, so every member computes it
-		// identically (the fetch windows register collectively).
-		rest := sched
-		var pulled map[int]bool
-		if len(newcomer) > 0 && a.dense != nil && !rmaDown {
-			for _, tr := range sched {
-				if newcomer[tr.To] {
-					pulled = newcomer
-					break
-				}
-			}
-		}
-		if pulled != nil {
-			rest = atLeast(rt.restBuf, len(sched))
-			for _, tr := range sched {
-				if !newcomer[tr.To] {
-					rest = append(rest, tr)
-				}
-			}
-			rt.restBuf = rest
-		}
-
-		outs, fetchOuts, fbuf := rt.extractAndResize(a, sched, newDist, pulled)
-
-		// Phase 3: exchange exactly the rows the schedule demands.
+		// Phase 3: exchange exactly the rows the schedule demands — dense
+		// arrays one-sided when asked to, everything else through the
+		// message-passing drain.
 		mv := telemetry.ArrayMove{Name: a.name}
-		if pulled != nil {
-			// Joiner-bound transfers move first, one-sided: sources expose
-			// their packed slabs, joiners pull with Get under PSCW. Every
-			// member participates (the fetch windows register collectively).
-			rt.rmaFetchArray(a, sched, newcomer, fetchOuts, fbuf, &mv, &p)
-		}
-		// One-sided commit for dense arrays while the windows are healthy;
-		// sparse arrays — and every array after a fence failure — go through
-		// the message-passing drain, whose failure handling is self-contained.
-		committed := false
-		if rt.cfg.RedistMode == RedistRMA && a.dense != nil && !rmaDown {
-			committed, rmaDown = rt.rmaRedistArray(a, rest, outs, &mv, &p)
-		}
-		if !committed {
-			rt.drainArray(a, rest, outs, &mv, &p)
+		if rt.cfg.RedistMode == RedistRMA && a.dense != nil {
+			rt.rmaRedistArray(a, sched, outs, &mv, &p)
+		} else {
+			rt.drainArray(a, sched, outs, &mv, &p)
 		}
 		p.moved(mv)
 	}

@@ -59,6 +59,9 @@ func runElastic(t *testing.T, spec cluster.Spec, cfg Config, n, cycles, resizeAt
 		res.events = rt.Events()
 		res.final = c.Now()
 		res.relRank = rt.RelRank()
+		for _, lr := range rt.LostRows() {
+			res.lost += lr.Hi - lr.Lo
+		}
 		if rt.Participating() {
 			res.counts = rt.Dist().Counts()
 			lo, hi := ph.Bounds()
@@ -500,8 +503,8 @@ func TestReshapeGrowThenShrink(t *testing.T) {
 }
 
 // TestReshapeShrinkThenGrow is the reverse order in one run: 4→3, then
-// 3→5 by claiming reserves — the grow after a shrink drives the
-// joiner-fetch path while the distribution still records the shrink.
+// 3→5 by claiming reserves — the grow after a shrink ships the joiners
+// their rows while the distribution still records the shrink.
 func TestReshapeShrinkThenGrow(t *testing.T) {
 	for name, cfg := range reshapeCfgs() {
 		spec := cluster.Uniform(4).WithArrival(1.0, -1).WithArrival(1.0, -1)

@@ -1,0 +1,204 @@
+package core
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/drsd"
+	"repro/internal/mpi"
+	"repro/internal/vclock"
+)
+
+// Suites for the pairwise one-sided redistribution commit (rmaRedistArray):
+// the dead-receiver trap, and the redistribution window against the fence
+// engine it replaced.
+
+// deadReceiverRank is one survivor's final state in the dead-receiver run.
+type deadReceiverRank struct {
+	Lo, Hi int
+	Rows   []float64 // X[g][0] per owned row
+	Lost   []LostRange
+	Final  vclock.Time
+	Events []Event
+}
+
+// runDeadReceiver forces one RedistRMA redistribution in which rank 1 sends
+// to both rank 0 and rank 2 — 16/16/16 rows become 22/4/22 — with victim
+// killed before it posts, then runs on through failure recovery. ok is false
+// when the survivors did not return inside the watchdog.
+func runDeadReceiver(t *testing.T, victim, n, cycles int) (results map[int]*deadReceiverRank, leaked int, ok bool) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Drop = DropNever
+	cfg.RedistMode = RedistRMA
+	var mu sync.Mutex
+	results = map[int]*deadReceiverRank{}
+	w := mpi.NewWorld(cluster.New(cluster.Uniform(3)))
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(c *mpi.Comm) error {
+			rt := New(c, cfg)
+			x := rt.RegisterDense("X", n, 4)
+			ph := rt.InitPhase(n)
+			ph.AddAccess("X", drsd.ReadWrite, 1, 0)
+			rt.Commit()
+			x.Fill(func(g, j int) float64 { return float64(g * 10) })
+			for tstep := 0; tstep < cycles; tstep++ {
+				if tstep == 2 {
+					if c.Rank() == victim {
+						c.World().Kill(victim)
+						return nil
+					}
+					rt.applyDistribution(drsd.NewBlock([]int{0, 1, 2}, []int{22, 4, 22}))
+				}
+				if rt.BeginCycle() {
+					lo, hi := ph.Bounds()
+					for g := lo; g < hi; g++ {
+						row := x.Row(g)
+						for j := range row {
+							row[j]++
+						}
+						rt.ComputeIter(g, iterCost)
+					}
+				}
+				rt.EndCycle()
+			}
+			rt.Finalize()
+			res := &deadReceiverRank{Lost: rt.LostRows(), Final: c.Now(), Events: rt.Events()}
+			res.Lo, res.Hi = ph.Bounds()
+			for g := res.Lo; g < res.Hi; g++ {
+				res.Rows = append(res.Rows, x.Row(g)[0])
+			}
+			mu.Lock()
+			results[c.Rank()] = res
+			mu.Unlock()
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results, w.LeakedOps(), true
+	case <-time.After(10 * time.Second):
+		return nil, 0, false
+	}
+}
+
+// TestRedistRMADeadReceiverSparesTheLiveOne is the trap the one-epoch-per-
+// target rule exists for: a sender with two receivers, one of them dead
+// before it posts. A single start toward both would open nothing, the sender
+// would skip its Puts and completions, and the live receiver would sit in its
+// wait forever. Whichever of the two is the victim, the live one must come
+// back with the rows it was sent, the victim's rows — and only those — must
+// end up declared lost, nothing may leak, and the run must replay exactly.
+func TestRedistRMADeadReceiverSparesTheLiveOne(t *testing.T) {
+	const n, cycles = 48, 8
+	for _, victim := range []int{0, 2} {
+		a, leaked, ok := runDeadReceiver(t, victim, n, cycles)
+		if !ok {
+			t.Fatalf("victim %d: survivors hung (10 s watchdog)", victim)
+		}
+		if leaked != 0 {
+			t.Errorf("victim %d: %d ops leaked", victim, leaked)
+		}
+		if len(a) != 2 || a[victim] != nil {
+			t.Fatalf("victim %d: %d ranks reported, want the 2 survivors", victim, len(a))
+		}
+		// What the victim owned after the forced redistribution.
+		vlo, vhi := 0, 22
+		if victim == 2 {
+			vlo, vhi = 26, n
+		}
+		lost := map[int]bool{}
+		for r, res := range a {
+			for _, lr := range res.Lost {
+				for g := lr.Lo; g < lr.Hi; g++ {
+					if g < vlo || g >= vhi || lost[g] {
+						t.Errorf("victim %d: rank %d declared row %d lost (victim held [%d,%d))", victim, r, g, vlo, vhi)
+					}
+					lost[g] = true
+				}
+			}
+		}
+		if len(lost) != vhi-vlo {
+			t.Errorf("victim %d: %d rows declared lost, want the victim's %d", victim, len(lost), vhi-vlo)
+		}
+		owned := 0
+		for r, res := range a {
+			owned += res.Hi - res.Lo
+			for k, v := range res.Rows {
+				if g := res.Lo + k; !lost[g] && v != float64(g*10+cycles) {
+					t.Errorf("victim %d: rank %d row %d = %v, want %v", victim, r, g, v, float64(g*10+cycles))
+				}
+			}
+		}
+		if owned != n {
+			t.Errorf("victim %d: survivors own %d of %d rows", victim, owned, n)
+		}
+		b, _, ok := runDeadReceiver(t, victim, n, cycles)
+		if !ok {
+			t.Fatalf("victim %d: replay hung (10 s watchdog)", victim)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("victim %d: replay differs", victim)
+		}
+	}
+}
+
+// Redistribution window of the fence commit this engine replaced — two
+// full-group fences per array — measured at the parent commit (PR 23,
+// 4508afb) with redistWindow below, before that commit routine was deleted.
+// ROADMAP item 4(a)'s bar: the pairwise commit must not exceed them.
+var fenceRedistWindow = map[int]vclock.Duration{
+	64:  2462500 * vclock.Nanosecond,
+	256: 3242500 * vclock.Nanosecond,
+}
+
+// redistWindow runs one load-triggered RedistRMA redistribution on ranks
+// ranks (16 rows of 64 elements each, a competing process on node 1 from
+// cycle 3) and returns the longest EvRedistStart→EvRedistEnd span any rank
+// saw.
+func redistWindow(t *testing.T, ranks int) vclock.Duration {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Drop = DropNever
+	cfg.MaxRedists = 1
+	cfg.RedistMode = RedistRMA
+	n := ranks * 16
+	results, leaked := runRMAMini(t, cpAtCycle(cluster.Uniform(ranks), 1, 3), cfg, n, 64, 25)
+	checkRMAValues(t, results, n)
+	if leaked != 0 {
+		t.Fatalf("%d ranks: %d deposits leaked", ranks, leaked)
+	}
+	var worst vclock.Duration
+	for r, res := range results {
+		if res.redists != 1 {
+			t.Fatalf("%d ranks: rank %d saw %d redistributions, want 1", ranks, r, res.redists)
+		}
+		var start vclock.Time
+		for _, ev := range res.events {
+			switch ev.Kind {
+			case EvRedistStart:
+				start = ev.Time
+			case EvRedistEnd:
+				worst = max(worst, ev.Time.Sub(start))
+			}
+		}
+	}
+	return worst
+}
+
+func TestRedistRMAWindowAtScale(t *testing.T) {
+	for _, ranks := range []int{64, 256} {
+		got, fence := redistWindow(t, ranks), fenceRedistWindow[ranks]
+		t.Logf("%d ranks: pairwise %v, fence %v", ranks, got, fence)
+		if got <= 0 || got > fence {
+			t.Errorf("%d ranks: redistribution window %v, the fence commit's was %v", ranks, got, fence)
+		}
+	}
+}

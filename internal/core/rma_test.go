@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,8 +25,6 @@ type rmaResult struct {
 	stall     vclock.Duration
 	lost      int
 	recovered int
-	adaptPut  int
-	adaptSend int
 }
 
 // runRMAMini is runMini with the hooks the one-sided suites need: it
@@ -69,7 +68,6 @@ func runRMAMini(t *testing.T, spec cluster.Spec, cfg Config, n, rowLen, cycles i
 			stall:     rt.ReplicaStall(),
 			recovered: rt.RecoveredRows(),
 		}
-		res.adaptPut, res.adaptSend = rt.AdaptiveRefreshModes()
 		for _, lr := range rt.LostRows() {
 			res.lost += lr.Hi - lr.Lo
 		}
@@ -132,7 +130,7 @@ func replicaRMACfg() Config {
 // uninterrupted run produces. The deferred epoch makes the adoption path
 // load-bearing here: at the crash the *committed* replica is one refresh
 // stale, and only adopting the dead predecessor's still-pending deposit
-// (proved complete by PendingFrom) restores the same end-of-previous-cycle
+// (proved complete by PendingPSCW) restores the same end-of-previous-cycle
 // snapshot the paired path ships eagerly.
 func TestReplicaRMACrashRecoveryBitExact(t *testing.T) {
 	spec := cluster.Uniform(3)
@@ -161,7 +159,7 @@ func TestReplicaRMACrashRecoveryBitExact(t *testing.T) {
 // one-sided refresh: every combination must recover without losing rows,
 // finish with exact values, and settle or discard every deposit (zero
 // leaks at teardown). Run under -race this doubles as the concurrency
-// suite for the fence/adoption protocol.
+// suite for the epoch/adoption protocol.
 func TestReplicaRMACrashMatrix(t *testing.T) {
 	for _, victim := range []int{1, 2} {
 		for _, cycle := range []int{1, 6, 13} {
@@ -195,7 +193,7 @@ func TestReplicaRMAFaultFreeLeakFree(t *testing.T) {
 	}
 }
 
-// TestReplicaRMACrashDeterminism: the fence-failure adoption protocol must
+// TestReplicaRMACrashDeterminism: the failed-wait adoption protocol must
 // make recovery independent of physical scheduling — two runs of the same
 // crash scenario produce identical finish times and event streams.
 func TestReplicaRMACrashDeterminism(t *testing.T) {
@@ -299,6 +297,51 @@ func TestRedistRMAEquivalence(t *testing.T) {
 			t.Errorf("rank %d finish differs across identical RMA runs: %v vs %v", r, res.final, again[r].final)
 		}
 	}
+
+	// Through a resize the same holds for the rows a joiner receives (it
+	// owns nothing beforehand, so every one of its rows arrives by Put) and
+	// for the rows a leaver hands back.
+	for _, tc := range []struct {
+		name             string
+		spec             cluster.Spec
+		resizeAt, resize int
+		ranks            int
+	}{
+		{"grow 4->6", cluster.Uniform(4).WithArrival(1.0, 10).WithArrival(1.0, 10), 0, 0, 6},
+		{"shrink 6->4", cluster.Uniform(6), 10, 4, 4},
+	} {
+		ref.RedistMode, rma.RedistMode = RedistPipelined, RedistRMA
+		want := runElastic(t, tc.spec, ref, n, 30, tc.resizeAt, tc.resize)
+		got := runElastic(t, tc.spec, rma, n, 30, tc.resizeAt, tc.resize)
+		checkValuesAndCoverage(t, got, n)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d ranks reported via RMA, %d pipelined", tc.name, len(got), len(want))
+		}
+		wantSent, wantRecv, _ := sumRedistBytes(eventsOf(want))
+		gotSent, gotRecv, _ := sumRedistBytes(eventsOf(got))
+		if gotSent != wantSent || gotRecv != wantRecv || gotSent == 0 {
+			t.Errorf("%s: redistributed %d/%d bytes sent/received via RMA, %d/%d pipelined", tc.name, gotSent, gotRecv, wantSent, wantRecv)
+		}
+		for r, res := range got {
+			w := want[r]
+			if res.redists != w.redists || res.removed != w.removed || res.lost != w.lost || res.lost != 0 {
+				t.Errorf("%s rank %d: redists/removed/lost %d/%v/%d via RMA, %d/%v/%d pipelined",
+					tc.name, r, res.redists, res.removed, res.lost, w.redists, w.removed, w.lost)
+			}
+			if !res.removed && (len(res.counts) != tc.ranks || !slices.Equal(res.counts, w.counts)) {
+				t.Errorf("%s rank %d: distribution %v via RMA, %v pipelined, want %d ranks", tc.name, r, res.counts, w.counts, tc.ranks)
+			}
+		}
+	}
+}
+
+// eventsOf collects each rank's event trace for sumRedistBytes.
+func eventsOf(results map[int]*miniResult) map[int][]Event {
+	events := map[int][]Event{}
+	for r, res := range results {
+		events[r] = res.events
+	}
+	return events
 }
 
 // TestRedistRMAWithCrash drives the combined configuration — one-sided

@@ -131,10 +131,6 @@ func gatherCost(net cluster.NetParams, n, bytes int) collCost {
 //	Put(b)               origin pays cpuCost(b) at post;
 //	                     arrival = post + wireTime(b). The target pays
 //	                     nothing per message.
-//	Get(b)               origin pays cpuCost(0) at post (the zero-byte
-//	                     request); arrival = post + Latency + wireTime(b);
-//	                     the origin pays cpuCost(b) when its fence settles
-//	                     the landing.
 //	Fence                synchronisation = barrierCost(n) exactly (the
 //	                     same dissemination butterfly); then the owner
 //	                     settles each deposit in arrival order, stalling
@@ -162,9 +158,7 @@ func gatherCost(net cluster.NetParams, n, bytes int) collCost {
 //	Start(targets)       receiver side of one 8-byte Recv per target:
 //	                     stall to the post's arrival, then cpuCost(8).
 //	Complete()           one 8-byte Send per target (cpuCost(8) each,
-//	                     arrival wireTime(8) later), then the origin
-//	                     settles its own Get landings with the fence's
-//	                     deposit arithmetic.
+//	                     arrival wireTime(8) later).
 //	Wait()               receiver side of one 8-byte Recv per posted
 //	                     origin (stall + cpuCost(8) each), then the owner
 //	                     settles that epoch's deposits exactly as a fence

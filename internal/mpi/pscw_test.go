@@ -168,78 +168,6 @@ func TestPSCWBeatsFenceSync(t *testing.T) {
 	}
 }
 
-// TestGetPSCWMatchesRequestResponseSim validates Get under PSCW — the lazy
-// joiner-fetch shape: the target posts its window, the origin starts, Gets
-// the slab, and completes (settling the landing); the target's wait drains
-// nothing. The origin's finish must match the per-message request/response
-// simulation exactly.
-func TestGetPSCWMatchesRequestResponseSim(t *testing.T) {
-	net := wireNet()
-	const elems = 4096
-	bytes := F64Bytes(elems)
-
-	var rmaFinish vclock.Time
-	spec := cluster.Uniform(2)
-	spec.Net = net
-	w := NewWorld(cluster.New(spec))
-	if err := w.Run(func(c *Comm) error {
-		g := c.World().AllGroup()
-		mem := make(FlatMem, elems)
-		for i := range mem {
-			mem[i] = float64(c.Rank()*10 + i)
-		}
-		win := c.WinCreate(g, mem)
-		if c.Rank() == 1 {
-			c.WinPost(win, []int{0}, 0)
-			c.WinWait(win)
-			return nil
-		}
-		dst := make([]float64, elems)
-		c.WinStart(win, []int{1}, nil)
-		c.Get(win, 1, 0, dst)
-		c.WinComplete(win)
-		rmaFinish = c.Now()
-		for i := range dst {
-			if dst[i] != float64(10+i) {
-				t.Errorf("get element %d = %v, want %v", i, dst[i], float64(10+i))
-				break
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if leaked := w.LeakedOps(); leaked != 0 {
-		t.Fatalf("leaked %d ops after get-under-pscw run", leaked)
-	}
-
-	// Per-message mirror: the post notification, a zero-byte request, the
-	// payload coming back, and the completion notification.
-	var simFinish vclock.Time
-	spec2 := cluster.Uniform(2)
-	spec2.Net = net
-	if err := Run(cluster.New(spec2), func(c *Comm) error {
-		if c.Rank() == 1 {
-			c.Send(0, 1, nil, pscwCtlBytes) // post
-			c.Recv(0, 2)                    // request
-			c.Send(0, 3, nil, bytes)        // payload
-			c.Recv(0, 4)                    // done
-			return nil
-		}
-		c.Recv(1, 1)                    // start
-		c.Send(1, 2, nil, 0)            // the zero-byte get request
-		c.Recv(1, 3)                    // payload landing
-		c.Send(1, 4, nil, pscwCtlBytes) // complete
-		simFinish = c.Now()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if rmaFinish != simFinish {
-		t.Errorf("get-under-pscw origin finishes at %v, request/response sim at %v", rmaFinish, simFinish)
-	}
-}
-
 // TestPSCWDrainDeterministic pins the settlement order contract for
 // multi-origin exposure epochs: seven origins with uneven payloads deposit
 // into one owner, and the owner's final clock, stall, and traffic counters

@@ -9,11 +9,11 @@ import (
 	"repro/internal/vclock"
 )
 
-// One-sided RMA layer: windows, Put/Get, and fence epochs.
+// One-sided RMA layer: windows, Put, and fence or pairwise epochs.
 //
 // A Win exposes each group member's slab memory for direct remote access.
-// Between two fences (an epoch), any member may Put into — or Get from —
-// any other member's window; the owner does not participate per message.
+// Between two fences (an epoch), any member may Put into any other member's
+// window; the owner does not participate per message.
 // The fence closes the epoch: it synchronises the group (priced as a
 // dissemination barrier, see cost.go) and then settles every deposit that
 // landed in the caller's own window during the epoch, in a deterministic
@@ -26,10 +26,6 @@ import (
 //     The target is not disturbed at all — no matching, no receive-side
 //     CPU. This is the modelled saving over paired send/recv: the copy
 //     lands by (virtual) DMA into the exposed memory.
-//   - Get charges the origin a zero-byte injection at post time; the data
-//     arrives one latency (the request reaching the target's NIC) plus the
-//     payload's wireTime later, and the origin pays the landing CPU cost
-//     when its own fence settles the transfer.
 //   - Fence advances every member to a common barrier-completion time,
 //     then each owner drains its own deposits: residual wire time not
 //     already hidden behind the owner's computation is paid as stall
@@ -44,22 +40,21 @@ import (
 // owner may then inspect the dead origin's deposits with PendingFrom (a
 // crashed rank's Puts completed before its death was published, on its own
 // goroutine, so presence is deterministic) and must release the window
-// with DiscardPending before abandoning it. Put and Get on a target
-// already marked dead deposit nothing; the death is reported at the fence.
+// with DiscardPending before abandoning it. A Put on a target already
+// marked dead deposits nothing; the death is reported at the fence.
 //
 // General active-target synchronization (PSCW) is the pairwise alternative
 // to the fence: WinPost declares which origins may access this rank's
 // window, WinStartErr blocks the origin until every named target has
 // posted, WinCompleteErr closes the origin's access epoch (notifying each
-// target and settling the origin's own Get landings), and WinWaitErr
-// blocks the target until every posted origin has completed, then settles
-// their deposits with the exact fence arithmetic. Only the participating
-// pairs synchronise — each post and each complete is one small control
-// message riding the ordinary mailbox, so an epoch over k pairs prices as
-// k round-trips instead of a full-group dissemination barrier (see
-// cost.go). Deposits made under an open access epoch are stamped with the
-// origin's PSCW epoch counter and are invisible to fences; a window may
-// use either discipline, or both for disjoint transfers.
+// target), and WinWaitErr blocks the target until every posted origin has
+// completed, then settles their deposits with the exact fence arithmetic.
+// Only the participating pairs synchronise — each post and each complete is
+// one small control message riding the ordinary mailbox, so an epoch over k
+// pairs prices as k round-trips instead of a full-group dissemination
+// barrier (see cost.go). Deposits made under an open access epoch are
+// stamped with the origin's PSCW epoch counter and are invisible to fences;
+// a window may use either discipline, or both for disjoint transfers.
 //
 // PSCW failure contract, symmetric with FenceErr: a dead target fails the
 // origin's WinStartErr or WinCompleteErr, a dead origin fails the target's
@@ -114,7 +109,6 @@ type deposit struct {
 	off        int
 	elems      int
 	bytes      int
-	get        bool        // origin-side landing of a Get (owner pays the CPU copy)
 	pscw       bool        // stamped under an open PSCW access epoch; settled by wait/complete, never by a fence
 	post       vclock.Time // origin clock when the transfer was injected
 	avail      vclock.Time // when the data has fully arrived
@@ -274,68 +268,6 @@ func (c *Comm) Put(win *Win, target, off int, src []float64) {
 	ts.mu.Unlock()
 }
 
-// Get starts a one-sided read of target's window memory at element offset
-// off into dst. The data is captured at call time (the epoch discipline
-// guarantees it is stable) and becomes usable after the origin's next
-// Fence, which pays the landing CPU cost; the target is not disturbed. The
-// modelled arrival is one latency (the zero-byte request reaching the
-// target) plus the payload's wire time.
-func (c *Comm) Get(win *Win, target, off int, dst []float64) {
-	c.checkFailed()
-	g := win.g
-	tslot, ok := g.Slot(target)
-	if !ok {
-		panic(fmt.Sprintf("mpi: get from rank %d outside window group", target))
-	}
-	var faultDelay vclock.Duration
-	if c.flt != nil {
-		c.pollFaults()
-		faultDelay = c.messageFault(target)
-	}
-	net := c.w.cl.Net()
-	bytes := F64Bytes(len(dst))
-	c.node.Compute(cpuCost(net, 0)) // zero-byte request injection
-	post := c.node.Now()
-	oslot := c.groupSlot(g)
-	win.putSeq[oslot]++
-	pscw := len(win.access[oslot]) > 0
-	ep := win.epoch[oslot]
-	if pscw {
-		ep = win.accEpoch[oslot]
-	}
-	ts := &win.slots[tslot]
-	ts.mu.Lock()
-	if c.w.deadCount.Load() > 0 && c.w.dead[target].Load() {
-		ts.mu.Unlock()
-		return
-	}
-	if ts.mem == nil {
-		ts.mu.Unlock()
-		panic(fmt.Sprintf("mpi: get from window %d slot of rank %d with no memory attached", win.id, target))
-	}
-	if len(dst) > 0 {
-		ts.mem.ReadAt(off, dst)
-	}
-	ts.mu.Unlock()
-	// The landing settles at the origin's own epoch close (fence or
-	// complete): a self-deposit.
-	os := &win.slots[oslot]
-	os.mu.Lock()
-	os.dep = append(os.dep, deposit{
-		originSlot: oslot,
-		off:        off,
-		elems:      len(dst),
-		bytes:      bytes,
-		get:        true,
-		pscw:       pscw,
-		post:       post,
-		avail:      post.Add(net.Latency + wireTime(net, bytes) + faultDelay),
-		seq:        win.putSeq[oslot],
-		epoch:      ep,
-	})
-	os.mu.Unlock()
-}
-
 // Fence closes the window's current epoch, failing the whole world when a
 // group member is dead (mirroring the blocking collectives).
 func (c *Comm) Fence(win *Win) {
@@ -403,14 +335,12 @@ func extractDeposits(ts *winSlot, match func(*deposit) bool) []deposit {
 }
 
 // settleDeposits drains one epoch's worth of deposits on the caller's
-// clock: each is stalled to arrival if still in flight (Get landings
-// additionally pay the landing CPU), counted into the receive counters, and
-// wire time already covered by the caller's computation is credited to
-// HiddenWire. The arithmetic is shared verbatim between fence and PSCW
+// clock: each is stalled to arrival if still in flight, counted into the
+// receive counters, and wire time already covered by the caller's
+// computation is credited to HiddenWire. The arithmetic is shared verbatim between fence and PSCW
 // settlement — the disciplines differ only in who synchronises, not in
 // what a drained deposit costs. The caller must sortDeposits first.
 func (c *Comm) settleDeposits(drain []deposit) (bytes int64, stall, hidden vclock.Duration) {
-	net := c.w.cl.Net()
 	for i := range drain {
 		d := &drain[i]
 		s := d.avail.Sub(c.node.Now())
@@ -420,9 +350,6 @@ func (c *Comm) settleDeposits(drain []deposit) (bytes int64, stall, hidden vcloc
 		c.RecvStall += s
 		stall += s
 		c.node.WaitUntil(d.avail)
-		if d.get {
-			c.node.Compute(cpuCost(net, d.bytes))
-		}
 		c.RecvMsgs++
 		c.RecvBytes += int64(d.bytes)
 		if inflight := d.avail.Sub(d.post); inflight > 0 {
@@ -529,7 +456,7 @@ func (c *Comm) WinStart(win *Win, targets []int, notes []int64) {
 
 // WinStartErr opens an access epoch toward targets: it blocks until every
 // named target's post notification arrives, then arms PSCW stamping so
-// subsequent Put/Get calls settle pairwise instead of at a fence. When
+// subsequent Put calls settle pairwise instead of at a fence. When
 // notes is non-nil it receives target i's post note at notes[i]. A dead
 // target fails the call with *RankFailedError (every remaining target's
 // post is still consumed, so no control message is left behind) and the
@@ -579,15 +506,13 @@ func (c *Comm) WinComplete(win *Win) {
 
 // WinCompleteErr closes this rank's open access epoch: it notifies every
 // target that the epoch's transfers are in flight (one control message
-// each, carrying the epoch stamp the target's wait drains by), settles
-// this rank's own Get landings of the epoch, and advances the access-epoch
-// counter. A dead target fails the call with *RankFailedError — after
-// every target has been notified, so surviving peers never hang — without
-// settling or advancing; the pending Get landings are left for
-// DiscardPending. The notification is sent to a dead target too (delivery
-// drops it): a target may be dying concurrently with this call, and the
-// origin's send charge — so its virtual clock — must not depend on which
-// side of that wall-clock race the call lands.
+// each, carrying the epoch stamp the target's wait drains by) and advances
+// the access-epoch counter. A dead target fails the call with
+// *RankFailedError — after every target has been notified, so surviving
+// peers never hang — without advancing. The notification is sent to a dead
+// target too (delivery drops it): a target may be dying concurrently with
+// this call, and the origin's send charge — so its virtual clock — must not
+// depend on which side of that wall-clock race the call lands.
 func (c *Comm) WinCompleteErr(win *Win) error {
 	c.checkFailed()
 	slot := c.groupSlot(win.g)
@@ -604,19 +529,7 @@ func (c *Comm) WinCompleteErr(win *Win) error {
 	if dead != nil {
 		return &RankFailedError{Op: "win-complete", Ranks: dead}
 	}
-	ts := &win.slots[slot]
-	ts.mu.Lock()
-	drain := extractDeposits(ts, func(d *deposit) bool {
-		return d.pscw && d.get && d.originSlot == slot && d.epoch == ep
-	})
-	ts.mu.Unlock()
-	sortDeposits(drain)
-	bytes, stall, hidden := c.settleDeposits(drain)
-	ts.drain = drain
 	win.accEpoch[slot] = ep + 1
-	if len(drain) > 0 {
-		c.emitRMA("pscw", win.id, len(drain), bytes, stall, hidden)
-	}
 	return nil
 }
 
@@ -668,7 +581,7 @@ func (c *Comm) WinWaitErr(win *Win) error {
 	ts := &win.slots[slot]
 	ts.mu.Lock()
 	drain := extractDeposits(ts, func(d *deposit) bool {
-		if !d.pscw || d.get {
+		if !d.pscw {
 			return false
 		}
 		for _, st := range stamps {
@@ -704,7 +617,7 @@ func (c *Comm) PendingPSCW(win *Win, origin int) (elems int, ok bool) {
 	ts := &win.slots[slot]
 	ts.mu.Lock()
 	for i := range ts.dep {
-		if d := &ts.dep[i]; d.originSlot == oslot && d.pscw && !d.get {
+		if d := &ts.dep[i]; d.originSlot == oslot && d.pscw {
 			elems += d.elems
 			ok = true
 		}
@@ -730,7 +643,7 @@ func (c *Comm) PendingFrom(win *Win, origin int) (elems int, ok bool) {
 	ts := &win.slots[slot]
 	ts.mu.Lock()
 	for i := range ts.dep {
-		if d := &ts.dep[i]; d.originSlot == oslot && d.epoch == ep && !d.get && !d.pscw {
+		if d := &ts.dep[i]; d.originSlot == oslot && d.epoch == ep && !d.pscw {
 			elems += d.elems
 			ok = true
 		}

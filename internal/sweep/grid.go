@@ -39,9 +39,10 @@ type Cell struct {
 	Fault string
 	// Replicate enables buddy replication of dense arrays.
 	Replicate bool
-	// RMA routes the data movers through one-sided windows: redistribution
-	// commits run in RedistRMA mode and replica refreshes (when Replicate
-	// is set) use the deferred-epoch one-sided path (core.Config.ReplicaRMA).
+	// RMA routes the data movers through one-sided windows, both as Puts
+	// under pairwise epochs: redistribution commits run in RedistRMA mode
+	// (joiner-bound rows of a grow cell included) and replica refreshes (when
+	// Replicate is set) use the deferred-epoch path (core.Config.ReplicaRMA).
 	RMA bool
 	// Resize selects elastic membership change: "none", "grow" (the world
 	// gains Grid.ResizeAdd timed arrivals at Grid.ResizeCycle and
@@ -217,6 +218,14 @@ func (g *Grid) Validate() error {
 		}
 		if rz == "growskew" && g.ResizeCycle < 3 {
 			return fmt.Errorf("sweep: growskew needs ResizeCycle >= 3 (skew lands at ResizeCycle-2), have %d", g.ResizeCycle)
+		}
+	}
+	for _, k := range []struct {
+		name string
+		v    int
+	}{{"CP node", g.CPNode}, {"CP cycle", g.CPCycle}, {"crash node", g.CrashNode}, {"crash cycle", g.CrashCycle}} {
+		if k.v < 0 {
+			return fmt.Errorf("sweep: %s %d is negative", k.name, k.v)
 		}
 	}
 	if g.CPNode >= minRanks {

@@ -306,13 +306,16 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
-	for _, invalid := range []string{"scen=quux", "ranks=1", "fault=flood", "iters=0", "resize=shuffle", "resize=grow;resizeadd=0", "resize=grow;resizecycle=99"} {
+	for _, invalid := range []string{"scen=quux", "ranks=1", "fault=flood", "iters=0", "resize=shuffle", "resize=grow;resizeadd=0", "resize=grow;resizecycle=99",
+		"cpnode=-1", "cpcycle=-3", "crashnode=-1", "crashcycle=-2", "fault=none;crashnode=-1"} {
 		g := Smoke()
 		if err := g.ParseSpec(invalid); err != nil {
 			t.Fatalf("parse %q: %v", invalid, err)
 		}
 		if err := g.Validate(); err == nil {
 			t.Errorf("Validate accepted %q", invalid)
+		} else if !strings.HasPrefix(err.Error(), "sweep: ") {
+			t.Errorf("Validate(%q) = %q, want a sweep: error", invalid, err)
 		}
 	}
 }
