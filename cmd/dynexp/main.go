@@ -246,8 +246,8 @@ func main() {
 				return err
 			}
 			r.Table().Render(os.Stdout)
-			fmt.Printf("  arrival-order commits cut redistribution stall by %.0f%% on the skewed-load scenario\n",
-				r.StallReduction()*100)
+			fmt.Printf("  one-sided commits cut the slowest rank's redistribution window by %.0f%% on the skewed-load scenario\n",
+				r.WindowReduction()*100)
 		case "rma":
 			o := exp.DefaultRMAOptions()
 			if nodes != nil {

@@ -326,7 +326,7 @@ func (rt *Runtime) decideRedistribution(loads []int) {
 			PredictedS: predicted,
 		})
 	}
-	rt.applyDistribution(drsd.NewBlock(rt.active, counts))
+	rt.applyDistribution(drsd.NewBlock(rt.active, counts), nil)
 	rt.baseLoads = append([]int(nil), loads...)
 	rt.redists++
 
@@ -421,7 +421,7 @@ func (rt *Runtime) logicalDrop(nodes []distribution.Node, iterCosts []float64) {
 	remaining := rt.n - len(loadedIdx)
 	sub := rt.powerCounts(stayNodes, iterCosts[:remaining])
 	counts := logicalDropCounts(rt.n, loadedIdx, len(nodes), sub)
-	rt.applyDistribution(drsd.NewBlock(rt.active, counts))
+	rt.applyDistribution(drsd.NewBlock(rt.active, counts), nil)
 	rt.redists++
 	rt.record(EvLogicalDrop, 0, fmt.Sprintf("counts=%v", counts))
 	rt.emitMembership("logical-drop")

@@ -70,7 +70,7 @@ const (
 	tagLoadReply  = tagBase + 515
 	tagMembership = tagBase + 516  // membership packet (membership.go)
 	tagReplica    = tagBase + 1024 // + array registration index (buddy-replica refresh)
-	tagRecover    = tagBase + 1536 // + array registration index (failure recovery)
+	tagServe      = tagBase + 1536 // + array registration index (a holder serving a dead rank's rows)
 )
 
 // Config parameterises the runtime (the DMPI_init arguments plus the
@@ -163,22 +163,15 @@ const (
 	// receive per transfer in schedule order, whatever physical order the
 	// slabs arrive in.
 	RedistPipelined RedistMode = iota
-	// RedistOverlap commits in deterministic arrival order — transfers
-	// sorted by (arrival stamp, schedule index), dead-sender transfers
-	// last — so a slab stuck behind a slow sender no longer head-of-line
-	// blocks the unpacking of already-arrived ones. Virtual redistribution
-	// stall drops (Event.Stall records it); the virtual timeline
-	// legitimately differs from the schedule-order one, so this mode is
-	// opt-in.
-	RedistOverlap
 	// RedistRMA commits dense transfers through one-sided windows
 	// (rma.go): after the resident windows resize, each receiver exposes
 	// its new window to the ranks the schedule has sending to it, and they
 	// Put packed row slabs directly at destination offsets computed from
 	// the schedule, collapsing the Phase-3 harvest/commit into one pairwise
 	// epoch per (sender, receiver). The receiver pays no per-message CPU
-	// and no commit touches (the deposit is a modelled DMA); sparse arrays
-	// go through the pipelined drain. Opt-in, like RedistOverlap.
+	// and no commit touches (the deposit is a modelled DMA). Sparse arrays
+	// and failure recoveries go through the pipelined drain. Opt-in: the
+	// virtual timeline differs from the pipelined one.
 	RedistRMA
 )
 
@@ -260,8 +253,9 @@ type Event struct {
 	Counts    []int // iterations per active node (redist-end)
 	// Stall is the receive-side stall of the redistribution (redist-end):
 	// virtual time this rank's clock jumped forward waiting for slab
-	// arrivals. RedistOverlap exists to shrink it; the experiment harness
-	// compares it across drain modes.
+	// arrivals or one-sided deposits. It is not comparable across modes: a
+	// RedistRMA receiver does no commit work while it waits, so it stalls
+	// where the pipelined drain would be unpacking.
 	Stall vclock.Duration
 	Info  string
 }
@@ -332,7 +326,6 @@ type Runtime struct {
 	outsBuf   []redistOut
 	insBuf    []redistIn
 	reqBuf    []*mpi.Request
-	ordBuf    []int
 	originBuf []int // the ranks Putting into this rank's window (rma.go)
 
 	// Load-exchange scratch: the per-cycle allgather of load readings goes

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/drsd"
 	"repro/internal/mpi"
-	"repro/internal/telemetry"
 )
 
 // This file turns detected rank deaths into a forced membership change.
@@ -20,12 +19,13 @@ import (
 //     may immediately shrink the membership (absorbFailure) and retry over
 //     the rebuilt group.
 //   - Point-to-point errors inside a redistribution or a recovery (a failed
-//     slab receive, fetch handshake or commit marker) may be observed by
-//     only some ranks, but the protocol ends in a barrier over the group the
-//     dead rank belonged to, which fails for every member. Those sites only
-//     record the death (absorbDead) — an asymmetric group rebuild there
-//     could leave peers waiting on a group the observer abandoned — and by
-//     the next cycle boundary every survivor holds the same pending set.
+//     slab receive, or a failed epoch start or wait of the one-sided commit)
+//     may be observed by only some ranks, but the protocol ends in a barrier
+//     over the group the dead rank belonged to, which fails for every
+//     member. Those sites only record the death (absorbDead) — an
+//     asymmetric group rebuild there could leave peers waiting on a group
+//     the observer abandoned — and by the next cycle boundary every
+//     survivor holds the same pending set.
 //   - Point-to-point errors at a replica refresh site (paired receive,
 //     epoch start/complete/wait) are seen by the dead rank's ring
 //     neighbours only, and no collective trails the refresh. A neighbour
@@ -39,9 +39,9 @@ import (
 //
 // Recovery itself (handleFailure) runs where every surviving active rank
 // holds the same pending set — the top of BeginCycle, or the load-exchange
-// error path — and, when the dead ranks held data, executes a recovery
-// redistribution that reconstructs their rows from buddy replicas
-// (Config.Replicate) or declares them lost.
+// error path — and, when the dead ranks held data, executes an ordinary
+// redistribution with a non-empty dead set: the drain reconstructs the dead
+// ranks' rows from buddy replicas (Config.Replicate) or declares them lost.
 
 // LostRange identifies rows of one array that could not be reconstructed
 // after a failure: they were zero-filled and the application must treat
@@ -166,123 +166,42 @@ func (rt *Runtime) handleFailure() {
 	rt.transit(t)
 }
 
-// recoverDistribution is applyDistribution with one extra concern: transfers
-// sourced at a dead rank cannot arrive. When replication is on and the dead
-// rank's buddy survives, the buddy serves those transfers from its replica;
-// otherwise the rows are declared lost. Schedule, extraction, resize, slab
-// commit and the closing barrier/emit are applyDistribution's own; only the
-// exchange differs, because replica service shares the tag with owner slabs
-// and so must be received in the holder's serve order. All surviving active
-// ranks call this collectively with identical arguments; rt.dist is still
-// the pre-failure distribution (including the dead ranks).
-func (rt *Runtime) recoverDistribution(newDist *drsd.Block, dead []int) {
-	p := rt.beginRedist(newDist, "failure")
-	me := rt.comm.Rank()
-
-	deadSet := map[int]bool{}
-	// The buddy holding a dead rank's replica is its ring successor in the
-	// pre-failure distribution — the rank refreshReplicas shipped to.
-	holder := map[int]int{}
-	oldRanks := rt.dist.Ranks()
-	for _, d := range dead {
-		deadSet[d] = true
-		if _, next, ok := ringNeighbours(oldRanks, d); ok {
-			holder[d] = next
-		}
+// replicaHolder returns the survivor holding dead rank d's replica of array
+// a — d's ring successor in the pre-failure distribution (still rt.dist),
+// the rank refreshReplicas shipped to — and false when no live replica
+// exists: replication off, a sparse array, or the holder dead too. Every
+// rank decides from the same distribution and dead set, so a holder serves
+// exactly the transfers its receivers expect from it.
+func (rt *Runtime) replicaHolder(a *regArray, d int, dead []int) (int, bool) {
+	if !rt.cfg.Replicate || a.dense == nil {
+		return 0, false
 	}
-
-	for i := range rt.arrays {
-		a := &rt.arrays[i]
-		sched := rt.scheduleFor(a, newDist)
-		tag := tagRecover + a.index
-		outs := rt.extractAndResize(a, sched, newDist)
-
-		// Ship own outgoing slabs, then serve the dead ranks' transfers this
-		// rank holds replicas for. Sends are eager, so the send-before-receive
-		// order makes the exchange deadlock-free.
-		mv := telemetry.ArrayMove{Name: a.name}
-		for i := range outs {
-			m := &outs[i]
-			if m.dense != nil {
-				rt.comm.Send(m.to, tag, m.dense, m.bytes)
-				m.dense = nil
-			} else {
-				rt.comm.Send(m.to, tag, m.spars, m.bytes)
-				m.spars = nil
-			}
-			p.sent(&mv, m.rows, m.bytes)
-		}
-		if rt.cfg.Replicate && a.dense != nil {
-			rep := a.rep
-			for _, tr := range sched {
-				if !deadSet[tr.From] || holder[tr.From] != me || tr.To == me {
-					continue
-				}
-				plo, phi := intersect(tr.Lo, tr.Hi, rep)
-				rows := phi - plo
-				slab := getDenseSlab(rows, a.dense.RowLen)
-				slab.lo = plo
-				if rows > 0 {
-					off := (plo - rep.lo) * a.dense.RowLen
-					copy(slab.data, rep.data[off:off+rows*a.dense.RowLen])
-					for g := plo; g < phi; g++ {
-						rt.node.ChargeTouch(a.dense.RowBytes())
-					}
-				}
-				bytes := 16 + rows*int(a.dense.RowBytes())
-				rt.comm.Send(tr.To, tag, slab, bytes)
-				p.sent(&mv, rows, bytes)
-			}
-		}
-		p.moved(mv)
-
-		// Receive, distinguishing live sources (normal slabs) from dead ones
-		// (replica service or declared loss).
-		for _, tr := range sched {
-			if tr.To != me {
-				continue
-			}
-			if deadSet[tr.From] {
-				rt.recoverTransfer(a, tag, tr, holder, deadSet, &p.bytesRecv)
-				continue
-			}
-			payload, st, err := rt.comm.RecvErr(tr.From, tag)
-			if err != nil {
-				rt.absorbDead(rt.deadOf(err))
-				rt.loseRows(a, tr.Lo, tr.Hi)
-				continue
-			}
-			p.bytesRecv += int64(st.Bytes)
-			rt.commitSlab(a, tr.Lo, tr.Hi, payload)
-		}
-	}
-
-	rt.endRedist(&p)
-	rt.refreshReplicasNow()
+	_, h, ok := ringNeighbours(rt.dist.Ranks(), d)
+	return h, ok && !containsInt(dead, h)
 }
 
-// recoverTransfer satisfies one transfer whose source is dead: from this
-// rank's own replica, from the buddy's replica over the wire, or — when no
-// live replica exists (replication off, sparse array, buddy also dead) — by
-// declaring the rows lost. The holder sends exactly when the receiver
-// expects a message, both sides deciding from the same holder map.
-func (rt *Runtime) recoverTransfer(a *regArray, tag int, tr drsd.Transfer, holder map[int]int, deadSet map[int]bool, bytesRecv *int64) {
-	h, ok := holder[tr.From]
-	if !rt.cfg.Replicate || a.dense == nil || !ok || deadSet[h] {
-		rt.loseRows(a, tr.Lo, tr.Hi)
-		return
+// serveSlab packs the part of a dead rank's rows [lo,hi) this holder's
+// replica covers — possibly none — into a pooled slab (lo set to the covered
+// range's start), one RowBytes touch per row, and returns it with its wire
+// size.
+func (rt *Runtime) serveSlab(a *regArray, lo, hi int) (*denseSlab, int) {
+	rep := a.rep
+	plo, phi := intersect(lo, hi, rep)
+	slab := getDenseSlab(phi-plo, a.dense.RowLen)
+	slab.lo = plo
+	if phi > plo {
+		off := (plo - rep.lo) * a.dense.RowLen
+		copy(slab.data, rep.data[off:off+len(slab.data)])
+		for g := plo; g < phi; g++ {
+			rt.node.ChargeTouch(a.dense.RowBytes())
+		}
 	}
-	if h == rt.comm.Rank() {
-		rt.restoreLocal(a, tr.Lo, tr.Hi)
-		return
-	}
-	payload, st, err := rt.comm.RecvErr(h, tag)
-	if err != nil {
-		rt.absorbDead(rt.deadOf(err))
-		rt.loseRows(a, tr.Lo, tr.Hi)
-		return
-	}
-	*bytesRecv += int64(st.Bytes)
+	return slab, 16 + (phi-plo)*int(a.dense.RowBytes())
+}
+
+// commitServed commits a holder's served slab for a dead rank's rows
+// [lo,hi): the rows it covers are recovered, the rest declared lost.
+func (rt *Runtime) commitServed(a *regArray, lo, hi int, payload any) {
 	rs, ok := payload.(*denseSlab)
 	if !ok {
 		panic(fmt.Sprintf("core: bad replica recovery payload for %q", a.name))
@@ -293,8 +212,8 @@ func (rt *Runtime) recoverTransfer(a *regArray, tag int, tr drsd.Transfer, holde
 		rt.recoveredRows += rhi - rlo
 	}
 	putDenseSlab(rs)
-	rt.loseRows(a, tr.Lo, minI(rlo, tr.Hi))
-	rt.loseRows(a, maxI(rhi, tr.Lo), tr.Hi)
+	rt.loseRows(a, lo, minI(rlo, hi))
+	rt.loseRows(a, maxI(rhi, lo), hi)
 }
 
 // restoreLocal reconstructs rows [lo,hi) of a dense array from this rank's

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/drsd"
@@ -307,6 +310,138 @@ func TestCrashDeterminismCore(t *testing.T) {
 	for r, ta := range a {
 		if tb, ok := b[r]; !ok || ta != tb {
 			t.Fatalf("rank %d finish differs: %v vs %v", r, ta, b[r])
+		}
+	}
+}
+
+// recoveryRank is one survivor's final state in runServedRecovery.
+type recoveryRank struct {
+	Lo, Hi    int
+	Rows      []float64 // every element of X[g] per owned row
+	Lost      []LostRange
+	Recovered int
+	Final     vclock.Time
+	Events    []Event
+}
+
+// runServedRecovery runs the runMini array on four uniform nodes with
+// per-cycle replication, cps competing processes on each of nodes 0 and 1
+// from cycle 1 and rank 1 crashing at crashCycle. The load skew leaves rank
+// 0's recovery range covering the dead rank's rows — served by its holder,
+// rank 2 — and the first rows of rank 2's own range, so rank 0 receives a
+// replica slab and an owner slab from the same source in one recovery. The
+// error is the world's, or the watchdog's when it did not return in 10 s.
+func runServedRecovery(cps, crashCycle int) (results map[int]*recoveryRank, leaked int, err error) {
+	const n, cycles = 64, 24
+	cfg := DefaultConfig()
+	cfg.Drop = DropNever
+	cfg.Replicate = true
+	cfg.ReplicaEvery = 1
+	spec := cluster.Uniform(4)
+	for _, node := range []int{0, 1} {
+		for i := 0; i < cps; i++ {
+			spec = spec.With(cluster.CycleEvent(node, 1, +1))
+		}
+	}
+	spec.Faults = []fault.Fault{fault.CrashAtCycle(1, crashCycle)}
+	var mu sync.Mutex
+	results = map[int]*recoveryRank{}
+	w := mpi.NewWorld(cluster.New(spec))
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(c *mpi.Comm) error {
+			rt := New(c, cfg)
+			x := rt.RegisterDense("X", n, 4)
+			ph := rt.InitPhase(n)
+			ph.AddAccess("X", drsd.ReadWrite, 1, 0)
+			rt.Commit()
+			x.Fill(func(g, j int) float64 { return float64(g * 10) })
+			for tstep := 0; tstep < cycles; tstep++ {
+				if rt.BeginCycle() {
+					lo, hi := ph.Bounds()
+					for g := lo; g < hi; g++ {
+						row := x.Row(g)
+						for j := range row {
+							row[j]++
+						}
+						rt.ComputeIter(g, iterCost)
+					}
+				}
+				rt.EndCycle()
+			}
+			rt.Finalize()
+			res := &recoveryRank{Lost: rt.LostRows(), Recovered: rt.RecoveredRows(), Final: c.Now(), Events: rt.Events()}
+			res.Lo, res.Hi = ph.Bounds()
+			for g := res.Lo; g < res.Hi; g++ {
+				res.Rows = append(res.Rows, x.Row(g)...)
+			}
+			mu.Lock()
+			results[c.Rank()] = res
+			mu.Unlock()
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			return nil, 0, err
+		}
+		return results, w.LeakedOps(), nil
+	case <-time.After(10 * time.Second):
+		return nil, 0, errors.New("survivors hung (10 s watchdog)")
+	}
+}
+
+// TestRecoveryServesReplicasOnTheirOwnTag is the shared-tag trap: replica
+// service once travelled on the owner slabs' tag, so a receiver expecting
+// the holder's replica of the dead rank's rows could take the holder's own
+// owner slab in its place (a bad payload panic, or rows put outside the
+// window). Whatever the load and crash instant, every surviving row must
+// come back exact, none may be lost, nothing may leak, and the run must
+// replay exactly.
+func TestRecoveryServesReplicasOnTheirOwnTag(t *testing.T) {
+	const n, cycles = 64, 24
+	for _, cps := range []int{1, 2, 3} {
+		for _, crash := range []int{12, 15, 18} {
+			name := fmt.Sprintf("cps=%d/crash=%d", cps, crash)
+			a, leaked, err := runServedRecovery(cps, crash)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				continue
+			}
+			if leaked != 0 {
+				t.Errorf("%s: %d ops leaked", name, leaked)
+			}
+			if len(a) != 3 || a[1] != nil {
+				t.Errorf("%s: %d ranks reported, want the 3 survivors", name, len(a))
+				continue
+			}
+			owned, recovered := 0, 0
+			for r, res := range a {
+				if len(res.Lost) != 0 {
+					t.Errorf("%s: rank %d lost %v despite per-cycle replication", name, r, res.Lost)
+				}
+				recovered += res.Recovered
+				owned += res.Hi - res.Lo
+				for k, v := range res.Rows {
+					if g := res.Lo + k/4; v != float64(g*10+cycles) {
+						t.Errorf("%s: rank %d row %d = %v, want %v", name, r, g, v, float64(g*10+cycles))
+						break
+					}
+				}
+			}
+			if owned != n {
+				t.Errorf("%s: survivors own %d of %d rows", name, owned, n)
+			}
+			if recovered == 0 {
+				t.Errorf("%s: no rows recovered from replicas", name)
+			}
+			b, _, err := runServedRecovery(cps, crash)
+			if err != nil {
+				t.Errorf("%s: replay: %v", name, err)
+			} else if !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: replay differs", name)
+			}
 		}
 	}
 }

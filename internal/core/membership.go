@@ -157,11 +157,11 @@ func (rt *Runtime) transit(t transition) {
 		rt.install(t.next)
 	}
 	if t.dist != nil {
+		var dead []int
 		if t.cause == causeFailure {
-			rt.recoverDistribution(t.dist, t.leavers)
-		} else {
-			rt.applyDistribution(t.dist)
+			dead = t.leavers
 		}
+		rt.applyDistribution(t.dist, dead)
 		rt.state, rt.collector, rt.cycTimer, rt.cycOpen = stNormal, nil, nil, false
 	}
 	if !before {

@@ -119,10 +119,14 @@ type redistOut struct {
 // schedule row range and the posted receive. The payload stays inside the
 // request until the deterministic commit loop waits on it — unpacking
 // charges virtual time (PutRows/UnpackRows touch rows), so it must happen
-// in commit order, never in physical arrival order.
+// in commit order, never in physical arrival order. A transfer whose source
+// is dead is resolved when the receives are posted: served rows come from
+// the dead rank's replica — over the wire from its holder (req set), or
+// from this rank's own (req nil) — and rows with no live replica are lost.
 type redistIn struct {
 	lo, hi int
-	req    *mpi.Request
+	req    *mpi.Request // nil when nothing is on the wire
+	served bool         // a dead source's rows, restored from its replica
 }
 
 // redistHarvestShuffle, when non-nil, replaces the Waitany harvest loop of
@@ -133,27 +137,11 @@ type redistIn struct {
 // export_test.go); nil in production.
 var redistHarvestShuffle func(c *mpi.Comm, reqs []*mpi.Request)
 
-// arrivalLess orders the overlap commit: arrived transfers by (arrival
-// stamp, schedule index), dead-sender transfers (no arrival) last in
-// schedule order. Both keys are virtual-time deterministic, so the commit
-// order is too.
-func arrivalLess(ins []redistIn, a, b int) bool {
-	ta, oka := ins[a].req.Arrival()
-	tb, okb := ins[b].req.Arrival()
-	if oka != okb {
-		return oka
-	}
-	if oka && ta != tb {
-		return ta < tb
-	}
-	return a < b
-}
-
 // redistPass is the bookkeeping one redistribution carries from its
-// EvRedistStart to its EvRedistEnd, shared by load-driven redistribution
-// (applyDistribution) and failure recovery (recoverDistribution).
+// EvRedistStart to its EvRedistEnd.
 type redistPass struct {
 	newDist              *drsd.Block
+	dead                 []int  // ranks of the current distribution that died: a failure recovery
 	info                 string // Event.Info of the start/end events
 	bytesSent, bytesRecv int64
 	moves                []telemetry.ArrayMove // per-array send volumes; nil without a sink
@@ -167,12 +155,15 @@ type redistPass struct {
 // pre-redistribution ranges; after a death the close fails and the adoption
 // protocol decides, per array, whether the dead predecessor's deposit
 // landed in full (rma.go).
-func (rt *Runtime) beginRedist(newDist *drsd.Block, info string) redistPass {
+func (rt *Runtime) beginRedist(newDist *drsd.Block, dead []int) redistPass {
 	if rt.cfg.ReplicaRMA {
 		rt.closeReplicaEpoch()
 	}
-	rt.record(EvRedistStart, 0, info)
-	p := redistPass{newDist: newDist, info: info, lost0: rt.lostRows, stall0: rt.comm.RecvStall}
+	p := redistPass{newDist: newDist, dead: dead, lost0: rt.lostRows, stall0: rt.comm.RecvStall}
+	if len(dead) > 0 {
+		p.info = "failure"
+	}
+	rt.record(EvRedistStart, 0, p.info)
 	if rt.sink != nil {
 		p.moves = make([]telemetry.ArrayMove, 0, len(rt.arrays))
 	}
@@ -321,9 +312,13 @@ func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist 
 // (2) extracts rows that leave it, (3) resizes its resident window —
 // deallocating unneeded memory, allocating new, updating pointers for data
 // that stays — and (4) exchanges exactly the rows the schedule demands.
-// All active ranks call this collectively with identical arguments.
-func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
-	p := rt.beginRedist(newDist, "")
+// A failure recovery is the same redistribution with the dead ranks of the
+// current distribution in dead: their rows cannot ship, so the drain serves
+// them from buddy replicas or declares them lost, and no window exposes them
+// (RedistRMA stays load-driven only). All active ranks call this
+// collectively with identical arguments.
+func (rt *Runtime) applyDistribution(newDist *drsd.Block, dead []int) {
+	p := rt.beginRedist(newDist, dead)
 	for i := range rt.arrays {
 		a := &rt.arrays[i]
 		sched := rt.scheduleFor(a, newDist)
@@ -333,7 +328,7 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 		// arrays one-sided when asked to, everything else through the
 		// message-passing drain.
 		mv := telemetry.ArrayMove{Name: a.name}
-		if rt.cfg.RedistMode == RedistRMA && a.dense != nil {
+		if rt.cfg.RedistMode == RedistRMA && a.dense != nil && len(dead) == 0 {
 			rt.rmaRedistArray(a, sched, outs, &mv, &p)
 		} else {
 			rt.drainArray(a, sched, outs, &mv, &p)
@@ -342,29 +337,47 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 	}
 
 	rt.endRedist(&p)
-	rt.refreshReplicas()
+	if len(dead) > 0 {
+		rt.refreshReplicasNow()
+	} else {
+		rt.refreshReplicas()
+	}
 }
 
 // drainArray is the message-passing Phase 3 of one array: every Irecv is
 // posted before anything ships, so peers fill the posted requests directly
 // and this rank parks once per arrival instead of once per in-order
 // transfer. The commit — the only part that advances virtual time — runs in
-// a deterministic order whatever the physical arrival order was.
+// schedule order with replay-priced Waits, so clocks, traces and checksums
+// are those of one blocking receive per transfer, whatever the physical
+// arrival order was. A dead source's rows are served by its replica holder
+// on tagServe, so the holder's own slabs and its service never match each
+// other's receives.
 func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistOut, mv *telemetry.ArrayMove, p *redistPass) {
 	me := rt.comm.Rank()
-	tag := tagRedist + a.index
-	// Post all Irecvs up front (no virtual charge).
+	tag, serve := tagRedist+a.index, tagServe+a.index
+	// Post all Irecvs up front (no virtual charge), resolving dead sources.
 	ins := atLeast(rt.insBuf, neighbourSlabs)
 	for _, tr := range sched {
 		if tr.To != me {
 			continue
 		}
-		ins = append(ins, redistIn{lo: tr.Lo, hi: tr.Hi, req: rt.comm.Irecv(tr.From, tag)})
+		in := redistIn{lo: tr.Lo, hi: tr.Hi}
+		if !containsInt(p.dead, tr.From) {
+			in.req = rt.comm.Irecv(tr.From, tag)
+		} else if h, ok := rt.replicaHolder(a, tr.From, p.dead); ok {
+			in.served = true
+			if h != me {
+				in.req = rt.comm.Irecv(h, serve)
+			}
+		}
+		ins = append(ins, in)
 	}
 	rt.insBuf = ins
-	// Isend the outgoing slabs: the injection charges of one blocking Send
-	// per slab, in schedule order. Send requests complete at post; Waitall
-	// only recycles them.
+	// Isend the outgoing slabs, then the dead ranks' rows this rank holds
+	// replicas of: the injection charges of one blocking Send per slab, in
+	// schedule order. Send requests complete at post; Waitall only recycles
+	// them.
 	reqs := atLeast(rt.reqBuf, neighbourSlabs)
 	for i := range outs {
 		m := &outs[i]
@@ -377,12 +390,24 @@ func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistO
 		}
 		p.sent(mv, m.rows, m.bytes)
 	}
+	for _, tr := range sched {
+		if tr.To == me || !containsInt(p.dead, tr.From) {
+			continue
+		}
+		if h, ok := rt.replicaHolder(a, tr.From, p.dead); ok && h == me {
+			slab, bytes := rt.serveSlab(a, tr.Lo, tr.Hi)
+			p.sent(mv, slab.rows, bytes) // before the Isend: the slab is the receiver's after it
+			reqs = append(reqs, rt.comm.Isend(tr.To, serve, slab, bytes))
+		}
+	}
 	rt.comm.Waitall(reqs)
 	// Harvest completions physically, in whatever order they arrive. No
 	// clock moves here: Waitany only claims.
 	reqs = reqs[:0]
 	for k := range ins {
-		reqs = append(reqs, ins[k].req)
+		if ins[k].req != nil {
+			reqs = append(reqs, ins[k].req)
+		}
 	}
 	rt.reqBuf = reqs
 	if redistHarvestShuffle != nil {
@@ -392,36 +417,18 @@ func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistO
 			rt.comm.Waitany(reqs)
 		}
 	}
-	// Commit deterministically. Schedule order with replay-priced Waits
-	// prices every transfer as one blocking receive per transfer, in order,
-	// would — so clocks, traces and checksums do not depend on the harvest.
-	// Overlap commits in arrival order instead, trading that timeline for
-	// lower stall.
-	overlap := rt.cfg.RedistMode == RedistOverlap
-	order := atLeast(rt.ordBuf, len(ins))
+	// Commit in schedule order.
 	for k := range ins {
-		order = append(order, k)
-	}
-	rt.ordBuf = order
-	if overlap {
-		// Insertion sort by (arrival, schedule index): transfer counts per
-		// array are small and the scratch is reused.
-		for i := 1; i < len(order); i++ {
-			for j := i; j > 0 && arrivalLess(ins, order[j], order[j-1]); j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
-		}
-	}
-	for _, k := range order {
 		in := &ins[k]
-		var payload any
-		var st mpi.Status
-		var err error
-		if overlap {
-			payload, st, err = rt.comm.WaitErr(in.req)
-		} else {
-			payload, st, err = rt.comm.WaitReplayErr(in.req)
+		if in.req == nil {
+			if in.served {
+				rt.restoreLocal(a, in.lo, in.hi)
+			} else {
+				rt.loseRows(a, in.lo, in.hi)
+			}
+			continue
 		}
+		payload, st, err := rt.comm.WaitReplayErr(in.req)
 		in.req = nil
 		if err != nil {
 			// The sender died before shipping these rows: record the death
@@ -431,6 +438,10 @@ func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistO
 			continue
 		}
 		p.bytesRecv += int64(st.Bytes)
-		rt.commitSlab(a, in.lo, in.hi, payload)
+		if in.served {
+			rt.commitServed(a, in.lo, in.hi, payload)
+		} else {
+			rt.commitSlab(a, in.lo, in.hi, payload)
+		}
 	}
 }

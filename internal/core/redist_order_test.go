@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
@@ -66,68 +67,50 @@ func sameOutcome(t *testing.T, label string, a, b map[int]*miniResult) {
 // slabs are harvested. Seeded shuffles force adversarial claim orders
 // through the redistHarvestShuffle hook; the replay-priced commit must
 // erase them all. The reference is the unshuffled run, whose absolute
-// timeline the exp goldens and sweep checksums pin.
+// timeline the exp goldens and sweep checksums pin. The crash row drives a
+// failure recovery through the same drain: owner slabs and a holder's
+// replica service are harvested side by side.
 func TestRedistPipelinedOrderEquivalence(t *testing.T) {
-	const n, cycles = 64, 25
-	scenario := func() cluster.Spec { return cpAtCycle(cluster.Uniform(4), 1, 3) }
-	cfg := DefaultConfig()
-	cfg.Drop = DropNever
-
-	refRes, refTrace := runMiniTraced(t, scenario(), cfg, n, cycles)
-	if refRes[0].redists == 0 {
-		t.Fatal("scenario produced no redistribution; suite is vacuous")
-	}
-
+	crash := cluster.Uniform(3)
+	crash.Faults = []fault.Fault{fault.CrashAtCycle(2, 5)}
+	replicated := DefaultConfig()
+	replicated.Drop = DropNever
+	replicated.Replicate = true
+	replicated.ReplicaEvery = 1
+	plain := DefaultConfig()
+	plain.Drop = DropNever
 	defer func() { redistHarvestShuffle = nil }()
-	for seed := int64(1); seed <= 4; seed++ {
-		redistHarvestShuffle = func(c *mpi.Comm, reqs []*mpi.Request) {
-			// Claim completions in a seeded random order, spinning
-			// physically (never touching virtual clocks) until each chosen
-			// request lands.
-			rng := rand.New(rand.NewSource(seed*1009 + int64(c.Rank())))
-			for _, i := range rng.Perm(len(reqs)) {
-				for !c.Test(reqs[i]) {
-					runtime.Gosched()
+	for _, sc := range []struct {
+		name      string
+		spec      cluster.Spec
+		cfg       Config
+		n, cycles int
+	}{
+		{"load", cpAtCycle(cluster.Uniform(4), 1, 3), plain, 64, 25},
+		{"crash+replicate", crash, replicated, 48, 20},
+	} {
+		redistHarvestShuffle = nil
+		refRes, refTrace := runMiniTraced(t, sc.spec, sc.cfg, sc.n, sc.cycles)
+		if refRes[0].redists == 0 {
+			t.Fatalf("%s: scenario produced no redistribution; suite is vacuous", sc.name)
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			redistHarvestShuffle = func(c *mpi.Comm, reqs []*mpi.Request) {
+				// Claim completions in a seeded random order, spinning
+				// physically (never touching virtual clocks) until each chosen
+				// request lands.
+				rng := rand.New(rand.NewSource(seed*1009 + int64(c.Rank())))
+				for _, i := range rng.Perm(len(reqs)) {
+					for !c.Test(reqs[i]) {
+						runtime.Gosched()
+					}
 				}
 			}
-		}
-		res, trace := runMiniTraced(t, scenario(), cfg, n, cycles)
-		sameOutcome(t, "shuffled", refRes, res)
-		if !bytes.Equal(refTrace, trace) {
-			t.Fatalf("seed %d: shuffled harvest trace differs from the unshuffled trace", seed)
-		}
-	}
-}
-
-// TestRedistOverlapReducesStall pins the opt-in arrival-order mode: on a
-// scenario with real slab traffic it must not corrupt data, must still
-// redistribute identically much work, and must not stall longer than the
-// schedule-order drain. (The ≥20% stall-reduction claim on a skewed
-// redistribution lives in the exp harness, where the network is slow enough
-// to matter; here we assert the invariants.)
-func TestRedistOverlapReducesStall(t *testing.T) {
-	const n, cycles = 64, 25
-	stallOf := func(res map[int]*miniResult) (total int64) {
-		for _, r := range res {
-			for _, ev := range r.events {
-				if ev.Kind == EvRedistEnd {
-					total += int64(ev.Stall)
-				}
+			res, trace := runMiniTraced(t, sc.spec, sc.cfg, sc.n, sc.cycles)
+			sameOutcome(t, sc.name+" shuffled", refRes, res)
+			if !bytes.Equal(refTrace, trace) {
+				t.Fatalf("%s seed %d: shuffled harvest trace differs from the unshuffled trace", sc.name, seed)
 			}
 		}
-		return
-	}
-	cfg := DefaultConfig()
-	cfg.Drop = DropNever
-	cfg.RedistMode = RedistPipelined
-	pip := runMini(t, cpAtCycle(cluster.Uniform(4), 1, 3), cfg, n, cycles, false)
-	cfg.RedistMode = RedistOverlap
-	ovl := runMini(t, cpAtCycle(cluster.Uniform(4), 1, 3), cfg, n, cycles, false)
-	checkValuesAndCoverage(t, ovl, n)
-	if pip[0].redists != ovl[0].redists {
-		t.Fatalf("redist counts differ: %d vs %d", pip[0].redists, ovl[0].redists)
-	}
-	if s, p := stallOf(ovl), stallOf(pip); s > p {
-		t.Fatalf("arrival-order commit stalled longer (%d) than schedule order (%d)", s, p)
 	}
 }

@@ -52,7 +52,7 @@ func runDeadReceiver(t *testing.T, victim, n, cycles int) (results map[int]*dead
 						c.World().Kill(victim)
 						return nil
 					}
-					rt.applyDistribution(drsd.NewBlock([]int{0, 1, 2}, []int{22, 4, 22}))
+					rt.applyDistribution(drsd.NewBlock([]int{0, 1, 2}, []int{22, 4, 22}), nil)
 				}
 				if rt.BeginCycle() {
 					lo, hi := ph.Bounds()

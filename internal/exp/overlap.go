@@ -10,7 +10,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/telemetry"
-	"repro/internal/vclock"
 )
 
 // This file measures the nonblocking engine's two performance claims on
@@ -22,10 +21,11 @@ import (
 //     hidden fraction. Particles' migration is nonblocking by construction
 //     with charges identical to the former blocking exchange, so its delta
 //     is structurally zero and only its hidden-wire credit is reported.
-//  2. Redistribution overlap: on a wire-bound cluster, committing incoming
-//     slabs in arrival order (RedistOverlap) instead of schedule order
-//     removes head-of-line blocking and cuts the virtual receive stall of
-//     redistribution.
+//  2. Redistribution overlap: on a wire-bound cluster with skewed senders,
+//     one-sided commits (RedistRMA) let every (sender, receiver) pair settle
+//     on its own epoch, so no receiver waits head-of-line on the slowest
+//     sender's slab before unpacking the others, and the slowest rank's
+//     redistribution window shrinks against the schedule-order drain.
 
 // OverlapOptions parameterises the overlap study.
 type OverlapOptions struct {
@@ -59,26 +59,28 @@ func (r OverlapRow) Delta() float64 {
 	return (r.SerialS - r.OverlapS) / r.SerialS
 }
 
-// OverlapResult holds the halo study plus the redistribution stall
+// OverlapResult holds the halo study plus the redistribution window
 // comparison.
 type OverlapResult struct {
 	Rows []OverlapRow
-	// RedistStallSchedS and RedistStallArrivalS total the virtual receive
-	// stall (Event.Stall at EvRedistEnd, summed over ranks and
-	// redistributions) of the redistribution-heavy scenario under
-	// schedule-order (RedistPipelined) and arrival-order (RedistOverlap)
-	// commits.
-	RedistStallSchedS   float64
-	RedistStallArrivalS float64
+	// RedistWindowPipelinedS and RedistWindowRMAS are the slowest rank's
+	// redistribution window — its EvRedistStart→EvRedistEnd spans, summed
+	// over redistributions — on the redistribution-heavy scenario under
+	// schedule-order drain commits (RedistPipelined) and one-sided commits
+	// (RedistRMA). The window, not Event.Stall, is compared: an RMA receiver
+	// does no commit work while it waits, so it stalls where the drain
+	// unpacks.
+	RedistWindowPipelinedS float64
+	RedistWindowRMAS       float64
 }
 
-// StallReduction reports the fractional stall saving of arrival-order
-// commits.
-func (r *OverlapResult) StallReduction() float64 {
-	if r.RedistStallSchedS == 0 {
+// WindowReduction reports the fractional redistribution-window saving of
+// one-sided commits.
+func (r *OverlapResult) WindowReduction() float64 {
+	if r.RedistWindowPipelinedS == 0 {
 		return 0
 	}
-	return (r.RedistStallSchedS - r.RedistStallArrivalS) / r.RedistStallSchedS
+	return (r.RedistWindowPipelinedS - r.RedistWindowRMAS) / r.RedistWindowPipelinedS
 }
 
 // overlapTelemetry sums the per-iteration hidden-wire credit and residual
@@ -164,29 +166,28 @@ func RunOverlap(o OverlapOptions) (*OverlapResult, error) {
 		}
 	}
 
-	sched, arrival, err := runOverlapRedist(o.Seed)
+	pip, rma, err := runOverlapRedist(o.Seed)
 	if err != nil {
 		return nil, err
 	}
-	res.RedistStallSchedS, res.RedistStallArrivalS = sched, arrival
+	res.RedistWindowPipelinedS, res.RedistWindowRMAS = pip, rma
 	return res, nil
 }
 
-// runOverlapRedist measures total redistribution receive stall under
-// schedule-order vs arrival-order commits.
+// runOverlapRedist measures the slowest rank's redistribution window under
+// schedule-order drain commits vs one-sided commits.
 //
-// Arrival-order commits only pay off when a receiver drains slabs from
-// several senders whose arrivals invert the schedule order. Block
-// redistributions move contiguous row ranges, so that takes a large
-// coordinated shift: three adjacent nodes get hit by different competing
-// loads at once (3, 2, and 1 CPs), their shares collapse together, and
-// every surviving receiver's gained range spans several old owners. The
-// senders' slab injections are dilated by their respective CP counts, so
-// arrivals are skewed against the schedule, and the per-byte message CPU
-// is raised so committing an already-arrived slab does real work that
-// schedule order would leave idle while it stalls head-of-line on the
-// slowest sender.
-func runOverlapRedist(seed uint64) (schedS, arrivalS float64, err error) {
+// Head-of-line blocking only shows when a receiver takes slabs from several
+// senders whose arrivals invert the schedule order. Block redistributions
+// move contiguous row ranges, so that takes a large coordinated shift:
+// three adjacent nodes get hit by different competing loads at once (3, 2,
+// and 1 CPs), their shares collapse together, and every surviving
+// receiver's gained range spans several old owners. The senders' slab
+// injections are dilated by their respective CP counts, so arrivals are
+// skewed against the schedule, and the per-byte message CPU is raised so
+// committing a slab does real work — work the drain leaves idle while it
+// stalls on the slowest sender, and a one-sided deposit does not pay.
+func runOverlapRedist(seed uint64) (pipelinedS, rmaS float64, err error) {
 	run := func(mode core.RedistMode) (apps.Result, error) {
 		cfg := jacobi.DefaultConfig()
 		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = 256, 1024, 40, 600
@@ -204,32 +205,21 @@ func runOverlapRedist(seed uint64) (schedS, arrivalS float64, err error) {
 		}
 		return jacobi.Run(cluster.New(spec), cfg)
 	}
-	stallOf := func(res apps.Result) float64 {
-		var total vclock.Duration
-		for _, st := range res.Stats {
-			for _, ev := range st.Events {
-				if ev.Kind == core.EvRedistEnd {
-					total += ev.Stall
-				}
-			}
-		}
-		return total.Seconds()
-	}
-	sched, err := run(core.RedistPipelined)
+	pip, err := run(core.RedistPipelined)
 	if err != nil {
-		return 0, 0, fmt.Errorf("overlap redist schedule-order: %w", err)
+		return 0, 0, fmt.Errorf("overlap redist pipelined: %w", err)
 	}
-	arrival, err := run(core.RedistOverlap)
+	rma, err := run(core.RedistRMA)
 	if err != nil {
-		return 0, 0, fmt.Errorf("overlap redist arrival-order: %w", err)
+		return 0, 0, fmt.Errorf("overlap redist RMA: %w", err)
 	}
-	if sched.Redists == 0 {
+	if pip.Redists == 0 {
 		return 0, 0, fmt.Errorf("overlap redist scenario produced no redistributions")
 	}
-	if sched.Checksum != arrival.Checksum {
-		return 0, 0, fmt.Errorf("overlap redist: arrival-order commit changed the checksum")
+	if pip.Checksum != rma.Checksum {
+		return 0, 0, fmt.Errorf("overlap redist: one-sided commit changed the checksum")
 	}
-	return stallOf(sched), stallOf(arrival), nil
+	return totalRedistSeconds(pip), totalRedistSeconds(rma), nil
 }
 
 // Table renders the study.
@@ -245,8 +235,8 @@ func (r *OverlapResult) Table() *Table {
 		})
 	}
 	t.Rows = append(t.Rows, []string{
-		"redist", "8", f3(r.RedistStallSchedS), f3(r.RedistStallArrivalS),
-		pct(r.StallReduction()), "", "",
+		"redist", "8", f3(r.RedistWindowPipelinedS), f3(r.RedistWindowRMAS),
+		pct(r.WindowReduction()), "", "",
 	})
 	return t
 }

