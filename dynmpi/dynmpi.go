@@ -75,8 +75,6 @@ type (
 	Method = core.Method
 	// DropPolicy controls node removal.
 	DropPolicy = core.DropPolicy
-	// Event is one adaptation-trace entry.
-	Event = core.Event
 )
 
 // Distribution methods and drop policies.

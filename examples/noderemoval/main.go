@@ -28,7 +28,8 @@ func run(policy dynmpi.DropPolicy) (elapsed float64, removed []int, trace []stri
 	for i := 0; i < 2; i++ {
 		spec = spec.With(dynmpi.CompetingProcessAt(5, 0))
 	}
-	cfg := dynmpi.DefaultConfig()
+	ring := dynmpi.NewTelemetryRing(1 << 16)
+	cfg := dynmpi.WithTelemetry(dynmpi.DefaultConfig(), ring)
 	cfg.Drop = policy
 
 	var mu sync.Mutex
@@ -71,17 +72,46 @@ func run(policy dynmpi.DropPolicy) (elapsed float64, removed []int, trace []stri
 		if !rt.Participating() {
 			removed = append(removed, rt.Comm().Rank())
 		}
-		if rt.Comm().Rank() == 0 {
-			for _, ev := range rt.Events() {
-				trace = append(trace, fmt.Sprintf("cycle %3d  %v  %s", ev.Cycle, ev.Kind, ev.Info))
-			}
-		}
 		return nil
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	recs := ring.Records()
+	dynmpi.SortTelemetry(recs)
+	for _, rec := range recs {
+		if line := describe(rec); line != "" && rec.Meta().Node == 0 {
+			trace = append(trace, line)
+		}
+	}
 	return elapsed, removed, trace
+}
+
+// describe renders one adaptation record — a decision, a redistribution or a
+// membership change — as a trace line, and the per-cycle kinds as "".
+func describe(rec dynmpi.TelemetryRecord) string {
+	switch v := rec.(type) {
+	case dynmpi.DecisionRecord:
+		line := fmt.Sprintf("cycle %3d  t=%.3fs  decision %s", v.Cycle, v.Time, v.Method)
+		if v.Chosen != v.Method {
+			line += ": " + v.Chosen
+		}
+		line += fmt.Sprintf("  loads %v", v.Loads)
+		if v.GraceVT > 0 {
+			line += fmt.Sprintf("  grace from t=%.3fs", v.GraceVT)
+		}
+		if v.MeasuredS > 0 {
+			line += fmt.Sprintf("  measured=%.4fs predicted=%.4fs", v.MeasuredS, v.PredictedS)
+		}
+		return line
+	case dynmpi.RedistRecord:
+		return fmt.Sprintf("cycle %3d  t=%.3fs  redistribution from t=%.3fs  new counts %v  bytes sent %d recv %d",
+			v.Cycle, v.Time, v.StartVT, v.Counts, v.BytesSent, v.BytesRecv)
+	case dynmpi.MembershipRecord:
+		return fmt.Sprintf("cycle %3d  t=%.3fs  membership %s  active=%v left=%v joined=%v",
+			v.Cycle, v.Time, v.Change, v.Active, v.Left, v.Joined)
+	}
+	return ""
 }
 
 func main() {

@@ -1,8 +1,8 @@
 // Quickstart: a one-dimensional heat-diffusion stencil on four simulated
 // nodes. A competing process lands on node 1 at iteration 10; Dyn-MPI
 // detects the load change, measures during the grace period, and shifts
-// rows off the loaded node automatically. The program prints the
-// adaptation trace and the final distribution.
+// rows off the loaded node automatically. The program prints rank 0's
+// adaptation records from the telemetry trace and the final distribution.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -26,10 +26,12 @@ const (
 
 func main() {
 	spec := dynmpi.Uniform(4).With(dynmpi.CompetingProcessAtCycle(1, 10))
-	cfg := dynmpi.DefaultConfig()
+	// The telemetry ring is the runtime's trace: every rank's decisions,
+	// redistributions and membership changes land in it.
+	ring := dynmpi.NewTelemetryRing(1 << 16)
+	cfg := dynmpi.WithTelemetry(dynmpi.DefaultConfig(), ring)
 
 	var mu sync.Mutex
-	var trace []string
 	var finalCounts []int
 
 	err := dynmpi.Launch(spec, cfg, func(rt *dynmpi.Runtime) error {
@@ -81,20 +83,10 @@ func main() {
 		}
 		rt.Finalize()
 
-		mu.Lock()
-		defer mu.Unlock()
 		if rt.Comm().Rank() == 0 {
-			for _, ev := range rt.Events() {
-				line := fmt.Sprintf("cycle %3d  t=%v  %v", ev.Cycle, ev.Time, ev.Kind)
-				if len(ev.Counts) > 0 {
-					line += fmt.Sprintf("  new counts %v", ev.Counts)
-				}
-				if ev.Info != "" {
-					line += "  " + ev.Info
-				}
-				trace = append(trace, line)
-			}
+			mu.Lock()
 			finalCounts = rt.Dist().Counts()
+			mu.Unlock()
 		}
 		return nil
 	})
@@ -103,9 +95,40 @@ func main() {
 	}
 
 	fmt.Println("adaptation trace (rank 0):")
-	for _, line := range trace {
-		fmt.Println(" ", line)
+	recs := ring.Records()
+	dynmpi.SortTelemetry(recs)
+	for _, rec := range recs {
+		if line := describe(rec); line != "" && rec.Meta().Node == 0 {
+			fmt.Println(" ", line)
+		}
 	}
 	fmt.Printf("final distribution (rows per node): %v\n", finalCounts)
 	fmt.Println("note: the loaded node (1) ends up with roughly half the rows of its peers")
+}
+
+// describe renders one adaptation record — a decision, a redistribution or a
+// membership change — as a trace line, and the per-cycle kinds as "".
+func describe(rec dynmpi.TelemetryRecord) string {
+	switch v := rec.(type) {
+	case dynmpi.DecisionRecord:
+		line := fmt.Sprintf("cycle %3d  t=%.3fs  decision %s", v.Cycle, v.Time, v.Method)
+		if v.Chosen != v.Method {
+			line += ": " + v.Chosen
+		}
+		line += fmt.Sprintf("  loads %v", v.Loads)
+		if v.GraceVT > 0 {
+			line += fmt.Sprintf("  grace from t=%.3fs", v.GraceVT)
+		}
+		if v.MeasuredS > 0 {
+			line += fmt.Sprintf("  measured=%.4fs predicted=%.4fs", v.MeasuredS, v.PredictedS)
+		}
+		return line
+	case dynmpi.RedistRecord:
+		return fmt.Sprintf("cycle %3d  t=%.3fs  redistribution from t=%.3fs  new counts %v  bytes sent %d recv %d",
+			v.Cycle, v.Time, v.StartVT, v.Counts, v.BytesSent, v.BytesRecv)
+	case dynmpi.MembershipRecord:
+		return fmt.Sprintf("cycle %3d  t=%.3fs  membership %s  active=%v left=%v joined=%v",
+			v.Cycle, v.Time, v.Change, v.Active, v.Left, v.Joined)
+	}
+	return ""
 }

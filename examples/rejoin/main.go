@@ -25,14 +25,13 @@ func main() {
 	spec := dynmpi.Uniform(4).
 		With(dynmpi.CompetingProcessAtCycle(2, 10)).
 		With(dynmpi.LoadEvent{Node: 2, Delta: -1, AtCycle: 120})
-	cfg := dynmpi.DefaultConfig()
+	ring := dynmpi.NewTelemetryRing(1 << 16)
+	cfg := dynmpi.WithTelemetry(dynmpi.DefaultConfig(), ring)
 	cfg.Drop = dynmpi.DropAlways
 	cfg.AllowRejoin = true
 
 	var mu sync.Mutex
-	var trace []string
 	var finalCounts []int
-	history := map[int][]int{} // cycle -> counts
 
 	err := dynmpi.Launch(spec, cfg, func(rt *dynmpi.Runtime) error {
 		a := rt.RegisterDense("A", n, width)
@@ -68,17 +67,10 @@ func main() {
 		}
 		rt.Finalize()
 
-		mu.Lock()
-		defer mu.Unlock()
 		if rt.Comm().Rank() == 0 {
-			for _, ev := range rt.Events() {
-				line := fmt.Sprintf("cycle %3d  %-12v %s", ev.Cycle, ev.Kind, ev.Info)
-				trace = append(trace, line)
-				if len(ev.Counts) > 0 {
-					history[ev.Cycle] = ev.Counts
-				}
-			}
+			mu.Lock()
 			finalCounts = rt.Dist().Counts()
+			mu.Unlock()
 		}
 		return nil
 	})
@@ -87,8 +79,39 @@ func main() {
 	}
 
 	fmt.Println("adaptation trace (rank 0):")
-	for _, line := range trace {
-		fmt.Println(" ", line)
+	recs := ring.Records()
+	dynmpi.SortTelemetry(recs)
+	for _, rec := range recs {
+		if line := describe(rec); line != "" && rec.Meta().Node == 0 {
+			fmt.Println(" ", line)
+		}
 	}
 	fmt.Printf("\nfinal distribution: %v (all four nodes active, data verified)\n", finalCounts)
+}
+
+// describe renders one adaptation record — a decision, a redistribution or a
+// membership change — as a trace line, and the per-cycle kinds as "".
+func describe(rec dynmpi.TelemetryRecord) string {
+	switch v := rec.(type) {
+	case dynmpi.DecisionRecord:
+		line := fmt.Sprintf("cycle %3d  t=%.3fs  decision %s", v.Cycle, v.Time, v.Method)
+		if v.Chosen != v.Method {
+			line += ": " + v.Chosen
+		}
+		line += fmt.Sprintf("  loads %v", v.Loads)
+		if v.GraceVT > 0 {
+			line += fmt.Sprintf("  grace from t=%.3fs", v.GraceVT)
+		}
+		if v.MeasuredS > 0 {
+			line += fmt.Sprintf("  measured=%.4fs predicted=%.4fs", v.MeasuredS, v.PredictedS)
+		}
+		return line
+	case dynmpi.RedistRecord:
+		return fmt.Sprintf("cycle %3d  t=%.3fs  redistribution from t=%.3fs  new counts %v  bytes sent %d recv %d",
+			v.Cycle, v.Time, v.StartVT, v.Counts, v.BytesSent, v.BytesRecv)
+	case dynmpi.MembershipRecord:
+		return fmt.Sprintf("cycle %3d  t=%.3fs  membership %s  active=%v left=%v joined=%v",
+			v.Cycle, v.Time, v.Change, v.Active, v.Left, v.Joined)
+	}
+	return ""
 }

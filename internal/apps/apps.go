@@ -25,7 +25,6 @@ type RankStats struct {
 	Crashed   bool // rank died to an injected fault and never reported
 	Redists   int
 	Finish    vclock.Time
-	Events    []core.Event
 	SentBytes int64
 	SentMsgs  int64
 	// RefreshStall is the cumulative virtual stall this rank's replica
@@ -77,7 +76,6 @@ func (c *Collector) Report(rt *core.Runtime, checksum float64, checkInt int64) {
 		Removed:      !rt.Participating(),
 		Redists:      rt.Redistributions(),
 		Finish:       comm.Now(),
-		Events:       rt.Events(),
 		SentBytes:    comm.SentBytes,
 		SentMsgs:     comm.SentMsgs,
 		RefreshStall: rt.ReplicaStall(),

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/distribution"
 	"repro/internal/drsd"
 	"repro/internal/loadmon"
@@ -150,8 +148,6 @@ func (rt *Runtime) EndCycle() {
 // running on the old distribution while per-iteration unloaded times and
 // per-cycle communication are measured.
 func (rt *Runtime) enterGrace(loads []int) {
-	var info [64]byte
-	rt.record(EvLoadChange, 0, string(appendInts(info[:0], "loads=", loads)))
 	rt.state = stGrace
 	rt.graceLoads = append(rt.graceLoads[:0], loads...)
 	lo, hi := rt.dist.RangeOf(rt.comm.Rank())
@@ -252,10 +248,11 @@ func (rt *Runtime) decideRedistribution(loads []int) {
 	if rt.cfg.Drop == DropAlways && anyLoaded && anyUnloaded {
 		if rt.sink != nil {
 			rt.sink.Emit(telemetry.DecisionRecord{
-				Base:   rt.stamp(telemetry.KindDecision),
-				Method: "drop-always",
-				Loads:  append([]int(nil), loads...),
-				Chosen: "drop",
+				Base:    rt.stamp(telemetry.KindDecision),
+				Method:  "drop-always",
+				Loads:   append([]int(nil), loads...),
+				Chosen:  "drop",
+				GraceVT: rt.graceStart.Seconds(),
 			})
 		}
 		rt.baseLoads = append([]int(nil), loads...)
@@ -266,10 +263,11 @@ func (rt *Runtime) decideRedistribution(loads []int) {
 	if rt.cfg.Drop == DropLogical && anyLoaded && anyUnloaded {
 		if rt.sink != nil {
 			rt.sink.Emit(telemetry.DecisionRecord{
-				Base:   rt.stamp(telemetry.KindDecision),
-				Method: "drop-logical",
-				Loads:  append([]int(nil), loads...),
-				Chosen: "logical-drop",
+				Base:    rt.stamp(telemetry.KindDecision),
+				Method:  "drop-logical",
+				Loads:   append([]int(nil), loads...),
+				Chosen:  "logical-drop",
+				GraceVT: rt.graceStart.Seconds(),
 			})
 		}
 		rt.logicalDrop(nodes, iterCosts)
@@ -324,6 +322,7 @@ func (rt *Runtime) decideRedistribution(loads []int) {
 			Chosen:     chosen,
 			Counts:     append([]int(nil), counts...),
 			PredictedS: predicted,
+			GraceVT:    rt.graceStart.Seconds(),
 		})
 	}
 	rt.applyDistribution(drsd.NewBlock(rt.active, counts), nil)
@@ -370,10 +369,8 @@ func (rt *Runtime) maybeDrop(loads []int) {
 		})
 	}
 	if !drop {
-		rt.record(EvDrop, 0, fmt.Sprintf("kept: measured=%.4fs predicted=%.4fs", measured, predicted))
 		return
 	}
-	rt.record(EvDrop, 0, fmt.Sprintf("dropping: measured=%.4fs predicted=%.4fs", measured, predicted))
 	rt.baseLoads = append([]int(nil), loads...)
 	rt.dropLoaded(nodes)
 }
@@ -423,8 +420,7 @@ func (rt *Runtime) logicalDrop(nodes []distribution.Node, iterCosts []float64) {
 	counts := logicalDropCounts(rt.n, loadedIdx, len(nodes), sub)
 	rt.applyDistribution(drsd.NewBlock(rt.active, counts), nil)
 	rt.redists++
-	rt.record(EvLogicalDrop, 0, fmt.Sprintf("counts=%v", counts))
-	rt.emitMembership("logical-drop")
+	rt.emitMembership("logical-drop", nil, nil)
 	rt.state = stNormal
 }
 

@@ -37,7 +37,7 @@ func TestNilSinkHotPathsAllocFree(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() {
 			rt.beginCycleTelemetry()
 			rt.endCycleTelemetry()
-			rt.emitMembership("drop")
+			rt.emitMembership("drop", nil, nil)
 		}); n != 0 {
 			t.Errorf("nil-sink emit helpers allocated %v times per call, want 0", n)
 		}

@@ -129,8 +129,9 @@ type Config struct {
 	// Telemetry, when non-nil, receives a structured record for every
 	// adaptation action: per-cycle iteration breakdowns, distribution
 	// decisions with the candidates considered, redistribution volumes and
-	// membership changes. The sink is shared by all ranks and must be safe
-	// for concurrent use. Nil (the default) skips all emission.
+	// membership changes. It is the runtime's only trace: with a nil sink
+	// (the default) nothing is recorded. The sink is shared by all ranks and
+	// must be safe for concurrent use; it never moves virtual time.
 	Telemetry telemetry.Sink
 	// Pacer, when non-nil, gates every rank at the top of each BeginCycle
 	// (see Pacer and WorldGate in step.go). It is shared by all ranks and
@@ -196,70 +197,6 @@ type regArray struct {
 	wins [2]*mpi.Win // by winKind (rma.go); dense arrays only
 }
 
-// EventKind labels trace events.
-type EventKind int
-
-const (
-	EvLoadChange EventKind = iota
-	EvRedistStart
-	EvRedistEnd
-	EvDrop
-	EvLogicalDrop
-	EvRemoved
-	EvRejoin
-	EvFailure
-	EvResize
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case EvLoadChange:
-		return "load-change"
-	case EvRedistStart:
-		return "redist-start"
-	case EvRedistEnd:
-		return "redist-end"
-	case EvDrop:
-		return "drop"
-	case EvLogicalDrop:
-		return "logical-drop"
-	case EvRemoved:
-		return "removed"
-	case EvRejoin:
-		return "rejoin"
-	case EvFailure:
-		return "failure"
-	case EvResize:
-		return "resize"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one entry of the runtime's adaptation trace, used by the
-// experiment harness to reconstruct execution breakdowns (Figure 5).
-type Event struct {
-	Kind  EventKind
-	Cycle int
-	Time  vclock.Time
-	Bytes int64 // payload moved, sent + received (redist-end)
-	// BytesSent/BytesRecv split Bytes by direction (redist-end): summing
-	// Bytes across ranks double-counts every transfer (each payload is one
-	// rank's send and another's receive), so cross-rank aggregation must
-	// use one direction — fault-free, Σ BytesSent == Σ BytesRecv.
-	BytesSent int64
-	BytesRecv int64
-	Counts    []int // iterations per active node (redist-end)
-	// Stall is the receive-side stall of the redistribution (redist-end):
-	// virtual time this rank's clock jumped forward waiting for slab
-	// arrivals or one-sided deposits. It is not comparable across modes: a
-	// RedistRMA receiver does no commit work while it waits, so it stalls
-	// where the pipelined drain would be unpacking.
-	Stall vclock.Duration
-	Info  string
-}
-
 // Runtime is one rank's Dyn-MPI runtime instance.
 type Runtime struct {
 	comm *mpi.Comm
@@ -292,8 +229,6 @@ type Runtime struct {
 	graceBytes0  int64
 	graceHidden0 vclock.Duration // hidden-wire counter at grace start
 	graceStart   vclock.Time
-
-	events []Event
 
 	// Resize state (resize.go).
 	joined        bool // this rank spawned mid-run; its membership arrives in a packet at Commit
@@ -585,26 +520,9 @@ func (rt *Runtime) ComputeIters(lo, hi int, cost vclock.Duration) {
 // Dist exposes the current distribution (for tests and the harness).
 func (rt *Runtime) Dist() *drsd.Block { return rt.dist }
 
-// Events returns the adaptation trace recorded by this rank.
-func (rt *Runtime) Events() []Event { return rt.events }
-
 // Redistributions reports how many redistributions the world has made — the
 // count the members agree on, also on a rank that joined after some of them.
 func (rt *Runtime) Redistributions() int { return rt.redists }
-
-func (rt *Runtime) record(kind EventKind, bytes int64, info string) {
-	rt.recordEvent(Event{Kind: kind, Bytes: bytes, Info: info})
-}
-
-// recordEvent stamps ev and appends it to the trace, which starts at eight
-// entries: a load change with its redistribution and drop is five.
-func (rt *Runtime) recordEvent(ev Event) {
-	if rt.events == nil {
-		rt.events = make([]Event, 0, 8)
-	}
-	ev.Cycle, ev.Time = rt.cycle, rt.node.Now()
-	rt.events = append(rt.events, ev)
-}
 
 // stamp builds the common telemetry fields for a record emitted now. Only
 // call when rt.sink != nil.
@@ -613,9 +531,9 @@ func (rt *Runtime) stamp(kind string) telemetry.Base {
 }
 
 // emitMembership reports a membership change (or logical drop) through the
-// telemetry sink. The active list doubles as the relative-rank remap:
-// relative rank i maps to world rank active[i].
-func (rt *Runtime) emitMembership(change string) {
+// telemetry sink, with the ranks it took out and in. The active list doubles
+// as the relative-rank remap: relative rank i maps to world rank active[i].
+func (rt *Runtime) emitMembership(change string, left, joined []int) {
 	if rt.sink == nil {
 		return
 	}
@@ -629,6 +547,8 @@ func (rt *Runtime) emitMembership(change string) {
 		Active:  ranks[:na:na],
 		Removed: ranks[na:],
 		Remap:   ranks[:na:na],
+		Left:    left,
+		Joined:  joined,
 	})
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/drsd"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 	"repro/internal/vclock"
 )
 
@@ -89,19 +90,18 @@ func TestGraceRestartsOnSecondLoadChange(t *testing.T) {
 		With(cluster.CycleEvent(2, 14, +1))
 	results := runMini(t, spec, cfg, 48, 60, false)
 	checkValuesAndCoverage(t, results, 48)
-	loadChanges, redists := 0, 0
-	for _, ev := range results[0].events {
-		switch ev.Kind {
-		case EvLoadChange:
-			loadChanges++
-		case EvRedistEnd:
-			redists++
-		}
+	// The last decision measured a grace period opened after the second CP
+	// arrived, on a baseline holding both loads.
+	second := only[telemetry.LoadEventRecord](results[2].recs)
+	decs := only[telemetry.DecisionRecord](results[0].recs)
+	if len(second) != 1 || len(decs) == 0 {
+		t.Fatalf("load events on node 2 %+v, decisions %+v", second, decs)
 	}
-	if loadChanges < 2 {
-		t.Fatalf("saw %d load changes, want 2 (grace restart)", loadChanges)
+	if last := decs[len(decs)-1]; last.GraceVT <= second[0].Time || fmt.Sprint(last.Loads) != "[0 1 1]" {
+		t.Fatalf("last decision (grace from %v, loads %v) was not measured after the second CP (t=%v)",
+			last.GraceVT, last.Loads, second[0].Time)
 	}
-	if redists == 0 {
+	if len(only[telemetry.RedistRecord](results[0].recs)) == 0 {
 		t.Fatal("no redistribution after restarted grace")
 	}
 	// The final distribution reflects BOTH loads.
@@ -168,8 +168,7 @@ func TestPagingSlowsContiguousRedistribution(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Drop = DropNever
 		cfg.Alloc = scheme
-		var worstRedist vclock.Duration
-		var mu sync.Mutex
+		ring := traceInto(&cfg)
 		err := mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
 			rt := New(c, cfg)
 			x := rt.RegisterDense("X", n, 512) // 4KB rows; half-array > 1MiB
@@ -187,21 +186,6 @@ func TestPagingSlowsContiguousRedistribution(t *testing.T) {
 				rt.EndCycle()
 			}
 			rt.Finalize()
-			var start vclock.Time
-			var dur vclock.Duration
-			for _, ev := range rt.Events() {
-				switch ev.Kind {
-				case EvRedistStart:
-					start = ev.Time
-				case EvRedistEnd:
-					dur += ev.Time.Sub(start)
-				}
-			}
-			mu.Lock()
-			if dur > worstRedist {
-				worstRedist = dur
-			}
-			mu.Unlock()
 			if rt.Redistributions() == 0 {
 				return fmt.Errorf("no redistribution")
 			}
@@ -210,7 +194,15 @@ func TestPagingSlowsContiguousRedistribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return worstRedist.Seconds()
+		worst := 0.0
+		for _, recs := range byNode(t, ring) {
+			dur := 0.0
+			for _, r := range only[telemetry.RedistRecord](recs) {
+				dur += r.Time - r.StartVT
+			}
+			worst = max(worst, dur)
+		}
+		return worst
 	}
 	proj := elapsed(matrix.Projection)
 	contig := elapsed(matrix.Contiguous)

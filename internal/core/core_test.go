@@ -2,13 +2,16 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/drsd"
+	"repro/internal/fault"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 	"repro/internal/vclock"
 )
 
@@ -17,13 +20,51 @@ import (
 // modest number of cycles.
 const iterCost = 10 * vclock.Millisecond
 
+// traceInto returns the ring cfg already emits into, or attaches a fresh one:
+// the telemetry stream is the runtime's only trace, so every suite that reads
+// what a run did reads it from a per-world ring.
+func traceInto(cfg *Config) *telemetry.Ring {
+	if ring, ok := cfg.Telemetry.(*telemetry.Ring); ok {
+		return ring
+	}
+	ring := telemetry.NewRing(1 << 16)
+	cfg.Telemetry = ring
+	return ring
+}
+
+// byNode splits the records ring holds per emitting node, each node's in
+// emission order. An overflowed ring fails the test: a truncated trace would
+// pass for a run that did less.
+func byNode(t testing.TB, ring *telemetry.Ring) map[int][]telemetry.Record {
+	t.Helper()
+	if d := ring.Dropped(); d != 0 {
+		t.Fatalf("telemetry ring overflowed (%d dropped)", d)
+	}
+	out := map[int][]telemetry.Record{}
+	for _, rec := range ring.Records() {
+		out[rec.Meta().Node] = append(out[rec.Meta().Node], rec)
+	}
+	return out
+}
+
+// only returns the records of type T in recs, in order.
+func only[T telemetry.Record](recs []telemetry.Record) []T {
+	var out []T
+	for _, rec := range recs {
+		if v, ok := rec.(T); ok {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // miniResult captures one rank's final state for cross-rank assertions.
 type miniResult struct {
 	rank     int
 	redists  int
 	removed  bool
 	counts   []int
-	events   []Event
+	recs     []telemetry.Record // this rank's trace, in emission order
 	ownedOK  bool
 	ownedCnt int
 	final    vclock.Time
@@ -37,6 +78,7 @@ type miniResult struct {
 // set, a global sum is reduced. Returns per-rank results.
 func runMini(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, withGlobal bool) map[int]*miniResult {
 	t.Helper()
+	ring := traceInto(&cfg)
 	var mu sync.Mutex
 	results := map[int]*miniResult{}
 	err := mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
@@ -76,7 +118,6 @@ func runMini(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, withGlo
 
 		res.redists = rt.Redistributions()
 		res.removed = !rt.Participating()
-		res.events = rt.Events()
 		res.final = c.Now()
 		res.relRank = rt.RelRank()
 		if rt.Participating() {
@@ -100,7 +141,17 @@ func runMini(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, withGlo
 	if err != nil {
 		t.Fatal(err)
 	}
+	withRecords(t, results, ring)
 	return results
+}
+
+// withRecords hands each reporting rank its records from ring.
+func withRecords(t *testing.T, results map[int]*miniResult, ring *telemetry.Ring) {
+	t.Helper()
+	recs := byNode(t, ring)
+	for r, res := range results {
+		res.recs = recs[r]
+	}
 }
 
 func cpAtCycle(spec cluster.Spec, node, cycle int) cluster.Spec {
@@ -143,7 +194,8 @@ func TestAdaptFalseIsInert(t *testing.T) {
 	spec := cpAtCycle(cluster.Uniform(4), 1, 3)
 	results := runMini(t, spec, cfg, 64, 15, false)
 	for r, res := range results {
-		if res.redists != 0 || len(res.events) != 0 {
+		if res.redists != 0 || len(only[telemetry.DecisionRecord](res.recs)) != 0 ||
+			len(only[telemetry.RedistRecord](res.recs)) != 0 || len(only[telemetry.MembershipRecord](res.recs)) != 0 {
 			t.Errorf("rank %d: non-adaptive runtime adapted", r)
 		}
 	}
@@ -211,14 +263,8 @@ func TestDropAlwaysRemovesLoadedNode(t *testing.T) {
 	if results[2].relRank != -1 {
 		t.Fatal("removed node still has a relative rank")
 	}
-	hasRemovedEv := false
-	for _, ev := range results[2].events {
-		if ev.Kind == EvRemoved {
-			hasRemovedEv = true
-		}
-	}
-	if !hasRemovedEv {
-		t.Fatal("removed node did not record EvRemoved")
+	if ms := only[telemetry.MembershipRecord](results[2].recs); len(ms) != 1 || ms[0].Change != "removed" {
+		t.Fatalf("removed node reported %+v, want one removed membership record", ms)
 	}
 	// Survivors re-ranked densely.
 	for _, r := range []int{0, 1, 3} {
@@ -527,49 +573,54 @@ func TestNonuniformIterationCostsShapeDistribution(t *testing.T) {
 	}
 }
 
-func TestEventTraceShape(t *testing.T) {
+// TestRecordTraceShape pins what each adaptation action reports, once, on
+// every rank. A load-driven run: one decision whose grace period began after
+// the run did and before the decision, and one redistribution record that
+// starts no later than it ends, moved bytes and stalled no negative time. A
+// crash under replication: the dead rank is named on the recovery's
+// redistribution records and nowhere else, and the failure-drop membership
+// record says who left.
+func TestRecordTraceShape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Drop = DropNever
-	spec := cpAtCycle(cluster.Uniform(2), 1, 4)
-	results := runMini(t, spec, cfg, 32, 20, false)
-	evs := results[0].events
-	var kinds []EventKind
-	for _, e := range evs {
-		kinds = append(kinds, e.Kind)
-	}
-	want := []EventKind{EvLoadChange, EvRedistStart, EvRedistEnd}
-	if len(kinds) != 3 {
-		t.Fatalf("events %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("events %v, want %v", kinds, want)
+	results := runMini(t, cpAtCycle(cluster.Uniform(2), 1, 4), cfg, 32, 20, false)
+	for r, res := range results {
+		decs := only[telemetry.DecisionRecord](res.recs)
+		if len(decs) != 1 || decs[0].Method != "successive-balancing" || fmt.Sprint(decs[0].Loads) != "[0 1]" {
+			t.Fatalf("rank %d decisions %+v, want one successive-balancing decision on loads [0 1]", r, decs)
+		}
+		if d := decs[0]; !(0 < d.GraceVT && d.GraceVT < d.Time) {
+			t.Errorf("rank %d: grace began at %v, decision at %v", r, d.GraceVT, d.Time)
+		}
+		reds := only[telemetry.RedistRecord](res.recs)
+		if len(reds) != 1 {
+			t.Fatalf("rank %d: %d redistribution records, want 1", r, len(reds))
+		}
+		if red := reds[0]; red.StartVT > red.Time || red.StallS < 0 || red.BytesMoved == 0 || red.Dead != nil {
+			t.Errorf("rank %d: redistribution %+v: want start_vt <= vt, stall_s >= 0, bytes moved, no dead", r, red)
+		}
+		if ms := only[telemetry.MembershipRecord](res.recs); len(ms) != 0 {
+			t.Errorf("rank %d: membership records %+v without a membership change", r, ms)
 		}
 	}
-	if evs[2].Bytes == 0 {
-		t.Error("redistribution moved no bytes")
-	}
-	if evs[1].Time > evs[2].Time {
-		t.Error("redist events out of order")
-	}
-	if evs[0].Info != "loads=[0 1]" {
-		t.Errorf("load-change info %q, want %q", evs[0].Info, "loads=[0 1]")
-	}
-}
 
-// Event.Info of a load change or a membership change is part of the trace
-// format: appendInts must render an int slice byte for byte as fmt's %v does,
-// from a buffer it outgrows as from one it fits.
-func TestLoadsInfoMatchesFmt(t *testing.T) {
-	for _, loads := range [][]int{nil, {}, {0}, {3, 0, 12}, {1, 0, 0, 0, 2, 10, 100, -1}} {
-		var small [4]byte
-		if got, want := string(appendInts(small[:0], "loads=", loads)), fmt.Sprintf("loads=%v", loads); got != want {
-			t.Errorf("appendInts(%v) = %q, want %q", loads, got, want)
+	cfg.Replicate, cfg.ReplicaEvery = true, 1
+	spec := cpAtCycle(cluster.Uniform(4), 1, 3)
+	spec.Faults = []fault.Fault{fault.CrashAtCycle(2, 18)}
+	results = runMini(t, spec, cfg, 64, 25, false)
+	for r, res := range results {
+		var dead []string
+		for _, red := range only[telemetry.RedistRecord](res.recs) {
+			dead = append(dead, fmt.Sprint(red.Dead))
 		}
-	}
-	stay, out := []int{0, 2, 3}, []int{1}
-	got := string(appendInts(appendInts(nil, "active=", stay), " removed=", out))
-	if want := fmt.Sprintf("active=%v removed=%v", stay, out); got != want {
-		t.Errorf("appendInts twice = %q, want %q", got, want)
+		// A load-driven redistribution, the recovery, and the re-balance
+		// around the loaded node on the survivors.
+		if got := strings.Join(dead, " "); got != "[] [2] []" {
+			t.Fatalf("rank %d: redistributions name dead ranks %s, want [] [2] []", r, got)
+		}
+		ms := only[telemetry.MembershipRecord](res.recs)
+		if len(ms) != 1 || ms[0].Change != "failure-drop" || fmt.Sprint(ms[0].Left) != "[2]" || ms[0].Joined != nil {
+			t.Errorf("rank %d: membership records %+v, want one failure-drop that left [2]", r, ms)
+		}
 	}
 }

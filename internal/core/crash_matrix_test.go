@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 	"repro/internal/vclock"
 )
 
@@ -45,7 +46,6 @@ type matrixRank struct {
 	lost      []LostRange
 	recovered int
 	final     vclock.Time
-	events    []Event
 	cycleAt   []vclock.Time // clock at each BeginCycle entry
 }
 
@@ -122,7 +122,6 @@ func runMatrixWorld(t *testing.T, spec cluster.Spec, cfg Config, withSparse bool
 			res.lost = rt.LostRows()
 			res.recovered = rt.RecoveredRows()
 			res.final = c.Now()
-			res.events = rt.Events()
 			mu.Lock()
 			results[c.Rank()] = res
 			mu.Unlock()
@@ -247,25 +246,20 @@ func TestCrashTimeMatrix(t *testing.T) {
 
 		// Fault-free reference: where the first redistribution and one plain
 		// cycle sit on rank 0's clock.
-		ref, leaked, ok := runMatrixWorld(t, scenario(), cfg, cl.withSparse)
+		refCfg := cfg
+		ring := traceInto(&refCfg)
+		ref, leaked, ok := runMatrixWorld(t, scenario(), refCfg, cl.withSparse)
 		if !ok {
 			t.Fatalf("%s: fault-free run hung", cl.name)
 		}
 		if leaked != 0 {
 			t.Errorf("%s: fault-free run leaked %d ops", cl.name, leaked)
 		}
-		var rs, re vclock.Time
-		for _, ev := range ref[0].events {
-			if ev.Kind == EvRedistStart && rs == 0 {
-				rs = ev.Time
-			}
-			if ev.Kind == EvRedistEnd && re == 0 {
-				re = ev.Time
-			}
-		}
-		if rs == 0 || re <= rs {
+		reds := only[telemetry.RedistRecord](byNode(t, ring)[0])
+		if len(reds) == 0 || reds[0].Time <= reds[0].StartVT {
 			t.Fatalf("%s: scenario produced no redistribution; matrix is vacuous", cl.name)
 		}
+		rs, re := vclock.Time(vclock.FromSeconds(reds[0].StartVT)), vclock.Time(vclock.FromSeconds(reds[0].Time))
 		times := append(spread(rs, re), spread(ref[0].cycleAt[1], ref[0].cycleAt[2])...)
 
 		for victim := 0; victim < 4; victim++ {

@@ -152,8 +152,6 @@ func (rt *Runtime) handleFailure() {
 	rt.pendingDead = nil
 	rt.deadRanks = append(rt.deadRanks, dead...)
 	sort.Ints(rt.deadRanks)
-	var info [64]byte
-	rt.record(EvFailure, 0, string(appendInts(info[:0], "dead=", dead)))
 
 	t := transition{cause: causeFailure, leavers: dead, next: rt.survivors(dead)}
 	if slices.ContainsFunc(rt.dist.Ranks(), func(r int) bool { return containsInt(dead, r) }) {

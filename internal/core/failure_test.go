@@ -12,6 +12,7 @@ import (
 	"repro/internal/drsd"
 	"repro/internal/fault"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 	"repro/internal/vclock"
 )
 
@@ -78,12 +79,7 @@ func TestPostRedistGraceRestartsOnLoadChange(t *testing.T) {
 		With(cluster.CycleEvent(2, 13, +1))
 	results := runMini(t, spec, cfg, 48, 45, false)
 	checkValuesAndCoverage(t, results, 48)
-	var redists []Event
-	for _, ev := range results[0].events {
-		if ev.Kind == EvRedistEnd {
-			redists = append(redists, ev)
-		}
-	}
+	redists := only[telemetry.RedistRecord](results[0].recs)
 	if len(redists) < 2 {
 		t.Fatalf("saw %d redistributions, want 2 (restart inside post-redist grace)", len(redists))
 	}
@@ -103,6 +99,7 @@ func crashMini(t *testing.T, cfg Config, n, cycles, victim, crashCycle int) map[
 	t.Helper()
 	spec := cluster.Uniform(3)
 	spec.Faults = []fault.Fault{fault.CrashAtCycle(victim, crashCycle)}
+	ring := traceInto(&cfg)
 	var mu sync.Mutex
 	results := map[int]*miniResult{}
 	err := mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
@@ -128,7 +125,6 @@ func crashMini(t *testing.T, cfg Config, n, cycles, victim, crashCycle int) map[
 		}
 		rt.Finalize()
 		res.redists = rt.Redistributions()
-		res.events = rt.Events()
 		res.counts = rt.Dist().Counts()
 		res.ownedOK = true
 		lo, hi := ph.Bounds()
@@ -153,6 +149,7 @@ func crashMini(t *testing.T, cfg Config, n, cycles, victim, crashCycle int) map[
 	if err != nil {
 		t.Fatal(err)
 	}
+	withRecords(t, results, ring)
 	if len(results) != 2 {
 		t.Fatalf("%d ranks reported, want the 2 survivors", len(results))
 	}
@@ -160,14 +157,9 @@ func crashMini(t *testing.T, cfg Config, n, cycles, victim, crashCycle int) map[
 		if r == victim {
 			t.Fatalf("crashed rank %d reported a result", victim)
 		}
-		found := false
-		for _, ev := range res.events {
-			if ev.Kind == EvFailure {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("rank %d recorded no %v event", r, EvFailure)
+		ms := only[telemetry.MembershipRecord](res.recs)
+		if len(ms) != 1 || ms[0].Change != "failure-drop" || fmt.Sprint(ms[0].Left) != fmt.Sprint([]int{victim}) {
+			t.Fatalf("rank %d reported %+v, want one failure-drop that left [%d]", r, ms, victim)
 		}
 		total := 0
 		for _, c := range res.counts {
@@ -268,7 +260,7 @@ func TestMultiCrashConverges(t *testing.T) {
 }
 
 // TestCrashDeterminismCore: repeated crash runs produce identical finish
-// times and identical event streams on the survivors.
+// times on the survivors.
 func TestCrashDeterminismCore(t *testing.T) {
 	runOnce := func() map[int]vclock.Time {
 		spec := cluster.Uniform(3)
@@ -321,7 +313,7 @@ type recoveryRank struct {
 	Lost      []LostRange
 	Recovered int
 	Final     vclock.Time
-	Events    []Event
+	Records   []telemetry.Record
 }
 
 // runServedRecovery runs the runMini array on four uniform nodes with
@@ -331,12 +323,13 @@ type recoveryRank struct {
 // rank 2 — and the first rows of rank 2's own range, so rank 0 receives a
 // replica slab and an owner slab from the same source in one recovery. The
 // error is the world's, or the watchdog's when it did not return in 10 s.
-func runServedRecovery(cps, crashCycle int) (results map[int]*recoveryRank, leaked int, err error) {
+func runServedRecovery(t *testing.T, cps, crashCycle int) (results map[int]*recoveryRank, leaked int, err error) {
 	const n, cycles = 64, 24
 	cfg := DefaultConfig()
 	cfg.Drop = DropNever
 	cfg.Replicate = true
 	cfg.ReplicaEvery = 1
+	ring := traceInto(&cfg)
 	spec := cluster.Uniform(4)
 	for _, node := range []int{0, 1} {
 		for i := 0; i < cps; i++ {
@@ -370,7 +363,7 @@ func runServedRecovery(cps, crashCycle int) (results map[int]*recoveryRank, leak
 				rt.EndCycle()
 			}
 			rt.Finalize()
-			res := &recoveryRank{Lost: rt.LostRows(), Recovered: rt.RecoveredRows(), Final: c.Now(), Events: rt.Events()}
+			res := &recoveryRank{Lost: rt.LostRows(), Recovered: rt.RecoveredRows(), Final: c.Now()}
 			res.Lo, res.Hi = ph.Bounds()
 			for g := res.Lo; g < res.Hi; g++ {
 				res.Rows = append(res.Rows, x.Row(g)...)
@@ -385,6 +378,10 @@ func runServedRecovery(cps, crashCycle int) (results map[int]*recoveryRank, leak
 	case err := <-done:
 		if err != nil {
 			return nil, 0, err
+		}
+		recs := byNode(t, ring)
+		for r, res := range results {
+			res.Records = recs[r]
 		}
 		return results, w.LeakedOps(), nil
 	case <-time.After(10 * time.Second):
@@ -404,7 +401,7 @@ func TestRecoveryServesReplicasOnTheirOwnTag(t *testing.T) {
 	for _, cps := range []int{1, 2, 3} {
 		for _, crash := range []int{12, 15, 18} {
 			name := fmt.Sprintf("cps=%d/crash=%d", cps, crash)
-			a, leaked, err := runServedRecovery(cps, crash)
+			a, leaked, err := runServedRecovery(t, cps, crash)
 			if err != nil {
 				t.Errorf("%s: %v", name, err)
 				continue
@@ -436,7 +433,7 @@ func TestRecoveryServesReplicasOnTheirOwnTag(t *testing.T) {
 			if recovered == 0 {
 				t.Errorf("%s: no rows recovered from replicas", name)
 			}
-			b, _, err := runServedRecovery(cps, crash)
+			b, _, err := runServedRecovery(t, cps, crash)
 			if err != nil {
 				t.Errorf("%s: replay: %v", name, err)
 			} else if !reflect.DeepEqual(a, b) {

@@ -49,27 +49,17 @@ const (
 	causeFailure              // dead ranks struck
 )
 
-// causeSide is how one side reports a change: MembershipRecord.Change, and
-// the Event's kind and Info (a rank that stays appends the ranks involved).
-type causeSide struct {
-	change string
-	kind   EventKind
-	info   string
+// causeSides names a change as MembershipRecord.Change reports it, indexed by
+// cause and then by side: 0 for a rank that stays in the computation
+// throughout, 1 for a rank that enters or leaves it. A failure has no second
+// side.
+var causeSides = [...][2]string{
+	causeDrop:    {"drop", "removed"},
+	causeShrink:  {"resize-shrink", "resize-removed"},
+	causeRejoin:  {"rejoin", "rejoined"},
+	causeGrow:    {"resize-grow", "resize-join"},
+	causeFailure: {"failure-drop"},
 }
-
-// causeSides is indexed by cause and then by side: 0 for a rank that stays in
-// the computation throughout, 1 for a rank that enters or leaves it. A failure
-// has no second side, and its Event (EvFailure) precedes the recovery.
-var causeSides = [...][2]causeSide{
-	causeDrop:    {{"drop", EvDrop, "active="}, {"removed", EvRemoved, ""}},
-	causeShrink:  {{"resize-shrink", EvResize, "shrink active="}, {"resize-removed", EvRemoved, "resize"}},
-	causeRejoin:  {{"rejoin", EvRejoin, ""}, {"rejoined", EvRejoin, "rejoined"}},
-	causeGrow:    {{"resize-grow", EvResize, "grow joiners="}, {"resize-join", EvResize, "joined"}},
-	causeFailure: {{change: "failure-drop"}},
-}
-
-// String names the change as the ranks that stay report it.
-func (c cause) String() string { return causeSides[c][0].change }
 
 // transition is one membership change, filled in by its decider.
 type transition struct {
@@ -168,21 +158,11 @@ func (rt *Runtime) transit(t transition) {
 		rt.install(t.next)
 	}
 
-	side := causeSides[t.cause][0]
+	side := 0
 	if entering || leaving {
-		side = causeSides[t.cause][1]
-	} else if side.info != "" {
-		var b [128]byte
-		if len(t.leavers) > 0 {
-			side.info = string(appendInts(appendInts(b[:0], side.info, t.next.active), " removed=", t.leavers))
-		} else {
-			side.info = string(appendInts(b[:0], side.info, t.joiners))
-		}
+		side = 1
 	}
-	if t.cause != causeFailure {
-		rt.record(side.kind, 0, side.info)
-	}
-	rt.emitMembership(side.change)
+	rt.emitMembership(causeSides[t.cause][side], t.leavers, t.joiners)
 }
 
 // packet is what the root sends a rank that must learn of a change it took no

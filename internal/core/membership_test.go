@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,50 +71,37 @@ func TestPacketPricesEverythingItCarries(t *testing.T) {
 
 // TestReshapeReportsEachSide runs every live cause through one world — rank 3
 // dropped, reserve 4 spawned, rank 3 readmitted, reserve 5 spawned and shrunk
-// out again — and pins what each side reports: the MembershipRecord change and
-// the Event of the ranks that stay, and of the rank that enters or leaves.
+// out again — and pins what each side reports: the MembershipRecord change of
+// the ranks that stay and of the rank that enters or leaves, and on both sides
+// the ranks the change took out (-) and in (+).
 func TestReshapeReportsEachSide(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Drop = DropAlways
 	cfg.AllowRejoin = true
-	ring := telemetry.NewRing(1 << 16)
-	cfg.Telemetry = ring
 	spec := cluster.Uniform(4).WithArrival(1.0, -1).WithArrival(1.0, -1).
 		With(cluster.CycleEvent(3, 2, +1)).With(cluster.CycleEvent(3, 18, -1))
 	results := runReshape(t, spec, cfg, 64, 44, map[int]int{12: 4, 30: 6, 38: 5}, uniformCost)
 	checkValuesAndCoverage(t, results, 64)
 
-	changes := map[int][]string{}
-	recs := ring.Records()
-	telemetry.Sort(recs)
-	for _, rec := range recs {
-		if m, ok := rec.(telemetry.MembershipRecord); ok {
-			changes[m.Node] = append(changes[m.Node], m.Change)
-		}
-	}
-	events := map[int][]string{}
-	for r, res := range results {
-		for _, ev := range res.events {
-			switch ev.Kind {
-			case EvDrop, EvRemoved, EvRejoin, EvResize:
-				events[r] = append(events[r], strings.TrimSpace(ev.Kind.String()+" "+ev.Info))
-			}
-		}
-	}
-	for r, want := range map[int]struct{ changes, events string }{
-		0: {"drop resize-grow rejoin resize-grow resize-shrink",
-			"drop active=[0 1 2] removed=[3]; resize grow joiners=[4]; rejoin; resize grow joiners=[5]; resize shrink active=[0 1 2 3 4] removed=[5]"},
-		3: {"removed rejoined resize-grow resize-shrink",
-			"removed; rejoin rejoined; resize grow joiners=[5]; resize shrink active=[0 1 2 3 4] removed=[5]"},
-		4: {"resize-join rejoin resize-grow resize-shrink",
-			"resize joined; rejoin; resize grow joiners=[5]; resize shrink active=[0 1 2 3 4] removed=[5]"},
-		5: {"resize-join resize-removed", "resize joined; removed resize"},
+	for r, want := range map[int]string{
+		0: "drop -[3]; resize-grow +[4]; rejoin +[3]; resize-grow +[5]; resize-shrink -[5]",
+		3: "removed -[3]; rejoined +[3]; resize-grow +[5]; resize-shrink -[5]",
+		4: "resize-join +[4]; rejoin +[3]; resize-grow +[5]; resize-shrink -[5]",
+		5: "resize-join +[5]; resize-removed -[5]",
 	} {
-		if got := strings.Join(changes[r], " "); got != want.changes {
-			t.Errorf("rank %d membership records %q, want %q", r, got, want.changes)
+		var got []string
+		for _, m := range only[telemetry.MembershipRecord](results[r].recs) {
+			line := m.Change
+			if m.Left != nil {
+				line += fmt.Sprintf(" -%v", m.Left)
+			}
+			if m.Joined != nil {
+				line += fmt.Sprintf(" +%v", m.Joined)
+			}
+			got = append(got, line)
 		}
-		if got := strings.Join(events[r], "; "); got != want.events {
-			t.Errorf("rank %d events %q, want %q", r, got, want.events)
+		if got := strings.Join(got, "; "); got != want {
+			t.Errorf("rank %d membership records %q, want %q", r, got, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/telemetry"
 )
 
 // Pairwise-epoch suites: the deferred-Put replica refresh against the
@@ -57,16 +58,13 @@ func TestReplicaSyncPSCWCrashDeterminism(t *testing.T) {
 }
 
 // sumRedistBytes totals the directional redistribution byte counters over
-// every rank's redist-end events.
-func sumRedistBytes(events map[int][]Event) (sent, recv, legacy int64) {
-	for _, evs := range events {
-		for _, ev := range evs {
-			if ev.Kind != EvRedistEnd {
-				continue
-			}
-			sent += ev.BytesSent
-			recv += ev.BytesRecv
-			legacy += ev.Bytes
+// every rank's redistribution records.
+func sumRedistBytes(recs map[int][]telemetry.Record) (sent, recv, moved int64) {
+	for _, rs := range recs {
+		for _, r := range only[telemetry.RedistRecord](rs) {
+			sent += r.BytesSent
+			recv += r.BytesRecv
+			moved += r.BytesMoved
 		}
 	}
 	return
@@ -75,8 +73,8 @@ func sumRedistBytes(events map[int][]Event) (sent, recv, legacy int64) {
 // TestRedistBytesConservation pins the accounting bugfix: on fault-free
 // runs every redistributed payload is exactly one rank's send and another
 // rank's receive, so the directional sums must match globally — and the
-// legacy Bytes field must be their sum (the double-counting the old single
-// counter hid when summed across ranks).
+// per-rank BytesMoved must be their sum (the double-counting a single
+// counter hides when summed across ranks).
 func TestRedistBytesConservation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -96,24 +94,24 @@ func TestRedistBytesConservation(t *testing.T) {
 	} {
 		spec := cpAtCycle(cluster.Uniform(4), 1, 3)
 		results, _ := runRMAMini(t, spec, tc.cfg(), 64, 4, 25)
-		events := map[int][]Event{}
+		recs := map[int][]telemetry.Record{}
 		redists := 0
 		for r, res := range results {
-			events[r] = res.events
+			recs[r] = res.recs
 			redists = res.redists
 		}
 		if redists == 0 {
 			t.Fatalf("%s: no redistribution; suite is vacuous", tc.name)
 		}
-		sent, recv, legacy := sumRedistBytes(events)
+		sent, recv, moved := sumRedistBytes(recs)
 		if sent == 0 {
 			t.Fatalf("%s: zero bytes sent", tc.name)
 		}
 		if sent != recv {
 			t.Errorf("%s: Σ sent %d != Σ recv %d", tc.name, sent, recv)
 		}
-		if legacy != sent+recv {
-			t.Errorf("%s: legacy Bytes sum %d != sent+recv %d", tc.name, legacy, sent+recv)
+		if moved != sent+recv {
+			t.Errorf("%s: Σ bytes moved %d != sent+recv %d", tc.name, moved, sent+recv)
 		}
 	}
 }
@@ -138,7 +136,7 @@ func TestRedistBytesConservationOnGrow(t *testing.T) {
 		if len(results) != 6 {
 			t.Fatalf("%s: %d ranks reported, want 6", tc.name, len(results))
 		}
-		sent, recv, _ := sumRedistBytes(eventsOf(results))
+		sent, recv, _ := sumRedistBytes(recordsOf(results))
 		if sent == 0 {
 			t.Fatalf("%s: zero bytes sent", tc.name)
 		}

@@ -137,14 +137,15 @@ type redistIn struct {
 // export_test.go); nil in production.
 var redistHarvestShuffle func(c *mpi.Comm, reqs []*mpi.Request)
 
-// redistPass is the bookkeeping one redistribution carries from its
-// EvRedistStart to its EvRedistEnd.
+// redistPass is the bookkeeping one redistribution carries from its start to
+// the RedistRecord its end emits.
 type redistPass struct {
 	newDist              *drsd.Block
-	dead                 []int  // ranks of the current distribution that died: a failure recovery
-	info                 string // Event.Info of the start/end events
+	dead                 []int // ranks of the current distribution that died: a failure recovery
+	rowsSent             int
 	bytesSent, bytesRecv int64
 	moves                []telemetry.ArrayMove // per-array send volumes; nil without a sink
+	start                vclock.Time
 	lost0                int
 	stall0               vclock.Duration
 }
@@ -159,11 +160,7 @@ func (rt *Runtime) beginRedist(newDist *drsd.Block, dead []int) redistPass {
 	if rt.cfg.ReplicaRMA {
 		rt.closeReplicaEpoch()
 	}
-	p := redistPass{newDist: newDist, dead: dead, lost0: rt.lostRows, stall0: rt.comm.RecvStall}
-	if len(dead) > 0 {
-		p.info = "failure"
-	}
-	rt.record(EvRedistStart, 0, p.info)
+	p := redistPass{newDist: newDist, dead: dead, start: rt.node.Now(), lost0: rt.lostRows, stall0: rt.comm.RecvStall}
 	if rt.sink != nil {
 		p.moves = make([]telemetry.ArrayMove, 0, len(rt.arrays))
 	}
@@ -174,6 +171,7 @@ func (rt *Runtime) beginRedist(newDist *drsd.Block, dead []int) redistPass {
 func (p *redistPass) sent(mv *telemetry.ArrayMove, rows, bytes int) {
 	mv.Rows += rows
 	mv.Bytes += int64(bytes)
+	p.rowsSent += rows
 	p.bytesSent += int64(bytes)
 }
 
@@ -184,38 +182,29 @@ func (p *redistPass) moved(mv telemetry.ArrayMove) {
 	}
 }
 
-// endRedist installs the new distribution, synchronises the group and
-// emits the redistribution's end event and telemetry record.
+// endRedist installs the new distribution, synchronises the group and emits
+// the redistribution's telemetry record.
 func (rt *Runtime) endRedist(p *redistPass) {
 	rt.dist = p.newDist
 	if err := rt.comm.BarrierErr(rt.group); err != nil {
 		rt.absorbDead(rt.deadOf(err))
 	}
-	counts := p.newDist.Counts() // one copy, shared by the event and the record
-	rt.recordEvent(Event{
-		Kind:  EvRedistEnd,
-		Bytes: p.bytesSent + p.bytesRecv, BytesSent: p.bytesSent, BytesRecv: p.bytesRecv,
-		Counts: counts,
-		Stall:  rt.comm.RecvStall - p.stall0,
-		Info:   p.info,
-	})
-	if rt.sink != nil {
-		rows, sent := 0, int64(0)
-		for _, mv := range p.moves {
-			rows += mv.Rows
-			sent += mv.Bytes
-		}
-		rt.sink.Emit(telemetry.RedistRecord{
-			Base:       rt.stamp(telemetry.KindRedist),
-			Arrays:     p.moves,
-			RowsSent:   rows,
-			BytesSent:  sent,
-			BytesRecv:  p.bytesRecv,
-			BytesMoved: sent + p.bytesRecv,
-			Counts:     counts,
-			LostRows:   rt.lostRows - p.lost0,
-		})
+	if rt.sink == nil {
+		return
 	}
+	rt.sink.Emit(telemetry.RedistRecord{
+		Base:       rt.stamp(telemetry.KindRedist),
+		Arrays:     p.moves,
+		RowsSent:   p.rowsSent,
+		BytesSent:  p.bytesSent,
+		BytesRecv:  p.bytesRecv,
+		BytesMoved: p.bytesSent + p.bytesRecv,
+		Counts:     p.newDist.Counts(),
+		LostRows:   rt.lostRows - p.lost0,
+		StartVT:    p.start.Seconds(),
+		StallS:     (rt.comm.RecvStall - p.stall0).Seconds(),
+		Dead:       p.dead,
+	})
 }
 
 // scheduleFor derives array a's transfer schedule (§4.4 step 1) into the

@@ -2,8 +2,8 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -13,17 +13,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// runMiniTraced is runMini with a telemetry ring attached; it returns the
-// per-rank results plus the deterministically sorted JSONL encoding of the
-// full trace.
+// runMiniTraced is runMini that also returns the deterministically sorted
+// JSONL encoding of the whole world's trace, crashed ranks' records included.
 func runMiniTraced(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int) (map[int]*miniResult, []byte) {
 	t.Helper()
-	ring := telemetry.NewRing(1 << 16)
-	cfg.Telemetry = ring
+	ring := traceInto(&cfg)
 	results := runMini(t, spec, cfg, n, cycles, false)
-	if ring.Dropped() != 0 {
-		t.Fatalf("telemetry ring overflowed (%d dropped)", ring.Dropped())
-	}
 	recs := ring.Records()
 	telemetry.Sort(recs)
 	var buf bytes.Buffer
@@ -34,7 +29,7 @@ func runMiniTraced(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int) (
 }
 
 // sameOutcome asserts two runs are observably identical: final virtual
-// times, distributions, event traces (including redistribution stall), and
+// times, distributions, record streams (including redistribution stall), and
 // data values per rank.
 func sameOutcome(t *testing.T, label string, a, b map[int]*miniResult) {
 	t.Helper()
@@ -49,14 +44,8 @@ func sameOutcome(t *testing.T, label string, a, b map[int]*miniResult) {
 		if ra.redists != rb.redists || !ra.ownedOK || !rb.ownedOK {
 			t.Errorf("%s: rank %d redists/values diverged", label, r)
 		}
-		if len(ra.events) != len(rb.events) {
-			t.Fatalf("%s: rank %d event count %d vs %d", label, r, len(ra.events), len(rb.events))
-		}
-		for i := range ra.events {
-			ea, eb := fmt.Sprintf("%+v", ra.events[i]), fmt.Sprintf("%+v", rb.events[i])
-			if ea != eb {
-				t.Errorf("%s: rank %d event %d: %s vs %s", label, r, i, ea, eb)
-			}
+		if !reflect.DeepEqual(ra.recs, rb.recs) {
+			t.Errorf("%s: rank %d record streams differ", label, r)
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/telemetry"
 )
 
 // rejoinSpec builds the canonical churn scenario: a CP lands on `node` at
@@ -27,21 +30,8 @@ func TestRejoinAfterLoadVanishes(t *testing.T) {
 	if res2.removed {
 		t.Fatal("node 2 still removed at the end; rejoin did not happen")
 	}
-	var kinds []EventKind
-	for _, ev := range res2.events {
-		kinds = append(kinds, ev.Kind)
-	}
-	sawRemoved, sawRejoin := false, false
-	for _, k := range kinds {
-		if k == EvRemoved {
-			sawRemoved = true
-		}
-		if k == EvRejoin && sawRemoved {
-			sawRejoin = true
-		}
-	}
-	if !sawRemoved || !sawRejoin {
-		t.Fatalf("event sequence %v lacks removed-then-rejoin", kinds)
+	if got := changesOf(res2); got != "removed rejoined" {
+		t.Fatalf("membership changes %q, want removed then rejoined", got)
 	}
 	// After rejoin, the node must own a non-trivial share again.
 	if res2.ownedCnt < 8 {
@@ -116,14 +106,8 @@ func TestRepeatedChurn(t *testing.T) {
 		With(cluster.CycleEvent(1, 75, -1))
 	results := runMini(t, spec, cfg, 64, 110, false)
 	checkValuesAndCoverage(t, results, 64)
-	rejoins := 0
-	for _, ev := range results[1].events {
-		if ev.Kind == EvRejoin {
-			rejoins++
-		}
-	}
-	if rejoins < 2 {
-		t.Fatalf("node 1 rejoined %d times, want 2", rejoins)
+	if got := changesOf(results[1]); got != "removed rejoined removed rejoined" {
+		t.Fatalf("node 1 membership changes %q, want two removed-then-rejoined waves", got)
 	}
 	if results[1].removed {
 		t.Fatal("node 1 should be active at the end")
@@ -131,7 +115,7 @@ func TestRepeatedChurn(t *testing.T) {
 }
 
 // TestRejoinTimingDeterministic pins the rejoin-protocol cost accounting:
-// every rank's event stream and finish time must be identical across runs.
+// every rank's record stream and finish time must be identical across runs.
 // The old exchangeLoads priced the removed-poll wire traffic only on
 // whichever rank happened to run the allgather's reduce closure (the last
 // physical arriver), so repeated runs could disagree on virtual timestamps.
@@ -142,19 +126,32 @@ func TestRejoinTimingDeterministic(t *testing.T) {
 		cfg.AllowRejoin = true
 		return runMini(t, rejoinSpec(4, 2, 3, 25), cfg, 64, 60, false)
 	}
-	a, b := runOnce(), runOnce()
+	sameRecords(t, runOnce(), runOnce())
+}
+
+// changesOf lists a rank's membership changes in order, space-separated.
+func changesOf(res *miniResult) string {
+	var out []string
+	for _, m := range only[telemetry.MembershipRecord](res.recs) {
+		out = append(out, m.Change)
+	}
+	return strings.Join(out, " ")
+}
+
+// sameRecords fails unless two runs reported the same ranks, each finishing at
+// the same virtual time with the same record stream.
+func sameRecords(t *testing.T, a, b map[int]*miniResult) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("rank sets differ: %d vs %d", len(a), len(b))
+	}
 	for r, res := range a {
 		other := b[r]
-		if res.final != other.final {
-			t.Fatalf("rank %d finish time differs across runs: %v vs %v", r, res.final, other.final)
+		if other == nil || res.final != other.final {
+			t.Fatalf("rank %d finish time differs across runs", r)
 		}
-		if len(res.events) != len(other.events) {
-			t.Fatalf("rank %d event counts differ: %d vs %d", r, len(res.events), len(other.events))
-		}
-		for i := range res.events {
-			if res.events[i].Time != other.events[i].Time || res.events[i].Kind != other.events[i].Kind {
-				t.Fatalf("rank %d event %d differs: %+v vs %+v", r, i, res.events[i], other.events[i])
-			}
+		if !reflect.DeepEqual(res.recs, other.recs) {
+			t.Fatalf("rank %d record streams differ across runs", r)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/drsd"
 	"repro/internal/fault"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 	"repro/internal/vclock"
 )
 
@@ -20,6 +23,7 @@ import (
 // redistribution), exactly as a real application must.
 func runElastic(t *testing.T, spec cluster.Spec, cfg Config, n, cycles, resizeAt, resizeTo int) map[int]*miniResult {
 	t.Helper()
+	ring := traceInto(&cfg)
 	var mu sync.Mutex
 	results := map[int]*miniResult{}
 	err := mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
@@ -56,7 +60,6 @@ func runElastic(t *testing.T, spec cluster.Spec, cfg Config, n, cycles, resizeAt
 
 		res.redists = rt.Redistributions()
 		res.removed = !rt.Participating()
-		res.events = rt.Events()
 		res.final = c.Now()
 		res.relRank = rt.RelRank()
 		for _, lr := range rt.LostRows() {
@@ -83,13 +86,16 @@ func runElastic(t *testing.T, spec cluster.Spec, cfg Config, n, cycles, resizeAt
 	if err != nil {
 		t.Fatal(err)
 	}
+	withRecords(t, results, ring)
 	return results
 }
 
-func countResizeEvents(res *miniResult) int {
+// countResizes counts a rank's resize-grow, resize-join and resize-shrink
+// membership records.
+func countResizes(res *miniResult) int {
 	n := 0
-	for _, ev := range res.events {
-		if ev.Kind == EvResize {
+	for _, m := range only[telemetry.MembershipRecord](res.recs) {
+		if strings.HasPrefix(m.Change, "resize-") && m.Change != "resize-removed" {
 			n++
 		}
 	}
@@ -117,8 +123,8 @@ func TestResizeGrowOnArrival(t *testing.T) {
 		if res.ownedCnt == 0 {
 			t.Fatalf("joiner %d owns no rows", r)
 		}
-		if countResizeEvents(res) == 0 {
-			t.Fatalf("joiner %d recorded no %v event", r, EvResize)
+		if countResizes(res) == 0 {
+			t.Fatalf("joiner %d reported no resize", r)
 		}
 	}
 	for r, res := range results {
@@ -126,8 +132,8 @@ func TestResizeGrowOnArrival(t *testing.T) {
 			t.Fatalf("rank %d final distribution %v does not span 6 ranks", r, res.counts)
 		}
 	}
-	if countResizeEvents(results[0]) == 0 {
-		t.Fatalf("seed rank recorded no %v event", EvResize)
+	if countResizes(results[0]) == 0 {
+		t.Fatal("seed rank reported no resize")
 	}
 }
 
@@ -184,13 +190,13 @@ func TestResizeShrinkReleasesRanks(t *testing.T) {
 			t.Fatalf("rank %d final distribution %v does not span 4 ranks", r, res.counts)
 		}
 	}
-	if countResizeEvents(results[0]) == 0 {
-		t.Fatalf("no %v event recorded for the shrink", EvResize)
+	if countResizes(results[0]) == 0 {
+		t.Fatal("no resize reported for the shrink")
 	}
 }
 
 // TestResizeDeterministic: repeated grow runs produce identical finish
-// times and event streams on every rank, joiners included.
+// times and record streams on every rank, joiners included.
 func TestResizeDeterministic(t *testing.T) {
 	runOnce := func() map[int]*miniResult {
 		cfg := DefaultConfig()
@@ -198,24 +204,7 @@ func TestResizeDeterministic(t *testing.T) {
 		spec := cluster.Uniform(4).WithArrival(1.0, 10).WithArrival(1.0, 10)
 		return runElastic(t, spec, cfg, 64, 30, 0, 0)
 	}
-	a, b := runOnce(), runOnce()
-	if len(a) != len(b) {
-		t.Fatalf("rank sets differ: %d vs %d", len(a), len(b))
-	}
-	for r, res := range a {
-		other := b[r]
-		if res.final != other.final {
-			t.Fatalf("rank %d finish time differs across runs: %v vs %v", r, res.final, other.final)
-		}
-		if len(res.events) != len(other.events) {
-			t.Fatalf("rank %d event counts differ: %d vs %d", r, len(res.events), len(other.events))
-		}
-		for i := range res.events {
-			if res.events[i].Time != other.events[i].Time || res.events[i].Kind != other.events[i].Kind {
-				t.Fatalf("rank %d event %d differs: %+v vs %+v", r, i, res.events[i], other.events[i])
-			}
-		}
-	}
+	sameRecords(t, runOnce(), runOnce())
 }
 
 // TestResizeGrowWithPacer: growth under a WorldGate — the joiners must be
@@ -301,31 +290,29 @@ func TestCrashWhileRemovedPrunesSameCycle(t *testing.T) {
 		}
 	}
 	// The prune happened in the cycle the crash was detected, on every
-	// rank: all EvFailure events carry the same cycle.
+	// rank: all failure-drop records carry the same cycle.
 	failCycle := -1
 	for r, res := range results {
-		for _, ev := range res.events {
-			if ev.Kind == EvFailure {
-				if failCycle == -1 {
-					failCycle = ev.Cycle
-				} else if ev.Cycle != failCycle {
-					t.Fatalf("rank %d pruned the corpse at cycle %d, others at %d", r, ev.Cycle, failCycle)
-				}
+		for _, m := range only[telemetry.MembershipRecord](res.recs) {
+			if m.Change != "failure-drop" {
+				continue
+			}
+			if fmt.Sprint(m.Left) != "[1]" {
+				t.Fatalf("rank %d pruned %v, want [1]", r, m.Left)
+			}
+			if failCycle == -1 {
+				failCycle = m.Cycle
+			} else if m.Cycle != failCycle {
+				t.Fatalf("rank %d pruned the corpse at cycle %d, others at %d", r, m.Cycle, failCycle)
 			}
 		}
 	}
 	if failCycle == -1 {
-		t.Fatal("no EvFailure recorded for the crashed removed node")
+		t.Fatal("no failure-drop reported for the crashed removed node")
 	}
 	// The surviving removed node rejoined after the corpse was pruned.
-	sawRejoin := false
-	for _, ev := range results[2].events {
-		if ev.Kind == EvRejoin {
-			sawRejoin = true
-		}
-	}
-	if !sawRejoin {
-		t.Fatal("surviving removed node did not rejoin after the corpse was pruned")
+	if got := changesOf(results[2]); got != "removed rejoined" {
+		t.Fatalf("surviving removed node's membership changes %q, want removed then rejoined", got)
 	}
 }
 
@@ -350,24 +337,7 @@ func runCrashWhileRemoved(t *testing.T) map[int]*miniResult {
 // must not depend on whether the corpse's crash goroutine has fired yet
 // (the reason dead-guards key on the absorbed dead set, not mpi.Alive).
 func TestCrashWhileRemovedDeterministic(t *testing.T) {
-	a, b := runCrashWhileRemoved(t), runCrashWhileRemoved(t)
-	if len(a) != len(b) {
-		t.Fatalf("survivor sets differ: %d vs %d", len(a), len(b))
-	}
-	for r, res := range a {
-		other := b[r]
-		if res.final != other.final {
-			t.Fatalf("rank %d finish time differs across runs: %v vs %v", r, res.final, other.final)
-		}
-		if len(res.events) != len(other.events) {
-			t.Fatalf("rank %d event counts differ: %d vs %d", r, len(res.events), len(other.events))
-		}
-		for i := range res.events {
-			if res.events[i].Time != other.events[i].Time || res.events[i].Kind != other.events[i].Kind {
-				t.Fatalf("rank %d event %d differs: %+v vs %+v", r, i, res.events[i], other.events[i])
-			}
-		}
-	}
+	sameRecords(t, runCrashWhileRemoved(t), runCrashWhileRemoved(t))
 }
 
 // uniformCost charges every row iterCost.
@@ -380,6 +350,7 @@ func uniformCost(int) vclock.Duration { return iterCost }
 // membership disagreement parks ranks in collectives nobody else joins.
 func runReshape(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, steps map[int]int, cost func(g int) vclock.Duration) map[int]*miniResult {
 	t.Helper()
+	ring := traceInto(&cfg)
 	var mu sync.Mutex
 	results := map[int]*miniResult{}
 	body := func(c *mpi.Comm) error {
@@ -417,7 +388,6 @@ func runReshape(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, step
 
 		res.redists = rt.Redistributions()
 		res.removed = !rt.Participating()
-		res.events = rt.Events()
 		res.final = c.Now()
 		res.relRank = rt.RelRank()
 		if rt.Participating() {
@@ -448,6 +418,7 @@ func runReshape(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, step
 	case <-time.After(10 * time.Second):
 		t.Fatal("the world hung")
 	}
+	withRecords(t, results, ring)
 	return results
 }
 
@@ -534,7 +505,7 @@ func TestReshapeShrinkThenGrow(t *testing.T) {
 }
 
 // TestReshapeDeterministic: the one-sided multi-step reshape must be
-// schedule-independent — identical finish times and event streams across
+// schedule-independent — identical finish times and record streams across
 // repeated runs, joiners included.
 func TestReshapeDeterministic(t *testing.T) {
 	cfg := reshapeCfgs()["rma-pscw"]
@@ -542,19 +513,7 @@ func TestReshapeDeterministic(t *testing.T) {
 		spec := cluster.Uniform(4).WithArrival(1.0, -1).WithArrival(1.0, -1)
 		return runReshape(t, spec, cfg, 64, 30, map[int]int{8: 6, 18: 4}, uniformCost)
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("rank sets differ: %d vs %d", len(a), len(b))
-	}
-	for r, res := range a {
-		other := b[r]
-		if res.final != other.final {
-			t.Fatalf("rank %d finish time differs across runs: %v vs %v", r, res.final, other.final)
-		}
-		if len(res.events) != len(other.events) {
-			t.Fatalf("rank %d event counts differ: %d vs %d", r, len(res.events), len(other.events))
-		}
-	}
+	sameRecords(t, run(), run())
 }
 
 // sameFinalCounts fails unless every participating rank ended on the same
@@ -641,9 +600,9 @@ func TestReshapeJoinerHonoursMaxRedists(t *testing.T) {
 		if res.redists != cfg.MaxRedists {
 			t.Errorf("rank %d reports %d redistributions, the world made %d", r, res.redists, cfg.MaxRedists)
 		}
-		for _, ev := range res.events {
-			if ev.Kind == EvLoadChange && ev.Cycle >= 14 {
-				t.Errorf("rank %d opened a grace period at cycle %d, after the cap was spent", r, ev.Cycle)
+		for _, d := range only[telemetry.DecisionRecord](res.recs) {
+			if d.Cycle >= 14 {
+				t.Errorf("rank %d decided at cycle %d, after the cap was spent", r, d.Cycle)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/drsd"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 	"repro/internal/vclock"
 )
 
@@ -18,11 +19,11 @@ import (
 
 // deadReceiverRank is one survivor's final state in the dead-receiver run.
 type deadReceiverRank struct {
-	Lo, Hi int
-	Rows   []float64 // X[g][0] per owned row
-	Lost   []LostRange
-	Final  vclock.Time
-	Events []Event
+	Lo, Hi  int
+	Rows    []float64 // X[g][0] per owned row
+	Lost    []LostRange
+	Final   vclock.Time
+	Records []telemetry.Record
 }
 
 // runDeadReceiver forces one RedistRMA redistribution in which rank 1 sends
@@ -34,6 +35,7 @@ func runDeadReceiver(t *testing.T, victim, n, cycles int) (results map[int]*dead
 	cfg := DefaultConfig()
 	cfg.Drop = DropNever
 	cfg.RedistMode = RedistRMA
+	ring := traceInto(&cfg)
 	var mu sync.Mutex
 	results = map[int]*deadReceiverRank{}
 	w := mpi.NewWorld(cluster.New(cluster.Uniform(3)))
@@ -67,7 +69,7 @@ func runDeadReceiver(t *testing.T, victim, n, cycles int) (results map[int]*dead
 				rt.EndCycle()
 			}
 			rt.Finalize()
-			res := &deadReceiverRank{Lost: rt.LostRows(), Final: c.Now(), Events: rt.Events()}
+			res := &deadReceiverRank{Lost: rt.LostRows(), Final: c.Now()}
 			res.Lo, res.Hi = ph.Bounds()
 			for g := res.Lo; g < res.Hi; g++ {
 				res.Rows = append(res.Rows, x.Row(g)[0])
@@ -82,6 +84,10 @@ func runDeadReceiver(t *testing.T, victim, n, cycles int) (results map[int]*dead
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
+		}
+		recs := byNode(t, ring)
+		for r, res := range results {
+			res.Records = recs[r]
 		}
 		return results, w.LeakedOps(), true
 	case <-time.After(10 * time.Second):
@@ -161,8 +167,8 @@ var fenceRedistWindow = map[int]vclock.Duration{
 
 // redistWindow runs one load-triggered RedistRMA redistribution on ranks
 // ranks (16 rows of 64 elements each, a competing process on node 1 from
-// cycle 3) and returns the longest EvRedistStart→EvRedistEnd span any rank
-// saw.
+// cycle 3) and returns the longest start_vt→vt span of a redistribution
+// record on any rank.
 func redistWindow(t *testing.T, ranks int) vclock.Duration {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -180,14 +186,8 @@ func redistWindow(t *testing.T, ranks int) vclock.Duration {
 		if res.redists != 1 {
 			t.Fatalf("%d ranks: rank %d saw %d redistributions, want 1", ranks, r, res.redists)
 		}
-		var start vclock.Time
-		for _, ev := range res.events {
-			switch ev.Kind {
-			case EvRedistStart:
-				start = ev.Time
-			case EvRedistEnd:
-				worst = max(worst, ev.Time.Sub(start))
-			}
+		for _, red := range only[telemetry.RedistRecord](res.recs) {
+			worst = max(worst, vclock.FromSeconds(red.Time)-vclock.FromSeconds(red.StartVT))
 		}
 	}
 	return worst

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/drsd"
 	"repro/internal/fault"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 	"repro/internal/vclock"
 )
 
@@ -18,7 +20,7 @@ type rmaResult struct {
 	redists   int
 	removed   bool
 	counts    []int
-	events    []Event
+	recs      []telemetry.Record // this rank's trace, in emission order
 	ownedOK   bool
 	ownedCnt  int
 	final     vclock.Time
@@ -34,6 +36,7 @@ type rmaResult struct {
 // for wire time to matter.
 func runRMAMini(t *testing.T, spec cluster.Spec, cfg Config, n, rowLen, cycles int) (map[int]*rmaResult, int) {
 	t.Helper()
+	ring := traceInto(&cfg)
 	var mu sync.Mutex
 	results := map[int]*rmaResult{}
 	w := mpi.NewWorld(cluster.New(spec))
@@ -63,7 +66,6 @@ func runRMAMini(t *testing.T, spec cluster.Spec, cfg Config, n, rowLen, cycles i
 			rank:      c.Rank(),
 			redists:   rt.Redistributions(),
 			removed:   !rt.Participating(),
-			events:    rt.Events(),
 			final:     c.Now(),
 			stall:     rt.ReplicaStall(),
 			recovered: rt.RecoveredRows(),
@@ -91,6 +93,10 @@ func runRMAMini(t *testing.T, spec cluster.Spec, cfg Config, n, rowLen, cycles i
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	recs := byNode(t, ring)
+	for r, res := range results {
+		res.recs = recs[r]
 	}
 	return results, w.LeakedOps()
 }
@@ -195,7 +201,7 @@ func TestReplicaRMAFaultFreeLeakFree(t *testing.T) {
 
 // TestReplicaRMACrashDeterminism: the failed-wait adoption protocol must
 // make recovery independent of physical scheduling — two runs of the same
-// crash scenario produce identical finish times and event streams.
+// crash scenario produce identical finish times and record streams.
 func TestReplicaRMACrashDeterminism(t *testing.T) {
 	run := func() map[int]*rmaResult {
 		spec := cluster.Uniform(3)
@@ -213,8 +219,8 @@ func TestReplicaRMACrashDeterminism(t *testing.T) {
 			t.Errorf("rank %d finish differs across runs: %v vs %v", r, ra.final, rb)
 			continue
 		}
-		if len(ra.events) != len(rb.events) {
-			t.Errorf("rank %d event count differs: %d vs %d", r, len(ra.events), len(rb.events))
+		if !reflect.DeepEqual(ra.recs, rb.recs) {
+			t.Errorf("rank %d records differ across runs", r)
 		}
 	}
 }
@@ -317,8 +323,8 @@ func TestRedistRMAEquivalence(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d ranks reported via RMA, %d pipelined", tc.name, len(got), len(want))
 		}
-		wantSent, wantRecv, _ := sumRedistBytes(eventsOf(want))
-		gotSent, gotRecv, _ := sumRedistBytes(eventsOf(got))
+		wantSent, wantRecv, _ := sumRedistBytes(recordsOf(want))
+		gotSent, gotRecv, _ := sumRedistBytes(recordsOf(got))
 		if gotSent != wantSent || gotRecv != wantRecv || gotSent == 0 {
 			t.Errorf("%s: redistributed %d/%d bytes sent/received via RMA, %d/%d pipelined", tc.name, gotSent, gotRecv, wantSent, wantRecv)
 		}
@@ -335,13 +341,13 @@ func TestRedistRMAEquivalence(t *testing.T) {
 	}
 }
 
-// eventsOf collects each rank's event trace for sumRedistBytes.
-func eventsOf(results map[int]*miniResult) map[int][]Event {
-	events := map[int][]Event{}
+// recordsOf collects each rank's records for sumRedistBytes.
+func recordsOf(results map[int]*miniResult) map[int][]telemetry.Record {
+	recs := map[int][]telemetry.Record{}
 	for r, res := range results {
-		events[r] = res.events
+		recs[r] = res.recs
 	}
-	return events
+	return recs
 }
 
 // TestRedistRMAWithCrash drives the combined configuration — one-sided

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"strconv"
-
-	"repro/internal/distribution"
-)
+import "repro/internal/distribution"
 
 // Rank-owned scratch for what a rank computes at every adaptation event and
 // nothing retains: the balancer's node view, fractions and partition counts.
@@ -61,17 +57,4 @@ func atLeast[T any](buf []T, n int) []T {
 		return make([]T, 0, n)
 	}
 	return buf[:0]
-}
-
-// appendInts appends key and then xs as fmt's %v renders an int slice
-// ("[1 0 2]"), without boxing every element.
-func appendInts(b []byte, key string, xs []int) []byte {
-	b = append(append(b, key...), '[')
-	for i, x := range xs {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(x), 10)
-	}
-	return append(b, ']')
 }

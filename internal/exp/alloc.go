@@ -79,6 +79,7 @@ func RunAlloc(o AllocOptions) (*AllocResult, error) {
 		cfg.Core = core.DefaultConfig()
 		cfg.Core.Drop = core.DropNever
 		cfg.Core.Alloc = scheme
+		ring := traced(&cfg.Core)
 		spec := cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1))
 		for i := range spec.Nodes {
 			spec.Nodes[i].MemBytes = o.MemBytes
@@ -87,12 +88,16 @@ func RunAlloc(o AllocOptions) (*AllocResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("alloc end-to-end %v: %w", scheme, err)
 		}
+		redists, err := redistsOf(ring)
+		if err != nil {
+			return nil, fmt.Errorf("alloc end-to-end %v: %w", scheme, err)
+		}
 		if scheme == matrix.Projection {
 			out.ProjectionTotal = res.Elapsed
-			out.ProjectionRedist = totalRedistSeconds(res)
+			out.ProjectionRedist = totalRedistSeconds(redists)
 		} else {
 			out.ContiguousTotal = res.Elapsed
-			out.ContiguousRedist = totalRedistSeconds(res)
+			out.ContiguousRedist = totalRedistSeconds(redists)
 		}
 	}
 	return out, nil

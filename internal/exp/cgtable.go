@@ -59,7 +59,12 @@ func RunCGTable(o CGTableOptions) (*CGTableResult, error) {
 	dynCfg := cfg
 	dynCfg.Core = core.DefaultConfig()
 	dynCfg.Core.Drop = core.DropNever // the case study keeps the loaded node
+	ring := traced(&dynCfg.Core)
 	dyn, err := cg.Run(cluster.New(spec), dynCfg)
+	if err != nil {
+		return nil, err
+	}
+	redists, err := redistsOf(ring)
 	if err != nil {
 		return nil, err
 	}
@@ -67,14 +72,14 @@ func RunCGTable(o CGTableOptions) (*CGTableResult, error) {
 		Dedicated:     ded.Elapsed,
 		NoAdapt:       non.Elapsed,
 		DynMPI:        dyn.Elapsed,
-		RedistSeconds: totalRedistSeconds(dyn),
+		RedistSeconds: totalRedistSeconds(redists),
 		IdealFraction: (1.0 / 2) / (float64(o.Nodes-1) + 1.0/2),
 	}
-	// The chosen distribution is recorded on every redistribution event.
-	for _, st := range dyn.Stats {
-		for _, ev := range st.Events {
-			if ev.Kind == core.EvRedistEnd && len(ev.Counts) > 0 {
-				res.Counts = ev.Counts
+	// The chosen distribution is recorded on every redistribution record.
+	for _, recs := range redists {
+		for _, r := range recs {
+			if len(r.Counts) > 0 {
+				res.Counts = r.Counts
 			}
 		}
 	}

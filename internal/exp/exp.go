@@ -15,8 +15,8 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 // Table is a rendered experiment result: a caption, a header, and rows of
@@ -75,77 +75,81 @@ func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 // pct formats a ratio as a percentage.
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", v*100) }
 
-// redistWindow extracts the first redistribution interval (start/end
-// virtual seconds) and its cycle from a rank's event trace; ok is false if
-// the rank never redistributed.
-func redistWindow(stats apps.RankStats) (startSec, endSec float64, cycle int, ok bool) {
-	var start, end float64
-	var cyc int
-	seen := false
-	for _, ev := range stats.Events {
-		switch ev.Kind {
-		case core.EvRedistStart:
-			if !seen {
-				start, cyc = ev.Time.Seconds(), ev.Cycle
-			}
-		case core.EvRedistEnd:
-			if !seen {
-				end = ev.Time.Seconds()
-				seen = true
-			}
-		}
-	}
-	return start, end, cyc, seen
+// traceCap bounds the telemetry ring a run attaches; it holds every record
+// of the largest -paper run many times over.
+const traceCap = 1 << 20
+
+// traced attaches a fresh telemetry ring to cfg — the runtime's only trace —
+// and returns it. The sink never moves virtual time.
+func traced(cfg *core.Config) *telemetry.Ring {
+	ring := telemetry.NewRing(traceCap)
+	cfg.Telemetry = ring
+	return ring
 }
 
-// lastRedistEnd returns the final redistribution end (seconds, cycle).
-func lastRedistEnd(stats apps.RankStats) (sec float64, cycle int, ok bool) {
-	for _, ev := range stats.Events {
-		if ev.Kind == core.EvRedistEnd {
-			sec, cycle, ok = ev.Time.Seconds(), ev.Cycle, true
-		}
+// redistsOf returns the RedistRecords in ring, indexed by emitting node, each
+// node's in emission order. An overflowed ring is an error: a truncated
+// stream would read as a result.
+func redistsOf(ring *telemetry.Ring) ([][]telemetry.RedistRecord, error) {
+	if d := ring.Dropped(); d > 0 {
+		return nil, fmt.Errorf("telemetry ring overflow: %d records dropped", d)
 	}
-	return sec, cycle, ok
+	var byNode [][]telemetry.RedistRecord
+	ring.Walk(telemetry.Visitor{Other: func(rec telemetry.Record) {
+		if r, ok := rec.(telemetry.RedistRecord); ok {
+			for len(byNode) <= r.Node {
+				byNode = append(byNode, nil)
+			}
+			byNode[r.Node] = append(byNode[r.Node], r)
+		}
+	}})
+	return byNode, nil
+}
+
+// redistWindow returns one node's first redistribution interval (start/end
+// virtual seconds) and its cycle; ok is false if it never redistributed.
+func redistWindow(recs []telemetry.RedistRecord) (startSec, endSec float64, cycle int, ok bool) {
+	if len(recs) == 0 {
+		return 0, 0, 0, false
+	}
+	return recs[0].StartVT, recs[0].Time, recs[0].Cycle, true
+}
+
+// lastRedistEnd returns one node's final redistribution end (seconds, cycle).
+func lastRedistEnd(recs []telemetry.RedistRecord) (sec float64, cycle int, ok bool) {
+	if len(recs) == 0 {
+		return 0, 0, false
+	}
+	last := recs[len(recs)-1]
+	return last.Time, last.Cycle, true
 }
 
 // avgCycleAfterRedist computes the steady-state average phase-cycle time
-// after the last redistribution, the quantity Figures 6 and 7 plot. It
-// uses the latest redistribution end across ranks and the overall finish.
-func avgCycleAfterRedist(res apps.Result, totalCycles int) (float64, bool) {
+// after the last redistribution, the quantity Figures 6 and 7 plot. It uses
+// the latest redistribution end across nodes and the run's makespan.
+func avgCycleAfterRedist(byNode [][]telemetry.RedistRecord, elapsed float64, totalCycles int) (float64, bool) {
 	endSec, endCycle := 0.0, 0
 	found := false
-	for _, st := range res.Stats {
-		if s, c, ok := lastRedistEnd(st); ok && s > endSec {
+	for _, recs := range byNode {
+		if s, c, ok := lastRedistEnd(recs); ok && s > endSec {
 			endSec, endCycle, found = s, c, true
 		}
 	}
 	if !found || totalCycles-endCycle <= 0 {
 		return 0, false
 	}
-	return (res.Elapsed - endSec) / float64(totalCycles-endCycle), true
+	return (elapsed - endSec) / float64(totalCycles-endCycle), true
 }
 
-// totalRedistSeconds sums all redistribution windows on the slowest rank.
-func totalRedistSeconds(res apps.Result) float64 {
+// totalRedistSeconds sums all redistribution windows on the slowest node.
+func totalRedistSeconds(byNode [][]telemetry.RedistRecord) float64 {
 	best := 0.0
-	for _, st := range res.Stats {
+	for _, recs := range byNode {
 		var tot float64
-		var start float64
-		open := false
-		for _, ev := range st.Events {
-			switch ev.Kind {
-			case core.EvRedistStart:
-				start, open = ev.Time.Seconds(), true
-			case core.EvRedistEnd:
-				if open {
-					tot += ev.Time.Seconds() - start
-					open = false
-				}
-			}
+		for _, r := range recs {
+			tot += r.Time - r.StartVT
 		}
-		if tot > best {
-			best = tot
-		}
+		best = max(best, tot)
 	}
 	return best
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/telemetry"
 	"repro/internal/vclock"
@@ -130,20 +129,15 @@ func TestCrashDuringRedistributionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	const victim = 2
-	var start, end vclock.Time
-	for _, ev := range probe.Res.Stats[victim].Events {
-		switch ev.Kind {
-		case core.EvRedistStart:
-			if start == 0 {
-				start = ev.Time
-			}
-		case core.EvRedistEnd:
-			if end == 0 {
-				end = ev.Time
-			}
+	var recs []telemetry.RedistRecord
+	for _, rec := range probe.Records {
+		if r, ok := rec.(telemetry.RedistRecord); ok && r.Node == victim {
+			recs = append(recs, r)
 		}
 	}
-	if start == 0 || end <= start {
+	s, e, _, ok := redistWindow(recs)
+	start, end := vclock.Time(vclock.FromSeconds(s)), vclock.Time(vclock.FromSeconds(e))
+	if !ok || end <= start {
 		t.Fatalf("probe found no redistribution window on rank %d (start %v end %v)", victim, start, end)
 	}
 	o := DefaultTraceOptions()

@@ -61,6 +61,7 @@ func runFig5Case(nodes, period int, maxRedists int, adapt bool, paper bool) (Fig
 	cfg.Core.Adapt = adapt
 	cfg.Core.Drop = core.DropNever
 	cfg.Core.MaxRedists = maxRedists
+	ring := traced(&cfg.Core)
 
 	var mu sync.Mutex
 	boundaries := [3]float64{}
@@ -83,6 +84,10 @@ func runFig5Case(nodes, period int, maxRedists int, adapt bool, paper bool) (Fig
 	if err != nil {
 		return Fig5Run{}, err
 	}
+	redists, err := redistsOf(ring)
+	if err != nil {
+		return Fig5Run{}, err
+	}
 	name := "no-redist"
 	if adapt {
 		if maxRedists == 1 {
@@ -95,7 +100,7 @@ func runFig5Case(nodes, period int, maxRedists int, adapt bool, paper bool) (Fig
 		Test:       name,
 		Period:     period,
 		Total:      res.Elapsed,
-		Redist:     totalRedistSeconds(res),
+		Redist:     totalRedistSeconds(redists),
 		Redists:    res.Redists,
 		PeriodEnds: boundaries,
 	}, nil

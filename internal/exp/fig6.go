@@ -52,6 +52,7 @@ func runFig6Case(nodes, cps int, drop core.DropPolicy, paper bool) (float64, err
 	}
 	cfg.Core = core.DefaultConfig()
 	cfg.Core.Drop = drop
+	ring := traced(&cfg.Core)
 	spec := cluster.Uniform(nodes)
 	for i := 0; i < cps; i++ {
 		spec = spec.With(cluster.TimeEvent(nodes/2, 0, +1))
@@ -60,7 +61,11 @@ func runFig6Case(nodes, cps int, drop core.DropPolicy, paper bool) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	avg, ok := avgCycleAfterRedist(res, cfg.Iters)
+	redists, err := redistsOf(ring)
+	if err != nil {
+		return 0, err
+	}
+	avg, ok := avgCycleAfterRedist(redists, res.Elapsed, cfg.Iters)
 	if !ok {
 		return 0, fmt.Errorf("fig6 %d nodes %d CPs: no redistribution occurred", nodes, cps)
 	}

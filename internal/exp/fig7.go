@@ -52,12 +52,17 @@ func runFig7Case(nodes, part, gp int, paper bool) (float64, error) {
 	cfg.Core = core.DefaultConfig()
 	cfg.Core.Drop = core.DropNever
 	cfg.Core.GracePeriod = gp
+	ring := traced(&cfg.Core)
 	spec := cluster.Uniform(nodes).With(cluster.CycleEvent(0, 10, +1))
 	res, err := particles.Run(cluster.New(spec), cfg)
 	if err != nil {
 		return 0, err
 	}
-	avg, ok := avgCycleAfterRedist(res, cfg.Steps)
+	redists, err := redistsOf(ring)
+	if err != nil {
+		return 0, err
+	}
+	avg, ok := avgCycleAfterRedist(redists, res.Elapsed, cfg.Steps)
 	if !ok {
 		return 0, fmt.Errorf("fig7 part=%d gp=%d: no redistribution occurred", part, gp)
 	}

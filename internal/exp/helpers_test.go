@@ -4,54 +4,39 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/apps"
-	"repro/internal/core"
-	"repro/internal/vclock"
+	"repro/internal/telemetry"
 )
 
-func sec(s float64) vclock.Time { return vclock.Time(vclock.FromSeconds(s)) }
-
-func statsWith(events ...core.Event) apps.RankStats {
-	return apps.RankStats{Events: events}
+// redist is one node's redistribution record spanning [start, end] virtual
+// seconds at cycle.
+func redist(cycle int, start, end float64) telemetry.RedistRecord {
+	return telemetry.RedistRecord{Base: telemetry.Base{K: telemetry.KindRedist, Cycle: cycle, Time: end}, StartVT: start}
 }
 
 func TestRedistWindow(t *testing.T) {
-	st := statsWith(
-		core.Event{Kind: core.EvLoadChange, Cycle: 3, Time: sec(1.0)},
-		core.Event{Kind: core.EvRedistStart, Cycle: 8, Time: sec(2.0)},
-		core.Event{Kind: core.EvRedistEnd, Cycle: 8, Time: sec(2.5)},
-		core.Event{Kind: core.EvRedistStart, Cycle: 20, Time: sec(5.0)},
-		core.Event{Kind: core.EvRedistEnd, Cycle: 20, Time: sec(5.1)},
-	)
-	start, end, cycle, ok := redistWindow(st)
+	recs := []telemetry.RedistRecord{redist(8, 2.0, 2.5), redist(20, 5.0, 5.1)}
+	start, end, cycle, ok := redistWindow(recs)
 	if !ok || start != 2.0 || end != 2.5 || cycle != 8 {
 		t.Fatalf("redistWindow = %v %v %v %v", start, end, cycle, ok)
 	}
-	if _, _, _, ok := redistWindow(statsWith()); ok {
+	if _, _, _, ok := redistWindow(nil); ok {
 		t.Fatal("empty trace reported a window")
 	}
 }
 
 func TestLastRedistEnd(t *testing.T) {
-	st := statsWith(
-		core.Event{Kind: core.EvRedistEnd, Cycle: 8, Time: sec(2.5)},
-		core.Event{Kind: core.EvRedistEnd, Cycle: 20, Time: sec(5.1)},
-	)
-	s, c, ok := lastRedistEnd(st)
+	s, c, ok := lastRedistEnd([]telemetry.RedistRecord{redist(8, 2.4, 2.5), redist(20, 5.0, 5.1)})
 	if !ok || s != 5.1 || c != 20 {
 		t.Fatalf("lastRedistEnd = %v %v %v", s, c, ok)
 	}
 }
 
 func TestAvgCycleAfterRedist(t *testing.T) {
-	res := apps.Result{
-		Elapsed: 12.0,
-		Stats: []apps.RankStats{
-			statsWith(core.Event{Kind: core.EvRedistEnd, Cycle: 20, Time: sec(2.0)}),
-			statsWith(), // a rank that never redistributed
-		},
+	byNode := [][]telemetry.RedistRecord{
+		{redist(20, 1.9, 2.0)},
+		nil, // a node that never redistributed
 	}
-	avg, ok := avgCycleAfterRedist(res, 120)
+	avg, ok := avgCycleAfterRedist(byNode, 12.0, 120)
 	if !ok {
 		t.Fatal("no average")
 	}
@@ -60,35 +45,23 @@ func TestAvgCycleAfterRedist(t *testing.T) {
 		t.Fatalf("avg = %v, want %v", avg, want)
 	}
 	// No redistribution anywhere -> not ok.
-	if _, ok := avgCycleAfterRedist(apps.Result{Stats: []apps.RankStats{statsWith()}}, 10); ok {
+	if _, ok := avgCycleAfterRedist([][]telemetry.RedistRecord{nil}, 0, 10); ok {
 		t.Fatal("expected no average without redistribution")
 	}
 	// Redistribution on the final cycle -> no post-redist cycles.
-	res2 := apps.Result{
-		Elapsed: 5,
-		Stats:   []apps.RankStats{statsWith(core.Event{Kind: core.EvRedistEnd, Cycle: 10, Time: sec(5)})},
-	}
-	if _, ok := avgCycleAfterRedist(res2, 10); ok {
+	if _, ok := avgCycleAfterRedist([][]telemetry.RedistRecord{{redist(10, 4.9, 5)}}, 5, 10); ok {
 		t.Fatal("expected no average when redistribution ends the run")
 	}
 }
 
 func TestTotalRedistSeconds(t *testing.T) {
-	res := apps.Result{Stats: []apps.RankStats{
-		statsWith(
-			core.Event{Kind: core.EvRedistStart, Time: sec(1.0)},
-			core.Event{Kind: core.EvRedistEnd, Time: sec(1.2)},
-			core.Event{Kind: core.EvRedistStart, Time: sec(4.0)},
-			core.Event{Kind: core.EvRedistEnd, Time: sec(4.3)},
-		),
-		statsWith(
-			core.Event{Kind: core.EvRedistStart, Time: sec(1.0)},
-			core.Event{Kind: core.EvRedistEnd, Time: sec(1.1)},
-		),
-	}}
-	got := totalRedistSeconds(res)
+	byNode := [][]telemetry.RedistRecord{
+		{redist(0, 1.0, 1.2), redist(0, 4.0, 4.3)},
+		{redist(0, 1.0, 1.1)},
+	}
+	got := totalRedistSeconds(byNode)
 	if math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("totalRedistSeconds = %v, want 0.5 (slowest rank)", got)
+		t.Fatalf("totalRedistSeconds = %v, want 0.5 (slowest node)", got)
 	}
 }
 

@@ -74,12 +74,17 @@ func RunMicrobench(o MicrobenchOptions) (*MicrobenchResult, error) {
 		cfg.Core = core.DefaultConfig()
 		cfg.Core.Drop = core.DropNever
 		cfg.Core.Method = method
+		ring := traced(&cfg.Core)
 		spec := cluster.Uniform(4).With(cluster.TimeEvent(1, 0, +1))
 		out, err := jacobi.Run(cluster.New(spec), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("microbench end-to-end: %w", err)
 		}
-		avg, ok := avgCycleAfterRedist(out, cfg.Iters)
+		redists, err := redistsOf(ring)
+		if err != nil {
+			return nil, fmt.Errorf("microbench end-to-end: %w", err)
+		}
+		avg, ok := avgCycleAfterRedist(redists, out.Elapsed, cfg.Iters)
 		if !ok {
 			return nil, fmt.Errorf("microbench end-to-end: no redistribution")
 		}

@@ -64,10 +64,10 @@ func (r OverlapRow) Delta() float64 {
 type OverlapResult struct {
 	Rows []OverlapRow
 	// RedistWindowPipelinedS and RedistWindowRMAS are the slowest rank's
-	// redistribution window — its EvRedistStart→EvRedistEnd spans, summed
+	// redistribution window — its RedistRecords' start_vt→vt spans, summed
 	// over redistributions — on the redistribution-heavy scenario under
 	// schedule-order drain commits (RedistPipelined) and one-sided commits
-	// (RedistRMA). The window, not Event.Stall, is compared: an RMA receiver
+	// (RedistRMA). The window, not stall_s, is compared: an RMA receiver
 	// does no commit work while it waits, so it stalls where the drain
 	// unpacks.
 	RedistWindowPipelinedS float64
@@ -188,12 +188,13 @@ func RunOverlap(o OverlapOptions) (*OverlapResult, error) {
 // committing a slab does real work — work the drain leaves idle while it
 // stalls on the slowest sender, and a one-sided deposit does not pay.
 func runOverlapRedist(seed uint64) (pipelinedS, rmaS float64, err error) {
-	run := func(mode core.RedistMode) (apps.Result, error) {
+	run := func(mode core.RedistMode) (apps.Result, float64, error) {
 		cfg := jacobi.DefaultConfig()
 		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = 256, 1024, 40, 600
 		cfg.Core = core.DefaultConfig()
 		cfg.Core.Drop = core.DropNever
 		cfg.Core.RedistMode = mode
+		ring := traced(&cfg.Core)
 		spec := cluster.Uniform(8)
 		spec.Seed += seed
 		spec.Net.CPUPerByte = 800
@@ -203,13 +204,18 @@ func runOverlapRedist(seed uint64) (pipelinedS, rmaS float64, err error) {
 				spec = spec.With(cluster.CycleEvent(node, 10, +1))
 			}
 		}
-		return jacobi.Run(cluster.New(spec), cfg)
+		res, err := jacobi.Run(cluster.New(spec), cfg)
+		if err != nil {
+			return res, 0, err
+		}
+		redists, err := redistsOf(ring)
+		return res, totalRedistSeconds(redists), err
 	}
-	pip, err := run(core.RedistPipelined)
+	pip, pipelinedS, err := run(core.RedistPipelined)
 	if err != nil {
 		return 0, 0, fmt.Errorf("overlap redist pipelined: %w", err)
 	}
-	rma, err := run(core.RedistRMA)
+	rma, rmaS, err := run(core.RedistRMA)
 	if err != nil {
 		return 0, 0, fmt.Errorf("overlap redist RMA: %w", err)
 	}
@@ -219,7 +225,7 @@ func runOverlapRedist(seed uint64) (pipelinedS, rmaS float64, err error) {
 	if pip.Checksum != rma.Checksum {
 		return 0, 0, fmt.Errorf("overlap redist: one-sided commit changed the checksum")
 	}
-	return totalRedistSeconds(pip), totalRedistSeconds(rma), nil
+	return pipelinedS, rmaS, nil
 }
 
 // Table renders the study.

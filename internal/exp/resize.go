@@ -101,16 +101,22 @@ func RunResize(o ResizeOptions) (*ResizeResult, error) {
 		spec.Seed += o.Seed
 		return jacobi.Run(cluster.New(spec), baseCfg(iters))
 	}
-	movedMB := func(r apps.Result) float64 {
+	// elastic runs cfg on spec and returns it with the megabytes its
+	// redistributions shipped.
+	elastic := func(spec cluster.Spec, cfg jacobi.Config) (apps.Result, float64, error) {
+		ring := traced(&cfg.Core)
+		res, err := jacobi.Run(cluster.New(spec), cfg)
+		if err != nil {
+			return res, 0, err
+		}
+		redists, err := redistsOf(ring)
 		var bytes int64
-		for _, st := range r.Stats {
-			for _, ev := range st.Events {
-				if ev.Kind == core.EvRedistEnd {
-					bytes += ev.BytesSent
-				}
+		for _, recs := range redists {
+			for _, r := range recs {
+				bytes += r.BytesSent
 			}
 		}
-		return float64(bytes) / 1e6
+		return res, float64(bytes) / 1e6, err
 	}
 	// A restart reloads the full working set (both ping-pong buffers) over
 	// the wire of the new world; the cost model is the cluster's own.
@@ -125,7 +131,7 @@ func RunResize(o ResizeOptions) (*ResizeResult, error) {
 	}
 
 	res := &ResizeResult{}
-	addScenario := func(name string, from, to int, elastic apps.Result) error {
+	addScenario := func(name string, from, to int, elastic apps.Result, movedMB float64) error {
 		if elastic.Checksum != ref.Checksum {
 			return fmt.Errorf("resize %s: checksum %v differs from dedicated run %v — resize corrupted data",
 				name, elastic.Checksum, ref.Checksum)
@@ -148,7 +154,7 @@ func RunResize(o ResizeOptions) (*ResizeResult, error) {
 			ResizeS:  elastic.Elapsed,
 			RestartS: before.Elapsed + reload + after.Elapsed,
 			ReloadS:  reload,
-			MovedMB:  movedMB(elastic),
+			MovedMB:  movedMB,
 			TotalMB:  totalBytes / 1e6,
 		})
 		return nil
@@ -157,11 +163,11 @@ func RunResize(o ResizeOptions) (*ResizeResult, error) {
 	// Scenario 1: capacity arrives under load — two nodes join at cycle At.
 	growSpec := cluster.Uniform(4).WithArrival(1.0, o.At).WithArrival(1.0, o.At)
 	growSpec.Seed += o.Seed
-	grow, err := jacobi.Run(cluster.New(growSpec), baseCfg(o.Iters))
+	grow, moved, err := elastic(growSpec, baseCfg(o.Iters))
 	if err != nil {
 		return nil, fmt.Errorf("resize grow: %w", err)
 	}
-	if err := addScenario("grow", 4, 6, grow); err != nil {
+	if err := addScenario("grow", 4, 6, grow, moved); err != nil {
 		return nil, err
 	}
 
@@ -171,11 +177,11 @@ func RunResize(o ResizeOptions) (*ResizeResult, error) {
 	shrinkSpec.Seed += o.Seed
 	shrinkCfg := baseCfg(o.Iters)
 	shrinkCfg.ResizeAt, shrinkCfg.ResizeTo = o.At, 4
-	shrink, err := jacobi.Run(cluster.New(shrinkSpec), shrinkCfg)
+	shrink, moved, err := elastic(shrinkSpec, shrinkCfg)
 	if err != nil {
 		return nil, fmt.Errorf("resize shrink: %w", err)
 	}
-	if err := addScenario("shrink", 6, 4, shrink); err != nil {
+	if err := addScenario("shrink", 6, 4, shrink, moved); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps/jacobi"
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/telemetry"
 )
 
@@ -121,8 +124,7 @@ func TestTraceOrderPerRank(t *testing.T) {
 
 // TestDecisionMatchesInstalledDistribution is the tentpole invariant: the
 // counts a DecisionRecord reports as chosen are exactly the counts of the
-// distribution the runtime then installs (RedistRecord and the adaptation
-// Event trace agree).
+// distribution the runtime then installs (its RedistRecord).
 func TestDecisionMatchesInstalledDistribution(t *testing.T) {
 	o := DefaultTraceOptions()
 	o.Drop = core.DropNever // exercise the successive-balancing path
@@ -158,12 +160,6 @@ func TestDecisionMatchesInstalledDistribution(t *testing.T) {
 					t.Errorf("node %d: installed counts %v != decided counts %v", node, v.Counts, lastDecision)
 				}
 				checked++
-			}
-		}
-		// The runtime's own event trace must agree with the telemetry.
-		for _, ev := range r.Res.Stats[node].Events {
-			if ev.Kind == core.EvRedistEnd && !reflect.DeepEqual(ev.Counts, lastDecision) {
-				t.Errorf("node %d: event counts %v != decided counts %v", node, ev.Counts, lastDecision)
 			}
 		}
 	}
@@ -213,6 +209,103 @@ func TestTraceJSONLGolden(t *testing.T) {
 		}
 		t.Errorf("trace JSONL drifted from golden (%d vs %d bytes, first difference near line %d col %d)",
 			len(got), len(want), line, col)
+	}
+}
+
+// TestTraceSummaryCountsRedistributionsOnce: every participant emits one
+// RedistRecord per redistribution, so the dynexp trace summary must count the
+// redistributions the run made — Res.Redists — not the rank records, on the
+// default trace (one) and on a crash-and-drop run (two).
+func TestTraceSummaryCountsRedistributionsOnce(t *testing.T) {
+	crash := DefaultTraceOptions()
+	crash.Faults = []fault.Fault{fault.CrashAtCycle(2, 12)}
+	crash.Replicate, crash.ReplicaEvery = true, 1
+	for name, tc := range map[string]struct {
+		o       TraceOptions
+		redists int
+	}{
+		"default": {DefaultTraceOptions(), 1},
+		"crash":   {crash, 2},
+	} {
+		r, err := RunTrace(tc.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := telemetry.Summarize(r.Records)
+		if r.Res.Redists != tc.redists || s.Redists != r.Res.Redists || s.RedistRecords <= s.Redists {
+			t.Errorf("%s: summary counts %d redistributions in %d rank records, the run made %d (want %d)",
+				name, s.Redists, s.RedistRecords, r.Res.Redists, tc.redists)
+		}
+		var buf bytes.Buffer
+		s.WriteTable(&buf)
+		if want := fmt.Sprintf("redistributions: %d (%d rank records,", s.Redists, s.RedistRecords); !strings.Contains(buf.String(), want) {
+			t.Errorf("%s: summary table lacks %q:\n%s", name, want, buf.String())
+		}
+	}
+}
+
+// TestSinkLeavesResultUnchanged: the telemetry ring the experiment runners
+// attach is their only trace, so attaching it must not move anything a run
+// computes. Each scenario runs with a nil sink and with a ring, and the two
+// apps.Results must be deeply equal.
+func TestSinkLeavesResultUnchanged(t *testing.T) {
+	small := func() jacobi.Config {
+		cfg := jacobi.DefaultConfig()
+		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = 128, 128, 40, 10e3
+		return cfg
+	}
+	onOff := small()
+	onOff.Iters = 60
+	onOff.Core.Drop = core.DropNever
+	dropAuto := small()
+	skewed := jacobi.DefaultConfig()
+	skewed.Rows, skewed.Cols, skewed.Iters, skewed.CostPerElem = 256, 1024, 40, 600
+	skewed.Core.Drop = core.DropNever
+	skewed.Core.RedistMode = core.RedistRMA
+	skewed.Core.Replicate, skewed.Core.ReplicaRMA, skewed.Core.ReplicaEvery = true, true, 1
+	crash := small()
+	crash.Core.Replicate = true
+	grow := small()
+	grow.Core.Drop = core.DropNever
+	grow.ResizeAt, grow.ResizeTo = 10, 6
+
+	skewedSpec := cluster.Uniform(8)
+	skewedSpec.Net.CPUPerByte, skewedSpec.Net.BytesPerSec = 800, 100e6
+	for node, k := range []int{3, 2, 1} {
+		for i := 0; i < k; i++ {
+			skewedSpec = skewedSpec.With(cluster.CycleEvent(node, 10, +1))
+		}
+	}
+	crashSpec := cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1))
+	crashSpec.Faults = []fault.Fault{fault.CrashAtCycle(2, 12)}
+
+	for _, tc := range []struct {
+		name string
+		spec cluster.Spec
+		cfg  jacobi.Config
+	}{
+		{"load on/off", cluster.Uniform(4).With(cluster.CycleEvent(1, 15, +1), cluster.CycleEvent(1, 35, -1)), onOff},
+		{"drop-auto", cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1)), dropAuto},
+		{"skewed RMA", skewedSpec, skewed},
+		{"crash+replicate", crashSpec, crash},
+		{"grow", cluster.Uniform(4).WithArrival(1.0, -1).WithArrival(1.0, -1), grow},
+	} {
+		bare, err := jacobi.Run(cluster.New(tc.spec), tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ring := traced(&tc.cfg.Core)
+		withRing, err := jacobi.Run(cluster.New(tc.spec), tc.cfg)
+		if err != nil {
+			t.Fatalf("%s traced: %v", tc.name, err)
+		}
+		if bare.Redists == 0 || ring.Len() == 0 || ring.Dropped() != 0 {
+			t.Fatalf("%s: %d redistributions, %d records held, %d dropped: scenario is vacuous",
+				tc.name, bare.Redists, ring.Len(), ring.Dropped())
+		}
+		if !reflect.DeepEqual(bare, withRing) {
+			t.Errorf("%s: attaching a telemetry ring changed the result:\n nil sink %+v\n ring     %+v", tc.name, bare, withRing)
+		}
 	}
 }
 

@@ -20,16 +20,20 @@ type NodeSummary struct {
 // Summary is the aggregate view of a trace, the basis of the dynexp
 // -summary table.
 type Summary struct {
-	ByKind      map[string]int
-	Nodes       []NodeSummary // sorted by node id
-	Decisions   int
-	Redists     int
-	RowsSent    int
-	BytesSent   int64
-	BytesRecv   int64              // Σ BytesSent == Σ BytesRecv cluster-wide on fault-free runs
-	Memberships []MembershipRecord // in trace order
-	LoadEvents  []LoadEventRecord  // in trace order
-	Failures    []FailureRecord    // in trace order
+	ByKind    map[string]int
+	Nodes     []NodeSummary // sorted by node id
+	Decisions int
+	// Redists counts redistributions once each: every participant emits one
+	// RedistRecord per redistribution, so it is the largest per-node count.
+	// RedistRecords counts the records themselves.
+	Redists       int
+	RedistRecords int
+	RowsSent      int
+	BytesSent     int64
+	BytesRecv     int64              // Σ BytesSent == Σ BytesRecv cluster-wide on fault-free runs
+	Memberships   []MembershipRecord // in trace order
+	LoadEvents    []LoadEventRecord  // in trace order
+	Failures      []FailureRecord    // in trace order
 
 	// One-sided (RMA) aggregates, zero when the run used no windows.
 	RMAFences   int
@@ -43,6 +47,7 @@ type Summary struct {
 func Summarize(recs []Record) *Summary {
 	s := &Summary{ByKind: map[string]int{}}
 	byNode := map[int]*NodeSummary{}
+	redists := map[int]int{} // RedistRecords per node
 	for _, rec := range recs {
 		s.ByKind[rec.Kind()]++
 		switch v := rec.(type) {
@@ -61,7 +66,9 @@ func Summarize(recs []Record) *Summary {
 		case DecisionRecord:
 			s.Decisions++
 		case RedistRecord:
-			s.Redists++
+			s.RedistRecords++
+			redists[v.Node]++
+			s.Redists = max(s.Redists, redists[v.Node])
 			s.RowsSent += v.RowsSent
 			s.BytesSent += v.BytesSent
 			s.BytesRecv += v.BytesRecv
@@ -98,8 +105,8 @@ func (s *Summary) WriteTable(w io.Writer) {
 		fmt.Fprintf(w, "  %-12s %6d records\n", k, s.ByKind[k])
 	}
 	if s.Redists > 0 {
-		fmt.Fprintf(w, "  redistributions: %d (rows sent %d, bytes sent %d, bytes recv %d)\n",
-			s.Redists, s.RowsSent, s.BytesSent, s.BytesRecv)
+		fmt.Fprintf(w, "  redistributions: %d (%d rank records, rows sent %d, bytes sent %d, bytes recv %d)\n",
+			s.Redists, s.RedistRecords, s.RowsSent, s.BytesSent, s.BytesRecv)
 	}
 	if len(s.Nodes) > 0 {
 		fmt.Fprintf(w, "  %-5s %7s %11s %11s %11s %7s\n",

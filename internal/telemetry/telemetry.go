@@ -114,6 +114,11 @@ type DecisionRecord struct {
 	Counts     []int       `json:"counts,omitempty"`     // the distribution actually installed
 	PredictedS float64     `json:"predicted_s"`          // predicted per-cycle time of the choice
 	MeasuredS  float64     `json:"measured_s,omitempty"` // measured time (drop decisions only)
+	// GraceVT is the virtual time (seconds) the grace period this decision
+	// measured began — the detected load change, or its last restart. Set on
+	// the decisions that end a grace period (successive balancing, relative
+	// power, drop-always, drop-logical); zero on drop-auto verdicts.
+	GraceVT float64 `json:"grace_vt,omitempty"`
 }
 
 // ArrayMove is one array's share of a redistribution.
@@ -125,6 +130,8 @@ type ArrayMove struct {
 
 // RedistRecord describes one executed redistribution from the emitting
 // node's perspective: what it shipped per array and the new distribution.
+// It is emitted when the redistribution ends (Base.Time); StartVT is when it
+// began, so StartVT→Time is this node's redistribution window.
 type RedistRecord struct {
 	Base
 	Arrays     []ArrayMove `json:"arrays,omitempty"`
@@ -134,18 +141,32 @@ type RedistRecord struct {
 	BytesMoved int64       `json:"bytes_moved"`         // BytesSent + BytesRecv (kept as an explicit sum)
 	Counts     []int       `json:"counts"`              // installed per-node iteration counts
 	LostRows   int         `json:"lost_rows,omitempty"` // rows declared lost by a failure recovery
+	StartVT    float64     `json:"start_vt"`            // virtual time (seconds) the redistribution began
+	// StallS is the receive-side stall (seconds): virtual time this node's
+	// clock jumped forward waiting for slab arrivals or one-sided deposits.
+	// It is not comparable across redistribution modes: a one-sided receiver
+	// does no commit work while it waits, so it stalls where the pipelined
+	// drain would be unpacking.
+	StallS float64 `json:"stall_s"`
+	Dead   []int   `json:"dead,omitempty"` // a failure recovery: the dead ranks whose rows it rebuilt or lost
 }
 
-// MembershipRecord describes a change of the active node set: a physical
-// drop, a logical drop, a removal (emitted by the node leaving), a rejoin,
-// or a forced drop after a detected failure ("failure-drop"). Remap is the
-// new relative-rank mapping: Remap[rel] = world rank.
+// MembershipRecord describes a change of the active node set, as one side of
+// it reports the change. Ranks that stay in the computation report "drop"
+// (loaded nodes physically removed), "logical-drop" (loaded nodes kept with
+// one iteration each), "rejoin" (removed nodes readmitted), "resize-grow"
+// (spawned ranks admitted), "resize-shrink" (an explicit Resize released
+// ranks) and "failure-drop" (dead ranks struck). The rank that leaves or
+// enters reports "removed", "resize-removed", "rejoined" or "resize-join".
+// Remap is the new relative-rank mapping: Remap[rel] = world rank.
 type MembershipRecord struct {
 	Base
-	Change  string `json:"change"` // "drop", "logical-drop", "removed", "rejoin", "rejoined", "failure-drop"
+	Change  string `json:"change"`
 	Active  []int  `json:"active"`
 	Removed []int  `json:"removed,omitempty"`
-	Remap   []int  `json:"remap"` // relative rank -> world rank
+	Remap   []int  `json:"remap"`            // relative rank -> world rank
+	Left    []int  `json:"left,omitempty"`   // ranks the change took out: dropped, shrunk out or dead
+	Joined  []int  `json:"joined,omitempty"` // ranks the change took in: readmitted or spawned
 }
 
 // LoadSampleRecord is one dmpi_ps reading taken by the load monitor.
@@ -189,20 +210,22 @@ type CollectiveRecord struct {
 }
 
 // RMARecord describes one closed one-sided epoch from the window owner's
-// perspective: the fence that closed it, how many deposits landed in the
-// owner's window during the epoch, their total wire bytes, the residual
-// wire stall the owner paid at the fence, and the wire time that was hidden
-// behind the owner's computation since the deposits were posted. Only
-// emitted for epochs (successful fences), never per Put — the origin side
-// of a Put is indistinguishable from a send and is already counted by the
+// perspective: the synchronisation that closed it, how many deposits landed
+// in the owner's window during the epoch, their total wire bytes, the
+// residual wire stall the owner paid at the close, and the wire time that
+// was hidden behind the owner's computation since the deposits were posted.
+// Only emitted for epochs that settle, never per Put — the origin side of a
+// Put is indistinguishable from a send and is already counted by the
 // traffic counters.
 type RMARecord struct {
 	Base
-	Op       string  `json:"op"`       // "fence"
+	// Op is "pscw" for a pairwise post/start/complete/wait epoch, the only
+	// kind the runtime opens; "fence" comes only from direct mpi.Fence calls.
+	Op       string  `json:"op"`
 	Window   int     `json:"window"`   // window id within its group
-	Deposits int     `json:"deposits"` // puts/gets settled by this fence
+	Deposits int     `json:"deposits"` // puts settled by this close
 	Bytes    int64   `json:"bytes"`    // wire bytes of those deposits
-	StallS   float64 `json:"stall_s"`  // residual wire stall paid at the fence
+	StallS   float64 `json:"stall_s"`  // residual wire stall paid at the close
 	HiddenS  float64 `json:"hidden_s"` // wire time hidden behind computation
 }
 

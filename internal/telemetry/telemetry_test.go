@@ -216,12 +216,14 @@ func TestJSONLRoundTrip(t *testing.T) {
 				{Label: "relative-power", Counts: []int{37, 18, 37, 36}, PredictedS: 0.02},
 				{Label: "successive-balancing", Counts: []int{40, 9, 40, 39}, PredictedS: 0.015, Rounds: 3},
 			},
-			Chosen: "successive-balancing", Counts: []int{40, 9, 40, 39}, PredictedS: 0.015},
+			Chosen: "successive-balancing", Counts: []int{40, 9, 40, 39}, PredictedS: 0.015, GraceVT: 0.375},
 		KindRedist: RedistRecord{Base: Base{K: KindRedist, Node: 2, Cycle: 5, Time: 0.51, Seq: 0},
 			Arrays:   []ArrayMove{{Name: "A", Rows: 7, Bytes: 7168}},
-			RowsSent: 7, BytesSent: 7168, BytesMoved: 14336, Counts: []int{40, 9, 40, 39}},
+			RowsSent: 7, BytesSent: 7168, BytesRecv: 7168, BytesMoved: 14336, Counts: []int{40, 9, 40, 39},
+			LostRows: 3, StartVT: 0.5, StallS: 0.002, Dead: []int{1}},
 		KindMembership: MembershipRecord{Base: Base{K: KindMembership, Node: 1, Cycle: 20, Time: 1.5, Seq: 2},
-			Change: "removed", Active: []int{0, 2, 3}, Removed: []int{1}, Remap: []int{0, 2, 3}},
+			Change: "rejoin", Active: []int{0, 2, 3}, Removed: []int{1}, Remap: []int{0, 2, 3},
+			Left: []int{4}, Joined: []int{3}},
 		KindLoadSample: LoadSampleRecord{Base: Base{K: KindLoadSample, Node: 3, Cycle: 8, Time: 0.8, Seq: 4}, Reading: 2},
 		KindLoadEvent:  LoadEventRecord{Base: Base{K: KindLoadEvent, Node: 1, Cycle: 10, Time: 1.0, Seq: 9}, Delta: 1, Count: 1},
 		KindFailure: FailureRecord{Base: Base{K: KindFailure, Node: 2, Cycle: 11, Time: 1.1, Seq: 3},
@@ -229,7 +231,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		KindCollective: CollectiveRecord{Base: Base{K: KindCollective, Node: 0, Cycle: -1, Time: 2.5, Seq: 12},
 			Op: "allreduce", Algorithm: "recursive-doubling", Ranks: 256, Steps: 8, Count: 40, Bytes: 81920},
 		KindRMA: RMARecord{Base: Base{K: KindRMA, Node: 3, Cycle: 6, Time: 0.6, Seq: 7},
-			Op: "fence", Window: 1, Deposits: 2, Bytes: 16384, StallS: 0.001, HiddenS: 0.004},
+			Op: "pscw", Window: 1, Deposits: 2, Bytes: 16384, StallS: 0.001, HiddenS: 0.004},
 	}
 	for name, kind := range kindConstants(t) {
 		t.Run(name, func(t *testing.T) {
@@ -274,6 +276,8 @@ func TestMultiFansOut(t *testing.T) {
 	}
 }
 
+// TestSummarize: the two nodes' records of one redistribution at cycle 1 are
+// one redistribution, reported beside the two rank records it took.
 func TestSummarize(t *testing.T) {
 	recs := []Record{
 		IterationRecord{Base: Base{K: KindIteration, Node: 0, Cycle: 0}, ComputeS: 1, CommS: 0.1, WaitS: 0.2, Share: 50},
@@ -285,7 +289,7 @@ func TestSummarize(t *testing.T) {
 		MembershipRecord{Base: Base{K: KindMembership, Node: 0, Cycle: 2}, Change: "drop"},
 	}
 	s := Summarize(recs)
-	if s.ByKind[KindIteration] != 3 || s.Decisions != 1 || s.Redists != 2 {
+	if s.ByKind[KindIteration] != 3 || s.Decisions != 1 || s.Redists != 1 || s.RedistRecords != 2 {
 		t.Fatalf("counts wrong: %+v", s)
 	}
 	if s.RowsSent != 15 || s.BytesSent != 1500 {
@@ -297,7 +301,7 @@ func TestSummarize(t *testing.T) {
 	var buf bytes.Buffer
 	s.WriteTable(&buf)
 	out := buf.String()
-	for _, want := range []string{"iteration", "redistributions: 2", "membership: cycle 2 node 0 drop"} {
+	for _, want := range []string{"iteration", "redistributions: 1 (2 rank records, rows sent 15", "membership: cycle 2 node 0 drop"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
