@@ -88,6 +88,18 @@ func parseNodes(list string) ([]int, error) {
 	return nodes, nil
 }
 
+// checkCounts rejects negative -replica-every and -scale-n values; 0 selects
+// each flag's default.
+func checkCounts(replicaEvery, scaleN int) error {
+	if replicaEvery < 0 {
+		return fmt.Errorf("bad -replica-every value %d (want >= 0)", replicaEvery)
+	}
+	if scaleN < 0 {
+		return fmt.Errorf("bad -scale-n value %d (want >= 0)", scaleN)
+	}
+	return nil
+}
+
 func usage() {
 	fmt.Fprintf(os.Stderr, "usage: dynexp [-paper] [-nodes n,n,...] [-trace out.jsonl] [-summary] [-fault specs] [-replicate] [-replica-every n] [-scale-n n] [-smoke] [-grid spec] [-jobs n] [-out f.jsonl] [-stream] [-cpuprofile f] [-memprofile f] {fig4|cg-table|fig5|fig6|fig7|alloc|microbench|virt|trace|scale|overlap|rma|resize|sweep|all}\n")
 	os.Exit(2)
@@ -151,6 +163,9 @@ func main() {
 	}
 
 	nodes, err := parseNodes(*nodesFlag)
+	if err == nil {
+		err = checkCounts(*replicaEvery, *scaleN)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dynexp: %v\n", err)
 		os.Exit(2)

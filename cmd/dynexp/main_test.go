@@ -26,3 +26,16 @@ func TestParseNodes(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckCounts(t *testing.T) {
+	for _, ok := range [][2]int{{0, 0}, {1, 0}, {0, 64}, {3, 256}} {
+		if err := checkCounts(ok[0], ok[1]); err != nil {
+			t.Errorf("checkCounts(%d, %d) = %v, want nil", ok[0], ok[1], err)
+		}
+	}
+	for _, bad := range [][2]int{{-3, 0}, {0, -5}, {-1, -1}} {
+		if err := checkCounts(bad[0], bad[1]); err == nil {
+			t.Errorf("checkCounts(%d, %d) accepted a negative count", bad[0], bad[1])
+		}
+	}
+}

@@ -113,7 +113,7 @@ func (rt *Runtime) BeginCycle() bool {
 			rt.cycTimer = nil
 			rt.cycOpen = false
 			rt.enterGrace(loads)
-		} else if rt.cycTimer.Cycles() >= rt.cfg.PostRedistGrace {
+		} else if rt.cycTimer.Cycles() >= timing.PostRedistGrace {
 			rt.maybeDrop(loads)
 		} else {
 			rt.cycTimer.Begin()
@@ -289,7 +289,7 @@ func (rt *Runtime) decideRedistribution(loads []int) {
 		rpFr = distribution.RelativePowerFractions(nodes)
 	}
 	if trace || rt.cfg.Method != RelativePower {
-		sbFr = distribution.SuccessiveBalancingFractionsTrace(nodes, total, commCPU, rt.cfg.Model,
+		sbFr = distribution.SuccessiveBalancingFractionsTrace(nodes, total, commCPU, nil,
 			func(round int, _ []float64) { sbRounds = round + 1 })
 	}
 	var fractions []float64

@@ -86,15 +86,9 @@ type Config struct {
 	// GracePeriod is the number of phase cycles measured after a load
 	// change before redistributing (paper default 5).
 	GracePeriod int
-	// PostRedistGrace is the number of cycles monitored after a
-	// redistribution before the drop decision (paper default 10).
-	PostRedistGrace int
 	// MaxRedists caps the number of redistributions (0 = unlimited). The
 	// Figure 5 "Redist Once" configuration uses 1.
 	MaxRedists int
-	// Model is the pair model for successive balancing; nil selects the
-	// analytic model.
-	Model distribution.PairModel
 	// Alloc selects the dense allocation scheme (Projection by default;
 	// Contiguous reproduces the baseline of the §4.1 comparison).
 	Alloc matrix.Alloc
@@ -144,12 +138,11 @@ type Config struct {
 // DefaultConfig returns the paper's default configuration.
 func DefaultConfig() Config {
 	return Config{
-		Adapt:           true,
-		Method:          SuccessiveBalancing,
-		Drop:            DropAuto,
-		GracePeriod:     timing.DefaultGracePeriod,
-		PostRedistGrace: timing.DefaultPostRedistGrace,
-		Alloc:           matrix.Projection,
+		Adapt:       true,
+		Method:      SuccessiveBalancing,
+		Drop:        DropAuto,
+		GracePeriod: timing.DefaultGracePeriod,
+		Alloc:       matrix.Projection,
 	}
 }
 
@@ -158,17 +151,16 @@ type RedistMode int
 
 const (
 	// RedistPipelined (default): post all Irecvs up front, Isend the
-	// outgoing slabs, harvest completions physically with Waitany, then
-	// commit in deterministic schedule order with replay-priced Waits —
-	// virtual clocks, traces and checksums are those of one blocking
-	// receive per transfer in schedule order, whatever physical order the
-	// slabs arrive in.
+	// outgoing slabs, then wait on and commit each receive in schedule order
+	// with replay-priced Waits — virtual clocks, traces and checksums are
+	// those of one blocking receive per transfer in schedule order, whatever
+	// physical order the slabs arrive in.
 	RedistPipelined RedistMode = iota
 	// RedistRMA commits dense transfers through one-sided windows
 	// (rma.go): after the resident windows resize, each receiver exposes
 	// its new window to the ranks the schedule has sending to it, and they
 	// Put packed row slabs directly at destination offsets computed from
-	// the schedule, collapsing the Phase-3 harvest/commit into one pairwise
+	// the schedule, collapsing the Phase-3 receive/commit into one pairwise
 	// epoch per (sender, receiver). The receiver pays no per-message CPU
 	// and no commit touches (the deposit is a modelled DMA). Sparse arrays
 	// and failure recoveries go through the pipelined drain. Opt-in: the
@@ -293,9 +285,6 @@ type Runtime struct {
 func New(comm *mpi.Comm, cfg Config) *Runtime {
 	if cfg.GracePeriod <= 0 {
 		cfg.GracePeriod = timing.DefaultGracePeriod
-	}
-	if cfg.PostRedistGrace <= 0 {
-		cfg.PostRedistGrace = timing.DefaultPostRedistGrace
 	}
 	var m membership
 	var all *mpi.Group

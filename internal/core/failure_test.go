@@ -13,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
+	"repro/internal/timing"
 	"repro/internal/vclock"
 )
 
@@ -68,24 +69,22 @@ func TestUserTagGuards(t *testing.T) {
 // TestPostRedistGraceRestartsOnLoadChange: a load change arriving during the
 // post-redistribution grace window must restart measurement immediately
 // instead of waiting the window out (the second redistribution then lands
-// well inside the first window).
+// inside the first window). Only DropAuto enters that window.
 func TestPostRedistGraceRestartsOnLoadChange(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Drop = DropNever
 	cfg.GracePeriod = 3
-	cfg.PostRedistGrace = 20
 	spec := cluster.Uniform(3).
 		With(cluster.CycleEvent(1, 2, +1)).
-		With(cluster.CycleEvent(2, 13, +1))
+		With(cluster.CycleEvent(2, 9, +1))
 	results := runMini(t, spec, cfg, 48, 45, false)
 	checkValuesAndCoverage(t, results, 48)
 	redists := only[telemetry.RedistRecord](results[0].recs)
 	if len(redists) < 2 {
 		t.Fatalf("saw %d redistributions, want 2 (restart inside post-redist grace)", len(redists))
 	}
-	if gap := redists[1].Cycle - redists[0].Cycle; gap >= cfg.PostRedistGrace {
+	if gap := redists[1].Cycle - redists[0].Cycle; gap >= timing.PostRedistGrace {
 		t.Fatalf("second redistribution waited out the post-redist grace: cycles %d -> %d (window %d)",
-			redists[0].Cycle, redists[1].Cycle, cfg.PostRedistGrace)
+			redists[0].Cycle, redists[1].Cycle, timing.PostRedistGrace)
 	}
 	counts := results[0].counts
 	if counts[1] >= counts[0] || counts[2] >= counts[0] {

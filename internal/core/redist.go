@@ -129,14 +129,6 @@ type redistIn struct {
 	served bool         // a dead source's rows, restored from its replica
 }
 
-// redistHarvestShuffle, when non-nil, replaces the Waitany harvest loop of
-// the nonblocking drain: it receives the posted requests and must claim
-// each exactly once, in any order it likes. The randomized-order
-// equivalence suite uses it to force adversarial physical harvest orders
-// and assert the committed result is unchanged. Test-only (set via
-// export_test.go); nil in production.
-var redistHarvestShuffle func(c *mpi.Comm, reqs []*mpi.Request)
-
 // redistPass is the bookkeeping one redistribution carries from its start to
 // the RedistRecord its end emits.
 type redistPass struct {
@@ -335,13 +327,12 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block, dead []int) {
 
 // drainArray is the message-passing Phase 3 of one array: every Irecv is
 // posted before anything ships, so peers fill the posted requests directly
-// and this rank parks once per arrival instead of once per in-order
-// transfer. The commit — the only part that advances virtual time — runs in
-// schedule order with replay-priced Waits, so clocks, traces and checksums
-// are those of one blocking receive per transfer, whatever the physical
-// arrival order was. A dead source's rows are served by its replica holder
-// on tagServe, so the holder's own slabs and its service never match each
-// other's receives.
+// in whatever order they send. The commit — the only part that advances
+// virtual time — then waits on each in schedule order with replay-priced
+// Waits, so clocks, traces and checksums are those of one blocking receive
+// per transfer, whatever the physical arrival order was. A dead source's
+// rows are served by its replica holder on tagServe, so the holder's own
+// slabs and its service never match each other's receives.
 func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistOut, mv *telemetry.ArrayMove, p *redistPass) {
 	me := rt.comm.Rank()
 	tag, serve := tagRedist+a.index, tagServe+a.index
@@ -390,22 +381,7 @@ func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistO
 		}
 	}
 	rt.comm.Waitall(reqs)
-	// Harvest completions physically, in whatever order they arrive. No
-	// clock moves here: Waitany only claims.
-	reqs = reqs[:0]
-	for k := range ins {
-		if ins[k].req != nil {
-			reqs = append(reqs, ins[k].req)
-		}
-	}
 	rt.reqBuf = reqs
-	if redistHarvestShuffle != nil {
-		redistHarvestShuffle(rt.comm, reqs)
-	} else {
-		for range reqs {
-			rt.comm.Waitany(reqs)
-		}
-	}
 	// Commit in schedule order.
 	for k := range ins {
 		in := &ins[k]

@@ -2,14 +2,12 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
 
@@ -50,16 +48,15 @@ func sameOutcome(t *testing.T, label string, a, b map[int]*miniResult) {
 	}
 }
 
-// TestRedistPipelinedOrderEquivalence is the randomized-completion-order
-// suite: the pipelined Phase 3 must produce byte-identical telemetry traces
-// and identical outcomes no matter in which physical order the incoming
-// slabs are harvested. Seeded shuffles force adversarial claim orders
-// through the redistHarvestShuffle hook; the replay-priced commit must
-// erase them all. The reference is the unshuffled run, whose absolute
-// timeline the exp goldens and sweep checksums pin. The crash row drives a
-// failure recovery through the same drain: owner slabs and a holder's
-// replica service are harvested side by side.
-func TestRedistPipelinedOrderEquivalence(t *testing.T) {
+// TestRedistScheduleOrderReplay: the message-passing Phase 3 waits on and
+// commits its receives in schedule order, so its telemetry trace and outcome
+// cannot depend on the physical order in which slabs arrive. Each scenario
+// runs on one OS thread, where ranks interleave only at blocking points, and
+// on eight, where senders run in parallel and arrival order varies; the two
+// runs must match byte for byte. The crash row drives a failure recovery
+// through the same drain: owner slabs and a holder's replica service arrive
+// side by side.
+func TestRedistScheduleOrderReplay(t *testing.T) {
 	crash := cluster.Uniform(3)
 	crash.Faults = []fault.Fault{fault.CrashAtCycle(2, 5)}
 	replicated := DefaultConfig()
@@ -68,7 +65,7 @@ func TestRedistPipelinedOrderEquivalence(t *testing.T) {
 	replicated.ReplicaEvery = 1
 	plain := DefaultConfig()
 	plain.Drop = DropNever
-	defer func() { redistHarvestShuffle = nil }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, sc := range []struct {
 		name      string
 		spec      cluster.Spec
@@ -78,28 +75,16 @@ func TestRedistPipelinedOrderEquivalence(t *testing.T) {
 		{"load", cpAtCycle(cluster.Uniform(4), 1, 3), plain, 64, 25},
 		{"crash+replicate", crash, replicated, 48, 20},
 	} {
-		redistHarvestShuffle = nil
+		runtime.GOMAXPROCS(1)
 		refRes, refTrace := runMiniTraced(t, sc.spec, sc.cfg, sc.n, sc.cycles)
 		if refRes[0].redists == 0 {
-			t.Fatalf("%s: scenario produced no redistribution; suite is vacuous", sc.name)
+			t.Fatalf("%s: scenario produced no redistribution; test is vacuous", sc.name)
 		}
-		for seed := int64(1); seed <= 4; seed++ {
-			redistHarvestShuffle = func(c *mpi.Comm, reqs []*mpi.Request) {
-				// Claim completions in a seeded random order, spinning
-				// physically (never touching virtual clocks) until each chosen
-				// request lands.
-				rng := rand.New(rand.NewSource(seed*1009 + int64(c.Rank())))
-				for _, i := range rng.Perm(len(reqs)) {
-					for !c.Test(reqs[i]) {
-						runtime.Gosched()
-					}
-				}
-			}
-			res, trace := runMiniTraced(t, sc.spec, sc.cfg, sc.n, sc.cycles)
-			sameOutcome(t, sc.name+" shuffled", refRes, res)
-			if !bytes.Equal(refTrace, trace) {
-				t.Fatalf("%s seed %d: shuffled harvest trace differs from the unshuffled trace", sc.name, seed)
-			}
+		runtime.GOMAXPROCS(8)
+		res, trace := runMiniTraced(t, sc.spec, sc.cfg, sc.n, sc.cycles)
+		sameOutcome(t, sc.name+" GOMAXPROCS 1 vs 8", refRes, res)
+		if !bytes.Equal(refTrace, trace) {
+			t.Fatalf("%s: trace at GOMAXPROCS 8 differs from GOMAXPROCS 1", sc.name)
 		}
 	}
 }

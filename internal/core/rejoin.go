@@ -21,12 +21,12 @@ type loadMsg struct {
 }
 
 // knownDead reports whether rank r is in the deterministically-absorbed
-// dead set. Protocol sends are guarded on this — never on the wall-clock
-// mpi.World.Alive — because a cycle-triggered crash fires in the victim's
-// own goroutine, physically concurrent with the root's poll: an Alive
-// guard would make the root's send charge (and so its virtual clock)
-// depend on goroutine scheduling. The absorbed set advances only at cycle
-// boundaries, identically on every rank and every run. Since adapt.go
+// dead set. Protocol sends are guarded on this — never on the world's
+// wall-clock liveness — because a cycle-triggered crash fires in the
+// victim's own goroutine, physically concurrent with the root's poll: a
+// liveness guard would make the root's send charge (and so its virtual
+// clock) depend on goroutine scheduling. The absorbed set advances only at
+// cycle boundaries, identically on every rank and every run. Since adapt.go
 // prunes crashed removed nodes from rt.removed the same cycle they are
 // detected, these guards never fire after that prune; they are the
 // deterministic belt for the detection window itself.

@@ -335,7 +335,8 @@ func runCrashWhileRemoved(t *testing.T) map[int]*miniResult {
 // TestCrashWhileRemovedDeterministic: the crash-while-removed scenario
 // produces byte-identical traces across runs — the protocol's send charges
 // must not depend on whether the corpse's crash goroutine has fired yet
-// (the reason dead-guards key on the absorbed dead set, not mpi.Alive).
+// (the reason dead-guards key on the absorbed dead set, not wall-clock
+// liveness).
 func TestCrashWhileRemovedDeterministic(t *testing.T) {
 	sameRecords(t, runCrashWhileRemoved(t), runCrashWhileRemoved(t))
 }

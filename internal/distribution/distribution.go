@@ -9,7 +9,6 @@ package distribution
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Node is one candidate participant as seen by the balancer.
@@ -58,38 +57,6 @@ func (AnalyticModel) Fraction(k int, ratio float64) float64 {
 		return naive
 	}
 	return f
-}
-
-// TableModel interpolates fractions measured by micro-benchmarks
-// (BuildTableModel) over a log-spaced grid of comp/comm ratios, per
-// competing-process count. It falls back to the analytic model outside the
-// measured range of k.
-type TableModel struct {
-	Ratios    []float64         // ascending
-	Fractions map[int][]float64 // k -> fraction per ratio
-	fallback  AnalyticModel
-}
-
-// Fraction implements PairModel by log-linear interpolation in ratio.
-func (m *TableModel) Fraction(k int, ratio float64) float64 {
-	if k <= 0 {
-		return 0.5
-	}
-	fs, ok := m.Fractions[k]
-	if !ok || len(fs) == 0 || len(m.Ratios) != len(fs) {
-		return m.fallback.Fraction(k, ratio)
-	}
-	rs := m.Ratios
-	if ratio <= rs[0] {
-		return fs[0]
-	}
-	if ratio >= rs[len(rs)-1] {
-		return fs[len(fs)-1]
-	}
-	i := sort.SearchFloat64s(rs, ratio)
-	lo, hi := i-1, i
-	t := (math.Log(ratio) - math.Log(rs[lo])) / (math.Log(rs[hi]) - math.Log(rs[lo]))
-	return fs[lo] + t*(fs[hi]-fs[lo])
 }
 
 // RelativePowerFractions is the baseline from CRAUL [2]: each node's share

@@ -314,29 +314,6 @@ func TestDropDecisionDegenerateCases(t *testing.T) {
 	}
 }
 
-func TestTableModelInterpolation(t *testing.T) {
-	m := &TableModel{
-		Ratios:    []float64{1, 4, 16},
-		Fractions: map[int][]float64{1: {0.0, 0.2, 0.3}},
-	}
-	if f := m.Fraction(1, 0.5); f != 0 {
-		t.Fatalf("below range: %v", f)
-	}
-	if f := m.Fraction(1, 100); f != 0.3 {
-		t.Fatalf("above range: %v", f)
-	}
-	if f := m.Fraction(1, 2); !almost(f, 0.1, 1e-9) { // log midpoint of 1..4
-		t.Fatalf("midpoint: %v", f)
-	}
-	// Unmeasured k falls back to the analytic model.
-	if f := m.Fraction(2, math.Inf(1)); !almost(f, 0.25, 1e-9) {
-		t.Fatalf("fallback: %v", f)
-	}
-	if m.Fraction(0, 1) != 0.5 {
-		t.Fatal("k=0")
-	}
-}
-
 func TestMeasurePairFractionShape(t *testing.T) {
 	// Compute-bound micro-benchmark: measured fraction near naive 1/3.
 	fHigh := MeasurePairFraction(1, 512)
@@ -347,48 +324,5 @@ func TestMeasurePairFractionShape(t *testing.T) {
 	fLow := MeasurePairFraction(1, 2)
 	if fLow >= fHigh {
 		t.Fatalf("comm-bound fraction %v not below compute-bound %v", fLow, fHigh)
-	}
-}
-
-func TestBuildTableModel(t *testing.T) {
-	m := BuildTableModel([]int{1}, []float64{2, 64})
-	if len(m.Fractions[1]) != 2 {
-		t.Fatal("table shape")
-	}
-	if m.Fractions[1][0] >= m.Fractions[1][1] {
-		t.Fatalf("measured fractions not increasing in ratio: %v", m.Fractions[1])
-	}
-}
-
-// TestOverlapTableShiftsPartition pins the overlap-adjusted decision path:
-// at a communication-bound ratio the overlapped micro-benchmark measures a
-// cheaper effective communication cost (half the budget is wire hidden
-// behind compute), so the loaded node is assigned a strictly larger
-// fraction — and on a canonical 4-node scenario the chosen PartitionWeighted
-// counts actually change.
-func TestOverlapTableShiftsPartition(t *testing.T) {
-	fB := MeasurePairFraction(1, 4)
-	fO := MeasurePairFractionOverlap(1, 4)
-	if fO <= fB {
-		t.Fatalf("overlap fraction %v not above blocking %v at ratio 4", fO, fB)
-	}
-	// Compute-bound limit: overlap cannot help where there is nothing to
-	// hide; the two tables converge.
-	if hB, hO := MeasurePairFraction(1, 512), MeasurePairFractionOverlap(1, 512); !almost(hO, hB, 0.05) {
-		t.Fatalf("compute-bound fractions diverge: blocking %v overlap %v", hB, hO)
-	}
-
-	// Canonical scenario: 4 equal nodes, node 1 carries one CP, workload
-	// shaped so the pair ratio is 4 (totalComp*2/p / commCPU = 2*1/4/0.125).
-	nodes := []Node{{Rank: 0, Power: 1}, {Rank: 1, Power: 1, Load: 1}, {Rank: 2, Power: 1}, {Rank: 3, Power: 1}}
-	ratios := []float64{2, 4, 32}
-	mB := BuildTableModel([]int{1}, ratios)
-	mO := BuildTableModelOverlap([]int{1}, ratios)
-	frB := SuccessiveBalancingFractions(nodes, 1.0, 0.125, mB)
-	frO := SuccessiveBalancingFractions(nodes, 1.0, 0.125, mO)
-	cB := PartitionWeighted(ones(256), frB)
-	cO := PartitionWeighted(ones(256), frO)
-	if cO[1] <= cB[1] {
-		t.Fatalf("overlap table did not raise the loaded node's share: blocking %v overlap %v", cB, cO)
 	}
 }

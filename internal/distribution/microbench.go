@@ -11,8 +11,9 @@ import (
 // This file implements the paper's §4.3 micro-benchmarks: "our approach is
 // to determine effective distributions by executing micro-benchmarks. We
 // executed several synthetic programs for different computation to
-// communication ratios." The resulting table feeds successive balancing
-// through TableModel.
+// communication ratios." The runtime balances with AnalyticModel; the
+// measured fractions are the check on it that `dynexp microbench` prints
+// beside the analytic column.
 
 // pairMakespan runs a synthetic two-node phase program for `cycles` phase
 // cycles: node 1 carries k competing processes and fraction f of the
@@ -55,53 +56,6 @@ func pairMakespan(k int, f, totalComp, commCPU float64, cycles int) float64 {
 	return vclock.Max(finish[0], finish[1]).Seconds()
 }
 
-// pairMakespanOverlap is the nonblocking variant of pairMakespan for an
-// application that overlaps its exchange with computation (the
-// HaloExchangeOverlap pattern): each cycle posts Irecv/Isend first, computes
-// over the in-flight wire time, and waits only at the cycle end. The
-// communication budget is split between CPU cost (commCPU per node per
-// cycle, charged exactly as in pairMakespan) and wire time (wire seconds of
-// message latency, the per-cycle inbound exposure of each node). Wire that
-// fits under the compute is hidden; only the remainder stalls the Wait.
-func pairMakespanOverlap(k int, f, totalComp, commCPU, wire float64, cycles int) float64 {
-	spec := cluster.Uniform(2)
-	for i := 0; i < k; i++ {
-		spec = spec.With(cluster.TimeEvent(1, 0, +1))
-	}
-	lat := vclock.FromSeconds(wire)
-	if lat < vclock.Microsecond {
-		lat = vclock.Microsecond
-	}
-	spec.Net = cluster.NetParams{
-		Latency:       lat,
-		BytesPerSec:   1e12,
-		CPUPerMsg:     vclock.FromSeconds(commCPU / 2),
-		CPUPerByte:    0,
-		MemBandwidth:  1e12,
-		DiskBandwidth: 1e12,
-	}
-	work := [2]vclock.Duration{
-		vclock.FromSeconds(totalComp * (1 - f)),
-		vclock.FromSeconds(totalComp * f),
-	}
-	var finish [2]vclock.Time
-	err := mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
-		me, peer := c.Rank(), 1-c.Rank()
-		for t := 0; t < cycles; t++ {
-			rq := c.Irecv(peer, t)
-			c.Isend(peer, t, nil, 0)
-			c.Node().Compute(work[me])
-			c.Wait(rq)
-		}
-		finish[me] = c.Now()
-		return nil
-	})
-	if err != nil {
-		panic(err) // synthetic program cannot fail
-	}
-	return vclock.Max(finish[0], finish[1]).Seconds()
-}
-
 // MeasurePairFraction grid-searches the loaded node's work fraction that
 // minimises the makespan of the synthetic pair program, for k competing
 // processes at the given computation/communication ratio (pair compute
@@ -122,74 +76,4 @@ func MeasurePairFraction(k int, ratio float64) float64 {
 		}
 	}
 	return bestF
-}
-
-// MeasurePairFractionOverlap is MeasurePairFraction for an application on
-// the nonblocking halo path. The same total communication budget is split
-// evenly between CPU cost and wire time, and the synthetic program overlaps
-// the exchange with its compute, so the wire half is free wherever the
-// compute is long enough to cover it. The measured optimum therefore
-// reflects the *effective post-overlap* comm ratio — roughly twice the
-// nominal one — and assigns the loaded node more work than the blocking
-// table would at the same nominal ratio.
-func MeasurePairFractionOverlap(k int, ratio float64) float64 {
-	const (
-		totalComp = 1.0
-		cycles    = 4
-		points    = 60
-	)
-	comm := totalComp / ratio
-	bestF, bestT := 0.0, math.Inf(1)
-	for i := 0; i <= points; i++ {
-		f := 0.5 * float64(i) / points
-		t := pairMakespanOverlap(k, f, totalComp, comm/2, comm/2, cycles)
-		if t < bestT {
-			bestT, bestF = t, f
-		}
-	}
-	return bestF
-}
-
-// BuildTableModel measures the pair fraction over a grid of CP counts and
-// comp/comm ratios, producing the interpolating model used by successive
-// balancing. This is the programmatic equivalent of the paper's offline
-// micro-benchmark tuning.
-func BuildTableModel(ks []int, ratios []float64) *TableModel {
-	m := &TableModel{
-		Ratios:    append([]float64(nil), ratios...),
-		Fractions: make(map[int][]float64, len(ks)),
-	}
-	for _, k := range ks {
-		fs := make([]float64, len(ratios))
-		for i, r := range ratios {
-			fs[i] = MeasurePairFraction(k, r)
-		}
-		m.Fractions[k] = fs
-	}
-	return m
-}
-
-// BuildTableModelOverlap is BuildTableModel measured with the overlapped
-// synthetic program. Install it as Config.Model for applications that use
-// HaloExchangeOverlap, so successive balancing prices communication at its
-// effective post-overlap cost instead of the nominal blocking cost.
-func BuildTableModelOverlap(ks []int, ratios []float64) *TableModel {
-	m := &TableModel{
-		Ratios:    append([]float64(nil), ratios...),
-		Fractions: make(map[int][]float64, len(ks)),
-	}
-	for _, k := range ks {
-		fs := make([]float64, len(ratios))
-		for i, r := range ratios {
-			fs[i] = MeasurePairFractionOverlap(k, r)
-		}
-		m.Fractions[k] = fs
-	}
-	return m
-}
-
-// DefaultRatios is a log-spaced grid covering the regimes our applications
-// occupy, from communication-bound (1) to compute-bound (1024).
-func DefaultRatios() []float64 {
-	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}
 }

@@ -18,6 +18,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -301,7 +302,7 @@ func ParseSpecs(s string) ([]Fault, error) {
 		if !ok {
 			return nil, fmt.Errorf("fault spec %q: want kind:key=value,...", spec)
 		}
-		f := Fault{AtCycle: -1, To: -1}
+		f := Fault{AtCycle: -1, At: -1, To: -1}
 		switch kindStr {
 		case "crash":
 			f.Kind = Crash
@@ -342,6 +343,9 @@ func ParseSpecs(s string) ([]Fault, error) {
 				v, err := strconv.ParseFloat(val, 64)
 				if err != nil {
 					return nil, fmt.Errorf("fault spec %q: t: %v", spec, err)
+				}
+				if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("fault spec %q: t=%v is not a finite non-negative time", spec, v)
 				}
 				f.At = vclock.Time(vclock.FromSeconds(v))
 			case "dur":

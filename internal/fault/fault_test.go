@@ -139,10 +139,10 @@ func TestParseSpecs(t *testing.T) {
 		t.Fatalf("parsed %d faults, want 5", len(faults))
 	}
 	want := []Fault{
-		{Kind: Crash, Node: 1, AtCycle: 12, To: -1},
-		{Kind: Stall, Node: 2, AtCycle: 8, To: -1, Dur: 50 * vclock.Millisecond},
-		{Kind: Drop, Node: 0, AtCycle: -1, To: 1, After: 5, Count: 3},
-		{Kind: Delay, Node: 0, AtCycle: -1, To: 2, Count: 4, Dur: 10 * vclock.Millisecond},
+		{Kind: Crash, Node: 1, AtCycle: 12, At: -1, To: -1},
+		{Kind: Stall, Node: 2, AtCycle: 8, At: -1, To: -1, Dur: 50 * vclock.Millisecond},
+		{Kind: Drop, Node: 0, AtCycle: -1, At: -1, To: 1, After: 5, Count: 3},
+		{Kind: Delay, Node: 0, AtCycle: -1, At: -1, To: 2, Count: 4, Dur: 10 * vclock.Millisecond},
 		{Kind: Crash, Node: 3, AtCycle: -1, To: -1, At: vclock.Time(250 * vclock.Millisecond)},
 	}
 	for i := range want {
@@ -168,5 +168,30 @@ func TestParseSpecs(t *testing.T) {
 		if _, err := ParseSpecs(spec); err == nil {
 			t.Errorf("ParseSpecs(%q) accepted invalid spec", spec)
 		}
+	}
+
+	// A time trigger that is not a finite non-negative time is rejected by
+	// name, before NewSet could mistake it for a missing trigger.
+	for _, spec := range []string{"crash:node=1,t=NaN", "crash:node=1,t=+Inf", "crash:node=1,t=-3"} {
+		if _, err := ParseSpecs(spec); err == nil || !strings.Contains(err.Error(), "t=") {
+			t.Errorf("ParseSpecs(%q) = %v, want an error naming t", spec, err)
+		}
+	}
+	// A node fault with neither trigger parses, and NewSet rejects it
+	// instead of crashing the node at t = 0.
+	for _, spec := range []string{"crash:node=1", "stall:node=1,dur=5ms"} {
+		fs, err := ParseSpecs(spec)
+		if err != nil {
+			t.Fatalf("ParseSpecs(%q): %v", spec, err)
+		}
+		if _, err := NewSet(4, fs); err == nil || !strings.Contains(err.Error(), "needs cycle or time trigger") {
+			t.Errorf("NewSet(%q) = %v, want a missing-trigger error", spec, err)
+		}
+	}
+	// t=0 is a trigger.
+	if fs, err := ParseSpecs("crash:node=1,t=0"); err != nil || fs[0].At != 0 {
+		t.Errorf("ParseSpecs(t=0) = %+v, %v", fs, err)
+	} else if _, err := NewSet(4, fs); err != nil {
+		t.Errorf("NewSet(t=0): %v", err)
 	}
 }

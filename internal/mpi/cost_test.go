@@ -69,7 +69,7 @@ func TestAllreduceLengthMismatchFailsWorld(t *testing.T) {
 
 func TestBcastInvalidRootFailsWorld(t *testing.T) {
 	err := Run(cluster.New(cluster.Uniform(2)), func(c *Comm) error {
-		c.Bcast(c.World().AllGroup(), 7, nil, 0)
+		c.BcastErr(c.World().AllGroup(), 7, nil, 0)
 		return nil
 	})
 	if err == nil {
@@ -83,7 +83,7 @@ func TestRecvF64sTypeMismatchFailsWorld(t *testing.T) {
 			c.Send(1, 0, "not floats", 8)
 			return nil
 		}
-		c.RecvF64s(0, 0)
+		c.RecvF64sErr(0, 0)
 		return nil
 	})
 	if err == nil {

@@ -49,7 +49,9 @@ func TestGatherFinishBeatsAllgatherInWorld(t *testing.T) {
 			t.Errorf("rank %d: non-root gather result non-nil", c.Rank())
 		}
 		start = c.Now()
-		c.Allgather(g, c.Rank(), bytes)
+		if _, err := c.AllgatherErr(g, c.Rank(), bytes); err != nil {
+			return err
+		}
 		allgatherT := c.Now().Sub(start)
 		if gatherT >= allgatherT {
 			t.Errorf("rank %d: gather took %v, allgather %v — gather must be strictly cheaper", c.Rank(), gatherT, allgatherT)

@@ -393,9 +393,6 @@ func (w *World) NewGroup(members []int) *Group {
 // AllGroup returns the group containing every world rank.
 func (w *World) AllGroup() *Group { return w.all }
 
-// Members returns the group's world ranks (callers must not mutate).
-func (g *Group) Members() []int { return g.members }
-
 // Size reports the number of group members.
 func (g *Group) Size() int { return len(g.members) }
 

@@ -87,7 +87,7 @@ func TestF64sMatchesUntypedVirtualTime(t *testing.T) {
 
 // The two ends must agree on the family: an untyped receive of a float64
 // send sees the *F64Msg itself, and a float64 receive of anything else is a
-// type mismatch that fails the world, like RecvF64s.
+// type mismatch that fails the world.
 func TestF64sTypeMismatch(t *testing.T) {
 	runPair(t, func(c *Comm, me, peer int) {
 		c.SendF64s(peer, 1, []float64{7, 8})

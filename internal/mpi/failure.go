@@ -73,9 +73,6 @@ func (w *World) Kill(rank int) {
 	}
 }
 
-// Alive reports whether rank has not crashed.
-func (w *World) Alive(rank int) bool { return !w.dead[rank].Load() }
-
 // DeadRanks returns the sorted list of crashed ranks.
 func (w *World) DeadRanks() []int {
 	var out []int

@@ -214,8 +214,8 @@ func TestKillIdempotentAndDeadRanksSorted(t *testing.T) {
 	w.Kill(3)
 	w.Kill(1)
 	w.Kill(3)
-	if w.Alive(1) || w.Alive(3) || !w.Alive(0) || !w.Alive(2) {
-		t.Fatal("Alive disagrees with Kill")
+	if !w.dead[1].Load() || !w.dead[3].Load() || w.dead[0].Load() || w.dead[2].Load() {
+		t.Fatal("dead bitmap disagrees with Kill")
 	}
 	dead := w.DeadRanks()
 	if len(dead) != 2 || dead[0] != 1 || dead[1] != 3 {

@@ -80,9 +80,8 @@ func TestGroupAccessors(t *testing.T) {
 	if _, ok := g.Slot(2); ok {
 		t.Fatal("non-member has a slot")
 	}
-	m := g.Members()
-	if len(m) != 2 || m[0] != 3 {
-		t.Fatalf("Members = %v", m)
+	if m := g.members; len(m) != 2 || m[0] != 3 {
+		t.Fatalf("members = %v", m)
 	}
 }
 

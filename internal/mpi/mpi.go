@@ -136,7 +136,7 @@ type mailbox struct {
 
 	// Nonblocking receives posted by the owning rank, in post order.
 	// Senders fill the first matching entry directly, bypassing the
-	// queues; reqWait is set while the owner blocks in Wait/Waitany.
+	// queues; reqWait is set while the owner blocks in Wait.
 	posted  []*Request
 	reqWait bool
 }
@@ -247,9 +247,7 @@ type World struct {
 		byKey map[string]*Group
 	}
 
-	// size is the number of ranks spawned so far (seed n, grown by Spawn);
 	// spawned[i] marks arrival slot n+i as claimed.
-	size    atomic.Int32
 	spawned []atomic.Bool
 
 	// SPMD harness state, set by Run so Spawn can launch joiners running
@@ -277,7 +275,6 @@ type World struct {
 // preallocated capacity for every arrival node.
 func NewWorld(cl *cluster.Cluster) *World {
 	w := &World{cl: cl, n: cl.N(), cap: cl.MaxN(), flt: cl.FaultSet()}
-	w.size.Store(int32(w.n))
 	w.spawned = make([]atomic.Bool, w.cap-w.n)
 	w.dead = make([]atomic.Bool, w.cap)
 	w.boxes = make([]mailbox, w.cap)
@@ -300,9 +297,6 @@ func (w *World) N() int { return w.n }
 
 // Cap reports the world's rank capacity: seed ranks plus arrival slots.
 func (w *World) Cap() int { return w.cap }
-
-// CurSize reports the number of ranks spawned so far (seed + joined).
-func (w *World) CurSize() int { return int(w.size.Load()) }
 
 // Cluster returns the underlying cluster model.
 func (w *World) Cluster() *cluster.Cluster { return w.cl }
@@ -540,7 +534,7 @@ func (c *Comm) ReleaseF64s(m *F64Msg) {
 }
 
 // asF64Msg unwraps the payload of a float64 send; anything else is a type
-// mismatch between the two ends and panics, like RecvF64s.
+// mismatch between the two ends and panics.
 func (c *Comm) asF64Msg(p any, st Status) *F64Msg {
 	m, ok := p.(*F64Msg)
 	if !ok {
@@ -679,16 +673,6 @@ func (c *Comm) RecvF64sErr(src, tag int) (*F64Msg, error) {
 	return c.asF64Msg(p, st), nil
 }
 
-// RecvF64s receives a []float64 payload, panicking on type mismatch.
-func (c *Comm) RecvF64s(src, tag int) ([]float64, Status) {
-	p, st := c.Recv(src, tag)
-	v, ok := p.([]float64)
-	if !ok {
-		panic(fmt.Sprintf("mpi: rank %d expected []float64 from %d tag %d, got %T", c.rank, st.Source, st.Tag, p))
-	}
-	return v, st
-}
-
 // F64Bytes reports the wire size of n float64 values.
 func F64Bytes(n int) int { return 8 * n }
 
@@ -775,7 +759,6 @@ func (w *World) Spawn(ranks []int) {
 			panic(fmt.Sprintf("mpi: rank %d spawned twice", r))
 		}
 	}
-	w.size.Add(int32(len(ranks)))
 	for _, r := range ranks {
 		w.launch(r)
 	}
@@ -834,20 +817,10 @@ func (g *Group) bcastRootSlot(root int) int {
 	return s
 }
 
-// Bcast distributes the root's payload (of the given wire size) to every
-// group member and returns it. root is a world rank.
-func (c *Comm) Bcast(g *Group, root int, payload any, bytes int) any {
-	rootSlot := g.bcastRootSlot(root)
-	var contrib any
-	if c.rank == root {
-		contrib = payload
-	}
-	return c.rendezvous(g, contrib, nil, &collDesc{kind: opBcast, bytes: bytes, rootSlot: rootSlot}, nil)
-}
-
-// BcastErr is Bcast returning an error instead of failing the world when a
-// group member is dead. If the root itself died the error names it and no
-// payload is delivered.
+// BcastErr distributes the root's payload (of the given wire size) to every
+// group member and returns it. root is a world rank. When a group member is
+// dead it returns an error instead of failing the world; if the root itself
+// died the error names it and no payload is delivered.
 func (c *Comm) BcastErr(g *Group, root int, payload any, bytes int) (any, error) {
 	rootSlot := g.bcastRootSlot(root)
 	var contrib any
@@ -862,7 +835,7 @@ func (c *Comm) BcastErr(g *Group, root int, payload any, bytes int) (any, error)
 // shared intermediate is pooled and each member copies out before releasing
 // the op, so the root may overwrite its buffer as soon as the call returns
 // and steady-state broadcasts recycle their vectors. Wire size and virtual
-// cost are identical to Bcast with an F64Bytes payload.
+// cost are identical to BcastErr with an F64Bytes payload.
 func (c *Comm) BcastF64sInto(g *Group, root int, buf []float64) {
 	rootSlot := g.bcastRootSlot(root)
 	var vec []float64
@@ -975,15 +948,9 @@ func (c *Comm) AllreduceMaxErr(g *Group, v float64) (float64, error) {
 	return c.sbuf[0], nil
 }
 
-// Allgather collects every member's contribution, ordered by group slot,
-// on every member. bytes is the wire size of one contribution.
-func (c *Comm) Allgather(g *Group, contrib any, bytes int) []any {
-	res := c.rendezvous(g, contrib, nil, &collDesc{kind: opAllgather, bytes: bytes}, nil)
-	return res.([]any)
-}
-
-// AllgatherErr is Allgather returning an error instead of failing the
-// world when a group member is dead.
+// AllgatherErr collects every member's contribution, ordered by group slot,
+// on every member. bytes is the wire size of one contribution. When a group
+// member is dead it returns an error instead of failing the world.
 func (c *Comm) AllgatherErr(g *Group, contrib any, bytes int) ([]any, error) {
 	res, err := c.rendezvousErr(g, contrib, nil, &collDesc{kind: opAllgather, bytes: bytes}, nil)
 	if err != nil {
@@ -992,23 +959,13 @@ func (c *Comm) AllgatherErr(g *Group, contrib any, bytes int) ([]any, error) {
 	return res.([]any), nil
 }
 
-// AllgatherF64 gathers one float64 per member, ordered by slot, into a
-// fresh slice. Hot paths that gather every cycle should prefer
-// AllgatherF64sInto, which writes into a caller-owned buffer and performs
-// no boxing.
-func (c *Comm) AllgatherF64(g *Group, v float64) []float64 {
-	out := make([]float64, len(g.members))
-	c.AllgatherF64sInto(g, v, out)
-	return out
-}
-
 // AllgatherF64sInto gathers one float64 per member, ordered by slot, into
 // dst (which must have length >= the group size). Contributions travel
 // through the rank's pinned scratch and the shared result vector is pooled
 // with copy-out-before-release semantics (the same contract as
 // BcastF64sInto), so steady-state gathers perform no boxing and no
 // allocation. Wire size and virtual cost are identical to an 8-byte
-// Allgather.
+// AllgatherErr.
 func (c *Comm) AllgatherF64sInto(g *Group, v float64, dst []float64) {
 	c.sbuf[0] = v
 	c.rendezvous(g, nil, c.sbuf[:], &collDesc{kind: opAllgatherF64, bytes: 8, pooled: true}, dst)
@@ -1021,16 +978,6 @@ func (c *Comm) AllgatherF64sIntoErr(g *Group, v float64, dst []float64) error {
 	c.sbuf[0] = v
 	_, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllgatherF64, bytes: 8, pooled: true}, dst)
 	return err
-}
-
-// AllgatherInt gathers one int per member, ordered by slot.
-func (c *Comm) AllgatherInt(g *Group, v int) []int {
-	parts := c.Allgather(g, v, 8)
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		out[i] = p.(int)
-	}
-	return out
 }
 
 // Gather collects contributions on root (world rank); root receives the

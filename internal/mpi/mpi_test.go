@@ -18,13 +18,19 @@ func run(t *testing.T, n int, fn func(*Comm) error) {
 	}
 }
 
+// recvF64s receives a message whose payload is a plain []float64.
+func recvF64s(c *Comm, src, tag int) ([]float64, Status) {
+	p, st := c.Recv(src, tag)
+	return p.([]float64), st
+}
+
 func TestSendRecvDeliversData(t *testing.T) {
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 7, []float64{1, 2, 3}, F64Bytes(3))
 			return nil
 		}
-		v, st := c.RecvF64s(0, 7)
+		v, st := recvF64s(c, 0, 7)
 		if st.Source != 0 || st.Tag != 7 || st.Bytes != 24 {
 			return fmt.Errorf("status %+v", st)
 		}
@@ -59,8 +65,8 @@ func TestTagMatching(t *testing.T) {
 			return nil
 		}
 		// Receive out of order by tag.
-		v2, _ := c.RecvF64s(0, 2)
-		v1, _ := c.RecvF64s(0, 1)
+		v2, _ := recvF64s(c, 0, 2)
+		v1, _ := recvF64s(c, 0, 1)
 		if v1[0] != 1 || v2[0] != 2 {
 			return fmt.Errorf("got %v %v", v1, v2)
 		}
@@ -77,7 +83,7 @@ func TestFIFOPerSourceTag(t *testing.T) {
 			return nil
 		}
 		for i := 0; i < 10; i++ {
-			v, _ := c.RecvF64s(0, 3)
+			v, _ := recvF64s(c, 0, 3)
 			if v[0] != float64(i) {
 				return fmt.Errorf("out of order: got %v want %d", v[0], i)
 			}
@@ -92,7 +98,7 @@ func TestAnySourceAndTag(t *testing.T) {
 			c.Send(1, 9, []float64{5}, 8)
 			return nil
 		}
-		v, st := c.RecvF64s(AnySource, AnyTag)
+		v, st := recvF64s(c, AnySource, AnyTag)
 		if v[0] != 5 || st.Source != 0 || st.Tag != 9 {
 			return fmt.Errorf("got %v %+v", v, st)
 		}
@@ -107,7 +113,7 @@ func TestRingPassing(t *testing.T) {
 		next := (c.Rank() + 1) % n
 		prev := (c.Rank() + n - 1) % n
 		c.Send(next, 0, token, 8)
-		got, _ := c.RecvF64s(prev, 0)
+		got, _ := recvF64s(c, prev, 0)
 		if got[0] != float64(prev) {
 			return fmt.Errorf("rank %d got %v", c.Rank(), got)
 		}
@@ -149,7 +155,10 @@ func TestBcast(t *testing.T) {
 		if c.Rank() == 2 {
 			payload = "hello"
 		}
-		got := c.Bcast(c.World().AllGroup(), 2, payload, 5)
+		got, err := c.BcastErr(c.World().AllGroup(), 2, payload, 5)
+		if err != nil {
+			return err
+		}
 		if got.(string) != "hello" {
 			return fmt.Errorf("rank %d got %v", c.Rank(), got)
 		}
@@ -190,13 +199,21 @@ func TestAllreduceVector(t *testing.T) {
 
 func TestAllgatherOrdering(t *testing.T) {
 	run(t, 4, func(c *Comm) error {
-		vals := c.AllgatherF64(c.World().AllGroup(), float64(c.Rank()*10))
+		vals := make([]float64, 4)
+		c.AllgatherF64sInto(c.World().AllGroup(), float64(c.Rank()*10), vals)
 		for i, v := range vals {
 			if v != float64(i*10) {
 				return fmt.Errorf("slot %d = %v", i, v)
 			}
 		}
-		ints := c.AllgatherInt(c.World().AllGroup(), c.Rank())
+		parts, err := c.AllgatherErr(c.World().AllGroup(), c.Rank(), 8)
+		if err != nil {
+			return err
+		}
+		ints := make([]int, len(parts))
+		for i, p := range parts {
+			ints[i] = p.(int)
+		}
 		if !sort.IntsAreSorted(ints) {
 			return fmt.Errorf("ints %v", ints)
 		}
@@ -473,7 +490,7 @@ func TestBigTrafficVolume(t *testing.T) {
 			seen := map[float64]bool{}
 			for s := 0; s < 2; s++ {
 				for i := 0; i < k; i++ {
-					v, _ := c.RecvF64s(s, i%7)
+					v, _ := recvF64s(c, s, i%7)
 					if seen[v[0]] {
 						return fmt.Errorf("duplicate %v", v[0])
 					}

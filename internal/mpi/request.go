@@ -27,24 +27,22 @@ import (
 //     and the freed amount is credited to Comm.HiddenWire.
 //
 // Determinism: the only virtual-time effects are in Wait (WaitUntil +
-// Compute), which runs on the caller's own goroutine in program order.
-// Waitany is purely physical — it reports which request happens to be
-// complete without touching any clock — so callers that need deterministic
-// virtual timing must impose their own order on the Wait calls (see
-// internal/core/redist.go for the re-sequenced commit pattern).
+// Compute), which runs on the caller's own goroutine in program order, so
+// the order of the Wait calls — never the physical order in which requests
+// complete — fixes the virtual timeline (internal/core/redist.go waits in
+// schedule order).
 
 // Request is one in-flight nonblocking operation. Requests are owned by the
 // issuing Comm's goroutine, pooled per Comm, and recycled by the Wait
 // family; after a successful or failed Wait the pointer must not be reused.
 type Request struct {
-	c       *Comm
-	send    bool // send requests complete at post time (eager buffering)
-	src     int  // peer rank: source for receives, destination for sends
-	tag     int
-	done    bool // envelope captured (guarded by the owning mailbox mutex)
-	claimed bool // harvested by Waitany, not yet waited on
-	postVT  vclock.Time
-	env     envelope
+	c      *Comm
+	send   bool // send requests complete at post time (eager buffering)
+	src    int  // peer rank: source for receives, destination for sends
+	tag    int
+	done   bool // envelope captured (guarded by the owning mailbox mutex)
+	postVT vclock.Time
+	env    envelope
 }
 
 // getReq pops a pooled request. A dry pool is refilled with one slab of
@@ -67,7 +65,7 @@ func (c *Comm) getReq() *Request {
 
 // putReq resets and recycles a request. Only the owning goroutine calls it.
 func (c *Comm) putReq(r *Request) {
-	r.send, r.done, r.claimed = false, false, false
+	r.send, r.done = false, false
 	r.env = envelope{} // release the payload reference for the GC
 	c.reqFree = append(c.reqFree, r)
 }
@@ -277,53 +275,4 @@ func (c *Comm) Waitall(reqs []*Request) error {
 		return &RankFailedError{Op: "waitall", Ranks: keep}
 	}
 	return nil
-}
-
-// Waitany blocks until some unclaimed request in reqs is physically
-// complete (or can only fail because its peer is dead), marks it claimed,
-// and returns its index; the caller then runs Wait/WaitErr on it. It
-// returns -1 when every entry is nil or already claimed. Waitany advances
-// no virtual clock and charges no cost — it answers "what has arrived?",
-// not "when?" — so harvest order may be physically nondeterministic while
-// the virtual timeline stays fully determined by the subsequent Wait calls.
-func (c *Comm) Waitany(reqs []*Request) int {
-	c.checkFailed()
-	box := &c.w.boxes[c.rank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	for {
-		pending := false
-		for i, r := range reqs {
-			if r == nil || r.claimed {
-				continue
-			}
-			if r.done || r.send ||
-				(c.w.deadCount.Load() > 0 && c.w.dead[r.src].Load()) {
-				r.claimed = true
-				return i
-			}
-			pending = true
-		}
-		if !pending {
-			return -1
-		}
-		if c.w.failed.Load() {
-			panic(errFailed)
-		}
-		box.reqWait = true
-		box.cond.Wait()
-	}
-}
-
-// Test reports whether req is physically complete: Wait on it would not
-// block. A receive whose peer died without sending also tests true — the
-// Wait would return its RankFailedError immediately. No clock is touched.
-func (c *Comm) Test(req *Request) bool {
-	if req.send {
-		return true
-	}
-	box := &c.w.boxes[c.rank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	return req.done || (c.w.deadCount.Load() > 0 && c.w.dead[req.src].Load())
 }

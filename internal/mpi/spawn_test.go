@@ -18,16 +18,16 @@ import (
 func TestSpawnGrownWorldRunsCollectives(t *testing.T) {
 	spec := cluster.Uniform(2).WithArrival(1.0, -1).WithArrival(1.0, -1)
 	w := NewWorld(cluster.New(spec))
-	if w.N() != 2 || w.Cap() != 4 || w.CurSize() != 2 {
-		t.Fatalf("world sizes N=%d Cap=%d CurSize=%d, want 2/4/2", w.N(), w.Cap(), w.CurSize())
+	if w.N() != 2 || w.Cap() != 4 || w.spawned[0].Load() || w.spawned[1].Load() {
+		t.Fatalf("world sizes N=%d Cap=%d, want 2/4 with no arrival spawned", w.N(), w.Cap())
 	}
 	var mu sync.Mutex
 	sums := map[int]float64{}
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.World().Spawn([]int{2, 3})
-			if got := c.World().CurSize(); got != 4 {
-				return fmt.Errorf("CurSize after Spawn = %d, want 4", got)
+			if w := c.World(); !w.spawned[0].Load() || !w.spawned[1].Load() {
+				return errors.New("arrival slots not marked spawned after Spawn")
 			}
 		}
 		if c.Spawned() != (c.Rank() >= 2) {
@@ -37,13 +37,13 @@ func TestSpawnGrownWorldRunsCollectives(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			c.Send(3, 5, []float64{30}, 8)
-			if v, _ := c.RecvF64s(2, 6); v[0] != 20 {
+			if v, _ := recvF64s(c, 2, 6); v[0] != 20 {
 				return fmt.Errorf("rank 0 got %v from spawned rank 2", v)
 			}
 		case 2:
 			c.Send(0, 6, []float64{20}, 8)
 		case 3:
-			if v, _ := c.RecvF64s(0, 5); v[0] != 30 {
+			if v, _ := recvF64s(c, 0, 5); v[0] != 30 {
 				return fmt.Errorf("rank 3 got %v from rank 0", v)
 			}
 		}

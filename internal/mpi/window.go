@@ -423,8 +423,9 @@ func (win *Win) pscwDoneTag() int { return pscwTagBase + 2*win.id + 1 }
 
 // WinPost opens an exposure epoch: it declares that exactly origins may
 // access this rank's window until the matching WinWaitErr, and sends each
-// a post notification carrying note (delivered to its WinStartErr — a
-// side-band for pairwise protocol state, e.g. a transport-mode verdict).
+// a post notification carrying note (delivered to its WinStartErr). The
+// runtime passes 0; the parameter stays because the benchmark calls this
+// signature, and goes together with WinStart's notes when that code changes.
 // The call does not block: posts to dead origins are dropped in delivery
 // and the deaths surface at the wait.
 func (c *Comm) WinPost(win *Win, origins []int, note int64) {

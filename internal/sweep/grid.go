@@ -16,6 +16,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -227,6 +228,9 @@ func (g *Grid) Validate() error {
 		if k.v < 0 {
 			return fmt.Errorf("sweep: %s %d is negative", k.name, k.v)
 		}
+	}
+	if g.CostPerElem < 0 || math.IsNaN(g.CostPerElem) || math.IsInf(g.CostPerElem, 0) {
+		return fmt.Errorf("sweep: CostPerElem %v is not a finite non-negative cost", g.CostPerElem)
 	}
 	if g.CPNode >= minRanks {
 		return fmt.Errorf("sweep: CP node %d outside smallest world (%d ranks)", g.CPNode, minRanks)

@@ -307,7 +307,8 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 	for _, invalid := range []string{"scen=quux", "ranks=1", "fault=flood", "iters=0", "resize=shuffle", "resize=grow;resizeadd=0", "resize=grow;resizecycle=99",
-		"cpnode=-1", "cpcycle=-3", "crashnode=-1", "crashcycle=-2", "fault=none;crashnode=-1"} {
+		"cpnode=-1", "cpcycle=-3", "crashnode=-1", "crashcycle=-2", "fault=none;crashnode=-1",
+		"cost=-1", "cost=NaN", "cost=+Inf"} {
 		g := Smoke()
 		if err := g.ParseSpec(invalid); err != nil {
 			t.Fatalf("parse %q: %v", invalid, err)

@@ -30,9 +30,9 @@ const ProcGranularity = 10 * vclock.Millisecond
 // computing a distribution ("five phase cycle iterations").
 const DefaultGracePeriod = 5
 
-// DefaultPostRedistGrace is the monitoring period after a redistribution
-// used by the drop decision ("currently ten phase cycle iterations").
-const DefaultPostRedistGrace = 10
+// PostRedistGrace is the monitoring period after a redistribution used by
+// the drop decision ("currently ten phase cycle iterations").
+const PostRedistGrace = 10
 
 // quantize truncates d to the /PROC granularity.
 func quantize(d vclock.Duration) vclock.Duration {
