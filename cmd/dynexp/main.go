@@ -88,14 +88,18 @@ func parseNodes(list string) ([]int, error) {
 	return nodes, nil
 }
 
-// checkCounts rejects negative -replica-every and -scale-n values; 0 selects
-// each flag's default.
-func checkCounts(replicaEvery, scaleN int) error {
+// checkCounts rejects negative -replica-every and -scale-n values (0 selects
+// each flag's default) and a -jobs below 1: a pool needs a worker, and the
+// flag's default is 4, so 0 has no "default" meaning to fall back to.
+func checkCounts(replicaEvery, scaleN, jobs int) error {
 	if replicaEvery < 0 {
 		return fmt.Errorf("bad -replica-every value %d (want >= 0)", replicaEvery)
 	}
 	if scaleN < 0 {
 		return fmt.Errorf("bad -scale-n value %d (want >= 0)", scaleN)
+	}
+	if jobs < 1 {
+		return fmt.Errorf("bad -jobs value %d (want >= 1)", jobs)
 	}
 	return nil
 }
@@ -164,7 +168,7 @@ func main() {
 
 	nodes, err := parseNodes(*nodesFlag)
 	if err == nil {
-		err = checkCounts(*replicaEvery, *scaleN)
+		err = checkCounts(*replicaEvery, *scaleN, *jobs)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dynexp: %v\n", err)

@@ -28,14 +28,15 @@ func TestParseNodes(t *testing.T) {
 }
 
 func TestCheckCounts(t *testing.T) {
-	for _, ok := range [][2]int{{0, 0}, {1, 0}, {0, 64}, {3, 256}} {
-		if err := checkCounts(ok[0], ok[1]); err != nil {
-			t.Errorf("checkCounts(%d, %d) = %v, want nil", ok[0], ok[1], err)
+	// {replica-every, scale-n, jobs}
+	for _, ok := range [][3]int{{0, 0, 4}, {1, 0, 1}, {0, 64, 8}, {3, 256, 4}} {
+		if err := checkCounts(ok[0], ok[1], ok[2]); err != nil {
+			t.Errorf("checkCounts(%v) = %v, want nil", ok, err)
 		}
 	}
-	for _, bad := range [][2]int{{-3, 0}, {0, -5}, {-1, -1}} {
-		if err := checkCounts(bad[0], bad[1]); err == nil {
-			t.Errorf("checkCounts(%d, %d) accepted a negative count", bad[0], bad[1])
+	for _, bad := range [][3]int{{-3, 0, 4}, {0, -5, 4}, {-1, -1, 4}, {0, 0, 0}, {0, 0, -3}} {
+		if err := checkCounts(bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("checkCounts(%v) accepted a count out of range", bad)
 		}
 	}
 }

@@ -210,8 +210,8 @@ func (rt *Runtime) commitServed(a *regArray, lo, hi int, payload any) {
 		rt.recoveredRows += rhi - rlo
 	}
 	putDenseSlab(rs)
-	rt.loseRows(a, lo, minI(rlo, hi))
-	rt.loseRows(a, maxI(rhi, lo), hi)
+	rt.loseRows(a, lo, min(rlo, hi))
+	rt.loseRows(a, max(rhi, lo), hi)
 }
 
 // restoreLocal reconstructs rows [lo,hi) of a dense array from this rank's
@@ -378,7 +378,7 @@ func intersect(lo, hi int, rep *replica) (int, int) {
 	if rep == nil {
 		return lo, lo
 	}
-	plo, phi := maxI(lo, rep.lo), minI(hi, rep.hi)
+	plo, phi := max(lo, rep.lo), min(hi, rep.hi)
 	if phi < plo {
 		return lo, lo
 	}
@@ -403,18 +403,4 @@ func withoutInts(s, drop []int) []int {
 		}
 	}
 	return out
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

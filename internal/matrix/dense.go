@@ -148,8 +148,8 @@ func (d *Dense) SetWindow(lo, hi int) {
 	}
 	newRows = newRows[:n]
 
-	keepLo, keepHi := maxInt(lo, oldLo), minInt(hi, oldHi) // retained global range
-	retained := maxInt(0, keepHi-keepLo)
+	keepLo, keepHi := max(lo, oldLo), min(hi, oldHi) // retained global range
+	retained := max(0, keepHi-keepLo)
 
 	switch d.scheme {
 	case Projection:
@@ -261,18 +261,4 @@ func (d *Dense) Fill(f func(g, j int) float64) {
 			row[j] = f(g, j)
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

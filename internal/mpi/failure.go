@@ -17,7 +17,7 @@ var errCrashed = errors.New("mpi: rank crashed")
 // RankFailedError reports that an operation could not complete because one
 // or more peer ranks are dead. Ranks is sorted and never empty.
 type RankFailedError struct {
-	Op    string // "recv", "irecv", "waitall" or "collective"
+	Op    string // "recv", "irecv", "waitall", "collective", "win-start", "win-complete" or "win-wait"
 	Ranks []int
 }
 
@@ -25,10 +25,10 @@ func (e *RankFailedError) Error() string {
 	return fmt.Sprintf("mpi: %s failed: dead rank(s) %v", e.Op, e.Ranks)
 }
 
-// Kill marks rank as dead and wakes every blocked rank so liveness checks
-// re-run. It is idempotent. The mailbox waiters keep their posted patterns
-// (unlike fail, which voids them): a receive that can still be satisfied by
-// a live sender simply re-parks. For every group the dead rank belongs to,
+// Kill marks rank as dead and hands every rank a wake token so liveness
+// checks re-run. It is idempotent. Posted receives stay posted (unlike
+// fail, which voids them): a receive that can still be satisfied by a live
+// sender simply re-parks. For every group the dead rank belongs to,
 // Kill also adopts the rank's unconsumed error results: a member that dies
 // after a collective failure was published was counted as a live consumer,
 // and without adoption its share would pin the rendezvous slot forever (the
@@ -39,17 +39,13 @@ func (w *World) Kill(rank int) {
 	}
 	w.deadCount.Add(1)
 	for r := range w.boxes {
-		b := &w.boxes[r]
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		w.signal(r) // ranks parked in a collective recheck too
+		w.signal(r)
 	}
-	// The dead rank's own posted nonblocking receives are orphans: no Wait
-	// will ever drain them. Reclaim them here so they do not count as
-	// leaked operations; live ranks' requests on the dead peer stay posted
-	// and resolve to RankFailedError at their Wait (the broadcast above
-	// re-runs those liveness checks). Queued envelopes are purged for the
+	// The dead rank's own posted receives are orphans: no Wait will ever
+	// drain them. Reclaim them here so they do not count as leaked
+	// operations; live ranks' requests on the dead peer stay posted and
+	// resolve to RankFailedError at their Wait (the tokens above re-run
+	// those liveness checks). Queued envelopes are purged for the
 	// same reason — nothing will ever receive them — and deliver drops any
 	// that arrive later, so a corpse's mailbox stays empty instead of
 	// accreting protocol pings forever.

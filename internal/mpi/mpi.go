@@ -114,31 +114,26 @@ type boxStore struct {
 
 // mailbox is one rank's incoming message store, indexed by (src,tag) so
 // matching is O(1) instead of a linear scan of one shared queue. Only the
-// owning rank's goroutine receives from a mailbox, so there is at most one
-// waiter; senders signal it only when an arriving message matches the
-// receiver's posted (src,tag) pattern, eliminating spurious wakeups when
-// many senders target one receiver with unrelated tags.
+// owning rank's goroutine receives from a mailbox. A receive that finds no
+// queued match is posted, and a sender fills the first posted request whose
+// pattern matches; the owner parks on its wake channel (World.wake) and is
+// handed a token only when the request it waits on is filled, so many
+// senders targeting one receiver with unrelated tags never disturb it.
 //
-// Wildcard receives (AnySource/AnyTag) pick the matching envelope with the
-// lowest arrival number across all queues, preserving the arrival-order
-// semantics of the old single-queue implementation exactly.
+// Wildcard receives (AnySource/AnyTag) take the queued match with the lowest
+// arrival number across all queues, preserving the arrival-order semantics
+// of the old single-queue implementation exactly.
 type mailbox struct {
 	mu    sync.Mutex
-	cond  sync.Cond // L is &mu
 	store *boxStore // nil until first used, see storage
 	seq   uint64    // next arrival number
 	total int       // envelopes currently queued across all keys
 
-	// The receiver's posted wait, valid while waiting is true.
-	waiting bool
-	wantSrc int
-	wantTag int
-
-	// Nonblocking receives posted by the owning rank, in post order.
-	// Senders fill the first matching entry directly, bypassing the
-	// queues; reqWait is set while the owner blocks in Wait.
+	// Receives posted by the owning rank, in post order. Senders fill the
+	// first matching entry directly, bypassing the queues; reqWait is the
+	// one the owner is parked on, nil while it is not.
 	posted  []*Request
-	reqWait bool
+	reqWait *Request
 }
 
 // storage returns the mailbox's store, allocating it on first use. Callers
@@ -262,12 +257,13 @@ type World struct {
 	deadCount atomic.Int32
 	flt       *fault.Set // scenario faults; nil when none are injected
 
-	// wake[r] is rank r's parking spot in collectives: a capacity-1 channel
-	// used as a binary semaphore. A rank blocks in at most one collective at
-	// a time, so one channel serves every op of every group it is in.
-	// Signallers send non-blocking (a full channel already holds a token). A
-	// token names no op: the receiver always rechecks its op's pub, so a
-	// stale one is a spurious recheck and a parked rank never misses its own.
+	// wake[r] is rank r's one parking spot: a capacity-1 channel used as a
+	// binary semaphore. A rank blocks in at most one wait at a time — a
+	// collective or a receive — so one channel serves every op of every
+	// group it is in and every request it posts. Signallers send
+	// non-blocking (a full channel already holds a token). A token names no
+	// op: the receiver always rechecks what it waits on, so a stale one is a
+	// spurious recheck and a parked rank never misses its own.
 	wake []chan struct{}
 }
 
@@ -280,8 +276,7 @@ func NewWorld(cl *cluster.Cluster) *World {
 	w.boxes = make([]mailbox, w.cap)
 	w.comms = make([]Comm, w.cap)
 	w.wake = make([]chan struct{}, w.cap)
-	for i := range w.boxes {
-		w.boxes[i].cond.L = &w.boxes[i].mu
+	for i := range w.wake {
 		w.wake[i] = make(chan struct{}, 1)
 	}
 	members := make([]int, w.n)
@@ -302,10 +297,8 @@ func (w *World) Cap() int { return w.cap }
 func (w *World) Cluster() *cluster.Cluster { return w.cl }
 
 // fail records the first error and wakes every blocked rank so the whole
-// world unwinds instead of deadlocking. Mailbox waiters are woken with
-// Broadcast — not the targeted Signal of the send path — because a failing
-// world must reach a receiver regardless of the (src,tag) pattern it posted;
-// the receive loop rechecks w.failed on every wakeup before waiting again.
+// world unwinds instead of deadlocking: every wait rechecks w.failed on
+// each token before parking again, whatever it was waiting for.
 func (w *World) fail(err error) {
 	w.errMu.Lock()
 	if w.err == nil {
@@ -316,19 +309,17 @@ func (w *World) fail(err error) {
 	for r := range w.boxes {
 		b := &w.boxes[r]
 		b.mu.Lock()
-		b.waiting = false // the posted pattern is void; everyone unwinds
-		b.reqWait = false
-		for i := range b.posted { // pending requests are void too
+		b.reqWait = nil
+		for i := range b.posted { // pending requests are void; everyone unwinds
 			b.posted[i] = nil
 		}
 		b.posted = b.posted[:0]
-		b.cond.Broadcast()
 		b.mu.Unlock()
-		w.signal(r) // ranks parked in a collective recheck too
+		w.signal(r)
 	}
 }
 
-// signal hands rank a collective wakeup token, without blocking.
+// signal hands rank a wakeup token, without blocking.
 func (w *World) signal(rank int) {
 	select {
 	case w.wake[rank] <- struct{}{}:
@@ -543,13 +534,12 @@ func (c *Comm) asF64Msg(p any, st Status) *F64Msg {
 	return m
 }
 
-// deliver hands env to dst's mailbox. A posted nonblocking receive matching
-// (src,tag) — first in post order — is filled directly, bypassing the
-// queues; otherwise the envelope is enqueued and a blocked receiver with a
-// matching pattern is signalled. Posted requests see a message before a
-// blocking receive posted later for the same key, which preserves FIFO
-// order per (src,tag): Irecv only posts on a queue miss, so a posted
-// request never coexists with an older queued match.
+// deliver hands env to dst's mailbox. The first posted receive whose pattern
+// matches the envelope — in post order, wildcards included — is filled
+// directly, bypassing the queues, and the owner is handed a token when it is
+// parked on that request; otherwise the envelope is enqueued. This preserves
+// FIFO order per (src,tag): a receive is only posted on a queue miss, so a
+// posted request never coexists with an older queued match.
 //
 // Envelopes addressed to a dead rank are dropped: nothing will ever receive
 // them, and enqueueing them would grow the corpse's mailbox without bound
@@ -565,16 +555,14 @@ func (w *World) deliver(dst int, env envelope) {
 	box.mu.Lock()
 	env.seq = box.seq
 	box.seq++
-	for i, r := range box.posted {
-		if r.src == env.src && r.tag == env.tag {
-			copy(box.posted[i:], box.posted[i+1:])
-			box.posted[len(box.posted)-1] = nil
-			box.posted = box.posted[:len(box.posted)-1]
+	for _, r := range box.posted {
+		if matches(&env, r.src, r.tag) {
+			removePosted(box, r)
 			r.env = env
 			r.done = true
-			if box.reqWait {
-				box.reqWait = false
-				box.cond.Signal()
+			if box.reqWait == r {
+				box.reqWait = nil
+				w.signal(dst)
 			}
 			box.mu.Unlock()
 			return
@@ -582,12 +570,6 @@ func (w *World) deliver(dst int, env envelope) {
 	}
 	box.queue(matchKey(env.src, env.tag), true).push(env)
 	box.total++
-	// Targeted wakeup: only disturb the receiver when this message can
-	// complete its posted receive.
-	if box.waiting && matches(&env, box.wantSrc, box.wantTag) {
-		box.waiting = false
-		box.cond.Signal()
-	}
 	box.mu.Unlock()
 }
 
@@ -609,56 +591,32 @@ type Status struct {
 // should use RecvErr.
 func (c *Comm) Recv(src, tag int) (any, Status) {
 	p, st, err := c.RecvErr(src, tag)
-	if err != nil {
-		c.w.fail(fmt.Errorf("rank %d: %w", c.rank, err))
-		panic(errFailed)
-	}
+	c.must(err)
 	return p, st
 }
 
 // RecvErr is Recv with bounded waiting under failures: when src is known
 // dead and no matching message is queued, it returns a *RankFailedError
-// instead of blocking forever. Messages src sent before crashing are still
-// delivered first — the dead check only fires on a queue miss, and a
-// crashed rank's sends complete before its death is published (same
-// goroutine), so the error is deterministic in virtual time. An AnySource
-// receive never fails this way: any live rank could still send.
+// (Op "recv") instead of blocking forever. It is a posted receive completed
+// at once — Irecv plus Wait, wildcards allowed — so it matches and parks
+// exactly as a request does. Messages src sent before crashing are still
+// delivered first — the dead check only fires while the request is
+// unfilled, and a crashed rank's sends complete before its death is
+// published (same goroutine), so the error is deterministic in virtual
+// time. An AnySource receive never fails this way: any live rank could
+// still send.
 func (c *Comm) RecvErr(src, tag int) (any, Status, error) {
-	c.checkFailed()
-	if c.flt != nil {
-		c.pollFaults()
+	return c.waitErr(c.post("recv", src, tag), false)
+}
+
+// must fails the whole world with a non-nil err, naming this rank, and
+// unwinds it: what Recv, Wait, the collectives, Fence and the PSCW calls do
+// with the error of their *Err forms.
+func (c *Comm) must(err error) {
+	if err != nil {
+		c.w.fail(fmt.Errorf("rank %d: %w", c.rank, err))
+		panic(errFailed)
 	}
-	box := &c.w.boxes[c.rank]
-	box.mu.Lock()
-	var env envelope
-	for {
-		var ok bool
-		if env, ok = box.take(src, tag); ok {
-			break
-		}
-		if c.w.failed.Load() {
-			box.mu.Unlock()
-			panic(errFailed)
-		}
-		if src != AnySource && c.w.deadCount.Load() > 0 && c.w.dead[src].Load() {
-			box.waiting = false
-			box.mu.Unlock()
-			return nil, Status{}, &RankFailedError{Op: "recv", Ranks: []int{src}}
-		}
-		box.wantSrc, box.wantTag = src, tag
-		box.waiting = true
-		box.cond.Wait()
-	}
-	box.waiting = false
-	box.mu.Unlock()
-	if d := env.avail.Sub(c.node.Now()); d > 0 {
-		c.RecvStall += d
-	}
-	c.node.WaitUntil(env.avail)
-	c.node.Compute(cpuCost(c.w.cl.Net(), env.bytes))
-	c.RecvMsgs++
-	c.RecvBytes += int64(env.bytes)
-	return env.payload, Status{Source: env.src, Tag: env.tag, Bytes: env.bytes}, nil
 }
 
 // RecvF64sErr is RecvErr for the message of a SendF64s/IsendF64s: the
@@ -788,10 +746,7 @@ func (w *World) QueuedMsgs(rank int) int {
 // interface; everything else travels boxed through contrib.
 func (c *Comm) rendezvous(g *Group, contrib any, vec []float64, desc *collDesc, dst []float64) any {
 	value, err := c.rendezvousErr(g, contrib, vec, desc, dst)
-	if err != nil {
-		c.w.fail(fmt.Errorf("rank %d: %w", c.rank, err))
-		panic(errFailed)
-	}
+	c.must(err)
 	return value
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/vclock"
@@ -474,6 +475,33 @@ func TestFailWakesBlockedReceivers(t *testing.T) {
 	})
 	if !errors.Is(err, boom) && (err == nil || !contains(err.Error(), "deliberate failure")) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRecvFromInvalidRankFailsRun pins the rank check a blocking receive
+// shares with Irecv: a source outside the world panics the receiving rank,
+// and Run returns the panic, instead of parking the rank forever on a
+// mailbox no rank can send to. A watchdog turns the hang into a failure.
+func TestRecvFromInvalidRankFailsRun(t *testing.T) {
+	for _, src := range []int{99, -5} {
+		done := make(chan error, 1)
+		go func() {
+			done <- Run(cluster.New(cluster.Uniform(2)), func(c *Comm) error {
+				if c.Rank() == 0 {
+					c.Recv(src, 0)
+				}
+				return nil
+			})
+		}()
+		select {
+		case err := <-done:
+			want := fmt.Sprintf("mpi: recv from invalid rank %d", src)
+			if err == nil || !contains(err.Error(), want) {
+				t.Errorf("Recv(%d, 0): Run returned %v, want an error containing %q", src, err, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("Recv(%d, 0) on a 2-rank world still blocked after 2 s", src)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,10 +13,11 @@ import (
 )
 
 // awaitParked returns once want members are blocked on their wake channels
-// in g's op number seq — every one of them past its spin budget.
+// in g's op number seq — every one of them past its spin budget — or once
+// the world has failed.
 func awaitParked(g *Group, seq int64, want int) {
 	op := &g.ring[seq&opRingMask]
-	for op.ready.Load() != seq || int(op.parked.Load()) != want {
+	for (op.ready.Load() != seq || int(op.parked.Load()) != want) && !g.w.failed.Load() {
 		time.Sleep(20 * time.Microsecond)
 	}
 }
@@ -96,6 +98,168 @@ func TestCollectiveParkPath(t *testing.T) {
 	if n := w.LeakedOps(); n != 0 {
 		t.Fatalf("%d rendezvous slots leaked, want 0", n)
 	}
+}
+
+// awaitRecvParked returns once rank r has announced itself parked on a
+// receive request (mailbox.reqWait), the step before it blocks on its wake
+// channel, or once the world has failed.
+func awaitRecvParked(w *World, r int) {
+	b := &w.boxes[r]
+	for {
+		b.mu.Lock()
+		parked := b.reqWait != nil
+		b.mu.Unlock()
+		if parked || w.failed.Load() {
+			return
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// parkWorld runs body on an n-rank world with the given faults and fails the
+// test on an error, on a world still running after a watchdog's 30 s, and on
+// a leaked operation.
+func parkWorld(t *testing.T, n int, faults []fault.Fault, body func(c *Comm) error) {
+	t.Helper()
+	spec := cluster.Uniform(n)
+	spec.Faults = faults
+	w := NewWorld(cluster.New(spec))
+	done := make(chan error, 1)
+	go func() { done <- w.Run(body) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("world hung")
+	}
+	if n := w.LeakedOps(); n != 0 {
+		t.Fatalf("%d operations leaked, want 0", n)
+	}
+}
+
+// TestRecvParkPath drives the receive side of the one parking spot: a
+// blocking receive and a request Wait park on the same wake channel as the
+// collectives, so they must sleep through every token but their own, wake
+// into a RankFailedError when their source dies, and match as the posted
+// requests they are.
+func TestRecvParkPath(t *testing.T) {
+	// Ranks 2 and 3 sit in two overlapping groups, whose collectives leave
+	// them stale tokens (a late member forces the rest to park, so every
+	// publication broadcasts); then rank 2 blocks in Recv and rank 3 in
+	// Wait, and their senders flood both groups' broadcasts at them before
+	// sending. A wait that returned on a token not its own would hand back
+	// an unfilled request.
+	t.Run("stale-tokens", func(t *testing.T) {
+		const rounds, floods = 8, 50
+		left, right := []int{0, 1, 2, 3}, []int{2, 3, 4, 5}
+		parkWorld(t, 6, nil, func(c *Comm) error {
+			w := c.World()
+			gl, gr := w.NewGroup(left), w.NewGroup(right)
+			seq := map[*Group]int64{}
+			sum := func(g *Group, members []int, late int) error {
+				if !slices.Contains(members, c.Rank()) {
+					return nil
+				}
+				if c.Rank() == members[late] {
+					awaitParked(g, seq[g], len(members)-1)
+				}
+				seq[g]++
+				_, err := c.AllreduceSumErr(g, 1)
+				return err
+			}
+			for i := 0; i < rounds; i++ {
+				var rq *Request
+				if c.Rank() == 3 {
+					rq = c.Irecv(5, i) // stays posted through the collectives
+				}
+				if err := sum(gl, left, i%4); err != nil {
+					return err
+				}
+				if err := sum(gr, right, (i+1)%4); err != nil {
+					return err
+				}
+				switch c.Rank() {
+				case 2, 3:
+					src := 5 * (c.Rank() - 2) // rank 2 hears from 0, rank 3 from 5
+					var p any
+					if rq == nil {
+						p, _ = c.Recv(src, i)
+					} else {
+						p, _ = c.Wait(rq)
+					}
+					if p != 100*src+i {
+						return fmt.Errorf("round %d: received %v, want %d", i, p, 100*src+i)
+					}
+				case 0, 5:
+					dst := 2 + c.Rank()/5
+					awaitRecvParked(w, dst)
+					for k := 0; k < floods; k++ {
+						gl.signal()
+						gr.signal()
+						runtime.Gosched()
+					}
+					c.Send(dst, i, 100*c.Rank()+i, 8)
+				}
+			}
+			return nil
+		})
+	})
+
+	// Rank 0 parks on rank 1, which then crashes: Kill's token must wake it
+	// into the error. Rank 2's wildcard receive parks too and must survive
+	// the death — any live rank could still send — until rank 0 does.
+	t.Run("kill", func(t *testing.T) {
+		parkWorld(t, 3, []fault.Fault{fault.CrashAtCycle(1, 1)}, func(c *Comm) error {
+			switch c.Rank() {
+			case 0:
+				_, _, err := c.RecvErr(1, 4)
+				var rf *RankFailedError
+				if !errors.As(err, &rf) || rf.Op != "recv" || len(rf.Ranks) != 1 || rf.Ranks[0] != 1 {
+					return fmt.Errorf("want a recv RankFailedError naming rank 1, got %v", err)
+				}
+				c.Send(2, 4, "alive", 8)
+			case 1:
+				awaitRecvParked(c.World(), 0)
+				awaitRecvParked(c.World(), 2)
+				c.InjectCycleFaults(1) // crashes: does not return
+				return errors.New("crash fault did not fire")
+			case 2:
+				p, st, err := c.RecvErr(AnySource, 4)
+				if err != nil || p != "alive" || st.Source != 0 {
+					return fmt.Errorf("wildcard receive got %v from %d, err %v", p, st.Source, err)
+				}
+			}
+			return nil
+		})
+	})
+
+	// A blocking wildcard receive is posted behind two Irecvs of the same
+	// source and tag, and each message fills the first posted pattern it
+	// matches: the wildcard gets the third.
+	t.Run("post-order", func(t *testing.T) {
+		const tag = 6
+		parkWorld(t, 2, nil, func(c *Comm) error {
+			if c.Rank() == 1 {
+				awaitRecvParked(c.World(), 0)
+				for k := 1; k <= 3; k++ {
+					c.Send(0, tag, k, 8)
+				}
+				return nil
+			}
+			rqs := []*Request{c.Irecv(1, tag), c.Irecv(1, tag)}
+			if p, st, err := c.RecvErr(AnySource, tag); err != nil || p != 3 || st.Source != 1 {
+				return fmt.Errorf("wildcard receive got %v from %d, err %v; want 3 from 1", p, st.Source, err)
+			}
+			for k, rq := range rqs {
+				if p, _ := c.Wait(rq); p != k+1 {
+					return fmt.Errorf("request %d got %v, want %d", k, p, k+1)
+				}
+			}
+			return nil
+		})
+	})
 }
 
 // TestNewGroupAllocsIndependentOfSize pins what a group is made of: the Group

@@ -8,11 +8,13 @@ import (
 	"repro/internal/vclock"
 )
 
-// Nonblocking point-to-point layer.
+// Nonblocking point-to-point layer, and the one receive path.
 //
 // Isend/Irecv return a pooled *Request; Wait/WaitErr/WaitReplayErr complete
-// it and recycle it. The virtual-time contract mirrors the paper's comm-CPU
-// (beta) accounting:
+// it and recycle it. A blocking Recv is the same two steps back to back:
+// post registers the receive, waitErr completes it, so every receive
+// matches, parks and lands in one place. The virtual-time contract mirrors
+// the paper's comm-CPU (beta) accounting:
 //
 //   - Isend charges only the CPU injection cost (cpuCost) at post time. The
 //     wire time (wireTime) elapses in virtual background: the envelope's
@@ -24,7 +26,7 @@ import (
 //     the receive-side cpuCost — the same total virtual charge as a blocking
 //     Recv issued at the Wait point. Wire time that elapsed behind the
 //     caller's compute between post and Wait is therefore genuinely free,
-//     and the freed amount is credited to Comm.HiddenWire.
+//     and the freed amount is credited to Comm.HiddenWire (see land).
 //
 // Determinism: the only virtual-time effects are in Wait (WaitUntil +
 // Compute), which runs on the caller's own goroutine in program order, so
@@ -37,10 +39,12 @@ import (
 // family; after a successful or failed Wait the pointer must not be reused.
 type Request struct {
 	c      *Comm
-	send   bool // send requests complete at post time (eager buffering)
-	src    int  // peer rank: source for receives, destination for sends
+	op     string // "recv" or "irecv": names a receive's RankFailedError
+	send   bool   // send requests complete at post time (eager buffering)
+	src    int    // peer rank: source for receives (maybe AnySource), destination for sends
 	tag    int
-	done   bool // envelope captured (guarded by the owning mailbox mutex)
+	done   bool // envelope captured (guarded by the owning mailbox mutex once posted)
+	posted bool // went onto the posted list; else it was filled at post and no sender ever sees it
 	postVT vclock.Time
 	env    envelope
 }
@@ -65,8 +69,8 @@ func (c *Comm) getReq() *Request {
 
 // putReq resets and recycles a request. Only the owning goroutine calls it.
 func (c *Comm) putReq(r *Request) {
-	r.send, r.done = false, false
-	r.env = envelope{} // release the payload reference for the GC
+	r.send, r.done, r.posted = false, false, false
+	r.env.payload = nil // release it for the GC; the rest is overwritten before it is read
 	c.reqFree = append(c.reqFree, r)
 }
 
@@ -104,21 +108,30 @@ func (c *Comm) sendReq(dst, tag int, avail vclock.Time, bytes int) *Request {
 // Irecv posts a nonblocking receive for a message from src with the given
 // tag. No virtual time is charged at post; the receive-side CPU cost is
 // charged by Wait. Wildcards (AnySource/AnyTag) are not supported: a posted
-// request is matched by senders, and wildcard matching at the sender would
-// make completion order depend on physical goroutine scheduling.
+// request is matched by senders, and a wildcard left posted while the rank
+// goes on working would capture whichever message physically arrives first.
+// A blocking Recv may use them: it posts and waits at once (see post).
 func (c *Comm) Irecv(src, tag int) *Request {
-	c.checkFailed()
 	if src == AnySource || tag == AnyTag {
 		panic("mpi: Irecv does not support AnySource/AnyTag")
 	}
-	if src < 0 || src >= c.w.cap {
-		panic(fmt.Sprintf("mpi: irecv from invalid rank %d", src))
+	return c.post("irecv", src, tag)
+}
+
+// post registers a receive for (src, tag) — wildcards allowed — and returns
+// its request: filled at once from the oldest queued match, or else posted
+// for deliver to fill. op names the caller in a panic and in the request's
+// RankFailedError. No virtual time is charged.
+func (c *Comm) post(op string, src, tag int) *Request {
+	c.checkFailed()
+	if src != AnySource && (src < 0 || src >= c.w.cap) {
+		panic(fmt.Sprintf("mpi: %s from invalid rank %d", op, src))
 	}
 	if c.flt != nil {
 		c.pollFaults()
 	}
 	r := c.getReq()
-	r.src, r.tag = src, tag
+	r.op, r.src, r.tag = op, src, tag
 	r.postVT = c.node.Now()
 	box := &c.w.boxes[c.rank]
 	box.mu.Lock()
@@ -128,6 +141,7 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	} else {
 		box.storage()
 		box.posted = append(box.posted, r)
+		r.posted = true
 	}
 	box.mu.Unlock()
 	return r
@@ -147,64 +161,75 @@ func removePosted(box *mailbox, r *Request) {
 	}
 }
 
-// waitErr completes req: block until the envelope is captured (physical),
-// then advance the caller's clock to the arrival time and charge the
-// receive-side CPU cost (virtual). credit selects whether wire time hidden
-// behind the caller's compute is accumulated into Comm.HiddenWire; the
-// replay path (deterministic re-sequenced drains whose clocks match the
-// blocking implementation exactly) passes false because nothing was
-// genuinely hidden there.
+// waitErr completes req: park on the rank's wake channel until the
+// envelope is captured (physical), rechecking world failure and the
+// source's death after every token, then land it on the caller's clock and
+// charge the receive-side CPU cost (virtual). credit selects whether wire
+// time hidden behind the caller's compute is accumulated into
+// Comm.HiddenWire; the replay path (deterministic re-sequenced drains whose
+// clocks match the blocking implementation exactly) and the blocking
+// receive pass false because nothing was genuinely hidden there.
 func (c *Comm) waitErr(req *Request, credit bool) (any, Status, error) {
 	c.checkFailed()
 	if c.flt != nil {
-		c.pollFaults() // same injection point as RecvErr entry
+		c.pollFaults() // the same injection point as a post
 	}
 	if req.send {
 		c.putReq(req)
 		return nil, Status{}, nil
 	}
-	box := &c.w.boxes[c.rank]
-	box.mu.Lock()
-	for !req.done {
-		if c.w.failed.Load() {
-			box.mu.Unlock()
-			panic(errFailed)
-		}
-		if c.w.deadCount.Load() > 0 && c.w.dead[req.src].Load() {
-			removePosted(box, req)
-			box.mu.Unlock()
-			src := req.src
-			c.putReq(req)
-			return nil, Status{}, &RankFailedError{Op: "irecv", Ranks: []int{src}}
-		}
-		box.reqWait = true
-		box.cond.Wait()
-	}
-	box.mu.Unlock()
-	env := req.env
-	now := c.node.Now()
-	stall := env.avail.Sub(now)
-	if stall < 0 {
-		stall = 0
-	}
-	c.RecvStall += stall
-	c.node.WaitUntil(env.avail)
-	c.node.Compute(cpuCost(c.w.cl.Net(), env.bytes))
-	c.RecvMsgs++
-	c.RecvBytes += int64(env.bytes)
-	if credit {
-		// Wire time that elapsed between post and Wait minus the part the
-		// caller still stalled on: the communication this overlap hid.
-		if inflight := env.avail.Sub(req.postVT); inflight > 0 {
-			if hidden := inflight - stall; hidden > 0 {
-				c.HiddenWire += hidden
+	if req.posted { // else filled at post, and done needs no lock
+		box := &c.w.boxes[c.rank]
+		box.mu.Lock()
+		for !req.done {
+			if c.w.failed.Load() {
+				box.mu.Unlock()
+				panic(errFailed)
 			}
+			if req.src != AnySource && c.w.deadCount.Load() > 0 && c.w.dead[req.src].Load() {
+				removePosted(box, req)
+				box.mu.Unlock()
+				err := &RankFailedError{Op: req.op, Ranks: []int{req.src}}
+				c.putReq(req)
+				return nil, Status{}, err
+			}
+			// Announce under the lock, then park: a deliver that fills req
+			// after the unlock finds reqWait set and leaves a token.
+			box.reqWait = req
+			box.mu.Unlock()
+			<-c.w.wake[c.rank]
+			box.mu.Lock()
+			box.reqWait = nil
 		}
+		box.mu.Unlock()
 	}
-	st := Status{Source: env.src, Tag: env.tag, Bytes: env.bytes}
-	payload := env.payload
+	env := &req.env
+	c.land(req.postVT, env.avail, env.bytes, credit)
+	c.node.Compute(cpuCost(c.w.cl.Net(), env.bytes))
+	p, st := env.payload, Status{Source: env.src, Tag: env.tag, Bytes: env.bytes}
 	c.putReq(req)
-	return payload, st, nil
+	return p, st, nil
+}
+
+// land completes one transfer posted at post and fully arrived at avail on
+// the caller's clock: the clock stalls to arrival if the data is still in
+// flight (accumulated into RecvStall), the receive counters count it, and —
+// with credit — wire time already covered by the caller's computation is
+// credited to HiddenWire. A request Wait and an RMA settlement both land
+// this way; only the Wait then charges receive-side CPU.
+func (c *Comm) land(post, avail vclock.Time, bytes int, credit bool) (stall, hidden vclock.Duration) {
+	stall = max(avail.Sub(c.node.Now()), 0)
+	c.RecvStall += stall
+	c.node.WaitUntil(avail)
+	c.RecvMsgs++
+	c.RecvBytes += int64(bytes)
+	// Wire time that elapsed between post and landing minus the part the
+	// caller still stalled on: the communication the overlap hid.
+	if inflight := avail.Sub(post); credit && inflight > stall {
+		hidden = inflight - stall
+		c.HiddenWire += hidden
+	}
+	return stall, hidden
 }
 
 // WaitF64sErr is WaitErr for a receive request whose message comes from a
@@ -222,10 +247,7 @@ func (c *Comm) WaitF64sErr(req *Request) (*F64Msg, error) {
 // Recv). For receives it returns the payload and status.
 func (c *Comm) Wait(req *Request) (any, Status) {
 	p, st, err := c.waitErr(req, true)
-	if err != nil {
-		c.w.fail(fmt.Errorf("rank %d: %w", c.rank, err))
-		panic(errFailed)
-	}
+	c.must(err)
 	return p, st
 }
 

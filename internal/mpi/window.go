@@ -117,14 +117,32 @@ type deposit struct {
 }
 
 // winSlot is one member's side of a window: its attached memory and the
-// deposits pending against it. mu serialises remote deposits with each
-// other and with the owner's drain; drain is the owner-only settlement
-// scratch (filled under mu, consumed outside it).
+// deposits pending against it, then the member's own epoch state. mu
+// serialises remote deposits with each other and with the owner's drain;
+// drain is the owner-only settlement scratch (filled under mu, consumed
+// outside it).
 type winSlot struct {
 	mu    sync.Mutex
 	mem   WinMem
 	dep   []deposit
 	drain []deposit
+
+	// The rest is written only by the member's own goroutine, unguarded.
+	// epoch is its current epoch number and putSeq its program-order
+	// deposit counter. Fences advance every member's epoch in lockstep, so
+	// an origin's stamp names exactly the epoch the owner will drain —
+	// including across the physical race where a fast origin starts the
+	// next epoch's Puts while the owner is still settling this one.
+	epoch  int64
+	putSeq int64
+
+	// PSCW state, the pairwise analogue of epoch: accEpoch is the member's
+	// access-epoch counter (advanced by its own WinCompleteErr), access the
+	// open access epoch's target list and expose the open exposure epoch's
+	// origin list.
+	accEpoch int64
+	access   []int
+	expose   []int
 }
 
 // Win is a one-sided access window over each group member's memory. All
@@ -134,38 +152,10 @@ type Win struct {
 	g     *Group
 	id    int // index within the group's window registry
 	slots []winSlot
-
-	// epoch[s] is member s's current epoch number and putSeq[s] its
-	// program-order deposit counter; both are written only by member s's
-	// goroutine. Fences advance every member's epoch in lockstep, so an
-	// origin's stamp names exactly the epoch the owner will drain —
-	// including across the physical race where a fast origin starts the
-	// next epoch's Puts while the owner is still settling this one.
-	epoch  []int64
-	putSeq []int64
-
-	// PSCW state, the pairwise analogue of epoch: accEpoch[s] is member
-	// s's access-epoch counter (advanced by its own WinCompleteErr),
-	// access[s] the open access epoch's target list and expose[s] the open
-	// exposure epoch's origin list. All three are written only by member
-	// s's goroutine, like epoch/putSeq.
-	accEpoch []int64
-	access   [][]int
-	expose   [][]int
 }
 
 func newWin(g *Group, id int) *Win {
-	n := len(g.members)
-	return &Win{
-		g:        g,
-		id:       id,
-		slots:    make([]winSlot, n),
-		epoch:    make([]int64, n),
-		putSeq:   make([]int64, n),
-		accEpoch: make([]int64, n),
-		access:   make([][]int, n),
-		expose:   make([][]int, n),
-	}
+	return &Win{g: g, id: id, slots: make([]winSlot, len(g.members))}
 }
 
 // Group returns the group the window spans.
@@ -233,11 +223,12 @@ func (c *Comm) Put(win *Win, target, off int, src []float64) {
 	c.SentMsgs++
 	c.SentBytes += int64(bytes)
 	oslot := c.groupSlot(g)
-	win.putSeq[oslot]++
-	pscw := len(win.access[oslot]) > 0
-	ep := win.epoch[oslot]
+	os := &win.slots[oslot]
+	os.putSeq++
+	pscw := len(os.access) > 0
+	ep := os.epoch
 	if pscw {
-		ep = win.accEpoch[oslot]
+		ep = os.accEpoch
 	}
 	ts := &win.slots[tslot]
 	ts.mu.Lock()
@@ -262,7 +253,7 @@ func (c *Comm) Put(win *Win, target, off int, src []float64) {
 		pscw:       pscw,
 		post:       post,
 		avail:      post.Add(wireTime(net, bytes) + faultDelay),
-		seq:        win.putSeq[oslot],
+		seq:        os.putSeq,
 		epoch:      ep,
 	})
 	ts.mu.Unlock()
@@ -270,12 +261,7 @@ func (c *Comm) Put(win *Win, target, off int, src []float64) {
 
 // Fence closes the window's current epoch, failing the whole world when a
 // group member is dead (mirroring the blocking collectives).
-func (c *Comm) Fence(win *Win) {
-	if err := c.FenceErr(win); err != nil {
-		c.w.fail(fmt.Errorf("rank %d: %w", c.rank, err))
-		panic(errFailed)
-	}
-}
+func (c *Comm) Fence(win *Win) { c.must(c.FenceErr(win)) }
 
 // FenceErr closes the window's current epoch: it synchronises the group (a
 // dissemination barrier), then settles every deposit that landed in the
@@ -289,8 +275,8 @@ func (c *Comm) FenceErr(win *Win) error {
 		return err
 	}
 	slot := c.groupSlot(win.g)
-	ep := win.epoch[slot]
 	ts := &win.slots[slot]
+	ep := ts.epoch
 	ts.mu.Lock()
 	// PSCW-stamped deposits belong to a pairwise epoch and are settled by
 	// WinWaitErr/WinCompleteErr, never by a fence.
@@ -299,7 +285,7 @@ func (c *Comm) FenceErr(win *Win) error {
 	sortDeposits(drain)
 	bytes, stall, hidden := c.settleDeposits(drain)
 	ts.drain = drain
-	win.epoch[slot] = ep + 1
+	ts.epoch = ep + 1
 	if len(drain) > 0 {
 		c.emitRMA("fence", win.id, len(drain), bytes, stall, hidden)
 	}
@@ -334,30 +320,17 @@ func extractDeposits(ts *winSlot, match func(*deposit) bool) []deposit {
 	return drain
 }
 
-// settleDeposits drains one epoch's worth of deposits on the caller's
-// clock: each is stalled to arrival if still in flight, counted into the
-// receive counters, and wire time already covered by the caller's
-// computation is credited to HiddenWire. The arithmetic is shared verbatim between fence and PSCW
-// settlement — the disciplines differ only in who synchronises, not in
-// what a drained deposit costs. The caller must sortDeposits first.
+// settleDeposits lands one epoch's worth of deposits on the caller's clock,
+// with hidden-wire credit and no receive-side CPU (the copy landed by DMA),
+// and totals what they cost. Fence and PSCW settlement share it — the
+// disciplines differ only in who synchronises, not in what a drained
+// deposit costs. The caller must sortDeposits first.
 func (c *Comm) settleDeposits(drain []deposit) (bytes int64, stall, hidden vclock.Duration) {
 	for i := range drain {
 		d := &drain[i]
-		s := d.avail.Sub(c.node.Now())
-		if s < 0 {
-			s = 0
-		}
-		c.RecvStall += s
+		s, h := c.land(d.post, d.avail, d.bytes, true)
 		stall += s
-		c.node.WaitUntil(d.avail)
-		c.RecvMsgs++
-		c.RecvBytes += int64(d.bytes)
-		if inflight := d.avail.Sub(d.post); inflight > 0 {
-			if h := inflight - s; h > 0 {
-				c.HiddenWire += h
-				hidden += h
-			}
-		}
+		hidden += h
 		bytes += int64(d.bytes)
 	}
 	return bytes, stall, hidden
@@ -430,8 +403,8 @@ func (win *Win) pscwDoneTag() int { return pscwTagBase + 2*win.id + 1 }
 // and the deaths surface at the wait.
 func (c *Comm) WinPost(win *Win, origins []int, note int64) {
 	c.checkFailed()
-	slot := c.groupSlot(win.g)
-	if len(win.expose[slot]) != 0 {
+	ms := &win.slots[c.groupSlot(win.g)]
+	if len(ms.expose) != 0 {
 		panic(fmt.Sprintf("mpi: rank %d posting window %d with exposure epoch already open", c.rank, win.id))
 	}
 	for _, o := range origins {
@@ -443,16 +416,13 @@ func (c *Comm) WinPost(win *Win, origins []int, note int64) {
 		}
 		c.Send(o, win.pscwPostTag(), note, pscwCtlBytes)
 	}
-	win.expose[slot] = append(win.expose[slot][:0], origins...)
+	ms.expose = append(ms.expose[:0], origins...)
 }
 
 // WinStart opens an access epoch, failing the whole world when a target is
 // dead (mirroring the blocking collectives).
 func (c *Comm) WinStart(win *Win, targets []int, notes []int64) {
-	if err := c.WinStartErr(win, targets, notes); err != nil {
-		c.w.fail(fmt.Errorf("rank %d: %w", c.rank, err))
-		panic(errFailed)
-	}
+	c.must(c.WinStartErr(win, targets, notes))
 }
 
 // WinStartErr opens an access epoch toward targets: it blocks until every
@@ -464,8 +434,8 @@ func (c *Comm) WinStart(win *Win, targets []int, notes []int64) {
 // epoch does not open.
 func (c *Comm) WinStartErr(win *Win, targets []int, notes []int64) error {
 	c.checkFailed()
-	slot := c.groupSlot(win.g)
-	if len(win.access[slot]) != 0 {
+	ms := &win.slots[c.groupSlot(win.g)]
+	if len(ms.access) != 0 {
 		panic(fmt.Sprintf("mpi: rank %d starting window %d with access epoch already open", c.rank, win.id))
 	}
 	var dead []int
@@ -492,18 +462,13 @@ func (c *Comm) WinStartErr(win *Win, targets []int, notes []int64) error {
 	if dead != nil {
 		return &RankFailedError{Op: "win-start", Ranks: dead}
 	}
-	win.access[slot] = append(win.access[slot][:0], targets...)
+	ms.access = append(ms.access[:0], targets...)
 	return nil
 }
 
 // WinComplete closes the access epoch, failing the whole world when a
 // target is dead.
-func (c *Comm) WinComplete(win *Win) {
-	if err := c.WinCompleteErr(win); err != nil {
-		c.w.fail(fmt.Errorf("rank %d: %w", c.rank, err))
-		panic(errFailed)
-	}
-}
+func (c *Comm) WinComplete(win *Win) { c.must(c.WinCompleteErr(win)) }
 
 // WinCompleteErr closes this rank's open access epoch: it notifies every
 // target that the epoch's transfers are in flight (one control message
@@ -516,32 +481,26 @@ func (c *Comm) WinComplete(win *Win) {
 // depend on which side of that wall-clock race the call lands.
 func (c *Comm) WinCompleteErr(win *Win) error {
 	c.checkFailed()
-	slot := c.groupSlot(win.g)
-	targets := win.access[slot]
-	ep := win.accEpoch[slot]
+	ms := &win.slots[c.groupSlot(win.g)]
+	ep := ms.accEpoch
 	var dead []int
-	for _, t := range targets {
+	for _, t := range ms.access {
 		c.Send(t, win.pscwDoneTag(), ep, pscwCtlBytes)
 		if c.w.deadCount.Load() > 0 && c.w.dead[t].Load() {
 			dead = append(dead, t)
 		}
 	}
-	win.access[slot] = win.access[slot][:0]
+	ms.access = ms.access[:0]
 	if dead != nil {
 		return &RankFailedError{Op: "win-complete", Ranks: dead}
 	}
-	win.accEpoch[slot] = ep + 1
+	ms.accEpoch = ep + 1
 	return nil
 }
 
 // WinWait closes the exposure epoch, failing the whole world when an
 // origin is dead.
-func (c *Comm) WinWait(win *Win) {
-	if err := c.WinWaitErr(win); err != nil {
-		c.w.fail(fmt.Errorf("rank %d: %w", c.rank, err))
-		panic(errFailed)
-	}
-}
+func (c *Comm) WinWait(win *Win) { c.must(c.WinWaitErr(win)) }
 
 // WinWaitErr closes this rank's open exposure epoch: it blocks until every
 // posted origin's completion notification arrives, then drains and settles
@@ -554,14 +513,14 @@ func (c *Comm) WinWait(win *Win) {
 func (c *Comm) WinWaitErr(win *Win) error {
 	c.checkFailed()
 	slot := c.groupSlot(win.g)
-	origins := win.expose[slot]
+	ts := &win.slots[slot]
 	type doneStamp struct {
 		oslot int
 		epoch int64
 	}
 	stamps := make([]doneStamp, 0, 8)
 	var dead []int
-	for _, o := range origins {
+	for _, o := range ts.expose {
 		p, _, err := c.RecvErr(o, win.pscwDoneTag())
 		if err != nil {
 			var rf *RankFailedError
@@ -569,17 +528,16 @@ func (c *Comm) WinWaitErr(win *Win) error {
 				dead = append(dead, rf.Ranks...)
 				continue
 			}
-			win.expose[slot] = win.expose[slot][:0]
+			ts.expose = ts.expose[:0]
 			return err
 		}
 		oslot, _ := win.g.Slot(o) // WinPost checked membership
 		stamps = append(stamps, doneStamp{oslot: oslot, epoch: p.(int64)})
 	}
-	win.expose[slot] = win.expose[slot][:0]
+	ts.expose = ts.expose[:0]
 	if dead != nil {
 		return &RankFailedError{Op: "win-wait", Ranks: dead}
 	}
-	ts := &win.slots[slot]
 	ts.mu.Lock()
 	drain := extractDeposits(ts, func(d *deposit) bool {
 		if !d.pscw {
@@ -639,12 +597,10 @@ func (c *Comm) PendingFrom(win *Win, origin int) (elems int, ok bool) {
 	if !member {
 		return 0, false
 	}
-	slot := c.groupSlot(win.g)
-	ep := win.epoch[slot]
-	ts := &win.slots[slot]
+	ts := &win.slots[c.groupSlot(win.g)]
 	ts.mu.Lock()
 	for i := range ts.dep {
-		if d := &ts.dep[i]; d.originSlot == oslot && d.epoch == ep && !d.pscw {
+		if d := &ts.dep[i]; d.originSlot == oslot && d.epoch == ts.epoch && !d.pscw {
 			elems += d.elems
 			ok = true
 		}
