@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/distribution"
 	"repro/internal/drsd"
 	"repro/internal/loadmon"
@@ -218,8 +220,8 @@ func (rt *Runtime) abandonDecision(err error) {
 	rt.state = stNormal
 }
 
-// decideRedistribution computes and executes a new distribution from the
-// grace-period measurements (§4.3 + §4.4).
+// decideRedistribution ends a grace period: it gathers the decision's inputs
+// from every active rank, decides (§4.3 + §4.4) and applies the verdict.
 func (rt *Runtime) decideRedistribution(loads []int) {
 	iterCosts, err := rt.gatherEstimates()
 	if err != nil {
@@ -234,113 +236,11 @@ func (rt *Runtime) decideRedistribution(loads []int) {
 	rt.collector = nil
 	rt.iterCosts = iterCosts
 	rt.commCPU, rt.commWire = commCPU, commWire
-	nodes := rt.nodesOf(rt.active, loads)
-
-	anyLoaded, anyUnloaded := false, false
-	for _, l := range loads {
-		if l > 0 {
-			anyLoaded = true
-		} else {
-			anyUnloaded = true
-		}
-	}
-
-	if rt.cfg.Drop == DropAlways && anyLoaded && anyUnloaded {
-		if rt.sink != nil {
-			rt.sink.Emit(telemetry.DecisionRecord{
-				Base:    rt.stamp(telemetry.KindDecision),
-				Method:  "drop-always",
-				Loads:   append([]int(nil), loads...),
-				Chosen:  "drop",
-				GraceVT: rt.graceStart.Seconds(),
-			})
-		}
-		rt.baseLoads = append([]int(nil), loads...)
-		rt.dropLoaded(nodes)
-		rt.state = stNormal
-		return
-	}
-	if rt.cfg.Drop == DropLogical && anyLoaded && anyUnloaded {
-		if rt.sink != nil {
-			rt.sink.Emit(telemetry.DecisionRecord{
-				Base:    rt.stamp(telemetry.KindDecision),
-				Method:  "drop-logical",
-				Loads:   append([]int(nil), loads...),
-				Chosen:  "logical-drop",
-				GraceVT: rt.graceStart.Seconds(),
-			})
-		}
-		rt.logicalDrop(nodes, iterCosts)
-		rt.baseLoads = append([]int(nil), loads...)
-		rt.state = stNormal
-		return
-	}
-
-	var total float64
-	for _, w := range iterCosts {
-		total += w
-	}
-	// Compute both candidate distributions when telemetry wants them;
-	// otherwise only the configured method runs.
-	trace := rt.sink != nil
-	var rpFr, sbFr []float64
-	sbRounds := 0
-	if trace || rt.cfg.Method == RelativePower {
-		rpFr = distribution.RelativePowerFractions(nodes)
-	}
-	if trace || rt.cfg.Method != RelativePower {
-		sbFr = distribution.SuccessiveBalancingFractionsTrace(nodes, total, commCPU, nil,
-			func(round int, _ []float64) { sbRounds = round + 1 })
-	}
-	var fractions []float64
-	chosen := "successive-balancing"
-	switch rt.cfg.Method {
-	case RelativePower:
-		fractions, chosen = rpFr, "relative-power"
-	default:
-		fractions = sbFr
-	}
-	counts := distribution.PartitionWeighted(iterCosts, fractions)
-	if trace {
-		rpCounts := distribution.PartitionWeighted(iterCosts, rpFr)
-		sbCounts := distribution.PartitionWeighted(iterCosts, sbFr)
-		cands := []telemetry.Candidate{
-			{Label: "relative-power", Counts: rpCounts,
-				PredictedS: distribution.PredictCycleTime(nodes, rpCounts, iterCosts, commCPU, commWire)},
-			{Label: "successive-balancing", Counts: sbCounts, Rounds: sbRounds,
-				PredictedS: distribution.PredictCycleTime(nodes, sbCounts, iterCosts, commCPU, commWire)},
-		}
-		predicted := cands[1].PredictedS
-		if rt.cfg.Method == RelativePower {
-			predicted = cands[0].PredictedS
-		}
-		rt.sink.Emit(telemetry.DecisionRecord{
-			Base:       rt.stamp(telemetry.KindDecision),
-			Method:     chosen,
-			Loads:      append([]int(nil), loads...),
-			Candidates: cands,
-			Chosen:     chosen,
-			Counts:     append([]int(nil), counts...),
-			PredictedS: predicted,
-			GraceVT:    rt.graceStart.Seconds(),
-		})
-	}
-	rt.applyDistribution(drsd.NewBlock(rt.active, counts), nil)
-	rt.baseLoads = append([]int(nil), loads...)
-	rt.redists++
-
-	if rt.cfg.Drop == DropAuto && anyLoaded && anyUnloaded {
-		rt.state = stPost
-		rt.cycTimer = timing.NewCycleTimer(rt.node)
-		rt.cycTimer.Begin() // covers the remainder of this (post-redist) cycle
-		rt.cycOpen = true
-	} else {
-		rt.state = stNormal
-	}
+	rt.decide(loads, false, 0)
 }
 
-// maybeDrop applies the paper's drop criterion after the
-// post-redistribution grace period.
+// maybeDrop asks for the paper's drop verdict after the post-redistribution
+// grace period, on the cycle time measured there.
 func (rt *Runtime) maybeDrop(loads []int) {
 	measured, err := rt.comm.AllreduceMaxErr(rt.group, rt.cycTimer.Average())
 	rt.cycTimer = nil
@@ -349,30 +249,80 @@ func (rt *Runtime) maybeDrop(loads []int) {
 		rt.absorbFailure(err)
 		return
 	}
-	nodes := rt.nodesOf(rt.active, loads)
-	drop, predicted := distribution.DropDecision(nodes, rt.iterCosts, measured, rt.commCPU, rt.commWire)
+	rt.decide(loads, true, measured)
+}
+
+// decide runs distribution.Decide on the inputs every active rank agreed on
+// and applies the verdict: the same code runs whether or not a sink listens.
+func (rt *Runtime) decide(loads []int, dropCheck bool, measured float64) {
+	in := distribution.Input{
+		Nodes:     rt.nodesOf(rt.active, loads),
+		IterCosts: rt.iterCosts,
+		CommCPU:   rt.commCPU,
+		CommWire:  rt.commWire,
+		Method:    rt.cfg.Method,
+		Drop:      rt.cfg.Drop,
+		DropCheck: dropCheck,
+		MeasuredS: measured,
+		Scratch:   &rt.decision,
+	}
+	v := distribution.Decide(in)
 	if rt.sink != nil {
-		verdict := "keep"
-		if drop {
-			verdict = "drop"
+		rt.sink.Emit(rt.decisionRecord(in, v))
+	}
+	rt.state = stNormal
+	switch {
+	case v.Drop:
+		rt.baseLoads = append([]int(nil), loads...)
+		rt.dropLoaded(in.Nodes)
+	case v.Counts != nil:
+		rt.applyDistribution(drsd.NewBlock(rt.active, v.Counts), nil)
+		rt.baseLoads = append([]int(nil), loads...)
+		rt.redists++
+		if v.Chosen == "logical-drop" {
+			// Loaded nodes stay with one iteration each (§2.2): ranks are
+			// static, but those nodes keep slowing every communication step.
+			rt.emitMembership(v.Chosen, nil, nil)
 		}
-		rt.sink.Emit(telemetry.DecisionRecord{
-			Base:   rt.stamp(telemetry.KindDecision),
-			Method: "drop-auto",
-			Loads:  append([]int(nil), loads...),
-			Candidates: []telemetry.Candidate{
-				{Label: "unloaded-only", PredictedS: predicted},
-			},
-			Chosen:     verdict,
-			PredictedS: predicted,
-			MeasuredS:  measured,
-		})
+		if v.Post {
+			rt.state = stPost
+			rt.cycTimer = timing.NewCycleTimer(rt.node)
+			rt.cycTimer.Begin() // covers the remainder of this (post-redist) cycle
+			rt.cycOpen = true
+		}
 	}
-	if !drop {
-		return
+}
+
+// decisionRecord is a decision's one record: its inputs and its verdict,
+// copied out of the scratch they live in.
+func (rt *Runtime) decisionRecord(in distribution.Input, v distribution.Verdict) telemetry.DecisionRecord {
+	loads, powers := make([]int, len(in.Nodes)), make([]float64, len(in.Nodes))
+	for i, n := range in.Nodes {
+		loads[i], powers[i] = n.Load, n.Power
 	}
-	rt.baseLoads = append([]int(nil), loads...)
-	rt.dropLoaded(nodes)
+	cands := make([]telemetry.Candidate, len(v.Candidates))
+	for i, c := range v.Candidates {
+		cands[i] = telemetry.Candidate{Label: c.Label, Counts: slices.Clone(c.Counts), PredictedS: c.PredictedS}
+	}
+	var graceVT float64
+	if !in.DropCheck {
+		graceVT = rt.graceStart.Seconds()
+	}
+	return telemetry.DecisionRecord{
+		Base:       rt.stamp(telemetry.KindDecision),
+		Method:     v.Method,
+		Loads:      loads,
+		Powers:     powers,
+		CommCPUS:   in.CommCPU,
+		CommWireS:  in.CommWire,
+		IterCosts:  telemetry.CostRuns(in.IterCosts),
+		Candidates: cands,
+		Chosen:     v.Chosen,
+		Counts:     slices.Clone(v.Counts),
+		PredictedS: v.PredictedS,
+		MeasuredS:  in.MeasuredS,
+		GraceVT:    graceVT,
+	}
 }
 
 // dropLoaded physically removes every loaded node: data moves to the
@@ -395,60 +345,4 @@ func (rt *Runtime) dropLoaded(nodes []distribution.Node) {
 	if len(stay) > 0 && len(out) > 0 {
 		rt.transit(rt.removal(causeDrop, stay, out, loads, make([]int, len(stay)))) // unloaded by construction
 	}
-}
-
-// logicalDrop keeps loaded nodes in the computation with a minimum
-// assignment (one iteration each), the §2.2 alternative to physical
-// removal: ranks stay static, but the loaded nodes continue to slow down
-// every communication step they appear in.
-func (rt *Runtime) logicalDrop(nodes []distribution.Node, iterCosts []float64) {
-	var stayNodes []distribution.Node
-	loadedIdx := map[int]bool{}
-	for i, n := range nodes {
-		if n.Load == 0 {
-			stayNodes = append(stayNodes, n)
-		} else {
-			loadedIdx[i] = true
-		}
-	}
-	// Give each loaded node exactly one iteration; split the rest across
-	// unloaded nodes by relative power. (Weighting uses a prefix of the
-	// iteration costs, exact for uniform workloads — the regime in which
-	// logical dropping is compared against physical dropping.)
-	remaining := rt.n - len(loadedIdx)
-	sub := rt.powerCounts(stayNodes, iterCosts[:remaining])
-	counts := logicalDropCounts(rt.n, loadedIdx, len(nodes), sub)
-	rt.applyDistribution(drsd.NewBlock(rt.active, counts), nil)
-	rt.redists++
-	rt.emitMembership("logical-drop", nil, nil)
-	rt.state = stNormal
-}
-
-// logicalDropCounts assigns one iteration to each loaded node and sub[j] to
-// the j-th unloaded node, then applies the rounding remainder to the last
-// unloaded node so counts sum to n. The former inline code padded
-// counts[len-1] unconditionally, handing the remainder to a loaded node
-// whenever the last rank happened to be loaded — breaking the
-// minimum-assignment invariant the logical drop exists to provide.
-func logicalDropCounts(n int, loaded map[int]bool, numNodes int, sub []int) []int {
-	counts := make([]int, numNodes)
-	lastUnloaded := -1
-	j := 0
-	for i := 0; i < numNodes; i++ {
-		if loaded[i] {
-			counts[i] = 1
-		} else {
-			counts[i] = sub[j]
-			j++
-			lastUnloaded = i
-		}
-	}
-	sum := 0
-	for _, c := range counts {
-		sum += c
-	}
-	if lastUnloaded >= 0 {
-		counts[lastUnloaded] += n - sum
-	}
-	return counts
 }

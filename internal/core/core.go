@@ -30,34 +30,19 @@ import (
 	"repro/internal/vclock"
 )
 
-// Method selects the distribution algorithm.
-type Method int
-
-const (
-	// SuccessiveBalancing is the paper's algorithm (§4.3), the default.
-	SuccessiveBalancing Method = iota
-	// RelativePower is the naive baseline from prior work [2].
-	RelativePower
+// Method and DropPolicy select the adaptation policy, distribution.Decide.
+type (
+	Method     = distribution.Method
+	DropPolicy = distribution.DropPolicy
 )
 
-// DropPolicy controls node removal.
-type DropPolicy int
-
 const (
-	// DropAuto applies the paper's §4.4 decision: after the
-	// post-redistribution grace period, drop the loaded nodes if the
-	// predicted unloaded-only configuration beats the measured times.
-	DropAuto DropPolicy = iota
-	// DropNever disables node removal.
-	DropNever
-	// DropAlways physically removes every loaded node at the
-	// redistribution point (used by the Figure 6 "Drop" experiments).
-	DropAlways
-	// DropLogical is the §2.2 alternative to physical dropping: loaded
-	// nodes stay in the computation with a minimum assignment (one
-	// iteration), so ranks remain static but the nodes keep slowing down
-	// communication.
-	DropLogical
+	SuccessiveBalancing = distribution.SuccessiveBalancing // the default
+	RelativePower       = distribution.RelativePower
+	DropAuto            = distribution.DropAuto // the default
+	DropNever           = distribution.DropNever
+	DropAlways          = distribution.DropAlways
+	DropLogical         = distribution.DropLogical
 )
 
 // Reserved tag space: user tags must stay below tagBase.
@@ -267,7 +252,8 @@ type Runtime struct {
 	nodesBuf  []distribution.Node
 	fracBuf   []float64
 	countBuf  []int
-	unitCosts []float64 // all ones: the iteration costs before any grace period measured them
+	unitCosts []float64            // all ones: the iteration costs before any grace period measured them
+	decision  distribution.Scratch // what distribution.Decide computes
 
 	// Telemetry state (sink == nil disables everything).
 	sink       telemetry.Sink

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/distribution"
 	"repro/internal/drsd"
 	"repro/internal/fault"
 	"repro/internal/mpi"
@@ -17,33 +18,29 @@ import (
 	"repro/internal/vclock"
 )
 
-// TestLogicalDropCountsRemainderToLastUnloaded pins the satellite fix: the
-// partition remainder must land on an unloaded node even when the last rank
-// is the loaded one (the old inline code padded counts[len-1]
-// unconditionally, breaking the minimum-assignment invariant).
+// TestLogicalDropCountsRemainderToLastUnloaded pins the minimum assignment of
+// a logical drop: a loaded node gets exactly one iteration even when it is
+// the last rank (an old inline version padded counts[len-1] with the rounding
+// remainder unconditionally), and the counts cover the iteration space.
 func TestLogicalDropCountsRemainderToLastUnloaded(t *testing.T) {
-	// 4 nodes, last one loaded, sub deliberately under-summing: 2+2+2+1 = 7
-	// leaves a remainder of 3 for n = 10.
-	counts := logicalDropCounts(10, map[int]bool{3: true}, 4, []int{2, 2, 2})
-	if counts[3] != 1 {
-		t.Fatalf("loaded last node got %d iterations, want exactly 1 (counts %v)", counts[3], counts)
+	costs := make([]float64, 11)
+	for g := range costs {
+		costs[g] = 1
 	}
-	if counts[2] != 5 {
-		t.Fatalf("remainder not applied to last unloaded node: %v", counts)
-	}
-	sum := 0
-	for _, c := range counts {
-		sum += c
-	}
-	if sum != 10 {
-		t.Fatalf("counts %v sum to %d, want 10", counts, sum)
-	}
-
-	// Loaded node in the middle: remainder goes to the final (unloaded) node
-	// as before.
-	counts = logicalDropCounts(10, map[int]bool{1: true}, 4, []int{3, 3, 2})
-	if counts[1] != 1 || counts[3] != 3 {
-		t.Fatalf("middle-loaded case: %v", counts)
+	for _, loaded := range []int{3, 1} {
+		nodes := []distribution.Node{{Rank: 0, Power: 1}, {Rank: 1, Power: 1}, {Rank: 2, Power: 1}, {Rank: 3, Power: 1}}
+		nodes[loaded].Load = 1
+		v := distribution.Decide(distribution.Input{Nodes: nodes, IterCosts: costs, Drop: DropLogical})
+		sum := 0
+		for i, c := range v.Counts {
+			sum += c
+			if (i == loaded) != (c == 1) {
+				t.Errorf("node %d loaded: counts %v, want exactly 1 on it and more elsewhere", loaded, v.Counts)
+			}
+		}
+		if v.Chosen != "logical-drop" || sum != len(costs) {
+			t.Errorf("node %d loaded: %s %v, want logical-drop covering %d", loaded, v.Chosen, v.Counts, len(costs))
+		}
 	}
 }
 

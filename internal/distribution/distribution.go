@@ -3,7 +3,8 @@
 // balancing algorithm driven by a two-node pair model, weighted
 // partitioning of (possibly nonuniform) iterations into variable blocks,
 // execution-time prediction for unloaded configurations, and the node-drop
-// decision (§4.4).
+// decision (§4.4). Decide (decide.go) is the whole policy as one pure
+// function of the measured inputs.
 package distribution
 
 import (
@@ -82,121 +83,61 @@ func RelativePowerFractionsInto(buf []float64, nodes []Node) []float64 {
 }
 
 // SuccessiveBalancingFractions implements the paper's algorithm: reduce the
-// multi-node problem to loaded/unloaded pairs. Each round fixes the loaded
-// nodes' shares from the pair model (at their current comp/comm ratio) and
-// balances the remainder across the unloaded nodes by power; rounds repeat
-// until the unloaded assignment stops changing.
+// multi-node problem to loaded/unloaded pairs. Each loaded node's share comes
+// from the pair model at the workload's comp/comm ratio, and the remainder is
+// balanced across the unloaded nodes by power. The pair ratio depends only on
+// the workload shape, never on the fractions, so one round is the fixpoint.
 //
 // totalComp is the whole workload's per-cycle compute time on a power-1
 // node; commCPU is one node's per-cycle communication CPU time. Both only
-// matter through their ratio and scale.
+// matter through their ratio and scale. A nil model is AnalyticModel.
 func SuccessiveBalancingFractions(nodes []Node, totalComp, commCPU float64, model PairModel) []float64 {
-	return SuccessiveBalancingFractionsTrace(nodes, totalComp, commCPU, model, nil)
-}
-
-// SuccessiveBalancingFractionsTrace is SuccessiveBalancingFractions with an
-// observer: when non-nil, observe receives each round's candidate fractions
-// before convergence is tested, so telemetry can record every intermediate
-// distribution the algorithm considered.
-func SuccessiveBalancingFractionsTrace(nodes []Node, totalComp, commCPU float64, model PairModel, observe func(round int, fractions []float64)) []float64 {
 	if model == nil {
 		model = AnalyticModel{}
 	}
-	p := len(nodes)
-	fr := RelativePowerFractions(nodes) // starting point
-	anyUnloaded := false
-	for _, n := range nodes {
-		if n.Load == 0 {
-			anyUnloaded = true
-			break
-		}
+	return successiveBalancingInto(nil, nodes, totalComp, commCPU, model)
+}
+
+// successiveBalancingInto is SuccessiveBalancingFractions into buf's array.
+func successiveBalancingInto(buf []float64, nodes []Node, totalComp, commCPU float64, model PairModel) []float64 {
+	if !hasUnloaded(nodes) {
+		return RelativePowerFractionsInto(buf, nodes) // nothing to pair against; relative power is the best guess
 	}
-	if !anyUnloaded {
-		return fr // nothing to pair against; relative power is the best guess
-	}
-	// The per-round capacities are round-invariant: the pair ratio depends
-	// only on the workload shape (total compute, group size, comm CPU), not
-	// on the evolving fractions, so the candidate assignment is computed
-	// once. The round loop below is kept solely for its observable protocol
-	// — per-round observe callbacks and convergence against the previous
-	// round's fractions — and terminates with the exact same round count and
-	// intermediate values as the original recompute-every-round formulation.
-	//
 	// The pair model is calibrated on a two-node split of the node's
 	// neighbourhood workload: the loaded node plus one unloaded peer share
 	// 2/p of the total compute.
 	ratio := math.Inf(1)
 	if commCPU > 0 {
-		ratio = totalComp * 2 / float64(p) / commCPU
+		ratio = totalComp * 2 / float64(len(nodes)) / commCPU
 	}
-	var cache phiCache
-	next := make([]float64, p)
+	caps := sized(buf, len(nodes))
 	var capSum float64
 	for i, n := range nodes {
-		if n.Load == 0 {
-			next[i] = n.Power
-		} else {
-			phi := cache.get(model, n.Load, ratio)
+		caps[i] = n.Power
+		if n.Load != 0 {
+			phi := model.Fraction(n.Load, ratio)
 			if phi >= 0.5 {
 				phi = 0.499
 			}
 			// A pair fraction φ means capacity φ/(1−φ) relative to one
 			// unloaded node of the same power.
-			next[i] = n.Power * phi / (1 - phi)
+			caps[i] = n.Power * phi / (1 - phi)
 		}
-		capSum += next[i]
+		capSum += caps[i]
 	}
-	for i := range next {
-		next[i] /= capSum
+	for i := range caps {
+		caps[i] /= capSum
 	}
-	const maxRounds = 32
-	for round := 0; round < maxRounds; round++ {
-		if observe != nil {
-			observe(round, append([]float64(nil), next...))
-		}
-		// Convergence: unloaded shares stable to 0.1%.
-		stable := true
-		for i, n := range nodes {
-			if n.Load == 0 && math.Abs(next[i]-fr[i]) > 1e-3 {
-				stable = false
-			}
-		}
-		fr = next
-		if stable {
-			break
-		}
-	}
-	return fr
+	return caps
 }
 
-// phiCache memoises PairModel.Fraction per competing-process count within
-// one balancing evaluation: every loaded node sees the same comp/comm
-// ratio, so the model's answer depends only on k. Small k (the realistic
-// range) stays on the stack; larger counts fall back to a lazily allocated
-// map.
-type phiCache struct {
-	small [9]float64
-	set   [9]bool
-	big   map[int]float64
-}
-
-func (c *phiCache) get(model PairModel, k int, ratio float64) float64 {
-	if k >= 0 && k < len(c.small) {
-		if !c.set[k] {
-			c.small[k] = model.Fraction(k, ratio)
-			c.set[k] = true
+func hasUnloaded(nodes []Node) bool {
+	for _, n := range nodes {
+		if n.Load == 0 {
+			return true
 		}
-		return c.small[k]
 	}
-	if phi, ok := c.big[k]; ok {
-		return phi
-	}
-	phi := model.Fraction(k, ratio)
-	if c.big == nil {
-		c.big = make(map[int]float64)
-	}
-	c.big[k] = phi
-	return phi
+	return false
 }
 
 // PartitionWeighted splits the iteration space into contiguous blocks whose
@@ -275,51 +216,23 @@ func ones(n int) []float64 {
 // inflation applied to CPU components. counts are iterations per node
 // (aligned with nodes); iterCosts are per-iteration unloaded costs on a
 // power-1 node; commCPU and commWire are per-node per-cycle communication
-// costs in seconds.
+// costs in seconds. A node's compute is the difference of the running cost
+// sum at its block's ends, so nothing is allocated.
 func PredictCycleTime(nodes []Node, counts []int, iterCosts []float64, commCPU, commWire float64) float64 {
 	if len(nodes) != len(counts) {
 		panic("distribution: nodes/counts mismatch")
 	}
-	pre := make([]float64, len(iterCosts)+1)
-	for g, w := range iterCosts {
-		pre[g+1] = pre[g] + w
-	}
-	worst := 0.0
-	lo := 0
+	worst, cum, g := 0.0, 0.0, 0
 	for i, n := range nodes {
-		hi := lo + counts[i]
-		comp := pre[hi] - pre[lo]
-		lo = hi
+		start := cum
+		for end := g + counts[i]; g < end; g++ {
+			cum += iterCosts[g]
+		}
 		inflate := float64(1+n.Load) / n.Power
-		t := comp*inflate + commCPU*inflate + commWire
+		t := (cum-start)*inflate + commCPU*inflate + commWire
 		if t > worst {
 			worst = t
 		}
 	}
 	return worst
-}
-
-// DropDecision is the §4.4 rule: after the post-redistribution grace
-// period, compare the measured worst per-cycle time against the predicted
-// time of a configuration containing only the unloaded nodes; if the
-// prediction (which is reliable, because unloaded nodes are predictable)
-// wins, the loaded nodes are physically removed.
-//
-// measuredMax is the maximum over nodes of the average cycle time observed
-// during the grace period. commCPU/commWire describe per-node per-cycle
-// communication for the *smaller* unloaded-only configuration.
-func DropDecision(nodes []Node, iterCosts []float64, measuredMax, commCPU, commWire float64) (drop bool, predicted float64) {
-	var unloaded []Node
-	for _, n := range nodes {
-		if n.Load == 0 {
-			unloaded = append(unloaded, n)
-		}
-	}
-	if len(unloaded) == 0 || len(unloaded) == len(nodes) {
-		return false, math.Inf(1)
-	}
-	fr := RelativePowerFractions(unloaded)
-	counts := PartitionWeighted(iterCosts, fr)
-	predicted = PredictCycleTime(unloaded, counts, iterCosts, commCPU, commWire)
-	return predicted < measuredMax, predicted
 }

@@ -285,32 +285,41 @@ func TestPredictCycleTime(t *testing.T) {
 	}
 }
 
+// dropCheck asks Decide for drop-auto's verdict on nodes after a measured
+// worst cycle time.
+func dropCheck(nodes []Node, costs []float64, measured, commCPU, commWire float64) Verdict {
+	return Decide(Input{Nodes: nodes, IterCosts: costs, CommCPU: commCPU, CommWire: commWire,
+		Drop: DropAuto, DropCheck: true, MeasuredS: measured})
+}
+
 func TestDropDecision(t *testing.T) {
 	nodes := []Node{{0, 1, 3}, {1, 1, 0}, {2, 1, 0}, {3, 1, 0}}
 	costs := uniform(90)
 	// Measured cycle time is awful (loaded node hurts): predict unloaded-only
 	// config of 3 nodes: 30 iters each + comm.
-	drop, pred := DropDecision(nodes, costs, 100.0, 0.5, 0.5)
-	if !drop {
-		t.Fatalf("should drop: predicted %v < measured 100", pred)
+	v := dropCheck(nodes, costs, 100.0, 0.5, 0.5)
+	if !v.Drop || v.Chosen != "drop" {
+		t.Fatalf("should drop: predicted %v < measured 100", v.PredictedS)
 	}
-	if !almost(pred, 30+0.5+0.5, 1e-9) {
-		t.Fatalf("predicted %v", pred)
+	if !almost(v.PredictedS, 30+0.5+0.5, 1e-9) || len(v.Candidates) != 1 || v.Candidates[0].PredictedS != v.PredictedS {
+		t.Fatalf("predicted %v, candidates %v", v.PredictedS, v.Candidates)
 	}
 	// Measured better than prediction: keep the loaded node.
-	drop, _ = DropDecision(nodes, costs, 20.0, 0.5, 0.5)
-	if drop {
+	if v := dropCheck(nodes, costs, 20.0, 0.5, 0.5); v.Drop || v.Chosen != "keep" {
 		t.Fatal("should not drop when measured beats prediction")
 	}
 }
 
+// TestDropDecisionDegenerateCases: with no loaded node, or no unloaded one,
+// there is nothing to drop or nothing to predict — the verdict is keep, with
+// no candidate and a finite prediction a trace can encode.
 func TestDropDecisionDegenerateCases(t *testing.T) {
 	costs := uniform(10)
-	if drop, _ := DropDecision([]Node{{0, 1, 1}, {1, 1, 2}}, costs, 100, 0, 0); drop {
-		t.Fatal("cannot drop when every node is loaded")
-	}
-	if drop, _ := DropDecision([]Node{{0, 1, 0}, {1, 1, 0}}, costs, 100, 0, 0); drop {
-		t.Fatal("nothing to drop when no node is loaded")
+	for _, nodes := range [][]Node{{{0, 1, 1}, {1, 1, 2}}, {{0, 1, 0}, {1, 1, 0}}} {
+		v := dropCheck(nodes, costs, 100, 0, 0)
+		if v.Drop || v.Chosen != "keep" || v.Candidates != nil || v.PredictedS != 0 {
+			t.Fatalf("loads %v: verdict %+v, want a bare keep", nodes, v)
+		}
 	}
 }
 

@@ -64,18 +64,10 @@ func RunMicrobench(o MicrobenchOptions) (*MicrobenchResult, error) {
 		res.Naive[k] = 1.0 / float64(2+k)
 	}
 
-	// End to end: a Jacobi configuration in the regime where the method
-	// choice matters — communication CPU is comparable to per-node compute
-	// (pair ratio ≈ 2), so the naive method overloads the loaded node with
-	// work it cannot complete once its communication CPU is inflated.
+	// End to end: the two methods on methodComparison's world.
 	for _, method := range []core.Method{core.SuccessiveBalancing, core.RelativePower} {
-		cfg := jacobi.DefaultConfig()
-		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = 256, 2048, 200, 10
-		cfg.Core = core.DefaultConfig()
-		cfg.Core.Drop = core.DropNever
-		cfg.Core.Method = method
+		spec, cfg := methodComparison(method)
 		ring := traced(&cfg.Core)
-		spec := cluster.Uniform(4).With(cluster.TimeEvent(1, 0, +1))
 		out, err := jacobi.Run(cluster.New(spec), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("microbench end-to-end: %w", err)
@@ -95,6 +87,20 @@ func RunMicrobench(o MicrobenchOptions) (*MicrobenchResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// methodComparison is the end-to-end world of the method comparison: Jacobi
+// in the regime where the method choice matters — communication CPU is
+// comparable to per-node compute (pair ratio ≈ 2), so the naive method
+// overloads the loaded node with work it cannot complete once its
+// communication CPU is inflated.
+func methodComparison(method core.Method) (cluster.Spec, jacobi.Config) {
+	cfg := jacobi.DefaultConfig()
+	cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = 256, 2048, 200, 10
+	cfg.Core = core.DefaultConfig()
+	cfg.Core.Drop = core.DropNever
+	cfg.Core.Method = method
+	return cluster.Uniform(4).With(cluster.TimeEvent(1, 0, +1)), cfg
 }
 
 // Table renders the fraction table and the method comparison.

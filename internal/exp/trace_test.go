@@ -268,6 +268,12 @@ func TestSinkLeavesResultUnchanged(t *testing.T) {
 	grow := small()
 	grow.Core.Drop = core.DropNever
 	grow.ResizeAt, grow.ResizeTo = 10, 6
+	// A sink once added the successive-balancing computation to a
+	// relative-power run; a logical drop's record carries its counts.
+	relPower := small()
+	relPower.Core.Drop, relPower.Core.Method = core.DropNever, core.RelativePower
+	logical := small()
+	logical.Core.Drop = core.DropLogical
 
 	skewedSpec := cluster.Uniform(8)
 	skewedSpec.Net.CPUPerByte, skewedSpec.Net.BytesPerSec = 800, 100e6
@@ -289,6 +295,8 @@ func TestSinkLeavesResultUnchanged(t *testing.T) {
 		{"skewed RMA", skewedSpec, skewed},
 		{"crash+replicate", crashSpec, crash},
 		{"grow", cluster.Uniform(4).WithArrival(1.0, -1).WithArrival(1.0, -1), grow},
+		{"relative-power", cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1)), relPower},
+		{"drop-logical", cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1)), logical},
 	} {
 		bare, err := jacobi.Run(cluster.New(tc.spec), tc.cfg)
 		if err != nil {

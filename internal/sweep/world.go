@@ -113,3 +113,22 @@ func startWorld(g *Grid, c Cell) *worldRun {
 	}()
 	return w
 }
+
+// Trace runs cell c of the grid alone and returns its telemetry records in
+// deterministic order — the record stream behind one row of a sweep report,
+// identical to the one the sweep folded.
+func (g *Grid) Trace(c Cell) ([]telemetry.Record, error) {
+	w := startWorld(g, c)
+	for w.gate.HasPendingEvents() {
+		w.gate.ProcessNextEvent()
+	}
+	if out := <-w.done; out.err != nil {
+		return nil, out.err
+	}
+	if d := w.ring.Dropped(); d > 0 {
+		return nil, fmt.Errorf("sweep: cell %s: telemetry ring overflow: %d records dropped", c.Key(), d)
+	}
+	recs := w.ring.Records()
+	telemetry.Sort(recs)
+	return recs, nil
+}

@@ -22,6 +22,7 @@ package telemetry
 
 import (
 	"cmp"
+	"math"
 	"slices"
 )
 
@@ -97,18 +98,45 @@ type IterationRecord struct {
 
 // Candidate is one distribution the decision machinery considered.
 type Candidate struct {
-	Label      string  `json:"label"`            // e.g. "relative-power", "successive-balancing"
-	Counts     []int   `json:"counts"`           // iterations per active node
-	PredictedS float64 `json:"predicted_s"`      // predicted per-cycle time
-	Rounds     int     `json:"rounds,omitempty"` // balancing rounds until convergence
+	Label      string  `json:"label"`       // e.g. "relative-power", "successive-balancing"
+	Counts     []int   `json:"counts"`      // iterations per active node
+	PredictedS float64 `json:"predicted_s"` // predicted per-cycle time
 }
 
-// DecisionRecord captures one adaptation decision: the loads that triggered
-// it, every candidate distribution considered, and what was chosen.
+// CostRun is N consecutive iterations from Lo that cost the same.
+type CostRun struct {
+	Lo   int     `json:"lo"`
+	N    int     `json:"n"`
+	Cost float64 `json:"cost"`
+}
+
+// CostRuns encodes per-iteration costs as maximal runs of bit-equal costs:
+// a uniform workload is one run.
+func CostRuns(costs []float64) []CostRun {
+	var runs []CostRun
+	for g, c := range costs {
+		if k := len(runs) - 1; k >= 0 && math.Float64bits(runs[k].Cost) == math.Float64bits(c) {
+			runs[k].N++
+		} else {
+			runs = append(runs, CostRun{Lo: g, N: 1, Cost: c})
+		}
+	}
+	return runs
+}
+
+// DecisionRecord captures one adaptation decision: its inputs — the loads
+// that triggered it, the node powers, the measured communication and
+// iteration costs — every candidate distribution considered, and what was
+// chosen. The inputs are all distribution.Decide reads besides the
+// configured policy, so the decision can be replayed from its record.
 type DecisionRecord struct {
 	Base
-	Method     string      `json:"method"` // configured method or drop policy
-	Loads      []int       `json:"loads"`  // per-active-node competing processes
+	Method     string      `json:"method"`      // the rule that decided: a balancing method or a drop policy
+	Loads      []int       `json:"loads"`       // per-active-node competing processes
+	Powers     []float64   `json:"powers"`      // per-active-node static power
+	CommCPUS   float64     `json:"comm_cpu_s"`  // per-node per-cycle communication CPU
+	CommWireS  float64     `json:"comm_wire_s"` // per-node per-cycle wire time
+	IterCosts  []CostRun   `json:"iter_costs"`  // per-iteration unloaded costs on a power-1 node
 	Candidates []Candidate `json:"candidates,omitempty"`
 	Chosen     string      `json:"chosen"`               // label of the winning candidate or verdict
 	Counts     []int       `json:"counts,omitempty"`     // the distribution actually installed

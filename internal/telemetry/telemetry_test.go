@@ -211,10 +211,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 		KindIteration: IterationRecord{Base: Base{K: KindIteration, Node: 0, Cycle: 3, Time: 0.25, Seq: 0},
 			ComputeS: 0.2, CommS: 0.01, WaitS: 0.04, Share: 32, Load: 1},
 		KindDecision: DecisionRecord{Base: Base{K: KindDecision, Node: 0, Cycle: 5, Time: 0.5, Seq: 1},
-			Method: "successive-balancing", Loads: []int{0, 1, 0, 0},
+			Method: "successive-balancing", Loads: []int{0, 1, 0, 0}, Powers: []float64{1, 1, 1.5, 1},
+			CommCPUS: 0.001, CommWireS: 0.0005, IterCosts: []CostRun{{Lo: 0, N: 100, Cost: 0.001}, {Lo: 100, N: 28, Cost: 0.002}},
 			Candidates: []Candidate{
 				{Label: "relative-power", Counts: []int{37, 18, 37, 36}, PredictedS: 0.02},
-				{Label: "successive-balancing", Counts: []int{40, 9, 40, 39}, PredictedS: 0.015, Rounds: 3},
+				{Label: "successive-balancing", Counts: []int{40, 9, 40, 39}, PredictedS: 0.015},
 			},
 			Chosen: "successive-balancing", Counts: []int{40, 9, 40, 39}, PredictedS: 0.015, GraceVT: 0.375},
 		KindRedist: RedistRecord{Base: Base{K: KindRedist, Node: 2, Cycle: 5, Time: 0.51, Seq: 0},
