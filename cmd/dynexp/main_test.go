@@ -1,9 +1,53 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// TestMain doubles as the dynexp binary: with DYNEXP_TEST_ARGS set, the test
+// executable runs main on those newline-separated arguments, so a test can
+// check exit status and output without building the command separately.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("DYNEXP_TEST_ARGS"); ok {
+		os.Args = append([]string{"dynexp"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadInputExitsWithAnError: input the program cannot run is reported as
+// an error with a non-zero exit, never as a panic or a runtime deadlock.
+func TestBadInputExitsWithAnError(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fault", "crash:node=9", "trace"}, "node 9 out of range [0,4)"},
+		{[]string{"-smoke", "-grid", "scen=cg;resize=grow", "-jobs", "1", "sweep"}, "resize grow needs mid-run joiners, which scenario cg does not support"},
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "DYNEXP_TEST_ARGS="+strings.Join(tc.args, "\n"))
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Errorf("dynexp %v: err %v, want a non-zero exit", tc.args, err)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("dynexp %v: output %q lacks %q", tc.args, out, tc.want)
+		}
+		for _, bad := range []string{"panic", "fatal error", "goroutine "} {
+			if strings.Contains(string(out), bad) {
+				t.Errorf("dynexp %v: output contains %q:\n%s", tc.args, bad, out)
+			}
+		}
+	}
+}
 
 func TestParseNodes(t *testing.T) {
 	for _, tc := range []struct {

@@ -11,12 +11,18 @@
 package apps
 
 import (
+	"errors"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/vclock"
 )
+
+// ErrNoJoiner is what an application without mid-run joiner support (cg,
+// particles) returns from a rank spawned by elastic growth: re-running its
+// body from cycle 0 would diverge from the world's collectives and hang it.
+var ErrNoJoiner = errors.New("mid-run joiners are not supported")
 
 // RankStats captures one rank's end-of-run state.
 type RankStats struct {

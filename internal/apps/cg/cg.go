@@ -15,6 +15,8 @@
 package cg
 
 import (
+	"fmt"
+
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -85,6 +87,9 @@ func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
 		ph := rt.InitPhase(cfg.N)
 		ph.AddAccess("A", drsd.Read, 1, 0)
 		rt.Commit()
+		if rt.Joined() {
+			return fmt.Errorf("cg: %w", apps.ErrNoJoiner)
+		}
 
 		lo, hi := ph.Bounds()
 		for g := lo; g < hi; g++ {

@@ -1,8 +1,10 @@
 package cg
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/core"
 )
@@ -145,5 +147,18 @@ func TestDropPreservesResidual(t *testing.T) {
 	}
 	if res.Checksum != ded.Checksum {
 		t.Fatalf("removal changed CG residual: %v vs %v", res.Checksum, ded.Checksum)
+	}
+}
+
+// TestJoinerFailsTheRun: cg has no mid-run joiner path, so a world that
+// grows into an arrival fails with ErrNoJoiner instead of hanging on a
+// joiner that re-runs the solve from cycle 0.
+func TestJoinerFailsTheRun(t *testing.T) {
+	cfg := testConfig()
+	cfg.Iters = 20
+	cfg.Core.Drop = core.DropNever
+	_, err := Run(cluster.New(cluster.Uniform(4).WithArrival(1.0, 5)), cfg)
+	if !errors.Is(err, apps.ErrNoJoiner) {
+		t.Fatalf("Run = %v, want ErrNoJoiner", err)
 	}
 }

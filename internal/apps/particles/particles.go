@@ -98,6 +98,9 @@ func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
 		ph := rt.InitPhase(cfg.Rows)
 		ph.AddAccess("P", drsd.ReadWrite, 1, 0)
 		rt.Commit()
+		if rt.Joined() {
+			return fmt.Errorf("particles: %w", apps.ErrNoJoiner)
+		}
 
 		lo, hi := ph.Bounds()
 		seedParticles(ps, cfg, c.Size(), lo, hi)

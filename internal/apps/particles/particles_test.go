@@ -1,11 +1,13 @@
 package particles
 
 import (
+	"errors"
 	"math"
 	"math/bits"
 	"runtime"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/drsd"
@@ -126,6 +128,19 @@ func TestDeterministicDedicated(t *testing.T) {
 	}
 	if a.CheckInt == 0 {
 		t.Fatal("degenerate checksum")
+	}
+}
+
+// TestJoinerFailsTheRun: particles has no mid-run joiner path, so a world
+// that grows into an arrival fails with ErrNoJoiner instead of hanging on a
+// joiner that re-seeds its rows and runs every step from 0.
+func TestJoinerFailsTheRun(t *testing.T) {
+	cfg := testConfig()
+	cfg.Steps = 20
+	cfg.Core.Drop = core.DropNever
+	_, err := Run(cluster.New(cluster.Uniform(4).WithArrival(1.0, 5)), cfg)
+	if !errors.Is(err, apps.ErrNoJoiner) {
+		t.Fatalf("Run = %v, want ErrNoJoiner", err)
 	}
 }
 

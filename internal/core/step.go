@@ -42,13 +42,26 @@ const (
 // cluster's rank-exit hook (cluster.SetRankExitHook) so ranks that stop
 // checkpointing — normal completion, world failure, injected crashes —
 // never wedge the controller.
+//
+// Who wakes whom: parked ranks wait on rankCond, which only a release
+// broadcasts, so a wave wakes each released rank once; the controller waits
+// on ctlCond, which a park, exit or grow wakes only when it leaves the
+// world quiescent, so a wave wakes the controller once. Once quiescent, the
+// world stays so until the controller releases it: no rank is running to
+// park, exit or grow.
 type WorldGate struct {
-	mu   sync.Mutex
-	cond sync.Cond // L is &mu
+	mu       sync.Mutex
+	rankCond sync.Cond // L is &mu; broadcast by ProcessNextEvent's release
+	ctlCond  sync.Cond // L is &mu; broadcast when parked+exited reaches len(ranks)
 
 	ranks  []gateRank
 	parked int
 	exited int
+
+	// Wait-loop passes, counted under mu: rankWakes by parked ranks,
+	// ctlWakes by the controller, over ctlBlocks waitQuiescent calls that
+	// found the world running. The wake test pins them exact.
+	rankWakes, ctlWakes, ctlBlocks int
 }
 
 // gateRank is one rank's side of the gate.
@@ -63,7 +76,7 @@ type gateRank struct {
 // initial replica exchange).
 func NewWorldGate(n int) *WorldGate {
 	g := &WorldGate{ranks: make([]gateRank, n)}
-	g.cond.L = &g.mu
+	g.rankCond.L, g.ctlCond.L = &g.mu, &g.mu
 	return g
 }
 
@@ -73,9 +86,10 @@ func (g *WorldGate) Checkpoint(rank, cycle int, now vclock.Time) {
 	g.mu.Lock()
 	g.ranks[rank].state, g.ranks[rank].time = gateParked, now
 	g.parked++
-	g.cond.Broadcast()
+	g.wakeIfQuiescent()
 	for !g.ranks[rank].released { // indexed each time: Grow may move the slice
-		g.cond.Wait()
+		g.rankCond.Wait()
+		g.rankWakes++
 	}
 	g.ranks[rank].released = false
 	g.mu.Unlock()
@@ -89,7 +103,7 @@ func (g *WorldGate) RankExit(rank int) {
 	if g.ranks[rank].state != gateExited {
 		g.ranks[rank].state = gateExited
 		g.exited++
-		g.cond.Broadcast()
+		g.wakeIfQuiescent()
 	}
 	g.mu.Unlock()
 }
@@ -114,16 +128,31 @@ func (g *WorldGate) Grow(ranks []int) {
 			g.exited--
 		}
 	}
-	g.cond.Broadcast()
+	g.wakeIfQuiescent()
 	g.mu.Unlock()
+}
+
+// quiescent reports whether every rank is parked or exited. Callers hold g.mu.
+func (g *WorldGate) quiescent() bool { return g.parked+g.exited == len(g.ranks) }
+
+// wakeIfQuiescent wakes the controller when the caller's park, exit or
+// grow left the world quiescent. Callers hold g.mu.
+func (g *WorldGate) wakeIfQuiescent() {
+	if g.quiescent() {
+		g.ctlCond.Broadcast() // one controller in practice; Broadcast keeps a second from hanging
+	}
 }
 
 // waitQuiescent blocks until every rank is parked or exited. Callers hold
 // g.mu. The loop re-reads the rank count each pass, so a concurrent Grow (the
 // root admitting joiners mid-wave) safely raises the quiescence bar.
 func (g *WorldGate) waitQuiescent() {
-	for g.parked+g.exited < len(g.ranks) {
-		g.cond.Wait()
+	if !g.quiescent() {
+		g.ctlBlocks++
+	}
+	for !g.quiescent() {
+		g.ctlCond.Wait()
+		g.ctlWakes++
 	}
 }
 
@@ -173,7 +202,7 @@ func (g *WorldGate) ProcessNextEvent() {
 			g.parked--
 		}
 	}
-	g.cond.Broadcast()
+	g.rankCond.Broadcast()
 	g.waitQuiescent()
 	g.mu.Unlock()
 }

@@ -64,6 +64,9 @@ func RunTrace(o TraceOptions) (*TraceResult, error) {
 	cfg.Core.ReplicaEvery = o.ReplicaEvery
 	spec := cluster.Uniform(o.Nodes).With(cluster.CycleEvent(o.CPNode, o.CPCycle, +1))
 	spec.Faults = append(spec.Faults, o.Faults...)
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	res, err := jacobi.Run(cluster.New(spec), cfg)
 	if err != nil {
 		return nil, err

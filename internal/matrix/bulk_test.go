@@ -26,6 +26,17 @@ func TestDenseCopyRowsToMatchesRows(t *testing.T) {
 	}
 }
 
+// An empty range copies nothing and does not panic, even against an empty
+// window (a rank that owns no rows after a grow packs its replica slab).
+func TestDenseCopyRowsToEmptyRange(t *testing.T) {
+	for _, scheme := range []Alloc{Projection, Contiguous} {
+		d := NewDense("A", 20, 3, scheme, nil)
+		d.CopyRowsTo(nil, 4, 4)
+		d.SetWindow(5, 15)
+		d.CopyRowsTo(nil, 17, 17)
+	}
+}
+
 func TestDenseCopyRowsToChargesNothing(t *testing.T) {
 	sink := &recordSink{}
 	d := NewDense("A", 20, 3, Contiguous, sink)

@@ -217,8 +217,12 @@ func (d *Dense) SetWindow(lo, hi int) {
 // must hold at least (hi-lo)*RowLen values. It performs no cost accounting:
 // bulk extraction is a host-side packing optimisation, and the caller
 // charges the virtual cost of each row according to its own move/copy
-// semantics (see core.applyDistribution).
+// semantics (see core.applyDistribution). An empty range is a no-op
+// wherever it lies: a rank that owns no rows packs nothing.
 func (d *Dense) CopyRowsTo(dst []float64, lo, hi int) {
+	if lo == hi {
+		return
+	}
 	if lo < d.lo || hi > d.hi || lo > hi {
 		panic(fmt.Sprintf("matrix: %s CopyRowsTo [%d,%d) outside window [%d,%d)", d.Name, lo, hi, d.lo, d.hi))
 	}

@@ -50,7 +50,7 @@ type Cell struct {
 	// auto-grows into them mid-run), or "growskew" (the same growth, but a
 	// competing process lands on node 0 two cycles before the arrivals, so
 	// the diff schedule redistributes into an already-skewed world). Empty
-	// means "none".
+	// means "none". Growth needs mid-run joiners: jacobi and sor only.
 	Resize string
 }
 
@@ -160,7 +160,8 @@ func (g *Grid) Cells() []Cell {
 
 // Validate rejects grids that cannot run: unknown axis values, scenario
 // events targeting nodes outside the smallest world, crashes scheduled
-// after the run ends.
+// after the run ends, growth for a scenario without mid-run joiners (cg,
+// particles).
 func (g *Grid) Validate() error {
 	if len(g.Scenarios) == 0 || len(g.Ranks) == 0 || len(g.GPs) == 0 ||
 		len(g.Overlaps) == 0 || len(g.Faults) == 0 || len(g.Reps) == 0 ||
@@ -210,6 +211,11 @@ func (g *Grid) Validate() error {
 			return fmt.Errorf("sweep: unknown resize kind %q (want none|grow|growskew)", rz)
 		}
 		if rz == "grow" || rz == "growskew" {
+			for _, s := range g.Scenarios {
+				if s == "cg" || s == "particles" {
+					return fmt.Errorf("sweep: resize %s needs mid-run joiners, which scenario %s does not support (jacobi and sor do)", rz, s)
+				}
+			}
 			if g.ResizeAdd < 1 {
 				return fmt.Errorf("sweep: grow cells need ResizeAdd >= 1, have %d", g.ResizeAdd)
 			}

@@ -308,7 +308,7 @@ func TestParseSpec(t *testing.T) {
 	}
 	for _, invalid := range []string{"scen=quux", "ranks=1", "fault=flood", "iters=0", "resize=shuffle", "resize=grow;resizeadd=0", "resize=grow;resizecycle=99",
 		"cpnode=-1", "cpcycle=-3", "crashnode=-1", "crashcycle=-2", "fault=none;crashnode=-1",
-		"cost=-1", "cost=NaN", "cost=+Inf"} {
+		"cost=-1", "cost=NaN", "cost=+Inf", "scen=cg;resize=grow"} {
 		g := Smoke()
 		if err := g.ParseSpec(invalid); err != nil {
 			t.Fatalf("parse %q: %v", invalid, err)
@@ -318,6 +318,14 @@ func TestParseSpec(t *testing.T) {
 		} else if !strings.HasPrefix(err.Error(), "sweep: ") {
 			t.Errorf("Validate(%q) = %q, want a sweep: error", invalid, err)
 		}
+	}
+	// Growth into a scenario without joiner support names both.
+	g = Smoke()
+	if err := g.ParseSpec("scen=jacobi,particles;resize=none,growskew"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "particles") || !strings.Contains(err.Error(), "growskew") {
+		t.Errorf("Validate = %v, want an error naming particles and growskew", err)
 	}
 }
 
@@ -456,6 +464,34 @@ func TestGrowSkewChecksums(t *testing.T) {
 				t.Errorf("%s: checksum differs between rz%s (%v) and rzgrowskew (%v)",
 					base, rz, st.Checksum, skew.Checksum)
 			}
+		}
+	}
+}
+
+// TestGrowPastRowCountReplicated grows an 8-row world of 8 ranks, so a rank
+// owns no rows after the grow and its paired replica refresh packs an empty
+// range. Every replicated cell must finish with the dedicated run's checksum.
+func TestGrowPastRowCountReplicated(t *testing.T) {
+	g := Smoke()
+	if err := g.ParseSpec("scen=jacobi;rows=8;cols=8;ranks=8;fault=none;rep=1;resize=grow,growskew"); err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	r, err := Run(Options{Grid: g, Jobs: 2})
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	cfg := jacobi.DefaultConfig()
+	cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = g.Rows, g.Cols, g.Iters, g.CostPerElem
+	cfg.Core.Adapt = false
+	ded, err := jacobi.Run(cluster.New(cluster.Uniform(8)), cfg)
+	if err != nil {
+		t.Fatalf("dedicated run: %v", err)
+	}
+	for _, c := range r.Cells {
+		if c.Err != "" {
+			t.Errorf("cell %s failed: %s", c.Key, c.Err)
+		} else if c.Stats.Checksum != ded.Checksum {
+			t.Errorf("cell %s: checksum %v, dedicated %v", c.Key, c.Stats.Checksum, ded.Checksum)
 		}
 	}
 }
