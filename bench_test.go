@@ -357,21 +357,6 @@ func BenchmarkHaloExchange(b *testing.B) {
 	}
 }
 
-func BenchmarkMPIAllreduce8(b *testing.B) {
-	b.ReportAllocs()
-	err := mpi.Run(cluster.New(cluster.Uniform(8)), func(c *mpi.Comm) error {
-		g := c.World().AllGroup()
-		v := []float64{float64(c.Rank())}
-		for i := 0; i < b.N; i++ {
-			c.AllreduceF64s(g, v, mpi.Sum)
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
 func BenchmarkRedistributionSchedule(b *testing.B) {
 	b.ReportAllocs()
 	ranks := []int{0, 1, 2, 3, 4, 5, 6, 7}
@@ -654,39 +639,6 @@ func BenchmarkEndToEndQuickJacobi(b *testing.B) {
 		benchResult(b, res, err)
 	}
 }
-
-// benchCollectives measures the wall-clock cost of the collective engine at
-// group size n: each iteration runs a 64-element vector allreduce, a scalar
-// allreduce, and a barrier across all n ranks. This is the shape the sharded
-// rendezvous engine optimises (lock-free typed deposits, specialized combine
-// loops, combiner-tree reduction), and the N256 cell is the guardrail for
-// its scaling behaviour. On a single-core host the absolute
-// numbers are dominated by the goroutine scheduler's yield cost (each of the
-// n ranks takes one scheduling quantum per collective, an engine-independent
-// floor); see EXPERIMENTS.md for the floor calibration.
-func benchCollectives(b *testing.B, n int) {
-	b.ReportAllocs()
-	err := mpi.Run(cluster.New(cluster.Uniform(n)), func(c *mpi.Comm) error {
-		g := c.World().AllGroup()
-		buf := make([]float64, 64)
-		for i := range buf {
-			buf[i] = float64(c.Rank() + i)
-		}
-		for i := 0; i < b.N; i++ {
-			c.AllreduceF64sInto(g, buf, mpi.Sum)
-			c.AllreduceSum(g, 1)
-			c.Barrier(g)
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkCollectiveN64(b *testing.B)   { benchCollectives(b, 64) }
-func BenchmarkCollectiveN256(b *testing.B)  { benchCollectives(b, 256) }
-func BenchmarkCollectiveN1024(b *testing.B) { benchCollectives(b, 1024) }
 
 // BenchmarkPutFence measures the one-sided hot loop: rank 0 Puts a 1024-
 // element slab into rank 1's window and closes the epoch with a fence, once

@@ -134,9 +134,9 @@ func OrderedChecksum(rt *core.Runtime, n int, lo, hi int, rowVal func(g int) flo
 	for g := lo; g < hi; g++ {
 		contrib[g] = rowVal(g)
 	}
-	full := rt.AllreduceF64s(contrib, mpi.Sum)
+	rt.AllreduceF64sInto(contrib, mpi.Sum)
 	s := 0.0
-	for _, v := range full {
+	for _, v := range contrib {
 		s += v
 	}
 	return s

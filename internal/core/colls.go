@@ -59,28 +59,20 @@ func (rt *Runtime) recvRoot(tag int) any {
 // recvOut receives the next global result on a removed rank.
 func (rt *Runtime) recvOut() []float64 { return rt.recvRoot(tagGlobal).([]float64) }
 
-// AllreduceF64s reduces a vector across the active nodes; removed nodes
-// receive the result without contributing. Every rank — active or removed —
-// must call global operations in the same order.
+// AllreduceF64s reduces a vector across the active nodes and returns the
+// result in a fresh slice, leaving vals untouched; removed nodes receive the
+// result without contributing. Every rank — active or removed — must call
+// global operations in the same order.
 func (rt *Runtime) AllreduceF64s(vals []float64, op func(a, b float64) float64) []float64 {
-	if rt.isOut {
-		return rt.recvOut()
-	}
-	for {
-		out, err := rt.comm.AllreduceF64sErr(rt.group, vals, op)
-		if err != nil {
-			rt.absorbFailure(err)
-			continue
-		}
-		rt.sendOut(out)
-		return out
-	}
+	out := append([]float64(nil), vals...)
+	rt.AllreduceF64sInto(out, op)
+	return out
 }
 
 // AllreduceF64sInto reduces buf element-wise across the active nodes,
-// storing the result back into buf (send-out aware). Unlike AllreduceF64s
-// nothing retains the buffer afterwards, so per-cycle reductions can recycle
-// one slice indefinitely.
+// storing the result back into buf (send-out aware). Nothing retains the
+// buffer afterwards, so per-cycle reductions can recycle one slice
+// indefinitely.
 func (rt *Runtime) AllreduceF64sInto(buf []float64, op func(a, b float64) float64) {
 	if rt.isOut {
 		copy(buf, rt.recvOut())

@@ -13,8 +13,8 @@ import (
 // to 1024 ranks. It exists to exercise the sharded rendezvous engine at
 // sizes the paper experiments never reach, and to pin the engine's
 // determinism contract at scale: identical options must produce a
-// byte-identical report — including the combiner-tree allreduce results,
-// whose floating-point association is fixed by group slot order, never by
+// byte-identical report — including the allreduce results, whose
+// floating-point association is fixed by group slot order, never by
 // physical goroutine arrival order. CI runs the n=256 soak twice and
 // compares the outputs verbatim.
 
@@ -26,9 +26,8 @@ type ScaleOptions struct {
 }
 
 // DefaultScaleOptions covers the tentpole sizes: the largest paper-scale
-// world, and the 256/1024-rank worlds the sharded engine targets. 64
-// elements puts the vector collectives over the combiner-tree threshold for
-// every size here above 16 ranks.
+// world, and the 256/1024-rank worlds the sharded engine targets, with
+// 64-element vectors.
 func DefaultScaleOptions() ScaleOptions {
 	return ScaleOptions{Sizes: []int{64, 256, 1024}, Cycles: 20, VecLen: 64}
 }
@@ -53,7 +52,7 @@ type ScaleResult struct {
 
 // RunScale executes the soak. Every cycle of every size runs the full
 // collective mix: a rotating-root broadcast, an element-wise sum allreduce
-// (combiner tree at these sizes), a float64 allgather, a rotating-root
+// (folded in slot order), a float64 allgather, a rotating-root
 // gather folded back through a scalar allreduce, and a barrier. All
 // payloads are deterministic functions of (rank, cycle, element).
 func RunScale(o ScaleOptions) (*ScaleResult, error) {
@@ -99,8 +98,7 @@ func runScaleSize(n, cycles, vecLen int) (ScaleSizeResult, error) {
 			c.BcastF64sInto(g, root, bcast)
 			checksum += bcast[cycle%vecLen]
 
-			// Element-wise sum allreduce — the combiner-tree path for every
-			// world here of at least 16 ranks.
+			// Element-wise sum allreduce.
 			for j := range buf {
 				buf[j] = float64(rank+1) * float64(cycle+j+1) * 1e-3
 			}

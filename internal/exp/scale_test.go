@@ -8,9 +8,10 @@ import (
 // TestScaleSoakDeterministic runs the soak twice at a CI-friendly size and
 // requires the rendered reports — checksums, finish times, collective
 // counters — to be byte-identical. This is the determinism contract of the
-// sharded engine at sizes where the combiner tree is active: the reduction
-// association is fixed by slot order, so physical goroutine arrival order
-// must not leak into a single output byte.
+// sharded engine at scale: the last arriver folds the reduction in slot
+// order, so physical goroutine arrival order must not leak into a single
+// output byte (TestAllreduceFoldsInSlotOrder in internal/mpi pins the
+// association itself).
 func TestScaleSoakDeterministic(t *testing.T) {
 	o := ScaleOptions{Sizes: []int{64}, Cycles: 8, VecLen: 64}
 	if testing.Short() {

@@ -56,10 +56,13 @@ func TestSendCPUChargedToSender(t *testing.T) {
 	}
 }
 
+// TestAllreduceLengthMismatchFailsWorld is the mirror of
+// TestAllreduceIntoLengthMismatchAborts: here slot 0 holds the longer
+// vector.
 func TestAllreduceLengthMismatchFailsWorld(t *testing.T) {
 	err := Run(cluster.New(cluster.Uniform(2)), func(c *Comm) error {
-		v := make([]float64, 1+c.Rank()) // deliberately ragged
-		c.AllreduceF64s(c.World().AllGroup(), v, Sum)
+		v := make([]float64, 2-c.Rank()) // deliberately ragged
+		c.AllreduceF64sInto(c.World().AllGroup(), v, Sum)
 		return nil
 	})
 	if err == nil {

@@ -19,24 +19,21 @@ import (
 // The engine replaces that with a ring of per-op rendezvous slots:
 //
 //   - Deposits are lock-free. Each member writes its own contribution slot
-//     and publishes it with one atomic (the arrival counter, or a combiner
-//     tree counter), so concurrent deposits never contend on a mutex.
-//     Vector contributions travel through a typed [][]float64 array, so the
-//     hot reductions never box a slice through an interface.
+//     and publishes it with one atomic (the arrival counter), so concurrent
+//     deposits never contend on a mutex. Vector contributions travel
+//     through a typed [][]float64 array, so the hot reductions never box a
+//     slice through an interface.
+//   - The last arriver publishes every op. The element-wise allreduce folds
+//     the contributions in slot order, so the floating-point association —
+//     and therefore every result bit — is independent of physical arrival
+//     order. Every []float64 result is a recycled vector that each member
+//     copies into its own buffer before releasing the op.
 //   - Completion is published by flipping one atomic flag. Members waiting
 //     for it spin briefly (yielding the processor), which resolves almost
 //     every rendezvous without a single scheduler park; a member that
 //     exhausts its spin budget parks on its rank's capacity-1 wake channel
 //     (World.wake), and the publisher broadcasts tokens only when someone
 //     actually parked. No mutex is ever taken on the success path.
-//   - The element-wise allreduce runs through a combiner tree for large
-//     groups and non-trivial vectors: the second arriver at each internal
-//     node combines its two children, so the O(n·len) reduction is spread
-//     across the arriving goroutines in O(log n) combining depth instead of
-//     being executed serially by the last arriver. The tree is a fixed
-//     binary tree over group slots, so the floating-point association — and
-//     therefore every result bit — is independent of physical arrival
-//     order.
 //
 // Liveness checks stay O(1) on the hot path: waiters consult the world's
 // dead counter (one atomic load) and only scan the membership for dead
@@ -53,20 +50,6 @@ const opRing = 4
 
 const opRingMask = opRing - 1
 
-// treeMinRanks and treeMinElems gate the combiner tree: the element-wise
-// allreduce switches from the last-arriver serial fold to the tree only for
-// groups of at least treeMinRanks members reducing vectors of at least
-// treeMinElems elements. Below either bound the serial fold is faster (the
-// tree's per-node arbitration outweighs the spread-out work) and — for
-// small groups — preserves the historical left-to-right reduction order
-// bit-for-bit, which the golden traces of the existing small-world
-// experiments pin. Both bounds depend only on (group size, vector length),
-// so the association is deterministic for a given workload.
-const (
-	treeMinRanks = 16
-	treeMinElems = 16
-)
-
 // waitSpinRounds bounds the yield-and-recheck spins a member performs
 // waiting for publication before it parks on its wake channel. Collectives
 // between compute phases publish within a round or two of yields, so the
@@ -75,39 +58,14 @@ const waitSpinRounds = 8
 
 type opKind uint8
 
-// rop identifies well-known reduction operators so the combine loops can
-// run direct arithmetic instead of calling through a function pointer —
-// on the element-wise hot path the indirect call is the dominant cost.
+// rop identifies well-known reduction operators so the fold loop can run
+// direct arithmetic instead of calling through a function pointer — on the
+// element-wise hot path the indirect call is the dominant cost.
 const (
 	ropCustom uint8 = iota
 	ropSum
 	ropMax
 )
-
-// combine writes the element-wise reduction of a and b into dst (len(dst)
-// elements; a and b must be at least as long).
-func combine(dst, a, b []float64, rop uint8, rfn func(x, y float64) float64) {
-	a = a[:len(dst)]
-	b = b[:len(dst)]
-	switch rop {
-	case ropSum:
-		for i := range dst {
-			dst[i] = a[i] + b[i]
-		}
-	case ropMax:
-		for i := range dst {
-			if a[i] > b[i] {
-				dst[i] = a[i]
-			} else {
-				dst[i] = b[i]
-			}
-		}
-	default:
-		for i := range dst {
-			dst[i] = rfn(a[i], b[i])
-		}
-	}
-}
 
 // foldInto reduces v into out element-wise, in place.
 func foldInto(out, v []float64, rop uint8, rfn func(x, y float64) float64) {
@@ -163,15 +121,14 @@ type collDesc struct {
 	rootSlot int // bcast/gather root, as a group slot
 	rfn      func(a, b float64) float64
 	rop      uint8 // well-known operator fast path (ropSum/ropMax)
-	pooled   bool  // deliver via a pooled vector (copy-out-before-release)
 }
 
 // opState is one collective rendezvous slot. The success path is lock-free:
 // members deposit with writes to their own slot entries published by one
-// atomic, the publisher (last arriver, or the combiner-tree root completer)
-// writes the result fields and flips pub, and every consumer releases the
-// slot with one atomic decrement. op.mu guards only the rare failure path
-// (dead-member error publication, orphan adoption, leak accounting).
+// atomic, the last arriver writes the result fields and flips pub, and every
+// consumer releases the slot with one atomic decrement. op.mu guards only the
+// rare failure path (dead-member error publication, orphan adoption, leak
+// accounting).
 type opState struct {
 	// ready names the op sequence number this slot currently serves.
 	// Deposits for seq spin until ready == seq; the spin is almost never
@@ -188,19 +145,7 @@ type opState struct {
 	// depSeq[s] == ready+1, which makes the deposit marker self-resetting:
 	// recycling the slot never has to clear n per-slot flags.
 	depSeq  []atomic.Int64
-	arrived atomic.Int32 // deposit count (serial-path publication)
-
-	// Combiner tree (element-wise allreduce, gated by treeMinRanks and
-	// treeMinElems), indexed by flat (level, node) position: treeCnt
-	// arbitrates which arriver combines an internal node, treeVal holds
-	// each position's (sub)result, treeBuf retains the internal nodes'
-	// scratch vectors across ops. treeCnt arbitrates by parity — each
-	// two-child node receives exactly two increments per op, so the first
-	// arriver always observes an odd count — and therefore never needs
-	// resetting either (wraparound preserves parity).
-	treeCnt []atomic.Int32
-	treeVal [][]float64
-	treeBuf [][]float64
+	arrived atomic.Int32 // deposit count; the n-th depositor publishes
 
 	// Result fields, valid once pub is true (pub is flipped with release
 	// semantics after they are written).
@@ -210,12 +155,11 @@ type opState struct {
 	cpuEach vclock.Duration
 	cErr    error // dead-member failure; nil on success
 
-	// valueF64 is the typed result of the pooled (*Into) collectives; every
+	// vec is the []float64 result, a box from the group's f64Pool: every
 	// consumer copies it into its dst before releasing the op, so nothing
-	// ever boxes it through the value interface. valPtr is the pool box to
-	// hand back on reset (nil when valueF64 aliases op-owned tree scratch).
-	valueF64 []float64
-	valPtr   *[]float64
+	// ever boxes it through the value interface, and resetOp hands the box
+	// back. Nil for the boxed results.
+	vec *[]float64
 
 	left atomic.Int32 // successful-op consumptions outstanding
 
@@ -249,15 +193,8 @@ type Group struct {
 	seq  []int64 // per-slot local op counter (written only by the owner)
 	ring [opRing]opState
 
-	// Combiner-tree geometry, shared by the ring slots: lvlWidth[l] nodes
-	// at level l (level 0 = the leaves/slots), lvlOff[l] the flat offset.
-	// Empty below treeMinRanks.
-	lvlWidth []int
-	lvlOff   []int
-
-	// f64Pool recycles the result vectors of the pooled (*Into) collectives,
-	// whose callers copy the result out before releasing the op and never
-	// retain the shared slice.
+	// f64Pool recycles the []float64 results, whose consumers copy them out
+	// before releasing the op and never retain the shared slice.
 	f64Pool sync.Pool
 
 	// One-sided windows registered on this group (see window.go). winSeq[s]
@@ -347,34 +284,18 @@ func (w *World) NewGroup(members []int) *Group {
 		}
 		g.slot[m] = int32(i + 1)
 	}
-	flat := 0
-	if n >= treeMinRanks {
-		for width := n; ; width = (width + 1) / 2 {
-			g.lvlOff = append(g.lvlOff, flat)
-			g.lvlWidth = append(g.lvlWidth, width)
-			flat += width
-			if width == 1 {
-				break
-			}
-		}
-	}
 	times := make([]vclock.Time, opRing*n)
 	bytes := make([]int, opRing*n)
 	contribs := make([]any, opRing*n)
 	contribsF64 := make([][]float64, opRing*n)
 	depSeq := make([]atomic.Int64, opRing*n)
 	consumed := make([]bool, opRing*n)
-	treeCnt := make([]atomic.Int32, opRing*flat)
-	treeVal := make([][]float64, opRing*flat)
-	treeBuf := make([][]float64, opRing*flat)
 	for i := range g.ring {
 		op := &g.ring[i]
 		lo, hi := i*n, (i+1)*n
 		op.times, op.bytes = times[lo:hi:hi], bytes[lo:hi:hi]
 		op.contribs, op.contribsF64 = contribs[lo:hi:hi], contribsF64[lo:hi:hi]
 		op.depSeq, op.consumed = depSeq[lo:hi:hi], consumed[lo:hi:hi]
-		lo, hi = i*flat, (i+1)*flat
-		op.treeCnt, op.treeVal, op.treeBuf = treeCnt[lo:hi:hi], treeVal[lo:hi:hi], treeBuf[lo:hi:hi]
 		op.left.Store(int32(n))
 		op.ready.Store(int64(i))
 	}
@@ -404,17 +325,20 @@ func (g *Group) Slot(rank int) (int, bool) {
 	return int(g.slot[rank]) - 1, g.slot[rank] != 0
 }
 
-// getF64 returns a pool box holding a []float64 of length n. The box (a
-// *[]float64) travels back into the pool on reset, so steady-state pooled
-// collectives allocate nothing: boxing a bare slice header into the pool's
-// interface would cost one heap allocation per Put.
-func (g *Group) getF64(n int) *[]float64 {
-	if v, ok := g.f64Pool.Get().(*[]float64); ok && cap(*v) >= n {
-		*v = (*v)[:n]
-		return v
+// resultVec installs a length-n vector from the group's pool as op's result
+// and returns it. The box (a *[]float64) travels back into the pool on
+// reset, so steady-state vector collectives allocate nothing: boxing a bare
+// slice header into the pool's interface would cost one heap allocation per
+// Put.
+func (g *Group) resultVec(op *opState, n int) []float64 {
+	v, ok := g.f64Pool.Get().(*[]float64)
+	if !ok || cap(*v) < n {
+		s := make([]float64, n)
+		v = &s
 	}
-	s := make([]float64, n)
-	return &s
+	*v = (*v)[:n]
+	op.vec = v
+	return *v
 }
 
 // maxTime returns the latest of ts.
@@ -433,9 +357,8 @@ func maxTime(ts []vclock.Time) vclock.Time {
 // per-member payloads (an allgather of uneven chunks after a skewed
 // redistribution) would otherwise be priced by whichever member happened
 // to publish — the last *physical* arriver — making virtual time depend on
-// goroutine scheduling. Every member has deposited by publication time
-// (serial publish requires all arrivals; the combiner tree's root completes
-// only after every leaf), so the maximum is well-defined and deterministic.
+// goroutine scheduling. Every member has deposited by publication time (the
+// last arriver publishes), so the maximum is well-defined and deterministic.
 // For the symmetric collectives it equals every member's own desc.bytes.
 func opBytes(op *opState) int {
 	m := op.bytes[0]
@@ -463,13 +386,14 @@ func (c *Comm) groupSlot(g *Group) int {
 
 // rendezvousErr is the failure-aware collective core. Every member deposits
 // a contribution (vec for the typed float64 collectives, contrib for boxed
-// payloads); one member (the last arriver, or the combiner-tree root
-// completer) publishes the result; everyone leaves with the result, its
-// clock advanced to the completion time plus the per-member CPU charge.
+// payloads); the last arriver publishes the result; everyone leaves with the
+// result, its clock advanced to the completion time plus the per-member CPU
+// charge.
 //
-// When dst is non-nil the []float64 result is copied into dst *before the
-// op is released*, so pooled result vectors are recycled the moment the
-// last member leaves without racing a slow reader.
+// A []float64 result leaves only one way: copied into dst *before the op is
+// released*, so the result vector is recycled the moment the last member
+// leaves without racing a slow reader. A dst shorter than the result fails
+// the run rather than truncating it.
 //
 // When a group member is dead and has not deposited, every surviving member
 // leaves with a *RankFailedError naming the dead rank(s), at its own
@@ -507,11 +431,8 @@ func (c *Comm) rendezvousErr(g *Group, contrib any, vec []float64, desc *collDes
 	}
 	op.depSeq[slot].Store(seq + 1)
 
-	n := len(g.members)
-	if desc.kind == opAllreduce && n >= treeMinRanks && desc.bytes >= 8*treeMinElems {
-		c.combineUp(g, op, slot, vec, desc)
-	} else if int(op.arrived.Add(1)) == n {
-		c.publishSerial(g, op, desc)
+	if int(op.arrived.Add(1)) == len(g.members) {
+		c.publish(g, op, desc)
 	}
 
 	if !op.pub.Load() {
@@ -535,10 +456,12 @@ func (c *Comm) rendezvousErr(g *Group, contrib any, vec []float64, desc *collDes
 	finish, cpuEach := op.finish, op.cpuEach
 	if dst != nil {
 		// Copy-out before release: after the final decrement the vector may
-		// be recycled, so no reference escapes past this point. Pooled
-		// results travel through the typed valueF64 field — boxing a slice
-		// into the value interface would allocate on every op.
-		copy(dst, op.valueF64)
+		// be recycled, so no reference escapes past this point.
+		res := *op.vec
+		if len(dst) < len(res) {
+			panic(fmt.Sprintf("mpi: %s destination has length %d, want %d", kindNames[desc.kind], len(dst), len(res)))
+		}
+		copy(dst, res)
 	}
 	if desc.kind == opGather && slot != desc.rootSlot {
 		value = nil // non-root members receive nothing from a gather
@@ -642,198 +565,83 @@ func (g *Group) tryFailOpLocked(op *opState) bool {
 	return true
 }
 
-// publishSerial prices and publishes a collective whose result the last
-// arriver assembles serially (every kind except the tree-combined
-// allreduce). The assembly runs outside any lock — all contributions are in
-// and immutable — and a panicking assembly (bad payload shapes) fails the
-// world rather than deadlocking it.
-func (c *Comm) publishSerial(g *Group, op *opState, desc *collDesc) {
-	cost, err := buildResult(g, op, desc)
-	if err != nil {
-		c.w.fail(fmt.Errorf("rank %d: collective reduction: %w", c.rank, err))
-		panic(errFailed)
-	}
-	g.publishResult(op, desc, cost)
-}
-
-// publishResult installs the result fields, flips pub, and wakes any member
-// that parked. Spin-waiting members observe pub directly, so when no one
-// parked (the common case) publication costs one atomic store.
-func (g *Group) publishResult(op *opState, desc *collDesc, cost collCost) {
-	op.finish = maxTime(op.times).Add(cost.wire)
-	op.cpuEach = cost.cpuEach
-	g.noteOp(desc.kind, opBytes(op))
-	op.pub.Store(true)
-	if op.parked.Load() > 0 {
-		g.signal()
-	}
-}
-
-// buildResult assembles the published value for the serial collectives
-// directly into op's result fields (only the publisher touches them before
-// pub flips), converting panics (type or length mismatches) into errors.
-func buildResult(g *Group, op *opState, desc *collDesc) (cost collCost, err error) {
+// publish assembles and prices the result, installs it in op's result
+// fields (only the publisher touches them before pub flips), flips pub and
+// wakes any member that parked. The last arriver runs it outside any lock —
+// all contributions are in and immutable — and a panicking assembly (bad
+// payload shapes) fails the world rather than deadlocking it. Spin-waiting
+// members observe pub directly, so when no one parked (the common case)
+// publication costs one atomic store beyond the assembly.
+func (c *Comm) publish(g *Group, op *opState, desc *collDesc) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
+			c.w.fail(fmt.Errorf("rank %d: collective reduction: %v", c.rank, r))
+			panic(errFailed)
 		}
 	}()
 	n := len(g.members)
 	net := g.w.cl.Net()
 	bytes := opBytes(op) // deterministic pricing: see opBytes
+	var cost collCost
 	switch desc.kind {
-	case opBarrier:
-		cost = barrierCost(net, n)
-	case opFence:
+	case opBarrier, opFence:
 		// The fence's synchronisation component is exactly a dissemination
 		// barrier; the deposit settlement (stall + landing CPU) is charged by
 		// each owner on its own clock after the rendezvous (see window.go).
 		cost = barrierCost(net, n)
 	case opBcast:
 		cost = bcastCost(net, n, bytes)
-		if desc.pooled {
-			// Copy into a pooled vector: the root's own buffer is only
-			// stable until the root leaves the collective, but members may
-			// copy out later.
-			src := op.contribsF64[desc.rootSlot]
-			vp := g.getF64(len(src))
-			copy(*vp, src)
-			op.valPtr, op.valueF64 = vp, *vp
+		if p := op.contribs[desc.rootSlot]; p != nil {
+			op.value = p
 		} else {
-			op.value = op.contribs[desc.rootSlot]
+			// BcastF64sInto: the root's own buffer is only stable until the
+			// root leaves the collective, but members may copy out later.
+			src := op.contribsF64[desc.rootSlot]
+			copy(g.resultVec(op, len(src)), src)
 		}
 	case opAllreduce:
-		// Small-shape serial fold, in slot order (bit-identical to the
-		// pre-sharding engine; large shapes take the combiner tree).
+		// Fold in slot order: the association, and so every result bit, is
+		// the same whatever order the members arrived in.
 		first := op.contribsF64[0]
-		var out []float64
-		if desc.pooled {
-			vp := g.getF64(len(first))
-			op.valPtr = vp
-			out = *vp
-			copy(out, first)
-		} else {
-			out = append([]float64(nil), first...)
-		}
+		out := g.resultVec(op, len(first))
+		copy(out, first)
 		for _, v := range op.contribsF64[1:] {
 			if len(v) != len(out) {
 				panic("mpi: allreduce length mismatch")
 			}
 			foldInto(out, v, desc.rop, desc.rfn)
 		}
-		if desc.pooled {
-			op.valueF64 = out
-		} else {
-			op.value = out
-		}
 		cost = allreduceCost(net, n, bytes)
 	case opAllgather:
 		op.value = append([]any(nil), op.contribs...)
 		cost = allgatherCost(net, n, bytes)
 	case opAllgatherF64:
-		vp := g.getF64(n)
-		out := *vp
+		out := g.resultVec(op, n)
 		for i := range out {
 			out[i] = op.contribsF64[i][0]
 		}
-		op.valPtr, op.valueF64 = vp, out
 		cost = allgatherCost(net, n, bytes)
 	case opGather:
 		op.value = append([]any(nil), op.contribs...)
 		cost = gatherCost(net, n, bytes)
 	}
-	return cost, nil
-}
-
-// combineUp runs this member's share of the combiner-tree allreduce and, if
-// this member completed the root, publishes the result.
-func (c *Comm) combineUp(g *Group, op *opState, slot int, vec []float64, desc *collDesc) {
-	root, err := g.safeTreeWalk(op, slot, vec, desc.rop, desc.rfn)
-	if err != nil {
-		c.w.fail(fmt.Errorf("rank %d: collective reduction: %w", c.rank, err))
-		panic(errFailed)
+	op.finish = maxTime(op.times).Add(cost.wire)
+	op.cpuEach = cost.cpuEach
+	g.noteOp(desc.kind, bytes)
+	op.pub.Store(true)
+	if op.parked.Load() > 0 {
+		g.signal()
 	}
-	if root == nil {
-		return // another member carries this subtree upward
-	}
-	if desc.pooled {
-		// The root scratch vector survives until the op is reset, and every
-		// pooled consumer copies out before releasing — so it is delivered
-		// directly, without marking it pool-owned (valPtr stays nil).
-		op.valueF64 = root
-	} else {
-		op.value = append([]float64(nil), root...)
-	}
-	g.publishResult(op, desc, allreduceCost(c.w.cl.Net(), len(g.members), opBytes(op)))
-}
-
-// safeTreeWalk is treeWalk with panics (ragged vectors) turned into errors.
-func (g *Group) safeTreeWalk(op *opState, slot int, v []float64, rop uint8, rfn func(a, b float64) float64) (root []float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	return g.treeWalk(op, slot, v, rop, rfn), nil
-}
-
-// treeWalk deposits v at slot's leaf and combines upward through the fixed
-// binary tree over group slots. The second arriver at each internal node
-// combines its two children element-wise — left child first, so the
-// association is fixed by slot order and the result is deterministic
-// regardless of physical arrival order — and carries the result up. A node
-// whose right child does not exist (non-power-of-two groups) forwards its
-// lone child's value without arbitration. Returns the root vector when this
-// goroutine completed the root, nil otherwise.
-func (g *Group) treeWalk(op *opState, slot int, v []float64, rop uint8, rfn func(a, b float64) float64) []float64 {
-	op.treeVal[slot] = v
-	idx, cur := slot, v
-	for lvl := 0; lvl+1 < len(g.lvlWidth); lvl++ {
-		parent := idx >> 1
-		pFlat := g.lvlOff[lvl+1] + parent
-		if idx^1 >= g.lvlWidth[lvl] {
-			// Lone child: carry the value up unchanged.
-			op.treeVal[pFlat] = cur
-			idx = parent
-			continue
-		}
-		if op.treeCnt[pFlat].Add(1)&1 == 1 {
-			// First arriver (odd count: exactly two increments land on each
-			// two-child node per op, so parity arbitrates across generations
-			// without any reset): the sibling's walker completes this node.
-			// Our treeVal write is ordered before the counter add, so the
-			// sibling (whose add returns even) observes it.
-			return nil
-		}
-		base := g.lvlOff[lvl] + (parent << 1)
-		left, right := op.treeVal[base], op.treeVal[base+1]
-		if len(left) != len(right) {
-			panic("mpi: allreduce length mismatch")
-		}
-		buf := op.treeBuf[pFlat]
-		if cap(buf) < len(left) {
-			buf = make([]float64, len(left))
-			op.treeBuf[pFlat] = buf
-		}
-		buf = buf[:len(left)]
-		combine(buf, left, right, rop, rfn)
-		op.treeVal[pFlat] = buf
-		idx, cur = parent, buf
-	}
-	return cur
 }
 
 // resetOp recycles the slot for its next op generation. Callers hold op.mu
 // (the success path's final consumer takes it uncontended; the error drain
-// and the orphan walk already hold it). Combiner-tree value slots are NOT
-// cleared: every position is written before it is read within each op, so
-// stale pointers are harmless and the clear would cost O(n) on the hot
-// path. The ready bump is the release store that lets the next generation's
-// depositors through the gate.
+// and the orphan walk already hold it). The ready bump is the release store
+// that lets the next generation's depositors through the gate.
 func (g *Group) resetOp(op *opState) {
-	if op.valPtr != nil {
-		g.f64Pool.Put(op.valPtr)
-		op.valPtr = nil
+	if op.vec != nil {
+		g.f64Pool.Put(op.vec)
+		op.vec = nil
 	}
 	if op.cErr != nil {
 		op.cErr = nil
@@ -841,14 +649,12 @@ func (g *Group) resetOp(op *opState) {
 		op.errLeft = 0
 	}
 	op.value = nil
-	op.valueF64 = nil
 	op.finish = 0
 	op.cpuEach = 0
 	clear(op.contribs) // release payload references for the GC
 	clear(op.contribsF64)
-	// depSeq and treeCnt deliberately stay: the deposit markers are
-	// generation-stamped and the tree counters arbitrate by parity, so
-	// recycling costs O(1) atomics instead of O(n) clears.
+	// depSeq deliberately stays: the deposit markers are generation-stamped,
+	// so recycling costs O(1) atomics instead of O(n) clears.
 	op.arrived.Store(0)
 	op.left.Store(int32(len(g.members)))
 	op.pub.Store(false)

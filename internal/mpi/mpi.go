@@ -786,38 +786,31 @@ func (c *Comm) BcastErr(g *Group, root int, payload any, bytes int) (any, error)
 }
 
 // BcastF64sInto distributes the root's buf contents into every member's buf
-// (all members pass same-length buffers; the root's is the source). The
-// shared intermediate is pooled and each member copies out before releasing
-// the op, so the root may overwrite its buffer as soon as the call returns
-// and steady-state broadcasts recycle their vectors. Wire size and virtual
-// cost are identical to BcastErr with an F64Bytes payload.
+// (all members pass same-length buffers; the root's is the source, and a
+// member's buf shorter than the root's fails the run). The shared
+// intermediate is recycled and each member copies out before releasing the
+// op, so the root may overwrite its buffer as soon as the call returns and
+// steady-state broadcasts allocate nothing. Wire size and virtual cost are
+// identical to BcastErr with an F64Bytes payload.
 func (c *Comm) BcastF64sInto(g *Group, root int, buf []float64) {
 	rootSlot := g.bcastRootSlot(root)
 	var vec []float64
 	if c.rank == root {
 		vec = buf
 	}
-	c.rendezvous(g, nil, vec, &collDesc{kind: opBcast, bytes: F64Bytes(len(buf)), rootSlot: rootSlot, pooled: true}, buf)
-}
-
-// AllreduceF64s performs an element-wise reduction of each member's vector
-// with op and returns the reduced vector (a fresh slice) on every member.
-// The result is shared by all members and safe to retain. Hot paths that
-// call a reduction every cycle should prefer AllreduceF64sInto, which
-// recycles the shared intermediate and writes into a caller-owned buffer.
-func (c *Comm) AllreduceF64s(g *Group, vals []float64, op func(a, b float64) float64) []float64 {
-	res := c.rendezvous(g, nil, vals, &collDesc{kind: opAllreduce, bytes: F64Bytes(len(vals)), rfn: op, rop: ropOf(op)}, nil)
-	return res.([]float64)
+	c.rendezvous(g, nil, vec, &collDesc{kind: opBcast, bytes: F64Bytes(len(buf)), rootSlot: rootSlot}, buf)
 }
 
 // AllreduceF64sInto reduces buf element-wise across the group and stores the
 // result back into buf (which is both this rank's contribution and its
-// destination). The shared intermediate vector is recycled inside the group,
-// so steady-state reductions stay allocation-light. buf must not be mutated
-// by the caller until the call returns; afterwards the caller owns it fully
-// — nothing retains a reference.
+// destination). The contributions are folded in group-slot order, so the
+// result is bit-identical on every member and in every run. The shared
+// intermediate vector is recycled inside the group, so steady-state
+// reductions allocate nothing. buf must not be mutated by the caller until
+// the call returns; afterwards the caller owns it fully — nothing retains a
+// reference.
 func (c *Comm) AllreduceF64sInto(g *Group, buf []float64, op func(a, b float64) float64) {
-	c.rendezvous(g, nil, buf, &collDesc{kind: opAllreduce, bytes: F64Bytes(len(buf)), rfn: op, rop: ropOf(op), pooled: true}, buf)
+	c.rendezvous(g, nil, buf, &collDesc{kind: opAllreduce, bytes: F64Bytes(len(buf)), rfn: op, rop: ropOf(op)}, buf)
 }
 
 // Sum and Max are common allreduce operators.
@@ -832,8 +825,8 @@ func Max(a, b float64) float64 {
 }
 
 // sumPC/maxPC identify the package's well-known operators by code pointer,
-// so the reduction loops can run direct arithmetic instead of an indirect
-// call per element (the dominant per-element cost; see combine in
+// so the reduction loop can run direct arithmetic instead of an indirect
+// call per element (the dominant per-element cost; see foldInto in
 // engine.go). Unknown operators take the general path unchanged.
 var (
 	sumPC = reflect.ValueOf(Sum).Pointer()
@@ -853,33 +846,22 @@ func ropOf(op func(a, b float64) float64) uint8 {
 // AllreduceSum reduces a single value by summation.
 func (c *Comm) AllreduceSum(g *Group, v float64) float64 {
 	c.sbuf[0] = v
-	c.rendezvous(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Sum, rop: ropSum, pooled: true}, c.sbuf[:])
+	c.rendezvous(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Sum, rop: ropSum}, c.sbuf[:])
 	return c.sbuf[0]
 }
 
 // AllreduceMax reduces a single value by maximum.
 func (c *Comm) AllreduceMax(g *Group, v float64) float64 {
 	c.sbuf[0] = v
-	c.rendezvous(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Max, rop: ropMax, pooled: true}, c.sbuf[:])
+	c.rendezvous(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Max, rop: ropMax}, c.sbuf[:])
 	return c.sbuf[0]
-}
-
-// AllreduceF64sErr is AllreduceF64s returning an error instead of failing
-// the world when a group member is dead. On error nothing was reduced and
-// vals is untouched, so the caller may retry over a rebuilt group.
-func (c *Comm) AllreduceF64sErr(g *Group, vals []float64, op func(a, b float64) float64) ([]float64, error) {
-	res, err := c.rendezvousErr(g, nil, vals, &collDesc{kind: opAllreduce, bytes: F64Bytes(len(vals)), rfn: op, rop: ropOf(op)}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.([]float64), nil
 }
 
 // AllreduceF64sIntoErr is AllreduceF64sInto returning an error instead of
 // failing the world when a group member is dead. On error buf is untouched
 // (the copy-out happens only on success), so the caller may retry.
 func (c *Comm) AllreduceF64sIntoErr(g *Group, buf []float64, op func(a, b float64) float64) error {
-	_, err := c.rendezvousErr(g, nil, buf, &collDesc{kind: opAllreduce, bytes: F64Bytes(len(buf)), rfn: op, rop: ropOf(op), pooled: true}, buf)
+	_, err := c.rendezvousErr(g, nil, buf, &collDesc{kind: opAllreduce, bytes: F64Bytes(len(buf)), rfn: op, rop: ropOf(op)}, buf)
 	return err
 }
 
@@ -887,7 +869,7 @@ func (c *Comm) AllreduceF64sIntoErr(g *Group, buf []float64, op func(a, b float6
 // world when a group member is dead.
 func (c *Comm) AllreduceSumErr(g *Group, v float64) (float64, error) {
 	c.sbuf[0] = v
-	if _, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Sum, rop: ropSum, pooled: true}, c.sbuf[:]); err != nil {
+	if _, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Sum, rop: ropSum}, c.sbuf[:]); err != nil {
 		return 0, err
 	}
 	return c.sbuf[0], nil
@@ -897,7 +879,7 @@ func (c *Comm) AllreduceSumErr(g *Group, v float64) (float64, error) {
 // world when a group member is dead.
 func (c *Comm) AllreduceMaxErr(g *Group, v float64) (float64, error) {
 	c.sbuf[0] = v
-	if _, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Max, rop: ropMax, pooled: true}, c.sbuf[:]); err != nil {
+	if _, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Max, rop: ropMax}, c.sbuf[:]); err != nil {
 		return 0, err
 	}
 	return c.sbuf[0], nil
@@ -915,23 +897,25 @@ func (c *Comm) AllgatherErr(g *Group, contrib any, bytes int) ([]any, error) {
 }
 
 // AllgatherF64sInto gathers one float64 per member, ordered by slot, into
-// dst (which must have length >= the group size). Contributions travel
-// through the rank's pinned scratch and the shared result vector is pooled
-// with copy-out-before-release semantics (the same contract as
-// BcastF64sInto), so steady-state gathers perform no boxing and no
-// allocation. Wire size and virtual cost are identical to an 8-byte
-// AllgatherErr.
+// dst (which must have length >= the group size: a shorter dst fails the
+// run before anything is deposited). Contributions travel through the
+// rank's pinned scratch and the shared result vector is recycled with
+// copy-out-before-release semantics (the same contract as BcastF64sInto),
+// so steady-state gathers perform no boxing and no allocation. Wire size and
+// virtual cost are identical to an 8-byte AllgatherErr.
 func (c *Comm) AllgatherF64sInto(g *Group, v float64, dst []float64) {
-	c.sbuf[0] = v
-	c.rendezvous(g, nil, c.sbuf[:], &collDesc{kind: opAllgatherF64, bytes: 8, pooled: true}, dst)
+	c.must(c.AllgatherF64sIntoErr(g, v, dst))
 }
 
 // AllgatherF64sIntoErr is AllgatherF64sInto returning an error instead of
 // failing the world when a group member is dead. On error dst is untouched,
 // so the caller may retry over a rebuilt group.
 func (c *Comm) AllgatherF64sIntoErr(g *Group, v float64, dst []float64) error {
+	if len(dst) < len(g.members) {
+		panic(fmt.Sprintf("mpi: %s destination has length %d, want %d", kindNames[opAllgatherF64], len(dst), len(g.members)))
+	}
 	c.sbuf[0] = v
-	_, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllgatherF64, bytes: 8, pooled: true}, dst)
+	_, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllgatherF64, bytes: 8}, dst)
 	return err
 }
 

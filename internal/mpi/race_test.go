@@ -1,0 +1,6 @@
+//go:build race
+
+package mpi
+
+// raceEnabled reports a -race build.
+const raceEnabled = true

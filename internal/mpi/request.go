@@ -10,7 +10,7 @@ import (
 
 // Nonblocking point-to-point layer, and the one receive path.
 //
-// Isend/Irecv return a pooled *Request; Wait/WaitErr/WaitReplayErr complete
+// Isend/Irecv return a recycled *Request; Wait/WaitErr/WaitReplayErr complete
 // it and recycle it. A blocking Recv is the same two steps back to back:
 // post registers the receive, waitErr completes it, so every receive
 // matches, parks and lands in one place. The virtual-time contract mirrors
@@ -35,8 +35,9 @@ import (
 // schedule order).
 
 // Request is one in-flight nonblocking operation. Requests are owned by the
-// issuing Comm's goroutine, pooled per Comm, and recycled by the Wait
-// family; after a successful or failed Wait the pointer must not be reused.
+// issuing Comm's goroutine, kept on a free list per Comm, and recycled by the
+// Wait family; after a successful or failed Wait the pointer must not be
+// reused.
 type Request struct {
 	c      *Comm
 	op     string // "recv" or "irecv": names a receive's RankFailedError
@@ -49,7 +50,7 @@ type Request struct {
 	env    envelope
 }
 
-// getReq pops a pooled request. A dry pool is refilled with one slab of
+// getReq pops a free request. A dry pool is refilled with one slab of
 // len(reqArr) requests — a halo exchange holds that many at once — so a rank
 // reaches its high-water mark in slabs, not one request at a time.
 func (c *Comm) getReq() *Request {
@@ -267,7 +268,7 @@ func (c *Comm) WaitReplayErr(req *Request) (any, Status, error) {
 }
 
 // Waitall completes every non-nil request in reqs (nilling the slice entries
-// as it goes, so the pooled requests cannot be reused by mistake). Payloads
+// as it goes, so the recycled requests cannot be reused by mistake). Payloads
 // are discarded — callers that need them use WaitErr per request. If peers
 // died, it still drains every request and returns one *RankFailedError
 // naming all dead peers encountered.
