@@ -4,6 +4,7 @@
 //
 // The public API lives in repro/dynmpi; the experiment CLI in
 // cmd/dynexp; the per-figure reproduction details in DESIGN.md and
-// EXPERIMENTS.md. Benchmarks in bench_test.go regenerate a scaled-down
-// cell of every table and figure in the paper's evaluation.
+// EXPERIMENTS.md. The repository benchmark is bench/ (go run ./bench): five
+// workloads and per-layer probes, written as one JSON set and compared
+// against the committed BENCH_<n>.json points.
 package repro

@@ -49,6 +49,71 @@ func TestNilSinkHotPathsAllocFree(t *testing.T) {
 	}
 }
 
+// TestRedistributionAllocFree pins redist.go's pool invariant: once the slab
+// pools and every scratch list have grown to the shape, a dense array's
+// redistribution allocates nothing, in either commit mode. Four ranks move a
+// 256×16 array with ±1 ghosts 400 times between two blocks that shift every
+// boundary. The slack covers the whole run, not each redistribution: a GC
+// empties the sync.Pools, and refilling them costs a run tens of mallocs in
+// either mode. A single object per rank-redistribution would cost 1 600;
+// one per receiving rank, as a window memory boxed at attach, about 800.
+func TestRedistributionAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts")
+	}
+	const (
+		ranks, rows, cols = 4, 256, 16
+		redists           = 400
+		slack             = 256
+	)
+	for _, mode := range []RedistMode{RedistPipelined, RedistRMA} {
+		var mallocs uint64
+		err := mpi.Run(cluster.New(cluster.Uniform(ranks)), func(c *mpi.Comm) error {
+			cfg := DefaultConfig()
+			cfg.RedistMode = mode
+			rt := New(c, cfg)
+			rt.RegisterDense("X", rows, cols)
+			ph := rt.InitPhase(rows)
+			ph.AddAccess("X", drsd.ReadWrite, 1, 0)
+			ph.AddAccess("X", drsd.Read, 1, -1)
+			ph.AddAccess("X", drsd.Read, 1, 1)
+			rt.Commit()
+			all := []int{0, 1, 2, 3}
+			blocks := [2]*drsd.Block{
+				drsd.NewBlock(all, []int{56, 72, 56, 72}),
+				drsd.NewBlock(all, []int{72, 56, 72, 56}),
+			}
+			for i := 0; i < 8; i++ { // grow the pools and scratch lists
+				rt.applyDistribution(blocks[i%2], nil)
+			}
+			var before, after runtime.MemStats
+			if c.Rank() == 0 {
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+			}
+			c.Barrier(c.World().AllGroup())
+			for i := 0; i < redists; i++ {
+				rt.applyDistribution(blocks[i%2], nil)
+			}
+			c.Barrier(c.World().AllGroup())
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+				mallocs = after.Mallocs - before.Mallocs
+			}
+			rt.Finalize()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("mode %d: %d mallocs over %d redistributions on %d ranks", mode, mallocs, redists, ranks)
+		if mallocs > slack {
+			t.Errorf("mode %d: %d redistributions on %d ranks cost %d mallocs, want at most %d",
+				mode, redists, ranks, mallocs, slack)
+		}
+	}
+}
+
 // TestExchangeLoadsAllocFree pins the load-exchange fast path: with no
 // removed-node sidecar in flight, the per-cycle allgather of load readings
 // rides the pooled float64 collective and must not allocate in steady state.

@@ -170,8 +170,9 @@ type regArray struct {
 	accesses []drsd.Access // sized for a stencil's three at registration
 	index    int           // registration index: tag offset, position in Runtime.arrays
 
-	rep  *replica    // the ring predecessor's rows; nil until one is stored or staged
-	wins [2]*mpi.Win // by winKind (rma.go); dense arrays only
+	rep    *replica    // the ring predecessor's rows; nil until one is stored or staged
+	wins   [2]*mpi.Win // by winKind (rma.go); dense arrays only
+	winMem denseWinMem // the redistribution window's memory, attached by pointer
 }
 
 // Runtime is one rank's Dyn-MPI runtime instance.

@@ -46,7 +46,10 @@ func (rt *Runtime) commitSlab(a *regArray, lo, hi int, payload any) {
 //     slab precisely so the window never aliases pooled memory).
 //   - Slabs are resized with cap-preserving reslices, so steady-state
 //     redistribution reaches a fixed point where Get returns buffers big
-//     enough to need no growth: zero heap allocation per redistribution.
+//     enough to need no growth: a dense array's redistribution allocates
+//     nothing, in either RedistMode (TestRedistributionAllocFree). A sparse
+//     array's costs one malloc per rank: Sparse.SetWindow builds a fresh
+//     top-level row vector.
 //   - All packing/unpacking is host-side batching only. The virtual costs
 //     (ChargeTouch amounts and order, AdjustResident deltas, message bytes)
 //     replicate the per-row formulation exactly, so golden traces are

@@ -288,13 +288,15 @@ func (rt *Runtime) discardReplicaWindows() {
 // memory: element offset 0 is row wlo. Rows may be non-contiguous
 // (Projection scheme), which is why the window layer takes an interface
 // rather than a flat slice. Access is raw — no virtual touches — because
-// deposits model one-sided DMA into the exposed rows.
+// deposits model one-sided DMA into the exposed rows. Each array keeps one
+// (regArray.winMem) and attaches it by pointer: a value would be boxed into
+// the WinMem interface, one heap object per attach.
 type denseWinMem struct {
 	d   *matrix.Dense
 	wlo int
 }
 
-func (m denseWinMem) WriteAt(off int, src []float64) {
+func (m *denseWinMem) WriteAt(off int, src []float64) {
 	rl := m.d.RowLen
 	g := m.wlo + off/rl
 	for len(src) > 0 {
@@ -304,7 +306,7 @@ func (m denseWinMem) WriteAt(off int, src []float64) {
 	}
 }
 
-func (m denseWinMem) ReadAt(off int, dst []float64) {
+func (m *denseWinMem) ReadAt(off int, dst []float64) {
 	rl := m.d.RowLen
 	g := m.wlo + off/rl
 	for len(dst) > 0 {
@@ -314,7 +316,7 @@ func (m denseWinMem) ReadAt(off int, dst []float64) {
 	}
 }
 
-func (m denseWinMem) Len() int { return (m.d.Hi() - m.d.Lo()) * m.d.RowLen }
+func (m *denseWinMem) Len() int { return (m.d.Hi() - m.d.Lo()) * m.d.RowLen }
 
 // winKind names the one-sided windows the runtime keeps per dense array. They
 // stay apart because they expose different memories: the replica window a
@@ -373,7 +375,8 @@ func (rt *Runtime) rmaRedistArray(a *regArray, sched []drsd.Transfer, outs []red
 	if len(origins) > 0 {
 		nlo, nhi := p.newDist.RangeOf(me)
 		wlo, _ := drsd.Window(a.accesses, nlo, nhi, rt.n)
-		rt.comm.WinAttach(win, denseWinMem{d: a.dense, wlo: wlo})
+		a.winMem = denseWinMem{d: a.dense, wlo: wlo}
+		rt.comm.WinAttach(win, &a.winMem)
 		rt.comm.WinPost(win, origins, 0)
 	}
 

@@ -96,3 +96,34 @@ func TestScheduleDiffMovesOnlyOwnerChangedRows(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkResizeSchedule prices the resize fast path: the diff schedule
+// over a 6→8-rank grow (the elastic-resize shape — joiners own no rows yet,
+// every block boundary shifts) against the windowed schedule computing the
+// same owned-only transfers.
+func BenchmarkResizeSchedule(b *testing.B) {
+	oldRanks := []int{0, 1, 2, 3, 4, 5}
+	newRanks := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	old := EqualBlock(oldRanks, 16384)
+	nw := EqualBlock(newRanks, 16384)
+	owned := []Access{{Array: "A", Step: 1, Off: 0}}
+	var buf []Transfer
+	b.Run("diff", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = ScheduleDiffInto(buf[:0], old, nw)
+		}
+		if len(buf) == 0 {
+			b.Fatal("diff schedule produced no transfers")
+		}
+	})
+	b.Run("windows", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = ScheduleWindowsInto(buf[:0], old, nw, owned)
+		}
+		if len(buf) == 0 {
+			b.Fatal("windowed schedule produced no transfers")
+		}
+	})
+}

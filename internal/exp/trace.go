@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"repro/internal/apps"
 	"repro/internal/apps/jacobi"
 	"repro/internal/cluster"
@@ -9,9 +11,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TraceOptions parameterises the canonical telemetry trace run: Jacobi on a
-// uniform cluster with one competing process arriving mid-run — the
-// bench_test.go "loaded4" scenario.
+// TraceOptions parameterises the canonical telemetry trace run: Jacobi on
+// four uniform nodes with one competing process arriving on node 1 at cycle
+// 10 (DefaultTraceOptions).
 type TraceOptions struct {
 	Nodes       int
 	Rows, Cols  int
@@ -53,7 +55,8 @@ type TraceResult struct {
 
 // RunTrace executes the scenario with a ring sink attached and returns the
 // sorted record stream. The run is fully deterministic: repeated calls with
-// identical options produce identical records.
+// identical options produce identical records. A ring too small for the run
+// is an error: a truncated stream would read as a result.
 func RunTrace(o TraceOptions) (*TraceResult, error) {
 	ring := telemetry.NewRing(o.RingCap)
 	cfg := jacobi.DefaultConfig()
@@ -70,6 +73,9 @@ func RunTrace(o TraceOptions) (*TraceResult, error) {
 	res, err := jacobi.Run(cluster.New(spec), cfg)
 	if err != nil {
 		return nil, err
+	}
+	if d := ring.Dropped(); d > 0 {
+		return nil, fmt.Errorf("telemetry ring overflow: %d records dropped", d)
 	}
 	recs := ring.Records()
 	telemetry.Sort(recs)

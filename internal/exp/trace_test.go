@@ -343,3 +343,23 @@ func TestTraceDeterministic(t *testing.T) {
 		t.Fatal("decoded no records")
 	}
 }
+
+// TestTraceRingOverflowIsAnError: a ring too small for the run drops the
+// oldest records, and RunTrace must report that instead of returning the
+// remainder as if it were the whole trace.
+func TestTraceRingOverflowIsAnError(t *testing.T) {
+	full, err := RunTrace(DefaultTraceOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ringCap = 64
+	o := DefaultTraceOptions()
+	o.RingCap = ringCap
+	r, err := RunTrace(o)
+	if err == nil {
+		t.Fatalf("RingCap %d: %d of %d records returned with no error", ringCap, len(r.Records), len(full.Records))
+	}
+	if want := fmt.Sprintf("%d records dropped", len(full.Records)-ringCap); !strings.Contains(err.Error(), want) {
+		t.Fatalf("RingCap %d: err = %v, want one naming %q", ringCap, err, want)
+	}
+}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -210,6 +211,91 @@ func TestPSCWDrainDeterministic(t *testing.T) {
 		if f != f0 || s != s0 || b != b0 {
 			t.Fatalf("run %d diverged: finish %v/%v stall %v/%v bytes %d/%d", i, f, f0, s, s0, b, b0)
 		}
+	}
+}
+
+// TestPSCWSteadyStateAllocFree holds the one-sided Put path allocation-free
+// once warm. Pairwise: rank 0's start/Put/complete against rank 1's
+// post/wait, 512 epochs past 16 of warm-up, cost not one malloc. The count
+// is the raw MemStats delta over the whole loop, because AllocsPerRun would
+// round a fraction of a malloc per epoch down to 0, and the loop runs well
+// past epoch 256, from which on an epoch number boxed into a control
+// message's payload allocates. One goroutine drives both ranks: every
+// control message is queued before its receive, so nothing blocks.
+func TestPSCWSteadyStateAllocFree(t *testing.T) {
+	const warm, epochs = 16, 512
+	w := NewWorld(cluster.New(cluster.Uniform(2)))
+	origin, target := w.NewComm(0), w.NewComm(1)
+	mem := make(FlatMem, 64)
+	win := origin.WinCreate(w.AllGroup(), nil)
+	target.WinCreate(w.AllGroup(), mem)
+	src := make([]float64, len(mem))
+	toOrigin, toTarget := []int{0}, []int{1}
+	epoch := func(k int) {
+		src[0] = float64(k)
+		target.WinPost(win, toOrigin, 0)
+		origin.WinStart(win, toTarget, nil)
+		origin.Put(win, 1, 0, src)
+		origin.WinComplete(win)
+		target.WinWait(win)
+	}
+	for k := 0; k < warm; k++ {
+		epoch(k)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := warm; k < warm+epochs; k++ {
+		epoch(k)
+	}
+	runtime.ReadMemStats(&after)
+	if got, want := mem[0], float64(warm+epochs-1); got != want {
+		t.Fatalf("last epoch's deposit reads %v, want %v", got, want)
+	}
+	if leaked := w.LeakedOps(); leaked != 0 {
+		t.Fatalf("leaked %d ops", leaked)
+	}
+	pscw := after.Mallocs - before.Mallocs
+
+	// The fence, the other discipline, holds the same claim. Its epoch is a
+	// collective, so both ranks run, the loop is measured between barriers,
+	// and the runtime's own few mallocs are allowed: one per epoch is 512.
+	var fence uint64
+	runPair(t, func(c *Comm, me, peer int) {
+		g := c.World().AllGroup()
+		win := c.WinCreate(g, make(FlatMem, len(src)))
+		c.Fence(win) // open the first epoch
+		epoch := func() {
+			if me == 0 {
+				c.Put(win, peer, 0, src)
+			}
+			c.Fence(win)
+		}
+		for k := 0; k < warm; k++ {
+			epoch()
+		}
+		var before, after runtime.MemStats
+		c.Barrier(g)
+		if me == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		c.Barrier(g)
+		for k := 0; k < epochs; k++ {
+			epoch()
+		}
+		c.Barrier(g)
+		if me == 0 {
+			runtime.ReadMemStats(&after)
+			fence = after.Mallocs - before.Mallocs
+		}
+	})
+	if raceEnabled {
+		return // the race detector's own bookkeeping allocates
+	}
+	if pscw != 0 {
+		t.Errorf("%d pairwise epochs cost %d mallocs, want 0", epochs, pscw)
+	}
+	if fence > 16 {
+		t.Errorf("%d fence epochs cost %d mallocs, want ~0", epochs, fence)
 	}
 }
 

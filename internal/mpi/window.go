@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -53,8 +54,8 @@ import (
 // one small control message riding the ordinary mailbox, so an epoch over k
 // pairs prices as k round-trips instead of a full-group dissemination
 // barrier (see cost.go). Deposits made under an open access epoch are
-// stamped with the origin's PSCW epoch counter and are invisible to fences;
-// a window may use either discipline, or both for disjoint transfers.
+// marked pscw and are invisible to fences; a window may use either
+// discipline, or both for disjoint transfers.
 //
 // PSCW failure contract, symmetric with FenceErr: a dead target fails the
 // origin's WinStartErr or WinCompleteErr, a dead origin fails the target's
@@ -100,20 +101,20 @@ func (m FlatMem) ReadAt(off int, dst []float64) { copy(dst, m[off:off+len(dst)])
 func (m FlatMem) Len() int { return len(m) }
 
 // deposit is one one-sided transfer landed in a window slot, recorded at
-// the origin's post time and settled by the owner's epoch-closing fence.
-// Deposits are stored by value in the slot's pending list, so the
-// steady-state Put path performs no heap allocation once the list's
-// high-water mark is reached.
+// the origin's post time and settled by the owner's epoch-closing fence or
+// wait. Deposits are stored by value in the slot's pending list, so a
+// steady-state epoch — fence or pairwise — performs no heap allocation once
+// the list's high-water mark is reached (TestPSCWSteadyStateAllocFree).
 type deposit struct {
 	originSlot int
 	off        int
 	elems      int
 	bytes      int
-	pscw       bool        // stamped under an open PSCW access epoch; settled by wait/complete, never by a fence
+	pscw       bool        // made under an open PSCW access epoch; settled by a wait, never by a fence
 	post       vclock.Time // origin clock when the transfer was injected
 	avail      vclock.Time // when the data has fully arrived
 	seq        int64       // per-origin program order, for deterministic ties
-	epoch      int64       // epoch the transfer belongs to (fence or PSCW counter, per pscw)
+	epoch      int64       // fence epoch the transfer belongs to (a wait ignores it)
 }
 
 // winSlot is one member's side of a window: its attached memory and the
@@ -136,13 +137,11 @@ type winSlot struct {
 	epoch  int64
 	putSeq int64
 
-	// PSCW state, the pairwise analogue of epoch: accEpoch is the member's
-	// access-epoch counter (advanced by its own WinCompleteErr), access the
-	// open access epoch's target list and expose the open exposure epoch's
-	// origin list.
-	accEpoch int64
-	access   []int
-	expose   []int
+	// PSCW state: access is the open access epoch's target list and expose
+	// the open exposure epoch's origin list. No counter: at most one pairwise
+	// epoch is in flight per pair (see WinWaitErr).
+	access []int
+	expose []int
 }
 
 // Win is a one-sided access window over each group member's memory. All
@@ -226,10 +225,6 @@ func (c *Comm) Put(win *Win, target, off int, src []float64) {
 	os := &win.slots[oslot]
 	os.putSeq++
 	pscw := len(os.access) > 0
-	ep := os.epoch
-	if pscw {
-		ep = os.accEpoch
-	}
 	ts := &win.slots[tslot]
 	ts.mu.Lock()
 	if c.w.deadCount.Load() > 0 && c.w.dead[target].Load() {
@@ -254,7 +249,7 @@ func (c *Comm) Put(win *Win, target, off int, src []float64) {
 		post:       post,
 		avail:      post.Add(wireTime(net, bytes) + faultDelay),
 		seq:        os.putSeq,
-		epoch:      ep,
+		epoch:      os.epoch,
 	})
 	ts.mu.Unlock()
 }
@@ -278,8 +273,8 @@ func (c *Comm) FenceErr(win *Win) error {
 	ts := &win.slots[slot]
 	ep := ts.epoch
 	ts.mu.Lock()
-	// PSCW-stamped deposits belong to a pairwise epoch and are settled by
-	// WinWaitErr/WinCompleteErr, never by a fence.
+	// Pairwise deposits belong to a PSCW epoch and are settled by
+	// WinWaitErr, never by a fence.
 	drain := extractDeposits(ts, func(d *deposit) bool { return d.epoch == ep && !d.pscw })
 	ts.mu.Unlock()
 	sortDeposits(drain)
@@ -385,10 +380,11 @@ func (c *Comm) emitRMA(op string, window, deposits int, bytes int64, stall, hidd
 // pair (the header's epoch-discipline rule).
 const pscwTagBase = 1 << 26
 
-// pscwCtlBytes is the modelled size of a post or complete notification: one
-// int64 payload. Control messages are priced exactly as ordinary sends and
-// receives of this size — that identity is what makes the PSCW closed form
-// in cost.go trivially cross-validate against per-message simulation.
+// pscwCtlBytes is the modelled size of a post or complete notification, as
+// if each carried one int64 (a post carries its note, a completion nothing).
+// Control messages are priced exactly as ordinary sends and receives of
+// this size — that identity is what makes the PSCW closed form in cost.go
+// trivially cross-validate against per-message simulation.
 const pscwCtlBytes = 8
 
 func (win *Win) pscwPostTag() int { return pscwTagBase + 2*win.id }
@@ -426,7 +422,7 @@ func (c *Comm) WinStart(win *Win, targets []int, notes []int64) {
 }
 
 // WinStartErr opens an access epoch toward targets: it blocks until every
-// named target's post notification arrives, then arms PSCW stamping so
+// named target's post notification arrives, then marks the epoch open so
 // subsequent Put calls settle pairwise instead of at a fence. When
 // notes is non-nil it receives target i's post note at notes[i]. A dead
 // target fails the call with *RankFailedError (every remaining target's
@@ -472,20 +468,18 @@ func (c *Comm) WinComplete(win *Win) { c.must(c.WinCompleteErr(win)) }
 
 // WinCompleteErr closes this rank's open access epoch: it notifies every
 // target that the epoch's transfers are in flight (one control message
-// each, carrying the epoch stamp the target's wait drains by) and advances
-// the access-epoch counter. A dead target fails the call with
-// *RankFailedError — after every target has been notified, so surviving
-// peers never hang — without advancing. The notification is sent to a dead
-// target too (delivery drops it): a target may be dying concurrently with
-// this call, and the origin's send charge — so its virtual clock — must not
-// depend on which side of that wall-clock race the call lands.
+// each). A dead target fails the call with *RankFailedError — after every
+// target has been notified, so surviving peers never hang. The
+// notification is sent to a dead target too (delivery drops it): a target
+// may be dying concurrently with this call, and the origin's send charge —
+// so its virtual clock — must not depend on which side of that wall-clock
+// race the call lands.
 func (c *Comm) WinCompleteErr(win *Win) error {
 	c.checkFailed()
 	ms := &win.slots[c.groupSlot(win.g)]
-	ep := ms.accEpoch
 	var dead []int
 	for _, t := range ms.access {
-		c.Send(t, win.pscwDoneTag(), ep, pscwCtlBytes)
+		c.Send(t, win.pscwDoneTag(), nil, pscwCtlBytes)
 		if c.w.deadCount.Load() > 0 && c.w.dead[t].Load() {
 			dead = append(dead, t)
 		}
@@ -494,7 +488,6 @@ func (c *Comm) WinCompleteErr(win *Win) error {
 	if dead != nil {
 		return &RankFailedError{Op: "win-complete", Ranks: dead}
 	}
-	ms.accEpoch = ep + 1
 	return nil
 }
 
@@ -504,25 +497,22 @@ func (c *Comm) WinWait(win *Win) { c.must(c.WinWaitErr(win)) }
 
 // WinWaitErr closes this rank's open exposure epoch: it blocks until every
 // posted origin's completion notification arrives, then drains and settles
-// the deposits those origins stamped — in the same deterministic (arrival,
-// origin, program order) order as a fence. A dead origin fails the call
-// with *RankFailedError without settling anything (the remaining live
-// origins' notifications are still consumed); see PendingPSCW and
-// DiscardPending for the recovery protocol. Either way the exposure epoch
-// is closed.
+// every pairwise deposit those origins made — in the same deterministic
+// (arrival, origin, program order) order as a fence. No epoch stamp is
+// needed: an origin's next start toward this rank consumes this rank's next
+// post, which goes out only after this wait has drained, so every pairwise
+// deposit of a posted origin belongs to the epoch closing. A dead origin
+// fails the call with *RankFailedError without settling anything (the
+// remaining live origins' notifications are still consumed); see
+// PendingPSCW and DiscardPending for the recovery protocol. Either way the
+// exposure epoch is closed.
 func (c *Comm) WinWaitErr(win *Win) error {
 	c.checkFailed()
 	slot := c.groupSlot(win.g)
 	ts := &win.slots[slot]
-	type doneStamp struct {
-		oslot int
-		epoch int64
-	}
-	stamps := make([]doneStamp, 0, 8)
 	var dead []int
 	for _, o := range ts.expose {
-		p, _, err := c.RecvErr(o, win.pscwDoneTag())
-		if err != nil {
+		if _, _, err := c.RecvErr(o, win.pscwDoneTag()); err != nil {
 			var rf *RankFailedError
 			if errors.As(err, &rf) {
 				dead = append(dead, rf.Ranks...)
@@ -531,26 +521,17 @@ func (c *Comm) WinWaitErr(win *Win) error {
 			ts.expose = ts.expose[:0]
 			return err
 		}
-		oslot, _ := win.g.Slot(o) // WinPost checked membership
-		stamps = append(stamps, doneStamp{oslot: oslot, epoch: p.(int64)})
 	}
-	ts.expose = ts.expose[:0]
 	if dead != nil {
+		ts.expose = ts.expose[:0]
 		return &RankFailedError{Op: "win-wait", Ranks: dead}
 	}
 	ts.mu.Lock()
 	drain := extractDeposits(ts, func(d *deposit) bool {
-		if !d.pscw {
-			return false
-		}
-		for _, st := range stamps {
-			if d.originSlot == st.oslot && d.epoch == st.epoch {
-				return true
-			}
-		}
-		return false
+		return d.pscw && slices.Contains(ts.expose, win.g.members[d.originSlot])
 	})
 	ts.mu.Unlock()
+	ts.expose = ts.expose[:0]
 	sortDeposits(drain)
 	bytes, stall, hidden := c.settleDeposits(drain)
 	ts.drain = drain
@@ -561,7 +542,7 @@ func (c *Comm) WinWaitErr(win *Win) error {
 }
 
 // PendingPSCW reports the total elements Put into this rank's window slot
-// by origin under PSCW stamping, any epoch, and whether any such deposit
+// by origin under a PSCW access epoch, and whether any such deposit
 // is present. It is the PSCW analogue of PendingFrom, meaningful after
 // WinWaitErr returned a *RankFailedError naming origin: with the
 // close-then-open discipline at most one pairwise epoch is in flight per
