@@ -242,7 +242,7 @@ type Runtime struct {
 	originBuf []int // the ranks Putting into this rank's window (rma.go)
 
 	// Load-exchange scratch: the per-cycle allgather of load readings goes
-	// through the pooled float64 collective when no removed-node sidecar is
+	// through the unboxed float64 collective when no removed-node sidecar is
 	// in flight, and these buffers keep that exchange allocation-free. Every
 	// consumer of the returned load vector copies it before retaining.
 	loadBuf  []float64

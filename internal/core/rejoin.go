@@ -66,8 +66,8 @@ func (rt *Runtime) pollRemoved() []int {
 // an identical picture.
 func (rt *Runtime) exchangeLoads() (active []int, removedRanks, removedLoads []int, err error) {
 	// Fast path: with no removed-node sidecar to carry, every contribution
-	// is a bare load reading, so the exchange rides the pooled float64
-	// allgather instead of boxing a loadMsg per member per cycle. The wire
+	// is a bare load reading, so the exchange rides the allocation-free
+	// float64 allgather instead of boxing a loadMsg per member per cycle. The wire
 	// price (8 bytes per member) and the collective tree are identical to
 	// the boxed path, so virtual timestamps — and the golden traces — do
 	// not move.

@@ -155,11 +155,11 @@ type opState struct {
 	cpuEach vclock.Duration
 	cErr    error // dead-member failure; nil on success
 
-	// vec is the []float64 result, a box from the group's f64Pool: every
-	// consumer copies it into its dst before releasing the op, so nothing
-	// ever boxes it through the value interface, and resetOp hands the box
-	// back. Nil for the boxed results.
-	vec *[]float64
+	// vec is the []float64 result. It belongs to the slot and is grown in
+	// place: every consumer copies it into its dst before releasing the op,
+	// and resetOp only reslices it, so a slot's next vector op reuses the
+	// array. Empty for the boxed results.
+	vec []float64
 
 	left atomic.Int32 // successful-op consumptions outstanding
 
@@ -192,10 +192,6 @@ type Group struct {
 	// at any size.
 	seq  []int64 // per-slot local op counter (written only by the owner)
 	ring [opRing]opState
-
-	// f64Pool recycles the []float64 results, whose consumers copy them out
-	// before releasing the op and never retain the shared slice.
-	f64Pool sync.Pool
 
 	// One-sided windows registered on this group (see window.go). winSeq[s]
 	// counts member s's WinCreate calls and is written only by that member's
@@ -325,20 +321,15 @@ func (g *Group) Slot(rank int) (int, bool) {
 	return int(g.slot[rank]) - 1, g.slot[rank] != 0
 }
 
-// resultVec installs a length-n vector from the group's pool as op's result
-// and returns it. The box (a *[]float64) travels back into the pool on
-// reset, so steady-state vector collectives allocate nothing: boxing a bare
-// slice header into the pool's interface would cost one heap allocation per
-// Put.
-func (g *Group) resultVec(op *opState, n int) []float64 {
-	v, ok := g.f64Pool.Get().(*[]float64)
-	if !ok || cap(*v) < n {
-		s := make([]float64, n)
-		v = &s
+// resultVec sizes op's result vector to n, reusing the slot's array when
+// it is large enough, and returns it: steady-state vector collectives
+// allocate nothing.
+func resultVec(op *opState, n int) []float64 {
+	if cap(op.vec) < n {
+		op.vec = make([]float64, n)
 	}
-	*v = (*v)[:n]
-	op.vec = v
-	return *v
+	op.vec = op.vec[:n]
+	return op.vec
 }
 
 // maxTime returns the latest of ts.
@@ -457,7 +448,7 @@ func (c *Comm) rendezvousErr(g *Group, contrib any, vec []float64, desc *collDes
 	if dst != nil {
 		// Copy-out before release: after the final decrement the vector may
 		// be recycled, so no reference escapes past this point.
-		res := *op.vec
+		res := op.vec
 		if len(dst) < len(res) {
 			panic(fmt.Sprintf("mpi: %s destination has length %d, want %d", kindNames[desc.kind], len(dst), len(res)))
 		}
@@ -597,13 +588,13 @@ func (c *Comm) publish(g *Group, op *opState, desc *collDesc) {
 			// BcastF64sInto: the root's own buffer is only stable until the
 			// root leaves the collective, but members may copy out later.
 			src := op.contribsF64[desc.rootSlot]
-			copy(g.resultVec(op, len(src)), src)
+			copy(resultVec(op, len(src)), src)
 		}
 	case opAllreduce:
 		// Fold in slot order: the association, and so every result bit, is
 		// the same whatever order the members arrived in.
 		first := op.contribsF64[0]
-		out := g.resultVec(op, len(first))
+		out := resultVec(op, len(first))
 		copy(out, first)
 		for _, v := range op.contribsF64[1:] {
 			if len(v) != len(out) {
@@ -616,7 +607,7 @@ func (c *Comm) publish(g *Group, op *opState, desc *collDesc) {
 		op.value = append([]any(nil), op.contribs...)
 		cost = allgatherCost(net, n, bytes)
 	case opAllgatherF64:
-		out := g.resultVec(op, n)
+		out := resultVec(op, n)
 		for i := range out {
 			out[i] = op.contribsF64[i][0]
 		}
@@ -639,10 +630,7 @@ func (c *Comm) publish(g *Group, op *opState, desc *collDesc) {
 // and the orphan walk already hold it). The ready bump is the release store
 // that lets the next generation's depositors through the gate.
 func (g *Group) resetOp(op *opState) {
-	if op.vec != nil {
-		g.f64Pool.Put(op.vec)
-		op.vec = nil
-	}
+	op.vec = op.vec[:0]
 	if op.cErr != nil {
 		op.cErr = nil
 		clear(op.consumed) // only the error path marks consumption

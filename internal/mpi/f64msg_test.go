@@ -1,9 +1,9 @@
 package mpi
 
 import (
-	"runtime"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/cluster"
 	"repro/internal/vclock"
 )
@@ -112,44 +112,29 @@ func TestF64sTypeMismatch(t *testing.T) {
 // Buffers travel with the traffic: a symmetric exchange circulates the same
 // few buffers between the two ranks' free lists, so its steady state
 // allocates nothing and each list stays at a handful of entries. Measured
-// with process-wide malloc counts because both ranks must run.
+// as what a world of 2K rounds allocates over a world of K, because both
+// ranks must run.
 func TestF64sSymmetricExchangeAllocFree(t *testing.T) {
 	const warm, rounds = 8, 400
-	var mallocs uint64
 	var listLen [2]int
-	runPair(t, func(c *Comm, me, peer int) {
-		up, down := make([]float64, 64), make([]float64, 64)
-		exchange := func() {
-			// Two messages each way per round, blocking then overlapped.
-			c.SendF64s(peer, 1, up)
-			got, _ := c.RecvF64sErr(peer, 1)
-			c.ReleaseF64s(got)
-			rq := c.Irecv(peer, 2)
-			sq := c.IsendF64s(peer, 2, down)
-			got, _ = c.WaitF64sErr(rq)
-			c.ReleaseF64s(got)
-			c.Wait(sq)
-		}
-		for i := 0; i < warm; i++ {
-			exchange()
-		}
-		g := c.World().AllGroup()
-		var before, after runtime.MemStats
-		c.Barrier(g)
-		if me == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		c.Barrier(g)
-		for i := 0; i < rounds; i++ {
-			exchange()
-		}
-		c.Barrier(g)
-		if me == 0 {
-			runtime.ReadMemStats(&after)
-			mallocs = after.Mallocs - before.Mallocs
-		}
-		listLen[me] = len(c.bufFree)
+	mallocs := alloctest.Extra(rounds, func(k int) {
+		runPair(t, func(c *Comm, me, peer int) {
+			up, down := make([]float64, 64), make([]float64, 64)
+			for i := 0; i < warm+k; i++ {
+				// Two messages each way per round, blocking then overlapped.
+				c.SendF64s(peer, 1, up)
+				got, _ := c.RecvF64sErr(peer, 1)
+				c.ReleaseF64s(got)
+				rq := c.Irecv(peer, 2)
+				sq := c.IsendF64s(peer, 2, down)
+				got, _ = c.WaitF64sErr(rq)
+				c.ReleaseF64s(got)
+				c.Wait(sq)
+			}
+			listLen[me] = len(c.bufFree)
+		})
 	})
+	t.Logf("%d extra rounds: %d mallocs", rounds, mallocs)
 	if mallocs > 16 { // the runtime's own; one buffer per message would be 1600
 		t.Errorf("%d rounds of symmetric exchange cost %d mallocs, want ~0", rounds, mallocs)
 	}

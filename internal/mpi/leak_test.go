@@ -41,8 +41,8 @@ func shrinkTo(t *testing.T, members []int, err error) []int {
 
 // TestCrashLeavesNoLeakedOps drives every collective family through a run
 // where two ranks crash at different cycles, and asserts that no rendezvous
-// slot is left undrained at exit. The mix includes the pooled (*Into)
-// collectives, so the pool-box bookkeeping is exercised on both the success
+// slot is left undrained at exit. The mix includes the vector (*Into)
+// collectives, so the slots' result vectors are reset on both the success
 // and the error-drain path.
 func TestCrashLeavesNoLeakedOps(t *testing.T) {
 	spec := cluster.Uniform(6)

@@ -680,8 +680,9 @@ func (w *World) launch(rank int) {
 					w.fail(fmt.Errorf("rank %d panicked: %v", rank, p))
 				}
 			}
-			// The world outlives its ranks (a used sync.Pool keeps its group
-			// reachable for two GC cycles): let go of what only this rank used.
+			// The world, which holds every Comm, outlives each of its ranks:
+			// the others run on and the caller keeps it. Let go of what only
+			// this rank used.
 			comm.reqFree, comm.bufFree = nil, nil
 			clear(comm.reqArr[:])
 			clear(comm.bufArr[:])
