@@ -211,13 +211,13 @@ func TestPagingSlowsContiguousRedistribution(t *testing.T) {
 	}
 }
 
-// TestSecondDropKeepsSendOutRoot drops twice, the second time naming the
-// send-out root. Rank 1 leaves first and from then on receives every global
-// result from rank 0, the root of the membership it was removed under; the
-// later load lands on ranks 0 and 2. Rank 2 must leave and rank 0 must not
-// (colls.go): when the second drop took the root, rank 1 stayed parked in
-// recvOut on a rank that no longer sent and the world never finished.
-func TestSecondDropKeepsSendOutRoot(t *testing.T) {
+// TestSecondDropTakesSendOutRoot drops twice, the second time naming the
+// send-out root. Rank 1 leaves first and receives its global results from
+// rank 0; the later load lands on ranks 0 and 2, and both leave, so the
+// send-out role moves to rank 3. Rank 1 names no sender (colls.go), so it
+// goes on receiving from rank 3: every rank sees the root's globals and the
+// world finishes.
+func TestSecondDropTakesSendOutRoot(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Drop = DropAlways
 	spec := cpAtCycle(cpAtCycle(cpAtCycle(cluster.Uniform(4), 1, 2), 0, 14), 2, 14)
@@ -230,13 +230,13 @@ func TestSecondDropKeepsSendOutRoot(t *testing.T) {
 	select {
 	case results = <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("world hung: a removed rank is parked on a send-out root that was dropped")
+		t.Fatal("world hung: a removed rank missed the send-out role's move")
 	}
 	if results == nil {
 		return // runMini reported the failure
 	}
 	checkValuesAndCoverage(t, results, 64)
-	for r, want := range []bool{false, true, true, false} {
+	for r, want := range []bool{true, true, true, false} {
 		if results[r].removed != want {
 			t.Errorf("rank %d removed = %v, want %v", r, results[r].removed, want)
 		}
@@ -244,9 +244,9 @@ func TestSecondDropKeepsSendOutRoot(t *testing.T) {
 	if results[0].redists < 2 {
 		t.Fatalf("%d redistributions: the second drop never happened", results[0].redists)
 	}
-	for r := 1; r < 4; r++ {
-		if fmt.Sprint(results[r].globals) != fmt.Sprint(results[0].globals) {
-			t.Errorf("rank %d saw globals %v, the root %v", r, results[r].globals, results[0].globals)
+	for r := 0; r < 3; r++ {
+		if fmt.Sprint(results[r].globals) != fmt.Sprint(results[3].globals) {
+			t.Errorf("rank %d saw globals %v, the root %v", r, results[r].globals, results[3].globals)
 		}
 	}
 }

@@ -18,10 +18,12 @@ import (
 // Resize requests that the active set be resized to n at the next cycle
 // boundary. n greater than the current active count claims reserve arrival
 // capacity (cluster.Spec.Arrivals with AtCycle < 0) and spawns brand-new
-// ranks into it; n smaller shrinks the active set to its first n members
-// (the send-out root, active[0], is always kept). Every active rank must
-// call Resize with the same n at the same cycle — the SPMD discipline the
-// rest of the runtime API already requires. Requires Config.Adapt.
+// ranks into it; n smaller shrinks the active set to its first n members.
+// The prefix is a convention, not a constraint: a removed rank hears from
+// whoever holds the send-out role (colls.go), so no member must stay. Every
+// active rank must call Resize with the same n at the same cycle — the SPMD
+// discipline the rest of the runtime API already requires. Requires
+// Config.Adapt.
 func (rt *Runtime) Resize(n int) {
 	if n < 1 {
 		panic(fmt.Sprintf("core: Resize to %d", n))
