@@ -70,6 +70,9 @@ type miniResult struct {
 	final    vclock.Time
 	relRank  int
 	globals  []float64
+	// globalAt is this rank's clock entering and leaving each global
+	// reduction.
+	globalAt [][2]vclock.Time
 	lost     int // rows declared lost (runElastic only)
 }
 
@@ -78,7 +81,28 @@ type miniResult struct {
 // set, a global sum is reduced. Returns per-rank results.
 func runMini(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, withGlobal bool) map[int]*miniResult {
 	t.Helper()
+	results, err := runMiniErr(t, spec, cfg, n, cycles, withGlobal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+// runMiniErr is runMini for a world that may fail: it returns the world's
+// error instead of failing the test.
+func runMiniErr(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, withGlobal bool) (map[int]*miniResult, error) {
+	t.Helper()
 	ring := traceInto(&cfg)
+	results, err := miniWorld(spec, cfg, n, cycles, withGlobal)
+	if err != nil {
+		return nil, err
+	}
+	withRecords(t, results, ring)
+	return results, nil
+}
+
+// miniWorld runs runMini's world; the results carry no records yet.
+func miniWorld(spec cluster.Spec, cfg Config, n, cycles int, withGlobal bool) (map[int]*miniResult, error) {
 	var mu sync.Mutex
 	results := map[int]*miniResult{}
 	err := mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
@@ -110,7 +134,9 @@ func runMini(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, withGlo
 				for g := lo; g < hi; g++ {
 					local += x.Row(g)[0]
 				}
+				t0 := c.Now()
 				res.globals = append(res.globals, rt.AllreduceSum(local))
+				res.globalAt = append(res.globalAt, [2]vclock.Time{t0, c.Now()})
 			}
 			rt.EndCycle()
 		}
@@ -139,10 +165,9 @@ func runMini(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, withGlo
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	withRecords(t, results, ring)
-	return results
+	return results, nil
 }
 
 // withRecords hands each reporting rank its records from ring.

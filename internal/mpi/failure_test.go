@@ -2,8 +2,10 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
@@ -76,6 +78,47 @@ func TestPlainRecvFromDeadRankFailsWorld(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "dead rank") {
 		t.Fatalf("want world failure naming the dead rank, got %v", err)
+	}
+}
+
+// TestAnySourceRecvFailsOnceNoRankCanSend: a wildcard receive waits as long
+// as some rank could still send — here a slow one — and fails, instead of
+// parking for ever, once every rank left is parked on such a receive itself.
+func TestAnySourceRecvFailsOnceNoRankCanSend(t *testing.T) {
+	err := faultRun(4, []fault.Fault{fault.CrashAtCycle(0, 0)}, func(c *Comm) error {
+		switch c.Rank() {
+		case 0:
+			c.InjectCycleFaults(0)
+			return errors.New("crash fault did not fire")
+		case 1:
+			time.Sleep(10 * time.Millisecond) // the receivers park first
+			c.Send(2, 5, 2, 8)
+			c.Send(3, 5, 3, 8)
+			return nil
+		}
+		p, st, err := c.RecvErr(AnySource, 5)
+		if err != nil || p.(int) != c.Rank() || st.Source != 1 {
+			return fmt.Errorf("rank %d: first receive got %v from %d, err %v", c.Rank(), p, st.Source, err)
+		}
+		if _, _, err := c.RecvErr(AnySource, 5); err == nil || !strings.Contains(err.Error(), "no rank is left") {
+			return fmt.Errorf("rank %d: second receive: want the no-sender error, got %v", c.Rank(), err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPlainAnySourceRecvWithNoSenderFailsWorld(t *testing.T) {
+	err := faultRun(2, nil, func(c *Comm) error {
+		if c.Rank() == 1 {
+			c.Recv(AnySource, 1)
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "no rank is left") {
+		t.Fatalf("want world failure naming the missing sender, got %v", err)
 	}
 }
 

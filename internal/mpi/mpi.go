@@ -257,6 +257,17 @@ type World struct {
 	deadCount atomic.Int32
 	flt       *fault.Set // scenario faults; nil when none are injected
 
+	// Wildcard stall: running counts the ranks launched and not yet
+	// returned (crashed ones included, until they unwind); waitingAny
+	// counts the ranks parked in an AnySource receive that nothing has
+	// filled. Once the two are equal every rank that could still send is
+	// itself parked on such a receive, so none of them can ever be filled:
+	// stalled is set for good and each of those receives fails (RecvErr).
+	stallMu    sync.Mutex
+	running    int
+	waitingAny int
+	stalled    atomic.Bool
+
 	// wake[r] is rank r's one parking spot: a capacity-1 channel used as a
 	// binary semaphore. A rank blocks in at most one wait at a time — a
 	// collective or a receive — so one channel serves every op of every
@@ -316,6 +327,20 @@ func (w *World) fail(err error) {
 		b.posted = b.posted[:0]
 		b.mu.Unlock()
 		w.signal(r)
+	}
+}
+
+// countStall adds to running and waitingAny and checks for the wildcard
+// stall.
+func (w *World) countStall(running, waitingAny int) {
+	w.stallMu.Lock()
+	defer w.stallMu.Unlock()
+	w.running += running
+	w.waitingAny += waitingAny
+	if w.waitingAny > 0 && w.waitingAny == w.running && !w.stalled.Swap(true) {
+		for r := range w.wake {
+			w.signal(r)
+		}
 	}
 }
 
@@ -560,6 +585,10 @@ func (w *World) deliver(dst int, env envelope) {
 			removePosted(box, r)
 			r.env = env
 			r.done = true
+			if r.waitingAny {
+				r.waitingAny = false
+				w.countStall(0, -1)
+			}
 			if box.reqWait == r {
 				box.reqWait = nil
 				w.signal(dst)
@@ -586,9 +615,10 @@ type Status struct {
 // matching order depends on physical goroutine scheduling and is therefore
 // only deterministic when at most one candidate sender exists.
 //
-// If src is a crashed rank and no matching message is queued, Recv fails
-// the whole world (bounded waiting); callers that can survive a dead peer
-// should use RecvErr.
+// If src is a crashed rank and no matching message is queued, or an
+// AnySource receive can no longer be filled (see RecvErr), Recv fails the
+// whole world (bounded waiting); callers that can survive a dead peer should
+// use RecvErr.
 func (c *Comm) Recv(src, tag int) (any, Status) {
 	p, st, err := c.RecvErr(src, tag)
 	c.must(err)
@@ -603,8 +633,11 @@ func (c *Comm) Recv(src, tag int) (any, Status) {
 // delivered first — the dead check only fires while the request is
 // unfilled, and a crashed rank's sends complete before its death is
 // published (same goroutine), so the error is deterministic in virtual
-// time. An AnySource receive never fails this way: any live rank could
-// still send.
+// time. An AnySource receive cannot fail this way, since any live rank could
+// still send; it fails instead once no rank is left that could: every rank
+// still running is itself parked in an AnySource receive nothing has filled
+// (the others have returned or crashed). That state is final, and reached
+// the same way on every run.
 func (c *Comm) RecvErr(src, tag int) (any, Status, error) {
 	return c.waitErr(c.post("recv", src, tag), false)
 }
@@ -665,8 +698,10 @@ func (w *World) Run(fn func(*Comm) error) error {
 func (w *World) launch(rank int) {
 	exitHook := w.cl.RankExitHook()
 	w.runWG.Add(1)
+	w.countStall(1, 0)
 	go func() {
 		defer w.runWG.Done()
+		defer w.countStall(-1, 0)
 		comm := w.NewComm(rank)
 		defer func() {
 			if p := recover(); p != nil {

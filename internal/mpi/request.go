@@ -46,8 +46,11 @@ type Request struct {
 	tag    int
 	done   bool // envelope captured (guarded by the owning mailbox mutex once posted)
 	posted bool // went onto the posted list; else it was filled at post and no sender ever sees it
-	postVT vclock.Time
-	env    envelope
+	// waitingAny: an AnySource receive its owner has parked on, counted in
+	// World.waitingAny until it is filled or fails (guarded like done).
+	waitingAny bool
+	postVT     vclock.Time
+	env        envelope
 }
 
 // getReq pops a free request. A dry pool is refilled with one slab of
@@ -70,7 +73,7 @@ func (c *Comm) getReq() *Request {
 
 // putReq resets and recycles a request. Only the owning goroutine calls it.
 func (c *Comm) putReq(r *Request) {
-	r.send, r.done, r.posted = false, false, false
+	r.send, r.done, r.posted, r.waitingAny = false, false, false, false
 	r.env.payload = nil // release it for the GC; the rest is overwritten before it is read
 	c.reqFree = append(c.reqFree, r)
 }
@@ -193,6 +196,18 @@ func (c *Comm) waitErr(req *Request, credit bool) (any, Status, error) {
 				err := &RankFailedError{Op: req.op, Ranks: []int{req.src}}
 				c.putReq(req)
 				return nil, Status{}, err
+			}
+			if req.src == AnySource {
+				if c.w.stalled.Load() {
+					removePosted(box, req)
+					box.mu.Unlock()
+					c.putReq(req)
+					return nil, Status{}, fmt.Errorf("mpi: %s from any source on rank %d: no rank is left that could send", req.op, c.rank)
+				}
+				if !req.waitingAny {
+					req.waitingAny = true
+					c.w.countStall(0, 1)
+				}
 			}
 			// Announce under the lock, then park: a deliver that fills req
 			// after the unlock finds reqWait set and leaves a token.
