@@ -15,7 +15,7 @@
 //	dynexp overlap     — nonblocking halo overlap and redistribution stall study
 //	dynexp rma         — one-sided (RMA) replica refresh vs paired send/recv
 //	dynexp resize      — elastic world resizing vs drop-all+restart
-//	dynexp sweep       — multi-world parameter sweep under one shared scheduler
+//	dynexp sweep       — multi-world parameter sweep on a pool of independent worlds
 //	dynexp all         — everything above (except trace, scale and sweep)
 //
 // The -paper flag selects the paper's original input sizes (slower); the
@@ -41,13 +41,13 @@
 // are reconstructed instead of lost; -replica-every refreshes the replicas
 // every N cycles.
 //
-// The sweep subcommand multiplexes many worlds under one virtual-time
-// scheduler (see internal/sweep): -smoke runs the CI-sized 96-cell grid,
-// -grid overlays a custom axis/workload spec, -jobs sets the worker-pool
-// width, and -out writes the per-cell results as JSONL. The text report on
+// The sweep subcommand runs one independent world per grid cell (see
+// internal/sweep): -smoke runs the CI-sized 96-cell grid, -grid overlays a
+// custom axis/workload spec onto it, -jobs sets how many worlds run at
+// once, and -out writes the per-cell results as JSONL. The text report on
 // stdout is deterministic apart from lines prefixed "# wall-time:"; strip
 // those and two runs byte-compare equal regardless of -jobs or GOMAXPROCS.
-// -stream (with -out) appends cells' JSONL rows as they finalize, held to
+// -stream (with -out) appends cells' JSONL rows as they finish, held to
 // the in-order flush frontier: a row lands the moment every lower-indexed
 // cell has been written, so the file grows append-only in enumeration
 // order, each byte is written exactly once, and the final file is
@@ -120,7 +120,7 @@ func main() {
 	scaleN := flag.Int("scale-n", 0, "run the scale soak at this single world size (0 = the default 64/256/1024 ladder)")
 	smoke := flag.Bool("smoke", false, "run the CI-sized smoke grid (sweep subcommand)")
 	gridSpec := flag.String("grid", "", "overlay a grid spec, e.g. 'scen=jacobi;ranks=4,8;gp=3' (sweep subcommand)")
-	jobs := flag.Int("jobs", 4, "worker-pool width: worlds stepped concurrently per scheduler round (sweep subcommand)")
+	jobs := flag.Int("jobs", 4, "worker-pool width: worlds run at once (sweep subcommand)")
 	outFile := flag.String("out", "", "write per-cell sweep results as JSONL to this file (sweep subcommand)")
 	stream := flag.Bool("stream", false, "with -out: append cell JSONL rows live in enumeration order (in-order flush frontier; no terminal rewrite) (sweep subcommand)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiment(s) to this file")
@@ -321,8 +321,7 @@ func main() {
 			}
 			fmt.Printf("  elapsed %.3fs virtual, %d redistributions\n", r.Res.Elapsed, r.Res.Redists)
 		case "sweep":
-			o := exp.DefaultSweepOptions()
-			o.Jobs = *jobs
+			o := sweep.Options{Grid: sweep.Smoke(), Jobs: *jobs}
 			if !*smoke && *gridSpec == "" {
 				return fmt.Errorf("sweep needs -smoke and/or -grid")
 			}
@@ -349,7 +348,7 @@ func main() {
 				sw = sweep.NewStreamWriter(f)
 				o.OnCell = sw.Add
 			}
-			r, err := exp.RunSweep(o)
+			r, err := sweep.Run(o)
 			if err != nil {
 				return err
 			}

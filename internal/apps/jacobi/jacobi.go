@@ -45,10 +45,6 @@ type Config struct {
 	ResizeAt int
 	// Core configures the Dyn-MPI runtime.
 	Core core.Config
-	// CycleHook, if set, is called after every phase cycle with the rank,
-	// cycle index and that rank's virtual time. Each rank calls it from its
-	// own goroutine; the hook must be safe for concurrent use across ranks.
-	CycleHook func(rank, cycle int, now vclock.Time)
 }
 
 // DefaultConfig returns a laptop-scale configuration with a
@@ -155,9 +151,6 @@ func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
 				}
 			}
 			rt.EndCycle()
-			if cfg.CycleHook != nil {
-				cfg.CycleHook(c.Rank(), t, c.Now())
-			}
 			src, dst = dst, src
 		}
 		sum := 0.0

@@ -164,14 +164,6 @@ type Cluster struct {
 	seed    int        // number of seed nodes; nodes[seed:] are arrivals
 	nodes   []Node     // seed nodes followed by arrival nodes; never reallocated
 	faults  *fault.Set // nil when the scenario injects no faults
-
-	// rankExit, when set, is called by the mpi run harness as each rank
-	// goroutine finishes — on every exit path: normal return, world
-	// failure and injected crash. It must be installed before the run
-	// starts (no synchronisation) and be safe for concurrent use. The
-	// sweep engine's world gates rely on it to detect ranks that stop
-	// checkpointing.
-	rankExit func(rank int)
 }
 
 // Validate reports what is wrong with s, or nil: a spec needs a node, a
@@ -299,13 +291,6 @@ func (c *Cluster) Quantum() vclock.Duration { return c.quantum }
 // FaultSet returns the scenario's validated fault set, or nil when the
 // scenario injects no faults.
 func (c *Cluster) FaultSet() *fault.Set { return c.faults }
-
-// SetRankExitHook installs fn to be called as each rank goroutine of a run
-// on this cluster finishes. Install before the run starts; nil disables.
-func (c *Cluster) SetRankExitHook(fn func(rank int)) { c.rankExit = fn }
-
-// RankExitHook returns the installed rank-exit hook, or nil.
-func (c *Cluster) RankExitHook() func(rank int) { return c.rankExit }
 
 // Node is one simulated machine as seen by the rank running on it. All
 // methods must be called only from that rank's goroutine.

@@ -17,12 +17,6 @@ import (
 // redistribution, and the drop decision. It reports whether this rank
 // participates in the cycle.
 func (rt *Runtime) BeginCycle() bool {
-	if rt.cfg.Pacer != nil && !rt.lateEntry {
-		// Park before anything of the cycle happens — scenario events,
-		// fault injection, adaptation — so a stepping controller observes
-		// the world exactly at cycle boundaries.
-		rt.cfg.Pacer.Checkpoint(rt.comm.Rank(), rt.cycle, rt.node.Now())
-	}
 	rt.ensureCommitted()
 	rt.node.OnCycle(rt.cycle)
 	rt.comm.InjectCycleFaults(rt.cycle)
@@ -32,12 +26,10 @@ func (rt *Runtime) BeginCycle() bool {
 	}
 	rt.beginCycleTelemetry()
 	if rt.lateEntry {
-		// A joiner's first BeginCycle: the wave it joined was already
-		// released, and the actives ran this cycle's adaptation step before
-		// admitting it — parking would wedge the wave, and entering the load
+		// A joiner's first BeginCycle: the actives ran this cycle's
+		// adaptation step before admitting it, so entering the load
 		// exchange would wait on a collective nobody else runs. Run the
-		// cycle body directly; normal pacing and adaptation resume next
-		// cycle.
+		// cycle body directly; adaptation resumes next cycle.
 		rt.lateEntry = false
 		return true
 	}

@@ -109,12 +109,6 @@ type Config struct {
 	// (the default) nothing is recorded. The sink is shared by all ranks and
 	// must be safe for concurrent use; it never moves virtual time.
 	Telemetry telemetry.Sink
-	// Pacer, when non-nil, gates every rank at the top of each BeginCycle
-	// (see Pacer and WorldGate in step.go). It is shared by all ranks and
-	// must be safe for concurrent use. Pacing affects wall-clock scheduling
-	// only — virtual time, telemetry and results are byte-identical to an
-	// unpaced run. Nil (the default) runs the world freely.
-	Pacer Pacer
 }
 
 // DefaultConfig returns the paper's default configuration.
@@ -209,7 +203,7 @@ type Runtime struct {
 
 	// Resize state (resize.go).
 	joined        bool // this rank spawned mid-run; its membership arrives in a packet at Commit
-	lateEntry     bool // joiner's first BeginCycle: the wave it joins was already released and adapted
+	lateEntry     bool // joiner's first BeginCycle: the actives already adapted this cycle
 	pendingResize int  // explicit Resize target (0 = none), consumed at the next cycle boundary
 	hasArrivals   bool // the cluster declares arrival capacity (cached)
 

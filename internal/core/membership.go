@@ -144,11 +144,6 @@ func (rt *Runtime) transit(t transition) {
 			pkt := rt.changePacket(t)
 			rt.emitOut(packetMsg{rt.outSeq, pkt}, pkt.wireBytes())
 		case me == rt.sendOutRoot():
-			// Extend the pacing gate before the joiners exist, so a stepping
-			// controller accounts for them from their first checkpoint.
-			if g, ok := rt.cfg.Pacer.(interface{ Grow([]int) }); ok {
-				g.Grow(t.joiners)
-			}
 			rt.comm.World().Spawn(t.joiners)
 			pkt := rt.changePacket(t)
 			pkt.cycle, pkt.space, pkt.arrays = rt.cycle, rt.n, rt.arrayNames()

@@ -207,67 +207,6 @@ func TestResizeDeterministic(t *testing.T) {
 	sameRecords(t, runOnce(), runOnce())
 }
 
-// TestResizeGrowWithPacer: growth under a WorldGate — the joiners must be
-// folded into the gate (via Grow) without wedging the wave they join, and
-// the paced run must finish with the same membership as an unpaced one.
-func TestResizeGrowWithPacer(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Drop = DropNever
-	spec := cluster.Uniform(4).WithArrival(1.0, 8)
-	gate := NewWorldGate(4)
-	cfg.Pacer = gate
-	cl := cluster.New(spec)
-	cl.SetRankExitHook(gate.RankExit)
-
-	var mu sync.Mutex
-	finished := map[int]bool{}
-	done := make(chan error, 1)
-	go func() {
-		done <- mpi.Run(cl, func(c *mpi.Comm) error {
-			rt := New(c, cfg)
-			x := rt.RegisterDense("X", 48, 2)
-			ph := rt.InitPhase(48)
-			ph.AddAccess("X", drsd.ReadWrite, 1, 0)
-			rt.Commit()
-			start := 0
-			if rt.Joined() {
-				start = rt.Cycle()
-			} else {
-				x.Fill(func(g, j int) float64 { return float64(g) })
-			}
-			for tstep := start; tstep < 20; tstep++ {
-				if rt.BeginCycle() {
-					lo, hi := ph.Bounds()
-					for g := lo; g < hi; g++ {
-						rt.ComputeIter(g, iterCost)
-					}
-				}
-				rt.EndCycle()
-			}
-			rt.Finalize()
-			mu.Lock()
-			finished[c.Rank()] = rt.Participating()
-			mu.Unlock()
-			return nil
-		})
-	}()
-	// Drive the world to completion one cycle-wave at a time.
-	for gate.HasPendingEvents() {
-		gate.ProcessNextEvent()
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if len(finished) != 5 {
-		t.Fatalf("%d ranks finished under pacing, want 5", len(finished))
-	}
-	for r, part := range finished {
-		if !part {
-			t.Fatalf("rank %d not participating at the end", r)
-		}
-	}
-}
-
 // TestCrashWhileRemovedPrunesSameCycle is the dead-removed-node satellite:
 // a removed node that crashes mid-poll must leave rt.removed on every
 // active rank in the detection cycle itself, its mailbox must not keep

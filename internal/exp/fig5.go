@@ -2,12 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/apps/jacobi"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/vclock"
+	"repro/internal/telemetry"
 )
 
 // Fig5Options parameterises the multiple-redistribution-points experiment
@@ -63,20 +62,6 @@ func runFig5Case(nodes, period int, maxRedists int, adapt bool, paper bool) (Fig
 	cfg.Core.MaxRedists = maxRedists
 	ring := traced(&cfg.Core)
 
-	var mu sync.Mutex
-	boundaries := [3]float64{}
-	cfg.CycleHook = func(rank, cycle int, now vclock.Time) {
-		for i := 1; i <= 3; i++ {
-			if cycle == i*period-1 {
-				mu.Lock()
-				if s := now.Seconds(); s > boundaries[i-1] {
-					boundaries[i-1] = s
-				}
-				mu.Unlock()
-			}
-		}
-	}
-
 	spec := cluster.Uniform(nodes).
 		With(cluster.CycleEvent(1, period, +1)).
 		With(cluster.CycleEvent(1, 2*period, -1))
@@ -88,6 +73,16 @@ func runFig5Case(nodes, period int, maxRedists int, adapt bool, paper bool) (Fig
 	if err != nil {
 		return Fig5Run{}, err
 	}
+	// A period ends when its last cycle's slowest node emits that cycle's
+	// iteration record.
+	var boundaries [3]float64
+	ring.Walk(telemetry.Visitor{Iteration: func(v *telemetry.IterationRecord) {
+		for i := 1; i <= 3; i++ {
+			if v.Cycle == i*period-1 && v.Time > boundaries[i-1] {
+				boundaries[i-1] = v.Time
+			}
+		}
+	}})
 	name := "no-redist"
 	if adapt {
 		if maxRedists == 1 {

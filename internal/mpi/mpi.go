@@ -696,7 +696,6 @@ func (w *World) Run(fn func(*Comm) error) error {
 
 // launch starts rank's goroutine running the world's SPMD function.
 func (w *World) launch(rank int) {
-	exitHook := w.cl.RankExitHook()
 	w.runWG.Add(1)
 	w.countStall(1, 0)
 	go func() {
@@ -721,9 +720,6 @@ func (w *World) launch(rank int) {
 			comm.reqFree, comm.bufFree = nil, nil
 			clear(comm.reqArr[:])
 			clear(comm.bufArr[:])
-			if exitHook != nil {
-				exitHook(rank)
-			}
 		}()
 		if err := w.runFn(comm); err != nil {
 			w.fail(fmt.Errorf("rank %d: %w", rank, err))

@@ -1,17 +1,16 @@
-// Package sweep multiplexes many deterministic virtual-time worlds under a
-// single scheduler. A Grid enumerates a parameter space (scenario × ranks ×
-// grace period × overlap × faults × replication × one-sided commits ×
-// elastic resize) into Cells; the engine in
-// engine.go runs each cell as its own goroutine-per-rank world behind a
-// core.WorldGate and advances the active worlds in global virtual-time
-// order, stepping the globally-earliest ones concurrently.
+// Package sweep runs many deterministic virtual-time worlds side by side.
+// A Grid enumerates a parameter space (scenario × ranks × grace period ×
+// overlap × faults × replication × one-sided commits × elastic resize) into
+// Cells; the engine in engine.go runs each cell as its own
+// goroutine-per-rank world, Jobs worlds at a time, each straight through
+// to completion.
 //
-// Every world is deterministic in virtual time on its own, and the gate's
-// pacing never touches virtual clocks, PRNG streams or message order, so
-// the per-cell results are independent of worker-pool width, GOMAXPROCS
-// and admission order. The report writers in report.go keep wall-clock
-// information on segregated "# wall-time:" lines so that everything else
-// is byte-comparable across runs.
+// The cells share no node, message or clock, and every world is
+// deterministic in virtual time on its own, so the per-cell results are
+// independent of worker-pool width, GOMAXPROCS and the order the worlds
+// finish in. The report writers in report.go keep wall-clock information
+// on segregated "# wall-time:" lines so that everything else is
+// byte-comparable across runs.
 package sweep
 
 import (

@@ -129,7 +129,7 @@ func (r *Result) WriteText(w io.Writer) {
 			fmtF(s.HiddenWireS), s.LostRows, s.Redists, fmtF(s.Elapsed), check)
 	}
 	fmt.Fprintf(w, "# sweep done: cells=%d failed=%d\n", len(r.Cells), failed)
-	fmt.Fprintf(w, "# wall-time: %.3fs jobs=%d gomaxprocs=%d rounds=%d\n",
+	fmt.Fprintf(w, "# wall-time: %.3fs jobs=%d gomaxprocs=%d worlds=%d\n",
 		r.WallSeconds, r.Jobs, r.GoMaxProcs, r.Steps)
 }
 
@@ -153,7 +153,7 @@ func (r *Result) WriteJSONL(w io.Writer) error {
 }
 
 // StreamWriter emits cell rows append-only, in enumeration (Cell.Index)
-// order, while accepting them in whatever completion order the scheduler
+// order, while accepting them in whatever completion order the sweep
 // delivers. A row is held only until every lower-indexed cell has been
 // written, then flushed as part of the contiguous frontier — so a consumer
 // tailing the file sees ordered progress, every byte is written exactly
@@ -170,9 +170,9 @@ func NewStreamWriter(w io.Writer) *StreamWriter {
 	return &StreamWriter{enc: json.NewEncoder(w), pending: map[int]CellResult{}}
 }
 
-// Add accepts one finalized cell and flushes the in-order frontier. Safe to
-// use as Options.OnCell directly (the scheduler calls it from one
-// goroutine). After the first write error Add becomes a no-op; check Err.
+// Add accepts one finished cell and flushes the in-order frontier. Safe to
+// use as Options.OnCell directly (Run calls it from one goroutine). After
+// the first write error Add becomes a no-op; check Err.
 func (s *StreamWriter) Add(cr CellResult) {
 	if s.err != nil {
 		return

@@ -10,127 +10,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/apps/jacobi"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/telemetry"
 )
 
-// stepScenario is the harness case for the step-primitive equivalence
-// tests: the smoke workload's jacobi cell with a competing-process arrival,
-// a mid-run crash and unconditional drop — every adaptation path a gated
-// run must reproduce exactly.
-func stepScenario() (*Grid, Cell) {
-	g := Smoke()
-	c := Cell{Scenario: "jacobi", Ranks: 8, GP: 3, Overlap: false, Fault: "crash", Replicate: false}
-	return &g, c
-}
-
-// monolithicTrace runs the cell's world without a gate and returns its
-// sorted record stream plus the application result.
-func monolithicTrace(t *testing.T, g *Grid, c Cell) ([]telemetry.Record, apps.Result) {
-	t.Helper()
-	ring := telemetry.NewRing(g.RingCap)
-	base := core.DefaultConfig()
-	base.Drop = core.DropAlways
-	base.GracePeriod = c.GP
-	base.Replicate = c.Replicate
-	base.Telemetry = ring
-	cfg := jacobi.DefaultConfig()
-	cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = g.Rows, g.Cols, g.Iters, g.CostPerElem
-	cfg.Overlap = c.Overlap
-	cfg.Core = base
-	spec := cluster.Uniform(c.Ranks).With(cluster.CycleEvent(g.CPNode, g.CPCycle, +1))
-	spec.Faults = append(spec.Faults, fault.CrashAtCycle(g.CrashNode, g.CrashCycle))
-	res, err := jacobi.Run(cluster.New(spec), cfg)
-	if err != nil {
-		t.Fatalf("monolithic run: %v", err)
-	}
-	recs := ring.Records()
-	telemetry.Sort(recs)
-	return recs, res
-}
-
-func jsonl(t *testing.T, recs []telemetry.Record) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, recs); err != nil {
-		t.Fatalf("encode records: %v", err)
-	}
-	return buf.String()
-}
-
-// TestStepwiseMatchesMonolithic drives a world one ProcessNextEvent at a
-// time from outside and asserts its telemetry is byte-identical to the same
-// world run monolithically: the gate is pure wall-clock control and leaves
-// no trace in virtual time.
-func TestStepwiseMatchesMonolithic(t *testing.T) {
-	g, c := stepScenario()
-	wantRecs, wantRes := monolithicTrace(t, g, c)
-	want := jsonl(t, wantRecs)
-
-	w := startWorld(g, c)
-	steps := 0
-	for w.gate.HasPendingEvents() {
-		last := w.gate.PeekNextEventTime()
-		w.gate.ProcessNextEvent()
-		steps++
-		if w.gate.HasPendingEvents() {
-			if next := w.gate.PeekNextEventTime(); next < last {
-				t.Fatalf("step %d: next event time %v went backwards from %v", steps, next, last)
-			}
-		}
-	}
-	out := <-w.done
-	if out.err != nil {
-		t.Fatalf("gated run: %v", out.err)
-	}
-	if steps != g.Iters {
-		t.Errorf("gated run took %d steps, want %d (one per phase cycle)", steps, g.Iters)
-	}
-	recs := w.ring.Records()
-	telemetry.Sort(recs)
-	if got := jsonl(t, recs); got != want {
-		t.Errorf("stepwise trace differs from monolithic run (%d vs %d bytes)", len(got), len(want))
-	}
-	if out.res.Checksum != wantRes.Checksum || out.res.Elapsed != wantRes.Elapsed || out.res.Redists != wantRes.Redists {
-		t.Errorf("stepwise result %+v != monolithic %+v", out.res, wantRes)
-	}
-}
-
-// TestWorldGateCrashDoesNotWedge pins the rank-exit wiring: a world whose
-// ranks die or finish must report no pending events instead of blocking
-// the controller forever.
-func TestWorldGateCrashDoesNotWedge(t *testing.T) {
-	g, c := stepScenario()
-	w := startWorld(g, c)
-	for w.gate.HasPendingEvents() {
-		w.gate.ProcessNextEvent()
-	}
-	out := <-w.done
-	if out.err != nil {
-		t.Fatalf("run: %v", out.err)
-	}
-	crashed := 0
-	for _, rs := range out.res.Stats {
-		if rs.Crashed {
-			crashed++
-		}
-	}
-	if crashed != 1 {
-		t.Fatalf("want exactly 1 crashed rank, got %d", crashed)
-	}
-	// Quiescent and complete: further step calls are harmless no-ops.
-	w.gate.ProcessNextEvent()
-	if w.gate.HasPendingEvents() {
-		t.Error("completed world still reports pending events")
-	}
-}
-
 // sweepReport runs grid g at the given pool width and returns the
-// deterministic report (wall-time lines stripped) and the round count.
+// deterministic report (wall-time lines stripped) and the worlds it ran.
 func sweepReport(t *testing.T, g Grid, jobs int) (string, int) {
 	t.Helper()
 	r, err := Run(Options{Grid: g, Jobs: jobs})
@@ -156,30 +41,30 @@ func reportText(r *Result) string {
 
 // TestSweepDeterministicAcrossJobs is the engine's determinism contract:
 // the smoke report is byte-identical between a serial pool, narrow and wide
-// pools under a different GOMAXPROCS, and a pool wider than the grid. Each
-// width takes the rounds the (time, cell) pop order and the in-order
-// admission fix for it, and the pool's workers are gone when Run returns.
-// The root-crash cell, whose removed rank receives from whichever rank holds
-// the send-out role, is one more input. Run with -race in CI.
+// pools under a different GOMAXPROCS, and a pool wider than the grid. Every
+// width runs each of the 96 worlds once, and the pool's workers are gone
+// when Run returns. The root-crash cell, whose removed rank receives from
+// whichever rank holds the send-out role, is one more input, and its crash
+// fault kills exactly one rank. Run with -race in CI.
 func TestSweepDeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full smoke grid; skipped in -short")
 	}
 	baseline := runtime.NumGoroutine()
 	serial, steps := sweepReport(t, Smoke(), 1)
-	if steps != 2880 { // one world per round: 96 cells of 30 cycles
-		t.Errorf("-jobs 1 took %d rounds, want 2880", steps)
+	if steps != 96 {
+		t.Errorf("-jobs 1 ran %d worlds, want 96", steps)
 	}
 
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	for _, tc := range []struct{ jobs, steps int }{{2, 1440}, {8, 363}, {200, 30}} {
-		wide, steps := sweepReport(t, Smoke(), tc.jobs)
+	for _, jobs := range []int{2, 8, 200} {
+		wide, steps := sweepReport(t, Smoke(), jobs)
 		if serial != wide {
-			t.Errorf("report differs between -jobs 1 and -jobs %d/GOMAXPROCS=4", tc.jobs)
+			t.Errorf("report differs between -jobs 1 and -jobs %d/GOMAXPROCS=4", jobs)
 		}
-		if steps != tc.steps {
-			t.Errorf("-jobs %d took %d rounds, want %d", tc.jobs, steps, tc.steps)
+		if steps != 96 {
+			t.Errorf("-jobs %d ran %d worlds, want 96", jobs, steps)
 		}
 	}
 	crash := gridOf(t, rootCrashSpec)
@@ -190,6 +75,9 @@ func TestSweepDeterministicAcrossJobs(t *testing.T) {
 		watched(t, fmt.Sprintf("%s at -jobs %d", rootCrashSpec, jobs), func() { r, err = Run(Options{Grid: crash, Jobs: jobs}) })
 		if err != nil {
 			t.Fatalf("root-crash sweep at -jobs %d: %v", jobs, err)
+		}
+		if n := r.Cells[0].Stats.Crashed; n != 1 {
+			t.Errorf("root-crash cell at -jobs %d: %d crashed ranks, want exactly 1", jobs, n)
 		}
 		reports[i] = reportText(r)
 	}
