@@ -24,8 +24,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
@@ -163,6 +165,7 @@ type Cluster struct {
 	quantum vclock.Duration
 	seed    int        // number of seed nodes; nodes[seed:] are arrivals
 	nodes   []Node     // seed nodes followed by arrival nodes; never reallocated
+	due     []int      // scheduled arrivals' node IDs, by AtCycle, then node
 	faults  *fault.Set // nil when the scenario injects no faults
 }
 
@@ -216,6 +219,12 @@ func New(spec Spec) *Cluster {
 		spec.Net = DefaultNet()
 	}
 	c := &Cluster{spec: spec, quantum: q, seed: len(spec.Nodes), faults: fs}
+	for i, a := range spec.Arrivals {
+		if a.AtCycle >= 0 {
+			c.due = append(c.due, c.seed+i)
+		}
+	}
+	slices.SortStableFunc(c.due, func(a, b int) int { return cmp.Compare(c.atCycle(a), c.atCycle(b)) })
 	master := vclock.NewPRNG(spec.Seed)
 	c.nodes = make([]Node, len(spec.Nodes)+len(spec.Arrivals))
 	for i := range c.nodes {
@@ -249,19 +258,23 @@ func (c *Cluster) N() int { return c.seed }
 // the rank IDs a grown world can reach. Equal to N when no arrivals exist.
 func (c *Cluster) MaxN() int { return len(c.nodes) }
 
-// ArrivalsAt returns the node IDs of arrivals scheduled to join at the
-// given phase cycle, in node order. The runtime's resize step consults it
-// at every cycle boundary; every active rank reads the same static table,
-// which is what makes automatic growth deterministic.
-func (c *Cluster) ArrivalsAt(cycle int) []int {
-	var out []int
-	for i, a := range c.spec.Arrivals {
-		if a.AtCycle == cycle {
-			out = append(out, c.seed+i)
-		}
+// ArrivalsDue returns the node IDs of arrivals scheduled to join at or
+// before the given phase cycle, by cycle and then node order; the caller
+// skips those it has claimed already, so an arrival whose cycle the world
+// could not act on is admitted at the next one it can. The runtime's resize
+// step consults it at every cycle boundary; every active rank reads the same
+// static table, which is what makes automatic growth deterministic. The
+// slice is the cluster's own: do not modify it.
+func (c *Cluster) ArrivalsDue(cycle int) []int {
+	n := 0
+	for n < len(c.due) && c.atCycle(c.due[n]) <= cycle {
+		n++
 	}
-	return out
+	return c.due[:n:n]
 }
+
+// atCycle is the cycle arrival node id is scheduled to join at.
+func (c *Cluster) atCycle(id int) int { return c.spec.Arrivals[id-c.seed].AtCycle }
 
 // HasArrivals reports whether any arrival capacity exists (scheduled or
 // reserve), letting hot paths skip the per-cycle table scan entirely.

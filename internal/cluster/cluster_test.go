@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -387,5 +388,17 @@ func TestPowersAndAccessors(t *testing.T) {
 	}
 	if cl.Net().BytesPerSec != DefaultNet().BytesPerSec {
 		t.Fatal("Net")
+	}
+}
+
+// TestArrivalsDue: the arrivals due by a cycle are every timed arrival at or
+// before it, by cycle and then node, whatever order the spec lists them in;
+// reserves are never due.
+func TestArrivalsDue(t *testing.T) {
+	c := New(Uniform(2).WithArrival(1, 5).WithArrival(1, -1).WithArrival(1, 3).WithArrival(1, 3))
+	for cycle, want := range map[int][]int{2: {}, 3: {4, 5}, 4: {4, 5}, 5: {4, 5, 2}, 99: {4, 5, 2}} {
+		if got := c.ArrivalsDue(cycle); !slices.Equal(got, want) {
+			t.Errorf("ArrivalsDue(%d) = %v, want %v", cycle, got, want)
+		}
 	}
 }

@@ -41,11 +41,11 @@ import (
 // the root sends until a later collective proves it sent it; once a dead
 // root is struck, the first live rank that kept a message re-sends it
 // (replayOut), and a removed rank drops what it already has (recvOut). A
-// rejoin packet is a stream message too, so a rejoiner it never reached gets
-// it re-sent. Like the tag, the position is envelope metadata and is not
-// priced. When no rank is left that could send (mpi.RecvErr), a removed rank
-// that awaits a result fails the world, and one that awaits the done notice
-// finishes.
+// rejoin packet is a stream message too, and a grow packet is kept alike, so
+// a rank one never reached gets it re-sent. The position, like the tag, is
+// envelope metadata, not priced. With no rank left that could send
+// (mpi.RecvErr), a removed rank awaiting a result fails the world, and one
+// awaiting the done notice finishes.
 
 // Stream messages besides global results ([]float64 with the position as one
 // more element, see sendOut): the rejoin ping and the done notice, each its
@@ -59,13 +59,14 @@ type (
 	}
 )
 
-// outEntry is one stream message as a non-root active rank keeps it.
+// outEntry is one stream message or grow packet as a non-root rank keeps it.
 type outEntry struct {
-	p     any       // the payload; nil for a global result, held in vals
+	p     any       // the payload; nil for a global result, held in vals, and for a grow packet
 	vals  []float64 // a global result and its position as one more element; reused by later entries
 	bytes int
 	from  []int // the active ranks when it was sent: from[0] sent it, the others kept it
-	to    []int // the removed ranks it was sent to
+	to    []int // the ranks it was sent to: the removed ones, or a grow's joiners
+	grow  grown // a grow packet's makings; the packet is built only if re-sent
 }
 
 // sendOutRoot is the active rank responsible for forwarding global results
@@ -82,15 +83,15 @@ func (rt *Runtime) sendEach(ranks []int, tag int, p any, bytes int) {
 	}
 }
 
-// keepOut keeps a stream message (p, or a global's vals the caller fills in)
+// keepOut keeps a message for the ranks to (p, or what the caller fills in)
 // on a rank other than the root. The root keeps none: only a successor
 // re-sends, and a root that stops being one without dying does so across a
 // transit, after which nothing kept before it is needed.
-func (rt *Runtime) keepOut(p any, bytes int) *outEntry {
+func (rt *Runtime) keepOut(to []int, p any, bytes int) *outEntry {
 	n := len(rt.outLog)
 	rt.outLog = slices.Grow(rt.outLog, 1)[:n+1] // the slot's vals are reused
 	e := &rt.outLog[n]
-	e.p, e.bytes, e.from, e.to = p, bytes, rt.active, rt.removed
+	e.p, e.bytes, e.from, e.to, e.grow = p, bytes, rt.active, to, grown{}
 	return e
 }
 
@@ -105,7 +106,19 @@ func (rt *Runtime) emitOut(p any, bytes int) {
 	if rt.comm.Rank() == rt.sendOutRoot() {
 		rt.sendEach(rt.removed, tagOut, p, bytes)
 	} else {
-		rt.keepOut(p, bytes)
+		rt.keepOut(rt.removed, p, bytes)
+	}
+}
+
+// emitGrow spawns a grow's joiners and hands them their packet on
+// tagMembership: the root sends it, and the others keep only its makings.
+func (rt *Runtime) emitGrow(g grown) {
+	rt.comm.World().Spawn(g.t.joiners)
+	if rt.comm.Rank() == rt.sendOutRoot() {
+		p, bytes := rt.growPacket(&g)
+		rt.sendEach(g.t.joiners, tagMembership, p, bytes)
+	} else {
+		rt.keepOut(g.t.joiners, nil, 0).grow = g
 	}
 }
 
@@ -121,7 +134,7 @@ func (rt *Runtime) sendOut(v []float64) {
 	if rt.comm.Rank() == rt.sendOutRoot() {
 		rt.sendEach(rt.removed, tagOut, append(append(make([]float64, 0, len(v)+1), v...), seq), bytes)
 	} else {
-		e := rt.keepOut(nil, bytes)
+		e := rt.keepOut(rt.removed, nil, bytes)
 		e.vals = append(append(e.vals[:0], v...), seq)
 	}
 }
@@ -143,11 +156,15 @@ func (rt *Runtime) replayOut() {
 		if i := slices.IndexFunc(e.from[1:], func(r int) bool { return !rt.knownDead(r) }); i < 0 || e.from[1+i] != rt.comm.Rank() {
 			continue
 		}
-		p := e.p
-		if p == nil {
+		tag, p, bytes := tagOut, e.p, e.bytes
+		switch {
+		case e.grow.old != nil:
+			tag = tagMembership
+			p, bytes = rt.growPacket(&e.grow)
+		case p == nil:
 			p = slices.Clone(e.vals)
 		}
-		rt.sendEach(e.to, tagOut, p, e.bytes)
+		rt.sendEach(e.to, tag, p, bytes)
 		if _, ok := p.(pingMsg); ok {
 			rt.loadReplies(e.to)
 		}

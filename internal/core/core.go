@@ -582,7 +582,8 @@ func (rt *Runtime) ensureCommitted() {
 	}
 	rt.committed = true
 	if rt.joined {
-		// Whoever the root is sends the packet; a spawned rank cannot know.
+		// From the root or a survivor (replayOut); a spawned rank cannot know
+		// which. If the root sent it and died, the re-sent copy stays unread.
 		p, _ := rt.comm.Recv(mpi.AnySource, tagMembership)
 		m := p.(packetMsg)
 		rt.outSeq = m.seq

@@ -73,7 +73,7 @@ type miniResult struct {
 	// globalAt is this rank's clock entering and leaving each global
 	// reduction.
 	globalAt [][2]vclock.Time
-	lost     int // rows declared lost (runElastic only)
+	lost     int // rows declared lost
 }
 
 // runMini executes a synthetic workload: one dense array of N rows; every
@@ -93,7 +93,7 @@ func runMini(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, withGlo
 func runMiniErr(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, withGlobal bool) (map[int]*miniResult, error) {
 	t.Helper()
 	ring := traceInto(&cfg)
-	results, err := miniWorld(spec, cfg, n, cycles, withGlobal)
+	results, err := miniWorld(spec, cfg, n, cycles, withGlobal, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -101,8 +101,12 @@ func runMiniErr(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, with
 	return results, nil
 }
 
-// miniWorld runs runMini's world; the results carry no records yet.
-func miniWorld(spec cluster.Spec, cfg Config, n, cycles int, withGlobal bool) (map[int]*miniResult, error) {
+// miniWorld runs runMini's world; the results carry no records yet. A rank
+// spawned into arrival capacity enters the loop at the world's cycle and
+// skips the initial fill (its rows arrive in the admission redistribution),
+// exactly as a real application must. When resizeTo is positive, every
+// participating rank requests Resize(resizeTo) at cycle resizeAt.
+func miniWorld(spec cluster.Spec, cfg Config, n, cycles int, withGlobal bool, resizeAt, resizeTo int) (map[int]*miniResult, error) {
 	var mu sync.Mutex
 	results := map[int]*miniResult{}
 	err := mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
@@ -111,10 +115,18 @@ func miniWorld(spec cluster.Spec, cfg Config, n, cycles int, withGlobal bool) (m
 		ph := rt.InitPhase(n)
 		ph.AddAccess("X", drsd.ReadWrite, 1, 0)
 		rt.Commit()
-		x.Fill(func(g, j int) float64 { return float64(g * 10) })
+		start := 0
+		if rt.Joined() {
+			start = rt.Cycle()
+		} else {
+			x.Fill(func(g, j int) float64 { return float64(g * 10) })
+		}
 
 		res := &miniResult{rank: c.Rank()}
-		for tstep := 0; tstep < cycles; tstep++ {
+		for tstep := start; tstep < cycles; tstep++ {
+			if resizeTo > 0 && tstep == resizeAt && rt.Participating() {
+				rt.Resize(resizeTo)
+			}
 			if rt.BeginCycle() {
 				lo, hi := ph.Bounds()
 				for g := lo; g < hi; g++ {
@@ -146,6 +158,9 @@ func miniWorld(spec cluster.Spec, cfg Config, n, cycles int, withGlobal bool) (m
 		res.removed = !rt.Participating()
 		res.final = c.Now()
 		res.relRank = rt.RelRank()
+		for _, lr := range rt.LostRows() {
+			res.lost += lr.Hi - lr.Lo
+		}
 		if rt.Participating() {
 			res.counts = rt.Dist().Counts()
 			lo, hi := ph.Bounds()

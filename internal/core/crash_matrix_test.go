@@ -303,7 +303,7 @@ func runMiniWatched(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, 
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		r, err := miniWorld(spec, cfg, n, cycles, withGlobal)
+		r, err := miniWorld(spec, cfg, n, cycles, withGlobal, 0, 0)
 		done <- outcome{r, err}
 	}()
 	select {
@@ -497,5 +497,97 @@ func TestRejoinSurvivesTimedRootCrash(t *testing.T) {
 			t.Errorf("%s: the survivors own %d of %d rows", label, owned, n)
 		}
 		sameRecords(t, a, run())
+	}
+}
+
+// TestGrowSurvivesTimedRootCrash: two nodes arrive at cycle 10, and one rank
+// dies at evenly spaced instants across that cycle and densely across its
+// opening, where the members spawn the joiners and the root sends them their
+// packet. Every member spawns, and the others keep the packet, so a root that
+// dies before sending it has a survivor re-send it; a death that voids the
+// cycle's adaptation step defers the grow to the next cycle. Every run must
+// finish with both joiners, the ranks must agree on every global of the
+// cycles they share, the survivors must own every row once, and the run must
+// replay exactly — with and without replication, one-sided, and with a
+// removed rank that may or may not rejoin.
+func TestGrowSurvivesTimedRootCrash(t *testing.T) {
+	const n, cycles, arrival = 64, 24, 10
+	cells := []struct {
+		name string
+		cp   bool // a competing process on node 1 from cycle 1
+		set  func(*Config)
+	}{
+		{"dropnever", false, func(*Config) {}},
+		{"replicate", false, func(c *Config) { c.Replicate = true }},
+		{"rma", false, func(c *Config) { c.Replicate, c.ReplicaRMA, c.RedistMode = true, true, RedistRMA }},
+		{"removed", true, func(c *Config) { c.Drop = DropAlways }},
+		{"removed/rejoin", true, func(c *Config) { c.Drop, c.AllowRejoin = DropAlways, true }},
+	}
+	for _, cl := range cells {
+		t.Run(cl.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Drop = DropNever
+			cl.set(&cfg)
+			scenario := func() cluster.Spec {
+				spec := cluster.Uniform(4).WithArrival(1.0, arrival).WithArrival(1.0, arrival)
+				if cl.cp {
+					spec = cpAtCycle(spec, 1, 1)
+				}
+				return spec
+			}
+			ref, err, ok := runMiniWatched(t, scenario(), cfg, n, cycles, true)
+			if !ok || err != nil {
+				t.Fatalf("fault-free run: finished %v, err %v", ok, err)
+			}
+			if got := changesOf(ref[4]); got != "resize-join" {
+				t.Fatalf("joiner 4's membership changes %q, want it to join", got)
+			}
+			if cl.cp && (removedAt(ref[1]) < 0 || removedAt(ref[1]) >= arrival) {
+				t.Fatalf("rank 1 removed at cycle %d; the test needs it removed before the arrival", removedAt(ref[1]))
+			}
+			var ends []vclock.Time // rank 0's clock at the end of each cycle
+			for _, it := range only[telemetry.IterationRecord](ref[0].recs) {
+				ends = append(ends, vclock.Time(vclock.FromSeconds(it.Time)))
+			}
+			open := ends[arrival-1]
+			var times []vclock.Time
+			for _, d := range []vclock.Duration{ends[arrival].Sub(open), 5 * vclock.Millisecond, vclock.Millisecond, 50 * vclock.Microsecond} {
+				times = append(times, spread(open, open.Add(d))...)
+			}
+			victims := []int{0, 1, 3}
+			if testing.Short() {
+				victims = victims[:1] // the root: the one victim a root-only grow hung on
+			}
+			for _, victim := range victims {
+				for _, at := range times {
+					label := fmt.Sprintf("rank %d crash at t=%v", victim, at)
+					run := func() map[int]*miniResult {
+						spec := scenario()
+						spec.Faults = []fault.Fault{fault.CrashAt(victim, at)}
+						results, err, ok := runMiniWatched(t, spec, cfg, n, cycles, true)
+						if !ok || err != nil {
+							t.Fatalf("%s: finished %v, err %v", label, ok, err)
+						}
+						return results
+					}
+					a := run()
+					if a[4] == nil || a[5] == nil {
+						t.Fatalf("%s: a joiner did not finish", label)
+					}
+					want := a[2].globals // rank 2 is never a victim and reduces every cycle
+					owned := 0
+					for r, res := range a {
+						owned += res.ownedCnt
+						if tail := want[max(0, len(want)-len(res.globals)):]; !slices.Equal(res.globals, tail) {
+							t.Errorf("%s: rank %d saw globals %v, rank 2 %v", label, r, res.globals, want)
+						}
+					}
+					if owned != n {
+						t.Errorf("%s: the survivors own %d of %d rows", label, owned, n)
+					}
+					sameRecords(t, a, run())
+				}
+			}
+		})
 	}
 }

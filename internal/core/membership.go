@@ -120,9 +120,9 @@ func (rt *Runtime) removal(c cause, stay, out, loads, base []int) transition {
 // calls it with the same transition — the members that decided it, and the
 // entering ranks from adopt — and passes through the same stages:
 //
-//  1. Notify (root only, when ranks enter): spawn the brand-new ones and send
-//     the packet. Ranks that leave need none: they are still members and
-//     decided the change themselves.
+//  1. Notify (when ranks enter): every member spawns the brand-new ones; the
+//     root sends the packet, and the others keep it (colls.go). Ranks that
+//     leave need none: they are still members and decided the change.
 //  2. Install the group before the redistribution when ranks enter, so they
 //     receive their rows inside it, and after it when ranks leave, so they
 //     ship theirs out inside it. The dead ship nothing: the survivors' group
@@ -137,18 +137,13 @@ func (rt *Runtime) transit(t transition) {
 		t.next.redists++ // an entering rank is handed the count already advanced
 	}
 	if len(t.joiners) > 0 && !entering {
-		switch {
-		case t.cause != causeGrow:
+		if t.cause == causeGrow {
+			rt.emitGrow(grown{t, rt.dist, rt.cycle, rt.outSeq})
+		} else {
 			// A rejoin is this cycle's verdict for every removed rank, the
 			// ones that stay out too, so it travels in the send-out stream.
 			pkt := rt.changePacket(t)
 			rt.emitOut(packetMsg{rt.outSeq, pkt}, pkt.wireBytes())
-		case me == rt.sendOutRoot():
-			rt.comm.World().Spawn(t.joiners)
-			pkt := rt.changePacket(t)
-			pkt.cycle, pkt.space, pkt.arrays = rt.cycle, rt.n, rt.arrayNames()
-			// The stream position rides along: the first a joiner awaits.
-			rt.sendEach(t.joiners, tagMembership, packetMsg{rt.outSeq, pkt}, pkt.wireBytes())
 		}
 	}
 
@@ -208,6 +203,20 @@ func (p *packet) wireBytes() int {
 // changePacket is the packet for transition t.
 func (rt *Runtime) changePacket(t transition) *packet {
 	return &packet{membership: t.next, oldRanks: rt.dist.Ranks(), oldCounts: rt.dist.Counts(), newCounts: t.dist.Counts()}
+}
+
+// grown is what a grow packet is built from.
+type grown struct {
+	t          transition
+	old        *drsd.Block // the distribution the grow starts from
+	cycle, seq int         // where the joiners start: the cycle and the first stream position they await
+}
+
+// growPacket builds the packet to a grow's joiners and prices it.
+func (rt *Runtime) growPacket(g *grown) (packetMsg, int) {
+	pkt := &packet{membership: g.t.next, oldRanks: g.old.Ranks(), oldCounts: g.old.Counts(), newCounts: g.t.dist.Counts(),
+		cycle: g.cycle, space: rt.n, arrays: rt.arrayNames()}
+	return packetMsg{g.seq, pkt}, pkt.wireBytes()
 }
 
 // emitVerdict puts the empty verdict on the send-out stream.

@@ -11,7 +11,7 @@ import (
 // transit (membership.go).
 //
 // Determinism: growth is driven by state every active rank computes
-// identically — the cluster's static arrival table (ArrivalsAt), the
+// identically — the cluster's static arrival table (ArrivalsDue), the
 // replicated claim ledger, and the explicit Resize target the SPMD
 // discipline requires every rank to set at the same cycle.
 
@@ -44,7 +44,7 @@ func (rt *Runtime) maybeResize(loads []int) bool {
 	cl := rt.comm.World().Cluster()
 	var joiners []int
 	if rt.hasArrivals {
-		for _, r := range cl.ArrivalsAt(rt.cycle) {
+		for _, r := range cl.ArrivalsDue(rt.cycle) {
 			if !containsInt(rt.claimed, r) {
 				joiners = append(joiners, r)
 			}

@@ -18,71 +18,11 @@ import (
 
 // runElastic executes the runMini workload on a cluster that may have
 // arrival capacity, with an optional explicit Resize request at iteration
-// resizeAt. Joiners spawned mid-run enter the loop at the world's cycle and
-// skip the initial fill (their rows arrive in the admission
-// redistribution), exactly as a real application must.
+// resizeAt (see miniWorld).
 func runElastic(t *testing.T, spec cluster.Spec, cfg Config, n, cycles, resizeAt, resizeTo int) map[int]*miniResult {
 	t.Helper()
 	ring := traceInto(&cfg)
-	var mu sync.Mutex
-	results := map[int]*miniResult{}
-	err := mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
-		rt := New(c, cfg)
-		x := rt.RegisterDense("X", n, 4)
-		ph := rt.InitPhase(n)
-		ph.AddAccess("X", drsd.ReadWrite, 1, 0)
-		rt.Commit()
-		start := 0
-		if rt.Joined() {
-			start = rt.Cycle()
-		} else {
-			x.Fill(func(g, j int) float64 { return float64(g * 10) })
-		}
-
-		res := &miniResult{rank: c.Rank()}
-		for tstep := start; tstep < cycles; tstep++ {
-			if resizeTo > 0 && tstep == resizeAt && rt.Participating() {
-				rt.Resize(resizeTo)
-			}
-			if rt.BeginCycle() {
-				lo, hi := ph.Bounds()
-				for g := lo; g < hi; g++ {
-					row := x.Row(g)
-					for j := range row {
-						row[j]++
-					}
-					rt.ComputeIter(g, iterCost)
-				}
-			}
-			rt.EndCycle()
-		}
-		rt.Finalize()
-
-		res.redists = rt.Redistributions()
-		res.removed = !rt.Participating()
-		res.final = c.Now()
-		res.relRank = rt.RelRank()
-		for _, lr := range rt.LostRows() {
-			res.lost += lr.Hi - lr.Lo
-		}
-		if rt.Participating() {
-			res.counts = rt.Dist().Counts()
-			lo, hi := ph.Bounds()
-			res.ownedOK = true
-			res.ownedCnt = hi - lo
-			for g := lo; g < hi; g++ {
-				for j := 0; j < 4; j++ {
-					if x.Row(g)[j] != float64(g*10+cycles) {
-						res.ownedOK = false
-					}
-				}
-			}
-		}
-		mu.Lock()
-		results[c.Rank()] = res
-		mu.Unlock()
-		return nil
-	})
+	results, err := miniWorld(spec, cfg, n, cycles, false, resizeAt, resizeTo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,5 +485,31 @@ func TestReshapeJoinerHonoursMaxRedists(t *testing.T) {
 				t.Errorf("rank %d decided at cycle %d, after the cap was spent", r, d.Cycle)
 			}
 		}
+	}
+}
+
+// TestArrivalSurvivesFailedLoadExchange: rank 2 dies at the top of cycle 10,
+// the cycle two nodes arrive at, so that cycle's load exchange fails and its
+// adaptation step never runs. The arrivals are admitted at the next cycle
+// instead of being lost: the three survivors and both joiners finish, and the
+// five own every row.
+func TestArrivalSurvivesFailedLoadExchange(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Drop = DropNever
+	spec := cluster.Uniform(4).WithArrival(1.0, 10).WithArrival(1.0, 10)
+	spec.Faults = []fault.Fault{fault.CrashAtCycle(2, 10)}
+	results := runElastic(t, spec, cfg, 64, 30, 0, 0)
+	if len(results) != 5 || results[4] == nil || results[5] == nil {
+		t.Fatalf("%d ranks finished, want the 3 survivors and both joiners", len(results))
+	}
+	if got := changesOf(results[0]); got != "failure-drop resize-grow" {
+		t.Fatalf("rank 0's membership changes %q, want the failure, then the grow", got)
+	}
+	owned := 0
+	for _, res := range results {
+		owned += res.ownedCnt
+	}
+	if owned != 64 {
+		t.Fatalf("the survivors own %d of 64 rows", owned)
 	}
 }

@@ -13,6 +13,7 @@ package drsd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -223,6 +224,21 @@ func (b *Block) RangeOf(r int) (lo, hi int) {
 	return 0, 0
 }
 
+// rangeNear is RangeOf for a walk over ranks: it tries index *at first, and
+// leaves *at just past the rank found, so a walk in b's own rank order finds
+// each rank in one step — a schedule over p ranks makes O(p) comparisons, not
+// O(p²). A rank out of that order, or absent, costs one scan.
+func (b *Block) rangeNear(r int, at *int) (lo, hi int) {
+	i := *at
+	if i >= len(b.ranks) || b.ranks[i] != r {
+		if i = slices.Index(b.ranks, r); i < 0 {
+			return 0, 0
+		}
+	}
+	*at = i + 1
+	return b.bounds[i], b.bounds[i+1]
+}
+
 // Cyclic assigns row g to Ranks[g mod p] (the DMPI_CYCLIC distribution).
 type Cyclic struct {
 	ranks []int
@@ -311,10 +327,11 @@ func ScheduleWindowsInto(buf []Transfer, oldD, newD *Block, accesses []Access) [
 	}
 	n := oldD.Rows()
 	out := buf
-	for _, r := range newD.Ranks() {
-		nlo, nhi := newD.RangeOf(r)
+	at := 0
+	for i, r := range newD.ranks {
+		nlo, nhi := newD.bounds[i], newD.bounds[i+1]
 		wlo, whi := Window(accesses, nlo, nhi, n)
-		olo, ohi := oldD.RangeOf(r)
+		olo, ohi := oldD.rangeNear(r, &at)
 		hlo, hhi := 0, 0
 		if olo < ohi {
 			hlo, hhi = Window(accesses, olo, ohi, n)
@@ -380,9 +397,10 @@ func ScheduleDiffInto(buf []Transfer, oldD, newD *Block) []Transfer {
 		panic("drsd: schedule across different row counts")
 	}
 	out := buf
+	at := 0
 	for i, r := range newD.ranks {
 		nlo, nhi := newD.bounds[i], newD.bounds[i+1]
-		olo, ohi := oldD.RangeOf(r)
+		olo, ohi := oldD.rangeNear(r, &at)
 		if olo >= ohi {
 			// Owned nothing before (a joiner): the whole new range is one gap.
 			olo, ohi = nlo, nlo

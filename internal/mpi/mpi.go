@@ -729,14 +729,14 @@ func (w *World) launch(rank int) {
 
 // Spawn grows the running world, starting a goroutine for each given rank
 // that executes the same SPMD function Run launched the seed ranks with.
-// Rank IDs must lie in the arrival capacity [N, Cap) and not already be
-// spawned (they need not be sequential: reserve capacity can be claimed out
-// of arrival order). Spawn must be called from exactly one running rank's
-// goroutine (the runtime's root performs it), which also guarantees the
-// run's WaitGroup is still held. The new ranks' mailboxes already exist —
-// anything sent to them before they start is waiting when they do — and
-// their node clocks start at zero, jumping forward to the cluster-wide
-// present at their first receive.
+// Rank IDs must lie in the arrival capacity [N, Cap), in any order. Spawn is
+// idempotent: any running rank may call it, concurrently with others, and a
+// rank already spawned is skipped, so each starts exactly once (every member
+// that decides a grow spawns, so the spawn survives any caller's death). A
+// running caller also guarantees the run's WaitGroup is still held. The new
+// ranks' mailboxes already exist — anything sent to them before they start
+// is waiting when they do — and their node clocks start at zero, jumping
+// forward to the cluster-wide present at their first receive.
 func (w *World) Spawn(ranks []int) {
 	if w.runFn == nil {
 		panic("mpi: Spawn before Run")
@@ -745,12 +745,9 @@ func (w *World) Spawn(ranks []int) {
 		if r < w.n || r >= w.cap {
 			panic(fmt.Sprintf("mpi: Spawn rank %d outside arrival capacity [%d,%d)", r, w.n, w.cap))
 		}
-		if w.spawned[r-w.n].Swap(true) {
-			panic(fmt.Sprintf("mpi: rank %d spawned twice", r))
+		if !w.spawned[r-w.n].Swap(true) {
+			w.launch(r)
 		}
-	}
-	for _, r := range ranks {
-		w.launch(r)
 	}
 }
 

@@ -71,7 +71,7 @@ func TestSpawnGrownWorldRunsCollectives(t *testing.T) {
 	}
 }
 
-// TestSpawnValidation pins the capacity and double-spawn guards.
+// TestSpawnValidation pins the capacity guards.
 func TestSpawnValidation(t *testing.T) {
 	spec := cluster.Uniform(2).WithArrival(1.0, -1)
 	w := NewWorld(cluster.New(spec))
@@ -87,14 +87,38 @@ func TestSpawnValidation(t *testing.T) {
 		if err := mustPanic("spawn beyond capacity", func() { c.World().Spawn([]int{3}) }); err != nil {
 			return err
 		}
-		if err := mustPanic("spawn of seed rank", func() { c.World().Spawn([]int{1}) }); err != nil {
-			return err
-		}
-		c.World().Spawn([]int{2})
-		return mustPanic("double spawn", func() { c.World().Spawn([]int{2}) })
+		return mustPanic("spawn of seed rank", func() { c.World().Spawn([]int{1}) })
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpawnIsIdempotent: three seed ranks spawn the same two joiners at
+// once, each twice, and every joiner's body runs exactly once. Run with
+// -race: the callers race on the arrival slots.
+func TestSpawnIsIdempotent(t *testing.T) {
+	spec := cluster.Uniform(3).WithArrival(1.0, -1).WithArrival(1.0, -1)
+	w := NewWorld(cluster.New(spec))
+	var mu sync.Mutex
+	runs := map[int]int{}
+	err := w.Run(func(c *Comm) error {
+		mu.Lock()
+		runs[c.Rank()]++
+		mu.Unlock()
+		if !c.Spawned() {
+			c.World().Spawn([]int{3, 4})
+			c.World().Spawn([]int{4, 3})
+		}
+		return c.BarrierErr(c.World().NewGroup([]int{0, 1, 2, 3, 4}))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 5; r++ {
+		if runs[r] != 1 {
+			t.Errorf("rank %d ran %d times, want once", r, runs[r])
+		}
 	}
 }
 
