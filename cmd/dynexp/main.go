@@ -111,7 +111,7 @@ func usage() {
 
 func main() {
 	paper := flag.Bool("paper", false, "use the paper's original input sizes")
-	nodesFlag := flag.String("nodes", "", "comma-separated node counts (fig4/fig6/overlap only)")
+	nodesFlag := flag.String("nodes", "", "comma-separated node counts (fig4/fig6/overlap/rma only)")
 	traceFile := flag.String("trace", "", "write the telemetry record stream as JSONL to this file (trace subcommand)")
 	summary := flag.Bool("summary", false, "print a telemetry aggregation table (trace subcommand)")
 	faultSpecs := flag.String("fault", "", "';'-separated fault specs to inject, e.g. 'crash:node=2,cycle=12' (trace subcommand)")

@@ -285,7 +285,8 @@ func SortTelemetry(recs []TelemetryRecord) { telemetry.Sort(recs) }
 // node removals: adjacency follows row ownership, not relative rank, and
 // ranks owning no rows neither send nor receive. n is the global row
 // count; rowOf must return resident row g; store receives ghost rows, each
-// valid only during the call — store must copy what it keeps.
+// valid only during the call — store must copy what it keeps. tag must lie
+// in the user tag space [0, 2^20); any other fails the run.
 func HaloExchange(rt *Runtime, tag, n int, rowOf func(g int) []float64, store func(g int, row []float64)) {
 	apps.HaloExchange(rt, tag, n, rowOf, store)
 }

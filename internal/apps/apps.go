@@ -148,7 +148,9 @@ func OrderedChecksum(rt *core.Runtime, n int, lo, hi int, rowVal func(g int) flo
 // (resident) row g to send; store is called with received ghost rows. The
 // row passed to store is a message buffer, valid only during the call: store
 // must copy what it keeps. Ranks owning no rows neither send nor receive.
+// tag is a user tag (see core.CheckUserTag).
 func HaloExchange(rt *core.Runtime, tag int, n int, rowOf func(g int) []float64, store func(g int, row []float64)) {
+	core.CheckUserTag(tag)
 	lo, hi, up, down := haloNeighbours(rt, n)
 	if lo >= hi {
 		return
@@ -227,6 +229,7 @@ type HaloHandle struct {
 // the rank's HiddenWire counter by Finish's Waits. Boundary rows must hold
 // their final values before the call — they are shipped immediately.
 func BeginHaloExchange(rt *core.Runtime, tag int, n int, rowOf func(g int) []float64) HaloHandle {
+	core.CheckUserTag(tag)
 	lo, hi, up, down := haloNeighbours(rt, n)
 	if lo >= hi {
 		return HaloHandle{}
@@ -234,7 +237,7 @@ func BeginHaloExchange(rt *core.Runtime, tag int, n int, rowOf func(g int) []flo
 	h := HaloHandle{rt: rt, lo: lo, hi: hi}
 	comm := rt.Comm()
 	// Ghost receives first, so a neighbour's send fills the posted request
-	// directly instead of passing through the mailbox queues.
+	// directly instead of passing through the mailbox queue.
 	if up >= 0 {
 		h.recvUp = comm.Irecv(up, tag)
 	}

@@ -45,7 +45,7 @@ const (
 	DropLogical         = distribution.DropLogical
 )
 
-// Reserved tag space: user tags must stay below tagBase.
+// Reserved tag space: user tags lie in [0, tagBase) (see CheckUserTag).
 const (
 	tagBase       = 1 << 20
 	tagRedist     = tagBase        // + array registration index
@@ -434,19 +434,24 @@ func (rt *Runtime) NumActive() int { return len(rt.active) }
 // WorldRankOf maps a relative rank to a world rank.
 func (rt *Runtime) WorldRankOf(rel int) int { return rt.active[rel] }
 
+// CheckUserTag panics unless tag lies in the user tag space [0, tagBase):
+// a negative tag is mpi.AnyTag or invalid, and a larger one collides with
+// the runtime's own traffic. Like an invalid rank, the panic fails the world.
+func CheckUserTag(tag int) {
+	if tag < 0 || tag >= tagBase {
+		panic(fmt.Sprintf("core: user tag %d outside [0, %d)", tag, tagBase))
+	}
+}
+
 // SendRel sends to a relative rank (DMPI_Send).
 func (rt *Runtime) SendRel(relDst, tag int, payload any, bytes int) {
-	if tag >= tagBase {
-		panic("core: user tag collides with runtime tag space")
-	}
+	CheckUserTag(tag)
 	rt.comm.Send(rt.active[relDst], tag, payload, bytes)
 }
 
 // RecvRel receives from a relative rank (DMPI_Recv).
 func (rt *Runtime) RecvRel(relSrc, tag int) (any, mpi.Status) {
-	if tag >= tagBase {
-		panic("core: user tag collides with runtime tag space")
-	}
+	CheckUserTag(tag)
 	return rt.comm.Recv(rt.active[relSrc], tag)
 }
 

@@ -47,7 +47,8 @@ func TestLogicalDropCountsRemainderToLastUnloaded(t *testing.T) {
 // TestUserTagGuards verifies SendRel and RecvRel both reject tags that
 // collide with the runtime's internal tag space (the old code guarded only
 // the send side, so a stray user receive could steal redistribution or
-// replica traffic).
+// replica traffic) and negative tags (a receive for tag -1 would be a
+// wildcard).
 func TestUserTagGuards(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		defer func() {
@@ -61,6 +62,8 @@ func TestUserTagGuards(t *testing.T) {
 	expectPanic("SendRel", func() { rt.SendRel(0, tagBase, nil, 0) })
 	expectPanic("RecvRel", func() { rt.RecvRel(0, tagBase+5) })
 	expectPanic("RecvRelF64s", func() { rt.RecvRelF64s(0, tagRedist) })
+	expectPanic("SendRel", func() { rt.SendRel(0, -1, nil, 0) })
+	expectPanic("RecvRel", func() { rt.RecvRel(0, -1) })
 }
 
 // TestPostRedistGraceRestartsOnLoadChange: a load change arriving during the

@@ -51,7 +51,7 @@ func (w *World) Kill(rank int) {
 	// accreting protocol pings forever.
 	db := &w.boxes[rank]
 	db.mu.Lock()
-	db.store, db.posted, db.total = nil, nil, 0
+	db.queue, db.posted = nil, nil
 	db.mu.Unlock()
 	w.groups.Lock()
 	groups := append([]*Group(nil), w.groups.list...)

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,180 +41,73 @@ const AnyTag = -1
 // failed; Run converts it back into the original error.
 var errFailed = errors.New("mpi: world failed")
 
-// envelope is one in-flight message. Envelopes are stored by value inside
-// the per-(src,tag) queues, so the steady-state send path performs no heap
+// envelope is one in-flight message. Envelopes are stored by value in the
+// mailbox's queue, so the steady-state send path performs no heap
 // allocation.
 type envelope struct {
 	src, tag int
 	payload  any
 	bytes    int
 	avail    vclock.Time // when the data has fully arrived at the receiver
-	seq      uint64      // per-mailbox arrival number, for wildcard matching
 }
 
-// envQueue is a FIFO of envelopes for one (src,tag) key. It is a growable
-// slice with a head cursor: pops advance head, and the backing array is
-// reused once the queue drains, so sustained traffic settles into zero
-// allocations after the high-water mark is reached.
-type envQueue struct {
-	items []envelope
-	head  int
-}
-
-func (q *envQueue) empty() bool { return q.head == len(q.items) }
-
-func (q *envQueue) push(e envelope) {
-	if q.head == len(q.items) && q.head > 0 {
-		// Drained: rewind so the backing array is reused.
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	q.items = append(q.items, e)
-}
-
-func (q *envQueue) pop() envelope {
-	e := q.items[q.head]
-	q.items[q.head].payload = nil // release the reference for the GC
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return e
-}
-
-// front returns the oldest queued envelope without removing it.
-func (q *envQueue) front() *envelope { return &q.items[q.head] }
-
-// matchKey packs a (src,tag) pair into one map key. Tags are bounded by the
-// runtime's reserved tag space (< 2^21) and sources by the world size, so
-// the packed key is collision-free.
-func matchKey(src, tag int) uint64 {
-	return uint64(uint32(src))<<32 | uint64(uint32(tag))
-}
-
-// inlineKeys sizes a boxStore. A sweep's short worlds use 5 distinct (src,tag)
-// keys per rank on average, 8 or fewer on nine ranks in ten, never queue a
-// second envelope behind a first and post at most two receives at a time.
-const inlineKeys = 8
-
-// boxStore is a mailbox's point-to-point storage, one allocation made the
+// boxStore is where a mailbox's two lists start: one allocation made the
 // first time a message waits in the mailbox or a receive is posted on it (a
-// rank that only takes part in collectives never pays for it). The first
-// inlineKeys keys get a queue and its first envelope here, found by scanning
-// keys; later keys spill to a map of heap queues. Keys are never released: a
-// world reuses its (src,tag) pairs.
+// rank that only takes part in collectives never pays for it). Four
+// envelopes is the most any bench workload queues in one mailbox; past
+// four, either list grows by append.
 type boxStore struct {
-	n      int // inline queues in use
-	keys   [inlineKeys]uint64
-	queues [inlineKeys]envQueue
-	first  [inlineKeys]envelope // queues[i].items starts as first[i:i:i+1]
-	posted [4]*Request          // where mailbox.posted starts
-	spill  map[uint64]*envQueue
+	queue  [4]envelope
+	posted [4]*Request
 }
 
-// mailbox is one rank's incoming message store, indexed by (src,tag) so
-// matching is O(1) instead of a linear scan of one shared queue. Only the
-// owning rank's goroutine receives from a mailbox. A receive that finds no
-// queued match is posted, and a sender fills the first posted request whose
-// pattern matches; the owner parks on its wake channel (World.wake) and is
-// handed a token only when the request it waits on is filled, so many
-// senders targeting one receiver with unrelated tags never disturb it.
-//
-// Wildcard receives (AnySource/AnyTag) take the queued match with the lowest
-// arrival number across all queues, preserving the arrival-order semantics
-// of the old single-queue implementation exactly.
+// mailbox is one rank's incoming message store: the two lists an MPI
+// matching engine keeps. Only the owning rank's goroutine receives from a
+// mailbox. A receive takes the oldest queued envelope its (src,tag) pattern
+// matches — FIFO per (src,tag), the earliest arrival for a wildcard. A
+// receive that finds no queued match is posted, and a sender fills the
+// first posted request whose pattern matches; the owner parks on its wake
+// channel (World.wake) and is handed a token only when the request it waits
+// on is filled, so many senders targeting one receiver with unrelated tags
+// never disturb it.
 type mailbox struct {
-	mu    sync.Mutex
-	store *boxStore // nil until first used, see storage
-	seq   uint64    // next arrival number
-	total int       // envelopes currently queued across all keys
+	mu sync.Mutex
+
+	// Envelopes no receive has taken yet, in arrival order. nil until the
+	// store is made, see storage.
+	queue []envelope
 
 	// Receives posted by the owning rank, in post order. Senders fill the
-	// first matching entry directly, bypassing the queues; reqWait is the
+	// first matching entry directly, bypassing the queue; reqWait is the
 	// one the owner is parked on, nil while it is not.
 	posted  []*Request
 	reqWait *Request
 }
 
-// storage returns the mailbox's store, allocating it on first use. Callers
-// hold b.mu.
-func (b *mailbox) storage() *boxStore {
-	if b.store == nil {
-		b.store = new(boxStore)
-		b.posted = b.store.posted[:0]
+// storage points both lists at a fresh store unless one was made already.
+// Callers hold b.mu.
+func (b *mailbox) storage() {
+	if b.queue == nil {
+		s := new(boxStore)
+		b.queue, b.posted = s.queue[:0], s.posted[:0]
 	}
-	return b.store
-}
-
-// queue returns the FIFO of key, or nil when the mailbox never saw the key;
-// with create set it makes one instead. Callers hold b.mu.
-func (b *mailbox) queue(key uint64, create bool) *envQueue {
-	if b.store == nil && !create {
-		return nil
-	}
-	s := b.storage()
-	for i, k := range s.keys[:s.n] {
-		if k == key {
-			return &s.queues[i]
-		}
-	}
-	if q := s.spill[key]; q != nil || !create {
-		return q
-	}
-	if i := s.n; i < inlineKeys {
-		s.n++
-		s.keys[i] = key
-		s.queues[i].items = s.first[i : i : i+1]
-		return &s.queues[i]
-	}
-	if s.spill == nil {
-		s.spill = make(map[uint64]*envQueue)
-	}
-	q := new(envQueue)
-	s.spill[key] = q
-	return q
 }
 
 func matches(e *envelope, src, tag int) bool {
 	return (src == AnySource || e.src == src) && (tag == AnyTag || e.tag == tag)
 }
 
-// take removes and returns the oldest envelope matching (src,tag), or
-// ok=false when none is queued. Callers hold b.mu.
+// take removes and returns the oldest queued envelope matching (src,tag),
+// or ok=false when none is queued. Callers hold b.mu.
 func (b *mailbox) take(src, tag int) (envelope, bool) {
-	if b.total == 0 {
-		return envelope{}, false
-	}
-	if src != AnySource && tag != AnyTag {
-		q := b.queue(matchKey(src, tag), false)
-		if q == nil || q.empty() {
-			return envelope{}, false
-		}
-		b.total--
-		return q.pop(), true
-	}
-	// Wildcard: earliest arrival across all matching queues.
-	var best *envQueue
-	consider := func(q *envQueue) {
-		if q.empty() || !matches(q.front(), src, tag) {
-			return
-		}
-		if best == nil || q.front().seq < best.front().seq {
-			best = q
+	for i := range b.queue {
+		if matches(&b.queue[i], src, tag) {
+			e := b.queue[i]
+			b.queue = slices.Delete(b.queue, i, i+1) // clears the vacated slot for the GC
+			return e, true
 		}
 	}
-	for i := range b.store.queues[:b.store.n] {
-		consider(&b.store.queues[i])
-	}
-	for _, q := range b.store.spill {
-		consider(q)
-	}
-	if best == nil {
-		return envelope{}, false
-	}
-	b.total--
-	return best.pop(), true
+	return envelope{}, false
 }
 
 // World owns the shared state of one simulated run: mailboxes, the default
@@ -473,8 +367,8 @@ func (c *Comm) Send(dst, tag int, payload any, bytes int) {
 
 // F64Msg is a float64 message buffer, the payload of SendF64s/IsendF64s.
 // It travels by pointer, so the envelope carries it without boxing a slice
-// header and without growing (an 80-byte envelope costs every message, typed
-// or not, a duffcopy per hop).
+// header and without growing (a slice field would take the 48-byte envelope
+// to 72 bytes and cost every message, typed or not, a duffcopy per hop).
 type F64Msg struct {
 	Vals []float64
 }
@@ -496,6 +390,9 @@ func (c *Comm) inject(op string, dst, tag int, payload any, bytes int) vclock.Ti
 	c.checkFailed()
 	if dst < 0 || dst >= c.w.cap {
 		panic(fmt.Sprintf("mpi: %s to invalid rank %d", op, dst))
+	}
+	if tag < 0 {
+		panic(fmt.Sprintf("mpi: %s with invalid tag %d", op, tag))
 	}
 	var faultDelay vclock.Duration
 	if c.flt != nil {
@@ -561,8 +458,8 @@ func (c *Comm) asF64Msg(p any, st Status) *F64Msg {
 
 // deliver hands env to dst's mailbox. The first posted receive whose pattern
 // matches the envelope — in post order, wildcards included — is filled
-// directly, bypassing the queues, and the owner is handed a token when it is
-// parked on that request; otherwise the envelope is enqueued. This preserves
+// directly, bypassing the queue, and the owner is handed a token when it is
+// parked on that request; otherwise the envelope is queued. This preserves
 // FIFO order per (src,tag): a receive is only posted on a queue miss, so a
 // posted request never coexists with an older queued match.
 //
@@ -578,8 +475,6 @@ func (w *World) deliver(dst int, env envelope) {
 	}
 	box := &w.boxes[dst]
 	box.mu.Lock()
-	env.seq = box.seq
-	box.seq++
 	for _, r := range box.posted {
 		if matches(&env, r.src, r.tag) {
 			removePosted(box, r)
@@ -597,8 +492,8 @@ func (w *World) deliver(dst int, env envelope) {
 			return
 		}
 	}
-	box.queue(matchKey(env.src, env.tag), true).push(env)
-	box.total++
+	box.storage()
+	box.queue = append(box.queue, env)
 	box.mu.Unlock()
 }
 
@@ -758,7 +653,7 @@ func (w *World) QueuedMsgs(rank int) int {
 	b := &w.boxes[rank]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.total
+	return len(b.queue)
 }
 
 // --- collectives ---------------------------------------------------------

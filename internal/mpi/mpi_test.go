@@ -487,6 +487,29 @@ func TestRecvFromInvalidRankFailsRun(t *testing.T) {
 	}
 }
 
+// TestRecvWithInvalidTagFailsRun is the tag twin of the rank check: a tag
+// below AnyTag matches no message, so the receive fails the run naming the
+// tag instead of parking forever.
+func TestRecvWithInvalidTagFailsRun(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		done <- Run(cluster.New(cluster.Uniform(2)), func(c *Comm) error {
+			if c.Rank() == 0 {
+				c.Recv(1, -2)
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if want := "mpi: recv with invalid tag -2"; err == nil || !contains(err.Error(), want) {
+			t.Errorf("Recv(1, -2): Run returned %v, want an error containing %q", err, want)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("Recv(1, -2) on a 2-rank world still blocked after 2 s")
+	}
+}
+
 func TestBigTrafficVolume(t *testing.T) {
 	// Stress the mailbox with many interleaved tags from two senders.
 	run(t, 3, func(c *Comm) error {

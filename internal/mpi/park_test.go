@@ -118,8 +118,8 @@ func awaitRecvParked(w *World, r int) {
 
 // parkWorld runs body on an n-rank world with the given faults and fails the
 // test on an error, on a world still running after a watchdog's 30 s, and on
-// a leaked operation.
-func parkWorld(t *testing.T, n int, faults []fault.Fault, body func(c *Comm) error) {
+// a leaked operation. It returns the finished world.
+func parkWorld(t *testing.T, n int, faults []fault.Fault, body func(c *Comm) error) *World {
 	t.Helper()
 	spec := cluster.Uniform(n)
 	spec.Faults = faults
@@ -137,6 +137,7 @@ func parkWorld(t *testing.T, n int, faults []fault.Fault, body func(c *Comm) err
 	if n := w.LeakedOps(); n != 0 {
 		t.Fatalf("%d operations leaked, want 0", n)
 	}
+	return w
 }
 
 // TestRecvParkPath drives the receive side of the one parking spot: a

@@ -131,6 +131,9 @@ func (c *Comm) post(op string, src, tag int) *Request {
 	if src != AnySource && (src < 0 || src >= c.w.cap) {
 		panic(fmt.Sprintf("mpi: %s from invalid rank %d", op, src))
 	}
+	if tag < AnyTag {
+		panic(fmt.Sprintf("mpi: %s with invalid tag %d", op, tag))
+	}
 	if c.flt != nil {
 		c.pollFaults()
 	}

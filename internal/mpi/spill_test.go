@@ -7,13 +7,13 @@ import (
 	"repro/internal/cluster"
 )
 
-// The lists that start on arrays inside their owner — a mailbox's queues,
-// their first envelopes and its posted receives (boxStore), a rank's request
-// and message-buffer free lists (Comm) — must behave past the array exactly
-// as on it. Each test drives one of them to three times its inline capacity
-// and checks the contract the inline part already keeps: FIFO per (src,tag),
-// wildcard receives in arrival order, nothing leaked. CI runs them under
-// -race -count=3.
+// The lists that start on arrays inside their owner — a mailbox's queue and
+// its posted receives (boxStore), a rank's request and message-buffer free
+// lists (Comm) — must behave past the array exactly as on it. Each test
+// drives one of them to three times its inline capacity and checks the
+// contract the inline part already keeps: FIFO per (src,tag), wildcard
+// receives in arrival order, nothing leaked. CI runs them under -race
+// -count=3.
 
 // spillWorld runs body on a three-rank world and fails the test on an error
 // or a leaked operation.
@@ -33,12 +33,13 @@ func spillWorld(t *testing.T, body func(c *Comm) error) {
 	}
 }
 
-// TestMailboxSpillsPastInlineKeys queues three envelopes on each of
-// 3×inlineKeys distinct (src,tag) keys in rank 0's mailbox — two senders,
-// interleaved tags — so later keys live in the spill map and every queue
-// outgrows its inline envelope.
-func TestMailboxSpillsPastInlineKeys(t *testing.T) {
-	const tags, depth = 3 * inlineKeys, 3
+// TestMailboxQueueOutgrowsItsStore queues three envelopes on each of
+// 3×len(boxStore.queue) distinct (src,tag) keys in rank 0's mailbox — two
+// senders, interleaved tags — so the queue outgrows its store many times
+// over, and then takes them back with wildcard and specific receives.
+func TestMailboxQueueOutgrowsItsStore(t *testing.T) {
+	var s boxStore
+	tags, depth := 3*len(s.queue), 3
 	spillWorld(t, func(c *Comm) error {
 		all := c.World().AllGroup()
 		if c.Rank() != 0 {
@@ -58,14 +59,10 @@ func TestMailboxSpillsPastInlineKeys(t *testing.T) {
 		}
 		c.Barrier(all)
 		c.Barrier(all) // everything is queued: sends deliver before they return
-		if got := c.World().QueuedMsgs(0); got != 2*tags*depth {
-			return fmt.Errorf("%d envelopes queued, want %d", got, 2*tags*depth)
+		if q := c.w.boxes[0].queue; len(q) != 2*tags*depth || cap(q) <= len(s.queue) {
+			return fmt.Errorf("%d envelopes queued (cap %d), want %d off the store", len(q), cap(q), 2*tags*depth)
 		}
-		if st := c.w.boxes[0].store; st.n != inlineKeys || len(st.spill) != 2*tags-inlineKeys {
-			return fmt.Errorf("%d inline keys and %d spilled, want %d and %d", st.n, len(st.spill), inlineKeys, 2*tags-inlineKeys)
-		}
-		// Wildcards first: arrival order is rank 1's send order, whichever
-		// storage the key landed in.
+		// Wildcards first: arrival order is rank 1's send order.
 		for tag := 0; tag < tags; tag++ {
 			p, st := c.Recv(AnySource, AnyTag)
 			if p != [3]int{1, tag, 0} || st.Source != 1 || st.Tag != tag {
