@@ -211,11 +211,7 @@ func (rt *Runtime) closeReplicaEpoch() {
 		if a.dense == nil || rt.knownDead(rt.repNext) {
 			continue
 		}
-		if err := rt.comm.WinCompleteErr(a.wins[winReplica]); err != nil {
-			// The successor died: this rank's deposits are gone with it.
-			// Nothing to settle on this side; the wait loop still runs.
-			rt.tolerateDeath(err)
-		}
+		rt.comm.WinComplete(a.wins[winReplica])
 	}
 	// Wait on the predecessor's completion, settling the pair's epoch, and
 	// promote the staged deposit — after a failed wait only when the dead
@@ -401,12 +397,9 @@ func (rt *Runtime) rmaRedistArray(a *regArray, sched []drsd.Transfer, outs []red
 			m.dense = nil
 		}
 		if err == nil {
-			if err := rt.comm.WinCompleteErr(win); err != nil {
-				// The receiver died after posting. Whether this call or the
-				// closing barrier sees it first is a wall-clock race, so only
-				// the barrier's report is recorded.
-				rt.tolerateDeath(err)
-			}
+			// A receiver that died after posting is reported by the closing
+			// barrier.
+			rt.comm.WinComplete(win)
 		}
 	}
 

@@ -32,12 +32,11 @@ import (
 //     for it spin briefly (yielding the processor), which resolves almost
 //     every rendezvous without a single scheduler park; a member that
 //     exhausts its spin budget parks on its rank's capacity-1 wake channel
-//     (World.wake), and the publisher broadcasts tokens only when someone
-//     actually parked. No mutex is ever taken on the success path.
+//     (World.wake), and the publisher wakes members only when someone
+//     actually parked. No mutex is ever taken on a spin-resolved success.
 //
-// Liveness checks stay O(1) on the hot path: waiters consult the world's
-// dead counter (one atomic load) and only scan the membership for dead
-// non-depositors when a death has actually been published.
+// Waiters never look for dead members: an op a dead member never deposited
+// into is failed by resolve, once no live rank can move (see resolve.go).
 
 // opRing is the number of in-flight rendezvous slots per group. A member
 // depositing into op seq proves op seq-2 has fully drained (it consumed
@@ -130,6 +129,8 @@ type collDesc struct {
 // rare failure path (dead-member error publication, orphan adoption, leak
 // accounting).
 type opState struct {
+	g *Group // the group whose ring holds the slot
+
 	// ready names the op sequence number this slot currently serves.
 	// Deposits for seq spin until ready == seq; the spin is almost never
 	// taken, because the slot was necessarily drained two ops ago.
@@ -163,21 +164,14 @@ type opState struct {
 
 	left atomic.Int32 // successful-op consumptions outstanding
 
-	// parked counts members blocked on their wake channels. The publisher
-	// broadcasts wake tokens only when it is non-zero, so spin-resolved
-	// rendezvous (the common case) perform no channel operations at all.
+	// parked counts members parked on op. The publisher wakes members only
+	// when it is non-zero, so spin-resolved rendezvous (the common case)
+	// perform no channel operations at all.
 	parked atomic.Int32
 
 	mu       sync.Mutex
 	consumed []bool // error-path consumption accounting (under mu)
 	errLeft  int    // live members yet to consume the error (under mu)
-}
-
-// signal hands every member's rank a wakeup token.
-func (g *Group) signal() {
-	for _, m := range g.members {
-		g.w.signal(m)
-	}
 }
 
 // Group is a subset of world ranks that participates in collectives
@@ -288,6 +282,7 @@ func (w *World) NewGroup(members []int) *Group {
 	consumed := make([]bool, opRing*n)
 	for i := range g.ring {
 		op := &g.ring[i]
+		op.g = g
 		lo, hi := i*n, (i+1)*n
 		op.times, op.bytes = times[lo:hi:hi], bytes[lo:hi:hi]
 		op.contribs, op.contribsF64 = contribs[lo:hi:hi], contribsF64[lo:hi:hi]
@@ -387,11 +382,12 @@ func (c *Comm) groupSlot(g *Group) int {
 // the run rather than truncating it.
 //
 // When a group member is dead and has not deposited, every surviving member
-// leaves with a *RankFailedError naming the dead rank(s), at its own
-// deposit time and with no clock advance — the collective never completed,
-// so it charges nothing. A member cannot die *inside* an op: injected
-// crashes fire at operation entry, before the deposit, which is the
-// invariant that lets successful ops drain without any reclamation logic.
+// leaves with a *RankFailedError naming every member dead at the quiescent
+// point resolve published it at, at its own deposit time and with no clock
+// advance — the collective never completed, so it charges nothing. A member
+// cannot die *inside* an op: injected crashes fire at operation entry,
+// before the deposit, which is the invariant that lets successful ops drain
+// without any reclamation logic.
 func (c *Comm) rendezvousErr(g *Group, contrib any, vec []float64, desc *collDesc, dst []float64) (any, error) {
 	c.checkFailed()
 	if c.flt != nil {
@@ -427,7 +423,7 @@ func (c *Comm) rendezvousErr(g *Group, contrib any, vec []float64, desc *collDes
 	}
 
 	if !op.pub.Load() {
-		c.waitOp(g, op)
+		c.waitOp(op)
 	}
 
 	if err := op.cErr; err != nil {
@@ -473,87 +469,35 @@ func (c *Comm) rendezvousErr(g *Group, contrib any, vec []float64, desc *collDes
 // waitOp blocks this member until the op publishes (success or error). It
 // first spins with scheduler yields — collectives between compute phases
 // publish within a round or two, so the common case costs no park/unpark —
-// and only then parks on its rank's wake channel, announcing itself through
-// op.parked so the publisher knows to broadcast tokens. Waiters are also
-// woken by a world failure or a death; on death the first waiter to observe
-// a dead non-depositor publishes the error itself. Spurious tokens (from an
-// earlier op, of this group or another) just re-run the checks.
-func (c *Comm) waitOp(g *Group, op *opState) {
+// and only then parks on its rank's wake channel, announcing op as its wait
+// and itself through op.parked so the publisher knows to wake members.
+// Waiters are also woken by a world failure, and by resolve when it fails
+// the op. A wake meant for an earlier park just re-runs the checks.
+func (c *Comm) waitOp(op *opState) {
 	w := c.w
 	for i := 0; i < waitSpinRounds; i++ {
 		if w.failed.Load() {
 			panic(errFailed)
-		}
-		if w.deadCount.Load() > 0 && g.tryFailOp(op) {
-			return
 		}
 		runtime.Gosched()
 		if op.pub.Load() {
 			return
 		}
 	}
+	b := &w.boxes[c.rank]
+	b.opWait.Store(op)
 	op.parked.Add(1)
-	defer op.parked.Add(-1)
 	// Announce-then-recheck pairs with the publisher's publish-then-check:
-	// either the publisher sees parked > 0 and broadcasts, or this load
-	// sees pub — a parked member can never miss the publication.
-	for !op.pub.Load() {
-		if w.failed.Load() {
-			panic(errFailed)
-		}
-		if w.deadCount.Load() > 0 && g.tryFailOp(op) {
-			return
-		}
-		<-w.wake[c.rank]
+	// either the publisher sees parked > 0 and wakes this rank, or sleep's
+	// recheck sees pub — a parked member can never miss the publication.
+	for !op.pub.Load() && !w.failed.Load() {
+		w.sleep(c.rank)
 	}
-}
-
-// tryFailOp runs the dead-member check under the op lock; see
-// tryFailOpLocked.
-func (g *Group) tryFailOp(op *opState) bool {
-	op.mu.Lock()
-	failed := g.tryFailOpLocked(op)
-	op.mu.Unlock()
-	return failed
-}
-
-// tryFailOpLocked publishes a RankFailedError when some dead group member
-// never deposited into op. A dead member can never deposit later (crashes
-// fire at operation entry), so the error is final, and — by the same
-// invariant — a dead member can never have deposited into a still-pending
-// op, so the dead are exactly the members that will never consume: they are
-// pre-marked consumed here, and members that die *after* this accounting
-// are adopted by World.Kill's orphan walk. That combination is what
-// guarantees the slot always drains; the former implementation leaked one
-// opResult for every member that died after the live count was snapshotted.
-// Callers hold op.mu. Reports whether the op is now error-published.
-func (g *Group) tryFailOpLocked(op *opState) bool {
-	if op.pub.Load() {
-		return true
+	op.parked.Add(-1)
+	b.opWait.Store(nil)
+	if !op.pub.Load() {
+		panic(errFailed)
 	}
-	gen := op.ready.Load() + 1 // deposit marker for the active generation
-	var missing []int
-	for i, m := range g.members {
-		if op.depSeq[i].Load() != gen && g.w.dead[m].Load() {
-			missing = append(missing, m)
-		}
-	}
-	if len(missing) == 0 {
-		return false
-	}
-	op.cErr = &RankFailedError{Op: "collective", Ranks: missing}
-	live := 0
-	for i, m := range g.members {
-		if g.w.dead[m].Load() {
-			op.consumed[i] = true
-		} else {
-			live++
-		}
-	}
-	op.errLeft = live
-	op.pub.Store(true)
-	g.signal()
-	return true
 }
 
 // publish assembles and prices the result, installs it in op's result
@@ -621,7 +565,14 @@ func (c *Comm) publish(g *Group, op *opState, desc *collDesc) {
 	g.noteOp(desc.kind, bytes)
 	op.pub.Store(true)
 	if op.parked.Load() > 0 {
-		g.signal()
+		w := g.w
+		w.mu.Lock()
+		for _, m := range g.members {
+			if w.boxes[m].opWait.Load() == op {
+				w.wakeLocked(m)
+			}
+		}
+		w.mu.Unlock()
 	}
 }
 

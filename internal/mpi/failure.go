@@ -11,13 +11,15 @@ import (
 
 // errCrashed is the panic value that unwinds a rank killed by an injected
 // crash fault. Unlike errFailed it does not fail the world: the surviving
-// ranks keep running and detect the death through liveness checks.
+// ranks keep running and see the death at the next operation that needs it.
 var errCrashed = errors.New("mpi: rank crashed")
 
 // RankFailedError reports that an operation could not complete because one
-// or more peer ranks are dead. Ranks is sorted and never empty.
+// or more peer ranks are dead. Ranks is sorted and never empty. For a
+// collective it is every member dead at the quiescent point the failure was
+// published at (see resolve.go), and so the same on every run.
 type RankFailedError struct {
-	Op    string // "recv", "irecv", "waitall", "collective", "win-start", "win-complete" or "win-wait"
+	Op    string // "recv", "irecv", "waitall", "collective", "win-start" or "win-wait"
 	Ranks []int
 }
 
@@ -25,30 +27,26 @@ func (e *RankFailedError) Error() string {
 	return fmt.Sprintf("mpi: %s failed: dead rank(s) %v", e.Op, e.Ranks)
 }
 
-// Kill marks rank as dead and hands every rank a wake token so liveness
-// checks re-run. It is idempotent. Posted receives stay posted (unlike
-// fail, which voids them): a receive that can still be satisfied by a live
-// sender simply re-parks. For every group the dead rank belongs to,
-// Kill also adopts the rank's unconsumed error results: a member that dies
-// after a collective failure was published was counted as a live consumer,
-// and without adoption its share would pin the rendezvous slot forever (the
+// Kill marks rank as dead. It is idempotent and wakes no one: a receive
+// from the dead rank that starts later fails at once, and one already
+// parked, like a collective, fails once no live rank can move (see
+// resolve.go). For every group the dead rank belongs to, Kill also adopts
+// the rank's unconsumed error results: a member that dies after a
+// collective failure was published was counted as a live consumer, and
+// without adoption its share would pin the rendezvous slot forever (the
 // opResult leak of the pre-sharding engine).
 func (w *World) Kill(rank int) {
 	if w.dead[rank].Swap(true) {
 		return
 	}
 	w.deadCount.Add(1)
-	for r := range w.boxes {
-		w.signal(r)
-	}
 	// The dead rank's own posted receives are orphans: no Wait will ever
 	// drain them. Reclaim them here so they do not count as leaked
 	// operations; live ranks' requests on the dead peer stay posted and
-	// resolve to RankFailedError at their Wait (the tokens above re-run
-	// those liveness checks). Queued envelopes are purged for the
-	// same reason — nothing will ever receive them — and deliver drops any
-	// that arrive later, so a corpse's mailbox stays empty instead of
-	// accreting protocol pings forever.
+	// end in a RankFailedError at their Wait. Queued envelopes are purged
+	// for the same reason — nothing will ever receive them — and deliver
+	// drops any that arrive later, so a corpse's mailbox stays empty instead
+	// of accreting protocol pings forever.
 	db := &w.boxes[rank]
 	db.mu.Lock()
 	db.queue, db.posted = nil, nil

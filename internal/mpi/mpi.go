@@ -70,8 +70,14 @@ type boxStore struct {
 // channel (World.wake) and is handed a token only when the request it waits
 // on is filled, so many senders targeting one receiver with unrelated tags
 // never disturb it.
+//
+// The mailbox also holds its owner's parking state (see resolve.go): asleep
+// is set while the owner is parked, and its wait is reqWait or opWait.
 type mailbox struct {
 	mu sync.Mutex
+
+	asleep atomic.Bool
+	opWait atomic.Pointer[opState]
 
 	// Envelopes no receive has taken yet, in arrival order. nil until the
 	// store is made, see storage.
@@ -79,9 +85,10 @@ type mailbox struct {
 
 	// Receives posted by the owning rank, in post order. Senders fill the
 	// first matching entry directly, bypassing the queue; reqWait is the
-	// one the owner is parked on, nil while it is not.
+	// one the owner is parked on, nil while it is not and once it is filled
+	// or voided.
 	posted  []*Request
-	reqWait *Request
+	reqWait atomic.Pointer[Request]
 }
 
 // storage points both lists at a fresh store unless one was made already.
@@ -151,24 +158,20 @@ type World struct {
 	deadCount atomic.Int32
 	flt       *fault.Set // scenario faults; nil when none are injected
 
-	// Wildcard stall: running counts the ranks launched and not yet
-	// returned (crashed ones included, until they unwind); waitingAny
-	// counts the ranks parked in an AnySource receive that nothing has
-	// filled. Once the two are equal every rank that could still send is
-	// itself parked on such a receive, so none of them can ever be filled:
-	// stalled is set for good and each of those receives fails (RecvErr).
-	stallMu    sync.Mutex
-	running    int
-	waitingAny int
-	stalled    atomic.Bool
+	// Quiescence, see resolve.go: live counts the ranks launched and not
+	// yet returned, asleep the parked ones. Both change under mu.
+	mu     sync.Mutex
+	live   int
+	asleep int
 
 	// wake[r] is rank r's one parking spot: a capacity-1 channel used as a
 	// binary semaphore. A rank blocks in at most one wait at a time — a
 	// collective or a receive — so one channel serves every op of every
-	// group it is in and every request it posts. Signallers send
-	// non-blocking (a full channel already holds a token). A token names no
-	// op: the receiver always rechecks what it waits on, so a stale one is a
-	// spurious recheck and a parked rank never misses its own.
+	// group it is in and every request it posts. A token is handed only by
+	// whoever clears the rank's asleep flag, so the channel is empty
+	// whenever a rank parks. A token names no op: the rank rechecks what it
+	// waits on, so a token from a wake meant for an earlier park is a
+	// spurious recheck.
 	wake []chan struct{}
 }
 
@@ -201,9 +204,9 @@ func (w *World) Cap() int { return w.cap }
 // Cluster returns the underlying cluster model.
 func (w *World) Cluster() *cluster.Cluster { return w.cl }
 
-// fail records the first error and wakes every blocked rank so the whole
-// world unwinds instead of deadlocking: every wait rechecks w.failed on
-// each token before parking again, whatever it was waiting for.
+// fail records the first error and wakes every parked rank so the whole
+// world unwinds instead of deadlocking: every wait rechecks w.failed after
+// each wake and after announcing itself asleep, whatever it was waiting for.
 func (w *World) fail(err error) {
 	w.errMu.Lock()
 	if w.err == nil {
@@ -214,35 +217,13 @@ func (w *World) fail(err error) {
 	for r := range w.boxes {
 		b := &w.boxes[r]
 		b.mu.Lock()
-		b.reqWait = nil
+		b.reqWait.Store(nil)
 		for i := range b.posted { // pending requests are void; everyone unwinds
 			b.posted[i] = nil
 		}
 		b.posted = b.posted[:0]
 		b.mu.Unlock()
 		w.signal(r)
-	}
-}
-
-// countStall adds to running and waitingAny and checks for the wildcard
-// stall.
-func (w *World) countStall(running, waitingAny int) {
-	w.stallMu.Lock()
-	defer w.stallMu.Unlock()
-	w.running += running
-	w.waitingAny += waitingAny
-	if w.waitingAny > 0 && w.waitingAny == w.running && !w.stalled.Swap(true) {
-		for r := range w.wake {
-			w.signal(r)
-		}
-	}
-}
-
-// signal hands rank a wakeup token, without blocking.
-func (w *World) signal(rank int) {
-	select {
-	case w.wake[rank] <- struct{}{}:
-	default:
 	}
 }
 
@@ -458,8 +439,8 @@ func (c *Comm) asF64Msg(p any, st Status) *F64Msg {
 
 // deliver hands env to dst's mailbox. The first posted receive whose pattern
 // matches the envelope — in post order, wildcards included — is filled
-// directly, bypassing the queue, and the owner is handed a token when it is
-// parked on that request; otherwise the envelope is queued. This preserves
+// directly, bypassing the queue, and the owner is woken when it is parked
+// on that request; otherwise the envelope is queued. This preserves
 // FIFO order per (src,tag): a receive is only posted on a queue miss, so a
 // posted request never coexists with an older queued match.
 //
@@ -480,15 +461,11 @@ func (w *World) deliver(dst int, env envelope) {
 			removePosted(box, r)
 			r.env = env
 			r.done = true
-			if r.waitingAny {
-				r.waitingAny = false
-				w.countStall(0, -1)
-			}
-			if box.reqWait == r {
-				box.reqWait = nil
-				w.signal(dst)
-			}
+			parked := box.reqWait.CompareAndSwap(r, nil)
 			box.mu.Unlock()
+			if parked {
+				w.signal(dst) // outside box.mu: resolve takes it under w.mu
+			}
 			return
 		}
 	}
@@ -513,26 +490,25 @@ type Status struct {
 // If src is a crashed rank and no matching message is queued, or an
 // AnySource receive can no longer be filled (see RecvErr), Recv fails the
 // whole world (bounded waiting); callers that can survive a dead peer should
-// use RecvErr.
+// use RecvErr. A receive nothing can ever fill fails the world with a
+// *DeadlockError.
 func (c *Comm) Recv(src, tag int) (any, Status) {
 	p, st, err := c.RecvErr(src, tag)
 	c.must(err)
 	return p, st
 }
 
-// RecvErr is Recv with bounded waiting under failures: when src is known
-// dead and no matching message is queued, it returns a *RankFailedError
-// (Op "recv") instead of blocking forever. It is a posted receive completed
-// at once — Irecv plus Wait, wildcards allowed — so it matches and parks
-// exactly as a request does. Messages src sent before crashing are still
-// delivered first — the dead check only fires while the request is
-// unfilled, and a crashed rank's sends complete before its death is
-// published (same goroutine), so the error is deterministic in virtual
-// time. An AnySource receive cannot fail this way, since any live rank could
-// still send; it fails instead once no rank is left that could: every rank
-// still running is itself parked in an AnySource receive nothing has filled
-// (the others have returned or crashed). That state is final, and reached
-// the same way on every run.
+// RecvErr is Recv with bounded waiting under failures: when src is dead and
+// no matching message is queued, it returns a *RankFailedError (Op "recv")
+// instead of blocking forever. It is a posted receive completed at once —
+// Irecv plus Wait, wildcards allowed — so it matches and parks exactly as a
+// request does. Messages src sent before crashing are still delivered first
+// — a crashed rank's sends complete before its death is published (same
+// goroutine) — so the error is deterministic; it comes at once, or at the
+// next point where no live rank can move (see resolve.go). An AnySource
+// receive cannot fail this way, since any live rank could still send; it
+// fails at such a point where every parked rank waits in such a receive, so
+// no rank is left that could send.
 func (c *Comm) RecvErr(src, tag int) (any, Status, error) {
 	return c.waitErr(c.post("recv", src, tag), false)
 }
@@ -579,9 +555,11 @@ func Run(cl *cluster.Cluster, fn func(*Comm) error) error {
 
 // Run executes fn on every seed rank of an existing world. The function and
 // WaitGroup are retained on the world so Spawn can launch joiner ranks
-// running the same SPMD body mid-run.
+// running the same SPMD body mid-run. Every seed rank is counted live
+// before any launches, so an early parker never finds the world quiescent.
 func (w *World) Run(fn func(*Comm) error) error {
 	w.runFn = fn
+	w.live = w.n
 	for r := 0; r < w.n; r++ {
 		w.launch(r)
 	}
@@ -589,13 +567,13 @@ func (w *World) Run(fn func(*Comm) error) error {
 	return w.Err()
 }
 
-// launch starts rank's goroutine running the world's SPMD function.
+// launch starts rank's goroutine running the world's SPMD function. The
+// caller has counted the rank live.
 func (w *World) launch(rank int) {
 	w.runWG.Add(1)
-	w.countStall(1, 0)
 	go func() {
 		defer w.runWG.Done()
-		defer w.countStall(-1, 0)
+		defer w.exit()
 		comm := w.NewComm(rank)
 		defer func() {
 			if p := recover(); p != nil {
@@ -641,6 +619,9 @@ func (w *World) Spawn(ranks []int) {
 			panic(fmt.Sprintf("mpi: Spawn rank %d outside arrival capacity [%d,%d)", r, w.n, w.cap))
 		}
 		if !w.spawned[r-w.n].Swap(true) {
+			w.mu.Lock()
+			w.live++
+			w.mu.Unlock()
 			w.launch(r)
 		}
 	}

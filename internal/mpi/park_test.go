@@ -26,10 +26,11 @@ func awaitParked(g *Group, seq int64, want int) {
 // it could go wrong. Two groups share ranks 2 and 3 and are used in turn; in
 // every op one member, a different one each time, holds its deposit back
 // until all the others have parked, so every publication has to wake parked
-// members, every member re-parks holding the stale token of an op it
-// published or of the other group, and none may sleep through its own.
-// Then rank 1 crashes with the rest of its group parked on it: Kill has to
-// wake them into a RankFailedError, and the survivors park and wake again.
+// members, members of both groups park on the one channel op after op, and
+// none may sleep through its own wake. Then rank 1 crashes with the rest of
+// its group parked on it: once it has returned no live rank can move, so
+// resolve has to wake them into a RankFailedError, and the survivors park
+// and wake again.
 func TestCollectiveParkPath(t *testing.T) {
 	const rounds = 12
 	left, right := []int{0, 1, 2, 3}, []int{2, 3, 4, 5}
@@ -104,14 +105,7 @@ func TestCollectiveParkPath(t *testing.T) {
 // receive request (mailbox.reqWait), the step before it blocks on its wake
 // channel, or once the world has failed.
 func awaitRecvParked(w *World, r int) {
-	b := &w.boxes[r]
-	for {
-		b.mu.Lock()
-		parked := b.reqWait != nil
-		b.mu.Unlock()
-		if parked || w.failed.Load() {
-			return
-		}
+	for w.boxes[r].reqWait.Load() == nil && !w.failed.Load() {
 		time.Sleep(20 * time.Microsecond)
 	}
 }
@@ -142,17 +136,17 @@ func parkWorld(t *testing.T, n int, faults []fault.Fault, body func(c *Comm) err
 
 // TestRecvParkPath drives the receive side of the one parking spot: a
 // blocking receive and a request Wait park on the same wake channel as the
-// collectives, so they must sleep through every token but their own, wake
-// into a RankFailedError when their source dies, and match as the posted
-// requests they are.
+// collectives, so they must re-park after every wake that did not fill
+// them, wake into a RankFailedError when their source dies, and match as
+// the posted requests they are.
 func TestRecvParkPath(t *testing.T) {
-	// Ranks 2 and 3 sit in two overlapping groups, whose collectives leave
-	// them stale tokens (a late member forces the rest to park, so every
-	// publication broadcasts); then rank 2 blocks in Recv and rank 3 in
-	// Wait, and their senders flood both groups' broadcasts at them before
-	// sending. A wait that returned on a token not its own would hand back
-	// an unfilled request.
-	t.Run("stale-tokens", func(t *testing.T) {
+	// Ranks 2 and 3 sit in two overlapping groups, whose collectives park
+	// and wake them (a late member forces the rest to park, so every
+	// publication wakes); then rank 2 blocks in Recv and rank 3 in Wait, and
+	// their senders flood them with spurious wakes before sending. A wait
+	// that returned on a wake its request did not earn would hand back an
+	// unfilled request.
+	t.Run("spurious-wakes", func(t *testing.T) {
 		const rounds, floods = 8, 50
 		left, right := []int{0, 1, 2, 3}, []int{2, 3, 4, 5}
 		parkWorld(t, 6, nil, func(c *Comm) error {
@@ -197,8 +191,7 @@ func TestRecvParkPath(t *testing.T) {
 					dst := 2 + c.Rank()/5
 					awaitRecvParked(w, dst)
 					for k := 0; k < floods; k++ {
-						gl.signal()
-						gr.signal()
+						w.signal(dst)
 						runtime.Gosched()
 					}
 					c.Send(dst, i, 100*c.Rank()+i, 8)
@@ -208,9 +201,10 @@ func TestRecvParkPath(t *testing.T) {
 		})
 	})
 
-	// Rank 0 parks on rank 1, which then crashes: Kill's token must wake it
-	// into the error. Rank 2's wildcard receive parks too and must survive
-	// the death — any live rank could still send — until rank 0 does.
+	// Rank 0 parks on rank 1, which then crashes: once it has returned no
+	// live rank can move, and resolve must wake rank 0 into the error. Rank
+	// 2's wildcard receive parks too and must survive the death — any live
+	// rank could still send — until rank 0 does.
 	t.Run("kill", func(t *testing.T) {
 		parkWorld(t, 3, []fault.Fault{fault.CrashAtCycle(1, 1)}, func(c *Comm) error {
 			switch c.Rank() {

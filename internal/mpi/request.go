@@ -46,11 +46,11 @@ type Request struct {
 	tag    int
 	done   bool // envelope captured (guarded by the owning mailbox mutex once posted)
 	posted bool // went onto the posted list; else it was filled at post and no sender ever sees it
-	// waitingAny: an AnySource receive its owner has parked on, counted in
-	// World.waitingAny until it is filled or fails (guarded like done).
-	waitingAny bool
-	postVT     vclock.Time
-	env        envelope
+	// stalled: resolve failed this AnySource receive, since no rank is left
+	// that could send (guarded like done).
+	stalled bool
+	postVT  vclock.Time
+	env     envelope
 }
 
 // getReq pops a free request. A dry pool is refilled with one slab of
@@ -73,7 +73,7 @@ func (c *Comm) getReq() *Request {
 
 // putReq resets and recycles a request. Only the owning goroutine calls it.
 func (c *Comm) putReq(r *Request) {
-	r.send, r.done, r.posted, r.waitingAny = false, false, false, false
+	r.send, r.done, r.posted, r.stalled = false, false, false, false
 	r.env.payload = nil // release it for the GC; the rest is overwritten before it is read
 	c.reqFree = append(c.reqFree, r)
 }
@@ -169,13 +169,14 @@ func removePosted(box *mailbox, r *Request) {
 }
 
 // waitErr completes req: park on the rank's wake channel until the
-// envelope is captured (physical), rechecking world failure and the
-// source's death after every token, then land it on the caller's clock and
-// charge the receive-side CPU cost (virtual). credit selects whether wire
-// time hidden behind the caller's compute is accumulated into
-// Comm.HiddenWire; the replay path (deterministic re-sequenced drains whose
-// clocks match the blocking implementation exactly) and the blocking
-// receive pass false because nothing was genuinely hidden there.
+// envelope is captured (physical), rechecking world failure, the source's
+// death and resolve's wildcard stall after every wake, then land it on the
+// caller's clock and charge the receive-side CPU cost (virtual). credit
+// selects whether wire time hidden behind the caller's compute is
+// accumulated into Comm.HiddenWire; the replay path (deterministic
+// re-sequenced drains whose clocks match the blocking implementation
+// exactly) and the blocking receive pass false because nothing was
+// genuinely hidden there.
 func (c *Comm) waitErr(req *Request, credit bool) (any, Status, error) {
 	c.checkFailed()
 	if c.flt != nil {
@@ -200,25 +201,18 @@ func (c *Comm) waitErr(req *Request, credit bool) (any, Status, error) {
 				c.putReq(req)
 				return nil, Status{}, err
 			}
-			if req.src == AnySource {
-				if c.w.stalled.Load() {
-					removePosted(box, req)
-					box.mu.Unlock()
-					c.putReq(req)
-					return nil, Status{}, fmt.Errorf("mpi: %s from any source on rank %d: no rank is left that could send", req.op, c.rank)
-				}
-				if !req.waitingAny {
-					req.waitingAny = true
-					c.w.countStall(0, 1)
-				}
+			if req.stalled { // resolve already unposted it
+				box.mu.Unlock()
+				c.putReq(req)
+				return nil, Status{}, fmt.Errorf("mpi: %s from any source on rank %d: no rank is left that could send", req.op, c.rank)
 			}
 			// Announce under the lock, then park: a deliver that fills req
-			// after the unlock finds reqWait set and leaves a token.
-			box.reqWait = req
+			// after the unlock finds reqWait set and wakes this rank.
+			box.reqWait.Store(req)
 			box.mu.Unlock()
-			<-c.w.wake[c.rank]
+			c.w.sleep(c.rank)
 			box.mu.Lock()
-			box.reqWait = nil
+			box.reqWait.Store(nil)
 		}
 		box.mu.Unlock()
 	}

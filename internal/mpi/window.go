@@ -47,7 +47,7 @@ import (
 // General active-target synchronization (PSCW) is the pairwise alternative
 // to the fence: WinPost declares which origins may access this rank's
 // window, WinStartErr blocks the origin until every named target has
-// posted, WinCompleteErr closes the origin's access epoch (notifying each
+// posted, WinComplete closes the origin's access epoch (notifying each
 // target), and WinWaitErr blocks the target until every posted origin has
 // completed, then settles their deposits with the exact fence arithmetic.
 // Only the participating pairs synchronise — each post and each complete is
@@ -58,13 +58,13 @@ import (
 // discipline, or both for disjoint transfers.
 //
 // PSCW failure contract, symmetric with FenceErr: a dead target fails the
-// origin's WinStartErr or WinCompleteErr, a dead origin fails the target's
-// WinWaitErr, and no call can hang (control receives use the bounded-wait
-// failure detection of RecvErr; completion notifications go out to every
-// live target before WinCompleteErr reports the dead ones, so surviving
-// peers always unblock). A failed wait settles nothing; the target may
-// inspect a dead origin's deposits with PendingPSCW and must DiscardPending
-// before abandoning the window. Windows of different groups must not run
+// origin's WinStartErr, a dead origin fails the target's WinWaitErr, and no
+// call can hang (control receives use the bounded-wait failure detection of
+// RecvErr). WinComplete cannot fail: it only sends, delivery drops a
+// notification to a dead target, and the death surfaces at the origin's
+// next wait or barrier that needs the target. A failed wait settles
+// nothing; the target may inspect a dead origin's deposits with PendingPSCW
+// and must DiscardPending before abandoning the window. Windows of different groups must not run
 // overlapping PSCW epochs on a shared rank pair — the same per-communicator
 // epoch discipline MPI imposes.
 //
@@ -462,33 +462,20 @@ func (c *Comm) WinStartErr(win *Win, targets []int, notes []int64) error {
 	return nil
 }
 
-// WinComplete closes the access epoch, failing the whole world when a
-// target is dead.
-func (c *Comm) WinComplete(win *Win) { c.must(c.WinCompleteErr(win)) }
-
-// WinCompleteErr closes this rank's open access epoch: it notifies every
+// WinComplete closes this rank's open access epoch: it notifies every
 // target that the epoch's transfers are in flight (one control message
-// each). A dead target fails the call with *RankFailedError — after every
-// target has been notified, so surviving peers never hang. The
-// notification is sent to a dead target too (delivery drops it): a target
-// may be dying concurrently with this call, and the origin's send charge —
-// so its virtual clock — must not depend on which side of that wall-clock
-// race the call lands.
-func (c *Comm) WinCompleteErr(win *Win) error {
+// each). It cannot fail: a dead target's notification is dropped in
+// delivery, and the death surfaces at this rank's next wait or barrier that
+// needs the target. Every target is sent one, dead or not, so the origin's
+// send charge — and its virtual clock — does not depend on when a target
+// died.
+func (c *Comm) WinComplete(win *Win) {
 	c.checkFailed()
 	ms := &win.slots[c.groupSlot(win.g)]
-	var dead []int
 	for _, t := range ms.access {
 		c.Send(t, win.pscwDoneTag(), nil, pscwCtlBytes)
-		if c.w.deadCount.Load() > 0 && c.w.dead[t].Load() {
-			dead = append(dead, t)
-		}
 	}
 	ms.access = ms.access[:0]
-	if dead != nil {
-		return &RankFailedError{Op: "win-complete", Ranks: dead}
-	}
-	return nil
 }
 
 // WinWait closes the exposure epoch, failing the whole world when an
