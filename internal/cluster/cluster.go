@@ -205,11 +205,21 @@ func (s Spec) node(i int) NodeSpec {
 }
 
 // New builds a cluster and its node handles from spec. It panics with
-// spec.Validate's error: validate a spec from outside the program first.
+// spec.Validate's error: validate a spec from outside the program first, or
+// call Build.
 func New(spec Spec) *Cluster {
-	fs, err := spec.faultSet()
+	c, err := Build(spec)
 	if err != nil {
 		panic(err.Error())
+	}
+	return c
+}
+
+// Build is New returning spec.Validate's error instead of panicking.
+func Build(spec Spec) (*Cluster, error) {
+	fs, err := spec.faultSet()
+	if err != nil {
+		return nil, err
 	}
 	q := spec.Quantum
 	if q == 0 {
@@ -248,7 +258,7 @@ func New(spec Spec) *Cluster {
 			n.appendEvent(ev.At, ev.Delta)
 		}
 	}
-	return c
+	return c, nil
 }
 
 // N reports the number of seed nodes — the world size a run starts with.

@@ -284,9 +284,10 @@ func TestZeroPowerPanics(t *testing.T) {
 	New(s)
 }
 
-// Every spec Validate rejects makes New panic with the same text, and a NaN
-// or infinite power — which `Power <= 0` let through, to run every Compute
-// in zero virtual time — is among them, on seed nodes and arrivals alike.
+// Every spec Validate rejects makes Build return, and New panic with, the
+// same text, and a NaN or infinite power — which `Power <= 0` let through,
+// to run every Compute in zero virtual time — is among them, on seed nodes
+// and arrivals alike.
 func TestNewPanicsWithValidateError(t *testing.T) {
 	power := func(p float64) Spec {
 		s := Uniform(2)
@@ -306,6 +307,9 @@ func TestNewPanicsWithValidateError(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: Validate accepted the spec", name)
 			continue
+		}
+		if c, berr := Build(spec); c != nil || berr == nil || berr.Error() != err.Error() {
+			t.Errorf("%s: Build = %v, %v; want Validate's %q", name, c, berr, err)
 		}
 		func() {
 			defer func() {

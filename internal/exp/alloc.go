@@ -3,10 +3,10 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/apps/jacobi"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/sweep"
 	"repro/internal/vclock"
 )
 
@@ -73,33 +73,28 @@ func RunAlloc(o AllocOptions) (*AllocResult, error) {
 	}
 
 	// End to end: adaptive Jacobi with a CP, under each allocation scheme.
+	var worlds []sweep.World
 	for _, scheme := range []matrix.Alloc{matrix.Projection, matrix.Contiguous} {
-		cfg := jacobi.DefaultConfig()
-		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = 512, 1024, 120, 300
-		cfg.Core = core.DefaultConfig()
-		cfg.Core.Drop = core.DropNever
-		cfg.Core.Alloc = scheme
-		ring := traced(&cfg.Core)
-		spec := cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1))
-		for i := range spec.Nodes {
-			spec.Nodes[i].MemBytes = o.MemBytes
+		w := sweep.World{App: "jacobi", Rows: 512, Cols: 1024, Iters: 120, Cost: 300, RingCap: traceCap}
+		w.Core = core.DefaultConfig()
+		w.Core.Drop = core.DropNever
+		w.Core.Alloc = scheme
+		w.Spec = cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1))
+		for i := range w.Spec.Nodes {
+			w.Spec.Nodes[i].MemBytes = o.MemBytes
 		}
-		res, err := jacobi.Run(cluster.New(spec), cfg)
-		if err != nil {
-			return nil, fmt.Errorf("alloc end-to-end %v: %w", scheme, err)
-		}
-		redists, err := redistsOf(ring)
-		if err != nil {
-			return nil, fmt.Errorf("alloc end-to-end %v: %w", scheme, err)
-		}
-		if scheme == matrix.Projection {
-			out.ProjectionTotal = res.Elapsed
-			out.ProjectionRedist = totalRedistSeconds(redists)
-		} else {
-			out.ContiguousTotal = res.Elapsed
-			out.ContiguousRedist = totalRedistSeconds(redists)
-		}
+		worlds = append(worlds, w)
 	}
+	var redist [2]float64
+	res, err := runWorlds(worlds, func(i int, w sweep.Outcome) error {
+		redist[i] = totalRedistSeconds(redistsOf(w.Ring))
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("alloc end-to-end: %w", err)
+	}
+	out.ProjectionTotal, out.ContiguousTotal = res[0].Elapsed, res[1].Elapsed
+	out.ProjectionRedist, out.ContiguousRedist = redist[0], redist[1]
 	return out, nil
 }
 

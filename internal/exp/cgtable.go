@@ -3,9 +3,10 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/apps/cg"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 // CGTableOptions parameterises the §5.1 CG case study: the 4-node run the
@@ -38,40 +39,30 @@ func RunCGTable(o CGTableOptions) (*CGTableResult, error) {
 	if o.Nodes == 0 {
 		o.Nodes = 4
 	}
-	cfg := cg.DefaultConfig()
+	ded := sweep.World{App: "cg", Spec: cluster.Uniform(o.Nodes), N: 2000, Iters: 100, Cost: 4600}
 	if o.Paper {
-		cfg.N, cfg.Iters, cfg.CostPerNnz = 14000, 75, 2750
-	} else {
-		cfg.N, cfg.Iters, cfg.CostPerNnz = 2000, 100, 4600
+		ded.N, ded.Iters, ded.Cost = 14000, 75, 2750
 	}
-
-	dedCfg := cfg
-	dedCfg.Core = core.Config{Adapt: false}
-	ded, err := cg.Run(cluster.New(cluster.Uniform(o.Nodes)), dedCfg)
+	non := ded
+	non.Spec = ded.Spec.With(cluster.CycleEvent(1, 10, +1))
+	dyn := non
+	dyn.Core = core.DefaultConfig()
+	dyn.Core.Drop = core.DropNever // the case study keeps the loaded node
+	dyn.RingCap = traceCap
+	var redists [][]telemetry.RedistRecord
+	out, err := runWorlds([]sweep.World{ded, non, dyn}, func(i int, o sweep.Outcome) error {
+		if i == 2 {
+			redists = redistsOf(o.Ring)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	spec := cluster.Uniform(o.Nodes).With(cluster.CycleEvent(1, 10, +1))
-	non, err := cg.Run(cluster.New(spec), dedCfg)
-	if err != nil {
-		return nil, err
-	}
-	dynCfg := cfg
-	dynCfg.Core = core.DefaultConfig()
-	dynCfg.Core.Drop = core.DropNever // the case study keeps the loaded node
-	ring := traced(&dynCfg.Core)
-	dyn, err := cg.Run(cluster.New(spec), dynCfg)
-	if err != nil {
-		return nil, err
-	}
-	redists, err := redistsOf(ring)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cg-table: %w", err)
 	}
 	res := &CGTableResult{
-		Dedicated:     ded.Elapsed,
-		NoAdapt:       non.Elapsed,
-		DynMPI:        dyn.Elapsed,
+		Dedicated:     out[0].Elapsed,
+		NoAdapt:       out[1].Elapsed,
+		DynMPI:        out[2].Elapsed,
 		RedistSeconds: totalRedistSeconds(redists),
 		IdealFraction: (1.0 / 2) / (float64(o.Nodes-1) + 1.0/2),
 	}

@@ -5,17 +5,24 @@
 // clock; the quantities of interest are the paper's *shapes* — who wins,
 // by what factor, and where the crossovers fall.
 //
+// A study is a list of worlds (sweep.World), one per run, each on its own
+// cluster; runWorlds runs them on the sweep's pool and the study folds each
+// finished world into its rows.
+//
 // Every experiment runs at a laptop-friendly scale by default, chosen to
 // preserve the paper's computation/communication ratios (see EXPERIMENTS.md
 // for the calibration); the Paper option selects the original input sizes.
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/apps"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -75,25 +82,49 @@ func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 // pct formats a ratio as a percentage.
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", v*100) }
 
-// traceCap bounds the telemetry ring a run attaches; it holds every record
-// of the largest -paper run many times over.
+// traceCap bounds the telemetry ring a world attaches; it holds every
+// record of the largest -paper run many times over.
 const traceCap = 1 << 20
 
-// traced attaches a fresh telemetry ring to cfg — the runtime's only trace —
-// and returns it. The sink never moves virtual time.
-func traced(cfg *core.Config) *telemetry.Ring {
-	ring := telemetry.NewRing(traceCap)
-	cfg.Telemetry = ring
-	return ring
+// runWorlds runs a study's worlds on a pool as wide as GOMAXPROCS — each
+// world is deterministic on its own, so the width moves only wall time —
+// and returns their results in index order. fold, when non-nil, reads world
+// i's outcome on the calling goroutine as it finishes, after which its ring
+// is dropped. The error is the lowest-indexed world's, or its fold's.
+func runWorlds(worlds []sweep.World, fold func(i int, o sweep.Outcome) error) ([]apps.Result, error) {
+	res := make([]apps.Result, len(worlds))
+	errs := make([]error, len(worlds))
+	sweep.RunWorlds(worlds, runtime.GOMAXPROCS(0), func(i int, o sweep.Outcome) {
+		switch {
+		case o.Err != nil:
+			errs[i] = fmt.Errorf("%s on %d nodes: %w", worlds[i].App, len(worlds[i].Spec.Nodes), o.Err)
+		case fold != nil:
+			errs[i] = fold(i, o)
+		}
+		res[i] = o.Res
+	})
+	return res, cmp.Or(errs...)
+}
+
+// steadyCycles runs worlds like runWorlds and also returns each one's
+// average phase-cycle time after its last redistribution
+// (avgCycleAfterRedist); a world that never redistributed is an error.
+func steadyCycles(worlds []sweep.World) ([]float64, []apps.Result, error) {
+	avgs := make([]float64, len(worlds))
+	out, err := runWorlds(worlds, func(i int, w sweep.Outcome) error {
+		avg, ok := avgCycleAfterRedist(redistsOf(w.Ring), w.Res.Elapsed, worlds[i].Iters)
+		if !ok {
+			return fmt.Errorf("%s on %d nodes: no redistribution occurred", worlds[i].App, len(worlds[i].Spec.Nodes))
+		}
+		avgs[i] = avg
+		return nil
+	})
+	return avgs, out, err
 }
 
 // redistsOf returns the RedistRecords in ring, indexed by emitting node, each
-// node's in emission order. An overflowed ring is an error: a truncated
-// stream would read as a result.
-func redistsOf(ring *telemetry.Ring) ([][]telemetry.RedistRecord, error) {
-	if d := ring.Dropped(); d > 0 {
-		return nil, fmt.Errorf("telemetry ring overflow: %d records dropped", d)
-	}
+// node's in emission order.
+func redistsOf(ring *telemetry.Ring) [][]telemetry.RedistRecord {
 	var byNode [][]telemetry.RedistRecord
 	ring.Walk(telemetry.Visitor{Other: func(rec telemetry.Record) {
 		if r, ok := rec.(telemetry.RedistRecord); ok {
@@ -103,7 +134,7 @@ func redistsOf(ring *telemetry.Ring) ([][]telemetry.RedistRecord, error) {
 			byNode[r.Node] = append(byNode[r.Node], r)
 		}
 	}})
-	return byNode, nil
+	return byNode
 }
 
 // redistWindow returns one node's first redistribution interval (start/end

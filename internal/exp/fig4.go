@@ -3,13 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/apps"
-	"repro/internal/apps/cg"
-	"repro/internal/apps/jacobi"
-	"repro/internal/apps/particles"
-	"repro/internal/apps/sor"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/sweep"
 )
 
 // Fig4Options parameterises the Figure 4 reproduction: all four
@@ -73,62 +69,56 @@ func (r *Fig4Result) Slowdown() float64 {
 	return s / float64(len(r.Rows))
 }
 
-// fig4Runner abstracts one application for the Figure 4 matrix.
-type fig4Runner struct {
-	name   string
-	cpNode int // node receiving the competing process
-	run    func(cl *cluster.Cluster, coreCfg core.Config) (apps.Result, error)
-}
+// fig4Apps are Figure 4's applications in row order.
+var fig4Apps = []string{"jacobi", "sor", "cg", "particles"}
 
-// loadedAtCycle10 is the paper's scenario: one CP on the 10th iteration.
-func loadedAtCycle10(n, node int, seed uint64) cluster.Spec {
-	spec := cluster.Uniform(n)
-	spec.Seed += seed
-	return spec.With(cluster.CycleEvent(node, 10, +1))
-}
-
-func fig4Runners(o Fig4Options) []fig4Runner {
-	jc := jacobi.DefaultConfig()
-	sc := sor.DefaultConfig()
-	cc := cg.DefaultConfig()
-	pc := particles.DefaultConfig()
-	if o.Paper {
-		jc.Rows, jc.Cols, jc.Iters, jc.CostPerElem = 2048, 2048, 250, 40
-		sc.Rows, sc.Cols, sc.Iters, sc.CostPerElem = 2048, 2048, 250, 40
-		cc.N, cc.Iters, cc.CostPerNnz = 14000, 75, 2750
-		pc.Rows, pc.Cols, pc.Steps = 256, 256, 200
-	} else {
-		// Scaled for laptop runs; comp/comm ratios calibrated to the paper's
-		// testbed (see EXPERIMENTS.md).
-		jc.Rows, jc.Cols, jc.Iters, jc.CostPerElem = 512, 512, 250, 600
-		sc.Rows, sc.Cols, sc.Iters, sc.CostPerElem = 512, 512, 250, 600
-		cc.N, cc.Iters, cc.CostPerNnz = 2000, 150, 4600
-		pc.Rows, pc.Cols, pc.Steps, pc.CostPerParticle = 128, 128, 250, 5000
+// fig4Worlds returns, for every selected (app, nodes) row in order, its
+// dedicated, no-adapt and Dyn-MPI worlds. The loaded worlds get the
+// paper's scenario: one CP on the 10th iteration, on node 1 (node 0 for
+// particles, whose P0 holds twice the particles).
+func fig4Worlds(o Fig4Options) (worlds []sweep.World) {
+	want := map[string]bool{}
+	for _, a := range o.Apps {
+		want[a] = true
 	}
-	pc.ExtraAllP0 = pc.BasePerCell // "one node had twice as many particles"
-
-	return []fig4Runner{
-		{name: "jacobi", cpNode: 1, run: func(cl *cluster.Cluster, c core.Config) (apps.Result, error) {
-			cfg := jc
-			cfg.Core = c
-			return jacobi.Run(cl, cfg)
-		}},
-		{name: "sor", cpNode: 1, run: func(cl *cluster.Cluster, c core.Config) (apps.Result, error) {
-			cfg := sc
-			cfg.Core = c
-			return sor.Run(cl, cfg)
-		}},
-		{name: "cg", cpNode: 1, run: func(cl *cluster.Cluster, c core.Config) (apps.Result, error) {
-			cfg := cc
-			cfg.Core = c
-			return cg.Run(cl, cfg)
-		}},
-		{name: "particles", cpNode: 0, run: func(cl *cluster.Cluster, c core.Config) (apps.Result, error) {
-			cfg := pc
-			cfg.Core = c
-			return particles.Run(cl, cfg)
-		}},
+	for _, app := range fig4Apps {
+		if len(o.Apps) > 0 && !want[app] {
+			continue
+		}
+		w := sweep.World{App: app}
+		switch {
+		case app == "cg" && o.Paper:
+			w.N, w.Iters, w.Cost = 14000, 75, 2750
+		case app == "cg":
+			w.N, w.Iters, w.Cost = 2000, 150, 4600
+		case app == "particles" && o.Paper:
+			w.Rows, w.Cols, w.Iters = 256, 256, 200
+		case app == "particles":
+			w.Rows, w.Cols, w.Iters, w.Cost = 128, 128, 250, 5000
+		case o.Paper:
+			w.Rows, w.Cols, w.Iters, w.Cost = 2048, 2048, 250, 40
+		default:
+			// Scaled for laptop runs; comp/comm ratios calibrated to the
+			// paper's testbed (see EXPERIMENTS.md).
+			w.Rows, w.Cols, w.Iters, w.Cost = 512, 512, 250, 600
+		}
+		cpNode := 1
+		if app == "particles" {
+			cpNode = 0
+			w.ExtraAllP0 = 1 // "one node had twice as many particles": one more per cell
+		}
+		for _, n := range o.Nodes {
+			ded := w
+			ded.Spec = cluster.Uniform(n)
+			ded.Spec.Seed += o.Seed
+			non := ded
+			non.Spec = ded.Spec.With(cluster.CycleEvent(min(cpNode, n-1), 10, +1))
+			dyn := non
+			dyn.Core = core.DefaultConfig()
+			worlds = append(worlds, ded, non, dyn)
+		}
 	}
+	return worlds
 }
 
 // RunFig4 executes the Figure 4 matrix.
@@ -136,46 +126,22 @@ func RunFig4(o Fig4Options) (*Fig4Result, error) {
 	if len(o.Nodes) == 0 {
 		o.Nodes = []int{2, 4, 8}
 	}
-	want := map[string]bool{}
-	for _, a := range o.Apps {
-		want[a] = true
+	worlds := fig4Worlds(o)
+	out, err := runWorlds(worlds, nil)
+	if err != nil {
+		return nil, fmt.Errorf("fig4: %w", err)
 	}
 	res := &Fig4Result{}
-	for _, r := range fig4Runners(o) {
-		if len(o.Apps) > 0 && !want[r.name] {
-			continue
-		}
-		for _, n := range o.Nodes {
-			cpNode := r.cpNode
-			if cpNode >= n {
-				cpNode = n - 1
-			}
-			ded := cluster.Uniform(n)
-			ded.Seed += o.Seed
-
-			noCfg := core.Config{Adapt: false}
-			dedRes, err := r.run(cluster.New(ded), noCfg)
-			if err != nil {
-				return nil, fmt.Errorf("fig4 %s/%d dedicated: %w", r.name, n, err)
-			}
-			nonRes, err := r.run(cluster.New(loadedAtCycle10(n, cpNode, o.Seed)), noCfg)
-			if err != nil {
-				return nil, fmt.Errorf("fig4 %s/%d no-adapt: %w", r.name, n, err)
-			}
-			dynCfg := core.DefaultConfig()
-			dynRes, err := r.run(cluster.New(loadedAtCycle10(n, cpNode, o.Seed)), dynCfg)
-			if err != nil {
-				return nil, fmt.Errorf("fig4 %s/%d dyn-mpi: %w", r.name, n, err)
-			}
-			res.Rows = append(res.Rows, Fig4Row{
-				App:       r.name,
-				Nodes:     n,
-				Dedicated: dedRes.Elapsed,
-				NoAdapt:   nonRes.Elapsed / dedRes.Elapsed,
-				DynMPI:    dynRes.Elapsed / dedRes.Elapsed,
-				Redists:   dynRes.Redists,
-			})
-		}
+	for i := 0; i < len(worlds); i += 3 {
+		ded, non, dyn := out[i], out[i+1], out[i+2]
+		res.Rows = append(res.Rows, Fig4Row{
+			App:       worlds[i].App,
+			Nodes:     len(worlds[i].Spec.Nodes),
+			Dedicated: ded.Elapsed,
+			NoAdapt:   non.Elapsed / ded.Elapsed,
+			DynMPI:    dyn.Elapsed / ded.Elapsed,
+			Redists:   dyn.Redists,
+		})
 	}
 	return res, nil
 }

@@ -3,9 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/apps/jacobi"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -45,60 +45,29 @@ type Fig5Result struct {
 	Long  []Fig5Run
 }
 
-func runFig5Case(nodes, period int, maxRedists int, adapt bool, paper bool) (Fig5Run, error) {
-	cfg := jacobi.DefaultConfig()
-	if paper {
-		cfg.Rows, cfg.Cols, cfg.CostPerElem = 2048, 2048, 40
-	} else {
+// fig5Tests are the three policies; a test's index is the redistributions
+// it may make, and no-redist does not adapt at all.
+var fig5Tests = []string{"no-redist", "redist-once", "redist-twice"}
+
+// fig5World is one bar's world: Jacobi over three periods of period cycles
+// with a CP on node 1 during the second, making at most maxRedists
+// redistributions (none at all when 0).
+func fig5World(nodes, period, maxRedists int, paper bool) sweep.World {
+	w := sweep.World{App: "jacobi", Rows: 2048, Cols: 2048, Cost: 40, Iters: 3 * period, RingCap: traceCap}
+	if !paper {
 		// Wide rows keep redistribution expensive relative to a cycle, the
 		// property that makes the second redistribution unprofitable for
 		// short periods (see EXPERIMENTS.md).
-		cfg.Rows, cfg.Cols, cfg.CostPerElem = 512, 2048, 150
+		w.Rows, w.Cols, w.Cost = 512, 2048, 150
 	}
-	cfg.Iters = 3 * period
-	cfg.Core = core.DefaultConfig()
-	cfg.Core.Adapt = adapt
-	cfg.Core.Drop = core.DropNever
-	cfg.Core.MaxRedists = maxRedists
-	ring := traced(&cfg.Core)
-
-	spec := cluster.Uniform(nodes).
+	w.Core = core.DefaultConfig()
+	w.Core.Adapt = maxRedists > 0
+	w.Core.Drop = core.DropNever
+	w.Core.MaxRedists = maxRedists
+	w.Spec = cluster.Uniform(nodes).
 		With(cluster.CycleEvent(1, period, +1)).
 		With(cluster.CycleEvent(1, 2*period, -1))
-	res, err := jacobi.Run(cluster.New(spec), cfg)
-	if err != nil {
-		return Fig5Run{}, err
-	}
-	redists, err := redistsOf(ring)
-	if err != nil {
-		return Fig5Run{}, err
-	}
-	// A period ends when its last cycle's slowest node emits that cycle's
-	// iteration record.
-	var boundaries [3]float64
-	ring.Walk(telemetry.Visitor{Iteration: func(v *telemetry.IterationRecord) {
-		for i := 1; i <= 3; i++ {
-			if v.Cycle == i*period-1 && v.Time > boundaries[i-1] {
-				boundaries[i-1] = v.Time
-			}
-		}
-	}})
-	name := "no-redist"
-	if adapt {
-		if maxRedists == 1 {
-			name = "redist-once"
-		} else {
-			name = "redist-twice"
-		}
-	}
-	return Fig5Run{
-		Test:       name,
-		Period:     period,
-		Total:      res.Elapsed,
-		Redist:     totalRedistSeconds(redists),
-		Redists:    res.Redists,
-		PeriodEnds: boundaries,
-	}, nil
+	return w
 }
 
 // RunFig5 executes the short and long variants of all three policies.
@@ -112,26 +81,34 @@ func RunFig5(o Fig5Options) (*Fig5Result, error) {
 	if o.LongPeriod == 0 {
 		o.LongPeriod = 150
 	}
-	out := &Fig5Result{}
-	for _, period := range []int{o.ShortPeriod, o.LongPeriod} {
-		var runs []Fig5Run
-		for _, c := range []struct {
-			adapt bool
-			max   int
-		}{{false, 0}, {true, 1}, {true, 2}} {
-			r, err := runFig5Case(o.Nodes, period, c.max, c.adapt, o.Paper)
-			if err != nil {
-				return nil, fmt.Errorf("fig5 period %d: %w", period, err)
-			}
-			runs = append(runs, r)
-		}
-		if period == o.ShortPeriod {
-			out.Short = runs
-		} else {
-			out.Long = runs
+	periods := []int{o.ShortPeriod, o.LongPeriod}
+	var worlds []sweep.World
+	for _, period := range periods {
+		for maxRedists := range fig5Tests {
+			worlds = append(worlds, fig5World(o.Nodes, period, maxRedists, o.Paper))
 		}
 	}
-	return out, nil
+	runs := make([]Fig5Run, len(worlds))
+	if _, err := runWorlds(worlds, func(i int, w sweep.Outcome) error {
+		period := periods[i/len(fig5Tests)]
+		// A period ends when its last cycle's slowest node emits that
+		// cycle's iteration record.
+		var boundaries [3]float64
+		w.Ring.Walk(telemetry.Visitor{Iteration: func(v *telemetry.IterationRecord) {
+			for k := 1; k <= 3; k++ {
+				if v.Cycle == k*period-1 && v.Time > boundaries[k-1] {
+					boundaries[k-1] = v.Time
+				}
+			}
+		}})
+		runs[i] = Fig5Run{Test: fig5Tests[i%len(fig5Tests)], Period: period, Total: w.Res.Elapsed,
+			Redist: totalRedistSeconds(redistsOf(w.Ring)), Redists: w.Res.Redists, PeriodEnds: boundaries}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("fig5: %w", err)
+	}
+	n := len(fig5Tests)
+	return &Fig5Result{Short: runs[:n], Long: runs[n:]}, nil
 }
 
 // Find returns the run with the given test name from a period group.

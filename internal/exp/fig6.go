@@ -3,9 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/apps/sor"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/sweep"
 )
 
 // Fig6Options parameterises the node-removal experiment (§5.3): Red-Black
@@ -36,40 +36,26 @@ type Fig6Result struct {
 	Rows []Fig6Row
 }
 
-func runFig6Case(nodes, cps int, drop core.DropPolicy, paper bool) (float64, error) {
-	cfg := sor.DefaultConfig()
-	if paper {
-		cfg.Rows, cfg.Cols, cfg.CostPerElem = 1024, 1024, 1500 // Ultra-Sparc 5 (360MHz) scale
-		cfg.Iters = 200
-	} else {
+// fig6World is one bar's world: SOR on nodes nodes with cps CPs on the
+// middle node from the start, under drop policy drop.
+func fig6World(nodes, cps int, drop core.DropPolicy, paper bool) sweep.World {
+	// Ultra-Sparc 5 (360MHz) scale.
+	w := sweep.World{App: "sor", Rows: 1024, Cols: 1024, Cost: 1500, Iters: 200, RingCap: traceCap}
+	if !paper {
 		// Sized so per-node cycles are much longer than the scheduler
 		// quantum on 8 nodes (competitor spikes average out within a cycle
 		// and keeping the loaded node pays off) but comparable to it on 32
 		// (lumpy inflation and communication costs make dropping win) —
 		// the crossover §5.3 demonstrates.
-		cfg.Rows, cfg.Cols, cfg.CostPerElem = 512, 1024, 1500
-		cfg.Iters = 120
+		w.Rows, w.Iters = 512, 120
 	}
-	cfg.Core = core.DefaultConfig()
-	cfg.Core.Drop = drop
-	ring := traced(&cfg.Core)
-	spec := cluster.Uniform(nodes)
+	w.Core = core.DefaultConfig()
+	w.Core.Drop = drop
+	w.Spec = cluster.Uniform(nodes)
 	for i := 0; i < cps; i++ {
-		spec = spec.With(cluster.TimeEvent(nodes/2, 0, +1))
+		w.Spec = w.Spec.With(cluster.TimeEvent(nodes/2, 0, +1))
 	}
-	res, err := sor.Run(cluster.New(spec), cfg)
-	if err != nil {
-		return 0, err
-	}
-	redists, err := redistsOf(ring)
-	if err != nil {
-		return 0, err
-	}
-	avg, ok := avgCycleAfterRedist(redists, res.Elapsed, cfg.Iters)
-	if !ok {
-		return 0, fmt.Errorf("fig6 %d nodes %d CPs: no redistribution occurred", nodes, cps)
-	}
-	return avg, nil
+	return w
 }
 
 // RunFig6 executes the keep-vs-drop grid.
@@ -80,23 +66,24 @@ func RunFig6(o Fig6Options) (*Fig6Result, error) {
 	if len(o.CPs) == 0 {
 		o.CPs = []int{1, 2, 3}
 	}
-	out := &Fig6Result{}
+	var worlds []sweep.World
 	for _, n := range o.Nodes {
 		for _, k := range o.CPs {
-			keep, err := runFig6Case(n, k, core.DropNever, o.Paper)
-			if err != nil {
-				return nil, err
-			}
-			drop, err := runFig6Case(n, k, core.DropAlways, o.Paper)
-			if err != nil {
-				return nil, err
-			}
-			out.Rows = append(out.Rows, Fig6Row{
-				Nodes: n, CPs: k,
-				KeepAvg: keep, DropAvg: drop,
-				DropBenefit: (keep - drop) / keep,
-			})
+			worlds = append(worlds, fig6World(n, k, core.DropNever, o.Paper), fig6World(n, k, core.DropAlways, o.Paper))
 		}
+	}
+	avgs, _, err := steadyCycles(worlds)
+	if err != nil {
+		return nil, fmt.Errorf("fig6: %w", err)
+	}
+	out := &Fig6Result{}
+	for i := 0; i < len(worlds); i += 2 {
+		keep, drop := avgs[i], avgs[i+1]
+		out.Rows = append(out.Rows, Fig6Row{
+			Nodes: len(worlds[i].Spec.Nodes), CPs: len(worlds[i].Spec.Events),
+			KeepAvg: keep, DropAvg: drop,
+			DropBenefit: (keep - drop) / keep,
+		})
 	}
 	return out, nil
 }

@@ -3,9 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/apps/particles"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/sweep"
 )
 
 // Fig7Options parameterises the unbalanced-computation experiment (§5.4):
@@ -39,34 +39,21 @@ type Fig7Result struct {
 	Rows []Fig7Row
 }
 
-func runFig7Case(nodes, part, gp int, paper bool) (float64, error) {
-	cfg := particles.DefaultConfig()
-	if paper {
-		cfg.Rows, cfg.Cols, cfg.Steps = 256, 256, 200
-	} else {
-		// CostPerParticle keeps even Part=50 rows under the 10 ms /PROC
+// fig7World is one bar's world: the particle simulation on nodes nodes
+// with part extra particles per cell in the top half of P0's rows, a CP on
+// P0 at step 10, and grace period gp.
+func fig7World(nodes, part, gp int, paper bool) sweep.World {
+	w := sweep.World{App: "particles", Rows: 256, Cols: 256, Iters: 200, ExtraTopP0: part, RingCap: traceCap}
+	if !paper {
+		// The cost keeps even Part=50 rows under the 10 ms /PROC
 		// granularity, the experiment's premise.
-		cfg.Rows, cfg.Cols, cfg.Steps, cfg.CostPerParticle = 128, 96, 250, 1500
+		w.Rows, w.Cols, w.Iters, w.Cost = 128, 96, 250, 1500
 	}
-	cfg.ExtraTopP0 = part
-	cfg.Core = core.DefaultConfig()
-	cfg.Core.Drop = core.DropNever
-	cfg.Core.GracePeriod = gp
-	ring := traced(&cfg.Core)
-	spec := cluster.Uniform(nodes).With(cluster.CycleEvent(0, 10, +1))
-	res, err := particles.Run(cluster.New(spec), cfg)
-	if err != nil {
-		return 0, err
-	}
-	redists, err := redistsOf(ring)
-	if err != nil {
-		return 0, err
-	}
-	avg, ok := avgCycleAfterRedist(redists, res.Elapsed, cfg.Steps)
-	if !ok {
-		return 0, fmt.Errorf("fig7 part=%d gp=%d: no redistribution occurred", part, gp)
-	}
-	return avg, nil
+	w.Core = core.DefaultConfig()
+	w.Core.Drop = core.DropNever
+	w.Core.GracePeriod = gp
+	w.Spec = cluster.Uniform(nodes).With(cluster.CycleEvent(0, 10, +1))
+	return w
 }
 
 // RunFig7 executes the GP=1 vs GP=5 comparison for every Part value.
@@ -77,16 +64,17 @@ func RunFig7(o Fig7Options) (*Fig7Result, error) {
 	if len(o.Parts) == 0 {
 		o.Parts = []int{10, 50}
 	}
-	out := &Fig7Result{}
+	var worlds []sweep.World
 	for _, part := range o.Parts {
-		g1, err := runFig7Case(o.Nodes, part, 1, o.Paper)
-		if err != nil {
-			return nil, err
-		}
-		g5, err := runFig7Case(o.Nodes, part, 5, o.Paper)
-		if err != nil {
-			return nil, err
-		}
+		worlds = append(worlds, fig7World(o.Nodes, part, 1, o.Paper), fig7World(o.Nodes, part, 5, o.Paper))
+	}
+	avgs, _, err := steadyCycles(worlds)
+	if err != nil {
+		return nil, fmt.Errorf("fig7: %w", err)
+	}
+	out := &Fig7Result{}
+	for i, part := range o.Parts {
+		g1, g5 := avgs[2*i], avgs[2*i+1]
 		out.Rows = append(out.Rows, Fig7Row{
 			Part: part, GP1Avg: g1, GP5Avg: g5, Benefit: (g1 - g5) / g1,
 		})

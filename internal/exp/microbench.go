@@ -3,10 +3,10 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/apps/jacobi"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/distribution"
+	"repro/internal/sweep"
 )
 
 // MicrobenchOptions parameterises the §4.3 study: the two-node
@@ -65,27 +65,12 @@ func RunMicrobench(o MicrobenchOptions) (*MicrobenchResult, error) {
 	}
 
 	// End to end: the two methods on methodComparison's world.
-	for _, method := range []core.Method{core.SuccessiveBalancing, core.RelativePower} {
-		spec, cfg := methodComparison(method)
-		ring := traced(&cfg.Core)
-		out, err := jacobi.Run(cluster.New(spec), cfg)
-		if err != nil {
-			return nil, fmt.Errorf("microbench end-to-end: %w", err)
-		}
-		redists, err := redistsOf(ring)
-		if err != nil {
-			return nil, fmt.Errorf("microbench end-to-end: %w", err)
-		}
-		avg, ok := avgCycleAfterRedist(redists, out.Elapsed, cfg.Iters)
-		if !ok {
-			return nil, fmt.Errorf("microbench end-to-end: no redistribution")
-		}
-		if method == core.SuccessiveBalancing {
-			res.SBTime, res.SBCycle = out.Elapsed, avg
-		} else {
-			res.RPTime, res.RPCycle = out.Elapsed, avg
-		}
+	avgs, out, err := steadyCycles([]sweep.World{methodComparison(core.SuccessiveBalancing), methodComparison(core.RelativePower)})
+	if err != nil {
+		return nil, fmt.Errorf("microbench end-to-end: %w", err)
 	}
+	res.SBTime, res.SBCycle = out[0].Elapsed, avgs[0]
+	res.RPTime, res.RPCycle = out[1].Elapsed, avgs[1]
 	return res, nil
 }
 
@@ -94,13 +79,13 @@ func RunMicrobench(o MicrobenchOptions) (*MicrobenchResult, error) {
 // comparable to per-node compute (pair ratio ≈ 2), so the naive method
 // overloads the loaded node with work it cannot complete once its
 // communication CPU is inflated.
-func methodComparison(method core.Method) (cluster.Spec, jacobi.Config) {
-	cfg := jacobi.DefaultConfig()
-	cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = 256, 2048, 200, 10
-	cfg.Core = core.DefaultConfig()
-	cfg.Core.Drop = core.DropNever
-	cfg.Core.Method = method
-	return cluster.Uniform(4).With(cluster.TimeEvent(1, 0, +1)), cfg
+func methodComparison(method core.Method) sweep.World {
+	w := sweep.World{App: "jacobi", Rows: 256, Cols: 2048, Iters: 200, Cost: 10, RingCap: traceCap}
+	w.Core = core.DefaultConfig()
+	w.Core.Drop = core.DropNever
+	w.Core.Method = method
+	w.Spec = cluster.Uniform(4).With(cluster.TimeEvent(1, 0, +1))
+	return w
 }
 
 // Table renders the fraction table and the method comparison.

@@ -3,12 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/apps"
-	"repro/internal/apps/jacobi"
-	"repro/internal/apps/particles"
-	"repro/internal/apps/sor"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -84,9 +81,12 @@ func (r *OverlapResult) WindowReduction() float64 {
 }
 
 // overlapTelemetry sums the per-iteration hidden-wire credit and residual
-// wait across a run's trace.
+// wait across a run's trace, in telemetry.Sort's order: the order the rank
+// goroutines emitted in depends on the schedule, and a float sum on it.
 func overlapTelemetry(ring *telemetry.Ring) (hiddenS, waitS float64) {
-	for _, rec := range ring.Records() {
+	recs := ring.Records()
+	telemetry.Sort(recs)
+	for _, rec := range recs {
 		if it, ok := rec.(telemetry.IterationRecord); ok {
 			hiddenS += float64(it.HiddenWireNs) / 1e9
 			waitS += it.WaitS
@@ -100,70 +100,55 @@ func RunOverlap(o OverlapOptions) (*OverlapResult, error) {
 	if len(o.Nodes) == 0 {
 		o.Nodes = []int{4, 64, 256}
 	}
-	res := &OverlapResult{}
 
 	// The grid is fixed while the world grows, so the interior available to
 	// hide the (constant-size) halo wire shrinks from milliseconds to zero.
-	const rows, cols, iters = 512, 1024, 30
-	type variant struct {
-		name string
-		run  func(n int, overlap bool, sink telemetry.Sink) (apps.Result, error)
-	}
-	variants := []variant{
-		{"jacobi", func(n int, overlap bool, sink telemetry.Sink) (apps.Result, error) {
-			cfg := jacobi.DefaultConfig()
-			cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = rows, cols, iters, 40
-			cfg.Overlap = overlap
-			cfg.Core = core.Config{Adapt: false, Telemetry: sink}
-			spec := cluster.Uniform(n)
-			spec.Seed += o.Seed
-			return jacobi.Run(cluster.New(spec), cfg)
-		}},
-		{"sor", func(n int, overlap bool, sink telemetry.Sink) (apps.Result, error) {
-			cfg := sor.DefaultConfig()
-			cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = rows, cols, iters, 40
-			cfg.Overlap = overlap
-			cfg.Core = core.Config{Adapt: false, Telemetry: sink}
-			spec := cluster.Uniform(n)
-			spec.Seed += o.Seed
-			return sor.Run(cluster.New(spec), cfg)
-		}},
-		{"particles", func(n int, overlap bool, sink telemetry.Sink) (apps.Result, error) {
-			// Migration is nonblocking by construction; "overlap" and
-			// "serial" are the same program and the delta is structurally 0.
-			cfg := particles.DefaultConfig()
-			cfg.Rows, cfg.Cols, cfg.Steps = 256, 256, iters
-			cfg.Core = core.Config{Adapt: false, Telemetry: sink}
-			spec := cluster.Uniform(n)
-			spec.Seed += o.Seed
-			return particles.Run(cluster.New(spec), cfg)
-		}},
-	}
-	for _, v := range variants {
-		for _, n := range o.Nodes {
-			serial, err := v.run(n, false, nil)
-			if err != nil {
-				return nil, fmt.Errorf("overlap %s/%d serial: %w", v.name, n, err)
-			}
-			ring := telemetry.NewRing(1 << 18)
-			ovl, err := v.run(n, true, ring)
-			if err != nil {
-				return nil, fmt.Errorf("overlap %s/%d overlapped: %w", v.name, n, err)
-			}
-			if serial.Checksum != ovl.Checksum || serial.CheckInt != ovl.CheckInt {
-				return nil, fmt.Errorf("overlap %s/%d: checksum changed", v.name, n)
-			}
-			hidden, wait := overlapTelemetry(ring)
-			frac := 0.0
-			if hidden+wait > 0 {
-				frac = hidden / (hidden + wait)
-			}
-			res.Rows = append(res.Rows, OverlapRow{
-				App: v.name, Nodes: n,
-				SerialS: serial.Elapsed, OverlapS: ovl.Elapsed,
-				HiddenS: hidden, HiddenFrac: frac,
-			})
+	// Each (app, nodes) row is a serial world and an overlapped one.
+	// Particles' migration is nonblocking by construction, so it ignores
+	// Overlap: its two worlds are the same program, and its delta is
+	// structurally 0.
+	var worlds []sweep.World
+	for _, app := range []string{"jacobi", "sor", "particles"} {
+		w := sweep.World{App: app, Rows: 512, Cols: 1024, Iters: 30, Cost: 40}
+		if app == "particles" {
+			w.Rows, w.Cols, w.Cost = 256, 256, 0
 		}
+		for _, n := range o.Nodes {
+			w.Spec = cluster.Uniform(n)
+			w.Spec.Seed += o.Seed
+			ovl := w
+			ovl.Overlap = true
+			ovl.RingCap = 1 << 18
+			worlds = append(worlds, w, ovl)
+		}
+	}
+	hidden := make([]float64, len(worlds))
+	wait := make([]float64, len(worlds))
+	out, err := runWorlds(worlds, func(i int, w sweep.Outcome) error {
+		if w.Ring != nil {
+			hidden[i], wait[i] = overlapTelemetry(w.Ring)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("overlap: %w", err)
+	}
+	res := &OverlapResult{}
+	for i := 0; i < len(worlds); i += 2 {
+		serial, ovl := out[i], out[i+1]
+		app, n := worlds[i].App, len(worlds[i].Spec.Nodes)
+		if serial.Checksum != ovl.Checksum || serial.CheckInt != ovl.CheckInt {
+			return nil, fmt.Errorf("overlap %s/%d: checksum changed", app, n)
+		}
+		frac := 0.0
+		if h := hidden[i+1]; h+wait[i+1] > 0 {
+			frac = h / (h + wait[i+1])
+		}
+		res.Rows = append(res.Rows, OverlapRow{
+			App: app, Nodes: n,
+			SerialS: serial.Elapsed, OverlapS: ovl.Elapsed,
+			HiddenS: hidden[i+1], HiddenFrac: frac,
+		})
 	}
 
 	pip, rma, err := runOverlapRedist(o.Seed)
@@ -188,44 +173,35 @@ func RunOverlap(o OverlapOptions) (*OverlapResult, error) {
 // committing a slab does real work — work the drain leaves idle while it
 // stalls on the slowest sender, and a one-sided deposit does not pay.
 func runOverlapRedist(seed uint64) (pipelinedS, rmaS float64, err error) {
-	run := func(mode core.RedistMode) (apps.Result, float64, error) {
-		cfg := jacobi.DefaultConfig()
-		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = 256, 1024, 40, 600
-		cfg.Core = core.DefaultConfig()
-		cfg.Core.Drop = core.DropNever
-		cfg.Core.RedistMode = mode
-		ring := traced(&cfg.Core)
-		spec := cluster.Uniform(8)
-		spec.Seed += seed
-		spec.Net.CPUPerByte = 800
-		spec.Net.BytesPerSec = 100e6
-		for node, k := range []int{3, 2, 1} {
-			for i := 0; i < k; i++ {
-				spec = spec.With(cluster.CycleEvent(node, 10, +1))
-			}
+	w := sweep.World{App: "jacobi", Rows: 256, Cols: 1024, Iters: 40, Cost: 600, RingCap: traceCap}
+	w.Core = core.DefaultConfig()
+	w.Core.Drop = core.DropNever
+	w.Spec = cluster.Uniform(8)
+	w.Spec.Seed += seed
+	w.Spec.Net.CPUPerByte = 800
+	w.Spec.Net.BytesPerSec = 100e6
+	for node, k := range []int{3, 2, 1} {
+		for i := 0; i < k; i++ {
+			w.Spec = w.Spec.With(cluster.CycleEvent(node, 10, +1))
 		}
-		res, err := jacobi.Run(cluster.New(spec), cfg)
-		if err != nil {
-			return res, 0, err
-		}
-		redists, err := redistsOf(ring)
-		return res, totalRedistSeconds(redists), err
 	}
-	pip, pipelinedS, err := run(core.RedistPipelined)
+	rmaW := w
+	rmaW.Core.RedistMode = core.RedistRMA
+	var windows [2]float64
+	out, err := runWorlds([]sweep.World{w, rmaW}, func(i int, o sweep.Outcome) error {
+		windows[i] = totalRedistSeconds(redistsOf(o.Ring))
+		return nil
+	})
 	if err != nil {
-		return 0, 0, fmt.Errorf("overlap redist pipelined: %w", err)
+		return 0, 0, fmt.Errorf("overlap redist: %w", err)
 	}
-	rma, rmaS, err := run(core.RedistRMA)
-	if err != nil {
-		return 0, 0, fmt.Errorf("overlap redist RMA: %w", err)
-	}
-	if pip.Redists == 0 {
+	if out[0].Redists == 0 {
 		return 0, 0, fmt.Errorf("overlap redist scenario produced no redistributions")
 	}
-	if pip.Checksum != rma.Checksum {
+	if out[0].Checksum != out[1].Checksum {
 		return 0, 0, fmt.Errorf("overlap redist: one-sided commit changed the checksum")
 	}
-	return pipelinedS, rmaS, nil
+	return windows[0], windows[1], nil
 }
 
 // Table renders the study.

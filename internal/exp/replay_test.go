@@ -3,11 +3,11 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/apps/jacobi"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/distribution"
@@ -88,13 +88,8 @@ func replayed(t *testing.T, source string, recs []telemetry.Record) []telemetry.
 	return out
 }
 
-// ringRecords returns a finished run's records in deterministic order,
-// failing on an overflowed ring.
-func ringRecords(t *testing.T, source string, ring *telemetry.Ring) []telemetry.Record {
-	t.Helper()
-	if ring.Dropped() > 0 {
-		t.Fatalf("%s: telemetry ring dropped %d records", source, ring.Dropped())
-	}
+// sortedRecords returns a finished world's records in deterministic order.
+func sortedRecords(ring *telemetry.Ring) []telemetry.Record {
 	recs := ring.Records()
 	telemetry.Sort(recs)
 	return recs
@@ -119,23 +114,22 @@ func TestDecisionsReplayFromRecords(t *testing.T) {
 	}
 	all = append(all, replayed(t, "trace.jsonl.golden", recs)...)
 
-	for _, r := range fig4Runners(DefaultFig4Options()) {
-		for _, n := range DefaultFig4Options().Nodes {
-			cfg := core.DefaultConfig()
-			ring := traced(&cfg)
-			if _, err := r.run(cluster.New(loadedAtCycle10(n, min(r.cpNode, n-1), 0)), cfg); err != nil {
-				t.Fatalf("fig4 %s/%d: %v", r.name, n, err)
-			}
-			all = append(all, replayed(t, "fig4 "+r.name, ringRecords(t, "fig4 "+r.name, ring))...)
+	// Each Figure 4 row's Dyn-MPI world (its third), the two method
+	// comparison worlds and the drop-auto world, traced.
+	var worlds []sweep.World
+	for i, w := range fig4Worlds(DefaultFig4Options()) {
+		if i%3 == 2 {
+			w.RingCap = traceCap
+			worlds = append(worlds, w)
 		}
 	}
-	for _, method := range []core.Method{core.SuccessiveBalancing, core.RelativePower} {
-		spec, cfg := methodComparison(method)
-		ring := traced(&cfg.Core)
-		if _, err := jacobi.Run(cluster.New(spec), cfg); err != nil {
-			t.Fatalf("microbench: %v", err)
-		}
-		all = append(all, replayed(t, "microbench", ringRecords(t, "microbench", ring))...)
+	worlds = append(worlds, methodComparison(core.SuccessiveBalancing), methodComparison(core.RelativePower), dropAutoWithoutLoad())
+	if _, err := runWorlds(worlds, func(i int, o sweep.Outcome) error {
+		source := fmt.Sprintf("%s/%d (world %d)", worlds[i].App, len(worlds[i].Spec.Nodes), i)
+		all = append(all, replayed(t, source, sortedRecords(o.Ring))...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	logical := DefaultTraceOptions()
 	logical.Drop = core.DropLogical
@@ -144,12 +138,6 @@ func TestDecisionsReplayFromRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	all = append(all, replayed(t, "drop-logical", r.Records)...)
-	spec, cfg := dropAutoWithoutLoad()
-	ring := traced(&cfg.Core)
-	if _, err := jacobi.Run(cluster.New(spec), cfg); err != nil {
-		t.Fatal(err)
-	}
-	all = append(all, replayed(t, "drop-auto without load", ringRecords(t, "drop-auto", ring))...)
 	if !testing.Short() {
 		g := sweep.Smoke()
 		for _, c := range g.Cells() {
@@ -184,26 +172,26 @@ func TestDecisionsReplayFromRecords(t *testing.T) {
 	t.Logf("replayed %d decisions: %v, %d over nonuniform costs", len(all), seen, nonuniform)
 }
 
-// dropAutoWithoutLoad is a drop-auto run whose verdict finds no loaded node:
-// the competing process leaves during the post-redistribution grace, and
-// MaxRedists keeps that change from restarting the measurement.
-func dropAutoWithoutLoad() (cluster.Spec, jacobi.Config) {
-	cfg := jacobi.DefaultConfig()
-	cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = 128, 128, 80, 60e3
-	cfg.Core.Drop, cfg.Core.MaxRedists = core.DropAuto, 1
-	return cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1), cluster.CycleEvent(1, 16, -1)), cfg
+// dropAutoWithoutLoad is a drop-auto world whose verdict finds no loaded
+// node: the competing process leaves during the post-redistribution grace,
+// and MaxRedists keeps that change from restarting the measurement.
+func dropAutoWithoutLoad() sweep.World {
+	w := sweep.World{App: "jacobi", Rows: 128, Cols: 128, Iters: 80, Cost: 60e3, Core: core.DefaultConfig(), RingCap: traceCap}
+	w.Core.Drop, w.Core.MaxRedists = core.DropAuto, 1
+	w.Spec = cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1), cluster.CycleEvent(1, 16, -1))
+	return w
 }
 
 // TestDropAutoKeepWithoutLoadEncodes: a drop-auto verdict over loads with no
 // loaded node once predicted +Inf, which JSON cannot encode — the trace was
 // truncated there. Such a verdict is a bare keep, and the trace round-trips.
 func TestDropAutoKeepWithoutLoadEncodes(t *testing.T) {
-	spec, cfg := dropAutoWithoutLoad()
-	ring := traced(&cfg.Core)
-	if _, err := jacobi.Run(cluster.New(spec), cfg); err != nil {
-		t.Fatal(err)
+	w := dropAutoWithoutLoad()
+	o := w.Run()
+	if o.Err != nil {
+		t.Fatal(o.Err)
 	}
-	recs := ringRecords(t, "drop-auto", ring)
+	recs := sortedRecords(o.Ring)
 	var buf bytes.Buffer
 	if err := telemetry.WriteJSONL(&buf, recs); err != nil {
 		t.Fatalf("encode: %v", err)

@@ -3,10 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/apps"
-	"repro/internal/apps/jacobi"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/sweep"
 	"repro/internal/vclock"
 )
 
@@ -89,100 +88,78 @@ func RunResize(o ResizeOptions) (*ResizeResult, error) {
 		o.At = o.Iters / 3
 	}
 
-	baseCfg := func(iters int) jacobi.Config {
-		cfg := jacobi.DefaultConfig()
-		cfg.Rows, cfg.Cols, cfg.Iters = o.Rows, o.Cols, iters
-		cfg.Core = core.DefaultConfig()
-		cfg.Core.Drop = core.DropNever
-		return cfg
+	// world is Jacobi for iters cycles on n uniform nodes.
+	world := func(n, iters int) sweep.World {
+		w := sweep.World{App: "jacobi", Rows: o.Rows, Cols: o.Cols, Iters: iters}
+		w.Core = core.DefaultConfig()
+		w.Core.Drop = core.DropNever
+		w.Spec = cluster.Uniform(n)
+		w.Spec.Seed += o.Seed
+		return w
 	}
-	dedicated := func(n, iters int) (apps.Result, error) {
-		spec := cluster.Uniform(n)
-		spec.Seed += o.Seed
-		return jacobi.Run(cluster.New(spec), baseCfg(iters))
-	}
-	// elastic runs cfg on spec and returns it with the megabytes its
-	// redistributions shipped.
-	elastic := func(spec cluster.Spec, cfg jacobi.Config) (apps.Result, float64, error) {
-		ring := traced(&cfg.Core)
-		res, err := jacobi.Run(cluster.New(spec), cfg)
-		if err != nil {
-			return res, 0, err
-		}
-		redists, err := redistsOf(ring)
-		var bytes int64
-		for _, recs := range redists {
-			for _, r := range recs {
-				bytes += r.BytesSent
+	// Scenario 1: capacity arrives under load — two nodes join at cycle At.
+	grow := world(4, o.Iters)
+	grow.Spec = grow.Spec.WithArrival(1.0, o.At).WithArrival(1.0, o.At)
+	grow.RingCap = traceCap
+	// Scenario 2: capacity leaves under load — an explicit shrink releases
+	// the two highest ranks at cycle At.
+	shrink := world(6, o.Iters)
+	shrink.ResizeAt, shrink.ResizeTo = o.At, 4
+	shrink.RingCap = traceCap
+	scenarios := []struct {
+		name     string
+		from, to int
+	}{{"grow", 4, 6}, {"shrink", 6, 4}}
+	// The reference — an undisturbed dedicated run of the full length, for
+	// the checksum — then each scenario's elastic world and its restart
+	// baseline: the old world run to the resize point, and the rest run on
+	// the new world.
+	worlds := []sweep.World{world(4, o.Iters),
+		grow, world(4, o.At), world(6, o.Iters-o.At),
+		shrink, world(6, o.At), world(4, o.Iters-o.At)}
+	movedMB := make([]float64, len(worlds))
+	out, err := runWorlds(worlds, func(i int, w sweep.Outcome) error {
+		if w.Ring != nil {
+			var bytes int64
+			for _, recs := range redistsOf(w.Ring) {
+				for _, r := range recs {
+					bytes += r.BytesSent
+				}
 			}
+			movedMB[i] = float64(bytes) / 1e6
 		}
-		return res, float64(bytes) / 1e6, err
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("resize: %w", err)
 	}
+
 	// A restart reloads the full working set (both ping-pong buffers) over
 	// the wire of the new world; the cost model is the cluster's own.
-	net := cluster.New(cluster.Uniform(1)).Net()
+	net := cluster.DefaultNet()
 	totalBytes := float64(2 * o.Rows * o.Cols * 8)
 	reload := vclock.Duration(net.Latency).Seconds() + totalBytes/net.BytesPerSec
 
-	// Reference checksum: an undisturbed dedicated run of the full length.
-	ref, err := dedicated(4, o.Iters)
-	if err != nil {
-		return nil, fmt.Errorf("resize reference: %w", err)
-	}
-
+	ref := out[0]
 	res := &ResizeResult{}
-	addScenario := func(name string, from, to int, elastic apps.Result, movedMB float64) error {
+	for k, sc := range scenarios {
+		i := 1 + 3*k
+		elastic, before, after := out[i], out[i+1], out[i+2]
 		if elastic.Checksum != ref.Checksum {
-			return fmt.Errorf("resize %s: checksum %v differs from dedicated run %v — resize corrupted data",
-				name, elastic.Checksum, ref.Checksum)
-		}
-		// Restart baseline: run the old world to the resize point, reload
-		// the full working set, run the rest on the new world.
-		before, err := dedicated(from, o.At)
-		if err != nil {
-			return fmt.Errorf("resize %s baseline head: %w", name, err)
-		}
-		after, err := dedicated(to, o.Iters-o.At)
-		if err != nil {
-			return fmt.Errorf("resize %s baseline tail: %w", name, err)
+			return nil, fmt.Errorf("resize %s: checksum %v differs from dedicated run %v — resize corrupted data",
+				sc.name, elastic.Checksum, ref.Checksum)
 		}
 		res.Rows = append(res.Rows, ResizeRow{
-			Scenario: name,
-			From:     from,
-			To:       to,
+			Scenario: sc.name,
+			From:     sc.from,
+			To:       sc.to,
 			At:       o.At,
 			ResizeS:  elastic.Elapsed,
 			RestartS: before.Elapsed + reload + after.Elapsed,
 			ReloadS:  reload,
-			MovedMB:  movedMB,
+			MovedMB:  movedMB[i],
 			TotalMB:  totalBytes / 1e6,
 		})
-		return nil
-	}
-
-	// Scenario 1: capacity arrives under load — two nodes join at cycle At.
-	growSpec := cluster.Uniform(4).WithArrival(1.0, o.At).WithArrival(1.0, o.At)
-	growSpec.Seed += o.Seed
-	grow, moved, err := elastic(growSpec, baseCfg(o.Iters))
-	if err != nil {
-		return nil, fmt.Errorf("resize grow: %w", err)
-	}
-	if err := addScenario("grow", 4, 6, grow, moved); err != nil {
-		return nil, err
-	}
-
-	// Scenario 2: capacity leaves under load — an explicit shrink releases
-	// the two highest ranks at cycle At.
-	shrinkSpec := cluster.Uniform(6)
-	shrinkSpec.Seed += o.Seed
-	shrinkCfg := baseCfg(o.Iters)
-	shrinkCfg.ResizeAt, shrinkCfg.ResizeTo = o.At, 4
-	shrink, moved, err := elastic(shrinkSpec, shrinkCfg)
-	if err != nil {
-		return nil, fmt.Errorf("resize shrink: %w", err)
-	}
-	if err := addScenario("shrink", 6, 4, shrink, moved); err != nil {
-		return nil, err
 	}
 	return res, nil
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/apps"
-	"repro/internal/apps/jacobi"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/sweep"
 )
 
 // This file measures the one-sided replica-refresh claim: with per-cycle
@@ -90,19 +90,22 @@ func RunRMA(o RMAOptions) (*RMAResult, error) {
 	if len(o.Nodes) == 0 {
 		o.Nodes = []int{64, 256}
 	}
-	res := &RMAResult{}
-	const rows, cols, iters = 512, 1024, 20
-	run := func(n int, rma bool) (apps.Result, error) {
-		cfg := jacobi.DefaultConfig()
-		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = rows, cols, iters, 40
-		cfg.Core = core.DefaultConfig()
-		cfg.Core.Drop = core.DropNever
-		cfg.Core.Replicate = true
-		cfg.Core.ReplicaEvery = 1
-		cfg.Core.ReplicaRMA = rma
-		spec := cluster.Uniform(n)
-		spec.Seed += o.Seed
-		return jacobi.Run(cluster.New(spec), cfg)
+	var worlds []sweep.World
+	for _, n := range o.Nodes {
+		w := sweep.World{App: "jacobi", Rows: 512, Cols: 1024, Iters: 20, Cost: 40}
+		w.Core = core.DefaultConfig()
+		w.Core.Drop = core.DropNever
+		w.Core.Replicate = true
+		w.Core.ReplicaEvery = 1
+		w.Spec = cluster.Uniform(n)
+		w.Spec.Seed += o.Seed
+		onesided := w
+		onesided.Core.ReplicaRMA = true
+		worlds = append(worlds, w, onesided)
+	}
+	out, err := runWorlds(worlds, nil)
+	if err != nil {
+		return nil, fmt.Errorf("rma: %w", err)
 	}
 	stallOf := func(r apps.Result) float64 {
 		total := 0.0
@@ -111,15 +114,9 @@ func RunRMA(o RMAOptions) (*RMAResult, error) {
 		}
 		return total
 	}
-	for _, n := range o.Nodes {
-		paired, err := run(n, false)
-		if err != nil {
-			return nil, fmt.Errorf("rma %d paired: %w", n, err)
-		}
-		onesided, err := run(n, true)
-		if err != nil {
-			return nil, fmt.Errorf("rma %d one-sided: %w", n, err)
-		}
+	res := &RMAResult{}
+	for i, n := range o.Nodes {
+		paired, onesided := out[2*i], out[2*i+1]
 		if paired.Checksum != onesided.Checksum {
 			return nil, fmt.Errorf("rma %d: one-sided refresh changed the checksum", n)
 		}

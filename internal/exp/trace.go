@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/apps"
-	"repro/internal/apps/jacobi"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -58,26 +58,21 @@ type TraceResult struct {
 // identical options produce identical records. A ring too small for the run
 // is an error: a truncated stream would read as a result.
 func RunTrace(o TraceOptions) (*TraceResult, error) {
-	ring := telemetry.NewRing(o.RingCap)
-	cfg := jacobi.DefaultConfig()
-	cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = o.Rows, o.Cols, o.Iters, o.CostPerElem
-	cfg.Core.Drop = o.Drop
-	cfg.Core.Telemetry = ring
-	cfg.Core.Replicate = o.Replicate
-	cfg.Core.ReplicaEvery = o.ReplicaEvery
-	spec := cluster.Uniform(o.Nodes).With(cluster.CycleEvent(o.CPNode, o.CPCycle, +1))
-	spec.Faults = append(spec.Faults, o.Faults...)
-	if err := spec.Validate(); err != nil {
-		return nil, err
+	if o.RingCap < 1 {
+		return nil, fmt.Errorf("trace: RingCap %d < 1", o.RingCap)
 	}
-	res, err := jacobi.Run(cluster.New(spec), cfg)
-	if err != nil {
-		return nil, err
+	w := sweep.World{App: "jacobi", Rows: o.Rows, Cols: o.Cols, Iters: o.Iters, Cost: o.CostPerElem, RingCap: o.RingCap}
+	w.Core = core.DefaultConfig()
+	w.Core.Drop = o.Drop
+	w.Core.Replicate = o.Replicate
+	w.Core.ReplicaEvery = o.ReplicaEvery
+	w.Spec = cluster.Uniform(o.Nodes).With(cluster.CycleEvent(o.CPNode, o.CPCycle, +1))
+	w.Spec.Faults = append(w.Spec.Faults, o.Faults...)
+	out := w.Run()
+	if out.Err != nil {
+		return nil, out.Err
 	}
-	if d := ring.Dropped(); d > 0 {
-		return nil, fmt.Errorf("telemetry ring overflow: %d records dropped", d)
-	}
-	recs := ring.Records()
+	recs := out.Ring.Records()
 	telemetry.Sort(recs)
-	return &TraceResult{Records: recs, Res: res}, nil
+	return &TraceResult{Records: recs, Res: out.Res}, nil
 }

@@ -10,10 +10,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/apps/jacobi"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -249,31 +249,14 @@ func TestTraceSummaryCountsRedistributionsOnce(t *testing.T) {
 // computes. Each scenario runs with a nil sink and with a ring, and the two
 // apps.Results must be deeply equal.
 func TestSinkLeavesResultUnchanged(t *testing.T) {
-	small := func() jacobi.Config {
-		cfg := jacobi.DefaultConfig()
-		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = 128, 128, 40, 10e3
-		return cfg
+	small := func(spec cluster.Spec) sweep.World {
+		return sweep.World{App: "jacobi", Spec: spec, Rows: 128, Cols: 128, Iters: 40, Cost: 10e3, Core: core.DefaultConfig()}
 	}
-	onOff := small()
+	loaded := cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1))
+	onOff := small(cluster.Uniform(4).With(cluster.CycleEvent(1, 15, +1), cluster.CycleEvent(1, 35, -1)))
 	onOff.Iters = 60
 	onOff.Core.Drop = core.DropNever
-	dropAuto := small()
-	skewed := jacobi.DefaultConfig()
-	skewed.Rows, skewed.Cols, skewed.Iters, skewed.CostPerElem = 256, 1024, 40, 600
-	skewed.Core.Drop = core.DropNever
-	skewed.Core.RedistMode = core.RedistRMA
-	skewed.Core.Replicate, skewed.Core.ReplicaRMA, skewed.Core.ReplicaEvery = true, true, 1
-	crash := small()
-	crash.Core.Replicate = true
-	grow := small()
-	grow.Core.Drop = core.DropNever
-	grow.ResizeAt, grow.ResizeTo = 10, 6
-	// A sink once added the successive-balancing computation to a
-	// relative-power run; a logical drop's record carries its counts.
-	relPower := small()
-	relPower.Core.Drop, relPower.Core.Method = core.DropNever, core.RelativePower
-	logical := small()
-	logical.Core.Drop = core.DropLogical
+	dropAuto := small(loaded)
 
 	skewedSpec := cluster.Uniform(8)
 	skewedSpec.Net.CPUPerByte, skewedSpec.Net.BytesPerSec = 800, 100e6
@@ -282,37 +265,49 @@ func TestSinkLeavesResultUnchanged(t *testing.T) {
 			skewedSpec = skewedSpec.With(cluster.CycleEvent(node, 10, +1))
 		}
 	}
-	crashSpec := cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1))
-	crashSpec.Faults = []fault.Fault{fault.CrashAtCycle(2, 12)}
+	skewed := sweep.World{App: "jacobi", Spec: skewedSpec, Rows: 256, Cols: 1024, Iters: 40, Cost: 600, Core: core.DefaultConfig()}
+	skewed.Core.Drop = core.DropNever
+	skewed.Core.RedistMode = core.RedistRMA
+	skewed.Core.Replicate, skewed.Core.ReplicaRMA, skewed.Core.ReplicaEvery = true, true, 1
 
-	for _, tc := range []struct {
-		name string
-		spec cluster.Spec
-		cfg  jacobi.Config
-	}{
-		{"load on/off", cluster.Uniform(4).With(cluster.CycleEvent(1, 15, +1), cluster.CycleEvent(1, 35, -1)), onOff},
-		{"drop-auto", cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1)), dropAuto},
-		{"skewed RMA", skewedSpec, skewed},
-		{"crash+replicate", crashSpec, crash},
-		{"grow", cluster.Uniform(4).WithArrival(1.0, -1).WithArrival(1.0, -1), grow},
-		{"relative-power", cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1)), relPower},
-		{"drop-logical", cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1)), logical},
-	} {
-		bare, err := jacobi.Run(cluster.New(tc.spec), tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	crash := small(loaded)
+	crash.Spec.Faults = []fault.Fault{fault.CrashAtCycle(2, 12)}
+	crash.Core.Replicate = true
+	grow := small(cluster.Uniform(4).WithArrival(1.0, -1).WithArrival(1.0, -1))
+	grow.Core.Drop = core.DropNever
+	grow.ResizeAt, grow.ResizeTo = 10, 6
+	// A sink once added the successive-balancing computation to a
+	// relative-power run; a logical drop's record carries its counts.
+	relPower := small(loaded)
+	relPower.Core.Drop, relPower.Core.Method = core.DropNever, core.RelativePower
+	logical := small(loaded)
+	logical.Core.Drop = core.DropLogical
+
+	names := []string{"load on/off", "drop-auto", "skewed RMA", "crash+replicate", "grow", "relative-power", "drop-logical"}
+	// Each scenario twice: with a nil sink, then with a ring.
+	var worlds []sweep.World
+	for _, w := range []sweep.World{onOff, dropAuto, skewed, crash, grow, relPower, logical} {
+		worlds = append(worlds, w)
+		w.RingCap = traceCap
+		worlds = append(worlds, w)
+	}
+	held := make([]int, len(worlds))
+	out, err := runWorlds(worlds, func(i int, o sweep.Outcome) error {
+		if o.Ring != nil {
+			held[i] = o.Ring.Len()
 		}
-		ring := traced(&tc.cfg.Core)
-		withRing, err := jacobi.Run(cluster.New(tc.spec), tc.cfg)
-		if err != nil {
-			t.Fatalf("%s traced: %v", tc.name, err)
-		}
-		if bare.Redists == 0 || ring.Len() == 0 || ring.Dropped() != 0 {
-			t.Fatalf("%s: %d redistributions, %d records held, %d dropped: scenario is vacuous",
-				tc.name, bare.Redists, ring.Len(), ring.Dropped())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, name := range names {
+		bare, withRing := out[2*k], out[2*k+1]
+		if bare.Redists == 0 || held[2*k+1] == 0 {
+			t.Fatalf("%s: %d redistributions, %d records held: scenario is vacuous", name, bare.Redists, held[2*k+1])
 		}
 		if !reflect.DeepEqual(bare, withRing) {
-			t.Errorf("%s: attaching a telemetry ring changed the result:\n nil sink %+v\n ring     %+v", tc.name, bare, withRing)
+			t.Errorf("%s: attaching a telemetry ring changed the result:\n nil sink %+v\n ring     %+v", name, bare, withRing)
 		}
 	}
 }

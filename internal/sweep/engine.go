@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -44,10 +43,9 @@ type Result struct {
 	Steps       int // worlds run
 }
 
-// Run executes the sweep on a pool of min(Jobs, cells) workers. Each worker
-// takes the next cell in index order and runs its world to completion,
-// exactly as the application's own Run drives it; Run's goroutine folds
-// each finished world's telemetry ring into its CellResult.
+// Run executes the sweep: each cell's world (Grid.World) on a pool of
+// min(Jobs, cells) workers (RunWorlds), and Run's goroutine folds each
+// finished world's telemetry ring into its CellResult.
 //
 // The cells share no node, message or clock, and each world is
 // deterministic in virtual time on its own, so neither Jobs, nor
@@ -61,53 +59,67 @@ func Run(o Options) (*Result, error) {
 
 	start := time.Now()
 	cells := o.Grid.Cells()
+	worlds := make([]World, len(cells))
+	for i, c := range cells {
+		worlds[i] = o.Grid.World(c)
+	}
 	res := &Result{
 		Cells:      make([]CellResult, len(cells)),
 		Jobs:       jobs,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
+	var scratch statsScratch
+	RunWorlds(worlds, jobs, func(i int, w Outcome) {
+		cr := CellResult{Cell: cells[i], Key: cells[i].Key()}
+		if w.Err != nil {
+			cr.Err = w.Err.Error()
+		} else {
+			cr.Stats = scratch.buildStats(w.Ring, w.Res)
+		}
+		res.Cells[i] = cr
+		res.Steps++
+		if o.OnCell != nil {
+			o.OnCell(cr)
+		}
+	})
 
-	width := min(jobs, len(cells))
-	var next atomic.Int64 // next cell to take
+	res.WallSeconds = time.Since(start).Seconds()
+	return res, nil
+}
+
+// RunWorlds runs worlds on a pool of min(jobs, len(worlds)) workers (jobs
+// <= 0 means 1). Each worker takes the next world in index order and runs
+// it straight through (World.Run). done is called on RunWorlds' goroutine
+// once per world, in completion order, with the world's index and outcome:
+// the caller folds the world there and drops its ring. RunWorlds returns
+// once every world is folded and every worker has exited.
+func RunWorlds(worlds []World, jobs int, done func(i int, o Outcome)) {
+	type finished struct {
+		i int
+		o Outcome
+	}
+	width := min(max(jobs, 1), len(worlds))
+	var next atomic.Int64 // next world to take
 	var exited sync.WaitGroup
 	// One slot per worker: a worker hands its world over and takes the next
-	// cell without waiting for the fold.
-	finished := make(chan *worldRun, width)
+	// one without waiting for the fold.
+	ch := make(chan finished, width)
 	for range width {
 		exited.Add(1)
 		go func() {
 			defer exited.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
+				if i >= len(worlds) {
 					return
 				}
-				finished <- runWorld(&o.Grid, cells[i])
+				ch <- finished{i, worlds[i].Run()}
 			}
 		}()
 	}
-
-	var scratch statsScratch
-	for range cells {
-		w := <-finished
-		cr := CellResult{Cell: w.cell, Key: w.cell.Key()}
-		switch dropped := w.ring.Dropped(); {
-		case w.err != nil:
-			cr.Err = w.err.Error()
-		case dropped > 0:
-			// Percentiles of a truncated stream would look like a result.
-			cr.Err = fmt.Sprintf("telemetry ring overflow: %d records dropped, raise RingCap", dropped)
-		default:
-			cr.Stats = scratch.buildStats(w.ring, w.res)
-		}
-		res.Cells[w.cell.Index] = cr
-		res.Steps++
-		if o.OnCell != nil {
-			o.OnCell(cr)
-		}
+	for range worlds {
+		f := <-ch
+		done(f.i, f.o)
 	}
 	exited.Wait()
-
-	res.WallSeconds = time.Since(start).Seconds()
-	return res, nil
 }

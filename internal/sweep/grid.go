@@ -1,9 +1,10 @@
 // Package sweep runs many deterministic virtual-time worlds side by side.
-// A Grid enumerates a parameter space (scenario × ranks × grace period ×
-// overlap × faults × replication × one-sided commits × elastic resize) into
-// Cells; the engine in engine.go runs each cell as its own
-// goroutine-per-rank world, Jobs worlds at a time, each straight through
-// to completion.
+// A World (world.go) is one application run on its own cluster, and
+// RunWorlds (engine.go) runs a list of them on a pool, each straight through
+// to completion. A Grid enumerates a parameter space (scenario × ranks ×
+// grace period × overlap × faults × replication × one-sided commits ×
+// elastic resize) into Cells, and Run runs each cell's World, Jobs at a
+// time; the paper studies in internal/exp run their own lists of Worlds.
 //
 // The cells share no node, message or clock, and every world is
 // deterministic in virtual time on its own, so the per-cell results are
@@ -160,7 +161,7 @@ func (g *Grid) Cells() []Cell {
 // Validate rejects grids that cannot run: unknown axis values, scenario
 // events targeting nodes outside the smallest world, crashes scheduled
 // after the run ends, growth for a scenario without mid-run joiners (cg,
-// particles).
+// particles), and a cell without room for its telemetry.
 func (g *Grid) Validate() error {
 	if len(g.Scenarios) == 0 || len(g.Ranks) == 0 || len(g.GPs) == 0 ||
 		len(g.Overlaps) == 0 || len(g.Faults) == 0 || len(g.Reps) == 0 ||
@@ -234,14 +235,19 @@ func (g *Grid) Validate() error {
 			return fmt.Errorf("sweep: %s %d is negative", k.name, k.v)
 		}
 	}
-	if g.CostPerElem < 0 || math.IsNaN(g.CostPerElem) || math.IsInf(g.CostPerElem, 0) {
-		return fmt.Errorf("sweep: CostPerElem %v is not a finite non-negative cost", g.CostPerElem)
+	// A world's zero cost is the application's default (World), so a grid
+	// cannot ask for free computation.
+	if !(g.CostPerElem > 0) || math.IsInf(g.CostPerElem, 0) {
+		return fmt.Errorf("sweep: CostPerElem %v is not a finite positive cost", g.CostPerElem)
 	}
 	if g.CPNode >= minRanks {
 		return fmt.Errorf("sweep: CP node %d outside smallest world (%d ranks)", g.CPNode, minRanks)
 	}
 	if g.Rows < 8 || g.Cols < 8 || g.Iters < 1 {
 		return fmt.Errorf("sweep: degenerate workload %dx%dx%d", g.Rows, g.Cols, g.Iters)
+	}
+	if g.RingCap < 1 {
+		return fmt.Errorf("sweep: RingCap %d < 1 (every cell folds its world's telemetry ring)", g.RingCap)
 	}
 	return nil
 }

@@ -220,7 +220,7 @@ func TestParseSpec(t *testing.T) {
 	}
 	for _, invalid := range []string{"scen=quux", "ranks=1", "fault=flood", "iters=0", "resize=shuffle", "resize=grow;resizeadd=0", "resize=grow;resizecycle=99",
 		"cpnode=-1", "cpcycle=-3", "crashnode=-1", "crashcycle=-2", "fault=none;crashnode=-1",
-		"cost=-1", "cost=NaN", "cost=+Inf", "scen=cg;resize=grow"} {
+		"cost=-1", "cost=0", "cost=NaN", "cost=+Inf", "scen=cg;resize=grow"} {
 		g := Smoke()
 		if err := g.ParseSpec(invalid); err != nil {
 			t.Fatalf("parse %q: %v", invalid, err)
@@ -229,6 +229,15 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("Validate accepted %q", invalid)
 		} else if !strings.HasPrefix(err.Error(), "sweep: ") {
 			t.Errorf("Validate(%q) = %q, want a sweep: error", invalid, err)
+		}
+	}
+	// A cell without a telemetry ring is refused by name, not by a panic in
+	// a pool worker.
+	for _, rc := range []int{0, -1} {
+		g := Smoke()
+		g.RingCap = rc
+		if _, err := Run(Options{Grid: g}); err == nil || !strings.Contains(err.Error(), "RingCap") {
+			t.Errorf("RingCap %d: Run = %v, want an error naming RingCap", rc, err)
 		}
 	}
 	// Growth into a scenario without joiner support names both.

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/apps"
@@ -14,20 +15,99 @@ import (
 	"repro/internal/telemetry"
 )
 
-// worldRun is one finished cell: its telemetry ring and what its world
-// returned, the application result or the run error.
-type worldRun struct {
-	cell Cell
-	ring *telemetry.Ring
-	res  apps.Result
-	err  error
+// World is one application run on its own cluster, as a flat value: a sweep
+// cell is one (Grid.World), and so is every run of a paper study in
+// internal/exp. Run is the one place an application is started.
+type World struct {
+	// Spec is the cluster: its nodes and their memory, the seed, the
+	// network, the competing-process timeline, the faults and the arrivals.
+	Spec cluster.Spec
+	// App names the application: "jacobi", "sor", "cg" or "particles".
+	App string
+
+	// The application's sizes; a zero size keeps the application's default.
+	Rows, Cols int     // grid (jacobi, sor, particles)
+	Iters      int     // phase cycles (particles: steps)
+	Cost       float64 // modelled cost, ns, per element (jacobi, sor), nonzero (cg) or particle
+	N          int     // cg's system size
+	// Overlap selects the overlapped halo exchange (jacobi, sor).
+	Overlap bool
+	// ResizeTo, when positive, resizes the active set to that many ranks at
+	// cycle ResizeAt (jacobi, sor).
+	ResizeTo, ResizeAt int
+	// ExtraTopP0 and ExtraAllP0 add particles per cell on P0's rows
+	// (particles; see particles.Config).
+	ExtraTopP0, ExtraAllP0 int
+
+	// Core configures the runtime, taken as given: the zero Config is a
+	// run without adaptation.
+	Core core.Config
+	// RingCap is the capacity of the telemetry ring Run attaches as
+	// Core.Telemetry; 0 attaches none.
+	RingCap int
 }
 
-// runWorld runs one cell's world to completion on the calling goroutine: a
-// uniform cluster of cell.Ranks nodes with the grid's competing-process
-// arrival (and, for crash cells, the CI crash fault), exactly as the
-// application's own Run drives it.
-func runWorld(g *Grid, c Cell) *worldRun {
+// Outcome is a finished world: what its application returned, its telemetry
+// ring (nil when RingCap is 0), and the error that ended the run or that
+// the ring overflowed.
+type Outcome struct {
+	Res  apps.Result
+	Ring *telemetry.Ring
+	Err  error
+}
+
+// Run builds the cluster (an invalid spec is an error), attaches the ring
+// and runs the application to completion on the calling goroutine. A ring
+// that dropped records is an error: a truncated stream would read as a
+// result.
+func (w *World) Run() Outcome {
+	cl, err := cluster.Build(w.Spec)
+	if err != nil {
+		return Outcome{Err: err}
+	}
+	var o Outcome
+	c := w.Core
+	if w.RingCap > 0 {
+		o.Ring = telemetry.NewRing(w.RingCap)
+		c.Telemetry = o.Ring
+	}
+	switch w.App {
+	case "jacobi":
+		cfg := jacobi.DefaultConfig()
+		cfg.Rows, cfg.Cols, cfg.Iters = cmp.Or(w.Rows, cfg.Rows), cmp.Or(w.Cols, cfg.Cols), cmp.Or(w.Iters, cfg.Iters)
+		cfg.CostPerElem = cmp.Or(w.Cost, cfg.CostPerElem)
+		cfg.Overlap, cfg.ResizeTo, cfg.ResizeAt, cfg.Core = w.Overlap, w.ResizeTo, w.ResizeAt, c
+		o.Res, o.Err = jacobi.Run(cl, cfg)
+	case "sor":
+		cfg := sor.DefaultConfig()
+		cfg.Rows, cfg.Cols, cfg.Iters = cmp.Or(w.Rows, cfg.Rows), cmp.Or(w.Cols, cfg.Cols), cmp.Or(w.Iters, cfg.Iters)
+		cfg.CostPerElem = cmp.Or(w.Cost, cfg.CostPerElem)
+		cfg.Overlap, cfg.ResizeTo, cfg.ResizeAt, cfg.Core = w.Overlap, w.ResizeTo, w.ResizeAt, c
+		o.Res, o.Err = sor.Run(cl, cfg)
+	case "cg":
+		cfg := cg.DefaultConfig()
+		cfg.N, cfg.Iters, cfg.CostPerNnz = cmp.Or(w.N, cfg.N), cmp.Or(w.Iters, cfg.Iters), cmp.Or(w.Cost, cfg.CostPerNnz)
+		cfg.Core = c
+		o.Res, o.Err = cg.Run(cl, cfg)
+	case "particles":
+		cfg := particles.DefaultConfig()
+		cfg.Rows, cfg.Cols, cfg.Steps = cmp.Or(w.Rows, cfg.Rows), cmp.Or(w.Cols, cfg.Cols), cmp.Or(w.Iters, cfg.Steps)
+		cfg.CostPerParticle = cmp.Or(w.Cost, cfg.CostPerParticle)
+		cfg.ExtraTopP0, cfg.ExtraAllP0, cfg.Core = w.ExtraTopP0, w.ExtraAllP0, c
+		o.Res, o.Err = particles.Run(cl, cfg)
+	default:
+		o.Err = fmt.Errorf("sweep: unknown app %q", w.App)
+	}
+	if o.Err == nil && o.Ring != nil && o.Ring.Dropped() > 0 {
+		o.Err = fmt.Errorf("telemetry ring overflow: %d records dropped, raise RingCap", o.Ring.Dropped())
+	}
+	return o
+}
+
+// World is cell c's world: a uniform cluster of c.Ranks nodes with the
+// grid's competing-process arrival (and, for crash cells, the CI crash
+// fault) running c.Scenario at the grid's workload.
+func (g *Grid) World(c Cell) World {
 	spec := cluster.Uniform(c.Ranks).With(cluster.CycleEvent(g.CPNode, g.CPCycle, +1))
 	if c.Fault == "crash" {
 		spec.Faults = append(spec.Faults, fault.CrashAtCycle(g.CrashNode, g.CrashCycle))
@@ -43,48 +123,22 @@ func runWorld(g *Grid, c Cell) *worldRun {
 		// arrivals, so the grow's diff schedule redistributes under skew.
 		spec = spec.With(cluster.CycleEvent(0, g.ResizeCycle-2, +1))
 	}
-	cl := cluster.New(spec)
-	ring := telemetry.NewRing(g.RingCap)
-
-	base := core.DefaultConfig()
-	base.Drop = core.DropAlways
-	base.GracePeriod = c.GP
-	base.Replicate = c.Replicate
+	w := World{Spec: spec, App: c.Scenario, Rows: g.Rows, Cols: g.Cols, Iters: g.Iters,
+		Core: core.DefaultConfig(), RingCap: g.RingCap}
+	w.Core.Drop = core.DropAlways
+	w.Core.GracePeriod = c.GP
+	w.Core.Replicate = c.Replicate
 	if c.RMA {
-		base.RedistMode = core.RedistRMA
-		base.ReplicaRMA = true
+		w.Core.RedistMode = core.RedistRMA
+		w.Core.ReplicaRMA = true
 	}
-	base.Telemetry = ring
-
-	w := &worldRun{cell: c, ring: ring}
 	switch c.Scenario {
-	case "jacobi":
-		cfg := jacobi.DefaultConfig()
-		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = g.Rows, g.Cols, g.Iters, g.CostPerElem
-		cfg.Overlap = c.Overlap
-		cfg.Core = base
-		w.res, w.err = jacobi.Run(cl, cfg)
-	case "sor":
-		cfg := sor.DefaultConfig()
-		cfg.Rows, cfg.Cols, cfg.Iters, cfg.CostPerElem = g.Rows, g.Cols, g.Iters, g.CostPerElem
-		cfg.Overlap = c.Overlap
-		cfg.Core = base
-		w.res, w.err = sor.Run(cl, cfg)
+	case "jacobi", "sor":
+		w.Cost, w.Overlap = g.CostPerElem, c.Overlap
 	case "cg":
-		cfg := cg.DefaultConfig()
 		// Keep the system proportional to the sweep workload; cg has no
-		// overlapped variant, so Overlap is ignored.
-		cfg.N = g.Rows * g.Cols / 8
-		cfg.Iters = g.Iters
-		cfg.Core = base
-		w.res, w.err = cg.Run(cl, cfg)
-	case "particles":
-		cfg := particles.DefaultConfig()
-		cfg.Rows, cfg.Cols, cfg.Steps = g.Rows, g.Cols, g.Iters
-		cfg.Core = base
-		w.res, w.err = particles.Run(cl, cfg)
-	default:
-		w.err = fmt.Errorf("sweep: unknown scenario %q", c.Scenario)
+		// overlapped variant, and it and particles keep their own costs.
+		w.N = g.Rows * g.Cols / 8
 	}
 	return w
 }
@@ -93,14 +147,12 @@ func runWorld(g *Grid, c Cell) *worldRun {
 // deterministic order — the record stream behind one row of a sweep report,
 // identical to the one the sweep folded.
 func (g *Grid) Trace(c Cell) ([]telemetry.Record, error) {
-	w := runWorld(g, c)
-	if w.err != nil {
-		return nil, w.err
+	w := g.World(c)
+	o := w.Run()
+	if o.Err != nil {
+		return nil, fmt.Errorf("sweep: cell %s: %w", c.Key(), o.Err)
 	}
-	if d := w.ring.Dropped(); d > 0 {
-		return nil, fmt.Errorf("sweep: cell %s: telemetry ring overflow: %d records dropped", c.Key(), d)
-	}
-	recs := w.ring.Records()
+	recs := o.Ring.Records()
 	telemetry.Sort(recs)
 	return recs, nil
 }
