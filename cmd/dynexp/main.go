@@ -18,9 +18,12 @@
 //	dynexp sweep       — multi-world parameter sweep on a pool of independent worlds
 //	dynexp all         — everything above (except trace, scale and sweep)
 //
-// The -paper flag selects the paper's original input sizes (slower); the
-// default scaled inputs preserve the computation/communication ratios (see
-// EXPERIMENTS.md).
+// The -paper flag runs the paper's own inputs (slower) for the five studies
+// that have them — fig4, cg-table, fig5, fig6 and fig7 — and -paper all runs
+// those five; the default scaled inputs preserve the
+// computation/communication ratios (see EXPERIMENTS.md). -nodes sets the
+// node counts of fig4, fig6, overlap and rma. Either flag on a subcommand
+// that does not read it is an error.
 //
 // The trace subcommand attaches a telemetry sink to the runtime: -trace
 // out.jsonl writes the structured record stream (iteration, decision,
@@ -60,6 +63,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -104,14 +108,126 @@ func checkCounts(replicaEvery, scaleN, jobs int) error {
 	return nil
 }
 
+// study is a subcommand that prints one table: nodes marks the studies that
+// read -nodes, paper the ones with paper inputs (-paper).
+type study struct {
+	name         string
+	nodes, paper bool
+	run          func(nodes []int, size exp.Size) (*exp.Table, error)
+}
+
+// table returns a study result's table, or the study's error.
+func table[R interface{ Table() *exp.Table }](r R, err error) (*exp.Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r.Table(), nil
+}
+
+// orDefault returns the -nodes list, or def when the flag was not given.
+func orDefault(nodes, def []int) []int {
+	if nodes == nil {
+		return def
+	}
+	return nodes
+}
+
+// studies lists the table subcommands in the order all runs them.
+var studies = []study{
+	{"fig4", true, true, func(nodes []int, size exp.Size) (*exp.Table, error) {
+		o := exp.DefaultFig4Options()
+		o.Nodes = orDefault(nodes, o.Nodes)
+		return table(exp.RunFig4(o, size))
+	}},
+	{"cg-table", false, true, func(_ []int, size exp.Size) (*exp.Table, error) { return table(exp.RunCGTable(size)) }},
+	{"fig5", false, true, func(_ []int, size exp.Size) (*exp.Table, error) { return table(exp.RunFig5(size)) }},
+	{"fig6", true, true, func(nodes []int, size exp.Size) (*exp.Table, error) {
+		o := exp.DefaultFig6Options()
+		o.Nodes = orDefault(nodes, o.Nodes)
+		return table(exp.RunFig6(o, size))
+	}},
+	{"fig7", false, true, func(_ []int, size exp.Size) (*exp.Table, error) { return table(exp.RunFig7(size)) }},
+	{"alloc", false, false, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunAlloc()) }},
+	{"microbench", false, false, func([]int, exp.Size) (*exp.Table, error) {
+		return table(exp.RunMicrobench(exp.DefaultMicrobenchOptions()))
+	}},
+	{"virt", false, false, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunVirt(exp.DefaultVirtOptions())) }},
+	{"overlap", true, false, func(nodes []int, _ exp.Size) (*exp.Table, error) {
+		o := exp.DefaultOverlapOptions()
+		o.Nodes = orDefault(nodes, o.Nodes)
+		return table(exp.RunOverlap(o))
+	}},
+	{"rma", true, false, func(nodes []int, _ exp.Size) (*exp.Table, error) {
+		o := exp.DefaultRMAOptions()
+		o.Nodes = orDefault(nodes, o.Nodes)
+		return table(exp.RunRMA(o))
+	}},
+	{"resize", false, false, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunResize(exp.DefaultResizeOptions())) }},
+}
+
+var (
+	anyStudy   = func(study) bool { return true }
+	readsNodes = func(st study) bool { return st.nodes }
+	hasPaper   = func(st study) bool { return st.paper }
+)
+
+// studyNames returns the names of the studies keep selects, in list order.
+func studyNames(keep func(study) bool) []string {
+	var names []string
+	for _, st := range studies {
+		if keep(st) {
+			names = append(names, st.name)
+		}
+	}
+	return names
+}
+
+// find returns the study named name, or for trace, scale and sweep the zero
+// study, which reads neither -nodes nor -paper.
+func find(name string) study {
+	for _, st := range studies {
+		if st.name == name {
+			return st
+		}
+	}
+	return study{}
+}
+
+// subcommands returns every subcommand dynexp accepts.
+func subcommands() []string {
+	return append(studyNames(anyStudy), "trace", "scale", "sweep", "all")
+}
+
+// selectStudies returns the subcommands target runs, and rejects -paper and
+// -nodes on a target that reads neither: all runs every study (with
+// -paper, every study that has paper inputs), and -nodes reaches those of
+// them that read it.
+func selectStudies(target string, paper, nodes bool) ([]string, error) {
+	if target == "all" {
+		if paper {
+			return studyNames(hasPaper), nil
+		}
+		return studyNames(anyStudy), nil
+	}
+	st := find(target)
+	if paper && !st.paper {
+		return nil, fmt.Errorf("-paper: %s has no paper inputs (only %s do)", target, strings.Join(studyNames(hasPaper), ", "))
+	}
+	if nodes && !st.nodes {
+		return nil, fmt.Errorf("-nodes: %s does not read it (only %s do)", target, strings.Join(studyNames(readsNodes), ", "))
+	}
+	return []string{target}, nil
+}
+
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: dynexp [-paper] [-nodes n,n,...] [-trace out.jsonl] [-summary] [-fault specs] [-replicate] [-replica-every n] [-scale-n n] [-smoke] [-grid spec] [-jobs n] [-out f.jsonl] [-stream] [-cpuprofile f] [-memprofile f] {fig4|cg-table|fig5|fig6|fig7|alloc|microbench|virt|trace|scale|overlap|rma|resize|sweep|all}\n")
+	fmt.Fprintf(os.Stderr, "usage: dynexp [-paper] [-nodes n,n,...] [-trace out.jsonl] [-summary] [-fault specs] [-replicate] [-replica-every n] [-scale-n n] [-smoke] [-grid spec] [-jobs n] [-out f.jsonl] [-stream] [-cpuprofile f] [-memprofile f] {%s}\n",
+		strings.Join(subcommands(), "|"))
 	os.Exit(2)
 }
 
 func main() {
-	paper := flag.Bool("paper", false, "use the paper's original input sizes")
-	nodesFlag := flag.String("nodes", "", "comma-separated node counts (fig4/fig6/overlap/rma only)")
+	paper := flag.Bool("paper", false, "run the paper's own inputs ("+strings.Join(studyNames(hasPaper), "/")+" only)")
+	nodesFlag := flag.String("nodes", "", "comma-separated node counts ("+strings.Join(studyNames(readsNodes), "/")+" only)")
 	traceFile := flag.String("trace", "", "write the telemetry record stream as JSONL to this file (trace subcommand)")
 	summary := flag.Bool("summary", false, "print a telemetry aggregation table (trace subcommand)")
 	faultSpecs := flag.String("fault", "", "';'-separated fault specs to inject, e.g. 'crash:node=2,cycle=12' (trace subcommand)")
@@ -166,15 +282,27 @@ func main() {
 		}
 	}
 
+	target := flag.Arg(0)
+	if !slices.Contains(subcommands(), target) {
+		usage()
+	}
 	nodes, err := parseNodes(*nodesFlag)
 	if err == nil {
 		err = checkCounts(*replicaEvery, *scaleN, *jobs)
+	}
+	var names []string
+	if err == nil {
+		names, err = selectStudies(target, *paper, nodes != nil)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dynexp: %v\n", err)
 		os.Exit(2)
 	}
 
+	size := exp.Scaled
+	if *paper {
+		size = exp.Paper
+	}
 	run := func(name string) error {
 		start := time.Now()
 		defer func() {
@@ -187,106 +315,6 @@ func main() {
 			fmt.Printf("  [%s completed in %.1fs wall time]\n\n", name, time.Since(start).Seconds())
 		}()
 		switch name {
-		case "fig4":
-			o := exp.DefaultFig4Options()
-			o.Paper = *paper
-			if nodes != nil {
-				o.Nodes = nodes
-			}
-			r, err := exp.RunFig4(o)
-			if err != nil {
-				return err
-			}
-			r.Table().Render(os.Stdout)
-			fmt.Printf("  mean improvement over no-adapt: %.0f%% (paper: 72%%); mean slowdown vs dedicated: %.0f%% (paper: 29%%)\n",
-				r.Improvement()*100, r.Slowdown()*100)
-		case "cg-table":
-			o := exp.DefaultCGTableOptions()
-			o.Paper = *paper
-			r, err := exp.RunCGTable(o)
-			if err != nil {
-				return err
-			}
-			r.Table().Render(os.Stdout)
-		case "fig5":
-			o := exp.DefaultFig5Options()
-			o.Paper = *paper
-			r, err := exp.RunFig5(o)
-			if err != nil {
-				return err
-			}
-			r.Table().Render(os.Stdout)
-		case "fig6":
-			o := exp.DefaultFig6Options()
-			o.Paper = *paper
-			if nodes != nil {
-				o.Nodes = nodes
-			}
-			r, err := exp.RunFig6(o)
-			if err != nil {
-				return err
-			}
-			r.Table().Render(os.Stdout)
-		case "fig7":
-			o := exp.DefaultFig7Options()
-			o.Paper = *paper
-			r, err := exp.RunFig7(o)
-			if err != nil {
-				return err
-			}
-			r.Table().Render(os.Stdout)
-		case "alloc":
-			o := exp.DefaultAllocOptions()
-			o.Paper = *paper
-			r, err := exp.RunAlloc(o)
-			if err != nil {
-				return err
-			}
-			r.Table().Render(os.Stdout)
-		case "microbench":
-			r, err := exp.RunMicrobench(exp.DefaultMicrobenchOptions())
-			if err != nil {
-				return err
-			}
-			r.Table().Render(os.Stdout)
-		case "virt":
-			r, err := exp.RunVirt(exp.DefaultVirtOptions())
-			if err != nil {
-				return err
-			}
-			r.Table().Render(os.Stdout)
-		case "overlap":
-			o := exp.DefaultOverlapOptions()
-			if nodes != nil {
-				o.Nodes = nodes
-			}
-			r, err := exp.RunOverlap(o)
-			if err != nil {
-				return err
-			}
-			r.Table().Render(os.Stdout)
-			fmt.Printf("  one-sided commits cut the slowest rank's redistribution window by %.0f%% on the skewed-load scenario\n",
-				r.WindowReduction()*100)
-		case "rma":
-			o := exp.DefaultRMAOptions()
-			if nodes != nil {
-				o.Nodes = nodes
-			}
-			r, err := exp.RunRMA(o)
-			if err != nil {
-				return err
-			}
-			r.Table().Render(os.Stdout)
-			fmt.Printf("  one-sided refresh cuts holder-side replica stall by ≥%.0f%% across world sizes\n",
-				r.MinReduction()*100)
-		case "resize":
-			r, err := exp.RunResize(exp.DefaultResizeOptions())
-			if err != nil {
-				return err
-			}
-			r.Table().Render(os.Stdout)
-			fmt.Printf("  elastic resize beats drop-all+restart on %d of %d scenarios\n",
-				r.CheaperCount(), len(r.Rows))
 		case "trace":
 			o := exp.DefaultTraceOptions()
 			if *faultSpecs != "" {
@@ -399,18 +427,15 @@ func main() {
 				fmt.Printf("  wrote %d records to %s\n", len(r.Records), *traceFile)
 			}
 		default:
-			usage()
+			t, err := find(name).run(nodes, size)
+			if err != nil {
+				return err
+			}
+			t.Render(os.Stdout)
 		}
 		return nil
 	}
 
-	target := flag.Arg(0)
-	var names []string
-	if target == "all" {
-		names = []string{"fig4", "cg-table", "fig5", "fig6", "fig7", "alloc", "microbench", "virt", "overlap", "rma", "resize"}
-	} else {
-		names = []string{target}
-	}
 	for _, name := range names {
 		if err := run(name); err != nil {
 			fmt.Fprintf(os.Stderr, "dynexp %s: %v\n", name, err)

@@ -22,21 +22,25 @@ func TestMain(m *testing.M) {
 }
 
 // TestBadInputExitsWithAnError: input the program cannot run is reported as
-// an error with a non-zero exit, never as a panic or a runtime deadlock.
+// an error with a non-zero exit (2 for a flag the subcommand does not read),
+// never as a panic or a runtime deadlock.
 func TestBadInputExitsWithAnError(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
+		code int
 	}{
-		{[]string{"-fault", "crash:node=9", "trace"}, "node 9 out of range [0,4)"},
-		{[]string{"-smoke", "-grid", "scen=cg;resize=grow", "-jobs", "1", "sweep"}, "resize grow needs mid-run joiners, which scenario cg does not support"},
+		{[]string{"-fault", "crash:node=9", "trace"}, "node 9 out of range [0,4)", 1},
+		{[]string{"-smoke", "-grid", "scen=cg;resize=grow", "-jobs", "1", "sweep"}, "resize grow needs mid-run joiners, which scenario cg does not support", 1},
+		{[]string{"-paper", "alloc"}, "-paper: alloc has no paper inputs", 2},
+		{[]string{"-nodes", "8", "fig5"}, "-nodes: fig5 does not read it", 2},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "DYNEXP_TEST_ARGS="+strings.Join(tc.args, "\n"))
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
-			t.Errorf("dynexp %v: err %v, want a non-zero exit", tc.args, err)
+		if !errors.As(err, &exit) || exit.ExitCode() != tc.code {
+			t.Errorf("dynexp %v: err %v, want exit status %d", tc.args, err, tc.code)
 		}
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("dynexp %v: output %q lacks %q", tc.args, out, tc.want)

@@ -10,23 +10,19 @@ import (
 	"repro/internal/vclock"
 )
 
-// AllocOptions parameterises the §4.1 memory-allocation ablation (the
-// Figure 3 comparison, measured in the paper's technical report): the cost
-// of redistributing dense arrays under the 2-D projection scheme versus
-// the contiguous baseline, both as a microbenchmark and end-to-end.
-type AllocOptions struct {
-	// Rows/Cols size the microbenchmark array.
-	Rows, Cols int
-	// MemBytes bounds node memory; a tight bound makes the contiguous
-	// scheme's full reallocation page ("excessive disk accesses").
-	MemBytes int64
-	Paper    bool
-}
+// This file is the §4.1 memory-allocation ablation (the Figure 3
+// comparison, measured in the paper's technical report): the cost of
+// redistributing dense arrays under the 2-D projection scheme versus the
+// contiguous baseline, both as a microbenchmark and end-to-end.
 
-// DefaultAllocOptions returns the scaled configuration.
-func DefaultAllocOptions() AllocOptions {
-	return AllocOptions{Rows: 1024, Cols: 1024, MemBytes: 24 << 20}
-}
+const (
+	// allocRows and allocCols size the microbenchmark array.
+	allocRows, allocCols = 1024, 1024
+	// allocMemBytes bounds node memory; the tight bound makes the
+	// contiguous scheme's full reallocation page ("excessive disk
+	// accesses").
+	allocMemBytes = 24 << 20
+)
 
 // AllocRow is one shift size's measurement.
 type AllocRow struct {
@@ -45,30 +41,26 @@ type AllocResult struct {
 
 // measureShift times growing a half-array window by shift rows under one
 // scheme on a memory-constrained node.
-func measureShift(o AllocOptions, scheme matrix.Alloc, shift int) float64 {
+func measureShift(scheme matrix.Alloc, shift int) float64 {
 	spec := cluster.Uniform(1)
-	spec.Nodes[0].MemBytes = o.MemBytes
+	spec.Nodes[0].MemBytes = allocMemBytes
 	cl := cluster.New(spec)
 	node := cl.Node(0)
-	d := matrix.NewDense("A", o.Rows, o.Cols, scheme, node)
-	d.SetWindow(0, o.Rows/2)
+	d := matrix.NewDense("A", allocRows, allocCols, scheme, node)
+	d.SetWindow(0, allocRows/2)
 	start := node.Now()
-	d.SetWindow(0, o.Rows/2+shift)
+	d.SetWindow(0, allocRows/2+shift)
 	return node.Now().Sub(start).Seconds()
 }
 
 // RunAlloc executes the allocation comparison.
-func RunAlloc(o AllocOptions) (*AllocResult, error) {
-	if o.Rows == 0 {
-		d := DefaultAllocOptions()
-		o.Rows, o.Cols, o.MemBytes = d.Rows, d.Cols, d.MemBytes
-	}
+func RunAlloc() (*AllocResult, error) {
 	out := &AllocResult{}
 	for _, shift := range []int{1, 8, 64, 256} {
 		out.Rows = append(out.Rows, AllocRow{
 			ShiftRows:     shift,
-			ProjectionSec: measureShift(o, matrix.Projection, shift),
-			ContiguousSec: measureShift(o, matrix.Contiguous, shift),
+			ProjectionSec: measureShift(matrix.Projection, shift),
+			ContiguousSec: measureShift(matrix.Contiguous, shift),
 		})
 	}
 
@@ -81,7 +73,7 @@ func RunAlloc(o AllocOptions) (*AllocResult, error) {
 		w.Core.Alloc = scheme
 		w.Spec = cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1))
 		for i := range w.Spec.Nodes {
-			w.Spec.Nodes[i].MemBytes = o.MemBytes
+			w.Spec.Nodes[i].MemBytes = allocMemBytes
 		}
 		worlds = append(worlds, w)
 	}

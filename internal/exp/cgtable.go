@@ -9,17 +9,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// CGTableOptions parameterises the §5.1 CG case study: the 4-node run the
-// paper walks through in detail (dedicated 37.5s → 73.0s without
-// adaptation → 45.1s with Dyn-MPI; chosen distribution 2/7,2/7,2/7,1/7 with
-// ~1s of redistribution overhead).
-type CGTableOptions struct {
-	Nodes int
-	Paper bool
-}
+// This file reproduces the §5.1 CG case study: the 4-node run the paper
+// walks through in detail (dedicated 37.5s → 73.0s without adaptation →
+// 45.1s with Dyn-MPI; chosen distribution 2/7,2/7,2/7,1/7 with ~1s of
+// redistribution overhead).
 
-// DefaultCGTableOptions returns the paper's 4-node configuration.
-func DefaultCGTableOptions() CGTableOptions { return CGTableOptions{Nodes: 4} }
+// cgTableNodes is the case study's node count.
+const cgTableNodes = 4
 
 // CGTableResult holds the case-study measurements.
 type CGTableResult struct {
@@ -34,23 +30,25 @@ type CGTableResult struct {
 	IdealFraction float64
 }
 
-// RunCGTable executes the §5.1 CG case study.
-func RunCGTable(o CGTableOptions) (*CGTableResult, error) {
-	if o.Nodes == 0 {
-		o.Nodes = 4
-	}
-	ded := sweep.World{App: "cg", Spec: cluster.Uniform(o.Nodes), N: 2000, Iters: 100, Cost: 4600}
-	if o.Paper {
-		ded.N, ded.Iters, ded.Cost = 14000, 75, 2750
-	}
+// cgTableWorlds returns the case study's dedicated, no-adapt and Dyn-MPI
+// worlds at size: CG with one CP on node 1 at iteration 10, the Dyn-MPI run
+// keeping the loaded node.
+func cgTableWorlds(size Size) []sweep.World {
+	ded := size.inputs().cgTable
+	ded.Spec = cluster.Uniform(cgTableNodes)
 	non := ded
 	non.Spec = ded.Spec.With(cluster.CycleEvent(1, 10, +1))
 	dyn := non
 	dyn.Core = core.DefaultConfig()
-	dyn.Core.Drop = core.DropNever // the case study keeps the loaded node
+	dyn.Core.Drop = core.DropNever
 	dyn.RingCap = traceCap
+	return []sweep.World{ded, non, dyn}
+}
+
+// RunCGTable executes the §5.1 CG case study at size.
+func RunCGTable(size Size) (*CGTableResult, error) {
 	var redists [][]telemetry.RedistRecord
-	out, err := runWorlds([]sweep.World{ded, non, dyn}, func(i int, o sweep.Outcome) error {
+	out, err := runWorlds(cgTableWorlds(size), func(i int, o sweep.Outcome) error {
 		if i == 2 {
 			redists = redistsOf(o.Ring)
 		}
@@ -64,7 +62,7 @@ func RunCGTable(o CGTableOptions) (*CGTableResult, error) {
 		NoAdapt:       out[1].Elapsed,
 		DynMPI:        out[2].Elapsed,
 		RedistSeconds: totalRedistSeconds(redists),
-		IdealFraction: (1.0 / 2) / (float64(o.Nodes-1) + 1.0/2),
+		IdealFraction: (1.0 / 2) / (float64(cgTableNodes-1) + 1.0/2),
 	}
 	// The chosen distribution is recorded on every redistribution record.
 	for _, recs := range redists {

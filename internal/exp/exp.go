@@ -11,7 +11,8 @@
 //
 // Every experiment runs at a laptop-friendly scale by default, chosen to
 // preserve the paper's computation/communication ratios (see EXPERIMENTS.md
-// for the calibration); the Paper option selects the original input sizes.
+// for the calibration); the five paper studies also run the paper's own
+// inputs, at Size Paper (inputs.go).
 package exp
 
 import (
@@ -26,12 +27,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Table is a rendered experiment result: a caption, a header, and rows of
-// cells. Raw values live on the experiment-specific result structs.
+// Table is a rendered experiment result: a caption, a header, rows of
+// cells, and notes (summary lines printed after the rows). Raw values live
+// on the experiment-specific result structs.
 type Table struct {
 	Caption string
 	Header  []string
 	Rows    [][]string
+	Notes   []string
 }
 
 // Render writes the table as aligned text.
@@ -63,6 +66,9 @@ func (t *Table) Render(w io.Writer) {
 	line(sep)
 	for _, row := range t.Rows {
 		line(row)
+	}
+	for _, n := range t.Notes {
+		fmt.Fprintf(w, "  %s\n", n)
 	}
 }
 
@@ -135,15 +141,6 @@ func redistsOf(ring *telemetry.Ring) [][]telemetry.RedistRecord {
 		}
 	}})
 	return byNode
-}
-
-// redistWindow returns one node's first redistribution interval (start/end
-// virtual seconds) and its cycle; ok is false if it never redistributed.
-func redistWindow(recs []telemetry.RedistRecord) (startSec, endSec float64, cycle int, ok bool) {
-	if len(recs) == 0 {
-		return 0, 0, 0, false
-	}
-	return recs[0].StartVT, recs[0].Time, recs[0].Cycle, true
 }
 
 // lastRedistEnd returns one node's final redistribution end (seconds, cycle).

@@ -30,8 +30,7 @@ func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 4 matrix is slow")
 	}
-	o := DefaultFig4Options()
-	res, err := RunFig4(o)
+	res, err := RunFig4(DefaultFig4Options(), Scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestFig4SingleCell(t *testing.T) {
 	o := DefaultFig4Options()
 	o.Nodes = []int{4}
 	o.Apps = []string{"jacobi"}
-	res, err := RunFig4(o)
+	res, err := RunFig4(o, Scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestFig4SingleCell(t *testing.T) {
 }
 
 func TestCGTableShape(t *testing.T) {
-	res, err := RunCGTable(DefaultCGTableOptions())
+	res, err := RunCGTable(Scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Figure 5 long executions are slow")
 	}
-	res, err := RunFig5(DefaultFig5Options())
+	res, err := RunFig5(Scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Figure 6 grid is slow")
 	}
-	res, err := RunFig6(DefaultFig6Options())
+	res, err := RunFig6(DefaultFig6Options(), Scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Figure 7 runs are slow")
 	}
-	res, err := RunFig7(DefaultFig7Options())
+	res, err := RunFig7(Scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +212,7 @@ func TestVirtShape(t *testing.T) {
 }
 
 func TestAllocShape(t *testing.T) {
-	res, err := RunAlloc(DefaultAllocOptions())
+	res, err := RunAlloc()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,9 +135,11 @@ func TestCrashDuringRedistributionRecovers(t *testing.T) {
 			recs = append(recs, r)
 		}
 	}
-	s, e, _, ok := redistWindow(recs)
-	start, end := vclock.Time(vclock.FromSeconds(s)), vclock.Time(vclock.FromSeconds(e))
-	if !ok || end <= start {
+	if len(recs) == 0 {
+		t.Fatalf("probe found no redistribution on rank %d", victim)
+	}
+	start, end := vclock.Time(vclock.FromSeconds(recs[0].StartVT)), vclock.Time(vclock.FromSeconds(recs[0].Time))
+	if end <= start {
 		t.Fatalf("probe found no redistribution window on rank %d (start %v end %v)", victim, start, end)
 	}
 	o := DefaultTraceOptions()

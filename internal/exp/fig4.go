@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -16,12 +17,6 @@ type Fig4Options struct {
 	Nodes []int
 	// Apps restricts the applications (default all four).
 	Apps []string
-	// Paper selects the paper's input sizes (2048² Jacobi/SOR, 14000 CG,
-	// 256² particles); default is a scaled configuration with matching
-	// computation/communication ratios.
-	Paper bool
-	// Seed offsets the cluster seeds (for replication studies).
-	Seed uint64
 }
 
 // DefaultFig4Options returns the paper's configuration at laptop scale.
@@ -69,48 +64,23 @@ func (r *Fig4Result) Slowdown() float64 {
 	return s / float64(len(r.Rows))
 }
 
-// fig4Apps are Figure 4's applications in row order.
-var fig4Apps = []string{"jacobi", "sor", "cg", "particles"}
-
 // fig4Worlds returns, for every selected (app, nodes) row in order, its
-// dedicated, no-adapt and Dyn-MPI worlds. The loaded worlds get the
-// paper's scenario: one CP on the 10th iteration, on node 1 (node 0 for
-// particles, whose P0 holds twice the particles).
-func fig4Worlds(o Fig4Options) (worlds []sweep.World) {
-	want := map[string]bool{}
-	for _, a := range o.Apps {
-		want[a] = true
-	}
-	for _, app := range fig4Apps {
-		if len(o.Apps) > 0 && !want[app] {
+// dedicated, no-adapt and Dyn-MPI worlds at size. The loaded worlds get
+// the paper's scenario: one CP on the 10th iteration, on node 1 (node 0
+// for particles, whose P0 holds twice the particles).
+func fig4Worlds(o Fig4Options, size Size) (worlds []sweep.World) {
+	for _, w := range size.inputs().fig4 {
+		if len(o.Apps) > 0 && !slices.Contains(o.Apps, w.App) {
 			continue
 		}
-		w := sweep.World{App: app}
-		switch {
-		case app == "cg" && o.Paper:
-			w.N, w.Iters, w.Cost = 14000, 75, 2750
-		case app == "cg":
-			w.N, w.Iters, w.Cost = 2000, 150, 4600
-		case app == "particles" && o.Paper:
-			w.Rows, w.Cols, w.Iters = 256, 256, 200
-		case app == "particles":
-			w.Rows, w.Cols, w.Iters, w.Cost = 128, 128, 250, 5000
-		case o.Paper:
-			w.Rows, w.Cols, w.Iters, w.Cost = 2048, 2048, 250, 40
-		default:
-			// Scaled for laptop runs; comp/comm ratios calibrated to the
-			// paper's testbed (see EXPERIMENTS.md).
-			w.Rows, w.Cols, w.Iters, w.Cost = 512, 512, 250, 600
-		}
 		cpNode := 1
-		if app == "particles" {
+		if w.App == "particles" {
 			cpNode = 0
 			w.ExtraAllP0 = 1 // "one node had twice as many particles": one more per cell
 		}
 		for _, n := range o.Nodes {
 			ded := w
 			ded.Spec = cluster.Uniform(n)
-			ded.Spec.Seed += o.Seed
 			non := ded
 			non.Spec = ded.Spec.With(cluster.CycleEvent(min(cpNode, n-1), 10, +1))
 			dyn := non
@@ -121,12 +91,9 @@ func fig4Worlds(o Fig4Options) (worlds []sweep.World) {
 	return worlds
 }
 
-// RunFig4 executes the Figure 4 matrix.
-func RunFig4(o Fig4Options) (*Fig4Result, error) {
-	if len(o.Nodes) == 0 {
-		o.Nodes = []int{2, 4, 8}
-	}
-	worlds := fig4Worlds(o)
+// RunFig4 executes the Figure 4 matrix at size.
+func RunFig4(o Fig4Options, size Size) (*Fig4Result, error) {
+	worlds := fig4Worlds(o, size)
 	out, err := runWorlds(worlds, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fig4: %w", err)
@@ -160,5 +127,7 @@ func (r *Fig4Result) Table() *Table {
 		})
 	}
 	t.Rows = append(t.Rows, []string{"mean", "", "", "", "", pct(r.Improvement()), ""})
+	t.Notes = []string{fmt.Sprintf("mean improvement over no-adapt: %s (paper: 72%%); mean slowdown vs dedicated: %s (paper: 29%%)",
+		pct(r.Improvement()), pct(r.Slowdown()))}
 	return t
 }

@@ -9,24 +9,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Fig5Options parameterises the multiple-redistribution-points experiment
-// (§5.2): Jacobi on 4 nodes, three equal periods, a competing process
-// active only during the second, and three policies — No Redist, Redist
-// Once, Redist Twice — at two period lengths (Short and Long).
-type Fig5Options struct {
-	Nodes int
-	// ShortPeriod and LongPeriod are the per-period cycle counts (the
-	// paper uses 50 and 500; the scaled defaults preserve the
-	// redistribution-cost-to-period ratio).
-	ShortPeriod, LongPeriod int
-	Paper                   bool
-}
-
-// DefaultFig5Options returns the scaled configuration.
-func DefaultFig5Options() Fig5Options {
-	return Fig5Options{Nodes: 4, ShortPeriod: 30, LongPeriod: 150}
-}
-
 // Fig5Run is one bar of the figure.
 type Fig5Run struct {
 	Test    string // "no-redist", "redist-once", "redist-twice"
@@ -49,48 +31,38 @@ type Fig5Result struct {
 // it may make, and no-redist does not adapt at all.
 var fig5Tests = []string{"no-redist", "redist-once", "redist-twice"}
 
-// fig5World is one bar's world: Jacobi over three periods of period cycles
-// with a CP on node 1 during the second, making at most maxRedists
-// redistributions (none at all when 0).
-func fig5World(nodes, period, maxRedists int, paper bool) sweep.World {
-	w := sweep.World{App: "jacobi", Rows: 2048, Cols: 2048, Cost: 40, Iters: 3 * period, RingCap: traceCap}
-	if !paper {
-		// Wide rows keep redistribution expensive relative to a cycle, the
-		// property that makes the second redistribution unprofitable for
-		// short periods (see EXPERIMENTS.md).
-		w.Rows, w.Cols, w.Cost = 512, 2048, 150
-	}
-	w.Core = core.DefaultConfig()
-	w.Core.Adapt = maxRedists > 0
-	w.Core.Drop = core.DropNever
-	w.Core.MaxRedists = maxRedists
-	w.Spec = cluster.Uniform(nodes).
-		With(cluster.CycleEvent(1, period, +1)).
-		With(cluster.CycleEvent(1, 2*period, -1))
-	return w
-}
-
-// RunFig5 executes the short and long variants of all three policies.
-func RunFig5(o Fig5Options) (*Fig5Result, error) {
-	if o.Nodes == 0 {
-		o.Nodes = 4
-	}
-	if o.ShortPeriod == 0 {
-		o.ShortPeriod = 30
-	}
-	if o.LongPeriod == 0 {
-		o.LongPeriod = 150
-	}
-	periods := []int{o.ShortPeriod, o.LongPeriod}
-	var worlds []sweep.World
-	for _, period := range periods {
+// fig5Worlds returns one world per bar, the short execution's three first:
+// Jacobi on 4 nodes over three periods of one of size's period lengths,
+// with a CP on node 1 during the second, making at most as many
+// redistributions as the bar's test allows (none at all for no-redist).
+func fig5Worlds(size Size) (worlds []sweep.World) {
+	in := size.inputs()
+	for _, period := range in.fig5Periods {
 		for maxRedists := range fig5Tests {
-			worlds = append(worlds, fig5World(o.Nodes, period, maxRedists, o.Paper))
+			w := in.fig5
+			w.Iters = 3 * period
+			w.RingCap = traceCap
+			w.Core = core.DefaultConfig()
+			w.Core.Adapt = maxRedists > 0
+			w.Core.Drop = core.DropNever
+			w.Core.MaxRedists = maxRedists
+			w.Spec = cluster.Uniform(4).
+				With(cluster.CycleEvent(1, period, +1)).
+				With(cluster.CycleEvent(1, 2*period, -1))
+			worlds = append(worlds, w)
 		}
 	}
+	return worlds
+}
+
+// RunFig5 executes the multiple-redistribution-points experiment (§5.2) at
+// size: three policies — No Redist, Redist Once, Redist Twice — at two
+// period lengths (Short and Long).
+func RunFig5(size Size) (*Fig5Result, error) {
+	worlds := fig5Worlds(size)
 	runs := make([]Fig5Run, len(worlds))
 	if _, err := runWorlds(worlds, func(i int, w sweep.Outcome) error {
-		period := periods[i/len(fig5Tests)]
+		period := worlds[i].Iters / 3
 		// A period ends when its last cycle's slowest node emits that
 		// cycle's iteration record.
 		var boundaries [3]float64

@@ -14,14 +14,15 @@ import (
 // distribution that keeps the loaded node against physically dropping it.
 type Fig6Options struct {
 	Nodes []int // paper: 8, 16, 32
-	CPs   []int // paper: 1, 2, 3
-	Paper bool
 }
 
-// DefaultFig6Options returns the paper's grid at laptop scale.
+// DefaultFig6Options returns the paper's node counts.
 func DefaultFig6Options() Fig6Options {
-	return Fig6Options{Nodes: []int{8, 16, 32}, CPs: []int{1, 2, 3}}
+	return Fig6Options{Nodes: []int{8, 16, 32}}
 }
+
+// fig6CPs are the competing-process counts of every node count's rows.
+var fig6CPs = []int{1, 2, 3}
 
 // Fig6Row is one (nodes, CPs) pair of bars.
 type Fig6Row struct {
@@ -36,42 +37,32 @@ type Fig6Result struct {
 	Rows []Fig6Row
 }
 
-// fig6World is one bar's world: SOR on nodes nodes with cps CPs on the
-// middle node from the start, under drop policy drop.
-func fig6World(nodes, cps int, drop core.DropPolicy, paper bool) sweep.World {
-	// Ultra-Sparc 5 (360MHz) scale.
-	w := sweep.World{App: "sor", Rows: 1024, Cols: 1024, Cost: 1500, Iters: 200, RingCap: traceCap}
-	if !paper {
-		// Sized so per-node cycles are much longer than the scheduler
-		// quantum on 8 nodes (competitor spikes average out within a cycle
-		// and keeping the loaded node pays off) but comparable to it on 32
-		// (lumpy inflation and communication costs make dropping win) —
-		// the crossover §5.3 demonstrates.
-		w.Rows, w.Iters = 512, 120
-	}
-	w.Core = core.DefaultConfig()
-	w.Core.Drop = drop
-	w.Spec = cluster.Uniform(nodes)
-	for i := 0; i < cps; i++ {
-		w.Spec = w.Spec.With(cluster.TimeEvent(nodes/2, 0, +1))
-	}
-	return w
-}
-
-// RunFig6 executes the keep-vs-drop grid.
-func RunFig6(o Fig6Options) (*Fig6Result, error) {
-	if len(o.Nodes) == 0 {
-		o.Nodes = []int{8, 16, 32}
-	}
-	if len(o.CPs) == 0 {
-		o.CPs = []int{1, 2, 3}
-	}
-	var worlds []sweep.World
+// fig6Worlds returns, for every (nodes, CPs) row in order, its keep and
+// drop worlds: SOR at size with the CPs on the middle node from the start,
+// under DropNever and DropAlways.
+func fig6Worlds(o Fig6Options, size Size) (worlds []sweep.World) {
+	base := size.inputs().fig6
 	for _, n := range o.Nodes {
-		for _, k := range o.CPs {
-			worlds = append(worlds, fig6World(n, k, core.DropNever, o.Paper), fig6World(n, k, core.DropAlways, o.Paper))
+		for _, k := range fig6CPs {
+			w := base
+			w.RingCap = traceCap
+			w.Spec = cluster.Uniform(n)
+			for i := 0; i < k; i++ {
+				w.Spec = w.Spec.With(cluster.TimeEvent(n/2, 0, +1))
+			}
+			for _, drop := range []core.DropPolicy{core.DropNever, core.DropAlways} {
+				w.Core = core.DefaultConfig()
+				w.Core.Drop = drop
+				worlds = append(worlds, w)
+			}
 		}
 	}
+	return worlds
+}
+
+// RunFig6 executes the keep-vs-drop grid at size.
+func RunFig6(o Fig6Options, size Size) (*Fig6Result, error) {
+	worlds := fig6Worlds(o, size)
 	avgs, _, err := steadyCycles(worlds)
 	if err != nil {
 		return nil, fmt.Errorf("fig6: %w", err)

@@ -13,17 +13,6 @@ func redist(cycle int, start, end float64) telemetry.RedistRecord {
 	return telemetry.RedistRecord{Base: telemetry.Base{K: telemetry.KindRedist, Cycle: cycle, Time: end}, StartVT: start}
 }
 
-func TestRedistWindow(t *testing.T) {
-	recs := []telemetry.RedistRecord{redist(8, 2.0, 2.5), redist(20, 5.0, 5.1)}
-	start, end, cycle, ok := redistWindow(recs)
-	if !ok || start != 2.0 || end != 2.5 || cycle != 8 {
-		t.Fatalf("redistWindow = %v %v %v %v", start, end, cycle, ok)
-	}
-	if _, _, _, ok := redistWindow(nil); ok {
-		t.Fatal("empty trace reported a window")
-	}
-}
-
 func TestLastRedistEnd(t *testing.T) {
 	s, c, ok := lastRedistEnd([]telemetry.RedistRecord{redist(8, 2.4, 2.5), redist(20, 5.0, 5.1)})
 	if !ok || s != 5.1 || c != 20 {

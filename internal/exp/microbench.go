@@ -43,10 +43,6 @@ type MicrobenchResult struct {
 
 // RunMicrobench measures the table and the method comparison.
 func RunMicrobench(o MicrobenchOptions) (*MicrobenchResult, error) {
-	if len(o.CPs) == 0 {
-		d := DefaultMicrobenchOptions()
-		o.CPs, o.Ratios = d.CPs, d.Ratios
-	}
 	res := &MicrobenchResult{
 		CPs: o.CPs, Ratios: o.Ratios,
 		Measured: map[int][]float64{}, Analytic: map[int][]float64{}, Naive: map[int]float64{},

@@ -117,7 +117,7 @@ func TestDecisionsReplayFromRecords(t *testing.T) {
 	// Each Figure 4 row's Dyn-MPI world (its third), the two method
 	// comparison worlds and the drop-auto world, traced.
 	var worlds []sweep.World
-	for i, w := range fig4Worlds(DefaultFig4Options()) {
+	for i, w := range fig4Worlds(DefaultFig4Options(), Scaled) {
 		if i%3 == 2 {
 			w.RingCap = traceCap
 			worlds = append(worlds, w)

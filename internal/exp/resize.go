@@ -75,15 +75,6 @@ func (r *ResizeResult) CheaperCount() int {
 // RunResize executes the resize-vs-restart study: grow 4→6 via timed
 // capacity arrivals, shrink 6→4 via an explicit Resize call.
 func RunResize(o ResizeOptions) (*ResizeResult, error) {
-	if o.Rows == 0 {
-		o.Rows = 512
-	}
-	if o.Cols == 0 {
-		o.Cols = 512
-	}
-	if o.Iters == 0 {
-		o.Iters = 60
-	}
 	if o.At == 0 {
 		o.At = o.Iters / 3
 	}
@@ -179,5 +170,6 @@ func (r *ResizeResult) Table() *Table {
 			f2(row.MovedMB), f2(row.TotalMB),
 		})
 	}
+	t.Notes = []string{fmt.Sprintf("elastic resize beats drop-all+restart on %d of %d scenarios", r.CheaperCount(), len(r.Rows))}
 	return t
 }

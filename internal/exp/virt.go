@@ -140,9 +140,6 @@ func tagExtra(t, extra int) int { return 1000 + t*64 + extra }
 
 // RunVirt executes the granularity sweep.
 func RunVirt(o VirtOptions) (*VirtResult, error) {
-	if o.Nodes == 0 {
-		o = DefaultVirtOptions()
-	}
 	out := &VirtResult{}
 	for _, v := range o.Factors {
 		row, err := runVirtCase(o, v)
