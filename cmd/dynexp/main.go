@@ -12,7 +12,7 @@
 //	dynexp virt        — virtualisation ablation (scheduler floor calibration)
 //	dynexp trace       — canonical loaded-4-node run with structured telemetry
 //	dynexp scale       — large-world collective soak (64/256/1024 ranks)
-//	dynexp overlap     — nonblocking halo overlap and redistribution stall study
+//	dynexp overlap     — nonblocking halo overlap study
 //	dynexp rma         — one-sided (RMA) replica refresh vs paired send/recv
 //	dynexp resize      — elastic world resizing vs drop-all+restart
 //	dynexp sweep       — multi-world parameter sweep on a pool of independent worlds
@@ -22,8 +22,8 @@
 // that have them — fig4, cg-table, fig5, fig6 and fig7 — and -paper all runs
 // those five; the default scaled inputs preserve the
 // computation/communication ratios (see EXPERIMENTS.md). -nodes sets the
-// node counts of fig4, fig6, overlap and rma. Either flag on a subcommand
-// that does not read it is an error.
+// node counts of fig4, fig6, overlap and rma. Any flag set on a subcommand
+// that does not read it is an error (exit status 2).
 //
 // The trace subcommand attaches a telemetry sink to the runtime: -trace
 // out.jsonl writes the structured record stream (iteration, decision,
@@ -108,12 +108,13 @@ func checkCounts(replicaEvery, scaleN, jobs int) error {
 	return nil
 }
 
-// study is a subcommand that prints one table: nodes marks the studies that
-// read -nodes, paper the ones with paper inputs (-paper).
-type study struct {
-	name         string
-	nodes, paper bool
-	run          func(nodes []int, size exp.Size) (*exp.Table, error)
+// command is one subcommand: the flags it reads besides the profile flags
+// (-cpuprofile, -memprofile), which every subcommand reads, and for a study
+// that prints one table, how to run it.
+type command struct {
+	name  string
+	flags []string
+	run   func(nodes []int, size exp.Size) (*exp.Table, error) // nil for trace, scale, sweep and all
 }
 
 // table returns a study result's table, or the study's error.
@@ -132,102 +133,104 @@ func orDefault(nodes, def []int) []int {
 	return nodes
 }
 
-// studies lists the table subcommands in the order all runs them.
-var studies = []study{
-	{"fig4", true, true, func(nodes []int, size exp.Size) (*exp.Table, error) {
+// commands lists every subcommand, the studies in the order all runs them.
+// A set flag its subcommand does not read is an error.
+var commands = []command{
+	{"fig4", []string{"paper", "nodes"}, func(nodes []int, size exp.Size) (*exp.Table, error) {
 		o := exp.DefaultFig4Options()
 		o.Nodes = orDefault(nodes, o.Nodes)
 		return table(exp.RunFig4(o, size))
 	}},
-	{"cg-table", false, true, func(_ []int, size exp.Size) (*exp.Table, error) { return table(exp.RunCGTable(size)) }},
-	{"fig5", false, true, func(_ []int, size exp.Size) (*exp.Table, error) { return table(exp.RunFig5(size)) }},
-	{"fig6", true, true, func(nodes []int, size exp.Size) (*exp.Table, error) {
+	{"cg-table", []string{"paper"}, func(_ []int, size exp.Size) (*exp.Table, error) { return table(exp.RunCGTable(size)) }},
+	{"fig5", []string{"paper"}, func(_ []int, size exp.Size) (*exp.Table, error) { return table(exp.RunFig5(size)) }},
+	{"fig6", []string{"paper", "nodes"}, func(nodes []int, size exp.Size) (*exp.Table, error) {
 		o := exp.DefaultFig6Options()
 		o.Nodes = orDefault(nodes, o.Nodes)
 		return table(exp.RunFig6(o, size))
 	}},
-	{"fig7", false, true, func(_ []int, size exp.Size) (*exp.Table, error) { return table(exp.RunFig7(size)) }},
-	{"alloc", false, false, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunAlloc()) }},
-	{"microbench", false, false, func([]int, exp.Size) (*exp.Table, error) {
+	{"fig7", []string{"paper"}, func(_ []int, size exp.Size) (*exp.Table, error) { return table(exp.RunFig7(size)) }},
+	{"alloc", nil, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunAlloc()) }},
+	{"microbench", nil, func([]int, exp.Size) (*exp.Table, error) {
 		return table(exp.RunMicrobench(exp.DefaultMicrobenchOptions()))
 	}},
-	{"virt", false, false, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunVirt(exp.DefaultVirtOptions())) }},
-	{"overlap", true, false, func(nodes []int, _ exp.Size) (*exp.Table, error) {
+	{"virt", nil, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunVirt(exp.DefaultVirtOptions())) }},
+	{"overlap", []string{"nodes"}, func(nodes []int, _ exp.Size) (*exp.Table, error) {
 		o := exp.DefaultOverlapOptions()
 		o.Nodes = orDefault(nodes, o.Nodes)
 		return table(exp.RunOverlap(o))
 	}},
-	{"rma", true, false, func(nodes []int, _ exp.Size) (*exp.Table, error) {
+	{"rma", []string{"nodes"}, func(nodes []int, _ exp.Size) (*exp.Table, error) {
 		o := exp.DefaultRMAOptions()
 		o.Nodes = orDefault(nodes, o.Nodes)
 		return table(exp.RunRMA(o))
 	}},
-	{"resize", false, false, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunResize(exp.DefaultResizeOptions())) }},
+	{"resize", nil, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunResize(exp.DefaultResizeOptions())) }},
+	{"trace", []string{"trace", "summary", "fault", "replicate", "replica-every"}, nil},
+	{"scale", []string{"scale-n", "trace"}, nil},
+	{"sweep", []string{"smoke", "grid", "jobs", "out", "stream"}, nil},
+	// all passes -nodes on to the studies that read it.
+	{"all", []string{"paper", "nodes"}, nil},
 }
 
-var (
-	anyStudy   = func(study) bool { return true }
-	readsNodes = func(st study) bool { return st.nodes }
-	hasPaper   = func(st study) bool { return st.paper }
-)
+// reads reports whether subcommand c reads flag f.
+func (c command) reads(f string) bool {
+	return f == "cpuprofile" || f == "memprofile" || slices.Contains(c.flags, f)
+}
 
-// studyNames returns the names of the studies keep selects, in list order.
-func studyNames(keep func(study) bool) []string {
-	var names []string
-	for _, st := range studies {
-		if keep(st) {
-			names = append(names, st.name)
+// names returns the names of the commands keep selects, in list order.
+func names(keep func(command) bool) []string {
+	var out []string
+	for _, c := range commands {
+		if keep(c) {
+			out = append(out, c.name)
 		}
 	}
-	return names
+	return out
 }
 
-// find returns the study named name, or for trace, scale and sweep the zero
-// study, which reads neither -nodes nor -paper.
-func find(name string) study {
-	for _, st := range studies {
-		if st.name == name {
-			return st
+// study reports whether c prints one table.
+func study(c command) bool { return c.run != nil }
+
+// readers returns the studies that read flag f.
+func readers(f string) []string {
+	return names(func(c command) bool { return study(c) && c.reads(f) })
+}
+
+// find returns the subcommand named name.
+func find(name string) command {
+	i := slices.IndexFunc(commands, func(c command) bool { return c.name == name })
+	return commands[i]
+}
+
+// selectStudies returns the subcommands target runs, and rejects a set flag
+// target does not read, naming it: all runs every study (with -paper,
+// every study that has paper inputs).
+func selectStudies(target string, set []string) ([]string, error) {
+	c := find(target)
+	for _, f := range set {
+		if !c.reads(f) {
+			return nil, fmt.Errorf("-%s: %s does not read it (read by: %s)", f, target,
+				strings.Join(names(func(c command) bool { return c.reads(f) }), ", "))
 		}
 	}
-	return study{}
-}
-
-// subcommands returns every subcommand dynexp accepts.
-func subcommands() []string {
-	return append(studyNames(anyStudy), "trace", "scale", "sweep", "all")
-}
-
-// selectStudies returns the subcommands target runs, and rejects -paper and
-// -nodes on a target that reads neither: all runs every study (with
-// -paper, every study that has paper inputs), and -nodes reaches those of
-// them that read it.
-func selectStudies(target string, paper, nodes bool) ([]string, error) {
-	if target == "all" {
-		if paper {
-			return studyNames(hasPaper), nil
-		}
-		return studyNames(anyStudy), nil
+	switch {
+	case target != "all":
+		return []string{target}, nil
+	case slices.Contains(set, "paper"):
+		return readers("paper"), nil
 	}
-	st := find(target)
-	if paper && !st.paper {
-		return nil, fmt.Errorf("-paper: %s has no paper inputs (only %s do)", target, strings.Join(studyNames(hasPaper), ", "))
-	}
-	if nodes && !st.nodes {
-		return nil, fmt.Errorf("-nodes: %s does not read it (only %s do)", target, strings.Join(studyNames(readsNodes), ", "))
-	}
-	return []string{target}, nil
+	return names(study), nil
 }
 
 func usage() {
 	fmt.Fprintf(os.Stderr, "usage: dynexp [-paper] [-nodes n,n,...] [-trace out.jsonl] [-summary] [-fault specs] [-replicate] [-replica-every n] [-scale-n n] [-smoke] [-grid spec] [-jobs n] [-out f.jsonl] [-stream] [-cpuprofile f] [-memprofile f] {%s}\n",
-		strings.Join(subcommands(), "|"))
+		strings.Join(names(func(command) bool { return true }), "|"))
 	os.Exit(2)
 }
 
 func main() {
-	paper := flag.Bool("paper", false, "run the paper's own inputs ("+strings.Join(studyNames(hasPaper), "/")+" only)")
-	nodesFlag := flag.String("nodes", "", "comma-separated node counts ("+strings.Join(studyNames(readsNodes), "/")+" only)")
+	paper := flag.Bool("paper", false, "run the paper's own inputs ("+strings.Join(readers("paper"), "/")+" only)")
+	nodesFlag := flag.String("nodes", "", "comma-separated node counts ("+strings.Join(readers("nodes"), "/")+" only)")
 	traceFile := flag.String("trace", "", "write the telemetry record stream as JSONL to this file (trace subcommand)")
 	summary := flag.Bool("summary", false, "print a telemetry aggregation table (trace subcommand)")
 	faultSpecs := flag.String("fault", "", "';'-separated fault specs to inject, e.g. 'crash:node=2,cycle=12' (trace subcommand)")
@@ -283,16 +286,17 @@ func main() {
 	}
 
 	target := flag.Arg(0)
-	if !slices.Contains(subcommands(), target) {
+	if !slices.ContainsFunc(commands, func(c command) bool { return c.name == target }) {
 		usage()
 	}
 	nodes, err := parseNodes(*nodesFlag)
 	if err == nil {
 		err = checkCounts(*replicaEvery, *scaleN, *jobs)
 	}
-	var names []string
+	var set, selected []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	if err == nil {
-		names, err = selectStudies(target, *paper, nodes != nil)
+		selected, err = selectStudies(target, set)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dynexp: %v\n", err)
@@ -436,7 +440,7 @@ func main() {
 		return nil
 	}
 
-	for _, name := range names {
+	for _, name := range selected {
 		if err := run(name); err != nil {
 			fmt.Fprintf(os.Stderr, "dynexp %s: %v\n", name, err)
 			stopProfiles()

@@ -32,8 +32,11 @@ func TestBadInputExitsWithAnError(t *testing.T) {
 	}{
 		{[]string{"-fault", "crash:node=9", "trace"}, "node 9 out of range [0,4)", 1},
 		{[]string{"-smoke", "-grid", "scen=cg;resize=grow", "-jobs", "1", "sweep"}, "resize grow needs mid-run joiners, which scenario cg does not support", 1},
-		{[]string{"-paper", "alloc"}, "-paper: alloc has no paper inputs", 2},
+		{[]string{"-paper", "alloc"}, "-paper: alloc does not read it", 2},
 		{[]string{"-nodes", "8", "fig5"}, "-nodes: fig5 does not read it", 2},
+		{[]string{"-fault", "crash:node=2,cycle=12", "virt"}, "-fault: virt does not read it", 2},
+		{[]string{"-smoke", "fig4"}, "-smoke: fig4 does not read it", 2},
+		{[]string{"-scale-n", "64", "trace"}, "-scale-n: trace does not read it", 2},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "DYNEXP_TEST_ARGS="+strings.Join(tc.args, "\n"))

@@ -88,18 +88,6 @@ const (
 	DropLogical = core.DropLogical
 )
 
-// Redistribution commit modes for Config.RedistMode (the zero value
-// RedistPipelined commits in schedule order, so virtual timelines do not
-// depend on physical arrival order; RedistRMA has each sender Put its dense
-// slabs straight into the receiver's array under one pairwise epoch per
-// sender and receiver — rows bound for a rank a resize just admitted
-// included — and moves sparse arrays, and every failure recovery, as
-// RedistPipelined does).
-const (
-	RedistPipelined = core.RedistPipelined
-	RedistRMA       = core.RedistRMA
-)
-
 // Access modes for AddAccess.
 const (
 	Read      = drsd.Read

@@ -51,14 +51,13 @@ func TestNilSinkHotPathsAllocFree(t *testing.T) {
 
 // TestRedistributionAllocFree pins redist.go's pool invariant: once the slab
 // pools and every scratch list have grown to the shape, a dense array's
-// redistribution allocates nothing, in either commit mode. Four ranks move a
-// 256×16 array with ±1 ghosts between two blocks that shift every boundary;
-// a world of 800 redistributions less a world of 400 is what 400 cost. On
-// one P with the collector held off the pools never miss, and 200 runs read
-// −1 to 0 in either mode; the slack, for the whole run and not each
-// redistribution, is the margin the collective engine's test allows the
-// runtime. A single object per rank-redistribution would cost 1 600; one
-// per receiving rank, as a window memory boxed at attach, about 800.
+// redistribution allocates nothing. Four ranks move a 256×16 array with ±1
+// ghosts between two blocks that shift every boundary; a world of 800
+// redistributions less a world of 400 is what 400 cost. On one P with the
+// collector held off the pools never miss, and 200 runs read −1 to 0; the
+// slack, for the whole run and not each redistribution, is the margin the
+// collective engine's test allows the runtime. A single object per
+// rank-redistribution would cost 1 600.
 func TestRedistributionAllocFree(t *testing.T) {
 	if alloctest.Race {
 		t.Skip("under the race detector sync.Pool drops a quarter of its Puts")
@@ -68,38 +67,34 @@ func TestRedistributionAllocFree(t *testing.T) {
 		redists           = 400
 		slack             = 64
 	)
-	for _, mode := range []RedistMode{RedistPipelined, RedistRMA} {
-		mallocs := alloctest.Extra(redists, func(k int) {
-			err := mpi.Run(cluster.New(cluster.Uniform(ranks)), func(c *mpi.Comm) error {
-				cfg := DefaultConfig()
-				cfg.RedistMode = mode
-				rt := New(c, cfg)
-				rt.RegisterDense("X", rows, cols)
-				ph := rt.InitPhase(rows)
-				ph.AddAccess("X", drsd.ReadWrite, 1, 0)
-				ph.AddAccess("X", drsd.Read, 1, -1)
-				ph.AddAccess("X", drsd.Read, 1, 1)
-				rt.Commit()
-				all := []int{0, 1, 2, 3}
-				blocks := [2]*drsd.Block{
-					drsd.NewBlock(all, []int{56, 72, 56, 72}),
-					drsd.NewBlock(all, []int{72, 56, 72, 56}),
-				}
-				for i := 0; i < 8+k; i++ { // 8 grow the pools and scratch lists
-					rt.applyDistribution(blocks[i%2], nil)
-				}
-				rt.Finalize()
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+	mallocs := alloctest.Extra(redists, func(k int) {
+		err := mpi.Run(cluster.New(cluster.Uniform(ranks)), func(c *mpi.Comm) error {
+			rt := New(c, DefaultConfig())
+			rt.RegisterDense("X", rows, cols)
+			ph := rt.InitPhase(rows)
+			ph.AddAccess("X", drsd.ReadWrite, 1, 0)
+			ph.AddAccess("X", drsd.Read, 1, -1)
+			ph.AddAccess("X", drsd.Read, 1, 1)
+			rt.Commit()
+			all := []int{0, 1, 2, 3}
+			blocks := [2]*drsd.Block{
+				drsd.NewBlock(all, []int{56, 72, 56, 72}),
+				drsd.NewBlock(all, []int{72, 56, 72, 56}),
 			}
+			for i := 0; i < 8+k; i++ { // 8 grow the pools and scratch lists
+				rt.applyDistribution(blocks[i%2], nil)
+			}
+			rt.Finalize()
+			return nil
 		})
-		t.Logf("mode %d: %d mallocs over %d extra redistributions on %d ranks", mode, mallocs, redists, ranks)
-		if mallocs > slack {
-			t.Errorf("mode %d: %d redistributions on %d ranks cost %d mallocs, want at most %d",
-				mode, redists, ranks, mallocs, slack)
+		if err != nil {
+			t.Fatal(err)
 		}
+	})
+	t.Logf("%d mallocs over %d extra redistributions on %d ranks", mallocs, redists, ranks)
+	if mallocs > slack {
+		t.Errorf("%d redistributions on %d ranks cost %d mallocs, want at most %d",
+			redists, ranks, mallocs, slack)
 	}
 }
 

@@ -99,9 +99,6 @@ type Config struct {
 	// hides the wire. Recovery content is identical to the paired path at
 	// the same ReplicaEvery staleness.
 	ReplicaRMA bool
-	// RedistMode selects how redistribution Phase 3 moves and commits
-	// incoming slabs; see the constants.
-	RedistMode RedistMode
 	// Telemetry, when non-nil, receives a structured record for every
 	// adaptation action: per-cycle iteration breakdowns, distribution
 	// decisions with the candidates considered, redistribution volumes and
@@ -122,28 +119,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// RedistMode selects the Phase 3 strategy of applyDistribution.
-type RedistMode int
-
-const (
-	// RedistPipelined (default): post all Irecvs up front, Isend the
-	// outgoing slabs, then wait on and commit each receive in schedule order
-	// with replay-priced Waits — virtual clocks, traces and checksums are
-	// those of one blocking receive per transfer in schedule order, whatever
-	// physical order the slabs arrive in.
-	RedistPipelined RedistMode = iota
-	// RedistRMA commits dense transfers through one-sided windows
-	// (rma.go): after the resident windows resize, each receiver exposes
-	// its new window to the ranks the schedule has sending to it, and they
-	// Put packed row slabs directly at destination offsets computed from
-	// the schedule, collapsing the Phase-3 receive/commit into one pairwise
-	// epoch per (sender, receiver). The receiver pays no per-message CPU
-	// and no commit touches (the deposit is a modelled DMA). Sparse arrays
-	// and failure recoveries go through the pipelined drain. Opt-in: the
-	// virtual timeline differs from the pipelined one.
-	RedistRMA
-)
-
 type adaptState int
 
 const (
@@ -153,7 +128,7 @@ const (
 )
 
 // regArray is one registered redistributable array and what the runtime keeps
-// per array: accesses, buddy replica, and the windows that move its rows.
+// per array: accesses, buddy replica, and the window its replica arrives by.
 type regArray struct {
 	name     string
 	dense    *matrix.Dense
@@ -161,9 +136,8 @@ type regArray struct {
 	accesses []drsd.Access // sized for a stencil's three at registration
 	index    int           // registration index: tag offset, position in Runtime.arrays
 
-	rep    *replica    // the ring predecessor's rows; nil until one is stored or staged
-	wins   [2]*mpi.Win // by winKind (rma.go); dense arrays only
-	winMem denseWinMem // the redistribution window's memory, attached by pointer
+	rep *replica // the ring predecessor's rows; nil until one is stored or staged
+	win *mpi.Win // the replica window (rma.go); dense arrays only
 }
 
 // Runtime is one rank's Dyn-MPI runtime instance.
@@ -215,24 +189,22 @@ type Runtime struct {
 	recoveredRows int             // total rows reconstructed from replicas
 	replicaStall  vclock.Duration // receive-side stall accumulated by refreshes
 
-	// One-sided replica/redistribution state (rma.go); the windows themselves
-	// are per array, on regArray.
-	repRanks    []int      // replica-group member list at the last open
-	repPrev     int        // ring predecessor at the last open (world rank)
-	repNext     int        // ring successor at the last open (world rank)
-	repOpen     bool       // a replica epoch is open (deposits or handshake pending)
-	repPend     repRange   // range Put into this rank's windows this epoch
-	redistGroup *mpi.Group // group the redistribution windows span
+	// One-sided replica state (rma.go); the windows themselves are per
+	// array, on regArray.
+	repRanks []int    // replica-group member list at the last open
+	repPrev  int      // ring predecessor at the last open (world rank)
+	repNext  int      // ring successor at the last open (world rank)
+	repOpen  bool     // a replica epoch is open (deposits or handshake pending)
+	repPend  repRange // range Put into this rank's windows this epoch
 
 	// Redistribution scratch, reused across applyDistribution calls so a
 	// steady stream of redistributions performs no per-call allocation for
 	// schedules or bookkeeping (see redist.go for the slab pool invariants).
-	schedBuf  []drsd.Transfer
-	destBuf   []int
-	outsBuf   []redistOut
-	insBuf    []redistIn
-	reqBuf    []*mpi.Request
-	originBuf []int // the ranks Putting into this rank's window (rma.go)
+	schedBuf []drsd.Transfer
+	destBuf  []int
+	outsBuf  []redistOut
+	insBuf   []redistIn
+	reqBuf   []*mpi.Request
 
 	// Load-exchange scratch: the per-cycle allgather of load readings goes
 	// through the unboxed float64 collective when no removed-node sidecar is

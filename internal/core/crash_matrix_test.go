@@ -216,30 +216,22 @@ func TestCrashTimeMatrix(t *testing.T) {
 	scenario := func() cluster.Spec { return cpAtCycle(cluster.Uniform(4), 1, 3) }
 	type cell struct {
 		name       string
-		mode       RedistMode
 		replicate  bool
 		rma        bool
 		withSparse bool
 	}
-	var cells []cell
-	for _, m := range []struct {
-		name string
-		mode RedistMode
-	}{{"pipelined", RedistPipelined}, {"rma", RedistRMA}} {
-		cells = append(cells,
-			cell{m.name + "/norep", m.mode, false, false, false},
-			cell{m.name + "/paired", m.mode, true, false, false},
-			cell{m.name + "/replicaRMA", m.mode, true, true, false})
+	// The sparse cell sends a sparse array through the same drain as the
+	// dense one beside it.
+	cells := []cell{
+		{"norep", false, false, false},
+		{"paired", true, false, false},
+		{"replicaRMA", true, true, false},
+		{"paired/sparse", true, false, true},
 	}
-	// A sparse array beside the dense one sends RedistRMA through its
-	// message-passing fallback drain in the same redistribution that commits
-	// the dense array one-sided.
-	cells = append(cells, cell{"rma/paired/sparse", RedistRMA, true, false, true})
 
 	for _, cl := range cells {
 		cfg := DefaultConfig()
 		cfg.Drop = DropNever
-		cfg.RedistMode = cl.mode
 		cfg.Replicate = cl.replicate
 		cfg.ReplicaRMA = cl.rma
 		if cl.replicate {
@@ -519,7 +511,7 @@ func TestGrowSurvivesTimedRootCrash(t *testing.T) {
 	}{
 		{"dropnever", false, func(*Config) {}},
 		{"replicate", false, func(c *Config) { c.Replicate = true }},
-		{"rma", false, func(c *Config) { c.Replicate, c.ReplicaRMA, c.RedistMode = true, true, RedistRMA }},
+		{"rma", false, func(c *Config) { c.Replicate, c.ReplicaRMA = true, true }},
 		{"removed", true, func(c *Config) { c.Drop = DropAlways }},
 		{"removed/rejoin", true, func(c *Config) { c.Drop, c.AllowRejoin = DropAlways, true }},
 	}

@@ -19,13 +19,12 @@ import (
 //     may immediately shrink the membership (absorbFailure) and retry over
 //     the rebuilt group.
 //   - Point-to-point errors inside a redistribution or a recovery (a failed
-//     slab receive, or a failed epoch start or wait of the one-sided commit)
-//     may be observed by only some ranks, but the protocol ends in a barrier
-//     over the group the dead rank belonged to, which fails for every
-//     member. Those sites only record the death (absorbDead) — an
-//     asymmetric group rebuild there could leave peers waiting on a group
-//     the observer abandoned — and by the next cycle boundary every
-//     survivor holds the same pending set.
+//     slab receive) may be observed by only some ranks, but the protocol
+//     ends in a barrier over the group the dead rank belonged to, which
+//     fails for every member. Those sites only record the death
+//     (absorbDead) — an asymmetric group rebuild there could leave peers
+//     waiting on a group the observer abandoned — and by the next cycle
+//     boundary every survivor holds the same pending set.
 //   - Point-to-point errors at a replica refresh site (paired receive,
 //     epoch start/complete/wait) are seen by the dead rank's ring
 //     neighbours only, and no collective trails the refresh. A neighbour

@@ -47,7 +47,7 @@ func (rt *Runtime) commitSlab(a *regArray, lo, hi int, payload any) {
 //   - Slabs are resized with cap-preserving reslices, so steady-state
 //     redistribution reaches a fixed point where Get returns buffers big
 //     enough to need no growth: a dense array's redistribution allocates
-//     nothing, in either RedistMode (TestRedistributionAllocFree). A sparse
+//     nothing (TestRedistributionAllocFree). A sparse
 //     array's costs one malloc per rank: Sparse.SetWindow builds a fresh
 //     top-level row vector.
 //   - All packing/unpacking is host-side batching only. The virtual costs
@@ -107,11 +107,8 @@ func putSparseSlab(s *sparseSlab) {
 const neighbourSlabs = 4
 
 // redistOut is one outgoing transfer staged during the extraction phase.
-// lo is the transfer's first global row — the one-sided commit derives the
-// destination window offset from it.
 type redistOut struct {
 	to    int
-	lo    int
 	dense *denseSlab
 	spars *sparseSlab
 	rows  int
@@ -256,7 +253,7 @@ func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist 
 		if tr.From != me {
 			continue
 		}
-		m := redistOut{to: tr.To, lo: tr.Lo, rows: tr.Hi - tr.Lo}
+		m := redistOut{to: tr.To, rows: tr.Hi - tr.Lo}
 		if a.dense == nil {
 			m.spars = getSparseSlab()
 			a.sparse.PackRowsTo(&m.spars.p, tr.Lo, tr.Hi)
@@ -298,8 +295,7 @@ func (rt *Runtime) extractAndResize(a *regArray, sched []drsd.Transfer, newDist 
 // that stays — and (4) exchanges exactly the rows the schedule demands.
 // A failure recovery is the same redistribution with the dead ranks of the
 // current distribution in dead: their rows cannot ship, so the drain serves
-// them from buddy replicas or declares them lost, and no window exposes them
-// (RedistRMA stays load-driven only). All active ranks call this
+// them from buddy replicas or declares them lost. All active ranks call this
 // collectively with identical arguments.
 func (rt *Runtime) applyDistribution(newDist *drsd.Block, dead []int) {
 	p := rt.beginRedist(newDist, dead)
@@ -308,15 +304,9 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block, dead []int) {
 		sched := rt.scheduleFor(a, newDist)
 		outs := rt.extractAndResize(a, sched, newDist)
 
-		// Phase 3: exchange exactly the rows the schedule demands — dense
-		// arrays one-sided when asked to, everything else through the
-		// message-passing drain.
+		// Phase 3: exchange exactly the rows the schedule demands.
 		mv := telemetry.ArrayMove{Name: a.name}
-		if rt.cfg.RedistMode == RedistRMA && a.dense != nil && len(dead) == 0 {
-			rt.rmaRedistArray(a, sched, outs, &mv, &p)
-		} else {
-			rt.drainArray(a, sched, outs, &mv, &p)
-		}
+		rt.drainArray(a, sched, outs, &mv, &p)
 		p.moved(mv)
 	}
 

@@ -305,8 +305,7 @@ func runReshape(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, step
 // reshapeCfgs are the configurations the multi-step reshape suites sweep:
 // the default message-passing paths, the same with automatic rejoin on (the
 // ranks a Resize released must stay out on every member, joiners included),
-// and the full one-sided configuration (RMA redistribution with joiner fetch,
-// PSCW replica refresh).
+// and the one-sided replica refresh (PSCW).
 func reshapeCfgs() map[string]Config {
 	base := DefaultConfig()
 	base.Drop = DropNever
@@ -314,7 +313,6 @@ func reshapeCfgs() map[string]Config {
 	rejoin.AllowRejoin = true
 	rma := DefaultConfig()
 	rma.Drop = DropNever
-	rma.RedistMode = RedistRMA
 	rma.Replicate = true
 	rma.ReplicaEvery = 1
 	rma.ReplicaRMA = true

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
@@ -253,94 +252,6 @@ func TestReplicaRefreshRMAStallReduction(t *testing.T) {
 	}
 }
 
-// redistRMACfg enables the one-sided redistribution commit alongside
-// one-sided replication (the richest window-interleaving configuration).
-func redistRMACfg() Config {
-	cfg := replicaRMACfg()
-	cfg.RedistMode = RedistRMA
-	return cfg
-}
-
-// TestRedistRMAEquivalence: the direct-slab commit must move the same rows
-// to the same owners with the same values as the default drain — only the
-// virtual cost may differ. Both runs end with every row at its exact
-// fault-free value and identical distributions.
-func TestRedistRMAEquivalence(t *testing.T) {
-	const n, cycles = 64, 25
-	scenario := func() cluster.Spec { return cpAtCycle(cluster.Uniform(4), 1, 3) }
-
-	ref := DefaultConfig()
-	ref.Drop = DropNever
-	refRes := runMini(t, scenario(), ref, n, cycles, false)
-	checkValuesAndCoverage(t, refRes, n)
-	if refRes[0].redists == 0 {
-		t.Fatal("scenario produced no redistribution; suite is vacuous")
-	}
-
-	rma := DefaultConfig()
-	rma.Drop = DropNever
-	rma.RedistMode = RedistRMA
-	rmaRes, leaked := runRMAMini(t, scenario(), rma, n, 4, cycles)
-	checkRMAValues(t, rmaRes, n)
-	if leaked != 0 {
-		t.Fatalf("%d deposits leaked", leaked)
-	}
-	for r, res := range rmaRes {
-		if res.redists != refRes[r].redists {
-			t.Errorf("rank %d: %d redistributions via RMA vs %d pipelined", r, res.redists, refRes[r].redists)
-		}
-		for i := range res.counts {
-			if res.counts[i] != refRes[r].counts[i] {
-				t.Fatalf("rank %d distribution diverged: %v vs %v", r, res.counts, refRes[r].counts)
-			}
-		}
-	}
-
-	// The one-sided commit itself must be deterministic across runs.
-	again, _ := runRMAMini(t, scenario(), rma, n, 4, cycles)
-	for r, res := range rmaRes {
-		if again[r].final != res.final {
-			t.Errorf("rank %d finish differs across identical RMA runs: %v vs %v", r, res.final, again[r].final)
-		}
-	}
-
-	// Through a resize the same holds for the rows a joiner receives (it
-	// owns nothing beforehand, so every one of its rows arrives by Put) and
-	// for the rows a leaver hands back.
-	for _, tc := range []struct {
-		name             string
-		spec             cluster.Spec
-		resizeAt, resize int
-		ranks            int
-	}{
-		{"grow 4->6", cluster.Uniform(4).WithArrival(1.0, 10).WithArrival(1.0, 10), 0, 0, 6},
-		{"shrink 6->4", cluster.Uniform(6), 10, 4, 4},
-	} {
-		ref.RedistMode, rma.RedistMode = RedistPipelined, RedistRMA
-		want := runElastic(t, tc.spec, ref, n, 30, tc.resizeAt, tc.resize)
-		got := runElastic(t, tc.spec, rma, n, 30, tc.resizeAt, tc.resize)
-		checkValuesAndCoverage(t, got, n)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d ranks reported via RMA, %d pipelined", tc.name, len(got), len(want))
-		}
-		wantSent, wantRecv, _ := sumRedistBytes(recordsOf(want))
-		gotSent, gotRecv, _ := sumRedistBytes(recordsOf(got))
-		if gotSent != wantSent || gotRecv != wantRecv || gotSent == 0 {
-			t.Errorf("%s: redistributed %d/%d bytes sent/received via RMA, %d/%d pipelined", tc.name, gotSent, gotRecv, wantSent, wantRecv)
-		}
-		for r, res := range got {
-			w := want[r]
-			if res.redists != w.redists || res.removed != w.removed || res.lost != w.lost || res.lost != 0 {
-				t.Errorf("%s rank %d: redists/removed/lost %d/%v/%d via RMA, %d/%v/%d pipelined",
-					tc.name, r, res.redists, res.removed, res.lost, w.redists, w.removed, w.lost)
-			}
-			if !res.removed && (len(res.counts) != tc.ranks || !slices.Equal(res.counts, w.counts)) {
-				t.Errorf("%s rank %d: distribution %v via RMA, %v pipelined, want %d ranks", tc.name, r, res.counts, w.counts, tc.ranks)
-			}
-		}
-	}
-}
-
 // recordsOf collects each rank's records for sumRedistBytes.
 func recordsOf(results map[int]*miniResult) map[int][]telemetry.Record {
 	recs := map[int][]telemetry.Record{}
@@ -348,30 +259,4 @@ func recordsOf(results map[int]*miniResult) map[int][]telemetry.Record {
 		recs[r] = res.recs
 	}
 	return recs
-}
-
-// TestRedistRMAWithCrash drives the combined configuration — one-sided
-// refresh, one-sided redistribution, a load-triggered redistribution, and
-// a later crash — through recovery: values stay exact (replication covers
-// the dead rank), every row stays owned, and no deposit leaks even though
-// both window families were rebuilt mid-run.
-func TestRedistRMAWithCrash(t *testing.T) {
-	spec := cpAtCycle(cluster.Uniform(4), 1, 3)
-	spec.Faults = []fault.Fault{fault.CrashAtCycle(2, 9)}
-	results, leaked := runRMAMini(t, spec, redistRMACfg(), 64, 4, 25)
-	if len(results) != 3 {
-		t.Fatalf("%d ranks reported, want the 3 survivors", len(results))
-	}
-	checkRMAValues(t, results, 64)
-	for r, res := range results {
-		if res.lost != 0 {
-			t.Errorf("rank %d lost %d rows", r, res.lost)
-		}
-		if res.redists == 0 {
-			t.Errorf("rank %d saw no redistribution", r)
-		}
-	}
-	if leaked != 0 {
-		t.Fatalf("%d deposits leaked", leaked)
-	}
 }

@@ -2,25 +2,6 @@ package exp
 
 import "testing"
 
-// TestOverlapRedistWindowReduction pins the redistribution row: on the
-// skewed-load scenario, one-sided commits cut the slowest rank's
-// redistribution window by at least 10% against schedule-order drain
-// commits (16.5% measured).
-func TestOverlapRedistWindowReduction(t *testing.T) {
-	pip, rma, err := runOverlapRedist(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pip <= 0 || rma <= 0 {
-		t.Fatalf("degenerate windows: pipelined=%.4fs rma=%.4fs", pip, rma)
-	}
-	res := &OverlapResult{RedistWindowPipelinedS: pip, RedistWindowRMAS: rma}
-	if r := res.WindowReduction(); r < 0.10 {
-		t.Fatalf("window reduction %.1f%% below the 10%% bar (pipelined %.4fs, rma %.4fs)",
-			r*100, pip, rma)
-	}
-}
-
 // TestOverlapShape runs the halo overlap study on a reduced ladder and
 // checks the structural claims: overlap never slows an app down, checksums
 // are unchanged (enforced inside RunOverlap), hidden wire is recorded
@@ -52,11 +33,7 @@ func TestOverlapShape(t *testing.T) {
 			t.Errorf("%s/%d: no makespan win from overlap (%.3fs vs %.3fs)", row.App, row.Nodes, row.SerialS, row.OverlapS)
 		}
 	}
-	if res.WindowReduction() < 0.10 {
-		t.Errorf("redist window reduction %.1f%% below the 10%% bar", res.WindowReduction()*100)
-	}
-	tb := res.Table()
-	if len(tb.Rows) != len(res.Rows)+1 { // data rows + redist summary row
+	if tb := res.Table(); len(tb.Rows) != len(res.Rows) {
 		t.Fatalf("table rows: %d", len(tb.Rows))
 	}
 }

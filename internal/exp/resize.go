@@ -22,11 +22,8 @@ import (
 // ResizeOptions parameterises the resize-vs-restart study.
 type ResizeOptions struct {
 	// Rows, Cols, Iters shape the Jacobi workload (defaults 512x512x60).
+	// The membership changes a third of the way in.
 	Rows, Cols, Iters int
-	// At is the cycle the membership changes (default Iters/3).
-	At int
-	// Seed offsets the cluster seeds.
-	Seed uint64
 }
 
 // DefaultResizeOptions returns the default study shape.
@@ -75,9 +72,7 @@ func (r *ResizeResult) CheaperCount() int {
 // RunResize executes the resize-vs-restart study: grow 4→6 via timed
 // capacity arrivals, shrink 6→4 via an explicit Resize call.
 func RunResize(o ResizeOptions) (*ResizeResult, error) {
-	if o.At == 0 {
-		o.At = o.Iters / 3
-	}
+	at := o.Iters / 3
 
 	// world is Jacobi for iters cycles on n uniform nodes.
 	world := func(n, iters int) sweep.World {
@@ -85,17 +80,16 @@ func RunResize(o ResizeOptions) (*ResizeResult, error) {
 		w.Core = core.DefaultConfig()
 		w.Core.Drop = core.DropNever
 		w.Spec = cluster.Uniform(n)
-		w.Spec.Seed += o.Seed
 		return w
 	}
-	// Scenario 1: capacity arrives under load — two nodes join at cycle At.
+	// Scenario 1: capacity arrives under load — two nodes join at cycle at.
 	grow := world(4, o.Iters)
-	grow.Spec = grow.Spec.WithArrival(1.0, o.At).WithArrival(1.0, o.At)
+	grow.Spec = grow.Spec.WithArrival(1.0, at).WithArrival(1.0, at)
 	grow.RingCap = traceCap
 	// Scenario 2: capacity leaves under load — an explicit shrink releases
-	// the two highest ranks at cycle At.
+	// the two highest ranks at cycle at.
 	shrink := world(6, o.Iters)
-	shrink.ResizeAt, shrink.ResizeTo = o.At, 4
+	shrink.ResizeAt, shrink.ResizeTo = at, 4
 	shrink.RingCap = traceCap
 	scenarios := []struct {
 		name     string
@@ -106,8 +100,8 @@ func RunResize(o ResizeOptions) (*ResizeResult, error) {
 	// baseline: the old world run to the resize point, and the rest run on
 	// the new world.
 	worlds := []sweep.World{world(4, o.Iters),
-		grow, world(4, o.At), world(6, o.Iters-o.At),
-		shrink, world(6, o.At), world(4, o.Iters-o.At)}
+		grow, world(4, at), world(6, o.Iters-at),
+		shrink, world(6, at), world(4, o.Iters-at)}
 	movedMB := make([]float64, len(worlds))
 	out, err := runWorlds(worlds, func(i int, w sweep.Outcome) error {
 		if w.Ring != nil {
@@ -144,7 +138,7 @@ func RunResize(o ResizeOptions) (*ResizeResult, error) {
 			Scenario: sc.name,
 			From:     sc.from,
 			To:       sc.to,
-			At:       o.At,
+			At:       at,
 			ResizeS:  elastic.Elapsed,
 			RestartS: before.Elapsed + reload + after.Elapsed,
 			ReloadS:  reload,

@@ -26,8 +26,6 @@ type RMAOptions struct {
 	// Nodes lists the world sizes (default 64/256, the scalability regimes
 	// the acceptance table quotes).
 	Nodes []int
-	// Seed offsets the cluster seeds.
-	Seed uint64
 }
 
 // DefaultRMAOptions returns the default ladder.
@@ -95,7 +93,6 @@ func RunRMA(o RMAOptions) (*RMAResult, error) {
 		w.Core.Replicate = true
 		w.Core.ReplicaEvery = 1
 		w.Spec = cluster.Uniform(n)
-		w.Spec.Seed += o.Seed
 		onesided := w
 		onesided.Core.ReplicaRMA = true
 		worlds = append(worlds, w, onesided)

@@ -267,7 +267,6 @@ func TestSinkLeavesResultUnchanged(t *testing.T) {
 	}
 	skewed := sweep.World{App: "jacobi", Spec: skewedSpec, Rows: 256, Cols: 1024, Iters: 40, Cost: 600, Core: core.DefaultConfig()}
 	skewed.Core.Drop = core.DropNever
-	skewed.Core.RedistMode = core.RedistRMA
 	skewed.Core.Replicate, skewed.Core.ReplicaRMA, skewed.Core.ReplicaEvery = true, true, 1
 
 	crash := small(loaded)

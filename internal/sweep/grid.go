@@ -2,7 +2,7 @@
 // A World (world.go) is one application run on its own cluster, and
 // RunWorlds (engine.go) runs a list of them on a pool, each straight through
 // to completion. A Grid enumerates a parameter space (scenario × ranks ×
-// grace period × overlap × faults × replication × one-sided commits ×
+// grace period × overlap × faults × replication × replica transport ×
 // elastic resize) into Cells, and Run runs each cell's World, Jobs at a
 // time; the paper studies in internal/exp run their own lists of Worlds.
 //
@@ -40,10 +40,11 @@ type Cell struct {
 	Fault string
 	// Replicate enables buddy replication of dense arrays.
 	Replicate bool
-	// RMA routes the data movers through one-sided windows, both as Puts
-	// under pairwise epochs: redistribution commits run in RedistRMA mode
-	// (joiner-bound rows of a grow cell included) and replica refreshes (when
-	// Replicate is set) use the deferred-epoch path (core.Config.ReplicaRMA).
+	// RMA selects the one-sided replica refresh (core.Config.ReplicaRMA):
+	// Puts under pairwise epochs with a deferred close. It moves only
+	// replicas, so without Replicate the cell runs the same world as its
+	// RMA-off twin; redistribution has one commit, the message-passing
+	// drain.
 	RMA bool
 	// Resize selects elastic membership change: "none", "grow" (the world
 	// gains Grid.ResizeAdd timed arrivals at Grid.ResizeCycle and
@@ -100,13 +101,16 @@ type Grid struct {
 }
 
 // Smoke returns the CI-sized grid: 2 scenarios × 2 world sizes × fault
-// none/crash × replication on/off × one-sided commits on/off × resize
-// none/grow/growskew = 96 cells (overlap pinned on — its off/on
+// none/crash × replication on/off × one-sided replica refresh on/off ×
+// resize none/grow/growskew = 96 cells (overlap pinned on — its off/on
 // equivalence has its own dedicated tests), each a few dozen phase cycles,
 // small enough to sweep in seconds yet exercising every adaptation path
 // (CP arrival with unconditional drop, crash recovery with and without
-// replicas, both data movers, and elastic growth into arrival capacity —
-// including growth into a world already skewed by a competing process).
+// replicas, both replica transports, and elastic growth into arrival
+// capacity — including growth into a world already skewed by a competing
+// process). The 24 rma1 cells without replication repeat their rma0 twins
+// (TestRMAAxisNeedsReplication); the grid keeps them because the
+// benchmark's sweep_smoke workload runs exactly these 96 cells.
 func Smoke() Grid {
 	return Grid{
 		Scenarios: []string{"jacobi", "sor"},

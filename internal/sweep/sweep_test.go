@@ -389,6 +389,50 @@ func TestGrowSkewChecksums(t *testing.T) {
 	}
 }
 
+// TestRMAAxisNeedsReplication pins what the rma axis selects: the replica
+// transport, and nothing else. Redistribution has one commit, so a cell
+// without replication runs the same world whichever transport it names, and
+// each of the 24 rep0/rma1 smoke cells must fold to exactly its rep0/rma0
+// twin's statistics.
+func TestRMAAxisNeedsReplication(t *testing.T) {
+	g := Smoke()
+	if err := g.ParseSpec("rep=0"); err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	r, err := Run(Options{Grid: g, Jobs: 4})
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	twins := map[string]CellStats{}
+	for _, c := range r.Cells {
+		if c.Err != "" {
+			t.Fatalf("cell %s failed: %s", c.Key, c.Err)
+		}
+		if !c.Cell.RMA {
+			twins[c.Key] = c.Stats
+		}
+	}
+	pairs := 0
+	for _, c := range r.Cells {
+		if !c.Cell.RMA {
+			continue
+		}
+		twin := c.Cell
+		twin.RMA = false
+		want, ok := twins[twin.Key()]
+		if !ok {
+			t.Fatalf("%s: no rma0 twin", c.Key)
+		}
+		if c.Stats != want {
+			t.Errorf("%s: %+v, its rma0 twin %+v", c.Key, c.Stats, want)
+		}
+		pairs++
+	}
+	if pairs != 24 {
+		t.Errorf("%d rep0/rma1 cells, want 24", pairs)
+	}
+}
+
 // TestGrowPastRowCountReplicated grows an 8-row world of 8 ranks, so a rank
 // owns no rows after the grow and its paired replica refresh packs an empty
 // range. Every replicated cell must finish with the dedicated run's checksum.

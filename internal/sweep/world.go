@@ -128,10 +128,7 @@ func (g *Grid) World(c Cell) World {
 	w.Core.Drop = core.DropAlways
 	w.Core.GracePeriod = c.GP
 	w.Core.Replicate = c.Replicate
-	if c.RMA {
-		w.Core.RedistMode = core.RedistRMA
-		w.Core.ReplicaRMA = true
-	}
+	w.Core.ReplicaRMA = c.RMA
 	switch c.Scenario {
 	case "jacobi", "sor":
 		w.Cost, w.Overlap = g.CostPerElem, c.Overlap

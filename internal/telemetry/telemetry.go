@@ -171,10 +171,7 @@ type RedistRecord struct {
 	LostRows   int         `json:"lost_rows,omitempty"` // rows declared lost by a failure recovery
 	StartVT    float64     `json:"start_vt"`            // virtual time (seconds) the redistribution began
 	// StallS is the receive-side stall (seconds): virtual time this node's
-	// clock jumped forward waiting for slab arrivals or one-sided deposits.
-	// It is not comparable across redistribution modes: a one-sided receiver
-	// does no commit work while it waits, so it stalls where the pipelined
-	// drain would be unpacking.
+	// clock jumped forward waiting for slab arrivals.
 	StallS float64 `json:"stall_s"`
 	Dead   []int   `json:"dead,omitempty"` // a failure recovery: the dead ranks whose rows it rebuilt or lost
 }
