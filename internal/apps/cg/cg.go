@@ -55,11 +55,11 @@ func DefaultConfig() Config {
 }
 
 // rowPattern returns the deterministic off-diagonal column ids and values
-// of row g. All ranks generate identical rows.
-func rowPattern(seed uint64, g, n, nnz int) ([]int32, []float64) {
+// of row g, written over cols and vals (regrown if they are short). All
+// ranks generate identical rows.
+func rowPattern(seed uint64, g, n, nnz int, cols []int32, vals []float64) ([]int32, []float64) {
 	rng := vclock.NewPRNG(seed).Fork(uint64(g) + 1)
-	cols := make([]int32, 0, nnz)
-	vals := make([]float64, 0, nnz)
+	cols, vals = cols[:0], vals[:0]
 draw:
 	for len(cols) < nnz {
 		c := int32(rng.Intn(n))
@@ -92,8 +92,9 @@ func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
 		}
 
 		lo, hi := ph.Bounds()
+		cols, vals := make([]int32, 0, cfg.NnzPerRow), make([]float64, 0, cfg.NnzPerRow)
 		for g := lo; g < hi; g++ {
-			cols, vals := rowPattern(cfg.Seed, g, cfg.N, cfg.NnzPerRow)
+			cols, vals = rowPattern(cfg.Seed, g, cfg.N, cfg.NnzPerRow, cols, vals)
 			diag := 1.0
 			for _, v := range vals {
 				diag += v // diagonal dominance

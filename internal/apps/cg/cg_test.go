@@ -2,6 +2,7 @@ package cg
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -22,8 +23,8 @@ func loadedSpec(n, node, cycle int) cluster.Spec {
 }
 
 func TestRowPatternDeterministicAndValid(t *testing.T) {
-	c1, v1 := rowPattern(7, 5, 100, 8)
-	c2, v2 := rowPattern(7, 5, 100, 8)
+	c1, v1 := rowPattern(7, 5, 100, 8, nil, nil)
+	c2, v2 := rowPattern(7, 5, 100, 8, nil, nil)
 	if len(c1) != 8 || len(v1) != 8 {
 		t.Fatalf("pattern size %d", len(c1))
 	}
@@ -48,15 +49,38 @@ func TestRowPatternDeterministicAndValid(t *testing.T) {
 	// The draw sequence is part of the model: 8 of row 3's 9 possible
 	// columns forces rejected draws, and a rejected draw must consume no
 	// value draw.
-	c3, v3 := rowPattern(7, 3, 10, 8)
+	c3, v3 := rowPattern(7, 3, 10, 8, nil, nil)
 	want := []int32{1, 4, 8, 7, 0, 9, 5, 6}
-	for i := range want {
-		if c3[i] != want[i] {
-			t.Fatalf("draw sequence changed: cols %v, want %v", c3, want)
-		}
+	if !slices.Equal(c3, want) {
+		t.Fatalf("draw sequence changed: cols %v, want %v", c3, want)
 	}
 	if v3[0] != 0.039137340169810325 || v3[7] != 0.011427485471610056 {
 		t.Fatalf("draw sequence changed: vals %v", v3)
+	}
+	// Buffers reused from a neighbouring row, holding its pattern, give the
+	// same draws: nothing left in them takes part (a stale column would
+	// reject a draw that must be accepted).
+	cb, vb := rowPattern(7, 4, 10, 8, nil, nil)
+	cb, vb = rowPattern(7, 3, 10, 8, cb, vb)
+	if !slices.Equal(cb, c3) || !slices.Equal(vb, v3) {
+		t.Fatalf("reused buffers changed the draws: %v %v, want %v %v", cb, vb, c3, v3)
+	}
+	// Short buffers grow to the pattern.
+	cs, vs := rowPattern(7, 5, 100, 8, make([]int32, 1, 2), make([]float64, 3))
+	if !slices.Equal(cs, c1) || !slices.Equal(vs, v1) {
+		t.Fatalf("short buffers changed the draws: %v %v, want %v %v", cs, vs, c1, v1)
+	}
+}
+
+// Every row after the first is built in the buffers of the one before.
+func TestRowPatternReuseAllocFree(t *testing.T) {
+	cols, vals := make([]int32, 0, 12), make([]float64, 0, 12)
+	g := 0
+	if n := testing.AllocsPerRun(100, func() {
+		cols, vals = rowPattern(7, g, 2000, 12, cols, vals)
+		g++
+	}); n != 0 {
+		t.Errorf("rowPattern into reused buffers: %v allocs, want 0", n)
 	}
 }
 

@@ -82,10 +82,40 @@ type move struct {
 	pt particle
 }
 
-// scratch holds one rank's step buffer, kept across steps so the steady
-// state allocates nothing for it: the moves between the rank's own rows.
+// scratch holds one rank's step buffers, kept across steps so the steady
+// state allocates nothing for them: the moves between the rank's own rows,
+// and the emigrants bound for the rank above and below, encoded for the wire
+// (see encodeEmigrant).
 type scratch struct {
-	local []move
+	local        []move
+	emUp, emDown []float64
+}
+
+// An emigrant travels as five float64s: pid, x, y, vx, vy (a pid is an
+// int32, so it survives the conversion exactly). Slot 0 of a message is a
+// header holding the particle count, so k emigrants are F64Bytes(5k+1) =
+// 40k+8 bytes on the wire.
+const emigrantVals = 5
+
+// encodeEmigrant appends one particle to an emigrant vector and counts it in
+// the header.
+func encodeEmigrant(buf []float64, pid int32, x, y, vx, vy float64) []float64 {
+	buf = append(buf, float64(pid), x, y, vx, vy)
+	buf[0]++
+	return buf
+}
+
+// insertEmigrants appends every particle of a received emigrant message to
+// the row it now lies in, in arrival order.
+func insertEmigrants(ps *matrix.Sparse, msg []float64) {
+	k := int(msg[0])
+	if len(msg) != emigrantVals*k+1 {
+		panic(fmt.Sprintf("particles: emigrant message of %d values says it holds %d particles", len(msg), k))
+	}
+	for i := 1; i < len(msg); i += emigrantVals {
+		v := msg[i : i+emigrantVals]
+		ps.AppendRun(int(math.Floor(v[2])), int32(v[0]), v[1], v[2], v[3], v[4])
+	}
 }
 
 // Run executes the particle simulation and returns the result. CheckInt is
@@ -226,11 +256,9 @@ func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config, sc *scratch) {
 		return
 	}
 	dt, w, h := cfg.Dt, float64(cfg.Cols), float64(cfg.Rows)
-	// The emigrant slices are handed to Isend and read by the neighbour
-	// after this rank has moved on to its next step, so unlike sc's buffer
-	// they must be freshly allocated every step — never reuse them.
-	var emUp, emDown []particle
-	sc.local = sc.local[:0]
+	// IsendF64s copies the emigrant vectors into recycled message buffers
+	// at post time, so they are reused from step to step like sc.local.
+	sc.emUp, sc.emDown, sc.local = append(sc.emUp[:0], 0), append(sc.emDown[:0], 0), sc.local[:0]
 	for g := lo; g < hi; g++ {
 		n := ps.RowLen(g) / 4
 		ed := ps.EditRow(g)
@@ -248,9 +276,9 @@ func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config, sc *scratch) {
 			case ng < 0 || ng >= cfg.Rows: // no neighbour to go to: say so, do not lose it
 				comm.Abort(fmt.Errorf("particles: %+v left the %d-row domain", particle{pid, x, y, vx, vy}, cfg.Rows))
 			case ng < lo:
-				emUp = append(emUp, particle{pid, x, y, vx, vy})
+				sc.emUp = encodeEmigrant(sc.emUp, pid, x, y, vx, vy)
 			case ng >= hi:
-				emDown = append(emDown, particle{pid, x, y, vx, vy})
+				sc.emDown = encodeEmigrant(sc.emDown, pid, x, y, vx, vy)
 			default:
 				sc.local = append(sc.local, move{ng, particle{pid, x, y, vx, vy}})
 			}
@@ -284,23 +312,24 @@ func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config, sc *scratch) {
 		recvDown = comm.Irecv(down, migrateTag)
 	}
 	if up >= 0 {
-		sends[0] = comm.Isend(up, migrateTag, emUp, 40*len(emUp)+8)
+		sends[0] = comm.IsendF64s(up, migrateTag, sc.emUp)
 	}
 	if down >= 0 {
-		sends[1] = comm.Isend(down, migrateTag, emDown, 40*len(emDown)+8)
+		sends[1] = comm.IsendF64s(down, migrateTag, sc.emDown)
 	}
-	insert := func(pts []particle) {
-		for _, pt := range pts {
-			appendParticle(ps, int(math.Floor(pt.y)), pt)
-		}
+	// Wait, not WaitF64sErr: a neighbour that died fails the whole world
+	// here, as a blocking receive would.
+	insert := func(req *mpi.Request) {
+		p, _ := comm.Wait(req)
+		msg := p.(*mpi.F64Msg)
+		insertEmigrants(ps, msg.Vals)
+		comm.ReleaseF64s(msg)
 	}
 	if recvUp != nil {
-		p, _ := comm.Wait(recvUp)
-		insert(p.([]particle))
+		insert(recvUp)
 	}
 	if recvDown != nil {
-		p, _ := comm.Wait(recvDown)
-		insert(p.([]particle))
+		insert(recvDown)
 	}
 	comm.Waitall(sends[:])
 }

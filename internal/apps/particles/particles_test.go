@@ -3,7 +3,7 @@ package particles
 import (
 	"errors"
 	"math"
-	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/alloctest"
@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/drsd"
+	"repro/internal/fault"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
 )
@@ -298,29 +299,60 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 	})
 }
 
-// With neighbours, steady-state steps may allocate only the freshly built
-// emigrant slices: append growth plus one boxing into the message payload
-// each. Counted as what a world of 2K steps allocates over a world of K.
-func TestSteadyStateStepAllocatesOnlyEmigrantSlices(t *testing.T) {
+// With neighbours the emigrants travel in recycled float64 message buffers
+// and are encoded into rank-owned vectors, so a steady-state step allocates
+// nothing of its own. Counted as what a world of 2K steps allocates over a
+// world of K, the two steps after the warm-up allocate exactly 2 objects, and
+// both are high-water marks rather than per-step costs: a circulating message
+// buffer regrown (mpi's copyBuf) for an emigrant set larger than any it
+// carried before, and a fresh node slab for a rank whose particle population
+// reached a new high (matrix.Sparse's push). An emigrant slice built per step
+// would cost at least 8.
+//
+// About one reading in twenty also holds an object of the Go runtime's own,
+// never fewer: a new OS thread (runtime.allocm), a sudog for the WaitGroup
+// wait, the scavenger's start (each seen in a memory profile of such a run).
+// So the count is read up to five times and must be exact in one of them;
+// code that allocates reads high every time.
+func TestSteadyStateStepWithNeighboursAllocFree(t *testing.T) {
 	cfg := testConfig()
 	cfg.CostPerParticle = 100
-	const ranks, steps = 3, 2
-	// |vy|*Dt < 1 row, so an emigrant slice holds at most one boundary row's
-	// particles; doubling growth from empty is bits.Len of that.
-	perSlice := bits.Len(uint(cfg.Cols*cfg.BasePerCell)) + 1
-	// The runtime's own: on one P the run reads 41, all of it the slices',
-	// on each of 200 runs, so the slack is margin.
-	const slack = 16
-	budget := int64(steps*2*(ranks-1)*perSlice + slack)
-	got := alloctest.Extra(steps, func(k int) {
-		warmWorld(t, ranks, cfg, func(_ *core.Runtime, step func()) {
-			for i := 0; i < k; i++ {
-				step()
-			}
+	const ranks, steps, highWater, reads = 3, 2, 2, 5
+	var got []int64
+	for len(got) < reads {
+		n := alloctest.Extra(steps, func(k int) {
+			warmWorld(t, ranks, cfg, func(_ *core.Runtime, step func()) {
+				for i := 0; i < k; i++ {
+					step()
+				}
+			})
 		})
-	})
-	t.Logf("%d extra steps on %d ranks: %d mallocs, budget %d", steps, ranks, got, budget)
-	if got > budget {
-		t.Errorf("%d steady-state steps on %d ranks allocated %d times, budget %d", steps, ranks, got, budget)
+		if n == highWater {
+			return
+		}
+		got = append(got, n)
+	}
+	t.Errorf("%d steady-state steps on %d ranks allocated %v times, want the %d high-water allocations", steps, ranks, got, highWater)
+}
+
+// TestCrashMidMigrationFailsTheWorld: a neighbour that dies while the ranks
+// exchange emigrants fails the world with a *RankFailedError naming it, the
+// error a receive from a dead rank gives; the receiving rank must not go on
+// to decode a message that never came.
+func TestCrashMidMigrationFailsTheWorld(t *testing.T) {
+	faults, err := fault.ParseSpecs("crash:node=1,t=0.0105")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := cluster.Uniform(4)
+	spec.Faults = faults
+	_, err = Run(cluster.New(spec), DefaultConfig())
+	var rf *mpi.RankFailedError
+	if !errors.As(err, &rf) {
+		t.Fatalf("Run = %v, want a *mpi.RankFailedError", err)
+	}
+	// The migration receive is the one Irecv a particle step posts.
+	if rf.Op != "irecv" || !slices.Equal(rf.Ranks, []int{1}) {
+		t.Fatalf("Run = %v, want irecv failed: dead rank(s) [1]", err)
 	}
 }
