@@ -50,11 +50,6 @@
 // once, and -out writes the per-cell results as JSONL. The text report on
 // stdout is deterministic apart from lines prefixed "# wall-time:"; strip
 // those and two runs byte-compare equal regardless of -jobs or GOMAXPROCS.
-// -stream (with -out) appends cells' JSONL rows as they finish, held to
-// the in-order flush frontier: a row lands the moment every lower-indexed
-// cell has been written, so the file grows append-only in enumeration
-// order, each byte is written exactly once, and the final file is
-// byte-identical to a non-streamed -out.
 package main
 
 import (
@@ -125,49 +120,23 @@ func table[R interface{ Table() *exp.Table }](r R, err error) (*exp.Table, error
 	return r.Table(), nil
 }
 
-// orDefault returns the -nodes list, or def when the flag was not given.
-func orDefault(nodes, def []int) []int {
-	if nodes == nil {
-		return def
-	}
-	return nodes
-}
-
 // commands lists every subcommand, the studies in the order all runs them.
 // A set flag its subcommand does not read is an error.
 var commands = []command{
-	{"fig4", []string{"paper", "nodes"}, func(nodes []int, size exp.Size) (*exp.Table, error) {
-		o := exp.DefaultFig4Options()
-		o.Nodes = orDefault(nodes, o.Nodes)
-		return table(exp.RunFig4(o, size))
-	}},
+	{"fig4", []string{"paper", "nodes"}, func(nodes []int, size exp.Size) (*exp.Table, error) { return table(exp.RunFig4(nodes, size)) }},
 	{"cg-table", []string{"paper"}, func(_ []int, size exp.Size) (*exp.Table, error) { return table(exp.RunCGTable(size)) }},
 	{"fig5", []string{"paper"}, func(_ []int, size exp.Size) (*exp.Table, error) { return table(exp.RunFig5(size)) }},
-	{"fig6", []string{"paper", "nodes"}, func(nodes []int, size exp.Size) (*exp.Table, error) {
-		o := exp.DefaultFig6Options()
-		o.Nodes = orDefault(nodes, o.Nodes)
-		return table(exp.RunFig6(o, size))
-	}},
+	{"fig6", []string{"paper", "nodes"}, func(nodes []int, size exp.Size) (*exp.Table, error) { return table(exp.RunFig6(nodes, size)) }},
 	{"fig7", []string{"paper"}, func(_ []int, size exp.Size) (*exp.Table, error) { return table(exp.RunFig7(size)) }},
 	{"alloc", nil, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunAlloc()) }},
-	{"microbench", nil, func([]int, exp.Size) (*exp.Table, error) {
-		return table(exp.RunMicrobench(exp.DefaultMicrobenchOptions()))
-	}},
-	{"virt", nil, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunVirt(exp.DefaultVirtOptions())) }},
-	{"overlap", []string{"nodes"}, func(nodes []int, _ exp.Size) (*exp.Table, error) {
-		o := exp.DefaultOverlapOptions()
-		o.Nodes = orDefault(nodes, o.Nodes)
-		return table(exp.RunOverlap(o))
-	}},
-	{"rma", []string{"nodes"}, func(nodes []int, _ exp.Size) (*exp.Table, error) {
-		o := exp.DefaultRMAOptions()
-		o.Nodes = orDefault(nodes, o.Nodes)
-		return table(exp.RunRMA(o))
-	}},
-	{"resize", nil, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunResize(exp.DefaultResizeOptions())) }},
+	{"microbench", nil, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunMicrobench()) }},
+	{"virt", nil, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunVirt()) }},
+	{"overlap", []string{"nodes"}, func(nodes []int, _ exp.Size) (*exp.Table, error) { return table(exp.RunOverlap(nodes)) }},
+	{"rma", []string{"nodes"}, func(nodes []int, _ exp.Size) (*exp.Table, error) { return table(exp.RunRMA(nodes)) }},
+	{"resize", nil, func([]int, exp.Size) (*exp.Table, error) { return table(exp.RunResize()) }},
 	{"trace", []string{"trace", "summary", "fault", "replicate", "replica-every"}, nil},
 	{"scale", []string{"scale-n", "trace"}, nil},
-	{"sweep", []string{"smoke", "grid", "jobs", "out", "stream"}, nil},
+	{"sweep", []string{"smoke", "grid", "jobs", "out"}, nil},
 	// all passes -nodes on to the studies that read it.
 	{"all", []string{"paper", "nodes"}, nil},
 }
@@ -223,7 +192,7 @@ func selectStudies(target string, set []string) ([]string, error) {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: dynexp [-paper] [-nodes n,n,...] [-trace out.jsonl] [-summary] [-fault specs] [-replicate] [-replica-every n] [-scale-n n] [-smoke] [-grid spec] [-jobs n] [-out f.jsonl] [-stream] [-cpuprofile f] [-memprofile f] {%s}\n",
+	fmt.Fprintf(os.Stderr, "usage: dynexp [-paper] [-nodes n,n,...] [-trace out.jsonl] [-summary] [-fault specs] [-replicate] [-replica-every n] [-scale-n n] [-smoke] [-grid spec] [-jobs n] [-out f.jsonl] [-cpuprofile f] [-memprofile f] {%s}\n",
 		strings.Join(names(func(command) bool { return true }), "|"))
 	os.Exit(2)
 }
@@ -241,7 +210,6 @@ func main() {
 	gridSpec := flag.String("grid", "", "overlay a grid spec, e.g. 'scen=jacobi;ranks=4,8;gp=3' (sweep subcommand)")
 	jobs := flag.Int("jobs", 4, "worker-pool width: worlds run at once (sweep subcommand)")
 	outFile := flag.String("out", "", "write per-cell sweep results as JSONL to this file (sweep subcommand)")
-	stream := flag.Bool("stream", false, "with -out: append cell JSONL rows live in enumeration order (in-order flush frontier; no terminal rewrite) (sweep subcommand)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiment(s) to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
 	flag.Usage = usage
@@ -320,7 +288,7 @@ func main() {
 		}()
 		switch name {
 		case "trace":
-			o := exp.DefaultTraceOptions()
+			o := exp.TraceOptions{Replicate: *replicate, ReplicaEvery: *replicaEvery}
 			if *faultSpecs != "" {
 				fs, err := fault.ParseSpecs(*faultSpecs)
 				if err != nil {
@@ -328,8 +296,6 @@ func main() {
 				}
 				o.Faults = fs
 			}
-			o.Replicate = *replicate
-			o.ReplicaEvery = *replicaEvery
 			r, err := exp.RunTrace(o)
 			if err != nil {
 				return err
@@ -362,38 +328,12 @@ func main() {
 					return err
 				}
 			}
-			// -stream appends rows live through the in-order flush frontier:
-			// a consumer tailing the file sees cells land in enumeration
-			// order as soon as every predecessor has finished, each byte is
-			// written exactly once, and the final file is byte-identical to
-			// a non-streamed -out — no terminal rewrite.
-			var sw *sweep.StreamWriter
-			if *stream {
-				if *outFile == "" {
-					return fmt.Errorf("sweep -stream needs -out")
-				}
-				f, err := os.Create(*outFile)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				sw = sweep.NewStreamWriter(f)
-				o.OnCell = sw.Add
-			}
 			r, err := sweep.Run(o)
 			if err != nil {
 				return err
 			}
-			if sw != nil {
-				if sw.Err() != nil {
-					return fmt.Errorf("streaming to %s: %w", *outFile, sw.Err())
-				}
-				if n := sw.Pending(); n != 0 {
-					return fmt.Errorf("streaming to %s: %d rows never flushed", *outFile, n)
-				}
-			}
 			r.WriteText(os.Stdout)
-			if *outFile != "" && sw == nil {
+			if *outFile != "" {
 				f, err := os.Create(*outFile)
 				if err != nil {
 					return err

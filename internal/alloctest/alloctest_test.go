@@ -11,10 +11,11 @@ type node struct{ next *node }
 
 var sink *node
 
-// slack is the meter's noise. Without -race both tests read exactly 0 and
-// k on 300 of 300 runs, and on 599 of 600 with the CPUs busy elsewhere;
-// under -race they read within 1 of 0 and k, exactly on them in four runs
-// of five.
+// slack is the meter's noise on these tests' parked goroutines. Without
+// -race both read exactly 0 and k on 300 of 300 runs, and on 599 of 600
+// with the CPUs busy elsewhere; under -race they read within 1 of 0 and k,
+// exactly on them in four runs of five. A world of ranks reads noisier (see
+// Extra).
 const slack = 2
 
 // park passes a token k times around a ring of 64 goroutines, each parked

@@ -54,21 +54,15 @@ type LostRange struct {
 // array, refreshed by refreshReplicas (paired send/recv) or through the
 // one-sided window machinery in rma.go. data always holds the committed
 // replica; stage is the window memory remote Puts land in under ReplicaRMA
-// (the replica is its own mpi.WinMem, so whichever buffer is the stage is
-// what the window exposes), promoted to data only when the epoch's closing
-// wait settles — so an epoch that can no longer settle (the origin died
-// mid-cycle without depositing) leaves the committed replica intact.
+// (every open attaches the current stage), promoted to data only when the
+// epoch's closing wait settles — so an epoch that can no longer settle (the
+// origin died mid-cycle without depositing) leaves the committed replica
+// intact.
 type replica struct {
 	lo, hi int
 	data   []float64
 	stage  []float64
 }
-
-// WriteAt, ReadAt and Len implement mpi.WinMem: an mpi.FlatMem over
-// whichever buffer is the stage when the access lands.
-func (r *replica) WriteAt(off int, src []float64) { mpi.FlatMem(r.stage).WriteAt(off, src) }
-func (r *replica) ReadAt(off int, dst []float64)  { mpi.FlatMem(r.stage).ReadAt(off, dst) }
-func (r *replica) Len() int                       { return len(r.stage) }
 
 // DeadRanks returns the world ranks this runtime has absorbed as crashed.
 func (rt *Runtime) DeadRanks() []int { return append([]int(nil), rt.deadRanks...) }

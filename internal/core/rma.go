@@ -174,11 +174,11 @@ func (rt *Runtime) openReplicaEpoch() {
 
 // stageReplica (re)sizes array a's staging buffer for an incoming deposit
 // of `rows` rows, creating the replica record on first use, and returns the
-// record — the window memory the deposit lands in.
-func (rt *Runtime) stageReplica(a *regArray, rows int) *replica {
+// buffer — the window memory the deposit lands in.
+func (rt *Runtime) stageReplica(a *regArray, rows int) []float64 {
 	rep := a.replica()
 	rep.stage = resized(rep.stage, rows*a.dense.RowLen)
-	return rep
+	return rep.stage
 }
 
 // closeReplicaEpoch settles the replica epoch left open by the last

@@ -130,20 +130,9 @@ func Window(accesses []Access, lo, hi, n int) (wlo, whi int) {
 
 // --- distributions ---------------------------------------------------------
 
-// Distribution maps each row of a global iteration/row space to the world
-// rank owning it. Rows owned by no rank (removed nodes hold nothing) are
-// impossible by construction: a Distribution is total.
-type Distribution interface {
-	// Owner returns the world rank owning row g.
-	Owner(g int) int
-	// Rows reports the size of the distributed dimension.
-	Rows() int
-	// Ranks returns the participating world ranks in relative-rank order.
-	Ranks() []int
-}
-
 // Block is a variable block distribution: rank Ranks[i] owns rows
-// [Bounds[i], Bounds[i+1]). len(Bounds) == len(Ranks)+1, Bounds[0] == 0 and
+// [Bounds[i], Bounds[i+1]). Every row has an owner (removed nodes hold
+// nothing). len(Bounds) == len(Ranks)+1, Bounds[0] == 0 and
 // Bounds[len(Ranks)] == Rows. Blocks may be empty. Both lists are cut from
 // one array.
 type Block struct {
@@ -189,7 +178,7 @@ func EqualBlock(ranks []int, n int) *Block {
 	return b
 }
 
-// Owner implements Distribution.
+// Owner returns the world rank owning row g.
 func (b *Block) Owner(g int) int {
 	if g < 0 || g >= b.Rows() {
 		panic(fmt.Sprintf("drsd: row %d outside [0,%d)", g, b.Rows()))
@@ -198,10 +187,10 @@ func (b *Block) Owner(g int) int {
 	return b.ranks[i]
 }
 
-// Rows implements Distribution.
+// Rows reports the size of the distributed dimension.
 func (b *Block) Rows() int { return b.bounds[len(b.bounds)-1] }
 
-// Ranks implements Distribution.
+// Ranks returns the participating world ranks in relative-rank order.
 func (b *Block) Ranks() []int { return b.ranks }
 
 // Counts returns the per-rank row counts in relative-rank order.
@@ -239,34 +228,6 @@ func (b *Block) rangeNear(r int, at *int) (lo, hi int) {
 	return b.bounds[i], b.bounds[i+1]
 }
 
-// Cyclic assigns row g to Ranks[g mod p] (the DMPI_CYCLIC distribution).
-type Cyclic struct {
-	ranks []int
-	rows  int
-}
-
-// NewCyclic builds a cyclic distribution of n rows over ranks.
-func NewCyclic(ranks []int, n int) *Cyclic {
-	if len(ranks) == 0 {
-		panic("drsd: empty cyclic ranks")
-	}
-	return &Cyclic{ranks: append([]int(nil), ranks...), rows: n}
-}
-
-// Owner implements Distribution.
-func (c *Cyclic) Owner(g int) int {
-	if g < 0 || g >= c.rows {
-		panic(fmt.Sprintf("drsd: row %d outside [0,%d)", g, c.rows))
-	}
-	return c.ranks[g%len(c.ranks)]
-}
-
-// Rows implements Distribution.
-func (c *Cyclic) Rows() int { return c.rows }
-
-// Ranks implements Distribution.
-func (c *Cyclic) Ranks() []int { return c.ranks }
-
 // --- redistribution schedules ----------------------------------------------
 
 // Transfer moves the contiguous rows [Lo,Hi) from world rank From to world
@@ -277,10 +238,10 @@ type Transfer struct {
 }
 
 // Schedule computes the minimal set of contiguous transfers that transform
-// ownership from old to new. Rows whose owner is unchanged generate no
-// traffic. Transfers are ordered by row, so both endpoints can derive a
-// deterministic message order.
-func Schedule(oldD, newD Distribution) []Transfer {
+// ownership from old to new, one row at a time. Rows whose owner is
+// unchanged generate no traffic. Transfers are ordered by row. It is the
+// per-row oracle the range-based schedules are tested against.
+func Schedule(oldD, newD *Block) []Transfer {
 	if oldD.Rows() != newD.Rows() {
 		panic("drsd: schedule across different row counts")
 	}
@@ -300,27 +261,22 @@ func Schedule(oldD, newD Distribution) []Transfer {
 	return out
 }
 
-// ScheduleWindows computes the transfers needed to move an array from an
-// old to a new *block* distribution when each node must end up holding its
-// DRSD *window* (owned rows plus ghost rows required by the accesses), not
-// just its owned range. Every required row a node does not already hold is
-// fetched from its old owner — the authoritative copy. A row needed by
-// several nodes is sent to each. Transfers are coalesced into contiguous
-// ranges and ordered deterministically (by receiving rank, then row).
-func ScheduleWindows(oldD, newD *Block, accesses []Access) []Transfer {
-	return ScheduleWindowsInto(nil, oldD, newD, accesses)
-}
-
-// ScheduleWindowsInto is ScheduleWindows appending into buf, so steady-state
-// callers can recycle one transfer slice across redistributions (pass
-// buf[:0]). buf may be nil. The computation is range-based: the rows a rank
-// must fetch are its new window minus its old held window — at most two
-// contiguous gaps, one on each side of the held range — and each gap is
-// intersected against the old distribution's block segments directly instead
-// of walking rows one at a time. Each old rank owns exactly one contiguous
-// segment, so adjacent intersections always have distinct senders and the
-// output needs no row-level coalescing; it is identical, transfer for
-// transfer, to the per-row formulation.
+// ScheduleWindowsInto appends to buf the transfers needed to move an array
+// from an old to a new block distribution when each node must end up
+// holding its DRSD *window* (owned rows plus ghost rows required by the
+// accesses), not just its owned range. Every required row a node does not
+// already hold is fetched from its old owner — the authoritative copy. A
+// row needed by several nodes is sent to each. Transfers are coalesced into
+// contiguous ranges and ordered deterministically (by receiving rank, then
+// row). Steady-state callers recycle one transfer slice across
+// redistributions (pass buf[:0]); buf may be nil. The computation is
+// range-based: the rows a rank must fetch are its new window minus its old
+// held window — at most two contiguous gaps, one on each side of the held
+// range — and each gap is intersected against the old distribution's block
+// segments directly instead of walking rows one at a time. Each old rank
+// owns exactly one contiguous segment, so adjacent intersections always
+// have distinct senders and the output needs no row-level coalescing; it is
+// identical, transfer for transfer, to the per-row formulation.
 func ScheduleWindowsInto(buf []Transfer, oldD, newD *Block, accesses []Access) []Transfer {
 	if oldD.Rows() != newD.Rows() {
 		panic("drsd: schedule across different row counts")
@@ -363,7 +319,7 @@ func appendGapTransfers(out []Transfer, oldD *Block, r, lo, hi int) []Transfer {
 // OwnedOnly reports whether every access is a unit-stride, zero-offset
 // reference — the pattern whose DRSD window is exactly the owned iteration
 // range, with no ghost rows. Arrays matching it can be redistributed with
-// the cheaper ScheduleDiff instead of the window machinery.
+// the cheaper ScheduleDiffInto instead of the window machinery.
 func OwnedOnly(accesses []Access) bool {
 	if len(accesses) == 0 {
 		return false
@@ -376,22 +332,17 @@ func OwnedOnly(accesses []Access) bool {
 	return true
 }
 
-// ScheduleDiff computes the contiguous-window delta between two block
-// distributions: one transfer per maximal contiguous run of rows whose
+// ScheduleDiffInto appends to buf the contiguous-window delta between two
+// block distributions: one transfer per maximal contiguous run of rows whose
 // owner changed, and nothing else. It is the resize-time schedule — when a
 // world grows or shrinks, only the rows the new partition reassigns move,
 // never the full array — and is equivalent to the per-row Schedule over the
 // same distributions (property-tested), but runs on block bounds instead of
 // rows: O(p·log q) in the rank counts, independent of the row count.
 // Transfers are ordered by receiving rank (newD rank order), then row —
-// the same deterministic order ScheduleWindowsInto emits — so both the
-// blocking and RMA redistribution engines can consume it directly.
-func ScheduleDiff(oldD, newD *Block) []Transfer {
-	return ScheduleDiffInto(nil, oldD, newD)
-}
-
-// ScheduleDiffInto is ScheduleDiff appending into buf (pass buf[:0] to
-// recycle a scratch slice across resizes). buf may be nil.
+// the same deterministic order ScheduleWindowsInto emits — so the
+// redistribution consumes it directly. Pass buf[:0] to recycle a scratch
+// slice across resizes; buf may be nil.
 func ScheduleDiffInto(buf []Transfer, oldD, newD *Block) []Transfer {
 	if oldD.Rows() != newD.Rows() {
 		panic("drsd: schedule across different row counts")
@@ -413,15 +364,4 @@ func ScheduleDiffInto(buf []Transfer, oldD, newD *Block) []Transfer {
 		out = appendGapTransfers(out, oldD, r, max(nlo, ohi), nhi)
 	}
 	return out
-}
-
-// BytesMoved reports the total payload of a schedule given a per-row size.
-func BytesMoved(ts []Transfer, rowBytes func(g int) int64) int64 {
-	var total int64
-	for _, t := range ts {
-		for g := t.Lo; g < t.Hi; g++ {
-			total += rowBytes(g)
-		}
-	}
-	return total
 }

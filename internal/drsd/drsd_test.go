@@ -99,19 +99,6 @@ func TestBlockWithEmptyAndNonContiguousRanks(t *testing.T) {
 	}
 }
 
-func TestCyclic(t *testing.T) {
-	c := NewCyclic([]int{3, 1}, 7)
-	want := []int{3, 1, 3, 1, 3, 1, 3}
-	for g, w := range want {
-		if c.Owner(g) != w {
-			t.Fatalf("owner(%d) = %d, want %d", g, c.Owner(g), w)
-		}
-	}
-	if c.Rows() != 7 || len(c.Ranks()) != 2 {
-		t.Fatal("accessors")
-	}
-}
-
 func TestOwnerOutOfRangePanics(t *testing.T) {
 	b := EqualBlock([]int{0, 1}, 4)
 	defer func() {
@@ -161,25 +148,6 @@ func TestScheduleNodeRemoval(t *testing.T) {
 	}
 	if s[0] != (Transfer{From: 1, To: 0, Lo: 4, Hi: 6}) || s[1] != (Transfer{From: 1, To: 2, Lo: 6, Hi: 8}) {
 		t.Fatalf("schedule = %v", s)
-	}
-}
-
-func TestScheduleBlockToCyclic(t *testing.T) {
-	old := EqualBlock([]int{0, 1}, 6)
-	nw := NewCyclic([]int{0, 1}, 6)
-	s := Schedule(old, nw)
-	// Old: 0 owns 0-2, 1 owns 3-5. New: 0 owns 0,2,4; 1 owns 1,3,5.
-	// Moves: row 1 (0->1), row 4 (1->0). Rows 0,2 stay with 0; 3,5 stay with 1.
-	if len(s) != 2 {
-		t.Fatalf("schedule = %v", s)
-	}
-}
-
-func TestBytesMoved(t *testing.T) {
-	ts := []Transfer{{From: 0, To: 1, Lo: 2, Hi: 5}}
-	got := BytesMoved(ts, func(g int) int64 { return int64(g) })
-	if got != 2+3+4 {
-		t.Fatalf("BytesMoved = %d", got)
 	}
 }
 

@@ -15,7 +15,7 @@ var ownedOnly = []Access{{Array: "A", Mode: ReadWrite, Step: 1, Off: 0}}
 
 func TestScheduleWindowsNoChangeNoTraffic(t *testing.T) {
 	b := EqualBlock([]int{0, 1, 2, 3}, 40)
-	if s := ScheduleWindows(b, b, stencil); len(s) != 0 {
+	if s := ScheduleWindowsInto(nil, b, b, stencil); len(s) != 0 {
 		t.Fatalf("identical distributions produced %v", s)
 	}
 }
@@ -23,7 +23,7 @@ func TestScheduleWindowsNoChangeNoTraffic(t *testing.T) {
 func TestScheduleWindowsOwnedOnlyMatchesSchedule(t *testing.T) {
 	old := NewBlock([]int{0, 1, 2}, []int{10, 10, 10})
 	nw := NewBlock([]int{0, 1, 2}, []int{15, 10, 5})
-	a := ScheduleWindows(old, nw, ownedOnly)
+	a := ScheduleWindowsInto(nil, old, nw, ownedOnly)
 	b := Schedule(old, nw)
 	if len(a) != len(b) {
 		t.Fatalf("windows %v vs plain %v", a, b)
@@ -41,7 +41,7 @@ func TestScheduleWindowsFetchesGhosts(t *testing.T) {
 	// the old window [9,21)).
 	old := NewBlock([]int{0, 1, 2}, []int{10, 10, 10})
 	nw := NewBlock([]int{0, 1, 2}, []int{12, 10, 8})
-	s := ScheduleWindows(old, nw, stencil)
+	s := ScheduleWindowsInto(nil, old, nw, stencil)
 	needs := map[int]map[int]bool{} // to -> rows
 	for _, tr := range s {
 		if needs[tr.To] == nil {
@@ -80,7 +80,7 @@ func TestScheduleWindowsGhostToMultipleDestinations(t *testing.T) {
 	// ghosts by both sides where needed.
 	old := NewBlock([]int{0, 1, 2}, []int{10, 10, 10})
 	nw := NewBlock([]int{0, 1, 2}, []int{15, 0, 15})
-	s := ScheduleWindows(old, nw, stencil)
+	s := ScheduleWindowsInto(nil, old, nw, stencil)
 	// Rank 0 needs window [0,16): fetch 10..15 from rank 1. Rank 2 needs
 	// [14,30): fetch 14 (owner 1)... row 14 goes to both 0 and 2.
 	dests := map[int][]int{}
@@ -101,7 +101,7 @@ func TestScheduleWindowsNewRankFetchesEverything(t *testing.T) {
 	// whole window from the old owners.
 	old := NewBlock([]int{0, 2}, []int{15, 15})
 	nw := NewBlock([]int{0, 1, 2}, []int{10, 10, 10})
-	s := ScheduleWindows(old, nw, stencil)
+	s := ScheduleWindowsInto(nil, old, nw, stencil)
 	got := map[int]bool{}
 	for _, tr := range s {
 		if tr.To != 1 {
@@ -139,7 +139,7 @@ func TestScheduleWindowsCoverageProperty(t *testing.T) {
 		nc[3] = rem
 		old := NewBlock(ranks, oc)
 		nw := NewBlock(ranks, nc)
-		s := ScheduleWindows(old, nw, stencil)
+		s := ScheduleWindowsInto(nil, old, nw, stencil)
 
 		// Residency per rank before: old window; apply deliveries.
 		holds := make([]map[int]bool, 4)
@@ -184,7 +184,7 @@ func TestScheduleWindowsCoverageProperty(t *testing.T) {
 }
 
 // scheduleWindowsRowByRow is the original per-row formulation, kept as the
-// reference oracle for the range-based ScheduleWindows.
+// reference oracle for the range-based ScheduleWindowsInto.
 func scheduleWindowsRowByRow(oldD, newD *Block, accesses []Access) []Transfer {
 	n := oldD.Rows()
 	var out []Transfer
@@ -245,7 +245,7 @@ func TestScheduleWindowsMatchesRowByRowReference(t *testing.T) {
 		old := NewBlock(ranks, oc)
 		nw := NewBlock(ranks, nc)
 		want := scheduleWindowsRowByRow(old, nw, acc)
-		got := ScheduleWindows(old, nw, acc)
+		got := ScheduleWindowsInto(nil, old, nw, acc)
 		if len(got) != len(want) {
 			t.Logf("old=%v new=%v acc=%d: got %v want %v", oc, nc, accPick, got, want)
 			return false
@@ -288,5 +288,5 @@ func TestScheduleWindowsMismatchedRowsPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	ScheduleWindows(EqualBlock([]int{0}, 4), EqualBlock([]int{0}, 5), stencil)
+	ScheduleWindowsInto(nil, EqualBlock([]int{0}, 4), EqualBlock([]int{0}, 5), stencil)
 }

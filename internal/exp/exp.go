@@ -88,6 +88,15 @@ func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 // pct formats a ratio as a percentage.
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", v*100) }
 
+// ladder returns a study's node counts: nodes, or the study's own ladder
+// def when nodes is nil.
+func ladder(nodes, def []int) []int {
+	if nodes == nil {
+		return def
+	}
+	return nodes
+}
+
 // traceCap bounds the telemetry ring a world attaches; it holds every
 // record of the largest -paper run many times over.
 const traceCap = 1 << 20

@@ -30,7 +30,7 @@ func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 4 matrix is slow")
 	}
-	res, err := RunFig4(DefaultFig4Options(), Scaled)
+	res, err := RunFig4(nil, Scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,18 +57,15 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig4SingleCell(t *testing.T) {
-	o := DefaultFig4Options()
-	o.Nodes = []int{4}
-	o.Apps = []string{"jacobi"}
-	res, err := RunFig4(o, Scaled)
+	res, err := RunFig4([]int{4}, Scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0].App != "jacobi" {
+	if len(res.Rows) != 4 || res.Rows[0].App != "jacobi" || res.Rows[3].Nodes != 4 {
 		t.Fatalf("rows: %+v", res.Rows)
 	}
 	tb := res.Table()
-	if len(tb.Rows) != 2 { // data row + mean row
+	if len(tb.Rows) != 5 { // one row per app + mean row
 		t.Fatalf("table rows: %d", len(tb.Rows))
 	}
 }
@@ -140,7 +137,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Figure 6 grid is slow")
 	}
-	res, err := RunFig6(DefaultFig6Options(), Scaled)
+	res, err := RunFig6(nil, Scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +184,11 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestVirtShape(t *testing.T) {
-	o := DefaultVirtOptions()
-	o.Factors = []int{1, 4, 16}
-	res, err := RunVirt(o)
+	res, err := RunVirt()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
+	if len(res.Rows) != len(virtFactors) {
 		t.Fatalf("rows: %d", len(res.Rows))
 	}
 	// Message counts grow with the virtualization factor and the
@@ -238,12 +233,11 @@ func TestMicrobenchShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micro-benchmark sweep is slow")
 	}
-	o := MicrobenchOptions{CPs: []int{1, 2}, Ratios: []float64{2, 16, 256}}
-	res, err := RunMicrobench(o)
+	res, err := RunMicrobench()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range o.CPs {
+	for _, k := range res.CPs {
 		ms := res.Measured[k]
 		// Fractions grow with the comp/comm ratio and approach naive from below.
 		for i := 1; i < len(ms); i++ {

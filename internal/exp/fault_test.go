@@ -12,9 +12,7 @@ import (
 // crashTraceOptions is the acceptance scenario: the canonical loaded-4
 // trace with rank 2 crashing at the start of cycle 12.
 func crashTraceOptions() TraceOptions {
-	o := DefaultTraceOptions()
-	o.Faults = []fault.Fault{fault.CrashAtCycle(2, 12)}
-	return o
+	return TraceOptions{Faults: []fault.Fault{fault.CrashAtCycle(2, 12)}}
 }
 
 func encodeTrace(t *testing.T, o TraceOptions) (*TraceResult, []byte) {
@@ -98,7 +96,7 @@ func TestCrashWithoutReplicationReportsLostRows(t *testing.T) {
 // exactly the dead rank's state at the crash boundary, so the recovered run
 // reproduces the fault-free checksum bit-for-bit.
 func TestCrashWithReplicationMatchesFaultFreeChecksum(t *testing.T) {
-	clean, err := RunTrace(DefaultTraceOptions())
+	clean, err := RunTrace(TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +122,7 @@ func TestCrashWithReplicationMatchesFaultFreeChecksum(t *testing.T) {
 // a fault-free probe run), so some of its row transfers complete and some
 // never arrive. The run must still complete deterministically.
 func TestCrashDuringRedistributionRecovers(t *testing.T) {
-	probe, err := RunTrace(DefaultTraceOptions())
+	probe, err := RunTrace(TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +140,7 @@ func TestCrashDuringRedistributionRecovers(t *testing.T) {
 	if end <= start {
 		t.Fatalf("probe found no redistribution window on rank %d (start %v end %v)", victim, start, end)
 	}
-	o := DefaultTraceOptions()
-	o.Faults = []fault.Fault{fault.CrashAt(victim, start.Add(vclock.Duration(end-start)/2))}
+	o := TraceOptions{Faults: []fault.Fault{fault.CrashAt(victim, start.Add(vclock.Duration(end-start)/2))}}
 	r, a := encodeTrace(t, o)
 	_, b := encodeTrace(t, o)
 	if !bytes.Equal(a, b) {
@@ -169,10 +166,8 @@ func TestCrashDuringRedistributionRecovers(t *testing.T) {
 // same bytes; this asserts the fault-free path through the new option
 // plumbing).
 func TestNoFaultTraceUnchanged(t *testing.T) {
-	o := DefaultTraceOptions()
-	o.Faults = nil
-	_, a := encodeTrace(t, o)
-	_, b := encodeTrace(t, DefaultTraceOptions())
+	_, a := encodeTrace(t, TraceOptions{Faults: []fault.Fault{}})
+	_, b := encodeTrace(t, TraceOptions{})
 	if !bytes.Equal(a, b) {
 		t.Fatal("explicit empty fault set changed the trace")
 	}

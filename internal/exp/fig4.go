@@ -2,27 +2,16 @@ package exp
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/sweep"
 )
 
-// Fig4Options parameterises the Figure 4 reproduction: all four
-// applications on 2/4/8 nodes, one competing process introduced on one
-// node at the 10th iteration, times normalised to the all-dedicated run.
-type Fig4Options struct {
-	// Nodes lists the configurations (paper: 2, 4, 8).
-	Nodes []int
-	// Apps restricts the applications (default all four).
-	Apps []string
-}
-
-// DefaultFig4Options returns the paper's configuration at laptop scale.
-func DefaultFig4Options() Fig4Options {
-	return Fig4Options{Nodes: []int{2, 4, 8}, Apps: []string{"jacobi", "sor", "cg", "particles"}}
-}
+// fig4Nodes are Figure 4's node counts (the paper's 2, 4 and 8): all four
+// applications run on each, with one competing process introduced on one
+// node at the 10th iteration and times normalised to the all-dedicated run.
+var fig4Nodes = []int{2, 4, 8}
 
 // Fig4Row is one (app, nodes) measurement.
 type Fig4Row struct {
@@ -64,21 +53,19 @@ func (r *Fig4Result) Slowdown() float64 {
 	return s / float64(len(r.Rows))
 }
 
-// fig4Worlds returns, for every selected (app, nodes) row in order, its
-// dedicated, no-adapt and Dyn-MPI worlds at size. The loaded worlds get
+// fig4Worlds returns, for every (app, nodes) row in order, its dedicated,
+// no-adapt and Dyn-MPI worlds at size, on the given node counts (nil:
+// fig4Nodes). The loaded worlds get
 // the paper's scenario: one CP on the 10th iteration, on node 1 (node 0
 // for particles, whose P0 holds twice the particles).
-func fig4Worlds(o Fig4Options, size Size) (worlds []sweep.World) {
+func fig4Worlds(nodes []int, size Size) (worlds []sweep.World) {
 	for _, w := range size.inputs().fig4 {
-		if len(o.Apps) > 0 && !slices.Contains(o.Apps, w.App) {
-			continue
-		}
 		cpNode := 1
 		if w.App == "particles" {
 			cpNode = 0
 			w.ExtraAllP0 = 1 // "one node had twice as many particles": one more per cell
 		}
-		for _, n := range o.Nodes {
+		for _, n := range ladder(nodes, fig4Nodes) {
 			ded := w
 			ded.Spec = cluster.Uniform(n)
 			non := ded
@@ -91,9 +78,10 @@ func fig4Worlds(o Fig4Options, size Size) (worlds []sweep.World) {
 	return worlds
 }
 
-// RunFig4 executes the Figure 4 matrix at size.
-func RunFig4(o Fig4Options, size Size) (*Fig4Result, error) {
-	worlds := fig4Worlds(o, size)
+// RunFig4 executes the Figure 4 matrix at size on the given node counts
+// (nil: the paper's 2, 4 and 8).
+func RunFig4(nodes []int, size Size) (*Fig4Result, error) {
+	worlds := fig4Worlds(nodes, size)
 	out, err := runWorlds(worlds, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fig4: %w", err)

@@ -8,18 +8,12 @@ import (
 	"repro/internal/sweep"
 )
 
-// Fig6Options parameterises the node-removal experiment (§5.3): Red-Black
-// SOR on 8/16/32 nodes with 1, 2 or 3 competing processes on a single
-// node, comparing the average post-redistribution phase-cycle time of a
-// distribution that keeps the loaded node against physically dropping it.
-type Fig6Options struct {
-	Nodes []int // paper: 8, 16, 32
-}
-
-// DefaultFig6Options returns the paper's node counts.
-func DefaultFig6Options() Fig6Options {
-	return Fig6Options{Nodes: []int{8, 16, 32}}
-}
+// fig6Nodes are the node counts of the node-removal experiment (§5.3; the
+// paper's 8, 16 and 32): Red-Black SOR with 1, 2 or 3 competing processes
+// on a single node, comparing the average post-redistribution phase-cycle
+// time of a distribution that keeps the loaded node against physically
+// dropping it.
+var fig6Nodes = []int{8, 16, 32}
 
 // fig6CPs are the competing-process counts of every node count's rows.
 var fig6CPs = []int{1, 2, 3}
@@ -38,11 +32,12 @@ type Fig6Result struct {
 }
 
 // fig6Worlds returns, for every (nodes, CPs) row in order, its keep and
-// drop worlds: SOR at size with the CPs on the middle node from the start,
-// under DropNever and DropAlways.
-func fig6Worlds(o Fig6Options, size Size) (worlds []sweep.World) {
+// drop worlds on the given node counts (nil: fig6Nodes): SOR at size with
+// the CPs on the middle node from the start, under DropNever and
+// DropAlways.
+func fig6Worlds(nodes []int, size Size) (worlds []sweep.World) {
 	base := size.inputs().fig6
-	for _, n := range o.Nodes {
+	for _, n := range ladder(nodes, fig6Nodes) {
 		for _, k := range fig6CPs {
 			w := base
 			w.RingCap = traceCap
@@ -60,9 +55,10 @@ func fig6Worlds(o Fig6Options, size Size) (worlds []sweep.World) {
 	return worlds
 }
 
-// RunFig6 executes the keep-vs-drop grid at size.
-func RunFig6(o Fig6Options, size Size) (*Fig6Result, error) {
-	worlds := fig6Worlds(o, size)
+// RunFig6 executes the keep-vs-drop grid at size on the given node counts
+// (nil: the paper's 8, 16 and 32).
+func RunFig6(nodes []int, size Size) (*Fig6Result, error) {
+	worlds := fig6Worlds(nodes, size)
 	avgs, _, err := steadyCycles(worlds)
 	if err != nil {
 		return nil, fmt.Errorf("fig6: %w", err)

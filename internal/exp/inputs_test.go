@@ -16,7 +16,7 @@ import (
 // and 50. It builds the worlds without running them.
 func TestPaperInputsAreThePapers(t *testing.T) {
 	grid := func(w sweep.World) string { return fmt.Sprintf("%s %dx%d", w.App, w.Rows, w.Cols) }
-	for _, w := range fig4Worlds(DefaultFig4Options(), Paper) {
+	for _, w := range fig4Worlds(nil, Paper) {
 		switch w.App {
 		case "jacobi", "sor":
 			if w.Rows != 2048 || w.Cols != 2048 {
@@ -54,7 +54,7 @@ func TestPaperInputsAreThePapers(t *testing.T) {
 	}
 
 	var cells []string
-	for _, w := range fig6Worlds(DefaultFig6Options(), Paper) {
+	for _, w := range fig6Worlds(nil, Paper) {
 		if w.App != "sor" || w.Rows != 1024 || w.Cols != 1024 || w.Iters != 200 {
 			t.Errorf("fig6: %s for %d cycles, want sor 1024x1024 for 200", grid(w), w.Iters)
 		}

@@ -9,20 +9,15 @@ import (
 	"repro/internal/sweep"
 )
 
-// MicrobenchOptions parameterises the §4.3 study: the two-node
-// micro-benchmark table of effective loaded-node work fractions across
-// computation/communication ratios, the analytic model's predictions, and
-// an end-to-end comparison of successive balancing against the naive
-// relative-power method.
-type MicrobenchOptions struct {
-	CPs    []int
-	Ratios []float64
-}
-
-// DefaultMicrobenchOptions covers the paper's regimes.
-func DefaultMicrobenchOptions() MicrobenchOptions {
-	return MicrobenchOptions{CPs: []int{1, 2, 3}, Ratios: []float64{1, 2, 4, 8, 16, 64, 256}}
-}
+// The §4.3 study: the two-node micro-benchmark table of effective
+// loaded-node work fractions across computation/communication ratios, the
+// analytic model's predictions, and an end-to-end comparison of successive
+// balancing against the naive relative-power method. Its competing-process
+// counts and ratios cover the paper's regimes.
+var (
+	microbenchCPs    = []int{1, 2, 3}
+	microbenchRatios = []float64{1, 2, 4, 8, 16, 64, 256}
+)
 
 // MicrobenchResult holds the measured and analytic fractions plus the
 // end-to-end method comparison.
@@ -42,16 +37,16 @@ type MicrobenchResult struct {
 }
 
 // RunMicrobench measures the table and the method comparison.
-func RunMicrobench(o MicrobenchOptions) (*MicrobenchResult, error) {
+func RunMicrobench() (*MicrobenchResult, error) {
 	res := &MicrobenchResult{
-		CPs: o.CPs, Ratios: o.Ratios,
+		CPs: microbenchCPs, Ratios: microbenchRatios,
 		Measured: map[int][]float64{}, Analytic: map[int][]float64{}, Naive: map[int]float64{},
 	}
 	model := distribution.AnalyticModel{}
-	for _, k := range o.CPs {
-		ms := make([]float64, len(o.Ratios))
-		as := make([]float64, len(o.Ratios))
-		for i, r := range o.Ratios {
+	for _, k := range microbenchCPs {
+		ms := make([]float64, len(microbenchRatios))
+		as := make([]float64, len(microbenchRatios))
+		for i, r := range microbenchRatios {
 			ms[i] = distribution.MeasurePairFraction(k, r)
 			as[i] = model.Fraction(k, r)
 		}

@@ -17,17 +17,9 @@ import (
 // exchange, so its delta is structurally zero and only its hidden-wire
 // credit is reported.
 
-// OverlapOptions parameterises the overlap study.
-type OverlapOptions struct {
-	// Nodes lists the world sizes (default 4/64/256: fully hidden, partially
-	// hidden, and nothing-to-hide regimes of the fixed-size grid).
-	Nodes []int
-}
-
-// DefaultOverlapOptions returns the default ladder.
-func DefaultOverlapOptions() OverlapOptions {
-	return OverlapOptions{Nodes: []int{4, 64, 256}}
-}
+// overlapNodes is the study's ladder of world sizes: the fully hidden,
+// partially hidden and nothing-to-hide regimes of the fixed-size grid.
+var overlapNodes = []int{4, 64, 256}
 
 // OverlapRow is one (app, nodes) measurement.
 type OverlapRow struct {
@@ -67,8 +59,9 @@ func overlapTelemetry(ring *telemetry.Ring) (hiddenS, waitS float64) {
 	return
 }
 
-// RunOverlap executes the overlap study.
-func RunOverlap(o OverlapOptions) (*OverlapResult, error) {
+// RunOverlap executes the overlap study on the given world sizes (nil:
+// overlapNodes).
+func RunOverlap(nodes []int) (*OverlapResult, error) {
 	// The grid is fixed while the world grows, so the interior available to
 	// hide the (constant-size) halo wire shrinks from milliseconds to zero.
 	// Each (app, nodes) row is a serial world and an overlapped one.
@@ -81,7 +74,7 @@ func RunOverlap(o OverlapOptions) (*OverlapResult, error) {
 		if app == "particles" {
 			w.Rows, w.Cols, w.Cost = 256, 256, 0
 		}
-		for _, n := range o.Nodes {
+		for _, n := range ladder(nodes, overlapNodes) {
 			w.Spec = cluster.Uniform(n)
 			ovl := w
 			ovl.Overlap = true

@@ -10,9 +10,7 @@ func TestOverlapShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overlap study is slow")
 	}
-	o := DefaultOverlapOptions()
-	o.Nodes = []int{4, 64}
-	res, err := RunOverlap(o)
+	res, err := RunOverlap([]int{4, 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func TestDecisionsReplayFromRecords(t *testing.T) {
 	// Each Figure 4 row's Dyn-MPI world (its third), the two method
 	// comparison worlds and the drop-auto world, traced.
 	var worlds []sweep.World
-	for i, w := range fig4Worlds(DefaultFig4Options(), Scaled) {
+	for i, w := range fig4Worlds(nil, Scaled) {
 		if i%3 == 2 {
 			w.RingCap = traceCap
 			worlds = append(worlds, w)
@@ -131,9 +131,9 @@ func TestDecisionsReplayFromRecords(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	logical := DefaultTraceOptions()
-	logical.Drop = core.DropLogical
-	r, err := RunTrace(logical)
+	logical := traceWorld(TraceOptions{})
+	logical.Core.Drop = core.DropLogical
+	r, err := runTrace(logical)
 	if err != nil {
 		t.Fatal(err)
 	}

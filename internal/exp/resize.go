@@ -19,17 +19,9 @@ import (
 // model, that resize N→M is strictly cheaper than drop-all+restart in both
 // directions (capacity arriving under load, capacity leaving under load).
 
-// ResizeOptions parameterises the resize-vs-restart study.
-type ResizeOptions struct {
-	// Rows, Cols, Iters shape the Jacobi workload (defaults 512x512x60).
-	// The membership changes a third of the way in.
-	Rows, Cols, Iters int
-}
-
-// DefaultResizeOptions returns the default study shape.
-func DefaultResizeOptions() ResizeOptions {
-	return ResizeOptions{Rows: 512, Cols: 512, Iters: 60}
-}
+// The study's Jacobi workload: resizeRows x resizeCols for resizeIters
+// cycles. The membership changes a third of the way in.
+const resizeRows, resizeCols, resizeIters = 512, 512, 60
 
 // ResizeRow is one scenario: an elastic resize from From to To ranks at
 // cycle At, against the modeled drop-all+restart baseline.
@@ -71,24 +63,24 @@ func (r *ResizeResult) CheaperCount() int {
 
 // RunResize executes the resize-vs-restart study: grow 4→6 via timed
 // capacity arrivals, shrink 6→4 via an explicit Resize call.
-func RunResize(o ResizeOptions) (*ResizeResult, error) {
-	at := o.Iters / 3
+func RunResize() (*ResizeResult, error) {
+	at := resizeIters / 3
 
 	// world is Jacobi for iters cycles on n uniform nodes.
 	world := func(n, iters int) sweep.World {
-		w := sweep.World{App: "jacobi", Rows: o.Rows, Cols: o.Cols, Iters: iters}
+		w := sweep.World{App: "jacobi", Rows: resizeRows, Cols: resizeCols, Iters: iters}
 		w.Core = core.DefaultConfig()
 		w.Core.Drop = core.DropNever
 		w.Spec = cluster.Uniform(n)
 		return w
 	}
 	// Scenario 1: capacity arrives under load — two nodes join at cycle at.
-	grow := world(4, o.Iters)
+	grow := world(4, resizeIters)
 	grow.Spec = grow.Spec.WithArrival(1.0, at).WithArrival(1.0, at)
 	grow.RingCap = traceCap
 	// Scenario 2: capacity leaves under load — an explicit shrink releases
 	// the two highest ranks at cycle at.
-	shrink := world(6, o.Iters)
+	shrink := world(6, resizeIters)
 	shrink.ResizeAt, shrink.ResizeTo = at, 4
 	shrink.RingCap = traceCap
 	scenarios := []struct {
@@ -99,9 +91,9 @@ func RunResize(o ResizeOptions) (*ResizeResult, error) {
 	// the checksum — then each scenario's elastic world and its restart
 	// baseline: the old world run to the resize point, and the rest run on
 	// the new world.
-	worlds := []sweep.World{world(4, o.Iters),
-		grow, world(4, at), world(6, o.Iters-at),
-		shrink, world(6, at), world(4, o.Iters-at)}
+	worlds := []sweep.World{world(4, resizeIters),
+		grow, world(4, at), world(6, resizeIters-at),
+		shrink, world(6, at), world(4, resizeIters-at)}
 	movedMB := make([]float64, len(worlds))
 	out, err := runWorlds(worlds, func(i int, w sweep.Outcome) error {
 		if w.Ring != nil {
@@ -122,7 +114,7 @@ func RunResize(o ResizeOptions) (*ResizeResult, error) {
 	// A restart reloads the full working set (both ping-pong buffers) over
 	// the wire of the new world; the cost model is the cluster's own.
 	net := cluster.DefaultNet()
-	totalBytes := float64(2 * o.Rows * o.Cols * 8)
+	totalBytes := float64(2 * resizeRows * resizeCols * 8)
 	reload := vclock.Duration(net.Latency).Seconds() + totalBytes/net.BytesPerSec
 
 	ref := out[0]

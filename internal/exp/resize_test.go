@@ -5,14 +5,11 @@ import (
 	"testing"
 )
 
-// TestResizeBeatsRestart drives the resize-vs-restart study at a reduced
-// size and pins the acceptance criterion: the elastic resize must be
+// TestResizeBeatsRestart drives the resize-vs-restart study and pins the acceptance criterion: the elastic resize must be
 // strictly cheaper than drop-all+restart on both scenarios, with data
 // integrity verified against an undisturbed dedicated run inside RunResize.
 func TestResizeBeatsRestart(t *testing.T) {
-	o := DefaultResizeOptions()
-	o.Rows, o.Cols, o.Iters = 256, 256, 30
-	res, err := RunResize(o)
+	res, err := RunResize()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,17 +21,9 @@ import (
 // synchronises only with its buddy and its own holder, never the whole
 // world), so the synchronisation cost is constant in the world size.
 
-// RMAOptions parameterises the one-sided refresh study.
-type RMAOptions struct {
-	// Nodes lists the world sizes (default 64/256, the scalability regimes
-	// the acceptance table quotes).
-	Nodes []int
-}
-
-// DefaultRMAOptions returns the default ladder.
-func DefaultRMAOptions() RMAOptions {
-	return RMAOptions{Nodes: []int{64, 256}}
-}
+// rmaNodes is the study's ladder of world sizes: the scalability regimes
+// the acceptance table quotes.
+var rmaNodes = []int{64, 256}
 
 // RMARow is one world-size measurement: total refresh stall across ranks
 // and the virtual makespan, under each refresh mode.
@@ -83,10 +75,12 @@ func (r *RMAResult) MakespanOK() bool {
 	return true
 }
 
-// RunRMA executes the one-sided refresh study.
-func RunRMA(o RMAOptions) (*RMAResult, error) {
+// RunRMA executes the one-sided refresh study on the given world sizes
+// (nil: rmaNodes).
+func RunRMA(nodes []int) (*RMAResult, error) {
+	nodes = ladder(nodes, rmaNodes)
 	var worlds []sweep.World
-	for _, n := range o.Nodes {
+	for _, n := range nodes {
 		w := sweep.World{App: "jacobi", Rows: 512, Cols: 1024, Iters: 20, Cost: 40}
 		w.Core = core.DefaultConfig()
 		w.Core.Drop = core.DropNever
@@ -109,7 +103,7 @@ func RunRMA(o RMAOptions) (*RMAResult, error) {
 		return total
 	}
 	res := &RMAResult{}
-	for i, n := range o.Nodes {
+	for i, n := range nodes {
 		paired, onesided := out[2*i], out[2*i+1]
 		if paired.Checksum != onesided.Checksum {
 			return nil, fmt.Errorf("rma %d: one-sided refresh changed the checksum", n)

@@ -7,16 +7,16 @@ import "testing"
 // holder-side replica stall by at least 30% versus the paired send/recv
 // refresh. RunRMA itself enforces checksum equality between the modes.
 func TestRMAStallReduction(t *testing.T) {
-	o := DefaultRMAOptions()
+	nodes := rmaNodes
 	if testing.Short() {
-		o.Nodes = []int{64}
+		nodes = []int{64}
 	}
-	res, err := RunRMA(o)
+	res, err := RunRMA(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(o.Nodes) {
-		t.Fatalf("expected %d rows, got %d", len(o.Nodes), len(res.Rows))
+	if len(res.Rows) != len(nodes) {
+		t.Fatalf("expected %d rows, got %d", len(nodes), len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		if row.PairedStallS <= 0 {

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -13,17 +11,10 @@ import (
 
 // TraceOptions parameterises the canonical telemetry trace run: Jacobi on
 // four uniform nodes with one competing process arriving on node 1 at cycle
-// 10 (DefaultTraceOptions).
+// 10 and unconditional removal, so the trace deterministically contains all
+// four record families: iteration, decision, redist and membership. The
+// zero value is that run.
 type TraceOptions struct {
-	Nodes       int
-	Rows, Cols  int
-	Iters       int
-	CostPerElem float64
-	CPNode      int // node receiving the competing process
-	CPCycle     int // phase cycle at which it arrives
-	Drop        core.DropPolicy
-	RingCap     int // telemetry ring capacity
-
 	// Faults injects deterministic failures into the run (see
 	// internal/fault); empty means a fault-free run with a byte-identical
 	// trace to earlier versions.
@@ -34,16 +25,20 @@ type TraceOptions struct {
 	ReplicaEvery int
 }
 
-// DefaultTraceOptions returns the canonical loaded-4-node scenario with
-// unconditional removal, so the trace deterministically contains all four
-// record families: iteration, decision, redist and membership.
-func DefaultTraceOptions() TraceOptions {
-	return TraceOptions{
-		Nodes: 4, Rows: 128, Cols: 128, Iters: 40, CostPerElem: 10e3,
-		CPNode: 1, CPCycle: 10,
-		Drop:    core.DropAlways,
-		RingCap: 1 << 16,
-	}
+// traceNodes is the canonical trace's world size.
+const traceNodes = 4
+
+// traceWorld is the canonical trace's world under o, with a ring that holds
+// every record of the run.
+func traceWorld(o TraceOptions) sweep.World {
+	w := sweep.World{App: "jacobi", Rows: 128, Cols: 128, Iters: 40, Cost: 10e3, RingCap: 1 << 16}
+	w.Core = core.DefaultConfig()
+	w.Core.Drop = core.DropAlways
+	w.Core.Replicate = o.Replicate
+	w.Core.ReplicaEvery = o.ReplicaEvery
+	w.Spec = cluster.Uniform(traceNodes).With(cluster.CycleEvent(1, 10, +1))
+	w.Spec.Faults = append(w.Spec.Faults, o.Faults...)
+	return w
 }
 
 // TraceResult is the outcome of a trace run: the structured records in
@@ -55,19 +50,12 @@ type TraceResult struct {
 
 // RunTrace executes the scenario with a ring sink attached and returns the
 // sorted record stream. The run is fully deterministic: repeated calls with
-// identical options produce identical records. A ring too small for the run
-// is an error: a truncated stream would read as a result.
-func RunTrace(o TraceOptions) (*TraceResult, error) {
-	if o.RingCap < 1 {
-		return nil, fmt.Errorf("trace: RingCap %d < 1", o.RingCap)
-	}
-	w := sweep.World{App: "jacobi", Rows: o.Rows, Cols: o.Cols, Iters: o.Iters, Cost: o.CostPerElem, RingCap: o.RingCap}
-	w.Core = core.DefaultConfig()
-	w.Core.Drop = o.Drop
-	w.Core.Replicate = o.Replicate
-	w.Core.ReplicaEvery = o.ReplicaEvery
-	w.Spec = cluster.Uniform(o.Nodes).With(cluster.CycleEvent(o.CPNode, o.CPCycle, +1))
-	w.Spec.Faults = append(w.Spec.Faults, o.Faults...)
+// identical options produce identical records.
+func RunTrace(o TraceOptions) (*TraceResult, error) { return runTrace(traceWorld(o)) }
+
+// runTrace runs w and returns its sorted record stream. A ring too small for
+// the run is an error: a truncated stream would read as a result.
+func runTrace(w sweep.World) (*TraceResult, error) {
 	out := w.Run()
 	if out.Err != nil {
 		return nil, out.Err

@@ -41,7 +41,7 @@ func sequenceLines(recs []telemetry.Record) []string {
 }
 
 func TestTraceContainsAllRecordKinds(t *testing.T) {
-	r, err := RunTrace(DefaultTraceOptions())
+	r, err := RunTrace(TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestTraceContainsAllRecordKinds(t *testing.T) {
 // `go test ./internal/exp -run Golden -update` after an intentional
 // behaviour change.
 func TestTraceGoldenSequence(t *testing.T) {
-	r, err := RunTrace(DefaultTraceOptions())
+	r, err := RunTrace(TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +94,11 @@ func TestTraceGoldenSequence(t *testing.T) {
 // implies on every rank: the decision record precedes the redistribution
 // it triggers, which precedes the membership change it causes.
 func TestTraceOrderPerRank(t *testing.T) {
-	o := DefaultTraceOptions()
-	r, err := RunTrace(o)
+	r, err := RunTrace(TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for node := 0; node < o.Nodes; node++ {
+	for node := 0; node < traceNodes; node++ {
 		pos := map[string]int{}
 		for i, rec := range r.Records {
 			m := rec.Meta()
@@ -126,14 +125,14 @@ func TestTraceOrderPerRank(t *testing.T) {
 // counts a DecisionRecord reports as chosen are exactly the counts of the
 // distribution the runtime then installs (its RedistRecord).
 func TestDecisionMatchesInstalledDistribution(t *testing.T) {
-	o := DefaultTraceOptions()
-	o.Drop = core.DropNever // exercise the successive-balancing path
-	r, err := RunTrace(o)
+	w := traceWorld(TraceOptions{})
+	w.Core.Drop = core.DropNever // exercise the successive-balancing path
+	r, err := runTrace(w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checked := 0
-	for node := 0; node < o.Nodes; node++ {
+	for node := 0; node < traceNodes; node++ {
 		var lastDecision []int
 		for _, rec := range r.Records {
 			m := rec.Meta()
@@ -176,7 +175,7 @@ func TestDecisionMatchesInstalledDistribution(t *testing.T) {
 // Regenerate with `go test ./internal/exp -run JSONLGolden -update` after an
 // intentional behaviour change.
 func TestTraceJSONLGolden(t *testing.T) {
-	r, err := RunTrace(DefaultTraceOptions())
+	r, err := RunTrace(TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +216,12 @@ func TestTraceJSONLGolden(t *testing.T) {
 // redistributions the run made — Res.Redists — not the rank records, on the
 // default trace (one) and on a crash-and-drop run (two).
 func TestTraceSummaryCountsRedistributionsOnce(t *testing.T) {
-	crash := DefaultTraceOptions()
-	crash.Faults = []fault.Fault{fault.CrashAtCycle(2, 12)}
-	crash.Replicate, crash.ReplicaEvery = true, 1
+	crash := TraceOptions{Faults: []fault.Fault{fault.CrashAtCycle(2, 12)}, Replicate: true, ReplicaEvery: 1}
 	for name, tc := range map[string]struct {
 		o       TraceOptions
 		redists int
 	}{
-		"default": {DefaultTraceOptions(), 1},
+		"default": {TraceOptions{}, 1},
 		"crash":   {crash, 2},
 	} {
 		r, err := RunTrace(tc.o)
@@ -314,7 +311,7 @@ func TestSinkLeavesResultUnchanged(t *testing.T) {
 // TestTraceDeterministic asserts byte-identical JSONL across runs.
 func TestTraceDeterministic(t *testing.T) {
 	encode := func() []byte {
-		r, err := RunTrace(DefaultTraceOptions())
+		r, err := RunTrace(TraceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,14 +339,14 @@ func TestTraceDeterministic(t *testing.T) {
 // oldest records, and RunTrace must report that instead of returning the
 // remainder as if it were the whole trace.
 func TestTraceRingOverflowIsAnError(t *testing.T) {
-	full, err := RunTrace(DefaultTraceOptions())
+	full, err := RunTrace(TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const ringCap = 64
-	o := DefaultTraceOptions()
-	o.RingCap = ringCap
-	r, err := RunTrace(o)
+	w := traceWorld(TraceOptions{})
+	w.RingCap = ringCap
+	r, err := runTrace(w)
 	if err == nil {
 		t.Fatalf("RingCap %d: %d of %d records returned with no error", ringCap, len(r.Records), len(full.Records))
 	}

@@ -21,31 +21,23 @@ import (
 // virtual boundaries add pure overhead. Dyn-MPI's coarse-grain design is
 // the V=1 row.
 
-// VirtOptions parameterises the granularity sweep.
-type VirtOptions struct {
-	Nodes int
-	Rows  int
-	Cols  int
-	Iters int
-	// CostPerElem is the per-element compute cost in nanoseconds.
-	CostPerElem float64
-	// Virtualization factors to sweep (1 = Dyn-MPI's coarse grain).
-	Factors []int
-	// VPOverhead is the per-virtual-processor per-cycle scheduling cost
+// The sweep's workload, in the regime the paper's argument targets: thin
+// rows, many exchanges. virtCostPerElem is the per-element compute cost in
+// nanoseconds.
+const (
+	virtNodes       = 8
+	virtRows        = 256
+	virtCols        = 512
+	virtIters       = 60
+	virtCostPerElem = 300
+	// virtVPOverhead is the per-virtual-processor per-cycle scheduling cost
 	// (context switch + object scheduling), in virtual time.
-	VPOverhead vclock.Duration
-}
+	virtVPOverhead = 20 * vclock.Microsecond
+)
 
-// DefaultVirtOptions returns a configuration in the regime the paper's
-// argument targets: thin rows, many exchanges.
-func DefaultVirtOptions() VirtOptions {
-	return VirtOptions{
-		Nodes: 8, Rows: 256, Cols: 512, Iters: 60,
-		CostPerElem: 300,
-		Factors:     []int{1, 2, 4, 8, 16},
-		VPOverhead:  20 * vclock.Microsecond,
-	}
-}
+// virtFactors are the virtualization factors swept (1 = Dyn-MPI's coarse
+// grain).
+var virtFactors = []int{1, 2, 4, 8, 16}
 
 // VirtRow is one virtualization factor's measurement.
 type VirtRow struct {
@@ -62,9 +54,9 @@ type VirtResult struct {
 
 // runVirtCase executes the synthetic nearest-neighbour program with V
 // virtual processors per node and returns makespan and message count.
-func runVirtCase(o VirtOptions, v int) (VirtRow, error) {
-	rowCost := vclock.Duration(float64(o.Cols) * o.CostPerElem)
-	perNode := o.Rows / o.Nodes
+func runVirtCase(v int) (VirtRow, error) {
+	rowCost := vclock.Duration(float64(virtCols) * virtCostPerElem)
+	perNode := virtRows / virtNodes
 	perVP := perNode / v
 	if perVP == 0 {
 		return VirtRow{}, fmt.Errorf("virt: factor %d leaves empty virtual processors", v)
@@ -73,26 +65,26 @@ func runVirtCase(o VirtOptions, v int) (VirtRow, error) {
 	var msgs int64
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	err := mpi.Run(cluster.New(cluster.Uniform(o.Nodes)), func(c *mpi.Comm) error {
+	err := mpi.Run(cluster.New(cluster.Uniform(virtNodes)), func(c *mpi.Comm) error {
 		me := c.Rank()
-		for t := 0; t < o.Iters; t++ {
+		for t := 0; t < virtIters; t++ {
 			// Each virtual processor computes its block and exchanges its
 			// boundaries. VPs at the node's outer edges talk to the
 			// neighbouring node (one message per VP boundary, the paper's
 			// point); interior VP boundaries cost scheduling overhead only.
 			for vp := 0; vp < v; vp++ {
-				c.Node().Compute(vclock.Duration(perVP)*rowCost + o.VPOverhead)
+				c.Node().Compute(vclock.Duration(perVP)*rowCost + virtVPOverhead)
 			}
 			if me > 0 {
-				c.Send(me-1, t, make([]float64, o.Cols), mpi.F64Bytes(o.Cols))
+				c.Send(me-1, t, make([]float64, virtCols), mpi.F64Bytes(virtCols))
 			}
-			if me < o.Nodes-1 {
-				c.Send(me+1, t, make([]float64, o.Cols), mpi.F64Bytes(o.Cols))
+			if me < virtNodes-1 {
+				c.Send(me+1, t, make([]float64, virtCols), mpi.F64Bytes(virtCols))
 			}
 			if me > 0 {
 				c.Recv(me-1, t)
 			}
-			if me < o.Nodes-1 {
+			if me < virtNodes-1 {
 				c.Recv(me+1, t)
 			}
 			// Virtualization sends the halo of every *edge-adjacent* VP
@@ -102,17 +94,17 @@ func runVirtCase(o VirtOptions, v int) (VirtRow, error) {
 			// Model the extra edge messages explicitly.
 			for extra := 1; extra < v; extra++ {
 				if me > 0 {
-					c.Send(me-1, tagExtra(t, extra), make([]float64, o.Cols/v), mpi.F64Bytes(o.Cols/v))
+					c.Send(me-1, tagExtra(t, extra), make([]float64, virtCols/v), mpi.F64Bytes(virtCols/v))
 				}
-				if me < o.Nodes-1 {
-					c.Send(me+1, tagExtra(t, extra), make([]float64, o.Cols/v), mpi.F64Bytes(o.Cols/v))
+				if me < virtNodes-1 {
+					c.Send(me+1, tagExtra(t, extra), make([]float64, virtCols/v), mpi.F64Bytes(virtCols/v))
 				}
 			}
 			for extra := 1; extra < v; extra++ {
 				if me > 0 {
 					c.Recv(me-1, tagExtra(t, extra))
 				}
-				if me < o.Nodes-1 {
+				if me < virtNodes-1 {
 					c.Recv(me+1, tagExtra(t, extra))
 				}
 			}
@@ -132,17 +124,17 @@ func runVirtCase(o VirtOptions, v int) (VirtRow, error) {
 		Factor:     v,
 		Elapsed:    worst.Seconds(),
 		Messages:   msgs,
-		MsgsPerCyc: float64(msgs) / float64(o.Iters),
+		MsgsPerCyc: float64(msgs) / float64(virtIters),
 	}, nil
 }
 
 func tagExtra(t, extra int) int { return 1000 + t*64 + extra }
 
 // RunVirt executes the granularity sweep.
-func RunVirt(o VirtOptions) (*VirtResult, error) {
+func RunVirt() (*VirtResult, error) {
 	out := &VirtResult{}
-	for _, v := range o.Factors {
-		row, err := runVirtCase(o, v)
+	for _, v := range virtFactors {
+		row, err := runVirtCase(v)
 		if err != nil {
 			return nil, err
 		}

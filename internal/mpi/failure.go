@@ -58,10 +58,11 @@ func (w *World) Kill(rank int) {
 		if slot, ok := g.Slot(rank); ok {
 			g.adoptOrphans(slot)
 			// Deposits targeting the dead rank's window slots will never be
-			// fence-drained (only the owner drains its slot); drop them so
-			// they do not count as leaked. Deposits *from* the dead rank in
-			// live owners' slots stay — the owner inspects them through
-			// PendingFrom after its fence fails, then discards.
+			// drained (only the owner drains its slot); drop them so they do
+			// not count as leaked. Deposits *from* the dead rank in live
+			// owners' slots stay — the owner inspects them through
+			// PendingPSCW after its WinWaitErr fails (PendingFrom after a
+			// failed fence), then discards.
 			g.dropWindowSlot(slot)
 		}
 	}

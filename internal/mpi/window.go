@@ -75,30 +75,8 @@ import (
 // fence and the next deposit (the fence's rendezvous atomics carry the
 // happens-before edge from every origin's write to the owner's reads).
 
-// WinMem is memory exposed through a window, in float64 elements. The
-// indirection (instead of a flat slice) lets owners expose non-contiguous
-// storage — a matrix.Dense projection's per-row slices — without copying
-// it into a registration buffer.
-type WinMem interface {
-	// WriteAt copies src into the exposed memory at element offset off.
-	WriteAt(off int, src []float64)
-	// ReadAt fills dst from the exposed memory at element offset off.
-	ReadAt(off int, dst []float64)
-	// Len reports the exposed extent in elements.
-	Len() int
-}
-
-// FlatMem exposes a flat []float64 as window memory.
+// FlatMem is memory exposed through a window, in float64 elements.
 type FlatMem []float64
-
-// WriteAt implements WinMem.
-func (m FlatMem) WriteAt(off int, src []float64) { copy(m[off:off+len(src)], src) }
-
-// ReadAt implements WinMem.
-func (m FlatMem) ReadAt(off int, dst []float64) { copy(dst, m[off:off+len(dst)]) }
-
-// Len implements WinMem.
-func (m FlatMem) Len() int { return len(m) }
 
 // deposit is one one-sided transfer landed in a window slot, recorded at
 // the origin's post time and settled by the owner's epoch-closing fence or
@@ -124,7 +102,7 @@ type deposit struct {
 // outside it).
 type winSlot struct {
 	mu    sync.Mutex
-	mem   WinMem
+	mem   FlatMem
 	dep   []deposit
 	drain []deposit
 
@@ -170,7 +148,7 @@ func (win *Win) ID() int { return win.id }
 // without naming it. mem may be nil for members that expose nothing (pure
 // origins). The window is usable once every member has both created it and
 // passed a first Fence — creation itself synchronises nothing.
-func (c *Comm) WinCreate(g *Group, mem WinMem) *Win {
+func (c *Comm) WinCreate(g *Group, mem FlatMem) *Win {
 	c.checkFailed()
 	slot := c.groupSlot(g)
 	k := g.winSeq[slot]
@@ -188,7 +166,7 @@ func (c *Comm) WinCreate(g *Group, mem WinMem) *Win {
 // WinAttach replaces this rank's exposed memory. The caller must separate
 // the attach from any remote deposit against it with a Fence (the same
 // epoch discipline as any other local access to window memory).
-func (c *Comm) WinAttach(win *Win, mem WinMem) {
+func (c *Comm) WinAttach(win *Win, mem FlatMem) {
 	slot := c.groupSlot(win.g)
 	ts := &win.slots[slot]
 	ts.mu.Lock()
@@ -238,7 +216,7 @@ func (c *Comm) Put(win *Win, target, off int, src []float64) {
 		panic(fmt.Sprintf("mpi: put into window %d slot of rank %d with no memory attached", win.id, target))
 	}
 	if len(src) > 0 {
-		ts.mem.WriteAt(off, src)
+		copy(ts.mem[off:off+len(src)], src)
 	}
 	ts.dep = append(ts.dep, deposit{
 		originSlot: oslot,

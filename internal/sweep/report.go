@@ -151,50 +151,3 @@ func (r *Result) WriteJSONL(w io.Writer) error {
 	}
 	return nil
 }
-
-// StreamWriter emits cell rows append-only, in enumeration (Cell.Index)
-// order, while accepting them in whatever completion order the sweep
-// delivers. A row is held only until every lower-indexed cell has been
-// written, then flushed as part of the contiguous frontier — so a consumer
-// tailing the file sees ordered progress, every byte is written exactly
-// once, and after the last Add the file is byte-identical to WriteJSONL.
-type StreamWriter struct {
-	enc     *json.Encoder
-	next    int // lowest index not yet written
-	pending map[int]CellResult
-	err     error
-}
-
-// NewStreamWriter returns a writer streaming to w.
-func NewStreamWriter(w io.Writer) *StreamWriter {
-	return &StreamWriter{enc: json.NewEncoder(w), pending: map[int]CellResult{}}
-}
-
-// Add accepts one finished cell and flushes the in-order frontier. Safe to
-// use as Options.OnCell directly (Run calls it from one goroutine). After
-// the first write error Add becomes a no-op; check Err.
-func (s *StreamWriter) Add(cr CellResult) {
-	if s.err != nil {
-		return
-	}
-	s.pending[cr.Cell.Index] = cr
-	for {
-		row, ok := s.pending[s.next]
-		if !ok {
-			return
-		}
-		if err := s.enc.Encode(&row); err != nil {
-			s.err = err
-			return
-		}
-		delete(s.pending, s.next)
-		s.next++
-	}
-}
-
-// Err reports the first write error, if any.
-func (s *StreamWriter) Err() error { return s.err }
-
-// Pending reports rows still held back by an enumeration gap. Zero once
-// every cell of a completed sweep has been added.
-func (s *StreamWriter) Pending() int { return len(s.pending) }

@@ -161,7 +161,7 @@ func TestSmokeGridCoversAxes(t *testing.T) {
 	}
 }
 
-// TestStreamedCellsMatchReport pins the -stream contract: rows delivered
+// TestStreamedCellsMatchReport pins the OnCell contract: rows delivered
 // through OnCell, re-sorted into enumeration order, encode byte-identically
 // to the batch WriteJSONL report, and every cell is delivered exactly once.
 func TestStreamedCellsMatchReport(t *testing.T) {
@@ -247,102 +247,6 @@ func TestParseSpec(t *testing.T) {
 	}
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "particles") || !strings.Contains(err.Error(), "growskew") {
 		t.Errorf("Validate = %v, want an error naming particles and growskew", err)
-	}
-}
-
-// countingWriter tallies every byte delivered through Write, so a test can
-// assert each byte was written exactly once (linear write amplification).
-type countingWriter struct {
-	buf     bytes.Buffer
-	written int
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.written += len(p)
-	return c.buf.Write(p)
-}
-
-// TestStreamWriterByteIdentical feeds the in-order flush frontier a sweep's
-// cells in several adversarial completion orders: the output must be
-// byte-identical to the batch WriteJSONL report every time, with nothing
-// pending at the end and every byte written exactly once.
-func TestStreamWriterByteIdentical(t *testing.T) {
-	g := Smoke()
-	if err := g.ParseSpec("scen=jacobi;ranks=4;overlap=0;iters=16;resizecycle=8"); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	r, err := Run(Options{Grid: g, Jobs: 4})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	var batch bytes.Buffer
-	if err := r.WriteJSONL(&batch); err != nil {
-		t.Fatalf("batch report: %v", err)
-	}
-	n := len(r.Cells)
-	orders := map[string][]int{
-		"forward":    make([]int, n),
-		"reverse":    make([]int, n),
-		"evens-odds": nil,
-	}
-	for i := 0; i < n; i++ {
-		orders["forward"][i] = i
-		orders["reverse"][i] = n - 1 - i
-	}
-	for i := 0; i < n; i += 2 {
-		orders["evens-odds"] = append(orders["evens-odds"], i)
-	}
-	for i := 1; i < n; i += 2 {
-		orders["evens-odds"] = append(orders["evens-odds"], i)
-	}
-	for name, order := range orders {
-		cw := &countingWriter{}
-		sw := NewStreamWriter(cw)
-		for _, idx := range order {
-			sw.Add(r.Cells[idx])
-		}
-		if err := sw.Err(); err != nil {
-			t.Fatalf("%s: stream error: %v", name, err)
-		}
-		if p := sw.Pending(); p != 0 {
-			t.Fatalf("%s: %d rows still pending after the last add", name, p)
-		}
-		if !bytes.Equal(cw.buf.Bytes(), batch.Bytes()) {
-			t.Errorf("%s: streamed file differs from the batch JSONL report", name)
-		}
-		if cw.written != batch.Len() {
-			t.Errorf("%s: wrote %d bytes for a %d-byte file — write amplification is not linear",
-				name, cw.written, batch.Len())
-		}
-	}
-}
-
-// TestStreamWriterLiveFromScheduler wires the frontier directly into a
-// concurrent sweep as OnCell — the production -stream path — and checks the
-// file equals the batch report without any re-sort step.
-func TestStreamWriterLiveFromScheduler(t *testing.T) {
-	g := Smoke()
-	if err := g.ParseSpec("scen=jacobi;ranks=4;overlap=0;iters=16;resizecycle=8"); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	cw := &countingWriter{}
-	sw := NewStreamWriter(cw)
-	r, err := Run(Options{Grid: g, Jobs: 4, OnCell: sw.Add})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	if err := sw.Err(); err != nil {
-		t.Fatalf("stream error: %v", err)
-	}
-	if p := sw.Pending(); p != 0 {
-		t.Fatalf("%d rows never flushed", p)
-	}
-	var batch bytes.Buffer
-	if err := r.WriteJSONL(&batch); err != nil {
-		t.Fatalf("batch report: %v", err)
-	}
-	if !bytes.Equal(cw.buf.Bytes(), batch.Bytes()) {
-		t.Error("live-streamed file differs from the batch JSONL report")
 	}
 }
 

@@ -39,8 +39,7 @@ func TestRingEmitAllocFree(t *testing.T) {
 }
 
 // The two per-cycle kinds reach a sink by value: through the Sink interface
-// nothing is boxed, neither into a Ring nor through Multi and Nop. A ring at
-// capacity allocates nothing at all; one still growing allocates its chunks,
+// nothing is boxed into a Ring. A ring at capacity allocates nothing at all; one still growing allocates its chunks,
 // one per 64 records of a kind.
 func TestByValueEmitAllocFree(t *testing.T) {
 	const pairs = 6400
@@ -50,10 +49,9 @@ func TestByValueEmitAllocFree(t *testing.T) {
 		sink.EmitLoadSample(LoadSampleRecord{Base: s.Stamp(KindLoadSample, 1, 1), Reading: 2})
 	}
 	full := NewRing(128)
-	for name, sink := range map[string]Sink{"full ring": full, "multi": Multi(Nop(), full)} {
-		if n := testing.AllocsPerRun(pairs, func() { emit(sink) }); n != 0 {
-			t.Errorf("%s: %v allocations per iteration + load-sample pair, want 0", name, n)
-		}
+	var sink Sink = full
+	if n := testing.AllocsPerRun(pairs, func() { emit(sink) }); n != 0 {
+		t.Errorf("full ring: %v allocations per iteration + load-sample pair, want 0", n)
 	}
 	if full.Len() != 128 || full.Dropped() == 0 {
 		t.Fatalf("full ring holds %d records, dropped %d", full.Len(), full.Dropped())

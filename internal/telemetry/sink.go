@@ -20,9 +20,6 @@ type Sink interface {
 	EmitLoadSample(LoadSampleRecord)
 }
 
-// Nop returns the no-op sink: a fan-out to no sinks.
-func Nop() Sink { return multiSink(nil) }
-
 // fifo is a queue kept in fixed-size chunks: growing it never copies a
 // record and over-allocates by at most one chunk, and a chunk drained at
 // the head is reused at the tail, so a full Ring evicts without allocating.
@@ -223,30 +220,6 @@ func (j *JSONLWriter) Flush() error {
 	}
 	return j.err
 }
-
-// multiSink fans every record out to several sinks.
-type multiSink []Sink
-
-func (m multiSink) Emit(rec Record) {
-	for _, s := range m {
-		s.Emit(rec)
-	}
-}
-
-func (m multiSink) EmitIteration(rec IterationRecord) {
-	for _, s := range m {
-		s.EmitIteration(rec)
-	}
-}
-
-func (m multiSink) EmitLoadSample(rec LoadSampleRecord) {
-	for _, s := range m {
-		s.EmitLoadSample(rec)
-	}
-}
-
-// Multi returns a sink that forwards every record to all of sinks.
-func Multi(sinks ...Sink) Sink { return multiSink(sinks) }
 
 // WriteJSONL writes records to w, one JSON object per line, in slice order.
 func WriteJSONL(w io.Writer, recs []Record) error {

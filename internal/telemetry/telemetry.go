@@ -7,9 +7,9 @@
 // unexported state.
 //
 // The default is no telemetry at all: a runtime with a nil sink skips every
-// emission. Three sink implementations are provided: Nop (swallow), Ring
-// (bounded in-memory buffer, for tests and post-run aggregation) and
-// JSONLWriter (one JSON object per line, for offline analysis). Sinks must
+// emission. Two sink implementations are provided: Ring (bounded in-memory
+// buffer, for tests and post-run aggregation) and JSONLWriter (one JSON
+// object per line, for offline analysis). Sinks must
 // be safe for concurrent use — every rank goroutine of a run emits into the
 // same sink.
 //

@@ -268,15 +268,6 @@ func TestDecodeJSONLRejectsUnknownKind(t *testing.T) {
 	}
 }
 
-func TestMultiFansOut(t *testing.T) {
-	a, b := NewRing(8), NewRing(8)
-	m := Multi(a, b, Nop())
-	m.Emit(IterationRecord{Base: Base{K: KindIteration}})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("fan-out failed: %d %d", a.Len(), b.Len())
-	}
-}
-
 // TestSummarize: the two nodes' records of one redistribution at cycle 1 are
 // one redistribution, reported beside the two rank records it took.
 func TestSummarize(t *testing.T) {
