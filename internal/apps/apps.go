@@ -14,6 +14,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/vclock"
@@ -70,12 +71,30 @@ func NewCollector() *Collector {
 	return &Collector{stats: map[int]RankStats{}, sums: map[int]float64{}, ints: map[int]int64{}}
 }
 
-// Report records one rank's final state (call once per rank). It also
-// finishes the runtime, settling any replica epoch the one-sided refresh
-// left open — without that, the final epoch's deposits would linger on
-// world teardown.
+// Run runs one application world: every rank of cl builds a runtime
+// configured by cfg, runs body — which registers the rank's arrays, runs its
+// cycles and returns its checksums (see Result) — then finalizes and reports
+// to one Collector, whose Result is the world's.
+func Run(cl *cluster.Cluster, cfg core.Config, body func(rt *core.Runtime) (checksum float64, checkInt int64, err error)) (Result, error) {
+	col := NewCollector()
+	err := mpi.Run(cl, func(c *mpi.Comm) error {
+		rt := core.New(c, cfg)
+		sum, check, err := body(rt)
+		if err != nil {
+			return err
+		}
+		rt.Finalize()
+		col.Report(rt, sum, check)
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	return col.Result(cl.MaxN()), nil
+}
+
+// Report records one finalized rank's final state (call once per rank).
 func (c *Collector) Report(rt *core.Runtime, checksum float64, checkInt int64) {
-	rt.Finish()
 	comm := rt.Comm()
 	st := RankStats{
 		Rank:         comm.Rank(),
@@ -186,6 +205,27 @@ func lendGhost(comm *mpi.Comm, g int, msg *mpi.F64Msg, err error, store func(g i
 		store(g, msg.Vals)
 		comm.ReleaseF64s(msg)
 	}
+}
+
+// HaloStep runs one half-phase of a block-distributed stencil on the owned
+// rows [lo,hi): compute(lo, hi) produces rows and charges them, and the halo
+// exchange on tag ships the boundary rows and stores the ghosts (rowOf and
+// store as for HaloExchange). Overlapped, the boundary rows are computed
+// first, so they ship while the interior computes over the in-flight wire
+// time; row order within a half-phase must therefore be free.
+func HaloStep(rt *core.Runtime, tag, n, lo, hi int, overlap bool, compute func(lo, hi int), rowOf func(g int) []float64, store func(g int, row []float64)) {
+	if !overlap {
+		compute(lo, hi)
+		HaloExchange(rt, tag, n, rowOf, store)
+		return
+	}
+	if lo < hi {
+		compute(lo, lo+1)
+		if hi-1 > lo {
+			compute(hi-1, hi)
+		}
+	}
+	HaloExchangeOverlap(rt, tag, n, rowOf, store, func() { compute(lo+1, hi-1) })
 }
 
 // haloNeighbours returns this rank's owned range and, when it is not empty,

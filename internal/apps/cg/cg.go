@@ -80,15 +80,13 @@ draw:
 // Run executes the CG solver on the cluster and returns the result. The
 // checksum is the final residual norm, bit-identical across distributions.
 func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
-	col := apps.NewCollector()
-	err := mpi.Run(cl, func(c *mpi.Comm) error {
-		rt := core.New(c, cfg.Core)
+	return apps.Run(cl, cfg.Core, func(rt *core.Runtime) (float64, int64, error) {
 		a := rt.RegisterSparse("A", cfg.N)
 		ph := rt.InitPhase(cfg.N)
 		ph.AddAccess("A", drsd.Read, 1, 0)
 		rt.Commit()
 		if rt.Joined() {
-			return fmt.Errorf("cg: %w", apps.ErrNoJoiner)
+			return 0, 0, fmt.Errorf("cg: %w", apps.ErrNoJoiner)
 		}
 
 		lo, hi := ph.Bounds()
@@ -154,14 +152,8 @@ func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
 			resNorm = rho
 			rt.EndCycle()
 		}
-		rt.Finalize()
-		col.Report(rt, resNorm, 0)
-		return nil
+		return resNorm, 0, nil
 	})
-	if err != nil {
-		return apps.Result{}, err
-	}
-	return col.Result(cl.MaxN()), nil
 }
 
 func dot(a, b []float64) float64 {

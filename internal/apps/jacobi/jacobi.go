@@ -15,7 +15,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/drsd"
-	"repro/internal/mpi"
 	"repro/internal/vclock"
 )
 
@@ -57,9 +56,7 @@ const haloTag = 7
 
 // Run executes Jacobi iteration on the cluster and returns the result.
 func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
-	col := apps.NewCollector()
-	err := mpi.Run(cl, func(c *mpi.Comm) error {
-		rt := core.New(c, cfg.Core)
+	return apps.Run(cl, cfg.Core, func(rt *core.Runtime) (float64, int64, error) {
 		a := rt.RegisterDense("A", cfg.Rows, cfg.Cols)
 		b := rt.RegisterDense("B", cfg.Rows, cfg.Cols)
 		ph := rt.InitPhase(cfg.Rows)
@@ -133,46 +130,21 @@ func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
 			}
 			if rt.BeginCycle() {
 				lo, hi := ph.Bounds()
-				if cfg.Overlap {
-					// Boundary rows first, so the halo ships them while the
-					// interior computes over the in-flight wire time.
-					if lo < hi {
-						computeRows(lo, lo+1)
-						if hi-1 > lo {
-							computeRows(hi-1, hi)
-						}
-					}
-					apps.HaloExchangeOverlap(rt, haloTag, cfg.Rows, rowOf, storeGhost, func() {
-						computeRows(lo+1, hi-1)
-					})
-				} else {
-					computeRows(lo, hi)
-					apps.HaloExchange(rt, haloTag, cfg.Rows, rowOf, storeGhost)
-				}
+				apps.HaloStep(rt, haloTag, cfg.Rows, lo, hi, cfg.Overlap, computeRows, rowOf, storeGhost)
 			}
 			rt.EndCycle()
 			src, dst = dst, src
 		}
-		sum := 0.0
+		lo, hi := 0, 0
 		if rt.Participating() {
-			lo, hi := ph.Bounds()
-			sum = apps.OrderedChecksum(rt, cfg.Rows, lo, hi, func(g int) float64 {
-				row := src.Row(g) // src holds the final values after the last swap
-				s := 0.0
-				for _, v := range row {
-					s += v
-				}
-				return s
-			})
-		} else {
-			sum = apps.OrderedChecksum(rt, cfg.Rows, 0, 0, nil)
+			lo, hi = ph.Bounds()
 		}
-		rt.Finalize()
-		col.Report(rt, sum, 0)
-		return nil
+		return apps.OrderedChecksum(rt, cfg.Rows, lo, hi, func(g int) float64 {
+			s := 0.0
+			for _, v := range src.Row(g) { // src holds the final values after the last swap
+				s += v
+			}
+			return s
+		}), 0, nil
 	})
-	if err != nil {
-		return apps.Result{}, err
-	}
-	return col.Result(cl.MaxN()), nil
 }

@@ -121,19 +121,17 @@ func insertEmigrants(ps *matrix.Sparse, msg []float64) {
 // Run executes the particle simulation and returns the result. CheckInt is
 // an order-independent integer checksum of the final particle states.
 func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
-	col := apps.NewCollector()
-	err := mpi.Run(cl, func(c *mpi.Comm) error {
-		rt := core.New(c, cfg.Core)
+	return apps.Run(cl, cfg.Core, func(rt *core.Runtime) (float64, int64, error) {
 		ps := rt.RegisterSparse("P", cfg.Rows)
 		ph := rt.InitPhase(cfg.Rows)
 		ph.AddAccess("P", drsd.ReadWrite, 1, 0)
 		rt.Commit()
 		if rt.Joined() {
-			return fmt.Errorf("particles: %w", apps.ErrNoJoiner)
+			return 0, 0, fmt.Errorf("particles: %w", apps.ErrNoJoiner)
 		}
 
 		lo, hi := ph.Bounds()
-		seedParticles(ps, cfg, c.Size(), lo, hi)
+		seedParticles(ps, cfg, rt.Comm().Size(), lo, hi)
 
 		var sc scratch
 		for t := 0; t < cfg.Steps; t++ {
@@ -143,21 +141,13 @@ func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
 			rt.EndCycle()
 		}
 
-		var check float64
+		local := 0.0
 		if rt.Participating() {
 			lo, hi = ph.Bounds()
-			check = rt.AllreduceSum(localChecksum(ps, lo, hi))
-		} else {
-			check = rt.AllreduceSum(0)
+			local = localChecksum(ps, lo, hi)
 		}
-		rt.Finalize()
-		col.Report(rt, 0, int64(check))
-		return nil
+		return 0, int64(rt.AllreduceSum(local)), nil
 	})
-	if err != nil {
-		return apps.Result{}, err
-	}
-	return col.Result(cl.MaxN()), nil
 }
 
 // seedParticles populates this rank's initially owned rows. Particle

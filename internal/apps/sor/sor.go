@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/drsd"
-	"repro/internal/mpi"
 	"repro/internal/vclock"
 )
 
@@ -56,9 +55,7 @@ const (
 
 // Run executes Red-Black SOR on the cluster and returns the result.
 func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
-	col := apps.NewCollector()
-	err := mpi.Run(cl, func(c *mpi.Comm) error {
-		rt := core.New(c, cfg.Core)
+	return apps.Run(cl, cfg.Core, func(rt *core.Runtime) (float64, int64, error) {
 		u := rt.RegisterDense("U", cfg.Rows, cfg.Cols)
 		ph := rt.InitPhase(cfg.Rows)
 		ph.AddAccess("U", drsd.ReadWrite, 1, 0)
@@ -111,59 +108,30 @@ func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
 		}
 		rowOf := func(g int) []float64 { return u.Row(g) }
 		storeGhost := func(g int, row []float64) { copy(u.Row(g), row) }
+		red := func(lo, hi int) { sweep(lo, hi, 0) }
+		black := func(lo, hi int) { sweep(lo, hi, 1) }
 		for t := start; t < cfg.Iters; t++ {
 			if cfg.ResizeTo > 0 && t == cfg.ResizeAt && rt.Participating() {
 				rt.Resize(cfg.ResizeTo)
 			}
 			if rt.BeginCycle() {
 				lo, hi := ph.Bounds()
-				if cfg.Overlap {
-					// Each half-phase sweeps its boundary rows first, ships
-					// them, and folds the interior sweep over the exchange.
-					// Each half-phase contributes one half-row sample per
-					// row, exactly as the serial path.
-					halfPhase := func(color, tag int) {
-						if lo < hi {
-							sweep(lo, lo+1, color)
-							if hi-1 > lo {
-								sweep(hi-1, hi, color)
-							}
-						}
-						apps.HaloExchangeOverlap(rt, tag, cfg.Rows, rowOf, storeGhost, func() {
-							sweep(lo+1, hi-1, color)
-						})
-					}
-					halfPhase(0, redTag)
-					halfPhase(1, blackTag)
-				} else {
-					sweep(lo, hi, 0)
-					apps.HaloExchange(rt, redTag, cfg.Rows, rowOf, storeGhost)
-					sweep(lo, hi, 1) // each half-phase contributes one half-row sample
-					apps.HaloExchange(rt, blackTag, cfg.Rows, rowOf, storeGhost)
-				}
+				apps.HaloStep(rt, redTag, cfg.Rows, lo, hi, cfg.Overlap, red, rowOf, storeGhost)
+				apps.HaloStep(rt, blackTag, cfg.Rows, lo, hi, cfg.Overlap, black, rowOf, storeGhost)
 			}
 			rt.EndCycle()
 		}
 
-		sum := 0.0
+		lo, hi := 0, 0
 		if rt.Participating() {
-			lo, hi := ph.Bounds()
-			sum = apps.OrderedChecksum(rt, cfg.Rows, lo, hi, func(g int) float64 {
-				s := 0.0
-				for _, v := range u.Row(g) {
-					s += v
-				}
-				return s
-			})
-		} else {
-			sum = apps.OrderedChecksum(rt, cfg.Rows, 0, 0, nil)
+			lo, hi = ph.Bounds()
 		}
-		rt.Finalize()
-		col.Report(rt, sum, 0)
-		return nil
+		return apps.OrderedChecksum(rt, cfg.Rows, lo, hi, func(g int) float64 {
+			s := 0.0
+			for _, v := range u.Row(g) {
+				s += v
+			}
+			return s
+		}), 0, nil
 	})
-	if err != nil {
-		return apps.Result{}, err
-	}
-	return col.Result(cl.MaxN()), nil
 }

@@ -374,9 +374,6 @@ func (n *Node) Now() vclock.Time { return n.clock.Now() }
 // the timing package applies).
 func (n *Node) CPUTime() vclock.Duration { return n.cpuUsed }
 
-// RNG returns the node's deterministic random stream.
-func (n *Node) RNG() *vclock.PRNG { return &n.rng }
-
 func (n *Node) appendEvent(at vclock.Time, delta int) {
 	last := n.segs[len(n.segs)-1]
 	if at < last.start {

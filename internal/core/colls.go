@@ -224,21 +224,12 @@ func (rt *Runtime) collective(op func() error) {
 	rt.outSent()
 }
 
-// AllreduceF64s reduces a vector across the active nodes and returns the
-// result in a fresh slice, leaving vals untouched; removed nodes receive the
-// result without contributing. Every rank — active or removed — must call
-// global operations in the same order.
-func (rt *Runtime) AllreduceF64s(vals []float64, op func(a, b float64) float64) []float64 {
-	out := append([]float64(nil), vals...)
-	rt.AllreduceF64sInto(out, op)
-	return out
-}
-
 // AllreduceF64sInto reduces buf element-wise across the active nodes,
-// storing the result back into buf (send-out aware). Nothing retains the
-// buffer afterwards, so per-cycle reductions can recycle one slice
-// indefinitely. On error buf is untouched, so a retry contributes intact
-// values.
+// storing the result back into buf; removed nodes receive the result without
+// contributing. Every rank — active or removed — must call global operations
+// in the same order. Nothing retains the buffer afterwards, so per-cycle
+// reductions can recycle one slice indefinitely. On error buf is untouched,
+// so a retry contributes intact values.
 func (rt *Runtime) AllreduceF64sInto(buf []float64, op func(a, b float64) float64) {
 	if rt.isOut {
 		p, _ := rt.nextOut()
@@ -304,10 +295,12 @@ func (rt *Runtime) Barrier() {
 	}
 }
 
-// Finalize completes the run: active nodes synchronise and the send-out
-// root notifies every removed node that the computation terminated
-// (removed nodes block here until that notice arrives, or until no rank is
-// left that could send it: the run is over then as well).
+// Finalize completes the run: active nodes synchronise, the send-out root
+// notifies every removed node that the computation terminated (removed nodes
+// block here until that notice arrives, or until no rank is left that could
+// send it: the run is over then as well), and an active node settles the
+// replica epoch the last one-sided refresh left open, so no deposit is
+// pending when the world ends.
 func (rt *Runtime) Finalize() {
 	rt.ensureCommitted()
 	if rt.isOut {
@@ -316,4 +309,5 @@ func (rt *Runtime) Finalize() {
 	}
 	rt.Barrier()
 	rt.emitOut(doneMsg(rt.outSeq), 0)
+	rt.closeReplicaEpoch()
 }

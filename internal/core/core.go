@@ -97,7 +97,9 @@ type Config struct {
 	// during the refresh cycle, because the epoch opened at one refresh
 	// point is not settled until the next one — a full cycle of computation
 	// hides the wire. Recovery content is identical to the paired path at
-	// the same ReplicaEvery staleness.
+	// the same ReplicaEvery staleness. The refresh that trails an ordinary
+	// redistribution stays paired: the redistribution has just settled the
+	// epoch, and the next refresh point opens the following one.
 	ReplicaRMA bool
 	// Telemetry, when non-nil, receives a structured record for every
 	// adaptation action: per-cycle iteration breakdowns, distribution
@@ -191,11 +193,8 @@ type Runtime struct {
 
 	// One-sided replica state (rma.go); the windows themselves are per
 	// array, on regArray.
-	repRanks []int    // replica-group member list at the last open
-	repPrev  int      // ring predecessor at the last open (world rank)
-	repNext  int      // ring successor at the last open (world rank)
-	repOpen  bool     // a replica epoch is open (deposits or handshake pending)
-	repPend  repRange // range Put into this rank's windows this epoch
+	repRanks []int // replica-group member list at the last open
+	repOpen  bool  // a replica epoch is open (deposits or handshake pending)
 
 	// Redistribution scratch, reused across applyDistribution calls so a
 	// steady stream of redistributions performs no per-call allocation for

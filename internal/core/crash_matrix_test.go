@@ -101,7 +101,6 @@ func runMatrixWorld(t *testing.T, spec cluster.Spec, cfg Config, withSparse bool
 				}
 				rt.EndCycle()
 			}
-			rt.Finish()
 			rt.Finalize()
 			res.lo, res.hi = ph.Bounds()
 			for g := res.lo; g < res.hi; g++ {

@@ -252,21 +252,14 @@ func (rt *Runtime) loseRows(a *regArray, lo, hi int) {
 // and stores the copy its predecessor ships in return. Runs at every
 // (re)distribution point and, when ReplicaEvery is set, every N cycles from
 // EndCycle. Eager sends precede the receives, so the ring cannot deadlock.
+// The receive-side stall is the refresh's, whichever caller ran it.
 func (rt *Runtime) refreshReplicas() {
-	if !rt.cfg.Replicate || rt.isOut {
-		return
-	}
-	ranks := rt.dist.Ranks()
-	if len(ranks) < 2 {
-		rt.dropReplicas()
-		return
-	}
-	me := rt.comm.Rank()
-	prev, next, ok := ringNeighbours(ranks, me)
+	prev, next, ok := rt.replicaRing()
 	if !ok {
 		return
 	}
-	lo, hi := rt.dist.RangeOf(me)
+	stall0 := rt.comm.RecvStall
+	lo, hi := rt.dist.RangeOf(rt.comm.Rank())
 	for i := range rt.arrays {
 		a := &rt.arrays[i]
 		if a.dense == nil {
@@ -296,13 +289,25 @@ func (rt *Runtime) refreshReplicas() {
 		}
 		rt.storeReplica(a, p)
 	}
+	rt.replicaStall += rt.comm.RecvStall - stall0
 }
 
-// dropReplicas forgets every replica: a ring of one has no buddy.
-func (rt *Runtime) dropReplicas() {
-	for i := range rt.arrays {
-		rt.arrays[i].rep = nil
+// replicaRing returns this rank's predecessor and successor in the current
+// distribution's replica ring, for either refresh transport; ok is false
+// when the rank takes no part: replication is off, the rank is removed, or
+// the ring has one member — which has no buddy, so it forgets every replica.
+func (rt *Runtime) replicaRing() (prev, next int, ok bool) {
+	if !rt.cfg.Replicate || rt.isOut {
+		return 0, 0, false
 	}
+	ranks := rt.dist.Ranks()
+	if len(ranks) < 2 {
+		for i := range rt.arrays {
+			rt.arrays[i].rep = nil
+		}
+		return 0, 0, false
+	}
+	return ringNeighbours(ranks, rt.comm.Rank())
 }
 
 // ringNeighbours returns me's predecessor and successor in the ring of

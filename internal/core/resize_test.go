@@ -263,7 +263,6 @@ func runReshape(t *testing.T, spec cluster.Spec, cfg Config, n, cycles int, step
 			}
 			rt.EndCycle()
 		}
-		rt.Finish()
 		rt.Finalize()
 
 		res.redists = rt.Redistributions()

@@ -62,62 +62,34 @@ import (
 // own observation would post and start on windows its live peers, still on
 // the old ones, never touch.
 
-// repRange is the row range an open replica epoch will commit — the
-// predecessor's owned rows, the same for every dense array.
-type repRange struct {
-	lo, hi int
-}
-
 // ReplicaStall reports the cumulative receive-side stall this rank's
-// replica refreshes have cost it (paired receives, or epoch settlements
-// under ReplicaRMA). The RMA-vs-p2p study and the refresh benchmarks
-// compare it across modes.
+// replica refreshes have cost it: paired receives, epoch settlements under
+// ReplicaRMA, and the paired refresh that trails a redistribution in either
+// mode. The RMA-vs-p2p study and the refresh benchmarks compare it across
+// modes.
 func (rt *Runtime) ReplicaStall() vclock.Duration { return rt.replicaStall }
 
-// Finish settles any still-open replica epoch. Applications (and the apps
-// harness) call it once per rank after the last cycle; without it the
-// final epoch's deposits would be left pending on world teardown. Safe to
-// call multiple times and when replication or RMA mode is off.
-func (rt *Runtime) Finish() {
-	if rt.cfg.ReplicaRMA {
-		rt.closeReplicaEpoch()
-	}
-}
-
-// refreshReplicasNow runs one replica refresh in the configured mode,
-// accounting the receive-side stall it cost.
+// refreshReplicasNow runs one replica refresh in the configured mode.
 func (rt *Runtime) refreshReplicasNow() {
 	if rt.cfg.ReplicaRMA {
 		rt.closeReplicaEpoch()
 		rt.openReplicaEpoch()
 		return
 	}
-	stall0 := rt.comm.RecvStall
 	rt.refreshReplicas()
-	rt.replicaStall += rt.comm.RecvStall - stall0
 }
 
 // openReplicaEpoch exposes this rank's staging buffers and Puts its owned
 // rows into its ring successor's windows, leaving the epoch open for the
-// next refresh point to close. Every rank of the current distribution
-// calls it collectively.
+// next refresh point (or Finalize) to close. Every rank of the current
+// distribution calls it collectively.
 func (rt *Runtime) openReplicaEpoch() {
-	if !rt.cfg.Replicate || rt.isOut {
-		return
-	}
-	ranks := rt.dist.Ranks()
-	if len(ranks) < 2 {
-		rt.dropReplicas()
-		return
-	}
-	me := rt.comm.Rank()
-	prev, next, ok := ringNeighbours(ranks, me)
+	prev, next, ok := rt.replicaRing()
 	if !ok {
 		return
 	}
 	stall0 := rt.comm.RecvStall
-	defer func() { rt.replicaStall += rt.comm.RecvStall - stall0 }()
-	if !slices.Equal(rt.repRanks, ranks) {
+	if ranks := rt.dist.Ranks(); !slices.Equal(rt.repRanks, ranks) {
 		// Membership changed (or first open): discard whatever is pending
 		// on the abandoned windows, then register fresh ones on the new
 		// group. Registration order is rt.arrays on every member, so the
@@ -126,10 +98,8 @@ func (rt *Runtime) openReplicaEpoch() {
 		rt.createWins(rt.comm.World().NewGroup(ranks))
 		rt.repRanks = append(rt.repRanks[:0], ranks...)
 	}
-	rt.repPrev, rt.repNext = prev, next
-	plo, phi := rt.dist.RangeOf(rt.repPrev)
-	rt.repPend = repRange{lo: plo, hi: phi}
-	lo, hi := rt.dist.RangeOf(me)
+	plo, phi := rt.dist.RangeOf(prev)
+	lo, hi := rt.dist.RangeOf(rt.comm.Rank())
 
 	// Attach and post every array's window toward the predecessor before
 	// starting any (post before start, see the file comment).
@@ -140,7 +110,7 @@ func (rt *Runtime) openReplicaEpoch() {
 		}
 		win := a.win
 		rt.comm.WinAttach(win, rt.stageReplica(a, phi-plo))
-		rt.comm.WinPost(win, []int{rt.repPrev}, 0)
+		rt.comm.WinPost(win, []int{prev}, 0)
 	}
 
 	// Start toward the successor and Put this rank's slab.
@@ -150,7 +120,7 @@ func (rt *Runtime) openReplicaEpoch() {
 			continue
 		}
 		win := a.win
-		if err := rt.comm.WinStartErr(win, []int{rt.repNext}, nil); err != nil {
+		if err := rt.comm.WinStartErr(win, []int{next}, nil); err != nil {
 			// The successor died before posting: this rank has nowhere to
 			// ship, for any array. Only the access side is given up — the
 			// exposures posted above stay open, so the next close still
@@ -165,10 +135,11 @@ func (rt *Runtime) openReplicaEpoch() {
 			// Origin-side injection is what a paired sender pays to pack; the
 			// saving of a Put is entirely holder-side.
 			slab := rt.packRows(a, lo, hi)
-			rt.comm.Put(win, rt.repNext, 0, slab.data)
+			rt.comm.Put(win, next, 0, slab.data)
 			putDenseSlab(slab)
 		}
 	}
+	rt.replicaStall += rt.comm.RecvStall - stall0
 	rt.repOpen = true
 }
 
@@ -183,12 +154,16 @@ func (rt *Runtime) stageReplica(a *regArray, rows int) []float64 {
 
 // closeReplicaEpoch settles the replica epoch left open by the last
 // refresh point, promoting each staged deposit to the committed replica.
-// No-op when no epoch is open.
+// No-op when no epoch is open. The ring and the committed range are those
+// of the open: nothing installs a distribution between an open and its
+// close, because a redistribution closes the epoch first (beginRedist).
 func (rt *Runtime) closeReplicaEpoch() {
 	if !rt.repOpen {
 		return
 	}
 	rt.repOpen = false
+	prev, next, _ := ringNeighbours(rt.dist.Ranks(), rt.comm.Rank())
+	plo, phi := rt.dist.RangeOf(prev)
 	stall0 := rt.comm.RecvStall
 	// Complete toward the successor for every array before waiting on any
 	// (complete before wait, see the file comment). A successor recorded dead
@@ -196,7 +171,7 @@ func (rt *Runtime) closeReplicaEpoch() {
 	// the recorded set, never the wall-clock Alive — see knownDead).
 	for i := range rt.arrays {
 		a := &rt.arrays[i]
-		if a.dense == nil || rt.knownDead(rt.repNext) {
+		if a.dense == nil || rt.knownDead(next) {
 			continue
 		}
 		rt.comm.WinComplete(a.win)
@@ -209,15 +184,14 @@ func (rt *Runtime) closeReplicaEpoch() {
 		if a.dense == nil {
 			continue
 		}
-		win, pend := a.win, rt.repPend
-		if err := rt.comm.WinWaitErr(win); err != nil {
-			want := (pend.hi - pend.lo) * a.dense.RowLen
+		if err := rt.comm.WinWaitErr(a.win); err != nil {
+			want := (phi - plo) * a.dense.RowLen
 			// Not recorded: deadOf without absorbDead is tolerateDeath.
-			if rt.unlanded(win, rt.deadOf(err), rt.repPrev, want) {
+			if rt.unlanded(a.win, rt.deadOf(err), prev, want) {
 				continue
 			}
 		}
-		rt.promoteReplica(a, pend)
+		rt.promoteReplica(a, plo, phi)
 	}
 	rt.replicaStall += rt.comm.RecvStall - stall0
 }
@@ -235,17 +209,16 @@ func (rt *Runtime) unlanded(win *mpi.Win, dead []int, origin, want int) (lost bo
 	return lost
 }
 
-// promoteReplica commits one settled stage as the array's replica by
-// swapping the two buffers: the deposit covers the whole stage, and the next
-// open re-sizes and exposes the other one (its post is the write barrier, so
-// no Put can land before then). Host-only bookkeeping: the modelled transfer
-// already landed one-sided, so no virtual cost is charged (see the file
-// comment).
-func (rt *Runtime) promoteReplica(a *regArray, pend repRange) {
+// promoteReplica commits one settled stage, the predecessor's rows [lo,hi),
+// as the array's replica by swapping the two buffers: the deposit covers the
+// whole stage, and the next open re-sizes and exposes the other one (its post
+// is the write barrier, so no Put can land before then). Host-only
+// bookkeeping: the modelled transfer already landed one-sided, so no virtual
+// cost is charged (see the file comment).
+func (rt *Runtime) promoteReplica(a *regArray, lo, hi int) {
 	rep := a.rep
-	n := (pend.hi - pend.lo) * a.dense.RowLen
-	rep.data, rep.stage = rep.stage[:n], rep.data
-	rep.lo, rep.hi = pend.lo, pend.hi
+	rep.data, rep.stage = rep.stage[:(hi-lo)*a.dense.RowLen], rep.data
+	rep.lo, rep.hi = lo, hi
 }
 
 // discardReplicaWindows drops every deposit still pending against this

@@ -29,8 +29,9 @@ type rmaResult struct {
 }
 
 // runRMAMini is runMini with the hooks the one-sided suites need: it
-// surfaces the World (for LeakedOps), settles the final replica epoch via
-// Finish, and records each rank's cumulative refresh stall. rowLen is a
+// surfaces the World (for LeakedOps) and records each rank's cumulative
+// refresh stall. Each rank ends with Finalize alone, which must settle the
+// final replica epoch. rowLen is a
 // parameter so the stall suites can make the replica slabs large enough
 // for wire time to matter.
 func runRMAMini(t *testing.T, spec cluster.Spec, cfg Config, n, rowLen, cycles int) (map[int]*rmaResult, int) {
@@ -59,7 +60,6 @@ func runRMAMini(t *testing.T, spec cluster.Spec, cfg Config, n, rowLen, cycles i
 			}
 			rt.EndCycle()
 		}
-		rt.Finish()
 		rt.Finalize()
 		res := &rmaResult{
 			rank:      c.Rank(),
@@ -187,9 +187,11 @@ func TestReplicaRMACrashMatrix(t *testing.T) {
 	}
 }
 
-// TestReplicaRMAFaultFreeLeakFree: the steady-state open/close cycle plus
-// the Finish settlement must leave no deposit pending at world teardown —
-// the window-layer analogue of the engine's leaked-ops contract.
+// TestReplicaRMAFaultFreeLeakFree: Commit, per-cycle one-sided refreshes
+// and Finalize — the whole lifecycle a program writes — must leave no
+// deposit pending at world teardown: Finalize settles the epoch the last
+// refresh opened. The window-layer analogue of the engine's leaked-ops
+// contract.
 func TestReplicaRMAFaultFreeLeakFree(t *testing.T) {
 	results, leaked := runRMAMini(t, cluster.Uniform(4), replicaRMACfg(), 64, 4, 12)
 	checkRMAValues(t, results, 64)
@@ -259,4 +261,57 @@ func recordsOf(results map[int]*miniResult) map[int][]telemetry.Record {
 		recs[r] = res.recs
 	}
 	return recs
+}
+
+// TestRefreshStallCountsTrailingRefresh: the paired refresh that trails an
+// ordinary redistribution is a refresh like any other, so its receive-side
+// stall counts in ReplicaStall. With ReplicaEvery 0 and paired transport
+// the only refreshes are Commit's and the one after the Resize, so a
+// survivor's stall must grow past what it read right after Commit.
+func TestRefreshStallCountsTrailingRefresh(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Drop = DropNever
+	cfg.Replicate = true
+	var mu sync.Mutex
+	grew := map[int]bool{}
+	err := mpi.Run(cluster.New(cluster.Uniform(4)), func(c *mpi.Comm) error {
+		rt := New(c, cfg)
+		x := rt.RegisterDense("X", 48, 64)
+		ph := rt.InitPhase(48)
+		ph.AddAccess("X", drsd.ReadWrite, 1, 0)
+		rt.Commit()
+		x.Fill(func(g, j int) float64 { return float64(g) })
+		committed := rt.ReplicaStall()
+		for tstep := 0; tstep < 6; tstep++ {
+			if tstep == 2 && rt.Participating() {
+				rt.Resize(3)
+			}
+			if rt.BeginCycle() {
+				lo, hi := ph.Bounds()
+				rt.ComputeIters(lo, hi, iterCost)
+			}
+			rt.EndCycle()
+		}
+		rt.Finalize()
+		if rt.Participating() {
+			if rt.Redistributions() == 0 {
+				t.Errorf("rank %d: the Resize redistributed nothing", c.Rank())
+			}
+			mu.Lock()
+			grew[c.Rank()] = rt.ReplicaStall() > committed
+			mu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(grew) != 3 {
+		t.Fatalf("%d survivors, want 3", len(grew))
+	}
+	for r, ok := range grew {
+		if !ok {
+			t.Errorf("rank %d: the refresh after the redistribution added no stall", r)
+		}
+	}
 }
