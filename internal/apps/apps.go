@@ -145,17 +145,16 @@ func (c *Collector) Result(n int) Result {
 
 // OrderedChecksum computes a checksum of per-row values summed in global
 // row order, independent of how rows are distributed: each rank deposits
-// its owned rows into a zero-filled vector, an element-wise allreduce
-// assembles the full vector bit-exactly (x+0 == x), and the final sum runs
-// in a fixed order on every rank.
+// only its owned rows [lo,hi), the collective adds them into one zero vector
+// of n rows (x+0 == x, so each row keeps its bits), and the final sum runs
+// over that one shared vector in a fixed order on every rank.
 func OrderedChecksum(rt *core.Runtime, n int, lo, hi int, rowVal func(g int) float64) float64 {
-	contrib := make([]float64, n)
+	rows := make([]float64, hi-lo)
 	for g := lo; g < hi; g++ {
-		contrib[g] = rowVal(g)
+		rows[g-lo] = rowVal(g)
 	}
-	rt.AllreduceF64sInto(contrib, mpi.Sum)
 	s := 0.0
-	for _, v := range contrib {
+	for _, v := range rt.AllreduceSumSeg(n, lo, rows) {
 		s += v
 	}
 	return s

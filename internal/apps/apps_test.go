@@ -252,3 +252,104 @@ func TestCollectorAggregation(t *testing.T) {
 		t.Fatalf("stats %+v", res.Stats)
 	}
 }
+
+// checksumWorld runs cycles of a one-array stencil-free loop on spec under
+// cfg and then OrderedChecksum over row values 0.1·(g+1). It returns each
+// rank's checksum, which ranks ended removed, and the victim's clock on
+// entry to the checksum.
+func checksumWorld(t *testing.T, spec cluster.Spec, cfg core.Config, victim int) (sums map[int]float64, removed map[int]bool, entry vclock.Time) {
+	t.Helper()
+	const n, cycles = 48, 30
+	var mu sync.Mutex
+	sums, removed = map[int]float64{}, map[int]bool{}
+	w := mpi.NewWorld(cluster.New(spec))
+	err := w.Run(func(c *mpi.Comm) error {
+		rt := core.New(c, cfg)
+		rt.RegisterDense("X", n, 1)
+		ph := rt.InitPhase(n)
+		ph.AddAccess("X", drsd.ReadWrite, 1, 0)
+		rt.Commit()
+		for cyc := 0; cyc < cycles; cyc++ {
+			if rt.BeginCycle() {
+				lo, hi := ph.Bounds()
+				for g := lo; g < hi; g++ {
+					rt.ComputeIter(g, 10*vclock.Millisecond)
+				}
+			}
+			rt.EndCycle()
+		}
+		lo, hi := 0, 0
+		if rt.Participating() {
+			lo, hi = ph.Bounds()
+		}
+		rt.ComputeIter(lo, vclock.Millisecond) // the checksum's first operation is past the cycles' last
+		if c.Rank() == victim {
+			entry = c.Now()
+		}
+		s := OrderedChecksum(rt, n, lo, hi, func(g int) float64 { return 0.1 * float64(g+1) })
+		rt.Finalize()
+		mu.Lock()
+		sums[c.Rank()], removed[c.Rank()] = s, !rt.Participating()
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaked := w.LeakedOps(); leaked != 0 {
+		t.Fatalf("%d operations leaked", leaked)
+	}
+	return sums, removed, entry
+}
+
+// rowSum is OrderedChecksum's value when the rows in dead read zero.
+func rowSum(n int, dead func(g int) bool) float64 {
+	s := 0.0
+	for g := 0; g < n; g++ {
+		if !dead(g) {
+			s += 0.1 * float64(g+1)
+		}
+	}
+	return s
+}
+
+// TestOrderedChecksumReachesRemovedRanks: a rank the runtime removed
+// contributes no rows, and receives the assembled vector through the
+// send-out, so its checksum equals the active ranks'.
+func TestOrderedChecksumReachesRemovedRanks(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Drop = core.DropAlways
+	spec := cluster.Uniform(4).With(cluster.CycleEvent(2, 3, +1))
+	sums, removed, _ := checksumWorld(t, spec, cfg, -1)
+	if !removed[2] {
+		t.Fatal("the loaded rank was not removed")
+	}
+	want := rowSum(48, func(int) bool { return false })
+	for r, s := range sums {
+		if s != want {
+			t.Errorf("rank %d (removed %v): checksum %v, want %v", r, removed[r], s, want)
+		}
+	}
+}
+
+// TestOrderedChecksumSurvivesCrashInside: a rank that dies on entry to the
+// checksum's collective fails it on every survivor, whose retry over the
+// survivors sums the rows with the dead rank's reading zero.
+func TestOrderedChecksumSurvivesCrashInside(t *testing.T) {
+	const victim = 1
+	cfg := core.Config{Adapt: false}
+	_, _, entry := checksumWorld(t, cluster.Uniform(4), cfg, victim)
+	spec := cluster.Uniform(4)
+	spec.Faults = []fault.Fault{fault.CrashAt(victim, entry)}
+	sums, _, _ := checksumWorld(t, spec, cfg, -1)
+	if _, ok := sums[victim]; ok {
+		t.Fatal("the victim reached the end of the run")
+	}
+	// Four ranks hold 12 rows each at the start, and nothing moved them.
+	want := rowSum(48, func(g int) bool { return g/12 == victim })
+	for r, s := range sums {
+		if s != want {
+			t.Errorf("rank %d: checksum %v, want %v", r, s, want)
+		}
+	}
+}

@@ -183,24 +183,14 @@ func (rt *Runtime) measureComm(cycles int) (commCPU, commWire float64, err error
 }
 
 // gatherEstimates assembles the global per-iteration cost vector from every
-// active rank's grace-period collector.
+// active rank's grace-period collector. Each rank deposits its own range's
+// estimates, and every rank gets the same assembled slice: one vector per
+// decision per world, which nothing writes (membership).
 func (rt *Runtime) gatherEstimates() ([]float64, error) {
-	lo, _ := rt.collector.Range()
-	type chunk struct {
-		Lo  int
-		Est []float64
-	}
-	est := rt.collector.Estimates()
-	parts, err := rt.comm.AllgatherErr(rt.group, chunk{Lo: lo, Est: est}, 8*len(est)+8)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, rt.n)
-	for _, p := range parts {
-		c := p.(chunk)
-		copy(out[c.Lo:], c.Est)
-	}
-	return out, nil
+	lo, hi := rt.collector.Range()
+	rt.estBuf = atLeast(rt.estBuf, hi-lo)[:hi-lo]
+	rt.collector.EstimatesInto(rt.estBuf)
+	return rt.comm.AllgatherSegErr(rt.group, rt.n, lo, rt.estBuf)
 }
 
 // abandonDecision gives up on an in-flight redistribution decision after a

@@ -240,6 +240,25 @@ func (rt *Runtime) AllreduceF64sInto(buf []float64, op func(a, b float64) float6
 	rt.sendOut(buf)
 }
 
+// AllreduceSumSeg sums, across the active nodes, length-n vectors that are
+// zero except for each rank's seg at off, and returns the sum; removed nodes
+// receive it without contributing. The zero-padded vectors are never built
+// (mpi.AllreduceSumSegErr), and the result is one slice every active rank
+// shares: read it, never write it. A removed rank gets its own copy.
+func (rt *Runtime) AllreduceSumSeg(n, off int, seg []float64) []float64 {
+	if rt.isOut {
+		p, _ := rt.nextOut()
+		return p.([]float64)
+	}
+	var res []float64
+	rt.collective(func() (err error) {
+		res, err = rt.comm.AllreduceSumSegErr(rt.group, n, off, seg)
+		return err
+	})
+	rt.sendOut(res)
+	return res
+}
+
 // AllreduceSum reduces one value by summation (send-out aware).
 func (rt *Runtime) AllreduceSum(v float64) float64 {
 	return rt.allreduce1(v, rt.comm.AllreduceSumErr)

@@ -218,6 +218,7 @@ type Runtime struct {
 	fracBuf   []float64
 	countBuf  []int
 	unitCosts []float64            // all ones: the iteration costs before any grace period measured them
+	estBuf    []float64            // this rank's grace-period estimates, deposited into the cost gather
 	decision  distribution.Scratch // what distribution.Decide computes
 
 	// Telemetry state (sink == nil disables everything).

@@ -19,7 +19,9 @@ import (
 // membership is the state every member holds identically, and all a member
 // needs to compute the next change alone. It is replaced whole (install) or
 // advanced in lockstep by every active rank; its slices are shared between
-// ranks by the packet, so they are never written in place.
+// ranks by the packet, so they are never written in place. iterCosts is
+// shared from the start: the grace-period cost gather hands every active
+// rank the same slice (gatherEstimates).
 type membership struct {
 	active    []int     // computing world ranks, in relative-rank order
 	removed   []int     // physically removed world ranks (send-out only)

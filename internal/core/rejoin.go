@@ -59,6 +59,14 @@ func (rt *Runtime) loadReplies(ranks []int) []int {
 // enabled, the removed nodes' loads via the root — so all active ranks see
 // an identical picture.
 func (rt *Runtime) exchangeLoads() (active []int, removedRanks, removedLoads []int, err error) {
+	// Both paths decode into the rank-owned loadInts: every consumer copies
+	// what it keeps.
+	if rt.loadBuf == nil {
+		// Sized once for the largest group the world can hold.
+		rt.loadBuf = make([]float64, rt.comm.World().Cap())
+		rt.loadInts = make([]int, rt.comm.World().Cap())
+	}
+	active = rt.loadInts[:rt.group.Size()]
 	// Fast path: with no removed-node sidecar to carry, every contribution
 	// is a bare load reading, so the exchange rides the allocation-free
 	// float64 allgather instead of boxing a loadMsg per member per cycle. The wire
@@ -66,19 +74,12 @@ func (rt *Runtime) exchangeLoads() (active []int, removedRanks, removedLoads []i
 	// the boxed path, so virtual timestamps — and the golden traces — do
 	// not move.
 	if !rt.cfg.AllowRejoin || len(rt.removed) == 0 {
-		n := rt.group.Size()
-		if rt.loadBuf == nil {
-			// Sized once for the largest group the world can hold.
-			rt.loadBuf = make([]float64, rt.comm.World().Cap())
-			rt.loadInts = make([]int, rt.comm.World().Cap())
-		}
-		buf := rt.loadBuf[:n]
+		buf := rt.loadBuf[:len(active)]
 		err := rt.comm.AllgatherF64sIntoErr(rt.group, float64(rt.monitor.CompetingProcesses()), buf)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		rt.outSent()
-		active = rt.loadInts[:n]
 		for i, v := range buf {
 			active[i] = int(v)
 		}
@@ -104,7 +105,6 @@ func (rt *Runtime) exchangeLoads() (active []int, removedRanks, removedLoads []i
 		return nil, nil, nil, err
 	}
 	rt.outSent()
-	active = make([]int, len(parts))
 	for i, p := range parts {
 		m := p.(loadMsg)
 		active[i] = m.Load

@@ -290,7 +290,8 @@ func (ns *NodeState) MessageFault(dst int) (kind Kind, extra vclock.Duration, hi
 //	delay:node=0,to=2,count=4,dur=10ms
 //
 // Keys: node, cycle, t (virtual seconds, float), dur (Go duration syntax),
-// to, after, count.
+// to, after, count. cycle and t trigger node faults only; a message fault
+// rejects them, and parses to exactly what DropMsgs or DelayMsgs builds.
 func ParseSpecs(s string) ([]Fault, error) {
 	var out []Fault
 	for _, spec := range strings.Split(s, ";") {
@@ -302,12 +303,14 @@ func ParseSpecs(s string) ([]Fault, error) {
 		if !ok {
 			return nil, fmt.Errorf("fault spec %q: want kind:key=value,...", spec)
 		}
-		f := Fault{AtCycle: -1, At: -1, To: -1}
+		// At stays -1, unset, on a node fault without a t= key, so that
+		// NewSet can reject a node fault with no trigger.
+		f := Fault{AtCycle: -1, To: -1}
 		switch kindStr {
 		case "crash":
-			f.Kind = Crash
+			f.Kind, f.At = Crash, -1
 		case "stall":
-			f.Kind = Stall
+			f.Kind, f.At = Stall, -1
 		case "drop":
 			f.Kind = Drop
 		case "delay":
@@ -316,10 +319,14 @@ func ParseSpecs(s string) ([]Fault, error) {
 			return nil, fmt.Errorf("fault spec %q: unknown kind %q", spec, kindStr)
 		}
 		f.Node = -1
+		msg := f.Kind == Drop || f.Kind == Delay
 		for _, kv := range strings.Split(rest, ",") {
 			key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 			if !ok {
 				return nil, fmt.Errorf("fault spec %q: bad key=value %q", spec, kv)
+			}
+			if msg && (key == "cycle" || key == "t") {
+				return nil, fmt.Errorf("fault spec %q: %s= does not apply to a %s fault", spec, key, kindStr)
 			}
 			switch key {
 			case "node", "to", "cycle", "after", "count":
@@ -361,7 +368,7 @@ func ParseSpecs(s string) ([]Fault, error) {
 		if f.Node < 0 {
 			return nil, fmt.Errorf("fault spec %q: missing node", spec)
 		}
-		if (f.Kind == Drop || f.Kind == Delay) && f.To < 0 {
+		if msg && f.To < 0 {
 			return nil, fmt.Errorf("fault spec %q: missing to", spec)
 		}
 		out = append(out, f)

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,8 +142,8 @@ func TestParseSpecs(t *testing.T) {
 	want := []Fault{
 		{Kind: Crash, Node: 1, AtCycle: 12, At: -1, To: -1},
 		{Kind: Stall, Node: 2, AtCycle: 8, At: -1, To: -1, Dur: 50 * vclock.Millisecond},
-		{Kind: Drop, Node: 0, AtCycle: -1, At: -1, To: 1, After: 5, Count: 3},
-		{Kind: Delay, Node: 0, AtCycle: -1, At: -1, To: 2, Count: 4, Dur: 10 * vclock.Millisecond},
+		{Kind: Drop, Node: 0, AtCycle: -1, To: 1, After: 5, Count: 3},
+		{Kind: Delay, Node: 0, AtCycle: -1, To: 2, Count: 4, Dur: 10 * vclock.Millisecond},
 		{Kind: Crash, Node: 3, AtCycle: -1, To: -1, At: vclock.Time(250 * vclock.Millisecond)},
 	}
 	for i := range want {
@@ -163,6 +164,9 @@ func TestParseSpecs(t *testing.T) {
 		"crash:node=x,cycle=1",
 		"stall:node=1,cycle=1,dur=banana",
 		"crash:node=1,cycle=1,flavor=up",
+		// Nothing reads a trigger on a message fault.
+		"drop:node=0,to=1,cycle=3",
+		"delay:node=0,to=1,dur=1ms,t=0.5",
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpecs(spec); err == nil {
@@ -193,5 +197,22 @@ func TestParseSpecs(t *testing.T) {
 		t.Errorf("ParseSpecs(t=0) = %+v, %v", fs, err)
 	} else if _, err := NewSet(4, fs); err != nil {
 		t.Errorf("NewSet(t=0): %v", err)
+	}
+}
+
+// TestParsedMessageFaultsEqualBuilt: a drop or delay spec parses to exactly
+// the fault DropMsgs or DelayMsgs builds, the unset trigger included.
+func TestParsedMessageFaultsEqualBuilt(t *testing.T) {
+	parsed, err := ParseSpecs("drop:node=0,to=1,after=2,count=3;delay:node=2,to=1,count=4,dur=10ms;drop:node=3,to=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := []Fault{
+		DropMsgs(0, 1, 2, 3),
+		DelayMsgs(2, 1, 0, 4, 10*vclock.Millisecond),
+		DropMsgs(3, 0, 0, 0),
+	}
+	if !reflect.DeepEqual(parsed, built) {
+		t.Fatalf("ParseSpecs gave %+v, the helpers %+v", parsed, built)
 	}
 }

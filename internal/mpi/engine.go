@@ -26,8 +26,9 @@ import (
 //   - The last arriver publishes every op. The element-wise allreduce folds
 //     the contributions in slot order, so the floating-point association —
 //     and therefore every result bit — is independent of physical arrival
-//     order. Every []float64 result is a recycled vector that each member
-//     copies into its own buffer before releasing the op.
+//     order. A []float64 result is either a recycled vector that each
+//     member copies into its own buffer before releasing the op, or, for
+//     the segment collectives, one fresh vector every member shares.
 //   - Completion is published by flipping one atomic flag. Members waiting
 //     for it spin briefly (yielding the processor), which resolves almost
 //     every rendezvous without a single scheduler park; a member that
@@ -120,6 +121,12 @@ type collDesc struct {
 	rootSlot int // bcast/gather root, as a group slot
 	rfn      func(a, b float64) float64
 	rop      uint8 // well-known operator fast path (ropSum/ropMax)
+
+	// A segment collective (AllgatherSegErr, AllreduceSumSegErr) is priced
+	// and counted as its kind, but every member deposits a segment of a
+	// length-vecLen vector and the result is that vector, assembled once.
+	segs   bool
+	vecLen int
 }
 
 // opState is one collective rendezvous slot. The success path is lock-free:
@@ -360,13 +367,13 @@ func opBytes(op *opState) int {
 // steady state (one group used every cycle) skips the map lookup.
 func (c *Comm) groupSlot(g *Group) int {
 	if g == c.lastGroup {
-		return c.lastSlot
+		return int(c.lastSlot)
 	}
 	slot, ok := g.Slot(c.rank)
 	if !ok {
 		panic(fmt.Sprintf("mpi: rank %d not in group", c.rank))
 	}
-	c.lastGroup, c.lastSlot = g, slot
+	c.lastGroup, c.lastSlot = g, int32(slot)
 	return slot
 }
 
@@ -376,10 +383,14 @@ func (c *Comm) groupSlot(g *Group) int {
 // result, its clock advanced to the completion time plus the per-member CPU
 // charge.
 //
-// A []float64 result leaves only one way: copied into dst *before the op is
-// released*, so the result vector is recycled the moment the last member
-// leaves without racing a slow reader. A dst shorter than the result fails
-// the run rather than truncating it.
+// A []float64 result leaves in one of two forms. The vector collectives
+// (BcastF64sInto, AllreduceF64sInto, AllgatherF64sInto and the scalar
+// reductions) copy it into dst *before the op is released*, so the slot's
+// result vector is recycled the moment the last member leaves without
+// racing a slow reader; a dst shorter than the result fails the run rather
+// than truncating it. The segment collectives (AllgatherSegErr,
+// AllreduceSumSegErr) return it as the value instead: one fresh vector per
+// op, which every member shares read-only and nothing recycles.
 //
 // When a group member is dead and has not deposited, every surviving member
 // leaves with a *RankFailedError naming every member dead at the quiescent
@@ -535,20 +546,28 @@ func (c *Comm) publish(g *Group, op *opState, desc *collDesc) {
 			copy(resultVec(op, len(src)), src)
 		}
 	case opAllreduce:
-		// Fold in slot order: the association, and so every result bit, is
-		// the same whatever order the members arrived in.
-		first := op.contribsF64[0]
-		out := resultVec(op, len(first))
-		copy(out, first)
-		for _, v := range op.contribsF64[1:] {
-			if len(v) != len(out) {
-				panic("mpi: allreduce length mismatch")
+		if desc.segs {
+			op.value = assembleSegs(g, op, desc.vecLen)
+		} else {
+			// Fold in slot order: the association, and so every result bit,
+			// is the same whatever order the members arrived in.
+			first := op.contribsF64[0]
+			out := resultVec(op, len(first))
+			copy(out, first)
+			for _, v := range op.contribsF64[1:] {
+				if len(v) != len(out) {
+					panic("mpi: allreduce length mismatch")
+				}
+				foldInto(out, v, desc.rop, desc.rfn)
 			}
-			foldInto(out, v, desc.rop, desc.rfn)
 		}
 		cost = allreduceCost(net, n, bytes)
 	case opAllgather:
-		op.value = append([]any(nil), op.contribs...)
+		if desc.segs {
+			op.value = assembleSegs(g, op, desc.vecLen)
+		} else {
+			op.value = append([]any(nil), op.contribs...)
+		}
 		cost = allgatherCost(net, n, bytes)
 	case opAllgatherF64:
 		out := resultVec(op, n)
@@ -574,6 +593,20 @@ func (c *Comm) publish(g *Group, op *opState, desc *collDesc) {
 		}
 		w.mu.Unlock()
 	}
+}
+
+// assembleSegs adds every member's segment, in slot order, at its offset
+// into one fresh zero vector of length n: the result a segment collective's
+// members share. Adding into +0 reproduces each element bit for bit, the
+// same bits the slot-order fold of zero-padded vectors gives, except that a
+// lone -0 reads +0.
+func assembleSegs(g *Group, op *opState, n int) []float64 {
+	out := make([]float64, n)
+	for s, seg := range op.contribsF64 {
+		off := int(g.w.comms[g.members[s]].segOff)
+		foldInto(out[off:off+len(seg)], seg, ropSum, nil)
+	}
+	return out
 }
 
 // resetOp recycles the slot for its next op generation. Callers hold op.mu

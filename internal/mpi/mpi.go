@@ -21,6 +21,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -273,7 +274,14 @@ type Comm struct {
 	// group, so the steady state (the same group every cycle) resolves its
 	// slot without a map lookup. See groupSlot in engine.go.
 	lastGroup *Group
-	lastSlot  int
+	lastSlot  int32
+
+	// segOff is the offset of the segment this rank deposits into a segment
+	// collective (AllgatherSegErr, AllreduceSumSegErr). The rank writes it
+	// before its deposit and the op's publisher reads it after the last
+	// arrival, the one read of a Comm field from another rank's goroutine.
+	// It shares a word with lastSlot, so a world's Comms cost no more.
+	segOff int32
 
 	// flt is this rank's injected-fault state; nil when the scenario has
 	// no faults for this node, which keeps the hot-path cost to one nil
@@ -799,6 +807,42 @@ func (c *Comm) AllgatherErr(g *Group, contrib any, bytes int) ([]any, error) {
 		return nil, err
 	}
 	return res.([]any), nil
+}
+
+// AllgatherSegErr is the segment form of AllgatherErr: every member
+// contributes seg, the piece of a length-n vector that starts at off, and
+// every member receives that vector, each segment at its offset and zero
+// where none lies. It is priced and counted as an AllgatherErr of the
+// segment and its offset, 8·len(seg)+8 bytes. The result is assembled once
+// per op and is the same slice on every member: read-only, and never
+// recycled. seg is read only until the call returns. An offset that puts seg
+// outside the vector fails the run. When a group member is dead it returns
+// an error and publishes nothing.
+func (c *Comm) AllgatherSegErr(g *Group, n, off int, seg []float64) ([]float64, error) {
+	return c.segmentsErr(g, off, seg, &collDesc{kind: opAllgather, bytes: F64Bytes(len(seg)) + 8, segs: true, vecLen: n})
+}
+
+// AllreduceSumSegErr is AllreduceF64sIntoErr with Sum over length-n vectors
+// that are zero except for each member's seg at off, and it is priced and
+// counted as that call, F64Bytes(n) bytes. The zero-padded vectors are
+// never built: the segments are added into one vector, in slot order, which
+// every member shares as AllgatherSegErr's result is shared.
+func (c *Comm) AllreduceSumSegErr(g *Group, n, off int, seg []float64) ([]float64, error) {
+	return c.segmentsErr(g, off, seg, &collDesc{kind: opAllreduce, bytes: F64Bytes(n), segs: true, vecLen: n})
+}
+
+// segmentsErr runs a segment collective: the offset rides on the Comm
+// (segOff), the segment through the typed vector slot.
+func (c *Comm) segmentsErr(g *Group, off int, seg []float64, desc *collDesc) ([]float64, error) {
+	if n := desc.vecLen; n > math.MaxInt32 || off < 0 || off > n-len(seg) {
+		panic(fmt.Sprintf("mpi: segment [%d,%d) outside a length-%d vector", off, off+len(seg), n))
+	}
+	c.segOff = int32(off)
+	res, err := c.rendezvousErr(g, nil, seg, desc, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.([]float64), nil
 }
 
 // AllgatherF64sInto gathers one float64 per member, ordered by slot, into

@@ -120,17 +120,22 @@ func (c *Collector) EndCycle() { c.cycles++ }
 // Cycles reports how many complete cycles have been measured.
 func (c *Collector) Cycles() int { return c.cycles }
 
-// Estimates returns the unloaded *per-phase-cycle* cost of each iteration,
-// in seconds of reference CPU (multiplied back by the node's power so
-// estimates from different nodes are comparable). An application may
+// EstimatesInto computes the unloaded *per-phase-cycle* cost of each
+// iteration, in seconds of reference CPU (multiplied back by the node's power
+// so estimates from different nodes are comparable). An application may
 // bracket the same iteration several times per cycle (SOR measures each
 // half-phase); the estimate is the iteration's total cost per cycle.
 //
 // Mechanism choice per sample follows the paper: /PROC when even the
 // best-case wall time is at least one granule, min-filtered wallclock
 // otherwise (with the min multiplied back by the samples-per-cycle count).
-func (c *Collector) Estimates() []float64 {
-	out := make([]float64, c.hi-c.lo)
+//
+// The estimates go into dst, which must have length hi-lo (see Range):
+// iteration lo+i's into dst[i].
+func (c *Collector) EstimatesInto(dst []float64) {
+	if len(dst) != len(c.iters) {
+		panic(fmt.Sprintf("timing: estimates destination has length %d, want %d", len(dst), len(c.iters)))
+	}
 	cycles := c.cycles
 	if cycles == 0 {
 		cycles = 1
@@ -146,9 +151,8 @@ func (c *Collector) Estimates() []float64 {
 		} else {
 			local = it.wallMin * vclock.Duration(samplesPerCycle)
 		}
-		out[i] = local.Seconds() * c.node.Power()
+		dst[i] = local.Seconds() * c.node.Power()
 	}
-	return out
 }
 
 // Range reports the iteration range being collected.

@@ -28,7 +28,7 @@ func measure(node *cluster.Node, lo, hi, cycles int, cost vclock.Duration) []flo
 		}
 		c.EndCycle()
 	}
-	return c.Estimates()
+	return estimates(c)
 }
 
 func TestLongIterationsUseProcAndIgnoreLoad(t *testing.T) {
@@ -94,7 +94,7 @@ func TestNonuniformIterations(t *testing.T) {
 		}
 		c.EndCycle()
 	}
-	est := c.Estimates()
+	est := estimates(c)
 	if !(est[0] < est[1] && est[1] < est[2]) {
 		t.Fatalf("estimates %v lost the imbalance", est)
 	}
@@ -233,7 +233,7 @@ func TestResetCollectorMatchesFresh(t *testing.T) {
 			}
 			c.EndCycle()
 		}
-		return c.Estimates()
+		return estimates(c)
 	}
 	for _, second := range [][2]int{{20, 31}, {3, 90}} {
 		lo, hi := second[0], second[1]
@@ -260,4 +260,12 @@ func TestResetCollectorMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// estimates returns c's estimates in a fresh slice.
+func estimates(c *Collector) []float64 {
+	lo, hi := c.Range()
+	est := make([]float64, hi-lo)
+	c.EstimatesInto(est)
+	return est
 }
