@@ -210,6 +210,15 @@ func Launch(spec ClusterSpec, cfg Config, fn func(rt *Runtime) error) error {
 	})
 }
 
+// Op is a reduction operator for Runtime.AllreduceF64sInto.
+type Op = mpi.Op
+
+// Reduction operators.
+const (
+	Sum = mpi.Sum
+	Max = mpi.Max
+)
+
 // F64Bytes reports the wire size of n float64 values, for SendRel calls.
 func F64Bytes(n int) int { return mpi.F64Bytes(n) }
 

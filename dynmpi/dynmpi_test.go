@@ -110,6 +110,71 @@ func TestPublicSparseAndGlobals(t *testing.T) {
 	}
 }
 
+// TestVectorReductionsReachRemovedRank runs a Sum and a Max vector
+// reduction every cycle of a world whose loaded rank is removed: every rank,
+// the removed one included, ends with the same bits, and they are the
+// slot-order fold of the active ranks' contributions alone.
+func TestVectorReductionsReachRemovedRank(t *testing.T) {
+	const n, ranks, cycles, loaded, width = 30, 4, 25, 3, 8
+	contrib := func(rank, cycle, i int) float64 {
+		v := math.Ldexp(1+float64((rank*31+i*17+cycle*7)%97)/97, (rank*13+i)%40-20)
+		if (rank+i)%3 == 0 {
+			v = -v
+		}
+		return v
+	}
+	spec := dynmpi.Uniform(ranks).With(dynmpi.CompetingProcessAtCycle(loaded, 2))
+	cfg := dynmpi.DefaultConfig()
+	cfg.Drop = dynmpi.DropAlways
+	var mu sync.Mutex
+	sums, maxes := map[int][]float64{}, map[int][]float64{}
+	out := map[int]bool{}
+	err := dynmpi.Launch(spec, cfg, func(rt *dynmpi.Runtime) error {
+		ph := rt.InitPhase(n)
+		rt.Commit()
+		rank := rt.Comm().Rank()
+		sum, top := make([]float64, width), make([]float64, width)
+		for c := 0; c < cycles; c++ {
+			if rt.BeginCycle() {
+				lo, hi := ph.Bounds()
+				rt.ComputeIters(lo, hi, 10*dynmpi.Millisecond)
+			}
+			for i := range sum {
+				sum[i], top[i] = contrib(rank, c, i), contrib(rank, c, i)
+			}
+			rt.AllreduceF64sInto(sum, dynmpi.Sum)
+			rt.AllreduceF64sInto(top, dynmpi.Max)
+			rt.EndCycle()
+		}
+		rt.Finalize()
+		mu.Lock()
+		sums[rank], maxes[rank], out[rank] = sum, top, !rt.Participating()
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < ranks; r++ {
+		if out[r] != (r == loaded) {
+			t.Fatalf("removed ranks at the end %v, want only rank %d", out, loaded)
+		}
+	}
+	for i := 0; i < width; i++ {
+		wantSum, wantMax := contrib(0, cycles-1, i), contrib(0, cycles-1, i)
+		for r := 1; r < loaded; r++ {
+			v := contrib(r, cycles-1, i)
+			wantSum += v
+			wantMax = math.Max(wantMax, v)
+		}
+		for r := 0; r < ranks; r++ {
+			if math.Float64bits(sums[r][i]) != math.Float64bits(wantSum) || math.Float64bits(maxes[r][i]) != math.Float64bits(wantMax) {
+				t.Fatalf("rank %d element %d: sum %v max %v, want %v and %v", r, i, sums[r][i], maxes[r][i], wantSum, wantMax)
+			}
+		}
+	}
+}
+
 func TestErrorPropagatesFromLaunch(t *testing.T) {
 	err := dynmpi.Launch(dynmpi.Uniform(2), dynmpi.DefaultConfig(), func(rt *dynmpi.Runtime) error {
 		if rt.Comm().Rank() == 1 {

@@ -225,7 +225,7 @@ func (rt *Runtime) decideRedistribution(loads []int) {
 // maybeDrop asks for the paper's drop verdict after the post-redistribution
 // grace period, on the cycle time measured there.
 func (rt *Runtime) maybeDrop(loads []int) {
-	measured, err := rt.comm.AllreduceMaxErr(rt.group, rt.cycTimer.Average())
+	measured, err := rt.comm.AllreduceErr(rt.group, rt.cycTimer.Average(), mpi.Max)
 	rt.cycTimer = nil
 	rt.state = stNormal
 	if err != nil {

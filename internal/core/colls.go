@@ -224,13 +224,13 @@ func (rt *Runtime) collective(op func() error) {
 	rt.outSent()
 }
 
-// AllreduceF64sInto reduces buf element-wise across the active nodes,
-// storing the result back into buf; removed nodes receive the result without
-// contributing. Every rank — active or removed — must call global operations
-// in the same order. Nothing retains the buffer afterwards, so per-cycle
-// reductions can recycle one slice indefinitely. On error buf is untouched,
-// so a retry contributes intact values.
-func (rt *Runtime) AllreduceF64sInto(buf []float64, op func(a, b float64) float64) {
+// AllreduceF64sInto reduces buf element-wise with op across the active
+// nodes, storing the result back into buf; removed nodes receive the result
+// without contributing. Every rank — active or removed — must call global
+// operations in the same order. Nothing retains the buffer afterwards, so
+// per-cycle reductions can recycle one slice indefinitely. On error buf is
+// untouched, so a retry contributes intact values.
+func (rt *Runtime) AllreduceF64sInto(buf []float64, op mpi.Op) {
 	if rt.isOut {
 		p, _ := rt.nextOut()
 		copy(buf, p.([]float64))
@@ -261,48 +261,17 @@ func (rt *Runtime) AllreduceSumSeg(n, off int, seg []float64) []float64 {
 
 // AllreduceSum reduces one value by summation (send-out aware).
 func (rt *Runtime) AllreduceSum(v float64) float64 {
-	return rt.allreduce1(v, rt.comm.AllreduceSumErr)
-}
-
-// AllreduceMax reduces one value by maximum (send-out aware).
-func (rt *Runtime) AllreduceMax(v float64) float64 {
-	return rt.allreduce1(v, rt.comm.AllreduceMaxErr)
-}
-
-// allreduce1 runs one scalar reduction (send-out aware).
-func (rt *Runtime) allreduce1(v float64, reduce func(*mpi.Group, float64) (float64, error)) float64 {
 	if rt.isOut {
 		p, _ := rt.nextOut()
 		return p.([]float64)[0]
 	}
 	var out [1]float64
 	rt.collective(func() (err error) {
-		out[0], err = reduce(rt.group, v)
+		out[0], err = rt.comm.AllreduceErr(rt.group, v, mpi.Sum)
 		return err
 	})
 	rt.sendOut(out[:])
 	return out[0]
-}
-
-// BcastF64s distributes a vector from the active relative-rank root to all
-// nodes, including removed ones. If the root itself crashes, the retry
-// re-resolves relRoot against the shrunken active list, so the new root's
-// buffer is the one broadcast.
-func (rt *Runtime) BcastF64s(relRoot int, vals []float64) []float64 {
-	if rt.isOut {
-		p, _ := rt.nextOut()
-		return p.([]float64)
-	}
-	var res []float64
-	rt.collective(func() error {
-		out, err := rt.comm.BcastErr(rt.group, rt.active[relRoot], vals, mpi.F64Bytes(len(vals)))
-		if err == nil {
-			res = out.([]float64)
-		}
-		return err
-	})
-	rt.sendOut(res)
-	return res
 }
 
 // Barrier synchronises the active nodes. Removed nodes pass through

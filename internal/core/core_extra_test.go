@@ -111,14 +111,17 @@ func TestGraceRestartsOnSecondLoadChange(t *testing.T) {
 	}
 }
 
-// TestBcastAndBarrierWithRemovedNodes exercises the remaining send-out
-// collectives under physical removal.
-func TestBcastAndBarrierWithRemovedNodes(t *testing.T) {
+// TestVectorReductionAndBarrierWithRemovedNodes exercises the send-out
+// collectives under physical removal: the removed rank passes through the
+// barriers and receives every vector reduction's result through the
+// send-out stream without contributing to it.
+func TestVectorReductionAndBarrierWithRemovedNodes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Drop = DropAlways
 	spec := cpAtCycle(cluster.Uniform(3), 2, 2)
 	var mu sync.Mutex
 	got := map[int][]float64{}
+	wasOut := map[int]bool{}
 	err := mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
 		rt := New(c, cfg)
 		x := rt.RegisterDense("X", 30, 1)
@@ -126,7 +129,8 @@ func TestBcastAndBarrierWithRemovedNodes(t *testing.T) {
 		ph.AddAccess("X", drsd.ReadWrite, 1, 0)
 		rt.Commit()
 		x.Fill(func(g, j int) float64 { return 0 })
-		var lastBcast []float64
+		buf := make([]float64, 2)
+		out := false
 		for tstep := 0; tstep < 25; tstep++ {
 			if rt.BeginCycle() {
 				lo, hi := ph.Bounds()
@@ -134,23 +138,28 @@ func TestBcastAndBarrierWithRemovedNodes(t *testing.T) {
 					rt.ComputeIter(g, 10*vclock.Millisecond)
 				}
 			}
+			out = out || !rt.Participating()
 			rt.Barrier()
-			lastBcast = rt.BcastF64s(0, []float64{float64(tstep), 42})
+			buf[0], buf[1] = float64(tstep), float64(c.Rank())
+			rt.AllreduceF64sInto(buf, mpi.Max)
 			rt.EndCycle()
 		}
 		rt.Finalize()
 		mu.Lock()
-		got[c.Rank()] = lastBcast
+		got[c.Rank()], wasOut[c.Rank()] = buf, out
 		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !wasOut[2] || wasOut[0] || wasOut[1] {
+		t.Fatalf("removed ranks %v, want only rank 2", wasOut)
+	}
+	// Rank 2 is out, so the largest contributed rank is 1 on every rank.
 	for r := 0; r < 3; r++ {
-		v := got[r]
-		if len(v) != 2 || v[0] != 24 || v[1] != 42 {
-			t.Fatalf("rank %d final bcast %v", r, v)
+		if v := got[r]; v[0] != 24 || v[1] != 1 {
+			t.Fatalf("rank %d final reduction %v, want [24 1]", r, v)
 		}
 	}
 }

@@ -34,24 +34,26 @@ func (rt *Runtime) commitSlab(a *regArray, lo, hi int, payload any) {
 
 // Redistribution payloads travel as contiguous slabs — one allocation per
 // (array, transfer) instead of one per row — recycled through process-wide
-// pools. The pools are process-wide because slabs outlive the world that
+// free lists. The lists are process-wide because slabs outlive the world that
 // made them: a program runs world after world (a study, a sweep, a bench
 // repetition), and the next world's first redistribution takes the last
 // one's slabs. A list owned by a rank or a world starts empty in every
 // world; with such lists (eight slabs per runtime, ownership moving with the
 // message) every redistributing bench workload allocated more bytes per
-// repetition, +5% (adapt_dense) to +32% (sweep_smoke).
+// repetition, +5% (adapt_dense) to +32% (sweep_smoke). They are lists, not
+// sync.Pools, so that no garbage collection empties them: which slabs a
+// world can reuse does not depend on where a GC landed.
 //
-// Pool invariants:
+// Free-list invariants:
 //
-//   - Ownership travels with the message: the sender Gets a slab, packs it,
+//   - Ownership travels with the message: the sender gets a slab, packs it,
 //     and Sends it; from that point the slab belongs to the receiver, which
-//     Puts it back after unpacking. The sender never touches a slab after
+//     puts it back after unpacking. The sender never touches a slab after
 //     Send, and nothing else may retain a reference into a slab's backing
 //     storage (matrix.Dense.PutRows / Sparse.UnpackRows copy out of the
-//     slab precisely so the window never aliases pooled memory).
+//     slab precisely so the window never aliases recycled memory).
 //   - Slabs are resized with cap-preserving reslices, so steady-state
-//     redistribution reaches a fixed point where Get returns buffers big
+//     redistribution reaches a fixed point where a get returns buffers big
 //     enough to need no growth: a dense array's redistribution allocates
 //     nothing (TestRedistributionAllocFree). A sparse
 //     array's costs one malloc per rank: Sparse.SetWindow builds a fresh
@@ -61,9 +63,42 @@ func (rt *Runtime) commitSlab(a *regArray, lo, hi int, payload any) {
 //     replicate the per-row formulation exactly, so golden traces are
 //     byte-identical to the unbatched implementation.
 var (
-	denseSlabPool  = sync.Pool{New: func() any { return new(denseSlab) }}
-	sparseSlabPool = sync.Pool{New: func() any { return new(sparseSlab) }}
+	denseSlabs  slabList[denseSlab]
+	sparseSlabs slabList[sparseSlab]
 )
+
+// maxFreeSlabs bounds each free list. The most slabs any bench workload
+// holds free at once is 42 (refresh_rma's 64 ranks); a slab put on a full
+// list is left to the GC.
+const maxFreeSlabs = 64
+
+// slabList is a process-wide, mutex-guarded LIFO free list of slabs.
+type slabList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// get pops the most recently put slab, or returns a new one.
+func (l *slabList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
+	}
+	s := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return s
+}
+
+func (l *slabList[T]) put(s *T) {
+	l.mu.Lock()
+	if len(l.free) < maxFreeSlabs {
+		l.free = append(l.free, s)
+	}
+	l.mu.Unlock()
+}
 
 // denseSlab is one dense transfer's rows, packed back to back. lo is the
 // first global row, set only by the replica shippers: a replica payload
@@ -81,7 +116,7 @@ type sparseSlab struct {
 }
 
 func getDenseSlab(rows, rowLen int) *denseSlab {
-	s := denseSlabPool.Get().(*denseSlab)
+	s := denseSlabs.get()
 	n := rows * rowLen
 	if cap(s.data) < n {
 		s.data = make([]float64, n)
@@ -94,17 +129,17 @@ func getDenseSlab(rows, rowLen int) *denseSlab {
 
 func putDenseSlab(s *denseSlab) {
 	s.rows = 0
-	denseSlabPool.Put(s)
+	denseSlabs.put(s)
 }
 
 func getSparseSlab() *sparseSlab {
-	s := sparseSlabPool.Get().(*sparseSlab)
+	s := sparseSlabs.get()
 	s.p.Reset()
 	return s
 }
 
 func putSparseSlab(s *sparseSlab) {
-	sparseSlabPool.Put(s)
+	sparseSlabs.put(s)
 }
 
 // neighbourSlabs is where a rank's per-redistribution lists start: a block

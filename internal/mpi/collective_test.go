@@ -13,10 +13,9 @@ import (
 
 // TestAllreduceFoldsInSlotOrder pins the reduction's association: every
 // member's result is the sequential left fold over group slots 0…n−1, bit
-// for bit, whatever order the members physically arrive in. A
-// non-associative operator makes any other association visible in the first
-// element; Sum over values spread across sixty binary orders of magnitude
-// makes it visible in the rounding.
+// for bit, whatever order the members physically arrive in. Sum over values
+// spread across sixty binary orders of magnitude makes any other
+// association visible in the rounding.
 func TestAllreduceFoldsInSlotOrder(t *testing.T) {
 	const vecLen, rounds = 64, 3
 	n := 1024
@@ -30,42 +29,30 @@ func TestAllreduceFoldsInSlotOrder(t *testing.T) {
 		}
 		return v
 	}
-	ops := []struct {
-		name string
-		fn   func(a, b float64) float64
-	}{
-		{"halve-and-add", func(a, b float64) float64 { return 0.5*a + b }},
-		{"sum", Sum},
-	}
-	want := make([][]float64, len(ops))
-	for k, op := range ops {
-		want[k] = make([]float64, vecLen)
-		for i := range want[k] {
-			acc := contrib(0, i)
-			for s := 1; s < n; s++ {
-				acc = op.fn(acc, contrib(s, i))
-			}
-			want[k][i] = acc
+	want := make([]float64, vecLen)
+	for i := range want {
+		acc := contrib(0, i)
+		for s := 1; s < n; s++ {
+			acc += contrib(s, i)
 		}
+		want[i] = acc
 	}
 	run(t, n, func(c *Comm) error {
 		g := c.World().AllGroup()
 		slot, _ := g.Slot(c.Rank())
 		buf := make([]float64, vecLen)
 		for r := 0; r < rounds; r++ {
-			for k, op := range ops {
-				for i := range buf {
-					buf[i] = contrib(slot, i)
-				}
-				// Scramble the physical arrival order, differently each time.
-				for y := (slot*7919 + (r*len(ops)+k)*104729) % 23; y > 0; y-- {
-					runtime.Gosched()
-				}
-				c.AllreduceF64sInto(g, buf, op.fn)
-				for i, v := range buf {
-					if math.Float64bits(v) != math.Float64bits(want[k][i]) {
-						return fmt.Errorf("%s, round %d, slot %d: element %d = %v, slot-order fold %v", op.name, r, slot, i, v, want[k][i])
-					}
+			for i := range buf {
+				buf[i] = contrib(slot, i)
+			}
+			// Scramble the physical arrival order, differently each time.
+			for y := (slot*7919 + r*104729) % 23; y > 0; y-- {
+				runtime.Gosched()
+			}
+			c.AllreduceF64sInto(g, buf, Sum)
+			for i, v := range buf {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					return fmt.Errorf("round %d, slot %d: element %d = %v, slot-order fold %v", r, slot, i, v, want[i])
 				}
 			}
 		}

@@ -72,7 +72,7 @@ func TestAllreduceLengthMismatchFailsWorld(t *testing.T) {
 
 func TestBcastInvalidRootFailsWorld(t *testing.T) {
 	err := Run(cluster.New(cluster.Uniform(2)), func(c *Comm) error {
-		c.BcastErr(c.World().AllGroup(), 7, nil, 0)
+		c.BcastF64sInto(c.World().AllGroup(), 7, nil)
 		return nil
 	})
 	if err == nil {

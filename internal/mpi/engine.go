@@ -58,33 +58,31 @@ const waitSpinRounds = 8
 
 type opKind uint8
 
-// rop identifies well-known reduction operators so the fold loop can run
-// direct arithmetic instead of calling through a function pointer — on the
-// element-wise hot path the indirect call is the dominant cost.
+// Op is an element-wise reduction operator: the closed set the allreduces
+// fold with, so the fold loop runs direct arithmetic.
+type Op uint8
+
 const (
-	ropCustom uint8 = iota
-	ropSum
-	ropMax
+	Sum Op = iota // a + b
+	Max           // the larger of a and b
 )
 
-// foldInto reduces v into out element-wise, in place.
-func foldInto(out, v []float64, rop uint8, rfn func(x, y float64) float64) {
+// foldInto reduces v into out element-wise with op, in place.
+func foldInto(out, v []float64, op Op) {
 	v = v[:len(out)]
-	switch rop {
-	case ropSum:
+	switch op {
+	case Sum:
 		for i := range out {
 			out[i] += v[i]
 		}
-	case ropMax:
+	case Max:
 		for i := range out {
 			if v[i] > out[i] {
 				out[i] = v[i]
 			}
 		}
 	default:
-		for i := range out {
-			out[i] = rfn(out[i], v[i])
-		}
+		panic(fmt.Sprintf("mpi: unknown reduction operator %d", op))
 	}
 }
 
@@ -119,8 +117,7 @@ type collDesc struct {
 	kind     opKind
 	bytes    int // per-member payload wire size
 	rootSlot int // bcast/gather root, as a group slot
-	rfn      func(a, b float64) float64
-	rop      uint8 // well-known operator fast path (ropSum/ropMax)
+	op       Op  // allreduce operator
 
 	// A segment collective (AllgatherSegErr, AllreduceSumSegErr) is priced
 	// and counted as its kind, but every member deposits a segment of a
@@ -537,14 +534,10 @@ func (c *Comm) publish(g *Group, op *opState, desc *collDesc) {
 		cost = barrierCost(net, n)
 	case opBcast:
 		cost = bcastCost(net, n, bytes)
-		if p := op.contribs[desc.rootSlot]; p != nil {
-			op.value = p
-		} else {
-			// BcastF64sInto: the root's own buffer is only stable until the
-			// root leaves the collective, but members may copy out later.
-			src := op.contribsF64[desc.rootSlot]
-			copy(resultVec(op, len(src)), src)
-		}
+		// The root's own buffer is only stable until the root leaves the
+		// collective, but members may copy out later.
+		src := op.contribsF64[desc.rootSlot]
+		copy(resultVec(op, len(src)), src)
 	case opAllreduce:
 		if desc.segs {
 			op.value = assembleSegs(g, op, desc.vecLen)
@@ -558,7 +551,7 @@ func (c *Comm) publish(g *Group, op *opState, desc *collDesc) {
 				if len(v) != len(out) {
 					panic("mpi: allreduce length mismatch")
 				}
-				foldInto(out, v, desc.rop, desc.rfn)
+				foldInto(out, v, desc.op)
 			}
 		}
 		cost = allreduceCost(net, n, bytes)
@@ -604,7 +597,7 @@ func assembleSegs(g *Group, op *opState, n int) []float64 {
 	out := make([]float64, n)
 	for s, seg := range op.contribsF64 {
 		off := int(g.w.comms[g.members[s]].segOff)
-		foldInto(out[off:off+len(seg)], seg, ropSum, nil)
+		foldInto(out[off:off+len(seg)], seg, Sum)
 	}
 	return out
 }

@@ -61,8 +61,7 @@ func (w *World) Kill(rank int) {
 			// drained (only the owner drains its slot); drop them so they do
 			// not count as leaked. Deposits *from* the dead rank in live
 			// owners' slots stay — the owner inspects them through
-			// PendingPSCW after its WinWaitErr fails (PendingFrom after a
-			// failed fence), then discards.
+			// PendingPSCW after its WinWaitErr fails, then discards.
 			g.dropWindowSlot(slot)
 		}
 	}

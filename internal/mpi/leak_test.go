@@ -66,7 +66,7 @@ func TestCrashLeavesNoLeakedOps(t *testing.T) {
 				members = shrinkTo(t, members, err)
 				continue
 			}
-			if _, err := c.AllreduceSumErr(g, float64(cycle)); err != nil {
+			if _, err := c.AllreduceErr(g, float64(cycle), Sum); err != nil {
 				members = shrinkTo(t, members, err)
 				continue
 			}
@@ -139,7 +139,7 @@ func TestCrashDuringRingReuseLeavesNoLeaks(t *testing.T) {
 		for cycle := 0; cycle < 6*opRing; cycle++ {
 			c.InjectCycleFaults(cycle)
 			g := c.World().NewGroup(members)
-			if _, err := c.AllreduceSumErr(g, 1); err != nil {
+			if _, err := c.AllreduceErr(g, 1, Sum); err != nil {
 				members = shrinkTo(t, members, err)
 			}
 		}

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -264,7 +263,7 @@ type Comm struct {
 	reqArr  [4]*Request
 
 	// sbuf is a pinned scratch vector for the scalar collectives
-	// (AllreduceSum/Max, AllgatherF64sInto), so depositing a scalar into a
+	// (AllreduceErr, AllgatherF64sInto), so depositing a scalar into a
 	// collective performs no per-op allocation. Safe because every Comm
 	// method runs on the rank's own goroutine and each collective copies
 	// its result out before returning.
@@ -685,26 +684,13 @@ func (g *Group) bcastRootSlot(root int) int {
 	return s
 }
 
-// BcastErr distributes the root's payload (of the given wire size) to every
-// group member and returns it. root is a world rank. When a group member is
-// dead it returns an error instead of failing the world; if the root itself
-// died the error names it and no payload is delivered.
-func (c *Comm) BcastErr(g *Group, root int, payload any, bytes int) (any, error) {
-	rootSlot := g.bcastRootSlot(root)
-	var contrib any
-	if c.rank == root {
-		contrib = payload
-	}
-	return c.rendezvousErr(g, contrib, nil, &collDesc{kind: opBcast, bytes: bytes, rootSlot: rootSlot}, nil)
-}
-
 // BcastF64sInto distributes the root's buf contents into every member's buf
 // (all members pass same-length buffers; the root's is the source, and a
 // member's buf shorter than the root's fails the run). The shared
 // intermediate is recycled and each member copies out before releasing the
 // op, so the root may overwrite its buffer as soon as the call returns and
-// steady-state broadcasts allocate nothing. Wire size and virtual cost are
-// identical to BcastErr with an F64Bytes payload.
+// steady-state broadcasts allocate nothing. It is priced as a binomial-tree
+// broadcast of F64Bytes(len(buf)).
 func (c *Comm) BcastF64sInto(g *Group, root int, buf []float64) {
 	rootSlot := g.bcastRootSlot(root)
 	var vec []float64
@@ -714,85 +700,38 @@ func (c *Comm) BcastF64sInto(g *Group, root int, buf []float64) {
 	c.rendezvous(g, nil, vec, &collDesc{kind: opBcast, bytes: F64Bytes(len(buf)), rootSlot: rootSlot}, buf)
 }
 
-// AllreduceF64sInto reduces buf element-wise across the group and stores the
-// result back into buf (which is both this rank's contribution and its
-// destination). The contributions are folded in group-slot order, so the
-// result is bit-identical on every member and in every run. The shared
+// AllreduceF64sInto reduces buf element-wise with op across the group and
+// stores the result back into buf (which is both this rank's contribution
+// and its destination). The contributions are folded in group-slot order, so
+// the result is bit-identical on every member and in every run. The shared
 // intermediate vector is recycled inside the group, so steady-state
 // reductions allocate nothing. buf must not be mutated by the caller until
 // the call returns; afterwards the caller owns it fully — nothing retains a
 // reference.
-func (c *Comm) AllreduceF64sInto(g *Group, buf []float64, op func(a, b float64) float64) {
-	c.rendezvous(g, nil, buf, &collDesc{kind: opAllreduce, bytes: F64Bytes(len(buf)), rfn: op, rop: ropOf(op)}, buf)
-}
-
-// Sum and Max are common allreduce operators.
-func Sum(a, b float64) float64 { return a + b }
-
-// Max returns the larger of a and b (allreduce operator).
-func Max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// sumPC/maxPC identify the package's well-known operators by code pointer,
-// so the reduction loop can run direct arithmetic instead of an indirect
-// call per element (the dominant per-element cost; see foldInto in
-// engine.go). Unknown operators take the general path unchanged.
-var (
-	sumPC = reflect.ValueOf(Sum).Pointer()
-	maxPC = reflect.ValueOf(Max).Pointer()
-)
-
-func ropOf(op func(a, b float64) float64) uint8 {
-	switch reflect.ValueOf(op).Pointer() {
-	case sumPC:
-		return ropSum
-	case maxPC:
-		return ropMax
-	}
-	return ropCustom
-}
-
-// AllreduceSum reduces a single value by summation.
-func (c *Comm) AllreduceSum(g *Group, v float64) float64 {
-	c.sbuf[0] = v
-	c.rendezvous(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Sum, rop: ropSum}, c.sbuf[:])
-	return c.sbuf[0]
-}
-
-// AllreduceMax reduces a single value by maximum.
-func (c *Comm) AllreduceMax(g *Group, v float64) float64 {
-	c.sbuf[0] = v
-	c.rendezvous(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Max, rop: ropMax}, c.sbuf[:])
-	return c.sbuf[0]
+func (c *Comm) AllreduceF64sInto(g *Group, buf []float64, op Op) {
+	c.must(c.AllreduceF64sIntoErr(g, buf, op))
 }
 
 // AllreduceF64sIntoErr is AllreduceF64sInto returning an error instead of
 // failing the world when a group member is dead. On error buf is untouched
 // (the copy-out happens only on success), so the caller may retry.
-func (c *Comm) AllreduceF64sIntoErr(g *Group, buf []float64, op func(a, b float64) float64) error {
-	_, err := c.rendezvousErr(g, nil, buf, &collDesc{kind: opAllreduce, bytes: F64Bytes(len(buf)), rfn: op, rop: ropOf(op)}, buf)
+func (c *Comm) AllreduceF64sIntoErr(g *Group, buf []float64, op Op) error {
+	_, err := c.rendezvousErr(g, nil, buf, &collDesc{kind: opAllreduce, bytes: F64Bytes(len(buf)), op: op}, buf)
 	return err
 }
 
-// AllreduceSumErr is AllreduceSum returning an error instead of failing the
-// world when a group member is dead.
-func (c *Comm) AllreduceSumErr(g *Group, v float64) (float64, error) {
-	c.sbuf[0] = v
-	if _, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Sum, rop: ropSum}, c.sbuf[:]); err != nil {
-		return 0, err
-	}
-	return c.sbuf[0], nil
+// AllreduceSum reduces a single value by summation.
+func (c *Comm) AllreduceSum(g *Group, v float64) float64 {
+	v, err := c.AllreduceErr(g, v, Sum)
+	c.must(err)
+	return v
 }
 
-// AllreduceMaxErr is AllreduceMax returning an error instead of failing the
-// world when a group member is dead.
-func (c *Comm) AllreduceMaxErr(g *Group, v float64) (float64, error) {
+// AllreduceErr reduces a single value with op, returning an error instead of
+// failing the world when a group member is dead.
+func (c *Comm) AllreduceErr(g *Group, v float64, op Op) (float64, error) {
 	c.sbuf[0] = v
-	if _, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, rfn: Max, rop: ropMax}, c.sbuf[:]); err != nil {
+	if _, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllreduce, bytes: 8, op: op}, c.sbuf[:]); err != nil {
 		return 0, err
 	}
 	return c.sbuf[0], nil

@@ -150,23 +150,6 @@ func TestBarrierAlignsClocks(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	run(t, 5, func(c *Comm) error {
-		var payload any
-		if c.Rank() == 2 {
-			payload = "hello"
-		}
-		got, err := c.BcastErr(c.World().AllGroup(), 2, payload, 5)
-		if err != nil {
-			return err
-		}
-		if got.(string) != "hello" {
-			return fmt.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		return nil
-	})
-}
-
 func TestAllreduceSumAndMax(t *testing.T) {
 	const n = 6
 	run(t, n, func(c *Comm) error {
@@ -175,9 +158,9 @@ func TestAllreduceSumAndMax(t *testing.T) {
 		if s != n*(n+1)/2 {
 			return fmt.Errorf("sum = %v", s)
 		}
-		m := c.AllreduceMax(g, float64(c.Rank()))
-		if m != n-1 {
-			return fmt.Errorf("max = %v", m)
+		m, err := c.AllreduceErr(g, float64(c.Rank()), Max)
+		if err != nil || m != n-1 {
+			return fmt.Errorf("max = %v, %v", m, err)
 		}
 		return nil
 	})

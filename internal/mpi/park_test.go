@@ -46,7 +46,7 @@ func TestCollectiveParkPath(t *testing.T) {
 				awaitParked(g, seq[g], len(members)-1)
 			}
 			seq[g]++
-			got, err := c.AllreduceSumErr(g, 1)
+			got, err := c.AllreduceErr(g, 1, Sum)
 			if err == nil && got != float64(len(members)) {
 				err = fmt.Errorf("rank %d: sum over %v = %v", c.Rank(), members, got)
 			}
@@ -81,7 +81,7 @@ func TestCollectiveParkPath(t *testing.T) {
 			c.InjectCycleFaults(rounds) // crashes: does not return
 			return errors.New("crash fault did not fire")
 		}
-		_, err := c.AllreduceSumErr(g, 1)
+		_, err := c.AllreduceErr(g, 1, Sum)
 		var rf *RankFailedError
 		if !errors.As(err, &rf) || len(rf.Ranks) != 1 || rf.Ranks[0] != 1 {
 			return fmt.Errorf("rank %d: want RankFailedError naming rank 1, got %v", c.Rank(), err)
@@ -161,7 +161,7 @@ func TestRecvParkPath(t *testing.T) {
 					awaitParked(g, seq[g], len(members)-1)
 				}
 				seq[g]++
-				_, err := c.AllreduceSumErr(g, 1)
+				_, err := c.AllreduceErr(g, 1, Sum)
 				return err
 			}
 			for i := 0; i < rounds; i++ {

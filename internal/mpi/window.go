@@ -38,11 +38,9 @@ import (
 // Failure contract: a fence whose group lost a member returns
 // *RankFailedError and settles nothing — no deposit is drained and the
 // epoch does not advance, so the call can never hang on a dead peer. The
-// owner may then inspect the dead origin's deposits with PendingFrom (a
-// crashed rank's Puts completed before its death was published, on its own
-// goroutine, so presence is deterministic) and must release the window
-// with DiscardPending before abandoning it. A Put on a target already
-// marked dead deposits nothing; the death is reported at the fence.
+// owner must then release the window with DiscardPending before abandoning
+// it. A Put on a target already marked dead deposits nothing; the death is
+// reported at the fence.
 //
 // General active-target synchronization (PSCW) is the pairwise alternative
 // to the fence: WinPost declares which origins may access this rank's
@@ -242,7 +240,7 @@ func (c *Comm) Fence(win *Win) { c.must(c.FenceErr(win)) }
 // order) order, so the settlement is deterministic regardless of physical
 // scheduling — and opens the next epoch. When a group member is dead it
 // returns *RankFailedError without settling anything or advancing the
-// epoch; see PendingFrom and DiscardPending for the recovery protocol.
+// epoch; see DiscardPending for the recovery protocol.
 func (c *Comm) FenceErr(win *Win) error {
 	if _, err := c.rendezvousErr(win.g, nil, nil, &collDesc{kind: opFence}, nil); err != nil {
 		return err
@@ -508,11 +506,12 @@ func (c *Comm) WinWaitErr(win *Win) error {
 
 // PendingPSCW reports the total elements Put into this rank's window slot
 // by origin under a PSCW access epoch, and whether any such deposit
-// is present. It is the PSCW analogue of PendingFrom, meaningful after
-// WinWaitErr returned a *RankFailedError naming origin: with the
-// close-then-open discipline at most one pairwise epoch is in flight per
-// pair, so an epoch-agnostic count answers deterministically whether the
-// dead origin's transfer landed in full.
+// is present. It is meaningful after WinWaitErr returned a
+// *RankFailedError naming origin: a crashed rank's Puts completed before
+// its death was published (same goroutine), and with the close-then-open
+// discipline at most one pairwise epoch is in flight per pair, so an
+// epoch-agnostic count answers deterministically whether the dead origin's
+// transfer landed in full.
 func (c *Comm) PendingPSCW(win *Win, origin int) (elems int, ok bool) {
 	oslot, member := win.g.Slot(origin)
 	if !member {
@@ -523,30 +522,6 @@ func (c *Comm) PendingPSCW(win *Win, origin int) (elems int, ok bool) {
 	ts.mu.Lock()
 	for i := range ts.dep {
 		if d := &ts.dep[i]; d.originSlot == oslot && d.pscw {
-			elems += d.elems
-			ok = true
-		}
-	}
-	ts.mu.Unlock()
-	return elems, ok
-}
-
-// PendingFrom reports the total elements deposited into this rank's window
-// slot by origin during the still-open epoch, and whether any deposit is
-// present. It is meaningful after FenceErr returned a *RankFailedError and
-// origin is dead: a crashed rank's Puts completed before its death was
-// published (same goroutine), so presence answers deterministically
-// whether the dead origin's transfer landed in full — a Put either ran to
-// completion or never started (crashes fire at operation entry).
-func (c *Comm) PendingFrom(win *Win, origin int) (elems int, ok bool) {
-	oslot, member := win.g.Slot(origin)
-	if !member {
-		return 0, false
-	}
-	ts := &win.slots[c.groupSlot(win.g)]
-	ts.mu.Lock()
-	for i := range ts.dep {
-		if d := &ts.dep[i]; d.originSlot == oslot && d.epoch == ts.epoch && !d.pscw {
 			elems += d.elems
 			ok = true
 		}
