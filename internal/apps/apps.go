@@ -249,90 +249,52 @@ func haloNeighbours(rt *core.Runtime, n int) (lo, hi, up, down int) {
 	return lo, hi, up, down
 }
 
-// HaloHandle is an in-flight overlapped halo exchange started by
-// BeginHaloExchange. The zero value is inert: Finish on it is a no-op, so
-// non-participating ranks need no special casing.
-type HaloHandle struct {
-	rt               *core.Runtime
-	lo, hi           int
-	recvUp, recvDown *mpi.Request // ghost rows lo-1 and hi
-	sendUp, sendDown *mpi.Request
-}
-
-// BeginHaloExchange starts the nearest-neighbour boundary exchange without
-// waiting for the ghosts: it posts the ghost Irecvs, Isends copies of the
-// boundary rows, and returns — charging only the send-side injection
-// CPU. The caller then computes whatever does not need the incoming ghosts
-// (typically the interior rows) and calls Finish; wire time that elapses
-// behind that compute is genuinely free in virtual time and is credited to
-// the rank's HiddenWire counter by Finish's Waits. Boundary rows must hold
-// their final values before the call — they are shipped immediately.
-func BeginHaloExchange(rt *core.Runtime, tag int, n int, rowOf func(g int) []float64) HaloHandle {
+// HaloExchangeOverlap is HaloExchange with communication/computation
+// overlap: it posts the ghost receives and Isends copies of the boundary
+// rows, charging only the send-side injection CPU, then runs overlap() (the
+// work that does not depend on the incoming ghosts — typically the
+// interior-row compute) while the wire time elapses in virtual background,
+// and then waits for and stores the ghosts. Wire time that elapses behind
+// overlap() is free in virtual time and is credited to the rank's
+// HiddenWire counter by the Waits. A dead neighbour leaves a stale ghost, as
+// in HaloExchange. Callers must compute their boundary rows before calling
+// it, since those rows are shipped up front; overlap() runs even on ranks
+// that own no rows, so loop structure stays uniform.
+func HaloExchangeOverlap(rt *core.Runtime, tag int, n int, rowOf func(g int) []float64, store func(g int, row []float64), overlap func()) {
 	core.CheckUserTag(tag)
-	lo, hi, up, down := haloNeighbours(rt, n)
-	if lo >= hi {
-		return HaloHandle{}
-	}
-	h := HaloHandle{rt: rt, lo: lo, hi: hi}
+	lo, hi, up, down := haloNeighbours(rt, n) // up and down are -1 on a rank owning no rows
 	comm := rt.Comm()
+	var recvUp, recvDown, sendUp, sendDown *mpi.Request
 	// Ghost receives first, so a neighbour's send fills the posted request
 	// directly instead of passing through the mailbox queue.
 	if up >= 0 {
-		h.recvUp = comm.Irecv(up, tag)
+		recvUp = comm.Irecv(up, tag)
 	}
 	if down >= 0 {
-		h.recvDown = comm.Irecv(down, tag)
+		recvDown = comm.Irecv(down, tag)
 	}
 	if up >= 0 {
-		h.sendUp = comm.IsendF64s(up, tag, rowOf(lo))
+		sendUp = comm.IsendF64s(up, tag, rowOf(lo))
 	}
 	if down >= 0 {
-		h.sendDown = comm.IsendF64s(down, tag, rowOf(hi-1))
+		sendDown = comm.IsendF64s(down, tag, rowOf(hi-1))
 	}
-	return h
-}
-
-// Finish waits for the ghost rows and stores them, keeping a stale ghost
-// when the neighbour died (the same policy as HaloExchange, including the
-// lifetime of the row store sees), and recycles the send requests. It is
-// idempotent.
-func (h *HaloHandle) Finish(store func(g int, row []float64)) {
-	if h.rt == nil {
-		return
-	}
-	comm := h.rt.Comm()
-	if h.recvUp != nil {
-		msg, err := comm.WaitF64sErr(h.recvUp)
-		lendGhost(comm, h.lo-1, msg, err, store)
-		h.recvUp = nil
-	}
-	if h.recvDown != nil {
-		msg, err := comm.WaitF64sErr(h.recvDown)
-		lendGhost(comm, h.hi, msg, err, store)
-		h.recvDown = nil
-	}
-	if h.sendUp != nil {
-		comm.WaitErr(h.sendUp) // send requests complete at post; this only recycles
-		h.sendUp = nil
-	}
-	if h.sendDown != nil {
-		comm.WaitErr(h.sendDown)
-		h.sendDown = nil
-	}
-	h.rt = nil
-}
-
-// HaloExchangeOverlap is HaloExchange with communication/computation
-// overlap: it posts the ghost receives and boundary sends, runs overlap()
-// (the work that does not depend on the incoming ghosts — typically the
-// interior-row compute) while the wire time elapses in virtual background,
-// then waits for and stores the ghosts. Callers must compute their boundary
-// rows before calling it, since those rows are shipped up front; overlap()
-// runs even on ranks that own no rows, so loop structure stays uniform.
-func HaloExchangeOverlap(rt *core.Runtime, tag int, n int, rowOf func(g int) []float64, store func(g int, row []float64), overlap func()) {
-	h := BeginHaloExchange(rt, tag, n, rowOf)
 	if overlap != nil {
 		overlap()
 	}
-	h.Finish(store)
+	if recvUp != nil {
+		msg, err := comm.WaitF64sErr(recvUp)
+		lendGhost(comm, lo-1, msg, err, store)
+	}
+	if recvDown != nil {
+		msg, err := comm.WaitF64sErr(recvDown)
+		lendGhost(comm, hi, msg, err, store)
+	}
+	// Send requests complete at post; waiting only recycles them.
+	if sendUp != nil {
+		comm.WaitErr(sendUp)
+	}
+	if sendDown != nil {
+		comm.WaitErr(sendDown)
+	}
 }

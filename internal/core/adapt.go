@@ -58,24 +58,18 @@ func (rt *Runtime) BeginCycle() bool {
 			rt.cycLoad = loads[rel]
 		}
 	}
-	if len(removedRanks) > 0 {
-		// A crashed removed node reports load -1 (the root's poll sentinel,
-		// carried to every member through the allgather, so all prune the
-		// same set). Copies keep the root's in-flight slices untouched.
-		var deadRemoved, liveRanks, liveLoads []int
-		for i, r := range removedRanks {
-			if removedLoads[i] < 0 {
-				deadRemoved = append(deadRemoved, r)
-			} else {
-				liveRanks = append(liveRanks, r)
-				liveLoads = append(liveLoads, removedLoads[i])
-			}
+	// A crashed removed node reports load -1 (the root's poll sentinel,
+	// carried to every member through the allgather, so all prune the same
+	// set); not being 0, it is never readmitted below.
+	var deadRemoved []int
+	for i, r := range removedRanks {
+		if removedLoads[i] < 0 {
+			deadRemoved = append(deadRemoved, r)
 		}
-		if len(deadRemoved) > 0 {
-			rt.absorbDead(deadRemoved)
-			rt.handleFailure()
-			removedRanks, removedLoads = liveRanks, liveLoads
-		}
+	}
+	if len(deadRemoved) > 0 {
+		rt.absorbDead(deadRemoved)
+		rt.handleFailure()
 	}
 	if rt.maybeRejoin(loads, removedRanks, removedLoads) {
 		// Membership changed this cycle; the state machine resumes on the

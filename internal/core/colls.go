@@ -166,7 +166,7 @@ func (rt *Runtime) replayOut() {
 		}
 		rt.sendEach(e.to, tag, p, bytes)
 		if _, ok := p.(pingMsg); ok {
-			rt.loadReplies(e.to)
+			rt.loadReplies(e.to, make([]float64, len(e.to))) // dropped
 		}
 	}
 }

@@ -205,10 +205,10 @@ type Runtime struct {
 	insBuf   []redistIn
 	reqBuf   []*mpi.Request
 
-	// Load-exchange scratch: the per-cycle allgather of load readings goes
-	// through the unboxed float64 collective when no removed-node sidecar is
-	// in flight, and these buffers keep that exchange allocation-free. Every
-	// consumer of the returned load vector copies it before retaining.
+	// Load-exchange scratch: the per-cycle float64 allgather of load
+	// readings (rejoin.go) deposits from and gathers into loadBuf and decodes
+	// into loadInts, so the exchange is allocation-free. Every consumer of
+	// the returned loads copies them before retaining.
 	loadBuf  []float64
 	loadInts []int
 

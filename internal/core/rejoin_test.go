@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/drsd"
 	"repro/internal/fault"
+	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
 
@@ -182,6 +185,62 @@ func TestRejoinTimingDeterministic(t *testing.T) {
 		return runMini(t, rejoinSpec(4, 2, 3, 25), cfg, 64, 60, false)
 	}
 	sameRecords(t, runOnce(), runOnce())
+}
+
+// TestPolledLoadExchangeCarriesTheLoads: with nodes 2 and 3 loaded from
+// cycle 3 to cycle 30, DropAlways removes both at once and AllowRejoin polls
+// them every cycle until they rejoin. Each polled cycle's load exchange is
+// one float64 allgather in which the send-out root also carries the R
+// removed loads, so the active group's CollectiveStats grow by one
+// allgather-f64 op of 8·(1+R) bytes per member, and by no allgather op.
+func TestPolledLoadExchangeCarriesTheLoads(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Drop = DropAlways
+	cfg.AllowRejoin = true
+	spec := rejoinSpec(4, 2, 3, 30).With(cluster.CycleEvent(3, 3, +1)).With(cluster.CycleEvent(3, 30, -1))
+	var polledTwo atomic.Int32 // polled rank-cycles with both nodes removed
+	err := mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
+		rt := New(c, cfg)
+		x := rt.RegisterDense("X", 64, 4)
+		ph := rt.InitPhase(64)
+		ph.AddAccess("X", drsd.ReadWrite, 1, 0)
+		rt.Commit()
+		for cycle := 0; cycle < 40; cycle++ {
+			polls, g, r := rt.Participating() && rt.polls(), rt.group, len(rt.removed)
+			before := g.CollectiveStats()
+			if rt.BeginCycle() {
+				lo, hi := ph.Bounds()
+				for i := lo; i < hi; i++ {
+					x.Row(i)[0]++
+					rt.ComputeIter(i, iterCost)
+				}
+			}
+			if polls {
+				for k, st := range g.CollectiveStats() {
+					dc, db := st.Count-before[k].Count, st.Bytes-before[k].Bytes
+					var wc, wb int64
+					if st.Op == "allgather-f64" {
+						wc, wb = 1, int64(8*(1+r)*g.Size())
+					}
+					if (st.Op == "allgather-f64" || st.Op == "allgather") && (dc != wc || db != wb) {
+						return fmt.Errorf("rank %d cycle %d, %d removed: %s grew by %d ops, %d bytes, want %d, %d", c.Rank(), cycle, r, st.Op, dc, db, wc, wb)
+					}
+				}
+				if r == 2 {
+					polledTwo.Add(1)
+				}
+			}
+			rt.EndCycle()
+		}
+		rt.Finalize()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if polledTwo.Load() == 0 {
+		t.Fatal("no cycle polled two removed nodes")
+	}
 }
 
 // changesOf lists a rank's membership changes in order, space-separated.

@@ -61,9 +61,9 @@ func TestAllreduceFoldsInSlotOrder(t *testing.T) {
 }
 
 // TestShortDestinationFailsRun: a []float64 result never lands truncated. An
-// allgather destination shorter than the group fails at entry, and a
-// broadcast destination shorter than the root's buffer fails at copy-out;
-// either way the run's error names the op and both lengths.
+// allgather destination shorter than the group, or a broadcast destination
+// shorter than the root's buffer, fails at copy-out; either way the run's
+// error names the op and both lengths.
 func TestShortDestinationFailsRun(t *testing.T) {
 	cases := []struct {
 		op   string

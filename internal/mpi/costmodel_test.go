@@ -49,7 +49,7 @@ func TestGatherFinishBeatsAllgatherInWorld(t *testing.T) {
 			t.Errorf("rank %d: non-root gather result non-nil", c.Rank())
 		}
 		start = c.Now()
-		if _, err := c.AllgatherErr(g, c.Rank(), bytes); err != nil {
+		if err := c.AllgatherF64sIntoErr(g, make([]float64, bytes/8), make([]float64, n*bytes/8)); err != nil {
 			return err
 		}
 		allgatherT := c.Now().Sub(start)

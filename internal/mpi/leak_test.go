@@ -70,7 +70,7 @@ func TestCrashLeavesNoLeakedOps(t *testing.T) {
 				members = shrinkTo(t, members, err)
 				continue
 			}
-			if err := c.AllgatherF64sIntoErr(g, float64(c.Rank()), gath[:g.Size()]); err != nil {
+			if err := c.AllgatherF64sIntoErr(g, []float64{float64(c.Rank())}, gath[:g.Size()]); err != nil {
 				members = shrinkTo(t, members, err)
 				continue
 			}

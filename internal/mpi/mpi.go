@@ -737,26 +737,15 @@ func (c *Comm) AllreduceErr(g *Group, v float64, op Op) (float64, error) {
 	return c.sbuf[0], nil
 }
 
-// AllgatherErr collects every member's contribution, ordered by group slot,
-// on every member. bytes is the wire size of one contribution. When a group
-// member is dead it returns an error instead of failing the world.
-func (c *Comm) AllgatherErr(g *Group, contrib any, bytes int) ([]any, error) {
-	res, err := c.rendezvousErr(g, contrib, nil, &collDesc{kind: opAllgather, bytes: bytes}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.([]any), nil
-}
-
-// AllgatherSegErr is the segment form of AllgatherErr: every member
-// contributes seg, the piece of a length-n vector that starts at off, and
-// every member receives that vector, each segment at its offset and zero
-// where none lies. It is priced and counted as an AllgatherErr of the
-// segment and its offset, 8·len(seg)+8 bytes. The result is assembled once
-// per op and is the same slice on every member: read-only, and never
-// recycled. seg is read only until the call returns. An offset that puts seg
-// outside the vector fails the run. When a group member is dead it returns
-// an error and publishes nothing.
+// AllgatherSegErr gathers a length-n vector: every member contributes seg,
+// the piece of it that starts at off, and every member receives that
+// vector, each segment at its offset and zero where none lies. It is priced
+// and counted as an allgather of each segment and its offset, 8·len(seg)+8
+// bytes at the longest. The result is assembled once per op and is the same
+// slice on every member: read-only, and never recycled. seg is read only
+// until the call returns. An offset that puts seg outside the vector fails
+// the run. When a group member is dead it returns an error and publishes
+// nothing.
 func (c *Comm) AllgatherSegErr(g *Group, n, off int, seg []float64) ([]float64, error) {
 	return c.segmentsErr(g, off, seg, &collDesc{kind: opAllgather, bytes: F64Bytes(len(seg)) + 8, segs: true, vecLen: n})
 }
@@ -785,25 +774,25 @@ func (c *Comm) segmentsErr(g *Group, off int, seg []float64, desc *collDesc) ([]
 }
 
 // AllgatherF64sInto gathers one float64 per member, ordered by slot, into
-// dst (which must have length >= the group size: a shorter dst fails the
-// run before anything is deposited). Contributions travel through the
-// rank's pinned scratch and the shared result vector is recycled with
-// copy-out-before-release semantics (the same contract as BcastF64sInto),
-// so steady-state gathers perform no boxing and no allocation. Wire size and
-// virtual cost are identical to an 8-byte AllgatherErr.
+// dst, which must have length >= the group size. Wire size and virtual cost
+// are those of AllgatherF64sIntoErr with one value per member.
 func (c *Comm) AllgatherF64sInto(g *Group, v float64, dst []float64) {
-	c.must(c.AllgatherF64sIntoErr(g, v, dst))
+	c.sbuf[0] = v
+	c.must(c.AllgatherF64sIntoErr(g, c.sbuf[:], dst))
 }
 
-// AllgatherF64sIntoErr is AllgatherF64sInto returning an error instead of
-// failing the world when a group member is dead. On error dst is untouched,
-// so the caller may retry over a rebuilt group.
-func (c *Comm) AllgatherF64sIntoErr(g *Group, v float64, dst []float64) error {
-	if len(dst) < len(g.members) {
-		panic(fmt.Sprintf("mpi: %s destination has length %d, want %d", kindNames[opAllgatherF64], len(dst), len(g.members)))
-	}
-	c.sbuf[0] = v
-	_, err := c.rendezvousErr(g, nil, c.sbuf[:], &collDesc{kind: opAllgatherF64, bytes: 8}, dst)
+// AllgatherF64sIntoErr copies every member's seg, concatenated in slot
+// order, into dst (MPI_Allgatherv for float64s). Segments may differ in
+// length; the op is priced, like every typed collective, at the longest,
+// F64Bytes(len(seg)) bytes. seg is read only until the op publishes, so it
+// may share dst's array. The shared result vector is recycled with
+// copy-out-before-release semantics (the same contract as BcastF64sInto), so
+// steady-state gathers perform no boxing and no allocation. A dst shorter
+// than the concatenation fails the run. When a group member is dead it
+// returns an error instead of failing the world, with dst untouched, so the
+// caller may retry over a rebuilt group.
+func (c *Comm) AllgatherF64sIntoErr(g *Group, seg, dst []float64) error {
+	_, err := c.rendezvousErr(g, nil, seg, &collDesc{kind: opAllgatherF64, bytes: F64Bytes(len(seg))}, dst)
 	return err
 }
 

@@ -186,16 +186,13 @@ func TestAllgatherOrdering(t *testing.T) {
 				return fmt.Errorf("slot %d = %v", i, v)
 			}
 		}
-		parts, err := c.AllgatherErr(c.World().AllGroup(), c.Rank(), 8)
-		if err != nil {
+		seg := []float64{float64(c.Rank()), float64(c.Rank())}
+		pairs := make([]float64, 8)
+		if err := c.AllgatherF64sIntoErr(c.World().AllGroup(), seg, pairs); err != nil {
 			return err
 		}
-		ints := make([]int, len(parts))
-		for i, p := range parts {
-			ints[i] = p.(int)
-		}
-		if !sort.IntsAreSorted(ints) {
-			return fmt.Errorf("ints %v", ints)
+		if !sort.Float64sAreSorted(pairs) {
+			return fmt.Errorf("pairs %v", pairs)
 		}
 		return nil
 	})

@@ -38,46 +38,78 @@ func segOf(slot int) (off int, seg []float64) {
 	return lo, seg
 }
 
-// TestSegmentCollectivesPriceAsTheCallsTheyReplace runs each segment
-// collective beside the call it replaces, in one group: the boxed allgather
-// of (offset, segment) pairs for AllgatherSegErr, and the sum-allreduce of
-// zero-padded vectors for AllreduceSumSegErr. Before each call every member
-// computes for a time of its own, so the deposits are staggered alike. Each
-// member's clock must advance by the same amount across the pair, each
-// shape's CollectiveStats must grow by the same count and bytes, and the
-// results must be equal bit for bit.
+// segOutcome is what one call of a test collective gave a member: its result,
+// how far its clock advanced, and how far each shape's CollectiveStats grew.
+type segOutcome struct {
+	res  []float64
+	adv  vclock.Duration
+	grew []CollectiveShape
+}
+
+// TestSegmentCollectivesPriceAsTheCallsTheyReplace holds each segment
+// collective to what it replaces, in one group. AllreduceSumSegErr runs
+// beside the sum-allreduce of zero-padded vectors. AllgatherSegErr, whose
+// boxed allgather of (offset, segment) pairs is gone, is held to that call's
+// closed form: the assembled vector, priced at allgatherCost of the longest
+// segment and its offset, 8·len(seg)+8 bytes. Before each call every member
+// computes for a time of its own, so the deposits are staggered alike: slot
+// s deposits s+1 ms after a clock all members share. Each member's clock
+// must advance by the same amount, each shape's CollectiveStats must grow by
+// the same count and bytes, and the results must be equal bit for bit.
 func TestSegmentCollectivesPriceAsTheCallsTheyReplace(t *testing.T) {
-	n := segBounds[len(segBounds)-1]
-	type chunk struct {
-		Lo  int
-		Est []float64
+	n, members := segBounds[len(segBounds)-1], len(segBounds)-1
+	longest := 0
+	for s := 0; s < members; s++ {
+		longest = max(longest, segBounds[s+1]-segBounds[s])
+	}
+	// step runs call after the slot's stagger and reports what it gave.
+	step := func(c *Comm, g *Group, slot int, call func(c *Comm, g *Group, off int, seg []float64) ([]float64, error)) (segOutcome, error) {
+		off, seg := segOf(slot)
+		c.Node().Compute(vclock.Duration(slot+1) * vclock.Millisecond)
+		before, t0 := g.CollectiveStats(), c.Now()
+		res, err := call(c, g, off, seg)
+		o := segOutcome{res: res, adv: c.Now().Sub(t0), grew: g.CollectiveStats()}
+		for k := range o.grew {
+			o.grew[k].Count -= before[k].Count
+			o.grew[k].Bytes -= before[k].Bytes
+		}
+		return o, err
 	}
 	cases := []struct {
 		name string
-		old  func(c *Comm, g *Group, off int, seg []float64) ([]float64, error)
+		old  func(c *Comm, g *Group, slot int) (segOutcome, error)
 		seg  func(c *Comm, g *Group, off int, seg []float64) ([]float64, error)
 	}{
 		{"allgather",
-			func(c *Comm, g *Group, off int, seg []float64) ([]float64, error) {
-				parts, err := c.AllgatherErr(g, chunk{Lo: off, Est: seg}, 8*len(seg)+8)
-				if err != nil {
-					return nil, err
+			func(c *Comm, g *Group, slot int) (segOutcome, error) {
+				bytes := 8*longest + 8
+				cost := allgatherCost(c.World().Cluster().Net(), members, bytes)
+				o := segOutcome{
+					res:  make([]float64, n),
+					adv:  vclock.Duration(members-1-slot)*vclock.Millisecond + cost.wire + cost.cpuEach,
+					grew: g.CollectiveStats(),
 				}
-				out := make([]float64, n)
-				for _, p := range parts {
-					ch := p.(chunk)
-					copy(out[ch.Lo:], ch.Est)
+				for i := range o.res {
+					o.res[i] = segValue(i)
 				}
-				return out, nil
+				for k := range o.grew {
+					o.grew[k].Count, o.grew[k].Bytes = 0, 0
+					if o.grew[k].Op == "allgather" {
+						o.grew[k].Count, o.grew[k].Bytes = 1, int64(bytes*members)
+					}
+				}
+				return o, nil
 			},
 			func(c *Comm, g *Group, off int, seg []float64) ([]float64, error) {
 				return c.AllgatherSegErr(g, n, off, seg)
 			}},
 		{"allreduce",
-			func(c *Comm, g *Group, off int, seg []float64) ([]float64, error) {
-				buf := make([]float64, n)
-				copy(buf[off:], seg)
-				return buf, c.AllreduceF64sIntoErr(g, buf, Sum)
+			func(c *Comm, g *Group, slot int) (segOutcome, error) {
+				return step(c, g, slot, func(c *Comm, g *Group, off int, seg []float64) ([]float64, error) {
+					buf := make([]float64, n)
+					copy(buf[off:], seg)
+					return buf, c.AllreduceF64sIntoErr(g, buf, Sum)
+				})
 			},
 			func(c *Comm, g *Group, off int, seg []float64) ([]float64, error) {
 				return c.AllreduceSumSegErr(g, n, off, seg)
@@ -85,47 +117,134 @@ func TestSegmentCollectivesPriceAsTheCallsTheyReplace(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run(t, len(segBounds)-1, func(c *Comm) error {
+			run(t, members, func(c *Comm) error {
 				g := c.World().AllGroup()
 				slot, _ := g.Slot(c.Rank())
-				off, seg := segOf(slot)
-				step := func(call func(*Comm, *Group, int, []float64) ([]float64, error)) ([]float64, vclock.Duration, []CollectiveShape, error) {
-					c.Node().Compute(vclock.Duration(slot+1) * vclock.Millisecond)
-					t0 := c.Now()
-					res, err := call(c, g, off, seg)
-					return res, c.Now().Sub(t0), g.CollectiveStats(), err
-				}
-				before := g.CollectiveStats()
-				want, oldAdv, oldStats, err := step(tc.old)
+				want, err := tc.old(c, g, slot)
 				if err != nil {
 					return err
 				}
-				got, adv, stats, err := step(tc.seg)
+				got, err := step(c, g, slot, tc.seg)
 				if err != nil {
 					return err
 				}
-				if adv != oldAdv {
-					return fmt.Errorf("slot %d: clock advanced %v, the replaced call %v", slot, adv, oldAdv)
+				if got.adv != want.adv {
+					return fmt.Errorf("slot %d: clock advanced %v, the replaced call %v", slot, got.adv, want.adv)
 				}
-				for k := range stats {
-					dc, dOld := stats[k].Count-oldStats[k].Count, oldStats[k].Count-before[k].Count
-					db, dbOld := stats[k].Bytes-oldStats[k].Bytes, oldStats[k].Bytes-before[k].Bytes
-					if dc != dOld || db != dbOld {
-						return fmt.Errorf("slot %d: %s grew by %d ops, %d bytes; the replaced call by %d, %d", slot, stats[k].Op, dc, db, dOld, dbOld)
+				for k := range got.grew {
+					if gs, ws := got.grew[k], want.grew[k]; gs.Count != ws.Count || gs.Bytes != ws.Bytes {
+						return fmt.Errorf("slot %d: %s grew by %d ops, %d bytes; the replaced call by %d, %d", slot, gs.Op, gs.Count, gs.Bytes, ws.Count, ws.Bytes)
 					}
 				}
-				if len(got) != len(want) {
-					return fmt.Errorf("slot %d: result length %d, want %d", slot, len(got), len(want))
+				if len(got.res) != len(want.res) {
+					return fmt.Errorf("slot %d: result length %d, want %d", slot, len(got.res), len(want.res))
 				}
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						return fmt.Errorf("slot %d: element %d = %v, the replaced call %v", slot, i, got[i], want[i])
+				for i := range want.res {
+					if math.Float64bits(got.res[i]) != math.Float64bits(want.res[i]) {
+						return fmt.Errorf("slot %d: element %d = %v, the replaced call %v", slot, i, got.res[i], want.res[i])
 					}
 				}
 				return nil
 			})
 		})
 	}
+}
+
+// TestRaggedAllgatherF64s: AllgatherF64sIntoErr over segments of different
+// lengths (segBounds', two of them empty) lands their concatenation, in slot
+// order, on every member. It is priced as every typed collective is, at the
+// longest segment: with deposits staggered as in the test above, each member
+// leaves at the last deposit plus allgatherCost's wire and CPU at 8 bytes a
+// value of the longest, and the allgather-f64 shape grows by one op of that
+// many bytes per member. A dst shorter than the concatenation fails the run;
+// a dead member fails the op on every survivor, with dst untouched and no
+// slot leaked.
+func TestRaggedAllgatherF64s(t *testing.T) {
+	n, members := segBounds[len(segBounds)-1], len(segBounds)-1
+	longest := 0
+	for s := 0; s < members; s++ {
+		longest = max(longest, segBounds[s+1]-segBounds[s])
+	}
+	t.Run("concatenates", func(t *testing.T) {
+		run(t, members, func(c *Comm) error {
+			g := c.World().AllGroup()
+			slot, _ := g.Slot(c.Rank())
+			_, seg := segOf(slot)
+			c.Node().Compute(vclock.Duration(slot+1) * vclock.Millisecond)
+			before, t0 := g.CollectiveStats(), c.Now()
+			dst := make([]float64, n)
+			if err := c.AllgatherF64sIntoErr(g, seg, dst); err != nil {
+				return err
+			}
+			cost := allgatherCost(c.World().Cluster().Net(), members, 8*longest)
+			if adv, want := c.Now().Sub(t0), vclock.Duration(members-1-slot)*vclock.Millisecond+cost.wire+cost.cpuEach; adv != want {
+				return fmt.Errorf("slot %d: clock advanced %v, the closed form %v", slot, adv, want)
+			}
+			for k, st := range g.CollectiveStats() {
+				dc, db := st.Count-before[k].Count, st.Bytes-before[k].Bytes
+				var wc, wb int64
+				if st.Op == "allgather-f64" {
+					wc, wb = 1, int64(8*longest*members)
+				}
+				if dc != wc || db != wb {
+					return fmt.Errorf("slot %d: %s grew by %d ops, %d bytes, want %d, %d", slot, st.Op, dc, db, wc, wb)
+				}
+			}
+			for i, v := range dst {
+				if math.Float64bits(v) != math.Float64bits(segValue(i)) {
+					return fmt.Errorf("slot %d: element %d = %v, want %v", slot, i, v, segValue(i))
+				}
+			}
+			return nil
+		})
+	})
+	t.Run("short destination", func(t *testing.T) {
+		err := Run(cluster.New(cluster.Uniform(members)), func(c *Comm) error {
+			g := c.World().AllGroup()
+			slot, _ := g.Slot(c.Rank())
+			_, seg := segOf(slot)
+			return c.AllgatherF64sIntoErr(g, seg, make([]float64, n-1))
+		})
+		if want := fmt.Sprintf("allgather-f64 destination has length %d, want %d", n-1, n); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want one containing %q", err, want)
+		}
+	})
+	t.Run("dead member", func(t *testing.T) {
+		const victim = 5 // the longest segment
+		spec := cluster.Uniform(members)
+		spec.Faults = []fault.Fault{fault.CrashAtCycle(victim, 0)}
+		w := NewWorld(cluster.New(spec))
+		err := w.Run(func(c *Comm) error {
+			if c.Rank() == victim {
+				c.InjectCycleFaults(0)
+				return nil
+			}
+			g := c.World().AllGroup()
+			slot, _ := g.Slot(c.Rank())
+			_, seg := segOf(slot)
+			dst := make([]float64, n)
+			for i := range dst {
+				dst[i] = -1
+			}
+			err := c.AllgatherF64sIntoErr(g, seg, dst)
+			var rf *RankFailedError
+			if !errors.As(err, &rf) || len(rf.Ranks) != 1 || rf.Ranks[0] != victim {
+				return fmt.Errorf("slot %d: err = %v, want a RankFailedError naming rank %d", slot, err, victim)
+			}
+			for i, v := range dst {
+				if v != -1 {
+					return fmt.Errorf("slot %d: failed op wrote %v at %d", slot, v, i)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := w.LeakedOps(); k != 0 {
+			t.Fatalf("%d collective slots leaked, want 0", k)
+		}
+	})
 }
 
 // TestSegmentResultSharedAllocBudget: every member of a segment collective

@@ -36,7 +36,8 @@ type Summary struct {
 	Failures      []FailureRecord    // in trace order
 
 	// One-sided (RMA) aggregates, zero when the run used no windows.
-	RMAFences   int
+	// RMAEpochs counts closed epochs of either kind, PSCW or fence.
+	RMAEpochs   int
 	RMADeposits int
 	RMABytes    int64
 	RMAStallS   float64
@@ -79,7 +80,7 @@ func Summarize(recs []Record) *Summary {
 		case FailureRecord:
 			s.Failures = append(s.Failures, v)
 		case RMARecord:
-			s.RMAFences++
+			s.RMAEpochs++
 			s.RMADeposits += v.Deposits
 			s.RMABytes += v.Bytes
 			s.RMAStallS += v.StallS
@@ -121,9 +122,9 @@ func (s *Summary) WriteTable(w io.Writer) {
 			fmt.Fprintf(w, "  hidden wire: %.4fs overlapped behind computation across all nodes\n", hidden)
 		}
 	}
-	if s.RMAFences > 0 {
-		fmt.Fprintf(w, "  rma: %d fences settled %d deposits (%d bytes); stall %.4fs, hidden %.4fs\n",
-			s.RMAFences, s.RMADeposits, s.RMABytes, s.RMAStallS, s.RMAHiddenS)
+	if s.RMAEpochs > 0 {
+		fmt.Fprintf(w, "  rma: %d epochs settled %d deposits (%d bytes); stall %.4fs, hidden %.4fs\n",
+			s.RMAEpochs, s.RMADeposits, s.RMABytes, s.RMAStallS, s.RMAHiddenS)
 	}
 	for _, m := range s.Memberships {
 		fmt.Fprintf(w, "  membership: cycle %d node %d %s active=%v removed=%v\n",

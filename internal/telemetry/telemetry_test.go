@@ -279,6 +279,8 @@ func TestSummarize(t *testing.T) {
 		RedistRecord{Base: Base{K: KindRedist, Node: 0, Cycle: 1}, RowsSent: 10, BytesSent: 1000},
 		RedistRecord{Base: Base{K: KindRedist, Node: 1, Cycle: 1}, RowsSent: 5, BytesSent: 500},
 		MembershipRecord{Base: Base{K: KindMembership, Node: 0, Cycle: 2}, Change: "drop"},
+		RMARecord{Base: Base{K: KindRMA, Node: 0, Cycle: 2}, Op: "pscw", Deposits: 1, Bytes: 64},
+		RMARecord{Base: Base{K: KindRMA, Node: 1, Cycle: 2}, Op: "pscw", Deposits: 2, Bytes: 128},
 	}
 	s := Summarize(recs)
 	if s.ByKind[KindIteration] != 3 || s.Decisions != 1 || s.Redists != 1 || s.RedistRecords != 2 {
@@ -293,7 +295,11 @@ func TestSummarize(t *testing.T) {
 	var buf bytes.Buffer
 	s.WriteTable(&buf)
 	out := buf.String()
-	for _, want := range []string{"iteration", "redistributions: 1 (2 rank records, rows sent 15", "membership: cycle 2 node 0 drop"} {
+	// The runtime's one-sided epochs are PSCW: the table counts epochs, not fences.
+	if s.RMAEpochs != 2 || s.RMADeposits != 3 || s.RMABytes != 192 {
+		t.Fatalf("rma totals wrong: epochs=%d deposits=%d bytes=%d", s.RMAEpochs, s.RMADeposits, s.RMABytes)
+	}
+	for _, want := range []string{"iteration", "redistributions: 1 (2 rank records, rows sent 15", "membership: cycle 2 node 0 drop", "rma: 2 epochs settled 3 deposits (192 bytes)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
