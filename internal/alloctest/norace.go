@@ -3,6 +3,6 @@
 package alloctest
 
 // Race reports a -race build: the race detector allocates for its own
-// bookkeeping and makes sync.Pool drop a quarter of its Puts, so a test that
-// counts objects through either may skip under it.
+// bookkeeping, so a test that pins an exact count of objects may skip
+// under it.
 const Race = false

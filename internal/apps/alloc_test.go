@@ -18,11 +18,10 @@ import (
 // a ring, a run of 2N iterations allocates what a run of N iterations does — set-up,
 // the first cycles' buffer warm-up and teardown are common to both, so the
 // difference is what the N extra cycles cost. Halo buffers circulate between
-// neighbours' free lists, Dense rows and replica stages are recycled in
-// place, and the cycle bracket was already allocation-free, so the
-// difference per extra rank-cycle is zero; perCycle is the stated budget
-// under -race for the configurations that refresh a replica every cycle,
-// and slack absorbs the Go runtime's own occasional allocations.
+// neighbours' free lists, Dense rows are recycled in place, replica slabs
+// circulate through core's free list, and the cycle bracket was already
+// allocation-free, so the difference per extra rank-cycle is zero, under
+// -race too; slack absorbs the Go runtime's own occasional allocations.
 func TestSteadyStateCycleAllocBudget(t *testing.T) {
 	const (
 		ranks = 8
@@ -30,9 +29,8 @@ func TestSteadyStateCycleAllocBudget(t *testing.T) {
 		slack = 128 // whole-run constant: 0.4 per rank-cycle here, where boxing the halo rows costs 3.5
 	)
 	type variant struct {
-		name     string
-		perCycle float64 // allowed mallocs per extra rank-cycle under -race
-		run      func(iters int) (apps.Result, error)
+		name string
+		run  func(iters int) (apps.Result, error)
 	}
 	jac := func(mut func(*jacobi.Config)) func(int) (apps.Result, error) {
 		return func(iters int) (apps.Result, error) {
@@ -54,28 +52,26 @@ func TestSteadyStateCycleAllocBudget(t *testing.T) {
 		c.Replicate, c.ReplicaEvery, c.ReplicaRMA = true, 1, rma
 	}
 	variants := []variant{
-		{"jacobi", 0, jac(func(*jacobi.Config) {})},
-		{"jacobi-overlap", 0, jac(func(c *jacobi.Config) { c.Overlap = true })},
-		{"sor", 0, srun(func(*sor.Config) {})},
-		{"sor-overlap", 0, srun(func(c *sor.Config) { c.Overlap = true })},
+		{"jacobi", jac(func(*jacobi.Config) {})},
+		{"jacobi-overlap", jac(func(c *jacobi.Config) { c.Overlap = true })},
+		{"sor", srun(func(*sor.Config) {})},
+		{"sor-overlap", srun(func(c *sor.Config) { c.Overlap = true })},
 		// With a ring attached every rank-cycle emits an iteration record and
 		// a load sample. Both reach the ring by value and land in its typed
 		// chunks — one allocation per 64 records, inside the slack — where
 		// boxing them into telemetry.Record cost 2 per rank-cycle.
-		{"jacobi-ring", 0, jac(func(c *jacobi.Config) { c.Core.Telemetry = telemetry.NewRing(1 << 16) })},
-		{"sor-overlap-ring", 0, srun(func(c *sor.Config) {
+		{"jacobi-ring", jac(func(c *jacobi.Config) { c.Core.Telemetry = telemetry.NewRing(1 << 16) })},
+		{"sor-overlap-ring", srun(func(c *sor.Config) {
 			c.Overlap, c.Core.Telemetry = true, telemetry.NewRing(1<<16)
 		})},
-		// A refresh packs one slab per array from core's sync.Pool and
-		// allocates nothing else. On one P with the collector held off the
-		// pool only loses a slab under the race detector, which drops one
-		// Put in four on purpose, and a refill is two objects, so two arrays
-		// refreshed every cycle cost an expected 1 malloc per rank-cycle
-		// under -race and none otherwise.
-		// One boxed value per array per refresh would already cost 2.
-		{"jacobi-replica-paired", 1.5, jac(func(c *jacobi.Config) { replicate(&c.Core, false) })},
-		{"jacobi-replica-rma", 1.5, jac(func(c *jacobi.Config) { replicate(&c.Core, true) })},
-		{"sor-replica-rma", 1.5, srun(func(c *sor.Config) { replicate(&c.Core, true) })},
+		// A refresh packs one slab per array from core's free list, which
+		// the receiver adopts as its replica (paired) or the sender puts
+		// back after its Put (RMA), and allocates nothing else: these read
+		// 0.00 per rank-cycle, -race too. One boxed value per array per
+		// refresh would already cost 2.
+		{"jacobi-replica-paired", jac(func(c *jacobi.Config) { replicate(&c.Core, false) })},
+		{"jacobi-replica-rma", jac(func(c *jacobi.Config) { replicate(&c.Core, true) })},
+		{"sor-replica-rma", srun(func(c *sor.Config) { replicate(&c.Core, true) })},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -84,14 +80,10 @@ func TestSteadyStateCycleAllocBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 			}))
-			budget := float64(slack)
-			if alloctest.Race {
-				budget += v.perCycle * ranks * n
-			}
 			t.Logf("%.0f mallocs over %d extra iterations: %.2f per extra rank-cycle", extra, n, extra/(ranks*n))
-			if extra > budget {
-				t.Errorf("%d extra cycles on %d ranks cost %.0f mallocs (%.2f per rank-cycle), budget %.0f",
-					n, ranks, extra, extra/(ranks*n), budget)
+			if extra > slack {
+				t.Errorf("%d extra cycles on %d ranks cost %.0f mallocs (%.2f per rank-cycle), budget %d",
+					n, ranks, extra, extra/(ranks*n), slack)
 			}
 		})
 	}
@@ -191,5 +183,49 @@ func TestFinishedWorldReleasesItsArrays(t *testing.T) {
 	if after := heap(); after > before+1<<20 {
 		t.Errorf("%d KB still reachable one collection after the world finished: something the world keeps points into a Runtime",
 			(after-before)>>10)
+	}
+}
+
+// TestReplicatedWorldAllocBudget prices replication per world: k more
+// replicated worlds may cost no more objects than k more unreplicated ones,
+// plus a stated budget per rank-world. Every world hands its replica slabs
+// back to core's free list at Finalize and the next world's refreshes take
+// them again, so what replication adds per world is the bookkeeping around
+// the slabs: one replica record per array and rank (2 here), and under
+// ReplicaRMA one window per array with its per-rank epoch lists (11.75 in
+// all). A world that left its replica slabs to the GC would allocate them
+// afresh, a slab and its storage per array and rank, twice that under
+// ReplicaRMA: 6.01 and 19.75 per rank-world.
+func TestReplicatedWorldAllocBudget(t *testing.T) {
+	const (
+		ranks  = 8
+		worlds = 20
+	)
+	run := func(mut func(*core.Config)) func(k int) {
+		return func(k int) {
+			for range k {
+				cfg := jacobi.DefaultConfig()
+				cfg.Rows, cfg.Cols, cfg.Iters = 128, 64, 6
+				mut(&cfg.Core)
+				if _, err := jacobi.Run(cluster.New(cluster.Uniform(ranks)), cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	plain := alloctest.Extra(worlds, run(func(*core.Config) {}))
+	for _, v := range []struct {
+		rma    bool
+		budget float64 // objects per extra rank-world over an unreplicated one
+	}{{false, 3}, {true, 14}} {
+		extra := alloctest.Extra(worlds, run(func(c *core.Config) {
+			c.Replicate, c.ReplicaEvery, c.ReplicaRMA = true, 1, v.rma
+		}))
+		per := float64(extra-plain) / (worlds * ranks)
+		t.Logf("ReplicaRMA %v: %d extra worlds cost %d objects, unreplicated %d: %+.2f per rank-world", v.rma, worlds, extra, plain, per)
+		if per > v.budget {
+			t.Errorf("ReplicaRMA %v: a replicated world costs %.2f objects per rank more than an unreplicated one, budget %.0f",
+				v.rma, per, v.budget)
+		}
 	}
 }

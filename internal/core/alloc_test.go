@@ -49,19 +49,16 @@ func TestNilSinkHotPathsAllocFree(t *testing.T) {
 	}
 }
 
-// TestRedistributionAllocFree pins redist.go's pool invariant: once the slab
-// pools and every scratch list have grown to the shape, a dense array's
+// TestRedistributionAllocFree pins redist.go's free-list invariant: once the
+// slab lists and every scratch list have grown to the shape, a dense array's
 // redistribution allocates nothing. Four ranks move a 256×16 array with ±1
 // ghosts between two blocks that shift every boundary; a world of 800
-// redistributions less a world of 400 is what 400 cost. On one P with the
-// collector held off the pools never miss, and 200 runs read −1 to 0; the
-// slack, for the whole run and not each redistribution, is the margin the
-// collective engine's test allows the runtime. A single object per
-// rank-redistribution would cost 1 600.
+// redistributions less a world of 400 is what 400 cost. No GC empties the
+// slab lists and the race detector drops none of their puts, so 200 runs
+// read −1 to 0, and -race runs 0 to 1; the slack, for the whole run and not
+// each redistribution, is the margin the collective engine's test allows
+// the runtime. A single object per rank-redistribution would cost 1 600.
 func TestRedistributionAllocFree(t *testing.T) {
-	if alloctest.Race {
-		t.Skip("under the race detector sync.Pool drops a quarter of its Puts")
-	}
 	const (
 		ranks, rows, cols = 4, 256, 16
 		redists           = 400

@@ -288,14 +288,18 @@ func (rt *Runtime) Barrier() {
 // block here until that notice arrives, or until no rank is left that could
 // send it: the run is over then as well), and an active node settles the
 // replica epoch the last one-sided refresh left open, so no deposit is
-// pending when the world ends.
+// pending when the world ends. Every node then hands its replica slabs back
+// to the free list for the next world: once the epoch settled nothing can
+// write them, and a removed node's last epoch settled before its removal's
+// redistribution.
 func (rt *Runtime) Finalize() {
 	rt.ensureCommitted()
 	if rt.isOut {
 		rt.recvOut()
-		return
+	} else {
+		rt.Barrier()
+		rt.emitOut(doneMsg(rt.outSeq), 0)
+		rt.closeReplicaEpoch()
 	}
-	rt.Barrier()
-	rt.emitOut(doneMsg(rt.outSeq), 0)
-	rt.closeReplicaEpoch()
+	rt.releaseReplicas()
 }

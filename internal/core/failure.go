@@ -42,26 +42,25 @@ import (
 // redistribution with a non-empty dead set: the drain reconstructs the dead
 // ranks' rows from buddy replicas (Config.Replicate) or declares them lost.
 
+// replica is a rank's copy of its ring predecessor's rows of one dense
+// array, refreshed by refreshReplicas (paired send/recv) or through the
+// one-sided window machinery in rma.go. Both halves are slabs of the dense
+// free list. data holds the committed replica, rows [data.lo,
+// data.lo+data.rows); stage is the window memory remote Puts land in under
+// ReplicaRMA (every open attaches the current stage), promoted to data only
+// when the epoch's closing wait settles — so an epoch that can no longer
+// settle (the origin died mid-cycle without depositing) leaves the committed
+// replica intact.
+type replica struct {
+	data, stage *denseSlab
+}
+
 // LostRange identifies rows of one array that could not be reconstructed
 // after a failure: they were zero-filled and the application must treat
 // them as reinitialised.
 type LostRange struct {
 	Array  string
 	Lo, Hi int
-}
-
-// replica is a rank's copy of its ring predecessor's rows of one dense
-// array, refreshed by refreshReplicas (paired send/recv) or through the
-// one-sided window machinery in rma.go. data always holds the committed
-// replica; stage is the window memory remote Puts land in under ReplicaRMA
-// (every open attaches the current stage), promoted to data only when the
-// epoch's closing wait settles — so an epoch that can no longer settle (the
-// origin died mid-cycle without depositing) leaves the committed replica
-// intact.
-type replica struct {
-	lo, hi int
-	data   []float64
-	stage  []float64
 }
 
 // DeadRanks returns the world ranks this runtime has absorbed as crashed.
@@ -176,7 +175,7 @@ func (rt *Runtime) replicaHolder(a *regArray, d int, dead []int) (int, bool) {
 // range's start), one RowBytes touch per row, and returns it with its wire
 // size.
 func (rt *Runtime) serveSlab(a *regArray, lo, hi int) (*denseSlab, int) {
-	rep := a.rep
+	rep := a.committed()
 	plo, phi := intersect(lo, hi, rep)
 	slab := getDenseSlab(phi-plo, a.dense.RowLen)
 	slab.lo = plo
@@ -210,7 +209,7 @@ func (rt *Runtime) commitServed(a *regArray, lo, hi int, payload any) {
 // restoreLocal reconstructs rows [lo,hi) of a dense array from this rank's
 // own replica (the dead rank was this rank's ring predecessor).
 func (rt *Runtime) restoreLocal(a *regArray, lo, hi int) {
-	rep := a.rep
+	rep := a.committed()
 	plo, phi := intersect(lo, hi, rep)
 	if phi > plo {
 		off := (plo - rep.lo) * a.dense.RowLen
@@ -295,16 +294,15 @@ func (rt *Runtime) refreshReplicas() {
 // replicaRing returns this rank's predecessor and successor in the current
 // distribution's replica ring, for either refresh transport; ok is false
 // when the rank takes no part: replication is off, the rank is removed, or
-// the ring has one member — which has no buddy, so it forgets every replica.
+// the ring has one member — which has no buddy, so it hands every replica
+// back.
 func (rt *Runtime) replicaRing() (prev, next int, ok bool) {
 	if !rt.cfg.Replicate || rt.isOut {
 		return 0, 0, false
 	}
 	ranks := rt.dist.Ranks()
 	if len(ranks) < 2 {
-		for i := range rt.arrays {
-			rt.arrays[i].rep = nil
-		}
+		rt.releaseReplicas()
 		return 0, 0, false
 	}
 	return ringNeighbours(ranks, rt.comm.Rank())
@@ -335,21 +333,22 @@ func (rt *Runtime) packRows(a *regArray, lo, hi int) *denseSlab {
 }
 
 // storeReplica commits a paired replica payload as array a's replica — one
-// RowBytes touch per row stored — and recycles its slab.
+// RowBytes touch per row stored — by adopting the received slab itself, and
+// hands the replica it replaces back to the free list: nothing writes a
+// paired replica once it is stored, and nothing keeps one once replaced.
 func (rt *Runtime) storeReplica(a *regArray, payload any) {
 	rs, ok := payload.(*denseSlab)
 	if !ok {
 		panic(fmt.Sprintf("core: bad replica payload for %q", a.name))
 	}
-	rep := a.replica()
-	n := rs.rows * a.dense.RowLen
-	rep.data = resized(rep.data, n)
-	copy(rep.data, rs.data[:n])
-	rep.lo, rep.hi = rs.lo, rs.lo+rs.rows
-	for g := rep.lo; g < rep.hi; g++ {
+	for range rs.rows {
 		rt.node.ChargeTouch(a.dense.RowBytes())
 	}
-	putDenseSlab(rs)
+	rep := a.replica()
+	if rep.data != nil {
+		putDenseSlab(rep.data)
+	}
+	rep.data = rs
 }
 
 // replica returns a's replica record, creating it on first use.
@@ -360,23 +359,40 @@ func (a *regArray) replica() *replica {
 	return a.rep
 }
 
-// resized returns buf with n elements, reallocated at exactly n when it holds
-// fewer: a predecessor's range grows once or twice per world, by a third or
-// more, so geometric headroom was measured to cost bytes (EXPERIMENTS.md).
-func resized(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
+// committed returns a's committed replica slab, nil when there is none.
+func (a *regArray) committed() *denseSlab {
+	if a.rep == nil {
+		return nil
 	}
-	return buf[:n]
+	return a.rep.data
+}
+
+// releaseReplicas hands every array's replica slabs back to the free list
+// and forgets the replicas. Its callers are the points where nothing can
+// write them any more: Finalize after the last epoch settled, and a ring
+// of one, which has no buddy and whose last epoch a redistribution closed.
+func (rt *Runtime) releaseReplicas() {
+	for i := range rt.arrays {
+		a := &rt.arrays[i]
+		if a.rep == nil {
+			continue
+		}
+		for _, s := range [...]*denseSlab{a.rep.data, a.rep.stage} {
+			if s != nil {
+				putDenseSlab(s)
+			}
+		}
+		a.rep = nil
+	}
 }
 
 // intersect clips [lo,hi) to the replica's covered range; a nil replica
 // yields the empty range [lo,lo).
-func intersect(lo, hi int, rep *replica) (int, int) {
+func intersect(lo, hi int, rep *denseSlab) (int, int) {
 	if rep == nil {
 		return lo, lo
 	}
-	plo, phi := max(lo, rep.lo), min(hi, rep.hi)
+	plo, phi := max(lo, rep.lo), min(hi, rep.lo+rep.rows)
 	if phi < plo {
 		return lo, lo
 	}

@@ -48,10 +48,15 @@ func (rt *Runtime) commitSlab(a *regArray, lo, hi int, payload any) {
 //
 //   - Ownership travels with the message: the sender gets a slab, packs it,
 //     and Sends it; from that point the slab belongs to the receiver, which
-//     puts it back after unpacking. The sender never touches a slab after
-//     Send, and nothing else may retain a reference into a slab's backing
-//     storage (matrix.Dense.PutRows / Sparse.UnpackRows copy out of the
-//     slab precisely so the window never aliases recycled memory).
+//     puts it back after unpacking — or, for a paired replica, keeps it as
+//     the replica until a newer one replaces it or the world finalizes
+//     (failure.go). The sender never touches a slab after Send, and nothing
+//     else may retain a reference into a slab's backing storage
+//     (matrix.Dense.PutRows / Sparse.UnpackRows copy out of the slab
+//     precisely so the window never aliases recycled memory). The one
+//     exception is a replica window, which names its stage slab as memory
+//     and may keep naming it after the slab went back; no Put lands there
+//     without a post, and every post follows the attach of a fresh stage.
 //   - Slabs are resized with cap-preserving reslices, so steady-state
 //     redistribution reaches a fixed point where a get returns buffers big
 //     enough to need no growth: a dense array's redistribution allocates
@@ -63,19 +68,28 @@ func (rt *Runtime) commitSlab(a *regArray, lo, hi int, payload any) {
 //     replicate the per-row formulation exactly, so golden traces are
 //     byte-identical to the unbatched implementation.
 var (
-	denseSlabs  slabList[denseSlab]
-	sparseSlabs slabList[sparseSlab]
+	denseSlabs  = slabList[denseSlab]{size: func(s *denseSlab) int { return 8 * cap(s.data) }}
+	sparseSlabs = slabList[sparseSlab]{size: func(s *sparseSlab) int {
+		return 4*cap(s.p.Starts) + 4*cap(s.p.Cols) + 8*cap(s.p.Vals)
+	}}
 )
 
-// maxFreeSlabs bounds each free list. The most slabs any bench workload
-// holds free at once is 42 (refresh_rma's 64 ranks); a slab put on a full
-// list is left to the GC.
-const maxFreeSlabs = 64
+// maxFreeBytes bounds the storage each free list holds; a slab that would
+// take a list past it is left to the GC. The bound is on bytes because a
+// count cannot see what a list keeps, nor what it turns away: a replicated
+// world hands its replica slabs back at Finalize, 256 of them in
+// refresh_rma's 64 ranks, and a bound of 64 slabs made every repetition
+// allocate most of them afresh. The most any bench workload holds free at
+// once is 2.4 MB in 276 slabs (refresh_rma; sweep_smoke 1.2 MB, adapt_dense
+// 30 KB, and adapt_sparse 170 KB on the sparse list).
+const maxFreeBytes = 4 << 20
 
 // slabList is a process-wide, mutex-guarded LIFO free list of slabs.
 type slabList[T any] struct {
-	mu   sync.Mutex
-	free []*T
+	mu    sync.Mutex
+	free  []*T
+	bytes int          // the storage the free slabs hold
+	size  func(*T) int // a slab's storage in bytes
 }
 
 // get pops the most recently put slab, or returns a new one.
@@ -89,13 +103,16 @@ func (l *slabList[T]) get() *T {
 	s := l.free[n-1]
 	l.free[n-1] = nil
 	l.free = l.free[:n-1]
+	l.bytes -= l.size(s)
 	return s
 }
 
 func (l *slabList[T]) put(s *T) {
+	n := l.size(s)
 	l.mu.Lock()
-	if len(l.free) < maxFreeSlabs {
+	if l.bytes+n <= maxFreeBytes {
 		l.free = append(l.free, s)
+		l.bytes += n
 	}
 	l.mu.Unlock()
 }
@@ -117,6 +134,13 @@ type sparseSlab struct {
 
 func getDenseSlab(rows, rowLen int) *denseSlab {
 	s := denseSlabs.get()
+	s.fit(rows, rowLen)
+	return s
+}
+
+// fit sizes s for rows rows of rowLen values, keeping its storage when that
+// is big enough.
+func (s *denseSlab) fit(rows, rowLen int) {
 	n := rows * rowLen
 	if cap(s.data) < n {
 		s.data = make([]float64, n)
@@ -124,7 +148,6 @@ func getDenseSlab(rows, rowLen int) *denseSlab {
 		s.data = s.data[:n]
 	}
 	s.rows = rows
-	return s
 }
 
 func putDenseSlab(s *denseSlab) {

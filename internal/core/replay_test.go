@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
@@ -113,5 +115,99 @@ func TestMultiVictimTimedCrashReplays(t *testing.T) {
 				replaySpec(t, fmt.Sprintf("victims=%v/t=%v/gap=%v", victims, at, gap), faults, cfg)
 			}
 		}
+	}
+}
+
+// TestReplicaSlabsShareOneListAcrossWorlds: replica slabs circulate through
+// the process-wide dense free list — a replaced paired replica goes back at
+// once, every replica and stage at Finalize — so worlds running side by side
+// trade them. A slab handed back while a Put could still land in it, or
+// still read as a replica, would show in another world's rows. Sixteen
+// ReplicaRMA worlds, in which DropAlways removes node 4 and rank 0 or 2 dies
+// at a timed instant spread over the run, run one at a time and then all at
+// once; each concurrent run must equal its sequential one in every rank's
+// globals, rows, finish time and record stream. The global sum sees most of
+// the deaths mid-cycle, so the end-of-cycle refresh still runs on the dead
+// rank's ring (openReplicaEpoch's guard on a recorded-dead successor).
+func TestReplicaSlabsShareOneListAcrossWorlds(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Drop = DropAlways
+	cfg.Replicate, cfg.ReplicaEvery, cfg.ReplicaRMA = true, 1, true
+	ref := replayRun(t, "fault-free", nil, cfg)
+	if removedAt(ref[4]) < 0 {
+		t.Fatal("node 4 was never removed; the test needs a removal")
+	}
+	its := only[telemetry.IterationRecord](ref[0].recs)
+	if len(its) != replayCycles {
+		t.Fatalf("rank 0 reported %d cycles, want %d", len(its), replayCycles)
+	}
+	t0 := vclock.Time(vclock.FromSeconds(its[1].Time))
+	span := ref[0].final.Sub(t0)
+	var specs [][]fault.Fault
+	for _, victim := range []int{0, 2} {
+		for k := range 8 {
+			specs = append(specs, []fault.Fault{fault.CrashAt(victim, t0.Add(span*vclock.Duration(k)/8))})
+		}
+	}
+
+	type run struct {
+		results map[int]*miniResult
+		ring    *telemetry.Ring
+		err     error
+	}
+	world := func(faults []fault.Fault) run {
+		spec := replayScenario()
+		spec.Faults = faults
+		c := cfg
+		ring := traceInto(&c)
+		results, err := miniWorld(spec, c, replayN, replayCycles, true, 0, 0)
+		return run{results, ring, err}
+	}
+	sequential := make([]run, len(specs))
+	for i, f := range specs {
+		sequential[i] = world(f)
+	}
+	concurrent := make([]run, len(specs))
+	var wg sync.WaitGroup
+	for i, f := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i] = world(f)
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(matrixWatchdog):
+		t.Fatal("concurrent worlds hung (watchdog)")
+	}
+
+	removed := 0 // worlds that end with node 4 removed
+	for i, f := range specs {
+		label := fmt.Sprintf("crash %d at t=%v", f[0].Node, f[0].At)
+		a, b := sequential[i], concurrent[i]
+		if a.err != nil || b.err != nil {
+			t.Fatalf("%s: sequential run: %v; concurrent run: %v", label, a.err, b.err)
+		}
+		if a.results[f[0].Node] != nil {
+			t.Fatalf("%s: the victim finished", label)
+		}
+		if a.results[4] != nil && a.results[4].removed {
+			removed++
+		}
+		withRecords(t, a.results, a.ring)
+		withRecords(t, b.results, b.ring)
+		for r, ra := range a.results {
+			rb := b.results[r]
+			if rb == nil || !slices.Equal(ra.globals, rb.globals) || ra.ownedOK != rb.ownedOK || ra.lost != rb.lost {
+				t.Fatalf("%s: rank %d ends differently beside other worlds", label, r)
+			}
+		}
+		sameRecords(t, a.results, b.results)
+	}
+	if removed == 0 {
+		t.Error("no world ended with node 4 removed")
 	}
 }

@@ -16,9 +16,9 @@ import (
 // receive for its predecessor's slab. Here a rank first *closes* the epoch
 // opened at the previous refresh — a cycle of computation has hidden the
 // wire, so the close settles with (near) zero stall — and then opens the
-// next one by exposing a staging buffer and Putting its own rows into its
+// next one by exposing a staging slab and Putting its own rows into its
 // successor's window. The committed replica (replica.data) is only
-// overwritten when an epoch settles, so a predecessor that dies mid-cycle
+// replaced when an epoch settles, so a predecessor that dies mid-cycle
 // without depositing leaves the previous commit intact, exactly like the
 // paired path's keep-the-stale-replica behaviour. Redistribution moves rows
 // by message passing only (drainArray); DESIGN.md says why its one-sided
@@ -109,14 +109,21 @@ func (rt *Runtime) openReplicaEpoch() {
 			continue
 		}
 		win := a.win
-		rt.comm.WinAttach(win, rt.stageReplica(a, phi-plo))
+		rt.comm.WinAttach(win, rt.stageReplica(a, plo, phi))
 		rt.comm.WinPost(win, []int{prev}, 0)
 	}
 
-	// Start toward the successor and Put this rank's slab.
+	// Start toward the successor and Put this rank's slab. A successor
+	// recorded dead gets nothing, as in the paired refresh. It is recorded
+	// but still on the ring when an application collective saw it die
+	// mid-cycle: the close just before this open sent it no completion, so
+	// the access epoch toward it is still open, and a start would panic.
+	// The recovery at the next cycle boundary rebuilds the windows without
+	// it (the guard is the recorded set, never the wall-clock Alive — see
+	// knownDead).
 	for i := range rt.arrays {
 		a := &rt.arrays[i]
-		if a.dense == nil {
+		if a.dense == nil || rt.knownDead(next) {
 			continue
 		}
 		win := a.win
@@ -143,27 +150,34 @@ func (rt *Runtime) openReplicaEpoch() {
 	rt.repOpen = true
 }
 
-// stageReplica (re)sizes array a's staging buffer for an incoming deposit
-// of `rows` rows, creating the replica record on first use, and returns the
-// buffer — the window memory the deposit lands in.
-func (rt *Runtime) stageReplica(a *regArray, rows int) []float64 {
+// stageReplica sizes array a's staging slab for an incoming deposit of the
+// predecessor's rows [lo,hi), creating the replica record and taking a slab
+// from the free list on first use, and returns its storage — the window
+// memory the deposit lands in. A stage it reuses is settled: the last close
+// either swapped the old committed slab into it or left it unpromoted after
+// a failed wait, and no post has exposed it since.
+func (rt *Runtime) stageReplica(a *regArray, lo, hi int) []float64 {
 	rep := a.replica()
-	rep.stage = resized(rep.stage, rows*a.dense.RowLen)
-	return rep.stage
+	if rep.stage == nil {
+		rep.stage = denseSlabs.get()
+	}
+	rep.stage.fit(hi-lo, a.dense.RowLen)
+	rep.stage.lo = lo
+	return rep.stage.data
 }
 
 // closeReplicaEpoch settles the replica epoch left open by the last
 // refresh point, promoting each staged deposit to the committed replica.
-// No-op when no epoch is open. The ring and the committed range are those
-// of the open: nothing installs a distribution between an open and its
-// close, because a redistribution closes the epoch first (beginRedist).
+// No-op when no epoch is open. The ring is that of the open, and each stage
+// still holds the range the open sized it for: nothing installs a
+// distribution between an open and its close, because a redistribution
+// closes the epoch first (beginRedist).
 func (rt *Runtime) closeReplicaEpoch() {
 	if !rt.repOpen {
 		return
 	}
 	rt.repOpen = false
 	prev, next, _ := ringNeighbours(rt.dist.Ranks(), rt.comm.Rank())
-	plo, phi := rt.dist.RangeOf(prev)
 	stall0 := rt.comm.RecvStall
 	// Complete toward the successor for every array before waiting on any
 	// (complete before wait, see the file comment). A successor recorded dead
@@ -178,20 +192,23 @@ func (rt *Runtime) closeReplicaEpoch() {
 	}
 	// Wait on the predecessor's completion, settling the pair's epoch, and
 	// promote the staged deposit — after a failed wait only when the dead
-	// predecessor's deposit landed in full.
+	// predecessor's deposit landed in full. Promotion swaps the two slabs:
+	// the deposit covers the whole stage, and the next open re-sizes and
+	// exposes the other one (its post is the write barrier, so no Put can
+	// land before then). Host-only bookkeeping: the modelled transfer already
+	// landed one-sided, so no virtual cost is charged (see the file comment).
 	for i := range rt.arrays {
 		a := &rt.arrays[i]
 		if a.dense == nil {
 			continue
 		}
 		if err := rt.comm.WinWaitErr(a.win); err != nil {
-			want := (phi - plo) * a.dense.RowLen
 			// Not recorded: deadOf without absorbDead is tolerateDeath.
-			if rt.unlanded(a.win, rt.deadOf(err), prev, want) {
+			if rt.unlanded(a.win, rt.deadOf(err), prev, len(a.rep.stage.data)) {
 				continue
 			}
 		}
-		rt.promoteReplica(a, plo, phi)
+		a.rep.data, a.rep.stage = a.rep.stage, a.rep.data
 	}
 	rt.replicaStall += rt.comm.RecvStall - stall0
 }
@@ -207,18 +224,6 @@ func (rt *Runtime) unlanded(win *mpi.Win, dead []int, origin, want int) (lost bo
 	}
 	rt.comm.DiscardPending(win)
 	return lost
-}
-
-// promoteReplica commits one settled stage, the predecessor's rows [lo,hi),
-// as the array's replica by swapping the two buffers: the deposit covers the
-// whole stage, and the next open re-sizes and exposes the other one (its post
-// is the write barrier, so no Put can land before then). Host-only
-// bookkeeping: the modelled transfer already landed one-sided, so no virtual
-// cost is charged (see the file comment).
-func (rt *Runtime) promoteReplica(a *regArray, lo, hi int) {
-	rep := a.rep
-	rep.data, rep.stage = rep.stage[:(hi-lo)*a.dense.RowLen], rep.data
-	rep.lo, rep.hi = lo, hi
 }
 
 // discardReplicaWindows drops every deposit still pending against this
