@@ -53,7 +53,7 @@ func (rt *Runtime) BeginCycle() bool {
 		rt.closePoll()
 		return true
 	}
-	if rt.sink != nil {
+	if rt.cfg.Telemetry != nil {
 		if rel := rt.RelRank(); rel >= 0 && rel < len(loads) {
 			rt.cycLoad = loads[rel]
 		}
@@ -82,32 +82,25 @@ func (rt *Runtime) BeginCycle() bool {
 		return !rt.isOut
 	}
 
-	switch rt.state {
-	case stNormal:
-		if loadmon.Changed(rt.baseLoads, loads) && (rt.cfg.MaxRedists == 0 || rt.redists < rt.cfg.MaxRedists) {
-			rt.enterGrace(loads)
-		}
-	case stGrace:
+	// The live measurement window is the adaptation state: the grace period
+	// (collector), the post-redistribution grace (cycTimer), or neither.
+	switch {
+	case rt.collector != nil:
 		if loadmon.Changed(rt.graceLoads, loads) {
 			rt.enterGrace(loads) // load moved again: restart the measurement
 		} else if rt.collector.Cycles() >= rt.cfg.GracePeriod {
 			rt.decideRedistribution(loads)
 		}
-	case stPost:
-		if loadmon.Changed(rt.baseLoads, loads) && (rt.cfg.MaxRedists == 0 || rt.redists < rt.cfg.MaxRedists) {
-			// A fresh load change during the post-redistribution grace must
-			// restart measurement on the new baseline; the old code waited
-			// out the grace and fed maybeDrop loads the installed
-			// distribution was never built for.
-			rt.cycTimer = nil
-			rt.cycOpen = false
-			rt.enterGrace(loads)
-		} else if rt.cycTimer.Cycles() >= timing.PostRedistGrace {
-			rt.maybeDrop(loads)
-		} else {
-			rt.cycTimer.Begin()
-			rt.cycOpen = true
-		}
+	case loadmon.Changed(rt.baseLoads, loads) && (rt.cfg.MaxRedists == 0 || rt.redists < rt.cfg.MaxRedists):
+		// A fresh load change. It also restarts a post-redistribution grace
+		// on the new baseline rather than feed maybeDrop loads the installed
+		// distribution was never built for.
+		rt.enterGrace(loads)
+	case rt.cycTimer == nil: // no window open
+	case rt.cycTimer.Cycles() >= timing.PostRedistGrace:
+		rt.maybeDrop(loads)
+	default:
+		rt.cycTimer.Begin()
 	}
 	return !rt.isOut
 }
@@ -122,9 +115,8 @@ func (rt *Runtime) EndCycle() {
 	if rt.collector != nil {
 		rt.collector.EndCycle()
 	}
-	if rt.cycTimer != nil && rt.cycOpen {
+	if rt.cycTimer != nil && rt.cycTimer.Open() {
 		rt.cycTimer.End()
-		rt.cycOpen = false
 	}
 	rt.endCycleTelemetry()
 	if rt.cfg.Replicate && rt.cfg.ReplicaEvery > 0 && rt.cycle%rt.cfg.ReplicaEvery == 0 {
@@ -137,16 +129,11 @@ func (rt *Runtime) EndCycle() {
 // running on the old distribution while per-iteration unloaded times and
 // per-cycle communication are measured.
 func (rt *Runtime) enterGrace(loads []int) {
-	rt.state = stGrace
 	rt.graceLoads = append(rt.graceLoads[:0], loads...)
 	lo, hi := rt.dist.RangeOf(rt.comm.Rank())
 	rt.grace.Reset(rt.node, lo, hi)
-	rt.collector = &rt.grace
-	rt.graceMsgs0 = rt.comm.SentMsgs + rt.comm.RecvMsgs
-	rt.graceBytes0 = rt.comm.SentBytes + rt.comm.RecvBytes
-	rt.graceHidden0 = rt.comm.HiddenWire
-	rt.graceStart = rt.node.Now()
-	rt.cycTimer = nil
+	rt.grace0 = rt.counters()
+	rt.collector, rt.cycTimer = &rt.grace, nil
 }
 
 // measureComm converts the traffic accumulated since grace start into
@@ -158,12 +145,12 @@ func (rt *Runtime) enterGrace(loads []int) {
 // overestimate communication and bias decisions toward too-coarse blocks.
 func (rt *Runtime) measureComm(cycles int) (commCPU, commWire float64, err error) {
 	net := rt.comm.World().Cluster().Net()
-	msgs := float64(rt.comm.SentMsgs + rt.comm.RecvMsgs - rt.graceMsgs0)
-	bytes := float64(rt.comm.SentBytes + rt.comm.RecvBytes - rt.graceBytes0)
+	d, cpu := rt.grace0.since(rt)
+	msgs, bytes := float64(d.msgs), float64(d.bytes)
 	per := 1.0 / float64(cycles)
-	cpu := (msgs*net.CPUPerMsg.Seconds() + bytes*net.CPUPerByte/1e9) * per
+	cpu *= per
 	wire := (msgs/2*net.Latency.Seconds() + bytes/2/net.BytesPerSec) * per
-	if hidden := (rt.comm.HiddenWire - rt.graceHidden0).Seconds() * per; hidden > 0 {
+	if hidden := d.hidden.Seconds() * per; hidden > 0 {
 		wire -= hidden
 		if wire < 0 {
 			wire = 0
@@ -194,7 +181,6 @@ func (rt *Runtime) gatherEstimates() ([]float64, error) {
 func (rt *Runtime) abandonDecision(err error) {
 	rt.absorbFailure(err)
 	rt.collector = nil
-	rt.state = stNormal
 }
 
 // decideRedistribution ends a grace period: it gathers the decision's inputs
@@ -221,7 +207,6 @@ func (rt *Runtime) decideRedistribution(loads []int) {
 func (rt *Runtime) maybeDrop(loads []int) {
 	measured, err := rt.comm.AllreduceErr(rt.group, rt.cycTimer.Average(), mpi.Max)
 	rt.cycTimer = nil
-	rt.state = stNormal
 	if err != nil {
 		rt.absorbFailure(err)
 		return
@@ -244,10 +229,9 @@ func (rt *Runtime) decide(loads []int, dropCheck bool, measured float64) {
 		Scratch:   &rt.decision,
 	}
 	v := distribution.Decide(in)
-	if rt.sink != nil {
-		rt.sink.Emit(rt.decisionRecord(in, v))
+	if rt.cfg.Telemetry != nil {
+		rt.cfg.Telemetry.Emit(rt.decisionRecord(in, v))
 	}
-	rt.state = stNormal
 	switch {
 	case v.Drop:
 		rt.baseLoads = append([]int(nil), loads...)
@@ -262,10 +246,9 @@ func (rt *Runtime) decide(loads []int, dropCheck bool, measured float64) {
 			rt.emitMembership(v.Chosen, nil, nil)
 		}
 		if v.Post {
-			rt.state = stPost
-			rt.cycTimer = timing.NewCycleTimer(rt.node)
+			rt.post.Reset(rt.node)
+			rt.cycTimer = &rt.post
 			rt.cycTimer.Begin() // covers the remainder of this (post-redist) cycle
-			rt.cycOpen = true
 		}
 	}
 }
@@ -283,7 +266,7 @@ func (rt *Runtime) decisionRecord(in distribution.Input, v distribution.Verdict)
 	}
 	var graceVT float64
 	if !in.DropCheck {
-		graceVT = rt.graceStart.Seconds()
+		graceVT = rt.grace0.at.Seconds()
 	}
 	return telemetry.DecisionRecord{
 		Base:       rt.stamp(telemetry.KindDecision),

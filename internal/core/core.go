@@ -22,7 +22,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/distribution"
 	"repro/internal/drsd"
-	"repro/internal/loadmon"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
@@ -121,14 +120,6 @@ func DefaultConfig() Config {
 	}
 }
 
-type adaptState int
-
-const (
-	stNormal adaptState = iota
-	stGrace
-	stPost
-)
-
 // regArray is one registered redistributable array and what the runtime keeps
 // per array: accesses, buddy replica, and the window its replica arrives by.
 type regArray struct {
@@ -154,34 +145,29 @@ type Runtime struct {
 
 	membership // who computes, and what they agreed on (membership.go)
 
-	group   *mpi.Group // the collective group over active
-	isOut   bool       // this rank is not in active: it has been physically removed
-	outSeq  int        // send-out stream position: of the next message sent, or awaited when removed (colls.go)
-	outLog  []outEntry // stream messages since the last collective the root completed (non-root active ranks)
-	dist    *drsd.Block
-	monitor loadmon.Monitor
+	group  *mpi.Group // the collective group over active
+	isOut  bool       // this rank is not in active: it has been physically removed
+	outSeq int        // send-out stream position: of the next message sent, or awaited when removed (colls.go)
+	outLog []outEntry // stream messages since the last collective the root completed (non-root active ranks)
+	dist   *drsd.Block
 
-	committed  bool
-	cycle      int
-	state      adaptState
-	graceLoads []int
-	grace      timing.Collector  // reset at every grace period, never rebuilt
-	collector  *timing.Collector // &grace while a grace period is measured
-	cycTimer   *timing.CycleTimer
-	cycOpen    bool
-	commCPU    float64 // measured per-node per-cycle comm CPU (s)
-	commWire   float64 // estimated per-node per-cycle wire time (s)
+	committed bool
+	cycle     int
 
-	graceMsgs0   int64 // counter snapshots at grace start
-	graceBytes0  int64
-	graceHidden0 vclock.Duration // hidden-wire counter at grace start
-	graceStart   vclock.Time
+	// Adaptation state: the live measurement window, if any (adapt.go). Both
+	// windows are reset in place when they open, never rebuilt.
+	graceLoads []int              // the loads the grace period measures under
+	grace      timing.Collector   // the grace period's per-iteration timings
+	grace0     counters           // the counters when the grace period opened
+	collector  *timing.Collector  // &grace while a grace period is measured
+	post       timing.CycleTimer  // the post-redistribution grace's cycle times
+	cycTimer   *timing.CycleTimer // &post while the post-redistribution grace runs
+	commCPU    float64            // measured per-node per-cycle comm CPU (s)
+	commWire   float64            // estimated per-node per-cycle wire time (s)
 
 	// Resize state (resize.go).
-	joined        bool // this rank spawned mid-run; its membership arrives in a packet at Commit
 	lateEntry     bool // joiner's first BeginCycle: the actives already adapted this cycle
 	pendingResize int  // explicit Resize target (0 = none), consumed at the next cycle boundary
-	hasArrivals   bool // the cluster declares arrival capacity (cached)
 
 	// Failure state (failure.go).
 	pendingDead   []int           // dead ranks detected, recovery not yet run
@@ -221,15 +207,36 @@ type Runtime struct {
 	estBuf    []float64            // this rank's grace-period estimates, deposited into the cost gather
 	decision  distribution.Scratch // what distribution.Decide computes
 
-	// Telemetry state (sink == nil disables everything).
-	sink       telemetry.Sink
-	stamper    *telemetry.Stamper // its own object: the node points at it, and must not reach the Runtime
-	cycVT0     vclock.Time        // cycle-start wall clock
-	cycCPU0    vclock.Duration    // cycle-start application CPU time
-	cycMsgs0   int64              // cycle-start message counter
-	cycBytes0  int64              // cycle-start byte counter
-	cycHidden0 vclock.Duration    // cycle-start hidden-wire counter
-	cycLoad    int                // this rank's load observed this cycle
+	// Telemetry state, kept only while cfg.Telemetry is set. The node holds
+	// the stamper every record of the rank takes (stamp).
+	cyc0    counters // the counters when this cycle began
+	cycLoad int      // this rank's load observed this cycle
+}
+
+// counters is one snapshot of what a measurement window reads off the rank:
+// the grace period's when it opens, the cycle's telemetry at BeginCycle.
+type counters struct {
+	at     vclock.Time     // wall clock
+	cpu    vclock.Duration // application CPU time
+	msgs   int64           // messages sent and received
+	bytes  int64           // bytes sent and received
+	hidden vclock.Duration // wire time hidden behind computation
+}
+
+// counters snapshots the rank's counters now.
+func (rt *Runtime) counters() counters {
+	c := rt.comm
+	return counters{rt.node.Now(), rt.node.CPUTime(), c.SentMsgs + c.RecvMsgs, c.SentBytes + c.RecvBytes, c.HiddenWire}
+}
+
+// since returns how far each counter moved from c to now (at: the wall time
+// elapsed) and the communication CPU that traffic cost under the network
+// model, reconstructed from the message and byte counts.
+func (c counters) since(rt *Runtime) (d counters, commCPU float64) {
+	now := rt.counters()
+	d = counters{vclock.Time(now.at.Sub(c.at)), now.cpu - c.cpu, now.msgs - c.msgs, now.bytes - c.bytes, now.hidden - c.hidden}
+	net := rt.comm.World().Cluster().Net()
+	return d, float64(d.msgs)*net.CPUPerMsg.Seconds() + float64(d.bytes)*net.CPUPerByte/1e9
 }
 
 // New creates the runtime for this rank (DMPI_init). All ranks of the
@@ -255,17 +262,11 @@ func New(comm *mpi.Comm, cfg Config) *Runtime {
 		cfg:        cfg,
 		membership: m,
 		group:      all,
-		monitor:    *loadmon.New(comm.Node()),
-		joined:     comm.Spawned(),
 		lateEntry:  comm.Spawned(),
 	}
 	rt.phase.rt = rt
-	rt.hasArrivals = comm.World().Cluster().HasArrivals()
 	if cfg.Telemetry != nil {
-		rt.sink = cfg.Telemetry
-		rt.stamper = telemetry.NewStamper(comm.Rank())
-		rt.monitor.Attach(rt.sink, rt.stamper, &rt.cycle)
-		rt.node.AttachTelemetry(rt.sink, rt.stamper)
+		rt.node.AttachTelemetry(cfg.Telemetry, telemetry.NewStamper(comm.Rank()))
 	}
 	return rt
 }
@@ -383,7 +384,7 @@ func (rt *Runtime) Participating() bool { return !rt.isOut }
 // joined rank's application must start its cycle loop at Cycle() instead of
 // zero and skip its initial array fill — the admission redistribution
 // already shipped it current data (membership.go).
-func (rt *Runtime) Joined() bool { return rt.joined }
+func (rt *Runtime) Joined() bool { return rt.comm.Spawned() }
 
 // Cycle reports the phase cycle the next BeginCycle will open. Joiners read
 // it after Commit to find the cycle the world is at.
@@ -470,24 +471,25 @@ func (rt *Runtime) Dist() *drsd.Block { return rt.dist }
 // count the members agree on, also on a rank that joined after some of them.
 func (rt *Runtime) Redistributions() int { return rt.redists }
 
-// stamp builds the common telemetry fields for a record emitted now. Only
-// call when rt.sink != nil.
+// stamp builds the common telemetry fields for a record emitted now, with
+// the stamper the node holds. Only call when rt.cfg.Telemetry != nil.
 func (rt *Runtime) stamp(kind string) telemetry.Base {
-	return rt.stamper.Stamp(kind, rt.cycle, rt.node.Now().Seconds())
+	_, st := rt.node.Telemetry()
+	return st.Stamp(kind, rt.cycle, rt.node.Now().Seconds())
 }
 
 // emitMembership reports a membership change (or logical drop) through the
 // telemetry sink, with the ranks it took out and in. The active list doubles
 // as the relative-rank remap: relative rank i maps to world rank active[i].
 func (rt *Runtime) emitMembership(change string, left, joined []int) {
-	if rt.sink == nil {
+	if rt.cfg.Telemetry == nil {
 		return
 	}
 	// One copy serves all three lists: nothing writes a record's slices, and
 	// the remap is the active list.
 	na := len(rt.active)
 	ranks := append(append(make([]int, 0, na+len(rt.removed)), rt.active...), rt.removed...)
-	rt.sink.Emit(telemetry.MembershipRecord{
+	rt.cfg.Telemetry.Emit(telemetry.MembershipRecord{
 		Base:    rt.stamp(telemetry.KindMembership),
 		Change:  change,
 		Active:  ranks[:na:na],
@@ -501,14 +503,10 @@ func (rt *Runtime) emitMembership(change string, left, joined []int) {
 // beginCycleTelemetry snapshots the counters that EndCycle turns into an
 // IterationRecord.
 func (rt *Runtime) beginCycleTelemetry() {
-	if rt.sink == nil {
+	if rt.cfg.Telemetry == nil {
 		return
 	}
-	rt.cycVT0 = rt.node.Now()
-	rt.cycCPU0 = rt.node.CPUTime()
-	rt.cycMsgs0 = rt.comm.SentMsgs + rt.comm.RecvMsgs
-	rt.cycBytes0 = rt.comm.SentBytes + rt.comm.RecvBytes
-	rt.cycHidden0 = rt.comm.HiddenWire
+	rt.cyc0 = rt.counters()
 	rt.cycLoad = rt.node.CPCount()
 }
 
@@ -517,15 +515,11 @@ func (rt *Runtime) beginCycleTelemetry() {
 // counters and the network cost model) and blocked wait, plus this rank's
 // measured share of the iteration space.
 func (rt *Runtime) endCycleTelemetry() {
-	if rt.sink == nil {
+	if rt.cfg.Telemetry == nil {
 		return
 	}
-	net := rt.comm.World().Cluster().Net()
-	wall := rt.node.Now().Sub(rt.cycVT0).Seconds()
-	cpu := (rt.node.CPUTime() - rt.cycCPU0).Seconds()
-	msgs := float64(rt.comm.SentMsgs + rt.comm.RecvMsgs - rt.cycMsgs0)
-	bytes := float64(rt.comm.SentBytes + rt.comm.RecvBytes - rt.cycBytes0)
-	comm := msgs*net.CPUPerMsg.Seconds() + bytes*net.CPUPerByte/1e9
+	d, comm := rt.cyc0.since(rt)
+	wall, cpu := d.at.Seconds(), d.cpu.Seconds()
 	compute := cpu - comm
 	if compute < 0 {
 		compute = 0
@@ -538,12 +532,12 @@ func (rt *Runtime) endCycleTelemetry() {
 	if lo, hi := rt.dist.RangeOf(rt.comm.Rank()); hi > lo {
 		share = hi - lo
 	}
-	rt.sink.EmitIteration(telemetry.IterationRecord{
+	rt.cfg.Telemetry.EmitIteration(telemetry.IterationRecord{
 		Base:         rt.stamp(telemetry.KindIteration),
 		ComputeS:     compute,
 		CommS:        comm,
 		WaitS:        wait,
-		HiddenWireNs: int64(rt.comm.HiddenWire - rt.cycHidden0),
+		HiddenWireNs: int64(d.hidden),
 		Share:        share,
 		Load:         rt.cycLoad,
 	})
@@ -558,7 +552,7 @@ func (rt *Runtime) ensureCommitted() {
 		panic("core: no phase declared")
 	}
 	rt.committed = true
-	if rt.joined {
+	if rt.comm.Spawned() {
 		// From the root or a survivor (replayOut); a spawned rank cannot know
 		// which. If the root sent it and died, the re-sent copy stays unread.
 		p, _ := rt.comm.Recv(mpi.AnySource, tagMembership)

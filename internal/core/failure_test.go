@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -437,6 +438,82 @@ func TestRecoveryServesReplicasOnTheirOwnTag(t *testing.T) {
 				t.Errorf("%s: replay: %v", name, err)
 			} else if !reflect.DeepEqual(a, b) {
 				t.Errorf("%s: replay differs", name)
+			}
+		}
+	}
+}
+
+// TestCrashVoidsLiveWindow: a crash recovered mid-window voids the live
+// measurement window on every survivor. A fault-free dry run of a 4-rank
+// DropAuto world with one competing process places two crashes: one inside
+// the grace period and one inside the post-redistribution grace. No decision
+// may then rest on a grace period that spans the recovery, and no drop check
+// may follow it without a full post-redistribution grace after a fresh
+// ordinary redistribution. Each world runs twice with identical records.
+//
+// The victim is the loaded node. Recovery resets the load baseline to zero,
+// so with the competing process gone the survivors see no load change: no
+// fresh grace period opens to hide a window the recovery left live.
+func TestCrashVoidsLiveWindow(t *testing.T) {
+	const n, cycles, victim = 48, 45, 3
+	cfg := DefaultConfig()
+	spec := cpAtCycle(cluster.Uniform(4), victim, 2)
+	dry := runMini(t, spec, cfg, n, cycles, false)
+	var redist, dropCheck int
+	for _, d := range only[telemetry.DecisionRecord](dry[0].recs) {
+		if d.MeasuredS > 0 {
+			dropCheck = d.Cycle
+		} else if redist == 0 {
+			redist = d.Cycle
+		}
+	}
+	if redist == 0 || dropCheck <= redist {
+		t.Fatalf("dry run: redistribution at cycle %d, drop check at %d; want a post-redistribution grace", redist, dropCheck)
+	}
+	for _, tc := range []struct {
+		window string
+		crash  int
+	}{
+		{"grace period", redist - cfg.GracePeriod + 2},
+		{"post-redistribution grace", (redist + dropCheck) / 2},
+	} {
+		crashed := spec
+		crashed.Faults = []fault.Fault{fault.CrashAtCycle(victim, tc.crash)}
+		first := runMini(t, crashed, cfg, n, cycles, false)
+		again := runMini(t, crashed, cfg, n, cycles, false)
+		if len(first) != 3 {
+			t.Fatalf("%s: %d ranks reported, want the 3 survivors", tc.window, len(first))
+		}
+		for r, res := range first {
+			if !reflect.DeepEqual(res.recs, again[r].recs) {
+				t.Fatalf("%s: rank %d's records differ between two runs", tc.window, r)
+			}
+			var recovery telemetry.RedistRecord
+			var ordinary []telemetry.RedistRecord
+			for _, rd := range only[telemetry.RedistRecord](res.recs) {
+				if len(rd.Dead) > 0 {
+					recovery = rd
+				} else if recovery.Dead != nil {
+					ordinary = append(ordinary, rd)
+				}
+			}
+			if recovery.Cycle != tc.crash {
+				t.Fatalf("%s: rank %d recovered at cycle %d (dead %v), want %d", tc.window, r, recovery.Cycle, recovery.Dead, tc.crash)
+			}
+			for _, d := range only[telemetry.DecisionRecord](res.recs) {
+				if d.Time <= recovery.Time {
+					continue
+				}
+				if d.MeasuredS == 0 && d.GraceVT < recovery.Time {
+					t.Errorf("%s: rank %d decided at cycle %d on a grace period opened at %.3f s, before the recovery at %.3f s",
+						tc.window, r, d.Cycle, d.GraceVT, recovery.Time)
+				}
+				if d.MeasuredS > 0 && !slices.ContainsFunc(ordinary, func(o telemetry.RedistRecord) bool {
+					return d.Cycle-o.Cycle >= timing.PostRedistGrace
+				}) {
+					t.Errorf("%s: rank %d checked the drop at cycle %d, within %d cycles of the recovery at cycle %d with no redistribution between",
+						tc.window, r, d.Cycle, timing.PostRedistGrace, recovery.Cycle)
+				}
 			}
 		}
 	}

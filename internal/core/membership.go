@@ -159,7 +159,7 @@ func (rt *Runtime) transit(t transition) {
 			dead = t.leavers
 		}
 		rt.applyDistribution(t.dist, dead)
-		rt.state, rt.collector, rt.cycTimer, rt.cycOpen = stNormal, nil, nil, false
+		rt.collector, rt.cycTimer = nil, nil
 	}
 	if !before {
 		rt.install(t.next)

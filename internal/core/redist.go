@@ -217,7 +217,7 @@ func (rt *Runtime) beginRedist(newDist *drsd.Block, dead []int) redistPass {
 		rt.closeReplicaEpoch()
 	}
 	p := redistPass{newDist: newDist, dead: dead, start: rt.node.Now(), lost0: rt.lostRows, stall0: rt.comm.RecvStall}
-	if rt.sink != nil {
+	if rt.cfg.Telemetry != nil {
 		p.moves = make([]telemetry.ArrayMove, 0, len(rt.arrays))
 	}
 	return p
@@ -245,10 +245,10 @@ func (rt *Runtime) endRedist(p *redistPass) {
 	if err := rt.comm.BarrierErr(rt.group); err != nil {
 		rt.absorbDead(rt.deadOf(err))
 	}
-	if rt.sink == nil {
+	if rt.cfg.Telemetry == nil {
 		return
 	}
-	rt.sink.Emit(telemetry.RedistRecord{
+	rt.cfg.Telemetry.Emit(telemetry.RedistRecord{
 		Base:       rt.stamp(telemetry.KindRedist),
 		Arrays:     p.moves,
 		RowsSent:   p.rowsSent,

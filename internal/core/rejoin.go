@@ -12,6 +12,8 @@ package core
 // travel in the root's load-exchange contribution) and the rejoin goes
 // through transit like any other membership change (membership.go).
 
+import "repro/internal/loadmon"
+
 // knownDead reports whether rank r is in the deterministically-absorbed
 // dead set. Protocol sends are guarded on this — never on the world's
 // wall-clock liveness — because a cycle-triggered crash fires in the
@@ -62,7 +64,7 @@ func (rt *Runtime) exchangeLoads() (active []int, removedRanks, removedLoads []i
 		rt.loadInts = make([]int, rt.comm.World().Cap())
 	}
 	seg := rt.loadBuf[:1]
-	seg[0] = float64(rt.monitor.CompetingProcesses())
+	seg[0] = float64(loadmon.CompetingProcesses(rt.node, loadmon.DefaultInterval, rt.cycle))
 	if rt.polls() {
 		removedRanks = rt.removed
 		rt.emitOut(pingMsg(rt.outSeq), 1)
@@ -138,5 +140,5 @@ func (rt *Runtime) removedCycle() {
 
 // replyLoad answers a ping from root with this removed node's load.
 func (rt *Runtime) replyLoad(root int) {
-	rt.comm.Send(root, tagLoadReply, rt.monitor.CompetingProcesses(), 8)
+	rt.comm.Send(root, tagLoadReply, loadmon.CompetingProcesses(rt.node, loadmon.DefaultInterval, rt.cycle), 8)
 }

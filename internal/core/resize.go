@@ -38,12 +38,12 @@ func (rt *Runtime) Resize(n int) {
 func (rt *Runtime) maybeResize(loads []int) bool {
 	target := rt.pendingResize
 	rt.pendingResize = 0
-	if target == 0 && !rt.hasArrivals {
+	cl := rt.comm.World().Cluster()
+	if target == 0 && !cl.HasArrivals() {
 		return false
 	}
-	cl := rt.comm.World().Cluster()
 	var joiners []int
-	if rt.hasArrivals {
+	if cl.HasArrivals() {
 		for _, r := range cl.ArrivalsDue(rt.cycle) {
 			if !containsInt(rt.claimed, r) {
 				joiners = append(joiners, r)

@@ -21,55 +21,26 @@ import (
 // DefaultInterval is the daemon's refresh period ("updates every second").
 const DefaultInterval = vclock.Duration(vclock.Second)
 
-// Monitor samples one node's load.
-type Monitor struct {
-	node     *cluster.Node
-	interval vclock.Duration
-
-	sink    telemetry.Sink // nil: no emission
-	stamper *telemetry.Stamper
-	cycle   *int // current phase cycle of the monitored application
-}
-
-// Attach routes every dmpi_ps reading through sink as a LoadSampleRecord.
-// cycle points at the application's current phase cycle (may be nil); the
-// monitor reads it on the application's own goroutine.
-func (m *Monitor) Attach(sink telemetry.Sink, stamper *telemetry.Stamper, cycle *int) {
-	m.sink = sink
-	m.stamper = stamper
-	m.cycle = cycle
-}
-
-// New creates a monitor for node with the default 1 s refresh.
-func New(node *cluster.Node) *Monitor {
-	return &Monitor{node: node, interval: DefaultInterval}
-}
-
-// NewWithInterval creates a monitor with a custom refresh period.
-func NewWithInterval(node *cluster.Node, interval vclock.Duration) *Monitor {
+// lastTick returns the most recent refresh, at or before node's now, of a
+// daemon that refreshes every interval.
+func lastTick(node *cluster.Node, interval vclock.Duration) vclock.Time {
 	if interval <= 0 {
 		panic("loadmon: non-positive interval")
 	}
-	return &Monitor{node: node, interval: interval}
+	now := node.Now()
+	return now - now%vclock.Time(interval)
 }
 
-// lastTick returns the most recent daemon refresh at or before now.
-func (m *Monitor) lastTick() vclock.Time {
-	now := m.node.Now()
-	return now - now%vclock.Time(m.interval)
-}
-
-// Reading reports the dmpi_ps value: running+ready processes at the last
-// daemon refresh, with the monitored application always included.
-func (m *Monitor) Reading() int {
-	r := 1 + m.node.CPCountAt(m.lastTick())
-	if m.sink != nil {
-		cycle := -1
-		if m.cycle != nil {
-			cycle = *m.cycle
-		}
-		m.sink.EmitLoadSample(telemetry.LoadSampleRecord{
-			Base:    m.stamper.Stamp(telemetry.KindLoadSample, cycle, m.node.Now().Seconds()),
+// Reading reports node's dmpi_ps value: running+ready processes at the
+// daemon's last refresh, with the monitored application always included.
+// With telemetry attached to the node, the reading is recorded as a
+// LoadSampleRecord of the application's phase cycle; call it on the
+// application's own goroutine.
+func Reading(node *cluster.Node, interval vclock.Duration, cycle int) int {
+	r := 1 + node.CPCountAt(lastTick(node, interval))
+	if sink, st := node.Telemetry(); sink != nil {
+		sink.EmitLoadSample(telemetry.LoadSampleRecord{
+			Base:    st.Stamp(telemetry.KindLoadSample, cycle, node.Now().Seconds()),
 			Reading: r,
 		})
 	}
@@ -78,14 +49,16 @@ func (m *Monitor) Reading() int {
 
 // CompetingProcesses reports Reading minus the application itself — the
 // quantity the balancer feeds into its load field.
-func (m *Monitor) CompetingProcesses() int { return m.Reading() - 1 }
+func CompetingProcesses(node *cluster.Node, interval vclock.Duration, cycle int) int {
+	return Reading(node, interval, cycle) - 1
+}
 
 // VmstatReading models the flawed alternative: if the application was
 // blocked (not computing) at the sample tick, it is not counted. appRunning
 // is whether the application was on-CPU at the last tick, which the caller
 // knows from its own state.
-func (m *Monitor) VmstatReading(appRunning bool) int {
-	n := m.node.CPCountAt(m.lastTick())
+func VmstatReading(node *cluster.Node, interval vclock.Duration, appRunning bool) int {
+	n := node.CPCountAt(lastTick(node, interval))
 	if appRunning {
 		n++
 	}

@@ -4,16 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/telemetry"
 	"repro/internal/vclock"
 )
 
 func TestReadingIncludesApp(t *testing.T) {
 	cl := cluster.New(cluster.Uniform(1))
-	m := New(cl.Node(0))
-	if m.Reading() != 1 {
-		t.Fatalf("idle node reading = %d, want 1 (the app itself)", m.Reading())
+	n := cl.Node(0)
+	if r := Reading(n, DefaultInterval, 0); r != 1 {
+		t.Fatalf("idle node reading = %d, want 1 (the app itself)", r)
 	}
-	if m.CompetingProcesses() != 0 {
+	if CompetingProcesses(n, DefaultInterval, 0) != 0 {
 		t.Fatal("CPs on idle node")
 	}
 }
@@ -24,13 +25,12 @@ func TestSamplingDelay(t *testing.T) {
 	spec := cluster.Uniform(1).With(cluster.TimeEvent(0, vclock.Time(1500*vclock.Millisecond), +1))
 	cl := cluster.New(spec)
 	n := cl.Node(0)
-	m := New(n)
 	n.WaitUntil(vclock.Time(1600 * vclock.Millisecond))
-	if m.CompetingProcesses() != 0 {
+	if CompetingProcesses(n, DefaultInterval, 0) != 0 {
 		t.Fatal("CP visible before daemon refresh")
 	}
 	n.WaitUntil(vclock.Time(2100 * vclock.Millisecond))
-	if m.CompetingProcesses() != 1 {
+	if CompetingProcesses(n, DefaultInterval, 0) != 1 {
 		t.Fatal("CP not visible after daemon refresh")
 	}
 }
@@ -39,13 +39,13 @@ func TestCustomInterval(t *testing.T) {
 	spec := cluster.Uniform(1).With(cluster.TimeEvent(0, vclock.Time(110*vclock.Millisecond), +1))
 	cl := cluster.New(spec)
 	n := cl.Node(0)
-	m := NewWithInterval(n, 100*vclock.Millisecond)
+	const interval = 100 * vclock.Millisecond
 	n.WaitUntil(vclock.Time(150 * vclock.Millisecond))
-	if m.CompetingProcesses() != 0 {
+	if CompetingProcesses(n, interval, 0) != 0 {
 		t.Fatal("visible too early")
 	}
 	n.WaitUntil(vclock.Time(250 * vclock.Millisecond))
-	if m.CompetingProcesses() != 1 {
+	if CompetingProcesses(n, interval, 0) != 1 {
 		t.Fatal("not visible after tick")
 	}
 }
@@ -56,7 +56,31 @@ func TestBadIntervalPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewWithInterval(cluster.New(cluster.Uniform(1)).Node(0), 0)
+	Reading(cluster.New(cluster.Uniform(1)).Node(0), 0, 0)
+}
+
+// A reading on a node that carries telemetry is one LoadSampleRecord,
+// stamped with the node's stamper and the cycle the caller names; a
+// reading on a node without telemetry records nothing.
+func TestReadingRecordsThroughTheNode(t *testing.T) {
+	spec := cluster.Uniform(2).With(cluster.TimeEvent(1, 0, +1))
+	cl := cluster.New(spec)
+	ring := telemetry.NewRing(16)
+	n := cl.Node(1)
+	n.AttachTelemetry(ring, telemetry.NewStamper(1))
+	n.WaitUntil(vclock.Time(vclock.Second))
+	if r := Reading(n, DefaultInterval, 7); r != 2 {
+		t.Fatalf("reading = %d, want 2", r)
+	}
+	Reading(cl.Node(0), DefaultInterval, 7)
+	recs := ring.Records()
+	if len(recs) != 1 {
+		t.Fatalf("%d records, want 1", len(recs))
+	}
+	got, ok := recs[0].(telemetry.LoadSampleRecord)
+	if !ok || got.Node != 1 || got.Cycle != 7 || got.Reading != 2 || got.Time != 1 {
+		t.Fatalf("record %+v, want node 1's reading 2 at cycle 7, t = 1 s", recs[0])
+	}
 }
 
 func TestVmstatMissesBlockedApp(t *testing.T) {
@@ -64,16 +88,15 @@ func TestVmstatMissesBlockedApp(t *testing.T) {
 	cl := cluster.New(spec)
 	n := cl.Node(0)
 	n.WaitUntil(vclock.Time(vclock.Second))
-	m := New(n)
 	// dmpi_ps always counts the app; vmstat misses it while blocked.
-	if m.Reading() != 2 {
-		t.Fatalf("dmpi_ps reading = %d, want 2", m.Reading())
+	if r := Reading(n, DefaultInterval, 0); r != 2 {
+		t.Fatalf("dmpi_ps reading = %d, want 2", r)
 	}
-	if m.VmstatReading(false) != 1 {
-		t.Fatalf("vmstat with blocked app = %d, want 1", m.VmstatReading(false))
+	if r := VmstatReading(n, DefaultInterval, false); r != 1 {
+		t.Fatalf("vmstat with blocked app = %d, want 1", r)
 	}
-	if m.VmstatReading(true) != 2 {
-		t.Fatalf("vmstat with running app = %d, want 2", m.VmstatReading(true))
+	if r := VmstatReading(n, DefaultInterval, true); r != 2 {
+		t.Fatalf("vmstat with running app = %d, want 2", r)
 	}
 }
 

@@ -133,13 +133,6 @@ func newWin(g *Group, id int) *Win {
 	return &Win{g: g, id: id, slots: make([]winSlot, len(g.members))}
 }
 
-// Group returns the group the window spans.
-func (win *Win) Group() *Group { return win.g }
-
-// ID reports the window's index within its group's registry (stable across
-// members: every member's k-th WinCreate call yields window k).
-func (win *Win) ID() int { return win.id }
-
 // WinCreate registers this rank's memory in a window over g. Like groups,
 // windows are canonical per creation order: the k-th call on g by every
 // member returns the same Win, which is how SPMD ranks meet on a window

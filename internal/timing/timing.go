@@ -62,15 +62,8 @@ type iterTiming struct {
 	procCount int
 }
 
-// NewCollector starts collecting for iterations [lo,hi) on node.
-func NewCollector(node *cluster.Node, lo, hi int) *Collector {
-	c := new(Collector)
-	c.Reset(node, lo, hi)
-	return c
-}
-
 // Reset discards everything measured and starts collecting for iterations
-// [lo,hi) on node, as a fresh collector would.
+// [lo,hi) on node. The zero Collector is ready for its first Reset.
 func (c *Collector) Reset(node *cluster.Node, lo, hi int) {
 	if lo > hi {
 		panic(fmt.Sprintf("timing: bad iteration range [%d,%d)", lo, hi))
@@ -159,7 +152,8 @@ func (c *Collector) EstimatesInto(dst []float64) {
 func (c *Collector) Range() (lo, hi int) { return c.lo, c.hi }
 
 // CycleTimer measures average wall time per phase cycle (used during the
-// post-redistribution grace period for the drop decision).
+// post-redistribution grace period for the drop decision). Like a Collector,
+// its owner keeps one and Resets it whenever a measurement starts.
 type CycleTimer struct {
 	node   *cluster.Node
 	start  vclock.Time
@@ -168,10 +162,12 @@ type CycleTimer struct {
 	open   bool
 }
 
-// NewCycleTimer creates a cycle timer for node.
-func NewCycleTimer(node *cluster.Node) *CycleTimer {
-	return &CycleTimer{node: node}
-}
+// Reset discards everything measured and starts timing cycles on node, with
+// no cycle open.
+func (t *CycleTimer) Reset(node *cluster.Node) { *t = CycleTimer{node: node} }
+
+// Open reports whether a cycle has begun and not yet ended.
+func (t *CycleTimer) Open() bool { return t.open }
 
 // Begin marks the start of a phase cycle.
 func (t *CycleTimer) Begin() {

@@ -16,10 +16,25 @@ func loadedNode(k int) *cluster.Node {
 	return cluster.New(spec).Node(0)
 }
 
+// newCollector returns a collector Reset for [lo,hi) on node, as the runtime
+// readies its own.
+func newCollector(node *cluster.Node, lo, hi int) *Collector {
+	c := new(Collector)
+	c.Reset(node, lo, hi)
+	return c
+}
+
+// newCycleTimer returns a cycle timer Reset for node.
+func newCycleTimer(node *cluster.Node) *CycleTimer {
+	t := new(CycleTimer)
+	t.Reset(node)
+	return t
+}
+
 // measure runs `cycles` phase cycles of `iters` iterations of cost `cost`
 // on node and returns the per-iteration estimates.
 func measure(node *cluster.Node, lo, hi, cycles int, cost vclock.Duration) []float64 {
-	c := NewCollector(node, lo, hi)
+	c := newCollector(node, lo, hi)
 	for cy := 0; cy < cycles; cy++ {
 		for g := lo; g < hi; g++ {
 			c.BeginIter()
@@ -84,7 +99,7 @@ func TestEstimatesScaleByPower(t *testing.T) {
 
 func TestNonuniformIterations(t *testing.T) {
 	n := loadedNode(0)
-	c := NewCollector(n, 0, 3)
+	c := newCollector(n, 0, 3)
 	costs := []vclock.Duration{20 * vclock.Millisecond, 40 * vclock.Millisecond, 80 * vclock.Millisecond}
 	for cy := 0; cy < 2; cy++ {
 		for g := 0; g < 3; g++ {
@@ -102,7 +117,7 @@ func TestNonuniformIterations(t *testing.T) {
 
 func TestCollectorStateMachine(t *testing.T) {
 	n := loadedNode(0)
-	c := NewCollector(n, 0, 1)
+	c := newCollector(n, 0, 1)
 	c.BeginIter()
 	func() {
 		defer func() {
@@ -138,12 +153,12 @@ func TestBadRangePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewCollector(loadedNode(0), 5, 2)
+	newCollector(loadedNode(0), 5, 2)
 }
 
 func TestRangeAndCycles(t *testing.T) {
 	n := loadedNode(0)
-	c := NewCollector(n, 3, 7)
+	c := newCollector(n, 3, 7)
 	if lo, hi := c.Range(); lo != 3 || hi != 7 {
 		t.Fatal("Range")
 	}
@@ -156,7 +171,7 @@ func TestRangeAndCycles(t *testing.T) {
 
 func TestCycleTimerAverage(t *testing.T) {
 	n := loadedNode(0)
-	ct := NewCycleTimer(n)
+	ct := newCycleTimer(n)
 	for i := 0; i < 4; i++ {
 		ct.Begin()
 		n.Compute(vclock.Duration(100 * vclock.Millisecond))
@@ -172,7 +187,7 @@ func TestCycleTimerAverage(t *testing.T) {
 
 func TestCycleTimerLoadInflation(t *testing.T) {
 	n := loadedNode(1)
-	ct := NewCycleTimer(n)
+	ct := newCycleTimer(n)
 	ct.Begin()
 	n.Compute(vclock.Duration(vclock.Second))
 	ct.End()
@@ -182,11 +197,14 @@ func TestCycleTimerLoadInflation(t *testing.T) {
 }
 
 func TestCycleTimerStateMachine(t *testing.T) {
-	ct := NewCycleTimer(loadedNode(0))
-	if ct.Average() != 0 {
-		t.Fatal("empty timer average")
+	ct := newCycleTimer(loadedNode(0))
+	if ct.Average() != 0 || ct.Open() {
+		t.Fatal("empty timer average or open cycle")
 	}
 	ct.Begin()
+	if !ct.Open() {
+		t.Fatal("Begin did not open a cycle")
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -204,6 +222,12 @@ func TestCycleTimerStateMachine(t *testing.T) {
 		}()
 		ct.End()
 	}()
+	// Reset closes an open cycle and forgets every measured one.
+	ct.Begin()
+	ct.Reset(loadedNode(0))
+	if ct.Open() || ct.Cycles() != 0 || ct.Average() != 0 {
+		t.Fatalf("reset timer: open %v, %d cycles, average %v", ct.Open(), ct.Cycles(), ct.Average())
+	}
 }
 
 func TestQuantize(t *testing.T) {
@@ -240,14 +264,14 @@ func TestResetCollectorMatchesFresh(t *testing.T) {
 		// Two identical loaded nodes run the same history: the first range
 		// leaves their clocks, timeslices and PRNG streams in the same state.
 		used, fresh := loadedNode(1), loadedNode(1)
-		reused := NewCollector(used, 10, 50)
+		reused := newCollector(used, 10, 50)
 		run(reused, used, 10, 50, 4, vclock.Millisecond) // short: a stale minimum would win later
-		run(NewCollector(fresh, 10, 50), fresh, 10, 50, 4, vclock.Millisecond)
+		run(newCollector(fresh, 10, 50), fresh, 10, 50, 4, vclock.Millisecond)
 
 		reused.BeginIter() // left open: Reset must close it
 		reused.Reset(used, lo, hi)
 		got := run(reused, used, lo, hi, 2, 6*vclock.Millisecond)
-		want := run(NewCollector(fresh, lo, hi), fresh, lo, hi, 2, 6*vclock.Millisecond)
+		want := run(newCollector(fresh, lo, hi), fresh, lo, hi, 2, 6*vclock.Millisecond)
 		if rlo, rhi := reused.Range(); rlo != lo || rhi != hi || reused.Cycles() != 2 {
 			t.Fatalf("reset collector covers [%d,%d) after %d cycles, want [%d,%d) after 2", rlo, rhi, reused.Cycles(), lo, hi)
 		}

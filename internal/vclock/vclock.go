@@ -56,22 +56,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxDur returns the longer of a and b.
-func MaxDur(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // String renders a Time with second resolution for logs, e.g. "12.345s".
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 
