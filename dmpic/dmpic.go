@@ -48,9 +48,14 @@ type P struct {
 }
 
 // Run launches an SPMD program over the given simulated cluster; fn
-// receives each rank's context after DMPI_init has run.
+// receives each rank's context after DMPI_init has run. It returns what is
+// wrong with spec (cluster.Spec.Validate) before any rank starts.
 func Run(spec cluster.Spec, cfg core.Config, fn func(p *P) error) error {
-	return mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
+	cl, err := cluster.Build(spec)
+	if err != nil {
+		return err
+	}
+	return mpi.Run(cl, func(c *mpi.Comm) error {
 		return fn(&P{rt: core.New(c, cfg)})
 	})
 }

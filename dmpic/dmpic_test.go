@@ -2,11 +2,14 @@ package dmpic
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/vclock"
 )
 
@@ -134,6 +137,35 @@ func TestInitValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunRejectsBadSpec checks that Run returns what is wrong with the
+// cluster spec, and that no rank starts.
+func TestRunRejectsBadSpec(t *testing.T) {
+	nanPower := cluster.Uniform(2)
+	nanPower.Nodes[1].Power = math.NaN()
+	missingNode := cluster.Uniform(2)
+	missingNode.Faults = []fault.Fault{fault.CrashAtCycle(7, 1)}
+	cases := []struct {
+		name string
+		spec cluster.Spec
+		want string
+	}{
+		{"no nodes", cluster.Spec{}, "no nodes"},
+		{"NaN power", nanPower, "node 1 has non-positive or non-finite power NaN"},
+		{"fault on a missing node", missingNode, "node 7 out of range"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := Run(tc.spec, core.DefaultConfig(), func(*P) error {
+				t.Error("a rank started")
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

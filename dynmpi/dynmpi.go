@@ -202,10 +202,11 @@ func WithFaults(spec ClusterSpec, faults ...Fault) ClusterSpec {
 // rank produced (a failing rank unwinds the whole world), or what is wrong
 // with spec (ClusterSpec.Validate) before any rank starts.
 func Launch(spec ClusterSpec, cfg Config, fn func(rt *Runtime) error) error {
-	if err := spec.Validate(); err != nil {
+	cl, err := cluster.Build(spec)
+	if err != nil {
 		return err
 	}
-	return mpi.Run(cluster.New(spec), func(c *mpi.Comm) error {
+	return mpi.Run(cl, func(c *mpi.Comm) error {
 		return fn(core.New(c, cfg))
 	})
 }

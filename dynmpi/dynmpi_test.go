@@ -207,6 +207,8 @@ func TestLaunchRejectsBadSpec(t *testing.T) {
 	}
 	negMem := dynmpi.Uniform(2)
 	negMem.Nodes[0].MemBytes = -1
+	negDrop := dynmpi.DropMessages(0, 1, 0, 1)
+	negDrop.Dur = -5 * dynmpi.Millisecond
 	cases := []struct {
 		name string
 		spec dynmpi.ClusterSpec
@@ -221,6 +223,7 @@ func TestLaunchRejectsBadSpec(t *testing.T) {
 		{"NaN arrival", dynmpi.Uniform(2).WithArrival(math.NaN(), 5), "node 2 has non-positive or non-finite power NaN"},
 		{"negative memory", negMem, "node 0 has negative memory -1"},
 		{"fault on a missing node", dynmpi.WithFaults(dynmpi.Uniform(2), dynmpi.CrashAtCycle(7, 1)), "node 7 out of range"},
+		{"negative drop delay", dynmpi.WithFaults(dynmpi.Uniform(2), negDrop), "negative duration"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

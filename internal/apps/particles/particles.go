@@ -321,7 +321,11 @@ func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config, sc *scratch) {
 	if recvDown != nil {
 		insert(recvDown)
 	}
-	comm.Waitall(sends[:])
+	for _, req := range sends {
+		if req != nil {
+			comm.WaitErr(req) // a send completes at post; waiting recycles it
+		}
+	}
 }
 
 // localChecksum folds every owned particle into an order-independent

@@ -188,8 +188,6 @@ type Runtime struct {
 	schedBuf []drsd.Transfer
 	destBuf  []int
 	outsBuf  []redistOut
-	insBuf   []redistIn
-	reqBuf   []*mpi.Request
 
 	// Load-exchange scratch: the per-cycle float64 allgather of load
 	// readings (rejoin.go) deposits from and gathers into loadBuf and decodes

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/drsd"
 	"repro/internal/matrix"
-	"repro/internal/mpi"
 	"repro/internal/telemetry"
 	"repro/internal/vclock"
 )
@@ -177,20 +176,6 @@ type redistOut struct {
 	spars *sparseSlab
 	rows  int
 	bytes int
-}
-
-// redistIn is one incoming transfer staged by the nonblocking drain: the
-// schedule row range and the posted receive. The payload stays inside the
-// request until the deterministic commit loop waits on it — unpacking
-// charges virtual time (PutRows/UnpackRows touch rows), so it must happen
-// in commit order, never in physical arrival order. A transfer whose source
-// is dead is resolved when the receives are posted: served rows come from
-// the dead rank's replica — over the wire from its holder (req set), or
-// from this rank's own (req nil) — and rows with no live replica are lost.
-type redistIn struct {
-	lo, hi int
-	req    *mpi.Request // nil when nothing is on the wire
-	served bool         // a dead source's rows, restored from its replica
 }
 
 // redistPass is the bookkeeping one redistribution carries from its start to
@@ -382,47 +367,25 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block, dead []int) {
 	}
 }
 
-// drainArray is the message-passing Phase 3 of one array: every Irecv is
-// posted before anything ships, so peers fill the posted requests directly
-// in whatever order they send. The commit — the only part that advances
-// virtual time — then waits on each in schedule order with replay-priced
-// Waits, so clocks, traces and checksums are those of one blocking receive
-// per transfer, whatever the physical arrival order was. A dead source's
-// rows are served by its replica holder on tagServe, so the holder's own
-// slabs and its service never match each other's receives.
+// drainArray is the message-passing Phase 3 of one array, a blocking
+// exchange: this rank Sends every outgoing slab, then the dead ranks' rows it
+// serves as replica holder, then walks the schedule once more and receives
+// each transfer addressed to it, in schedule order. Sends are eager and every
+// rank ships all of an array's slabs before it receives any of them, so no
+// receive waits on a peer's receive; delivery is FIFO per (source, tag) and
+// both sides walk the same schedule, so each receive matches its transfer.
+// A dead source's rows are served by its replica holder on tagServe, so the
+// holder's own slabs and its service never match each other's receives.
 func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistOut, mv *telemetry.ArrayMove, p *redistPass) {
 	me := rt.comm.Rank()
 	tag, serve := tagRedist+a.index, tagServe+a.index
-	// Post all Irecvs up front (no virtual charge), resolving dead sources.
-	ins := atLeast(rt.insBuf, neighbourSlabs)
-	for _, tr := range sched {
-		if tr.To != me {
-			continue
-		}
-		in := redistIn{lo: tr.Lo, hi: tr.Hi}
-		if !containsInt(p.dead, tr.From) {
-			in.req = rt.comm.Irecv(tr.From, tag)
-		} else if h, ok := rt.replicaHolder(a, tr.From, p.dead); ok {
-			in.served = true
-			if h != me {
-				in.req = rt.comm.Irecv(h, serve)
-			}
-		}
-		ins = append(ins, in)
-	}
-	rt.insBuf = ins
-	// Isend the outgoing slabs, then the dead ranks' rows this rank holds
-	// replicas of: the injection charges of one blocking Send per slab, in
-	// schedule order. Send requests complete at post; Waitall only recycles
-	// them.
-	reqs := atLeast(rt.reqBuf, neighbourSlabs)
 	for i := range outs {
 		m := &outs[i]
 		if m.dense != nil {
-			reqs = append(reqs, rt.comm.Isend(m.to, tag, m.dense, m.bytes))
+			rt.comm.Send(m.to, tag, m.dense, m.bytes)
 			m.dense = nil
 		} else {
-			reqs = append(reqs, rt.comm.Isend(m.to, tag, m.spars, m.bytes))
+			rt.comm.Send(m.to, tag, m.spars, m.bytes)
 			m.spars = nil
 		}
 		p.sent(mv, m.rows, m.bytes)
@@ -433,37 +396,40 @@ func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistO
 		}
 		if h, ok := rt.replicaHolder(a, tr.From, p.dead); ok && h == me {
 			slab, bytes := rt.serveSlab(a, tr.Lo, tr.Hi)
-			p.sent(mv, slab.rows, bytes) // before the Isend: the slab is the receiver's after it
-			reqs = append(reqs, rt.comm.Isend(tr.To, serve, slab, bytes))
+			p.sent(mv, slab.rows, bytes) // before the Send: the slab is the receiver's after it
+			rt.comm.Send(tr.To, serve, slab, bytes)
 		}
 	}
-	rt.comm.Waitall(reqs)
-	rt.reqBuf = reqs
-	// Commit in schedule order.
-	for k := range ins {
-		in := &ins[k]
-		if in.req == nil {
-			if in.served {
-				rt.restoreLocal(a, in.lo, in.hi)
-			} else {
-				rt.loseRows(a, in.lo, in.hi)
-			}
+	for _, tr := range sched {
+		if tr.To != me {
 			continue
 		}
-		payload, st, err := rt.comm.WaitReplayErr(in.req)
-		in.req = nil
+		from, t, served := tr.From, tag, false
+		if containsInt(p.dead, tr.From) {
+			h, ok := rt.replicaHolder(a, tr.From, p.dead)
+			switch {
+			case !ok:
+				rt.loseRows(a, tr.Lo, tr.Hi)
+				continue
+			case h == me:
+				rt.restoreLocal(a, tr.Lo, tr.Hi)
+				continue
+			}
+			from, t, served = h, serve, true
+		}
+		payload, st, err := rt.comm.RecvErr(from, t)
 		if err != nil {
 			// The sender died before shipping these rows: record the death
 			// and declare the rows lost.
 			rt.absorbDead(rt.deadOf(err))
-			rt.loseRows(a, in.lo, in.hi)
+			rt.loseRows(a, tr.Lo, tr.Hi)
 			continue
 		}
 		p.bytesRecv += int64(st.Bytes)
-		if in.served {
-			rt.commitServed(a, in.lo, in.hi, payload)
+		if served {
+			rt.commitServed(a, tr.Lo, tr.Hi, payload)
 		} else {
-			rt.commitSlab(a, in.lo, in.hi, payload)
+			rt.commitSlab(a, tr.Lo, tr.Hi, payload)
 		}
 	}
 }

@@ -194,6 +194,9 @@ func NewSet(n int, faults []Fault) (*Set, error) {
 			if f.Count < 0 {
 				return nil, fmt.Errorf("fault %d (%s): negative count %d", i, f.Kind, f.Count)
 			}
+			if f.Kind == Drop && f.Dur < 0 {
+				return nil, fmt.Errorf("fault %d (drop): negative duration %v", i, f.Dur)
+			}
 			if f.Kind == Drop && f.Dur == 0 {
 				f.Dur = DefaultRetransmit
 			}

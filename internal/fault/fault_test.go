@@ -21,6 +21,7 @@ func TestNewSetValidation(t *testing.T) {
 		{"drop bad dest", []Fault{DropMsgs(0, 9, 0, 1)}, "out of range"},
 		{"self link", []Fault{DropMsgs(1, 1, 0, 1)}, "self link"},
 		{"negative after", []Fault{DropMsgs(0, 1, -2, 1)}, "message index"},
+		{"negative drop dur", []Fault{{Kind: Drop, Node: 0, AtCycle: -1, To: 1, Count: 1, Dur: -5 * vclock.Millisecond}}, "negative duration"},
 		{"no trigger", []Fault{{Kind: Crash, Node: 0, AtCycle: -1, At: -1}}, "trigger"},
 	}
 	for _, c := range cases {

@@ -78,7 +78,6 @@ type Dense struct {
 	rows   [][]float64 // rows[g-lo] is global row g
 	spare  [][]float64 // the previous top-level vector, backing of the next one
 	free   [][]float64 // Projection: rows that left the window, reused for rows entering it
-	flat   []float64   // backing storage when scheme == Contiguous
 }
 
 // NewDense creates an empty dense array descriptor; call SetWindow to make
@@ -197,7 +196,6 @@ func (d *Dense) SetWindow(lo, hi int) {
 		for g := keepLo; g < keepHi; g++ {
 			copy(newRows[g-lo], oldRows[g-oldLo])
 		}
-		d.flat = flat
 		if d.sink != nil {
 			// Whole-block reallocation: every retained row is copied and the
 			// full new block is touched.

@@ -360,17 +360,12 @@ func opBytes(op *opState) int {
 	return m
 }
 
-// groupSlot resolves this rank's slot in g, caching the last group so the
-// steady state (one group used every cycle) skips the map lookup.
+// groupSlot resolves this rank's slot in g; a rank outside g panics.
 func (c *Comm) groupSlot(g *Group) int {
-	if g == c.lastGroup {
-		return int(c.lastSlot)
-	}
 	slot, ok := g.Slot(c.rank)
 	if !ok {
 		panic(fmt.Sprintf("mpi: rank %d not in group", c.rank))
 	}
-	c.lastGroup, c.lastSlot = g, int32(slot)
 	return slot
 }
 
@@ -596,7 +591,7 @@ func (c *Comm) publish(g *Group, op *opState, desc *collDesc) {
 func assembleSegs(g *Group, op *opState, n int) []float64 {
 	out := make([]float64, n)
 	for s, seg := range op.contribsF64 {
-		off := int(g.w.comms[g.members[s]].segOff)
+		off := g.w.comms[g.members[s]].segOff
 		foldInto(out[off:off+len(seg)], seg, Sum)
 	}
 	return out

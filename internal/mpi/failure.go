@@ -19,7 +19,7 @@ var errCrashed = errors.New("mpi: rank crashed")
 // collective it is every member dead at the quiescent point the failure was
 // published at (see resolve.go), and so the same on every run.
 type RankFailedError struct {
-	Op    string // "recv", "irecv", "waitall", "collective", "win-start" or "win-wait"
+	Op    string // "recv", "irecv", "collective", "win-start" or "win-wait"
 	Ranks []int
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -157,9 +158,8 @@ func TestCrashDuringRingReuseLeavesNoLeaks(t *testing.T) {
 // collective crash tests: a rank dies with receives pending on both sides
 // of the wire. Its own posted requests are orphans that Kill must clear;
 // the survivors' requests targeting it must resolve to a RankFailedError
-// naming the dead rank (from WaitErr and from Waitall), the unrelated
-// requests in the same Waitall must still drain, and no posted-request slot
-// may leak at exit.
+// naming the dead rank, an unrelated request posted beside one of them must
+// still drain, and no posted-request slot may leak at exit.
 func TestCrashMidWaitLeavesNoLeaks(t *testing.T) {
 	spec := cluster.Uniform(3)
 	spec.Faults = []fault.Fault{fault.CrashAtCycle(2, 1)}
@@ -189,10 +189,13 @@ func TestCrashMidWaitLeavesNoLeaks(t *testing.T) {
 		default:
 			r2 := c.Irecv(2, 6)
 			r0 := c.Irecv(0, 7)
-			err := c.Waitall([]*Request{r2, r0})
+			_, _, err := c.WaitErr(r2)
 			var rf *RankFailedError
-			if !errors.As(err, &rf) || rf.Op != "waitall" || len(rf.Ranks) != 1 || rf.Ranks[0] != 2 {
-				return errors.New("want waitall RankFailedError naming rank 2, got " + errString(err))
+			if !errors.As(err, &rf) || rf.Op != "irecv" || len(rf.Ranks) != 1 || rf.Ranks[0] != 2 {
+				return errors.New("want irecv RankFailedError naming rank 2, got " + errString(err))
+			}
+			if p, _, err := c.WaitErr(r0); err != nil || p != "alive" {
+				return fmt.Errorf("live receive: got %v, %v; want alive", p, err)
 			}
 			return nil
 		}

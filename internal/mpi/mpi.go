@@ -269,18 +269,11 @@ type Comm struct {
 	// its result out before returning.
 	sbuf [1]float64
 
-	// lastGroup/lastSlot cache this rank's slot in the most recently used
-	// group, so the steady state (the same group every cycle) resolves its
-	// slot without a map lookup. See groupSlot in engine.go.
-	lastGroup *Group
-	lastSlot  int32
-
 	// segOff is the offset of the segment this rank deposits into a segment
 	// collective (AllgatherSegErr, AllreduceSumSegErr). The rank writes it
 	// before its deposit and the op's publisher reads it after the last
 	// arrival, the one read of a Comm field from another rank's goroutine.
-	// It shares a word with lastSlot, so a world's Comms cost no more.
-	segOff int32
+	segOff int
 
 	// flt is this rank's injected-fault state; nil when the scenario has
 	// no faults for this node, which keeps the hot-path cost to one nil
@@ -517,7 +510,7 @@ func (c *Comm) Recv(src, tag int) (any, Status) {
 // fails at such a point where every parked rank waits in such a receive, so
 // no rank is left that could send.
 func (c *Comm) RecvErr(src, tag int) (any, Status, error) {
-	return c.waitErr(c.post("recv", src, tag), false)
+	return c.waitErr(c.post("recv", src, tag))
 }
 
 // must fails the whole world with a non-nil err, naming this rank, and
@@ -765,7 +758,7 @@ func (c *Comm) segmentsErr(g *Group, off int, seg []float64, desc *collDesc) ([]
 	if n := desc.vecLen; n > math.MaxInt32 || off < 0 || off > n-len(seg) {
 		panic(fmt.Sprintf("mpi: segment [%d,%d) outside a length-%d vector", off, off+len(seg), n))
 	}
-	c.segOff = int32(off)
+	c.segOff = off
 	res, err := c.rendezvousErr(g, nil, seg, desc, nil)
 	if err != nil {
 		return nil, err

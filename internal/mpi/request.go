@@ -1,16 +1,14 @@
 package mpi
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/vclock"
 )
 
 // Nonblocking point-to-point layer, and the one receive path.
 //
-// Isend/Irecv return a recycled *Request; Wait/WaitErr/WaitReplayErr complete
+// Isend/Irecv return a recycled *Request; Wait/WaitErr/WaitF64sErr complete
 // it and recycle it. A blocking Recv is the same two steps back to back:
 // post registers the receive, waitErr completes it, so every receive
 // matches, parks and lands in one place. The virtual-time contract mirrors
@@ -26,13 +24,13 @@ import (
 //     the receive-side cpuCost — the same total virtual charge as a blocking
 //     Recv issued at the Wait point. Wire time that elapsed behind the
 //     caller's compute between post and Wait is therefore genuinely free,
-//     and the freed amount is credited to Comm.HiddenWire (see land).
+//     and the freed amount is credited to Comm.HiddenWire (see land). A
+//     blocking Recv waits where it posts, so it never earns that credit.
 //
 // Determinism: the only virtual-time effects are in Wait (WaitUntil +
 // Compute), which runs on the caller's own goroutine in program order, so
 // the order of the Wait calls — never the physical order in which requests
-// complete — fixes the virtual timeline (internal/core/redist.go waits in
-// schedule order).
+// complete — fixes the virtual timeline.
 
 // Request is one in-flight nonblocking operation. Requests are owned by the
 // issuing Comm's goroutine, kept on a free list per Comm, and recycled by the
@@ -171,13 +169,11 @@ func removePosted(box *mailbox, r *Request) {
 // waitErr completes req: park on the rank's wake channel until the
 // envelope is captured (physical), rechecking world failure, the source's
 // death and resolve's wildcard stall after every wake, then land it on the
-// caller's clock and charge the receive-side CPU cost (virtual). credit
-// selects whether wire time hidden behind the caller's compute is
-// accumulated into Comm.HiddenWire; the replay path (deterministic
-// re-sequenced drains whose clocks match the blocking implementation
-// exactly) and the blocking receive pass false because nothing was
-// genuinely hidden there.
-func (c *Comm) waitErr(req *Request, credit bool) (any, Status, error) {
+// caller's clock and charge the receive-side CPU cost (virtual). A blocking
+// receive lands at the clock it posted at — post fires every timed fault due
+// before it stamps postVT, so the poll here finds none — and its hidden-wire
+// credit is therefore zero.
+func (c *Comm) waitErr(req *Request) (any, Status, error) {
 	c.checkFailed()
 	if c.flt != nil {
 		c.pollFaults() // the same injection point as a post
@@ -217,7 +213,7 @@ func (c *Comm) waitErr(req *Request, credit bool) (any, Status, error) {
 		box.mu.Unlock()
 	}
 	env := &req.env
-	c.land(req.postVT, env.avail, env.bytes, credit)
+	c.land(req.postVT, env.avail, env.bytes)
 	c.node.Compute(cpuCost(c.w.cl.Net(), env.bytes))
 	p, st := env.payload, Status{Source: env.src, Tag: env.tag, Bytes: env.bytes}
 	c.putReq(req)
@@ -226,11 +222,11 @@ func (c *Comm) waitErr(req *Request, credit bool) (any, Status, error) {
 
 // land completes one transfer posted at post and fully arrived at avail on
 // the caller's clock: the clock stalls to arrival if the data is still in
-// flight (accumulated into RecvStall), the receive counters count it, and —
-// with credit — wire time already covered by the caller's computation is
-// credited to HiddenWire. A request Wait and an RMA settlement both land
-// this way; only the Wait then charges receive-side CPU.
-func (c *Comm) land(post, avail vclock.Time, bytes int, credit bool) (stall, hidden vclock.Duration) {
+// flight (accumulated into RecvStall), the receive counters count it, and
+// wire time already covered by the caller's computation is credited to
+// HiddenWire. A receive and an RMA settlement both land this way; only the
+// receive then charges receive-side CPU.
+func (c *Comm) land(post, avail vclock.Time, bytes int) (stall, hidden vclock.Duration) {
 	stall = max(avail.Sub(c.node.Now()), 0)
 	c.RecvStall += stall
 	c.node.WaitUntil(avail)
@@ -238,7 +234,7 @@ func (c *Comm) land(post, avail vclock.Time, bytes int, credit bool) (stall, hid
 	c.RecvBytes += int64(bytes)
 	// Wire time that elapsed between post and landing minus the part the
 	// caller still stalled on: the communication the overlap hid.
-	if inflight := avail.Sub(post); credit && inflight > stall {
+	if inflight := avail.Sub(post); inflight > stall {
 		hidden = inflight - stall
 		c.HiddenWire += hidden
 	}
@@ -249,7 +245,7 @@ func (c *Comm) land(post, avail vclock.Time, bytes int, credit bool) (stall, hid
 // SendF64s/IsendF64s, the nonblocking counterpart of RecvF64sErr; the caller
 // hands the returned buffer to ReleaseF64s when done with it.
 func (c *Comm) WaitF64sErr(req *Request) (*F64Msg, error) {
-	p, st, err := c.waitErr(req, true)
+	p, st, err := c.waitErr(req)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +255,7 @@ func (c *Comm) WaitF64sErr(req *Request) (*F64Msg, error) {
 // Wait completes req, failing the whole world if the peer died (mirroring
 // Recv). For receives it returns the payload and status.
 func (c *Comm) Wait(req *Request) (any, Status) {
-	p, st, err := c.waitErr(req, true)
+	p, st, err := c.waitErr(req)
 	c.must(err)
 	return p, st
 }
@@ -268,46 +264,5 @@ func (c *Comm) Wait(req *Request) (any, Status) {
 // is dead and the message never arrived it returns a *RankFailedError
 // naming it. The request is recycled in every outcome.
 func (c *Comm) WaitErr(req *Request) (any, Status, error) {
-	return c.waitErr(req, true)
-}
-
-// WaitReplayErr is WaitErr without the hidden-wire credit. Deterministic
-// re-sequenced drains (redistribution's schedule-order commit) use it: their
-// clock advance replays the blocking implementation exactly, so no wire time
-// was genuinely hidden and crediting it would overstate the overlap.
-func (c *Comm) WaitReplayErr(req *Request) (any, Status, error) {
-	return c.waitErr(req, false)
-}
-
-// Waitall completes every non-nil request in reqs (nilling the slice entries
-// as it goes, so the recycled requests cannot be reused by mistake). Payloads
-// are discarded — callers that need them use WaitErr per request. If peers
-// died, it still drains every request and returns one *RankFailedError
-// naming all dead peers encountered.
-func (c *Comm) Waitall(reqs []*Request) error {
-	var dead []int
-	for i, r := range reqs {
-		if r == nil {
-			continue
-		}
-		reqs[i] = nil
-		if _, _, err := c.waitErr(r, true); err != nil {
-			var rf *RankFailedError
-			if !errors.As(err, &rf) {
-				return err
-			}
-			dead = append(dead, rf.Ranks...)
-		}
-	}
-	if len(dead) > 0 {
-		sort.Ints(dead)
-		keep := dead[:1]
-		for _, d := range dead[1:] {
-			if d != keep[len(keep)-1] {
-				keep = append(keep, d)
-			}
-		}
-		return &RankFailedError{Op: "waitall", Ranks: keep}
-	}
-	return nil
+	return c.waitErr(req)
 }

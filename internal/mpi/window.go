@@ -292,7 +292,7 @@ func extractDeposits(ts *winSlot, match func(*deposit) bool) []deposit {
 func (c *Comm) settleDeposits(drain []deposit) (bytes int64, stall, hidden vclock.Duration) {
 	for i := range drain {
 		d := &drain[i]
-		s, h := c.land(d.post, d.avail, d.bytes, true)
+		s, h := c.land(d.post, d.avail, d.bytes)
 		stall += s
 		hidden += h
 		bytes += int64(d.bytes)
