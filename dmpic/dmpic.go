@@ -49,8 +49,12 @@ type P struct {
 
 // Run launches an SPMD program over the given simulated cluster; fn
 // receives each rank's context after DMPI_init has run. It returns what is
-// wrong with spec (cluster.Spec.Validate) before any rank starts.
+// wrong with cfg (core.Config.Validate) or spec (cluster.Spec.Validate)
+// before any rank starts.
 func Run(spec cluster.Spec, cfg core.Config, fn func(p *P) error) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	cl, err := cluster.Build(spec)
 	if err != nil {
 		return err

@@ -141,7 +141,7 @@ func TestInitValidation(t *testing.T) {
 }
 
 // TestRunRejectsBadSpec checks that Run returns what is wrong with the
-// cluster spec, and that no rank starts.
+// cluster spec or the configuration, and that no rank starts.
 func TestRunRejectsBadSpec(t *testing.T) {
 	nanPower := cluster.Uniform(2)
 	nanPower.Nodes[1].Power = math.NaN()
@@ -151,14 +151,21 @@ func TestRunRejectsBadSpec(t *testing.T) {
 		name string
 		spec cluster.Spec
 		want string
+		edit func(*core.Config) // applied to DefaultConfig when set
 	}{
-		{"no nodes", cluster.Spec{}, "no nodes"},
-		{"NaN power", nanPower, "node 1 has non-positive or non-finite power NaN"},
-		{"fault on a missing node", missingNode, "node 7 out of range"},
+		{"no nodes", cluster.Spec{}, "no nodes", nil},
+		{"NaN power", nanPower, "node 1 has non-positive or non-finite power NaN", nil},
+		{"fault on a missing node", missingNode, "node 7 out of range", nil},
+		{"unknown method", cluster.Uniform(2), "Config.Method 7 is no method", func(c *core.Config) { c.Method = 7 }},
+		{"negative max redists", cluster.Uniform(2), "MaxRedists -1", func(c *core.Config) { c.MaxRedists = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := Run(tc.spec, core.DefaultConfig(), func(*P) error {
+			cfg := core.DefaultConfig()
+			if tc.edit != nil {
+				tc.edit(&cfg)
+			}
+			err := Run(tc.spec, cfg, func(*P) error {
 				t.Error("a rank started")
 				return nil
 			})

@@ -200,8 +200,12 @@ func WithFaults(spec ClusterSpec, faults ...Fault) ClusterSpec {
 // Launch runs fn as an SPMD program: one goroutine per cluster node, each
 // receiving its own Runtime built from cfg. It returns the first error any
 // rank produced (a failing rank unwinds the whole world), or what is wrong
-// with spec (ClusterSpec.Validate) before any rank starts.
+// with cfg (Config.Validate) or spec (ClusterSpec.Validate) before any rank
+// starts.
 func Launch(spec ClusterSpec, cfg Config, fn func(rt *Runtime) error) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	cl, err := cluster.Build(spec)
 	if err != nil {
 		return err

@@ -198,7 +198,9 @@ func TestF64Bytes(t *testing.T) {
 
 // A cluster description the model cannot run is an error from Launch, not a
 // panic, and no rank starts: a NaN or infinite power would charge every
-// computation zero (or unbounded) virtual time without a word.
+// computation zero (or unbounded) virtual time without a word. So is a
+// configuration out of range: a negative MaxRedists never redistributes, and
+// an unknown Method or Drop runs some other policy, both silently.
 func TestLaunchRejectsBadSpec(t *testing.T) {
 	power := func(p float64) dynmpi.ClusterSpec {
 		s := dynmpi.Uniform(2)
@@ -213,21 +215,33 @@ func TestLaunchRejectsBadSpec(t *testing.T) {
 		name string
 		spec dynmpi.ClusterSpec
 		want string
+		edit func(*dynmpi.Config) // applied to DefaultConfig when set
 	}{
-		{"no nodes", dynmpi.ClusterSpec{}, "no nodes"},
-		{"NaN power", power(math.NaN()), "node 1 has non-positive or non-finite power NaN"},
-		{"+Inf power", power(math.Inf(1)), "node 1 has non-positive or non-finite power +Inf"},
-		{"-Inf power", power(math.Inf(-1)), "node 1 has non-positive or non-finite power -Inf"},
-		{"zero power", power(0), "node 1 has non-positive or non-finite power 0"},
-		{"negative power", power(-2), "node 1 has non-positive or non-finite power -2"},
-		{"NaN arrival", dynmpi.Uniform(2).WithArrival(math.NaN(), 5), "node 2 has non-positive or non-finite power NaN"},
-		{"negative memory", negMem, "node 0 has negative memory -1"},
-		{"fault on a missing node", dynmpi.WithFaults(dynmpi.Uniform(2), dynmpi.CrashAtCycle(7, 1)), "node 7 out of range"},
-		{"negative drop delay", dynmpi.WithFaults(dynmpi.Uniform(2), negDrop), "negative duration"},
+		{"no nodes", dynmpi.ClusterSpec{}, "no nodes", nil},
+		{"NaN power", power(math.NaN()), "node 1 has non-positive or non-finite power NaN", nil},
+		{"+Inf power", power(math.Inf(1)), "node 1 has non-positive or non-finite power +Inf", nil},
+		{"-Inf power", power(math.Inf(-1)), "node 1 has non-positive or non-finite power -Inf", nil},
+		{"zero power", power(0), "node 1 has non-positive or non-finite power 0", nil},
+		{"negative power", power(-2), "node 1 has non-positive or non-finite power -2", nil},
+		{"NaN arrival", dynmpi.Uniform(2).WithArrival(math.NaN(), 5), "node 2 has non-positive or non-finite power NaN", nil},
+		{"negative memory", negMem, "node 0 has negative memory -1", nil},
+		{"fault on a missing node", dynmpi.WithFaults(dynmpi.Uniform(2), dynmpi.CrashAtCycle(7, 1)), "node 7 out of range", nil},
+		{"negative drop delay", dynmpi.WithFaults(dynmpi.Uniform(2), negDrop), "negative duration", nil},
+		{"unknown method", dynmpi.Uniform(2), "Config.Method 7 is no method", func(c *dynmpi.Config) { c.Method = 7 }},
+		{"negative method", dynmpi.Uniform(2), "Config.Method -1 is no method", func(c *dynmpi.Config) { c.Method = -1 }},
+		{"unknown drop policy", dynmpi.Uniform(2), "Config.Drop 9 is no drop policy", func(c *dynmpi.Config) { c.Drop = 9 }},
+		{"unknown alloc", dynmpi.Uniform(2), "Config.Alloc -1 is no allocation scheme", func(c *dynmpi.Config) { c.Alloc = -1 }},
+		{"negative max redists", dynmpi.Uniform(2), "MaxRedists -1", func(c *dynmpi.Config) { c.MaxRedists = -1 }},
+		{"negative grace period", dynmpi.Uniform(2), "GracePeriod -5", func(c *dynmpi.Config) { c.GracePeriod = -5 }},
+		{"negative replica interval", dynmpi.Uniform(2), "ReplicaEvery -2", func(c *dynmpi.Config) { c.ReplicaEvery = -2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := dynmpi.Launch(tc.spec, dynmpi.DefaultConfig(), func(*dynmpi.Runtime) error {
+			cfg := dynmpi.DefaultConfig()
+			if tc.edit != nil {
+				tc.edit(&cfg)
+			}
+			err := dynmpi.Launch(tc.spec, cfg, func(*dynmpi.Runtime) error {
 				t.Error("a rank started")
 				return nil
 			})

@@ -74,8 +74,12 @@ func NewCollector() *Collector {
 // Run runs one application world: every rank of cl builds a runtime
 // configured by cfg, runs body — which registers the rank's arrays, runs its
 // cycles and returns its checksums (see Result) — then finalizes and reports
-// to one Collector, whose Result is the world's.
+// to one Collector, whose Result is the world's. A cfg that fails
+// core.Config.Validate is returned before any rank starts.
 func Run(cl *cluster.Cluster, cfg core.Config, body func(rt *core.Runtime) (checksum float64, checkInt int64, err error)) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	col := NewCollector()
 	err := mpi.Run(cl, func(c *mpi.Comm) error {
 		rt := core.New(c, cfg)

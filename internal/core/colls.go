@@ -11,7 +11,8 @@ import (
 // (§4.4): physically removed nodes "do not participate in the send-in
 // phase, but do participate in the send-out" — they contribute nothing to
 // reductions, but still receive results (convergence flags, termination
-// notices) so their global state stays current.
+// notices) so their global state stays current. One body (global) runs
+// every such reduction.
 //
 // Every routine survives rank crashes: a collective that fails because a
 // group member died is retried over the shrunken group (collective; the
@@ -42,27 +43,24 @@ import (
 // root is struck, the first live rank that kept a message re-sends it
 // (replayOut), and a removed rank drops what it already has (recvOut). A
 // rejoin packet is a stream message too, and a grow packet is kept alike, so
-// a rank one never reached gets it re-sent. The position, like the tag, is
-// envelope metadata, not priced. With no rank left that could send
-// (mpi.RecvErr), a removed rank awaiting a result fails the world, and one
-// awaiting the done notice finishes.
+// a rank one never reached gets it re-sent. Each is an outMsg, whose position,
+// like the tag, is envelope metadata, not priced. With no rank left that
+// could send (mpi.RecvErr), a removed rank awaiting a result fails the world,
+// and one awaiting the done notice finishes.
 
-// Stream messages besides global results ([]float64 with the position as one
-// more element, see sendOut): the rejoin ping and the done notice, each its
-// position, and a membership packet with its position.
-type (
-	pingMsg   int
-	doneMsg   int
-	packetMsg struct {
-		seq int
-		pkt *packet
-	}
-)
+// outMsg is one stream message or grow packet, at stream position seq: a
+// global result (vals), a membership packet (pkt), the rejoin ping, or, with
+// none of these set, the done notice.
+type outMsg struct {
+	seq  int
+	vals []float64
+	pkt  *packet
+	ping bool
+}
 
 // outEntry is one stream message or grow packet as a non-root rank keeps it.
 type outEntry struct {
-	p     any       // the payload; nil for a global result, held in vals, and for a grow packet
-	vals  []float64 // a global result and its position as one more element; reused by later entries
+	m     outMsg // its vals are reused by later entries; unset for a grow packet
 	bytes int
 	from  []int // the active ranks when it was sent: from[0] sent it, the others kept it
 	to    []int // the ranks it was sent to: the removed ones, or a grow's joiners
@@ -83,30 +81,35 @@ func (rt *Runtime) sendEach(ranks []int, tag int, p any, bytes int) {
 	}
 }
 
-// keepOut keeps a message for the ranks to (p, or what the caller fills in)
-// on a rank other than the root. The root keeps none: only a successor
+// keepOut keeps a message for the ranks to on a rank other than the root;
+// the caller fills in what it is. The root keeps none: only a successor
 // re-sends, and a root that stops being one without dying does so across a
 // transit, after which nothing kept before it is needed.
-func (rt *Runtime) keepOut(to []int, p any, bytes int) *outEntry {
+func (rt *Runtime) keepOut(to []int, bytes int) *outEntry {
 	n := len(rt.outLog)
 	rt.outLog = slices.Grow(rt.outLog, 1)[:n+1] // the slot's vals are reused
 	e := &rt.outLog[n]
-	e.p, e.bytes, e.from, e.to, e.grow = p, bytes, rt.active, to, grown{}
+	e.m, e.bytes, e.from, e.to, e.grow = outMsg{vals: e.m.vals[:0]}, bytes, rt.active, to, grown{}
 	return e
 }
 
-// emitOut puts p, which carries the position rt.outSeq, on the stream to the
-// removed ranks. Every active rank calls it at the same point with the same
-// message: the root sends it, and the others keep it.
-func (rt *Runtime) emitOut(p any, bytes int) {
+// emitOut puts m on the stream to the removed ranks at position rt.outSeq.
+// Every active rank calls it at the same point with the same message: the
+// root sends it, and the others keep it. Both copy m.vals, since an eager
+// send parks it in the receiver's mailbox and the caller may overwrite its
+// result once its collective returns, and both copy m field by field: a
+// pointer to m, or m stored whole, would move the caller's result to the heap.
+func (rt *Runtime) emitOut(m outMsg, bytes int) {
 	if len(rt.removed) == 0 {
 		return
 	}
+	seq := rt.outSeq
 	rt.outSeq++
 	if rt.comm.Rank() == rt.sendOutRoot() {
-		rt.sendEach(rt.removed, tagOut, p, bytes)
+		rt.sendEach(rt.removed, tagOut, &outMsg{seq, slices.Clone(m.vals), m.pkt, m.ping}, bytes)
 	} else {
-		rt.keepOut(rt.removed, p, bytes)
+		e := rt.keepOut(rt.removed, bytes)
+		e.m.seq, e.m.vals, e.m.pkt, e.m.ping = seq, append(e.m.vals, m.vals...), m.pkt, m.ping
 	}
 }
 
@@ -115,27 +118,10 @@ func (rt *Runtime) emitOut(p any, bytes int) {
 func (rt *Runtime) emitGrow(g grown) {
 	rt.comm.World().Spawn(g.t.joiners)
 	if rt.comm.Rank() == rt.sendOutRoot() {
-		p, bytes := rt.growPacket(&g)
-		rt.sendEach(g.t.joiners, tagMembership, p, bytes)
+		m, bytes := rt.growPacket(&g)
+		rt.sendEach(g.t.joiners, tagMembership, m, bytes)
 	} else {
-		rt.keepOut(g.t.joiners, nil, 0).grow = g
-	}
-}
-
-// sendOut is emitOut for a global result. The root ships a private copy:
-// eager sends park the payload in the receiver's mailbox, and the caller is
-// free to overwrite v as soon as its collective returns.
-func (rt *Runtime) sendOut(v []float64) {
-	if len(rt.removed) == 0 {
-		return
-	}
-	seq, bytes := float64(rt.outSeq), mpi.F64Bytes(len(v))
-	rt.outSeq++
-	if rt.comm.Rank() == rt.sendOutRoot() {
-		rt.sendEach(rt.removed, tagOut, append(append(make([]float64, 0, len(v)+1), v...), seq), bytes)
-	} else {
-		e := rt.keepOut(rt.removed, nil, bytes)
-		e.vals = append(append(e.vals[:0], v...), seq)
+		rt.keepOut(g.t.joiners, 0).grow = g
 	}
 }
 
@@ -156,50 +142,34 @@ func (rt *Runtime) replayOut() {
 		if i := slices.IndexFunc(e.from[1:], func(r int) bool { return !rt.knownDead(r) }); i < 0 || e.from[1+i] != rt.comm.Rank() {
 			continue
 		}
-		tag, p, bytes := tagOut, e.p, e.bytes
-		switch {
-		case e.grow.old != nil:
+		tag, m, bytes := tagOut, &outMsg{e.m.seq, slices.Clone(e.m.vals), e.m.pkt, e.m.ping}, e.bytes
+		if e.grow.old != nil {
 			tag = tagMembership
-			p, bytes = rt.growPacket(&e.grow)
-		case p == nil:
-			p = slices.Clone(e.vals)
+			m, bytes = rt.growPacket(&e.grow)
 		}
-		rt.sendEach(e.to, tag, p, bytes)
-		if _, ok := p.(pingMsg); ok {
+		rt.sendEach(e.to, tag, m, bytes)
+		if m.ping {
 			rt.loadReplies(e.to, make([]float64, len(e.to))) // dropped
 		}
 	}
 }
 
 // recvOut is a removed rank's receive of its next stream message, from
-// whichever rank holds the send-out role; it returns the payload and its
+// whichever rank holds the send-out role; it returns the message and its
 // sender, and ok false once no rank is left that could send one.
-func (rt *Runtime) recvOut() (p any, from int, ok bool) {
+func (rt *Runtime) recvOut() (m *outMsg, from int, ok bool) {
 	for {
 		p, st, err := rt.comm.RecvErr(mpi.AnySource, tagOut)
 		if err != nil {
 			return nil, -1, false
 		}
-		var seq int
-		switch m := p.(type) {
-		case []float64:
-			seq = int(m[len(m)-1])
-			p = m[: len(m)-1 : len(m)-1] // an append must not reach the position
-		case packetMsg:
-			seq = m.seq
-		case pingMsg:
-			seq = int(m)
-		case doneMsg:
-			seq = int(m)
-		}
-		switch {
-		case seq == rt.outSeq:
+		switch m := p.(*outMsg); {
+		case m.seq == rt.outSeq:
 			rt.outSeq++
-			return p, st.Source, true
-		case seq > rt.outSeq:
-			rt.comm.Abort(fmt.Errorf("core: removed rank %d: send-out message %d arrived before %d", rt.comm.Rank(), seq, rt.outSeq))
-		}
-		if _, ping := p.(pingMsg); ping { // a re-sent ping (replayOut)
+			return m, st.Source, true
+		case m.seq > rt.outSeq:
+			rt.comm.Abort(fmt.Errorf("core: removed rank %d: send-out message %d arrived before %d", rt.comm.Rank(), m.seq, rt.outSeq))
+		case m.ping: // a re-sent ping (replayOut)
 			rt.replyLoad(st.Source)
 		}
 	}
@@ -207,12 +177,12 @@ func (rt *Runtime) recvOut() (p any, from int, ok bool) {
 
 // nextOut is recvOut for a message the run cannot go on without: with no
 // rank left to send it, every active rank has died, and the world fails.
-func (rt *Runtime) nextOut() (any, int) {
-	p, from, ok := rt.recvOut()
+func (rt *Runtime) nextOut() (*outMsg, int) {
+	m, from, ok := rt.recvOut()
 	if !ok {
 		rt.comm.Abort(fmt.Errorf("core: removed rank %d: no active rank is left to send on", rt.comm.Rank()))
 	}
-	return p, from
+	return m, from
 }
 
 // collective runs op, one collective over the active group, until it
@@ -224,54 +194,50 @@ func (rt *Runtime) collective(op func() error) {
 	rt.outSent()
 }
 
+// global is the body of every send-out-aware global operation: a removed
+// rank takes the result from the stream without contributing, and an active
+// rank runs op, a collective over the active group returning the result,
+// under collective and emits what it returns. Every rank — active or
+// removed — must call global operations in the same order.
+func (rt *Runtime) global(op func() ([]float64, error)) []float64 {
+	if rt.isOut {
+		m, _ := rt.nextOut()
+		return m.vals
+	}
+	var res []float64
+	rt.collective(func() (err error) {
+		res, err = op()
+		return err
+	})
+	rt.emitOut(outMsg{vals: res}, mpi.F64Bytes(len(res)))
+	return res
+}
+
 // AllreduceF64sInto reduces buf element-wise with op across the active
 // nodes, storing the result back into buf; removed nodes receive the result
-// without contributing. Every rank — active or removed — must call global
-// operations in the same order. Nothing retains the buffer afterwards, so
-// per-cycle reductions can recycle one slice indefinitely. On error buf is
-// untouched, so a retry contributes intact values.
+// without contributing. Nothing retains the buffer afterwards, so per-cycle
+// reductions can recycle one slice indefinitely. On error buf is untouched,
+// so a retry contributes intact values.
 func (rt *Runtime) AllreduceF64sInto(buf []float64, op mpi.Op) {
-	if rt.isOut {
-		p, _ := rt.nextOut()
-		copy(buf, p.([]float64))
-		return
-	}
-	rt.collective(func() error { return rt.comm.AllreduceF64sIntoErr(rt.group, buf, op) })
-	rt.sendOut(buf)
+	res := rt.global(func() ([]float64, error) { return buf, rt.comm.AllreduceF64sIntoErr(rt.group, buf, op) })
+	copy(buf, res) // an active rank's res is buf
 }
 
 // AllreduceSumSeg sums, across the active nodes, length-n vectors that are
 // zero except for each rank's seg at off, and returns the sum; removed nodes
 // receive it without contributing. The zero-padded vectors are never built
-// (mpi.AllreduceSumSegErr), and the result is one slice every active rank
-// shares: read it, never write it. A removed rank gets its own copy.
+// (mpi.AllreduceSumSegErr). The result is one slice every active rank shares,
+// and another every removed rank shares: read it, never write it.
 func (rt *Runtime) AllreduceSumSeg(n, off int, seg []float64) []float64 {
-	if rt.isOut {
-		p, _ := rt.nextOut()
-		return p.([]float64)
-	}
-	var res []float64
-	rt.collective(func() (err error) {
-		res, err = rt.comm.AllreduceSumSegErr(rt.group, n, off, seg)
-		return err
-	})
-	rt.sendOut(res)
-	return res
+	return rt.global(func() ([]float64, error) { return rt.comm.AllreduceSumSegErr(rt.group, n, off, seg) })
 }
 
 // AllreduceSum reduces one value by summation (send-out aware).
 func (rt *Runtime) AllreduceSum(v float64) float64 {
-	if rt.isOut {
-		p, _ := rt.nextOut()
-		return p.([]float64)[0]
-	}
-	var out [1]float64
-	rt.collective(func() (err error) {
-		out[0], err = rt.comm.AllreduceErr(rt.group, v, mpi.Sum)
-		return err
-	})
-	rt.sendOut(out[:])
-	return out[0]
+	return rt.global(func() (_ []float64, err error) {
+		rt.sum[0], err = rt.comm.AllreduceErr(rt.group, v, mpi.Sum)
+		return rt.sum[:], err
+	})[0]
 }
 
 // Barrier synchronises the active nodes. Removed nodes pass through
@@ -298,7 +264,7 @@ func (rt *Runtime) Finalize() {
 		rt.recvOut()
 	} else {
 		rt.Barrier()
-		rt.emitOut(doneMsg(rt.outSeq), 0)
+		rt.emitOut(outMsg{}, 0)
 		rt.closeReplicaEpoch()
 	}
 	rt.releaseReplicas()

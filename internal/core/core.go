@@ -120,6 +120,23 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports a Method, Drop or Alloc that is none of its constants, or
+// a negative GracePeriod, MaxRedists or ReplicaEvery. The zero Config is valid.
+func (c Config) Validate() error {
+	switch {
+	case c.Method < SuccessiveBalancing || c.Method > RelativePower:
+		return fmt.Errorf("core: Config.Method %d is no method", c.Method)
+	case c.Drop < DropAuto || c.Drop > DropLogical:
+		return fmt.Errorf("core: Config.Drop %d is no drop policy", c.Drop)
+	case c.Alloc < matrix.Projection || c.Alloc > matrix.Contiguous:
+		return fmt.Errorf("core: Config.Alloc %d is no allocation scheme", c.Alloc)
+	case min(c.GracePeriod, c.MaxRedists, c.ReplicaEvery) < 0:
+		return fmt.Errorf("core: Config has a negative count: GracePeriod %d, MaxRedists %d, ReplicaEvery %d",
+			c.GracePeriod, c.MaxRedists, c.ReplicaEvery)
+	}
+	return nil
+}
+
 // regArray is one registered redistributable array and what the runtime keeps
 // per array: accesses, buddy replica, and the window its replica arrives by.
 type regArray struct {
@@ -195,6 +212,7 @@ type Runtime struct {
 	// the returned loads copies them before retaining.
 	loadBuf  []float64
 	loadInts []int
+	sum      [1]float64 // AllreduceSum's result, kept off the stack (colls.go)
 
 	// Adaptation-event scratch: what a membership change or a redistribution
 	// decision computes and nothing retains (scratch.go).
@@ -554,7 +572,7 @@ func (rt *Runtime) ensureCommitted() {
 		// From the root or a survivor (replayOut); a spawned rank cannot know
 		// which. If the root sent it and died, the re-sent copy stays unread.
 		p, _ := rt.comm.Recv(mpi.AnySource, tagMembership)
-		m := p.(packetMsg)
+		m := p.(*outMsg)
 		rt.outSeq = m.seq
 		rt.adopt(m.pkt)
 		return

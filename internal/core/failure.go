@@ -89,7 +89,7 @@ func (rt *Runtime) deadOf(err error) []int {
 // detection sites).
 func (rt *Runtime) absorbDead(ranks []int) {
 	for _, r := range ranks {
-		if !containsInt(rt.pendingDead, r) && !containsInt(rt.deadRanks, r) {
+		if !slices.Contains(rt.pendingDead, r) && !slices.Contains(rt.deadRanks, r) {
 			rt.pendingDead = append(rt.pendingDead, r)
 		}
 	}
@@ -146,7 +146,7 @@ func (rt *Runtime) handleFailure() {
 	sort.Ints(rt.deadRanks)
 
 	t := transition{cause: causeFailure, leavers: dead, next: rt.survivors(dead)}
-	if slices.ContainsFunc(rt.dist.Ranks(), func(r int) bool { return containsInt(dead, r) }) {
+	if slices.ContainsFunc(rt.dist.Ranks(), func(r int) bool { return slices.Contains(dead, r) }) {
 		// The dead held rows: re-partition over the survivors by relative
 		// power (their loads are re-measured next cycle; recovery must not
 		// depend on load state the dead rank can no longer contribute to).
@@ -167,7 +167,7 @@ func (rt *Runtime) replicaHolder(a *regArray, d int, dead []int) (int, bool) {
 		return 0, false
 	}
 	_, h, ok := ringNeighbours(rt.dist.Ranks(), d)
-	return h, ok && !containsInt(dead, h)
+	return h, ok && !slices.Contains(dead, h)
 }
 
 // serveSlab packs the part of a dead rank's rows [lo,hi) this holder's
@@ -399,22 +399,7 @@ func intersect(lo, hi int, rep *denseSlab) (int, int) {
 	return plo, phi
 }
 
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // withoutInts returns s with every member of drop removed (fresh slice).
 func withoutInts(s, drop []int) []int {
-	out := make([]int, 0, len(s))
-	for _, x := range s {
-		if !containsInt(drop, x) {
-			out = append(out, x)
-		}
-	}
-	return out
+	return slices.DeleteFunc(append(make([]int, 0, len(s)), s...), func(x int) bool { return slices.Contains(drop, x) })
 }

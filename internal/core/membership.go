@@ -41,7 +41,7 @@ func (rt *Runtime) install(m membership) {
 	prev := rt.active
 	rt.membership = m
 	rt.group = rt.comm.World().NewGroup(m.active)
-	rt.isOut = !containsInt(m.active, rt.comm.Rank())
+	rt.isOut = !slices.Contains(m.active, rt.comm.Rank())
 	switch {
 	case rt.isOut:
 		rt.outLog = rt.outLog[:0]
@@ -134,7 +134,7 @@ func (rt *Runtime) removal(c cause, stay, out, loads, base []int) transition {
 //     reports the change.
 func (rt *Runtime) transit(t transition) {
 	me := rt.comm.Rank()
-	entering, leaving := containsInt(t.joiners, me), containsInt(t.leavers, me)
+	entering, leaving := slices.Contains(t.joiners, me), slices.Contains(t.leavers, me)
 	if !entering && t.dist != nil {
 		t.next.redists++ // an entering rank is handed the count already advanced
 	}
@@ -145,7 +145,7 @@ func (rt *Runtime) transit(t transition) {
 			// A rejoin is this cycle's verdict for every removed rank, the
 			// ones that stay out too, so it travels in the send-out stream.
 			pkt := rt.changePacket(t)
-			rt.emitOut(packetMsg{rt.outSeq, pkt}, pkt.wireBytes())
+			rt.emitOut(outMsg{pkt: pkt}, pkt.wireBytes())
 		}
 	}
 
@@ -215,16 +215,16 @@ type grown struct {
 }
 
 // growPacket builds the packet to a grow's joiners and prices it.
-func (rt *Runtime) growPacket(g *grown) (packetMsg, int) {
+func (rt *Runtime) growPacket(g *grown) (*outMsg, int) {
 	pkt := &packet{membership: g.t.next, oldRanks: g.old.Ranks(), oldCounts: g.old.Counts(), newCounts: g.t.dist.Counts(),
 		cycle: g.cycle, space: rt.n, arrays: rt.arrayNames()}
-	return packetMsg{g.seq, pkt}, pkt.wireBytes()
+	return &outMsg{seq: g.seq, pkt: pkt}, pkt.wireBytes()
 }
 
 // emitVerdict puts the empty verdict on the send-out stream.
 func (rt *Runtime) emitVerdict() {
 	p := &packet{}
-	rt.emitOut(packetMsg{rt.outSeq, p}, p.wireBytes())
+	rt.emitOut(outMsg{pkt: p}, p.wireBytes())
 }
 
 // adopt applies a received packet: nothing for the empty verdict, the state
@@ -236,7 +236,7 @@ func (rt *Runtime) adopt(p *packet) {
 	if p.active == nil {
 		return
 	}
-	if !containsInt(p.active, me) {
+	if !slices.Contains(p.active, me) {
 		rt.install(p.membership)
 		return
 	}

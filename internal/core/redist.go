@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/drsd"
@@ -391,7 +392,7 @@ func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistO
 		p.sent(mv, m.rows, m.bytes)
 	}
 	for _, tr := range sched {
-		if tr.To == me || !containsInt(p.dead, tr.From) {
+		if tr.To == me || !slices.Contains(p.dead, tr.From) {
 			continue
 		}
 		if h, ok := rt.replicaHolder(a, tr.From, p.dead); ok && h == me {
@@ -405,7 +406,7 @@ func (rt *Runtime) drainArray(a *regArray, sched []drsd.Transfer, outs []redistO
 			continue
 		}
 		from, t, served := tr.From, tag, false
-		if containsInt(p.dead, tr.From) {
+		if slices.Contains(p.dead, tr.From) {
 			h, ok := rt.replicaHolder(a, tr.From, p.dead)
 			switch {
 			case !ok:

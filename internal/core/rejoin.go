@@ -12,7 +12,11 @@ package core
 // travel in the root's load-exchange contribution) and the rejoin goes
 // through transit like any other membership change (membership.go).
 
-import "repro/internal/loadmon"
+import (
+	"slices"
+
+	"repro/internal/loadmon"
+)
 
 // knownDead reports whether rank r is in the deterministically-absorbed
 // dead set. Protocol sends are guarded on this — never on the world's
@@ -25,7 +29,7 @@ import "repro/internal/loadmon"
 // detected, these guards never fire after that prune; they are the
 // deterministic belt for the detection window itself.
 func (rt *Runtime) knownDead(r int) bool {
-	return containsInt(rt.deadRanks, r) || containsInt(rt.pendingDead, r)
+	return slices.Contains(rt.deadRanks, r) || slices.Contains(rt.pendingDead, r)
 }
 
 // loadReplies collects every answer to the ping just sent to the removed
@@ -67,7 +71,7 @@ func (rt *Runtime) exchangeLoads() (active []int, removedRanks, removedLoads []i
 	seg[0] = float64(loadmon.CompetingProcesses(rt.node, loadmon.DefaultInterval, rt.cycle))
 	if rt.polls() {
 		removedRanks = rt.removed
-		rt.emitOut(pingMsg(rt.outSeq), 1)
+		rt.emitOut(outMsg{ping: true}, 1)
 		if rt.comm.Rank() == rt.sendOutRoot() {
 			seg = rt.loadBuf[:1+len(removedRanks)]
 			rt.loadReplies(removedRanks, seg[1:])
@@ -100,7 +104,7 @@ func (rt *Runtime) maybeRejoin(activeLoads, removedRanks, removedLoads []int) bo
 	}
 	var rejoining []int
 	for i, r := range removedRanks {
-		if removedLoads[i] == 0 && !containsInt(rt.heldOut, r) {
+		if removedLoads[i] == 0 && !slices.Contains(rt.heldOut, r) {
 			rejoining = append(rejoining, r)
 		}
 	}
@@ -134,8 +138,8 @@ func (rt *Runtime) removedCycle() {
 	}
 	_, root := rt.nextOut()
 	rt.replyLoad(root)
-	p, _ := rt.nextOut()
-	rt.adopt(p.(packetMsg).pkt)
+	m, _ := rt.nextOut()
+	rt.adopt(m.pkt)
 }
 
 // replyLoad answers a ping from root with this removed node's load.

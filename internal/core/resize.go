@@ -45,7 +45,7 @@ func (rt *Runtime) maybeResize(loads []int) bool {
 	var joiners []int
 	if cl.HasArrivals() {
 		for _, r := range cl.ArrivalsDue(rt.cycle) {
-			if !containsInt(rt.claimed, r) {
+			if !slices.Contains(rt.claimed, r) {
 				joiners = append(joiners, r)
 			}
 		}
@@ -57,7 +57,7 @@ func (rt *Runtime) maybeResize(loads []int) bool {
 			if need == 0 {
 				break
 			}
-			if !containsInt(rt.claimed, r) && !containsInt(joiners, r) {
+			if !slices.Contains(rt.claimed, r) && !slices.Contains(joiners, r) {
 				joiners = append(joiners, r)
 				need--
 			}

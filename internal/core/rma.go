@@ -218,7 +218,7 @@ func (rt *Runtime) closeReplicaEpoch() {
 // deposit of want elements must not be used, then discards the window's
 // pending deposits.
 func (rt *Runtime) unlanded(win *mpi.Win, dead []int, origin, want int) (lost bool) {
-	if containsInt(dead, origin) && want != 0 {
+	if slices.Contains(dead, origin) && want != 0 {
 		elems, ok := rt.comm.PendingPSCW(win, origin)
 		lost = !ok || elems != want
 	}

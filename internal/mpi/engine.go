@@ -392,10 +392,7 @@ func (c *Comm) groupSlot(g *Group) int {
 // before the deposit, which is the invariant that lets successful ops drain
 // without any reclamation logic.
 func (c *Comm) rendezvousErr(g *Group, contrib any, vec []float64, desc *collDesc, dst []float64) (any, error) {
-	c.checkFailed()
-	if c.flt != nil {
-		c.pollFaults()
-	}
+	c.enter()
 	slot := c.groupSlot(g)
 	seq := g.seq[slot]
 	g.seq[slot]++

@@ -93,9 +93,19 @@ func (c *Comm) InjectCycleFaults(cycle int) {
 	c.pollFaults()
 }
 
+// enter is every communication operation's entry: it fails fast once the
+// world has failed, then fires the timed faults due, so a crash lands before
+// the operation touches anything, never inside it.
+func (c *Comm) enter() {
+	c.checkFailed()
+	if c.flt != nil {
+		c.pollFaults()
+	}
+}
+
 // pollFaults fires any time-triggered node faults that have come due at the
-// rank's current virtual time. Called at every communication operation
-// entry, so a timed crash lands at the first op at or after its deadline.
+// rank's current virtual time: a timed crash lands at the first operation
+// (enter) at or after its deadline.
 func (c *Comm) pollFaults() {
 	for {
 		f, ok := c.flt.TimedDue(c.node.Now())

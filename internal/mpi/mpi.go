@@ -368,7 +368,7 @@ func (c *Comm) SendF64s(dst, tag int, vals []float64) {
 // charges the CPU injection cost, stamps the arrival time, delivers the
 // envelope and returns that stamp.
 func (c *Comm) inject(op string, dst, tag int, payload any, bytes int) vclock.Time {
-	c.checkFailed()
+	c.enter()
 	if dst < 0 || dst >= c.w.cap {
 		panic(fmt.Sprintf("mpi: %s to invalid rank %d", op, dst))
 	}
@@ -377,7 +377,6 @@ func (c *Comm) inject(op string, dst, tag int, payload any, bytes int) vclock.Ti
 	}
 	var faultDelay vclock.Duration
 	if c.flt != nil {
-		c.pollFaults()
 		faultDelay = c.messageFault(dst)
 	}
 	net := c.w.cl.Net()

@@ -125,15 +125,12 @@ func (c *Comm) Irecv(src, tag int) *Request {
 // for deliver to fill. op names the caller in a panic and in the request's
 // RankFailedError. No virtual time is charged.
 func (c *Comm) post(op string, src, tag int) *Request {
-	c.checkFailed()
+	c.enter()
 	if src != AnySource && (src < 0 || src >= c.w.cap) {
 		panic(fmt.Sprintf("mpi: %s from invalid rank %d", op, src))
 	}
 	if tag < AnyTag {
 		panic(fmt.Sprintf("mpi: %s with invalid tag %d", op, tag))
-	}
-	if c.flt != nil {
-		c.pollFaults()
 	}
 	r := c.getReq()
 	r.op, r.src, r.tag = op, src, tag
@@ -174,10 +171,7 @@ func removePosted(box *mailbox, r *Request) {
 // before it stamps postVT, so the poll here finds none — and its hidden-wire
 // credit is therefore zero.
 func (c *Comm) waitErr(req *Request) (any, Status, error) {
-	c.checkFailed()
-	if c.flt != nil {
-		c.pollFaults() // the same injection point as a post
-	}
+	c.enter() // the same injection point as a post
 	if req.send {
 		c.putReq(req)
 		return nil, Status{}, nil

@@ -173,7 +173,7 @@ func (c *Comm) WinAttach(win *Win, mem FlatMem) {
 // target already marked dead deposits nothing; the death surfaces as the
 // fence's *RankFailedError.
 func (c *Comm) Put(win *Win, target, off int, src []float64) {
-	c.checkFailed()
+	c.enter()
 	g := win.g
 	tslot, ok := g.Slot(target)
 	if !ok {
@@ -181,7 +181,6 @@ func (c *Comm) Put(win *Win, target, off int, src []float64) {
 	}
 	var faultDelay vclock.Duration
 	if c.flt != nil {
-		c.pollFaults()
 		faultDelay = c.messageFault(target)
 	}
 	net := c.w.cl.Net()

@@ -3,7 +3,10 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -13,6 +16,8 @@ import (
 	"repro/internal/apps/jacobi"
 	"repro/internal/cluster"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/smoke.golden")
 
 // sweepReport runs grid g at the given pool width and returns the
 // deterministic report (wall-time lines stripped) and the worlds it ran.
@@ -46,6 +51,13 @@ func reportText(r *Result) string {
 // when Run returns. The root-crash cell, whose removed rank receives from
 // whichever rank holds the send-out role, is one more input, and its crash
 // fault kills exactly one rank. Run with -race in CI.
+//
+// The serial report is also pinned to testdata/smoke.golden, so a change
+// that moves any cell's virtual times fails here, not only in a diff against
+// a parent build: the order in which a redistribution receives its
+// transfers, for one, moves the growskew cells' elapsed times and nothing
+// else. Regenerate with `go test ./internal/sweep -run
+// TestSweepDeterministicAcrossJobs -update` after an intended model change.
 func TestSweepDeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full smoke grid; skipped in -short")
@@ -55,6 +67,7 @@ func TestSweepDeterministicAcrossJobs(t *testing.T) {
 	if steps != 96 {
 		t.Errorf("-jobs 1 ran %d worlds, want 96", steps)
 	}
+	checkGolden(t, filepath.Join("testdata", "smoke.golden"), serial)
 
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -101,6 +114,40 @@ func TestSweepDeterministicAcrossJobs(t *testing.T) {
 	}
 	if !strings.Contains(serial, "failed=0") {
 		t.Errorf("smoke sweep reported failures:\n%s", serial)
+	}
+}
+
+// checkGolden compares report with the golden file, or rewrites the file
+// under -update, and names each line that differs.
+func checkGolden(t *testing.T, golden, report string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(report), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if report == string(want) {
+		return
+	}
+	got, exp := strings.Split(report, "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(got), len(exp)) {
+		g, w := "", ""
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			w = exp[i]
+		}
+		if g != w {
+			t.Errorf("%s line %d:\n got %s\nwant %s", golden, i+1, g, w)
+		}
 	}
 }
 
