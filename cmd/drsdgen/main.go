@@ -30,7 +30,7 @@ func main() {
 	}
 	exit := 0
 	for _, file := range flag.Args() {
-		res, err := translate.AnalyzeFileWithWrites(file, nil)
+		res, err := translate.AnalyzeFile(file, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "drsdgen: %v\n", err)
 			exit = 1

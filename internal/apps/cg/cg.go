@@ -83,7 +83,7 @@ func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
 	return apps.Run(cl, cfg.Core, func(rt *core.Runtime) (float64, int64, error) {
 		a := rt.RegisterSparse("A", cfg.N)
 		ph := rt.InitPhase(cfg.N)
-		ph.AddAccess("A", drsd.Read, 1, 0)
+		ph.AddAccess("A", drsd.ReadWrite, 1, 0)
 		rt.Commit()
 		if rt.Joined() {
 			return 0, 0, fmt.Errorf("cg: %w", apps.ErrNoJoiner)

@@ -250,21 +250,15 @@ func (rt *Runtime) endRedist(p *redistPass) {
 }
 
 // scheduleFor derives array a's transfer schedule (§4.4 step 1) into the
-// runtime's schedule scratch. Owned-only arrays take the resize-aware diff
-// schedule: it emits exactly the owner-changed contiguous windows
-// ScheduleWindowsInto would (byte-identical transfers, same order — gap
-// coverage of an ownership range degenerates to the ownership delta when no
-// ghost access widens the window), computed per-rank from the two block
-// boundaries instead of walking every access pattern.
+// runtime's schedule scratch: every rank of the new distribution fetches the
+// rows of its DRSD window it does not hold. An array whose accesses all sit
+// at zero offset has its owned range as its window, so for it this one
+// schedule is the ownership delta.
 func (rt *Runtime) scheduleFor(a *regArray, newDist *drsd.Block) []drsd.Transfer {
 	// Every rank of the new distribution fetches at most a gap on each side of
 	// what it holds, most often from one old owner each.
 	buf := atLeast(rt.schedBuf, 2*len(newDist.Ranks()))
-	if drsd.OwnedOnly(a.accesses) {
-		rt.schedBuf = drsd.ScheduleDiffInto(buf, rt.dist, newDist)
-	} else {
-		rt.schedBuf = drsd.ScheduleWindowsInto(buf, rt.dist, newDist, a.accesses)
-	}
+	rt.schedBuf = drsd.ScheduleWindowsInto(buf, rt.dist, newDist, a.accesses)
 	return rt.schedBuf
 }
 

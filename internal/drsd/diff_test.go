@@ -1,7 +1,9 @@
 package drsd
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -34,28 +36,29 @@ func randMembership(rng *rand.Rand, worldCap int) []int {
 	return m
 }
 
-// TestScheduleDiffEquivalentToWindows property-tests the resize fast path:
-// for owned-only access patterns the diff schedule must emit exactly the
-// transfers ScheduleWindowsInto emits — same rows, same endpoints, same
-// deterministic order — across random redistributions including grows
-// (ranks with no old range) and shrinks (ranks with no new range).
+// TestScheduleDiffEquivalentToWindows property-tests the one schedule
+// against the ownership diff: over an owned-only access, ScheduleWindowsInto
+// must emit exactly the transfers of the per-row Schedule oracle (compared
+// as sets — the oracle orders by row, the windows schedule by receiving
+// rank) across random redistributions with joiners (ranks with no old
+// range), leavers (ranks with no new range) and ranks in any order.
 func TestScheduleDiffEquivalentToWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	owned := []Access{{Array: "X", Mode: ReadWrite, Step: 1, Off: 0}}
-	for trial := 0; trial < 500; trial++ {
+	byReceiver := func(a, b Transfer) int { return cmp.Or(a.To-b.To, a.Lo-b.Lo) }
+	for trial := 0; trial < 2000; trial++ {
 		n := 1 + rng.Intn(200)
-		oldD := randBlock(rng, randMembership(rng, 8), n)
-		newD := randBlock(rng, randMembership(rng, 8), n)
-		want := ScheduleWindowsInto(nil, oldD, newD, owned)
-		got := ScheduleDiffInto(nil, oldD, newD)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d transfers, want %d\nold %v/%v new %v/%v\ngot  %v\nwant %v",
-				trial, len(got), len(want), oldD.Ranks(), oldD.Counts(), newD.Ranks(), newD.Counts(), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d transfer %d: got %+v want %+v", trial, i, got[i], want[i])
-			}
+		oldRanks, newRanks := randMembership(rng, 8), randMembership(rng, 8)
+		rng.Shuffle(len(oldRanks), func(i, j int) { oldRanks[i], oldRanks[j] = oldRanks[j], oldRanks[i] })
+		rng.Shuffle(len(newRanks), func(i, j int) { newRanks[i], newRanks[j] = newRanks[j], newRanks[i] })
+		oldD, newD := randBlock(rng, oldRanks, n), randBlock(rng, newRanks, n)
+		got := ScheduleWindowsInto(nil, oldD, newD, owned)
+		want := Schedule(oldD, newD)
+		slices.SortFunc(got, byReceiver)
+		slices.SortFunc(want, byReceiver)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: old %v/%v new %v/%v\nwindows %v\noracle  %v",
+				trial, oldD.Ranks(), oldD.Counts(), newD.Ranks(), newD.Counts(), got, want)
 		}
 	}
 }
@@ -97,33 +100,19 @@ func TestScheduleDiffMovesOnlyOwnerChangedRows(t *testing.T) {
 	}
 }
 
-// BenchmarkResizeSchedule prices the resize fast path: the diff schedule
-// over a 6→8-rank grow (the elastic-resize shape — joiners own no rows yet,
-// every block boundary shifts) against the windowed schedule computing the
-// same owned-only transfers.
+// BenchmarkResizeSchedule prices the schedule of an elastic resize: a
+// 6→8-rank grow of an owned-only array (joiners own no rows yet, every block
+// boundary shifts).
 func BenchmarkResizeSchedule(b *testing.B) {
-	oldRanks := []int{0, 1, 2, 3, 4, 5}
-	newRanks := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	old := EqualBlock(oldRanks, 16384)
-	nw := EqualBlock(newRanks, 16384)
+	old := EqualBlock([]int{0, 1, 2, 3, 4, 5}, 16384)
+	nw := EqualBlock([]int{0, 1, 2, 3, 4, 5, 6, 7}, 16384)
 	owned := []Access{{Array: "A", Step: 1, Off: 0}}
 	var buf []Transfer
-	b.Run("diff", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = ScheduleDiffInto(buf[:0], old, nw)
-		}
-		if len(buf) == 0 {
-			b.Fatal("diff schedule produced no transfers")
-		}
-	})
-	b.Run("windows", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = ScheduleWindowsInto(buf[:0], old, nw, owned)
-		}
-		if len(buf) == 0 {
-			b.Fatal("windowed schedule produced no transfers")
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = ScheduleWindowsInto(buf[:0], old, nw, owned)
+	}
+	if len(buf) == 0 {
+		b.Fatal("schedule produced no transfers")
+	}
 }

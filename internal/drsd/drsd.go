@@ -316,52 +316,12 @@ func appendGapTransfers(out []Transfer, oldD *Block, r, lo, hi int) []Transfer {
 	return out
 }
 
-// OwnedOnly reports whether every access is a unit-stride, zero-offset
-// reference — the pattern whose DRSD window is exactly the owned iteration
-// range, with no ghost rows. Arrays matching it can be redistributed with
-// the cheaper ScheduleDiffInto instead of the window machinery.
-func OwnedOnly(accesses []Access) bool {
-	if len(accesses) == 0 {
-		return false
-	}
-	for _, a := range accesses {
-		if a.Step != 1 || a.Off != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// ScheduleDiffInto appends to buf the contiguous-window delta between two
-// block distributions: one transfer per maximal contiguous run of rows whose
-// owner changed, and nothing else. It is the resize-time schedule — when a
-// world grows or shrinks, only the rows the new partition reassigns move,
-// never the full array — and is equivalent to the per-row Schedule over the
-// same distributions (property-tested), but runs on block bounds instead of
-// rows: O(p·log q) in the rank counts, independent of the row count.
-// Transfers are ordered by receiving rank (newD rank order), then row —
-// the same deterministic order ScheduleWindowsInto emits — so the
-// redistribution consumes it directly. Pass buf[:0] to recycle a scratch
-// slice across resizes; buf may be nil.
+// ScheduleDiffInto appends to buf the transfers that move an array held as
+// owned rows only from oldD to newD: ScheduleWindowsInto over one
+// zero-offset access, whose window is the owned range. Every row whose
+// owner changed travels once, from its old owner to its new one, ordered by
+// receiving rank, then row. Redistribution calls ScheduleWindowsInto
+// directly; this entry remains for the benchmark's schedule probe.
 func ScheduleDiffInto(buf []Transfer, oldD, newD *Block) []Transfer {
-	if oldD.Rows() != newD.Rows() {
-		panic("drsd: schedule across different row counts")
-	}
-	out := buf
-	at := 0
-	for i, r := range newD.ranks {
-		nlo, nhi := newD.bounds[i], newD.bounds[i+1]
-		olo, ohi := oldD.rangeNear(r, &at)
-		if olo >= ohi {
-			// Owned nothing before (a joiner): the whole new range is one gap.
-			olo, ohi = nlo, nlo
-		}
-		// Needed = [nlo,nhi) minus the previously owned [olo,ohi): at most
-		// one gap on each side. appendGapTransfers skips segments the
-		// receiver already owns, so an old range interleaved with the gaps
-		// generates no self-transfers.
-		out = appendGapTransfers(out, oldD, r, nlo, min(nhi, olo))
-		out = appendGapTransfers(out, oldD, r, max(nlo, ohi), nhi)
-	}
-	return out
+	return ScheduleWindowsInto(buf, oldD, newD, []Access{{Step: 1}})
 }

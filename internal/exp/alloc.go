@@ -67,7 +67,7 @@ func RunAlloc() (*AllocResult, error) {
 	// End to end: adaptive Jacobi with a CP, under each allocation scheme.
 	var worlds []sweep.World
 	for _, scheme := range []matrix.Alloc{matrix.Projection, matrix.Contiguous} {
-		w := sweep.World{App: "jacobi", Rows: 512, Cols: 1024, Iters: 120, Cost: 300, RingCap: traceCap}
+		w := sweep.World{App: "jacobi", Rows: 512, Cols: 1024, Iters: 120, Cost: 300, Trace: true}
 		w.Core = core.DefaultConfig()
 		w.Core.Drop = core.DropNever
 		w.Core.Alloc = scheme

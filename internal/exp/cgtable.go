@@ -41,7 +41,7 @@ func cgTableWorlds(size Size) []sweep.World {
 	dyn := non
 	dyn.Core = core.DefaultConfig()
 	dyn.Core.Drop = core.DropNever
-	dyn.RingCap = traceCap
+	dyn.Trace = true
 	return []sweep.World{ded, non, dyn}
 }
 

@@ -97,10 +97,6 @@ func ladder(nodes, def []int) []int {
 	return nodes
 }
 
-// traceCap bounds the telemetry ring a world attaches; it holds every
-// record of the largest -paper run many times over.
-const traceCap = 1 << 20
-
 // runWorlds runs a study's worlds on a pool as wide as GOMAXPROCS — each
 // world is deterministic on its own, so the width moves only wall time —
 // and returns their results in index order. fold, when non-nil, reads world

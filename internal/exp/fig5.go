@@ -41,7 +41,7 @@ func fig5Worlds(size Size) (worlds []sweep.World) {
 		for maxRedists := range fig5Tests {
 			w := in.fig5
 			w.Iters = 3 * period
-			w.RingCap = traceCap
+			w.Trace = true
 			w.Core = core.DefaultConfig()
 			w.Core.Adapt = maxRedists > 0
 			w.Core.Drop = core.DropNever

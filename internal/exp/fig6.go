@@ -40,7 +40,7 @@ func fig6Worlds(nodes []int, size Size) (worlds []sweep.World) {
 	for _, n := range ladder(nodes, fig6Nodes) {
 		for _, k := range fig6CPs {
 			w := base
-			w.RingCap = traceCap
+			w.Trace = true
 			w.Spec = cluster.Uniform(n)
 			for i := 0; i < k; i++ {
 				w.Spec = w.Spec.With(cluster.TimeEvent(n/2, 0, +1))

@@ -40,7 +40,7 @@ func fig7Worlds(size Size) (worlds []sweep.World) {
 	for _, part := range fig7Parts {
 		w := base
 		w.ExtraTopP0 = part
-		w.RingCap = traceCap
+		w.Trace = true
 		w.Spec = cluster.Uniform(8).With(cluster.CycleEvent(0, 10, +1))
 		for _, gp := range []int{1, 5} {
 			w.Core = core.DefaultConfig()

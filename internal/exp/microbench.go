@@ -71,7 +71,7 @@ func RunMicrobench() (*MicrobenchResult, error) {
 // overloads the loaded node with work it cannot complete once its
 // communication CPU is inflated.
 func methodComparison(method core.Method) sweep.World {
-	w := sweep.World{App: "jacobi", Rows: 256, Cols: 2048, Iters: 200, Cost: 10, RingCap: traceCap}
+	w := sweep.World{App: "jacobi", Rows: 256, Cols: 2048, Iters: 200, Cost: 10, Trace: true}
 	w.Core = core.DefaultConfig()
 	w.Core.Drop = core.DropNever
 	w.Core.Method = method

@@ -78,7 +78,7 @@ func RunOverlap(nodes []int) (*OverlapResult, error) {
 			w.Spec = cluster.Uniform(n)
 			ovl := w
 			ovl.Overlap = true
-			ovl.RingCap = 1 << 18
+			ovl.Trace = true
 			worlds = append(worlds, w, ovl)
 		}
 	}

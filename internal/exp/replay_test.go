@@ -119,7 +119,7 @@ func TestDecisionsReplayFromRecords(t *testing.T) {
 	var worlds []sweep.World
 	for i, w := range fig4Worlds(nil, Scaled) {
 		if i%3 == 2 {
-			w.RingCap = traceCap
+			w.Trace = true
 			worlds = append(worlds, w)
 		}
 	}
@@ -176,7 +176,7 @@ func TestDecisionsReplayFromRecords(t *testing.T) {
 // node: the competing process leaves during the post-redistribution grace,
 // and MaxRedists keeps that change from restarting the measurement.
 func dropAutoWithoutLoad() sweep.World {
-	w := sweep.World{App: "jacobi", Rows: 128, Cols: 128, Iters: 80, Cost: 60e3, Core: core.DefaultConfig(), RingCap: traceCap}
+	w := sweep.World{App: "jacobi", Rows: 128, Cols: 128, Iters: 80, Cost: 60e3, Core: core.DefaultConfig(), Trace: true}
 	w.Core.Drop, w.Core.MaxRedists = core.DropAuto, 1
 	w.Spec = cluster.Uniform(4).With(cluster.CycleEvent(1, 10, +1), cluster.CycleEvent(1, 16, -1))
 	return w

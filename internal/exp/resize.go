@@ -12,10 +12,10 @@ import (
 // This file measures elastic world resizing against its only real
 // alternative on a non-dedicated cluster: killing the job and restarting it
 // at the new size. An elastic resize keeps every byte that does not change
-// owner in place and ships only the contiguous ownership delta through the
-// diff schedule; a restart pays the full makespan bookkeeping — drain the
-// old world, reload every array over the wire, rerun the remaining
-// iterations from the checkpoint. The study validates, through the cost
+// owner in place and ships only the contiguous ownership delta (and the
+// ghost rows of the new windows); a restart pays the full makespan
+// bookkeeping — drain the old world, reload every array over the wire,
+// rerun the remaining iterations from the checkpoint. The study validates, through the cost
 // model, that resize N→M is strictly cheaper than drop-all+restart in both
 // directions (capacity arriving under load, capacity leaving under load).
 
@@ -77,12 +77,12 @@ func RunResize() (*ResizeResult, error) {
 	// Scenario 1: capacity arrives under load — two nodes join at cycle at.
 	grow := world(4, resizeIters)
 	grow.Spec = grow.Spec.WithArrival(1.0, at).WithArrival(1.0, at)
-	grow.RingCap = traceCap
+	grow.Trace = true
 	// Scenario 2: capacity leaves under load — an explicit shrink releases
 	// the two highest ranks at cycle at.
 	shrink := world(6, resizeIters)
 	shrink.ResizeAt, shrink.ResizeTo = at, 4
-	shrink.RingCap = traceCap
+	shrink.Trace = true
 	scenarios := []struct {
 		name     string
 		from, to int

@@ -28,10 +28,9 @@ type TraceOptions struct {
 // traceNodes is the canonical trace's world size.
 const traceNodes = 4
 
-// traceWorld is the canonical trace's world under o, with a ring that holds
-// every record of the run.
+// traceWorld is the canonical trace's world under o, traced.
 func traceWorld(o TraceOptions) sweep.World {
-	w := sweep.World{App: "jacobi", Rows: 128, Cols: 128, Iters: 40, Cost: 10e3, RingCap: 1 << 16}
+	w := sweep.World{App: "jacobi", Rows: 128, Cols: 128, Iters: 40, Cost: 10e3, Trace: true}
 	w.Core = core.DefaultConfig()
 	w.Core.Drop = core.DropAlways
 	w.Core.Replicate = o.Replicate
@@ -53,8 +52,7 @@ type TraceResult struct {
 // identical options produce identical records.
 func RunTrace(o TraceOptions) (*TraceResult, error) { return runTrace(traceWorld(o)) }
 
-// runTrace runs w and returns its sorted record stream. A ring too small for
-// the run is an error: a truncated stream would read as a result.
+// runTrace runs w and returns its sorted record stream.
 func runTrace(w sweep.World) (*TraceResult, error) {
 	out := w.Run()
 	if out.Err != nil {

@@ -284,7 +284,7 @@ func TestSinkLeavesResultUnchanged(t *testing.T) {
 	var worlds []sweep.World
 	for _, w := range []sweep.World{onOff, dropAuto, skewed, crash, grow, relPower, logical} {
 		worlds = append(worlds, w)
-		w.RingCap = traceCap
+		w.Trace = true
 		worlds = append(worlds, w)
 	}
 	held := make([]int, len(worlds))
@@ -332,25 +332,5 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 	if len(recs) == 0 {
 		t.Fatal("decoded no records")
-	}
-}
-
-// TestTraceRingOverflowIsAnError: a ring too small for the run drops the
-// oldest records, and RunTrace must report that instead of returning the
-// remainder as if it were the whole trace.
-func TestTraceRingOverflowIsAnError(t *testing.T) {
-	full, err := RunTrace(TraceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ringCap = 64
-	w := traceWorld(TraceOptions{})
-	w.RingCap = ringCap
-	r, err := runTrace(w)
-	if err == nil {
-		t.Fatalf("RingCap %d: %d of %d records returned with no error", ringCap, len(r.Records), len(full.Records))
-	}
-	if want := fmt.Sprintf("%d records dropped", len(full.Records)-ringCap); !strings.Contains(err.Error(), want) {
-		t.Fatalf("RingCap %d: err = %v, want one naming %q", ringCap, err, want)
 	}
 }

@@ -50,7 +50,7 @@ type Cell struct {
 	// gains Grid.ResizeAdd timed arrivals at Grid.ResizeCycle and
 	// auto-grows into them mid-run), or "growskew" (the same growth, but a
 	// competing process lands on node 0 two cycles before the arrivals, so
-	// the diff schedule redistributes into an already-skewed world). Empty
+	// the grow redistributes into an already-skewed world). Empty
 	// means "none". Growth needs mid-run joiners: jacobi and sor only.
 	Resize string
 }
@@ -97,7 +97,6 @@ type Grid struct {
 	CrashCycle  int     // phase cycle of the crash
 	ResizeCycle int     // phase cycle the "grow" arrivals come up at
 	ResizeAdd   int     // nodes added by "grow" cells
-	RingCap     int     // per-world telemetry ring capacity
 }
 
 // Smoke returns the CI-sized grid: 2 scenarios × 2 world sizes × fault
@@ -129,7 +128,6 @@ func Smoke() Grid {
 		CPNode: 1, CPCycle: 10,
 		CrashNode: 2, CrashCycle: 12,
 		ResizeCycle: 18, ResizeAdd: 1,
-		RingCap: 1 << 15,
 	}
 }
 
@@ -249,9 +247,6 @@ func (g *Grid) Validate() error {
 	}
 	if g.Rows < 8 || g.Cols < 8 || g.Iters < 1 {
 		return fmt.Errorf("sweep: degenerate workload %dx%dx%d", g.Rows, g.Cols, g.Iters)
-	}
-	if g.RingCap < 1 {
-		return fmt.Errorf("sweep: RingCap %d < 1 (every cell folds its world's telemetry ring)", g.RingCap)
 	}
 	return nil
 }

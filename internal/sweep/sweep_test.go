@@ -151,36 +151,6 @@ func checkGolden(t *testing.T, golden, report string) {
 	}
 }
 
-// TestRingOverflowFailsTheCell: a world that emitted more records than its
-// ring holds reports the overflow instead of percentiles of the truncated
-// stream; at the default capacity the same cell has statistics.
-func TestRingOverflowFailsTheCell(t *testing.T) {
-	g := Smoke()
-	if err := g.ParseSpec("scen=jacobi;ranks=4;overlap=0;fault=none;rep=0;rma=0;resize=none"); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	full, err := Run(Options{Grid: g})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	g.RingCap = 16
-	tiny, err := Run(Options{Grid: g})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	for i, c := range tiny.Cells {
-		if full.Cells[i].Err != "" || full.Cells[i].Stats.Cycles <= 16 {
-			t.Fatalf("cell %s at the default RingCap: %+v", c.Key, full.Cells[i])
-		}
-		if !strings.Contains(c.Err, "telemetry ring overflow") || !strings.Contains(c.Err, "raise RingCap") {
-			t.Errorf("cell %s at RingCap 16: Err = %q, want a ring-overflow error", c.Key, c.Err)
-		}
-		if c.Stats != (CellStats{}) {
-			t.Errorf("cell %s overflowed but carries statistics %+v", c.Key, c.Stats)
-		}
-	}
-}
-
 // TestSmokeGridCoversAxes pins the smoke grid shape: every axis value
 // appears, and the enumeration covers the full cross product.
 func TestSmokeGridCoversAxes(t *testing.T) {
@@ -276,15 +246,6 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("Validate accepted %q", invalid)
 		} else if !strings.HasPrefix(err.Error(), "sweep: ") {
 			t.Errorf("Validate(%q) = %q, want a sweep: error", invalid, err)
-		}
-	}
-	// A cell without a telemetry ring is refused by name, not by a panic in
-	// a pool worker.
-	for _, rc := range []int{0, -1} {
-		g := Smoke()
-		g.RingCap = rc
-		if _, err := Run(Options{Grid: g}); err == nil || !strings.Contains(err.Error(), "RingCap") {
-			t.Errorf("RingCap %d: Run = %v, want an error naming RingCap", rc, err)
 		}
 	}
 	// Growth into a scenario without joiner support names both.

@@ -3,6 +3,7 @@ package sweep
 import (
 	"cmp"
 	"fmt"
+	"math"
 
 	"repro/internal/apps"
 	"repro/internal/apps/cg"
@@ -42,14 +43,13 @@ type World struct {
 	// Core configures the runtime, taken as given: the zero Config is a
 	// run without adaptation.
 	Core core.Config
-	// RingCap is the capacity of the telemetry ring Run attaches as
-	// Core.Telemetry; 0 attaches none.
-	RingCap int
+	// Trace attaches a telemetry ring as Core.Telemetry. The ring is
+	// unbounded: it grows as records arrive and keeps the whole stream.
+	Trace bool
 }
 
 // Outcome is a finished world: what its application returned, its telemetry
-// ring (nil when RingCap is 0), and the error that ended the run or that
-// the ring overflowed.
+// ring (nil without Trace), and the error that ended the run.
 type Outcome struct {
 	Res  apps.Result
 	Ring *telemetry.Ring
@@ -57,9 +57,7 @@ type Outcome struct {
 }
 
 // Run builds the cluster (an invalid spec is an error), attaches the ring
-// and runs the application to completion on the calling goroutine. A ring
-// that dropped records is an error: a truncated stream would read as a
-// result.
+// and runs the application to completion on the calling goroutine.
 func (w *World) Run() Outcome {
 	cl, err := cluster.Build(w.Spec)
 	if err != nil {
@@ -67,8 +65,8 @@ func (w *World) Run() Outcome {
 	}
 	var o Outcome
 	c := w.Core
-	if w.RingCap > 0 {
-		o.Ring = telemetry.NewRing(w.RingCap)
+	if w.Trace {
+		o.Ring = telemetry.NewRing(math.MaxInt)
 		c.Telemetry = o.Ring
 	}
 	switch w.App {
@@ -98,9 +96,6 @@ func (w *World) Run() Outcome {
 	default:
 		o.Err = fmt.Errorf("sweep: unknown app %q", w.App)
 	}
-	if o.Err == nil && o.Ring != nil && o.Ring.Dropped() > 0 {
-		o.Err = fmt.Errorf("telemetry ring overflow: %d records dropped, raise RingCap", o.Ring.Dropped())
-	}
 	return o
 }
 
@@ -120,11 +115,11 @@ func (g *Grid) World(c Cell) World {
 	}
 	if c.Resize == "growskew" {
 		// A second competing process degrades node 0 just before the
-		// arrivals, so the grow's diff schedule redistributes under skew.
+		// arrivals, so the grow redistributes under skew.
 		spec = spec.With(cluster.CycleEvent(0, g.ResizeCycle-2, +1))
 	}
 	w := World{Spec: spec, App: c.Scenario, Rows: g.Rows, Cols: g.Cols, Iters: g.Iters,
-		Core: core.DefaultConfig(), RingCap: g.RingCap}
+		Core: core.DefaultConfig(), Trace: true}
 	w.Core.Drop = core.DropAlways
 	w.Core.GracePeriod = c.GP
 	w.Core.Replicate = c.Replicate

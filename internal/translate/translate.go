@@ -13,14 +13,16 @@
 //	arr.RowHead(i+c)  arr.Append(i+c, …)  arr.PackRow(i+c)
 //
 // where i is the loop variable, classifying each as a read or a write from
-// its syntactic context (assignment target vs operand). Loop bounds may
-// carry constant offsets (`for g := lo+1; g < hi-1; g++`, the interior
-// loop of an overlapped halo sweep), and row-kernel closures — single
-// parameter function literals bound to an identifier and called from a
-// partitioned loop with the loop index ±const — are analysed as if
+// its syntactic context (assignment target vs operand) in the same walk, and
+// naming it by the array's registered name, as the declarations do
+// (`u := rt.RegisterDense("U", …)` makes u's references accesses of "U").
+// Loop bounds may carry constant offsets (`for g := lo+1; g < hi-1; g++`,
+// the interior loop of an overlapped halo sweep), and row-kernel closures —
+// single parameter function literals bound to an identifier and called from
+// a partitioned loop with the loop index ±const — are analysed as if
 // inlined, with offsets shifted by the call argument. The result is the
 // access list the program must declare, which callers can compare against
-// the declarations actually present (the Verify entry point) or print as
+// the declarations actually present (Result.Missing) or print as
 // ready-to-paste AddAccess calls (cmd/drsdgen).
 //
 // The subset handled mirrors the paper's model: unit-stride references
@@ -36,12 +38,14 @@
 package translate
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // Access is one derived array access: array[i*Step + Off] with Write
@@ -79,16 +83,19 @@ type Result struct {
 	Issues []Issue
 }
 
-// rowMethods maps matrix methods to whether their first argument is the
-// row index (all of these reference the distributed dimension).
+// rowMethods are the matrix methods whose first argument is the row index
+// (all of these reference the distributed dimension), each mapped to
+// whether it always stores.
 var rowMethods = map[string]bool{
-	"Row": true, "RowHead": true, "RowLen": true, "Append": true,
-	"PackRow": true, "UnpackRow": true, "ClearRow": true, "RowWireBytes": true,
+	"Row": false, "RowHead": false, "RowLen": false, "PackRow": false, "RowWireBytes": false,
+	"Append": true, "UnpackRow": true, "ClearRow": true,
 }
 
-// writeMethods are row methods that always store.
-var writeMethods = map[string]bool{
-	"Append": true, "UnpackRow": true, "ClearRow": true,
+// registerMethods register a distributed array under the name its access
+// declarations use (dynmpi's and dmpic's spellings).
+var registerMethods = map[string]bool{
+	"RegisterDense": true, "RegisterSparse": true,
+	"DMPI_register_dense_array": true, "DMPI_register_sparse_array": true,
 }
 
 // AnalyzeFile parses and analyses one Go source file.
@@ -99,29 +106,28 @@ func AnalyzeFile(filename string, src any) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	kernels := collectKernels(file)
+	w := &walker{fset: fset, kernels: collectKernels(file), inlining: map[string]bool{}, res: res}
+	registered := map[string]string{} // array variable -> registered name
 	ast.Inspect(file, func(n ast.Node) bool {
-		loop, ok := n.(*ast.ForStmt)
-		if !ok {
-			return true
-		}
-		iv, bounded := loopVar(loop)
-		if !bounded {
-			return true
-		}
-		collectLoop(fset, loop.Body, iv, 0, kernels, map[string]bool{}, res)
-		return true
-	})
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if d, ok := declaredAccess(call); ok {
-			res.Declared = append(res.Declared, d)
+		switch n := n.(type) {
+		case *ast.ForStmt:
+			if iv, bounded := loopVar(n); bounded {
+				w.loop(n.Body, iv, 0)
+			}
+		case *ast.AssignStmt:
+			recordRegistrations(n, registered)
+		case *ast.CallExpr:
+			if d, ok := declaredAccess(n); ok {
+				res.Declared = append(res.Declared, d)
+			}
 		}
 		return true
 	})
+	for i, a := range res.Accesses {
+		if name, ok := registered[a.Array]; ok {
+			res.Accesses[i].Array = name
+		}
+	}
 	res.Accesses = dedup(res.Accesses)
 	res.Declared = dedup(res.Declared)
 	return res, nil
@@ -200,23 +206,13 @@ func boundIdent(e ast.Expr) (*ast.Ident, bool) {
 func collectKernels(file *ast.File) map[string]*ast.FuncLit {
 	kernels := map[string]*ast.FuncLit{}
 	ast.Inspect(file, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+			name, isIdent := as.Lhs[0].(*ast.Ident)
+			lit, isLit := as.Rhs[0].(*ast.FuncLit)
+			if isIdent && isLit && len(lit.Type.Params.List) == 1 && len(lit.Type.Params.List[0].Names) == 1 {
+				kernels[name.Name] = lit
+			}
 		}
-		name, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		lit, ok := as.Rhs[0].(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		params := lit.Type.Params.List
-		if len(params) != 1 || len(params[0].Names) != 1 {
-			return true
-		}
-		kernels[name.Name] = lit
 		return true
 	})
 	return kernels
@@ -230,63 +226,91 @@ func boundsName(s string) bool {
 	return false
 }
 
-// collectLoop walks a partitioned loop (or inlined kernel) body for row
-// references made at index iv±const; shift is the constant offset the call
-// chain has already applied to iv (0 at the loop itself). Kernel calls
-// recurse with the kernel parameter as the new index variable; inlining
-// guards against self-recursive kernels.
-func collectLoop(fset *token.FileSet, body ast.Node, iv string, shift int, kernels map[string]*ast.FuncLit, inlining map[string]bool, res *Result) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+// walker derives one file's accesses into res. kernels are the file's
+// row-kernel closures; inlining names the kernels on the current call chain,
+// guarding against self-recursive kernels.
+type walker struct {
+	fset     *token.FileSet
+	kernels  map[string]*ast.FuncLit
+	inlining map[string]bool
+	res      *Result
+}
+
+// loop walks a partitioned loop (or inlined kernel) body for row references
+// made at index iv±const; shift is the constant offset the call chain has
+// already applied to iv (0 at the loop itself). A reference is a write when
+// its method always stores or when it is the target of an assignment, of
+// copy or of an inc/dec statement: the walk meets each statement before the
+// row call inside it. A kernel call recurses with the kernel's parameter as
+// the index variable.
+func (w *walker) loop(body ast.Node, iv string, shift int) {
+	written := map[*ast.CallExpr]bool{}
+	mark := func(e ast.Expr) {
+		if call := callIn(e); call != nil {
+			written[call] = true
 		}
-		if id, ok := call.Fun.(*ast.Ident); ok && len(call.Args) == 1 {
-			if lit := kernels[id.Name]; lit != nil && !inlining[id.Name] {
-				off, refsLoop, err := offsetOf(call.Args[0], iv)
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				mark(lhs)
+			}
+		case *ast.IncDecStmt:
+			mark(n.X)
+		case *ast.CallExpr:
+			id, isIdent := n.Fun.(*ast.Ident)
+			switch {
+			case !isIdent:
+				w.rowRef(n, iv, shift, written[n])
+			case id.Name == "copy" && len(n.Args) == 2:
+				mark(n.Args[0])
+			case w.kernels[id.Name] != nil && len(n.Args) == 1 && !w.inlining[id.Name]:
+				off, refsLoop, err := offsetOf(n.Args[0], iv)
 				if err != nil {
-					res.Issues = append(res.Issues, Issue{
-						Pos:    fset.Position(call.Pos()),
-						Reason: fmt.Sprintf("%s: %v", id.Name, err),
-					})
-					return true
+					w.issue(n, id.Name, err)
+				} else if refsLoop {
+					lit := w.kernels[id.Name]
+					w.inlining[id.Name] = true
+					w.loop(lit.Body, lit.Type.Params.List[0].Names[0].Name, shift+off)
+					delete(w.inlining, id.Name)
 				}
-				if refsLoop {
-					param := lit.Type.Params.List[0].Names[0].Name
-					inlining[id.Name] = true
-					collectLoop(fset, lit.Body, param, shift+off, kernels, inlining, res)
-					delete(inlining, id.Name)
-				}
-				return true
 			}
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !rowMethods[sel.Sel.Name] || len(call.Args) == 0 {
-			return true
-		}
-		recv, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		off, refsLoop, err := offsetOf(call.Args[0], iv)
-		if err != nil {
-			res.Issues = append(res.Issues, Issue{
-				Pos:    fset.Position(call.Pos()),
-				Reason: fmt.Sprintf("%s.%s: %v", recv.Name, sel.Sel.Name, err),
-			})
-			return true
-		}
-		if !refsLoop {
-			return true // constant row; not a distributed reference
-		}
-		res.Accesses = append(res.Accesses, Access{
-			Array: recv.Name,
-			Write: writeMethods[sel.Sel.Name], // element stores are detected in the write pass
-			Step:  1,
-			Off:   off + shift,
-		})
 		return true
 	})
+}
+
+// rowRef records call as an access if it is a row method of an array
+// variable indexed at iv±const.
+func (w *walker) rowRef(call *ast.CallExpr, iv string, shift int, write bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || len(call.Args) == 0 {
+		return
+	}
+	stores, isRow := rowMethods[sel.Sel.Name]
+	recv, ok := sel.X.(*ast.Ident)
+	if !isRow || !ok {
+		return
+	}
+	off, refsLoop, err := offsetOf(call.Args[0], iv)
+	if err != nil {
+		w.issue(call, recv.Name+"."+sel.Sel.Name, err)
+		return
+	}
+	if !refsLoop {
+		return // constant row; not a distributed reference
+	}
+	w.res.Accesses = append(w.res.Accesses, Access{
+		Array: recv.Name,
+		Write: write || stores,
+		Step:  1,
+		Off:   off + shift,
+	})
+}
+
+func (w *walker) issue(call *ast.CallExpr, what string, err error) {
+	w.res.Issues = append(w.res.Issues, Issue{Pos: w.fset.Position(call.Pos()), Reason: fmt.Sprintf("%s: %v", what, err)})
 }
 
 // offsetOf resolves expressions of the form i, i+c, i-c, c+i to a constant
@@ -349,91 +373,10 @@ func offsetOf(e ast.Expr, iv string) (off int, refsLoop bool, err error) {
 	}
 }
 
-// AnalyzeFileWithWrites runs the full pipeline: AnalyzeFile plus a write
-// pass that upgrades any access whose row expression occurs on the
-// left-hand side of an assignment (`X.Row(i±c)[…] = …`), as the first
-// argument of copy, or in an inc/dec statement.
-func AnalyzeFileWithWrites(filename string, src any) (*Result, error) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, filename, src, 0)
-	if err != nil {
-		return nil, err
-	}
-	res, err := AnalyzeFile(filename, src)
-	if err != nil {
-		return nil, err
-	}
-	kernels := collectKernels(file)
-	writes := map[string]map[int]bool{} // array -> offsets written
-	record := func(e ast.Expr, iv string, shift int) {
-		call := rowCallIn(e)
-		if call == nil {
-			return
-		}
-		sel := call.Fun.(*ast.SelectorExpr)
-		recv, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return
-		}
-		off, refs, err := offsetOf(call.Args[0], iv)
-		if err != nil || !refs {
-			return
-		}
-		if writes[recv.Name] == nil {
-			writes[recv.Name] = map[int]bool{}
-		}
-		writes[recv.Name][off+shift] = true
-	}
-	var scanWrites func(body ast.Node, iv string, shift int, inlining map[string]bool)
-	scanWrites = func(body ast.Node, iv string, shift int, inlining map[string]bool) {
-		ast.Inspect(body, func(m ast.Node) bool {
-			switch s := m.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range s.Lhs {
-					record(lhs, iv, shift)
-				}
-			case *ast.CallExpr:
-				if id, ok := s.Fun.(*ast.Ident); ok {
-					if id.Name == "copy" && len(s.Args) == 2 {
-						record(s.Args[0], iv, shift)
-					} else if lit := kernels[id.Name]; lit != nil && len(s.Args) == 1 && !inlining[id.Name] {
-						if off, refs, err := offsetOf(s.Args[0], iv); err == nil && refs {
-							param := lit.Type.Params.List[0].Names[0].Name
-							inlining[id.Name] = true
-							scanWrites(lit.Body, param, shift+off, inlining)
-							delete(inlining, id.Name)
-						}
-					}
-				}
-			case *ast.IncDecStmt:
-				record(s.X, iv, shift)
-			}
-			return true
-		})
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		loop, ok := n.(*ast.ForStmt)
-		if !ok {
-			return true
-		}
-		iv, bounded := loopVar(loop)
-		if !bounded {
-			return true
-		}
-		scanWrites(loop.Body, iv, 0, map[string]bool{})
-		return true
-	})
-	for i, a := range res.Accesses {
-		if writes[a.Array] != nil && writes[a.Array][a.Off] {
-			res.Accesses[i].Write = true
-		}
-	}
-	res.Accesses = dedup(res.Accesses)
-	return res, nil
-}
-
-// rowCallIn digs a Row(...) call out of an index/slice expression chain.
-func rowCallIn(e ast.Expr) *ast.CallExpr {
+// callIn digs the call at the root of an index/slice expression chain
+// (`X.Row(i)[j]`, `X.Row(i)[a:b]`) out of e; rowRef decides whether it is a
+// row reference.
+func callIn(e ast.Expr) *ast.CallExpr {
 	for {
 		switch x := e.(type) {
 		case *ast.IndexExpr:
@@ -441,10 +384,7 @@ func rowCallIn(e ast.Expr) *ast.CallExpr {
 		case *ast.SliceExpr:
 			e = x.X
 		case *ast.CallExpr:
-			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && rowMethods[sel.Sel.Name] && len(x.Args) > 0 {
-				return x
-			}
-			return nil
+			return x
 		default:
 			return nil
 		}
@@ -452,18 +392,14 @@ func rowCallIn(e ast.Expr) *ast.CallExpr {
 }
 
 // declaredAccess recognises an existing ph.AddAccess("A", mode, step, off)
-// call in the source.
+// call (or dmpic's DMPI_add_array_access) in the source.
 func declaredAccess(call *ast.CallExpr) (Access, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "AddAccess" || len(call.Args) != 4 {
+	if !ok || (sel.Sel.Name != "AddAccess" && sel.Sel.Name != "DMPI_add_array_access") || len(call.Args) != 4 {
 		return Access{}, false
 	}
-	lit, ok := call.Args[0].(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return Access{}, false
-	}
-	name, err := strconv.Unquote(lit.Value)
-	if err != nil {
+	name, ok := stringArg(call.Args[0])
+	if !ok {
 		return Access{}, false
 	}
 	step, ok1 := intArg(call.Args[2])
@@ -471,9 +407,13 @@ func declaredAccess(call *ast.CallExpr) (Access, bool) {
 	if !ok1 || !ok2 {
 		return Access{}, false
 	}
+	mode := call.Args[1]
+	if sel, ok := mode.(*ast.SelectorExpr); ok {
+		mode = sel.Sel
+	}
 	write := false
-	if modeSel, ok := call.Args[1].(*ast.SelectorExpr); ok {
-		switch modeSel.Sel.Name {
+	if id, ok := mode.(*ast.Ident); ok {
+		switch id.Name {
 		case "Write", "ReadWrite", "DMPI_WRITE", "DMPI_READWRITE":
 			write = true
 		}
@@ -481,10 +421,40 @@ func declaredAccess(call *ast.CallExpr) (Access, bool) {
 	return Access{Array: name, Write: write, Step: step, Off: off}, true
 }
 
+// recordRegistrations maps each `v := x.RegisterDense("NAME", …)` in as
+// (or any other registerMethods call) to names[v] = "NAME": the analysis
+// meets the array as v, its declarations name it NAME.
+func recordRegistrations(as *ast.AssignStmt, names map[string]string) {
+	if len(as.Lhs) != len(as.Rhs) {
+		return
+	}
+	for i, lhs := range as.Lhs {
+		v, ok := lhs.(*ast.Ident)
+		call, isCall := as.Rhs[i].(*ast.CallExpr)
+		if !ok || !isCall || len(call.Args) == 0 {
+			continue
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && registerMethods[sel.Sel.Name] {
+			if name, ok := stringArg(call.Args[0]); ok {
+				names[v.Name] = name
+			}
+		}
+	}
+}
+
+func stringArg(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
+}
+
 func intArg(e ast.Expr) (int, bool) {
 	neg := false
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.SUB {
-		neg = true
+	if u, ok := e.(*ast.UnaryExpr); ok && (u.Op == token.SUB || u.Op == token.ADD) {
+		neg = u.Op == token.SUB
 		e = u.X
 	}
 	lit, ok := e.(*ast.BasicLit)
@@ -501,31 +471,19 @@ func intArg(e ast.Expr) (int, bool) {
 	return v, true
 }
 
-// dedup sorts and deduplicates accesses, merging read+write of the same
-// (array, step, off) into a write.
+// dedup sorts accesses by array, offset and step, and merges those of one
+// (array, step, off), a write if any of them is.
 func dedup(in []Access) []Access {
-	type key struct {
-		array     string
-		step, off int
-	}
-	m := map[key]bool{}
-	order := []key{}
-	for _, a := range in {
-		k := key{a.Array, a.Step, a.Off}
-		if _, seen := m[k]; !seen {
-			order = append(order, k)
-		}
-		m[k] = m[k] || a.Write
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].array != order[j].array {
-			return order[i].array < order[j].array
-		}
-		return order[i].off < order[j].off
+	slices.SortStableFunc(in, func(a, b Access) int {
+		return cmp.Or(strings.Compare(a.Array, b.Array), a.Off-b.Off, a.Step-b.Step)
 	})
-	out := make([]Access, 0, len(order))
-	for _, k := range order {
-		out = append(out, Access{Array: k.array, Write: m[k], Step: k.step, Off: k.off})
+	out := in[:0]
+	for _, a := range in {
+		if k := len(out) - 1; k >= 0 && out[k].Array == a.Array && out[k].Step == a.Step && out[k].Off == a.Off {
+			out[k].Write = out[k].Write || a.Write
+			continue
+		}
+		out = append(out, a)
 	}
 	return out
 }

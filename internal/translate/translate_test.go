@@ -1,6 +1,11 @@
 package translate
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,7 +27,7 @@ func kernel(rt *Runtime, a, b *Dense, ph *Phase, n int) {
 `
 
 func TestDeriveJacobiAccesses(t *testing.T) {
-	res, err := AnalyzeFileWithWrites("jacobi.go", jacobiSrc)
+	res, err := AnalyzeFile("jacobi.go", jacobiSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +89,7 @@ func kernel(a *Dense, ph *Phase) {
 `
 
 func TestWriteDetection(t *testing.T) {
-	res, err := AnalyzeFileWithWrites("w.go", directWriteSrc)
+	res, err := AnalyzeFile("w.go", directWriteSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +124,7 @@ func kernel(s *Sparse, ph *Phase) {
 `
 
 func TestSparseMethods(t *testing.T) {
-	res, err := AnalyzeFileWithWrites("s.go", sparseSrc)
+	res, err := AnalyzeFile("s.go", sparseSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +151,7 @@ func kernel(a *Dense, ph *Phase, m int) {
 `
 
 func TestUnresolvableReferencesReported(t *testing.T) {
-	res, err := AnalyzeFileWithWrites("c.go", complexSrc)
+	res, err := AnalyzeFile("c.go", complexSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +176,7 @@ func kernel(a *Dense, ph *Phase) {
 `
 
 func TestConstantRowIgnored(t *testing.T) {
-	res, err := AnalyzeFileWithWrites("k.go", constantRowSrc)
+	res, err := AnalyzeFile("k.go", constantRowSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +201,7 @@ func kernel(A, B *Dense, ph *Phase) {
 `
 
 func TestMissingDeclarations(t *testing.T) {
-	res, err := AnalyzeFileWithWrites("d.go", declaredSrc)
+	res, err := AnalyzeFile("d.go", declaredSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +227,7 @@ func TestAccessString(t *testing.T) {
 }
 
 func TestParseErrorPropagates(t *testing.T) {
-	if _, err := AnalyzeFileWithWrites("bad.go", "not go"); err == nil {
+	if _, err := AnalyzeFile("bad.go", "not go"); err == nil {
 		t.Fatal("expected parse error")
 	}
 }
@@ -230,12 +235,15 @@ func TestParseErrorPropagates(t *testing.T) {
 // TestRealApplications runs the analyzer over the repository's own
 // applications and checks it derives sensible access lists.
 func TestRealApplications(t *testing.T) {
-	res, err := AnalyzeFileWithWrites("../apps/jacobi/jacobi.go", nil)
+	res, err := AnalyzeFile("../apps/jacobi/jacobi.go", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The Jacobi kernel reads src at -1/0/+1 and writes dst at 0; the
-	// analyzer sees the local variable names (src/dst aliases of a/b).
+	// The Jacobi kernel reads src at -1/0/+1 and writes dst at 0. src and
+	// dst are ping-pong aliases of the registered A and B, swapped every
+	// cycle, so the accesses keep the alias names: tracking which array an
+	// alias holds needs dataflow, and the program's own AddAccess calls, in
+	// a loop over the names, are not literal declarations either.
 	found := map[string]bool{}
 	for _, a := range res.Accesses {
 		found[a.Array+plus(a.Off)] = true
@@ -246,8 +254,9 @@ func TestRealApplications(t *testing.T) {
 		}
 	}
 	// SOR's range sweep holds its partitioned loop itself (it used to sit
-	// behind a two-argument per-row closure the analysis does not follow).
-	res, err = AnalyzeFileWithWrites("../apps/sor/sor.go", nil)
+	// behind a two-argument per-row closure the analysis does not follow),
+	// and its accesses take the registered name U of the variable u.
+	res, err = AnalyzeFile("../apps/sor/sor.go", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +264,13 @@ func TestRealApplications(t *testing.T) {
 	for _, a := range res.Accesses {
 		found[a.Array+plus(a.Off)] = true
 	}
-	for _, want := range []string{"u-1", "u+0", "u+1"} {
+	for _, want := range []string{"U-1", "U+0", "U+1"} {
 		if !found[want] {
 			t.Fatalf("sor analysis missing %s; got %v", want, res.Accesses)
 		}
+	}
+	if m := res.Missing(); len(m) != 0 {
+		t.Fatalf("sor's declarations miss %v", m)
 	}
 }
 
@@ -291,7 +303,7 @@ func kernel(a, b *Dense, ph *Phase, n int) {
 // the call argument (here +1), offset loop bounds are recognised, and the
 // copy through the kernel body still marks the write.
 func TestDeriveKernelClosureAccesses(t *testing.T) {
-	res, err := AnalyzeFileWithWrites("overlap.go", overlapSrc)
+	res, err := AnalyzeFile("overlap.go", overlapSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,5 +328,104 @@ func TestDeriveKernelClosureAccesses(t *testing.T) {
 		if a.Write != w {
 			t.Fatalf("access %v write=%v, want %v", a, a.Write, w)
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/programs.golden")
+
+// programs are the repository's programs written against the runtime, as
+// paths from the repository root.
+var programs = []string{
+	"internal/apps/jacobi/jacobi.go",
+	"internal/apps/sor/sor.go",
+	"internal/apps/cg/cg.go",
+	"internal/apps/particles/particles.go",
+	"examples/multiperiod/main.go",
+	"examples/noderemoval/main.go",
+	"examples/quickstart/main.go",
+	"examples/rejoin/main.go",
+	"examples/unbalanced/main.go",
+}
+
+// outside names the programs whose declarations the analysis cannot match,
+// and why.
+var outside = map[string]string{
+	"internal/apps/jacobi/jacobi.go": "its kernel indexes the ping-pong aliases src and dst " +
+		"(src, dst := b, a), and it declares its accesses in a loop over the array names",
+}
+
+// TestProgramsGolden pins the analysis of every program in the repository:
+// its derived accesses, the ones its declarations do not cover and the
+// references it could not resolve, in testdata/programs.golden. Run with
+// -update to rewrite the file after an intended change. Every program but
+// those in outside declares all it accesses (drsdgen -check passes).
+func TestProgramsGolden(t *testing.T) {
+	var b strings.Builder
+	for _, p := range programs {
+		res, err := AnalyzeFile(filepath.Join("..", "..", p), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s:\n", p)
+		if why, ok := outside[p]; ok {
+			fmt.Fprintf(&b, "  outside the analysis: %s\n", why)
+		} else if m := res.Missing(); len(m) > 0 || len(res.Issues) > 0 {
+			t.Errorf("%s: missing %v, unresolved %v", p, m, res.Issues)
+		}
+		for _, a := range res.Accesses {
+			fmt.Fprintf(&b, "  access %s\n", a)
+		}
+		for _, a := range res.Missing() {
+			fmt.Fprintf(&b, "  missing %s\n", a)
+		}
+		for _, is := range res.Issues {
+			fmt.Fprintf(&b, "  unresolved %d:%d: %s\n", is.Pos.Line, is.Pos.Column, is.Reason)
+		}
+	}
+	golden := filepath.Join("testdata", "programs.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("%s differs:\n--- got\n%s--- want\n%s", golden, got, want)
+	}
+}
+
+const registeredSrc = `package main
+
+func run(p *P, n int) {
+	x := p.DMPI_register_dense_array("X", n, 8)
+	p.DMPI_add_array_access("X", DMPI_READWRITE, 1, 0)
+	p.DMPI_add_array_access("X", DMPI_READ, 1, +1)
+	lo, hi := p.Bounds()
+	for i := lo; i < hi; i++ {
+		x.Row(i)[0] = x.Row(i + 1)[0]
+	}
+}
+`
+
+// TestRegisteredNames: an access takes the name its array was registered
+// under, not the Go variable holding it, and a declared offset may carry an
+// explicit plus sign, so the program's declarations cover its accesses.
+func TestRegisteredNames(t *testing.T) {
+	res, err := AnalyzeFile("r.go", registeredSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Access{{Array: "X", Write: true, Step: 1, Off: 0}, {Array: "X", Step: 1, Off: 1}}
+	if !slices.Equal(res.Accesses, want) || !slices.Equal(res.Declared, want) {
+		t.Fatalf("accesses %v, declared %v, want both %v", res.Accesses, res.Declared, want)
+	}
+	if m := res.Missing(); len(m) != 0 {
+		t.Fatalf("missing %v", m)
 	}
 }
