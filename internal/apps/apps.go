@@ -73,8 +73,9 @@ func NewCollector() *Collector {
 
 // Run runs one application world: every rank of cl builds a runtime
 // configured by cfg, runs body — which registers the rank's arrays, runs its
-// cycles and returns its checksums (see Result) — then finalizes and reports
-// to one Collector, whose Result is the world's. A cfg that fails
+// cycles and returns its checksums (see Result) — then finalizes, reports
+// to one Collector, whose Result is the world's, and releases its dense
+// arrays' rows for the next world (core.Runtime.ReleaseArrays). A cfg that fails
 // core.Config.Validate is returned before any rank starts.
 func Run(cl *cluster.Cluster, cfg core.Config, body func(rt *core.Runtime) (checksum float64, checkInt int64, err error)) (Result, error) {
 	if err := cfg.Validate(); err != nil {
@@ -89,6 +90,7 @@ func Run(cl *cluster.Cluster, cfg core.Config, body func(rt *core.Runtime) (chec
 		}
 		rt.Finalize()
 		col.Report(rt, sum, check)
+		rt.ReleaseArrays() // the body is done with its rows: the next world's arrays take them
 		return nil
 	})
 	if err != nil {

@@ -269,3 +269,17 @@ func (rt *Runtime) Finalize() {
 	}
 	rt.releaseReplicas()
 }
+
+// ReleaseArrays hands the row storage of every registered dense array to
+// the process-wide store the next world's arrays take theirs from
+// (matrix.Dense.Release); the arrays are empty afterwards. It is not part
+// of Finalize, because a body may still read its rows after Finalize: only
+// the harness that owns the body calls it, once the body and the report are
+// done (apps.Run).
+func (rt *Runtime) ReleaseArrays() {
+	for i := range rt.arrays {
+		if d := rt.arrays[i].dense; d != nil {
+			d.Release()
+		}
+	}
+}

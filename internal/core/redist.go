@@ -42,7 +42,10 @@ func (rt *Runtime) commitSlab(a *regArray, lo, hi int, payload any) {
 // message) every redistributing bench workload allocated more bytes per
 // repetition, +5% (adapt_dense) to +32% (sweep_smoke). They are lists, not
 // sync.Pools, so that no garbage collection empties them: which slabs a
-// world can reuse does not depend on where a GC landed.
+// world can reuse does not depend on where a GC landed. The rows of a dense
+// array have the same lifetime: ReleaseArrays hands them to matrix's
+// process-wide row store, bounded in bytes the same way, where the next
+// world's arrays take them (matrix.Dense.Release).
 //
 // Free-list invariants:
 //
@@ -81,7 +84,8 @@ var (
 // refresh_rma's 64 ranks, and a bound of 64 slabs made every repetition
 // allocate most of them afresh. The most any bench workload holds free at
 // once is 2.4 MB in 276 slabs (refresh_rma; sweep_smoke 1.2 MB, adapt_dense
-// 30 KB, and adapt_sparse 170 KB on the sparse list).
+// 30 KB, and adapt_sparse 170 KB on the sparse list). The rows a world
+// releases are not on these lists: matrix's row store bounds them apart.
 const maxFreeBytes = 4 << 20
 
 // slabList is a process-wide, mutex-guarded LIFO free list of slabs.

@@ -8,9 +8,12 @@
 //   - Projection (the paper's scheme): a top-level vector of row pointers.
 //     Changing the resident window copies only the top-level vector and
 //     allocates/frees individual rows; retained rows are reused in place.
-//     A Dense owns its rows: "freeing" a row puts it on the array's own free
-//     list and "allocating" one takes it back zeroed, so a window that slides
-//     back and forth allocates nothing (see SetWindow).
+//     Within a world a Dense owns its rows: "freeing" a row puts it on the
+//     array's own free list and "allocating" one takes it back zeroed, so a
+//     window that slides back and forth allocates nothing (see SetWindow).
+//     Across worlds the storage outlives its array: Release hands the
+//     chunks the rows were carved from to a process-wide store, and the
+//     next world's arrays carve their rows from those (see Release).
 //   - Contiguous (the baseline): one flat backing array. Any change to the
 //     resident window reallocates and copies the whole local block, which
 //     for large arrays causes the excessive memory traffic (and paging)
@@ -28,6 +31,7 @@ package matrix
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Alloc selects the dense allocation scheme.
@@ -78,6 +82,14 @@ type Dense struct {
 	rows   [][]float64 // rows[g-lo] is global row g
 	spare  [][]float64 // the previous top-level vector, backing of the next one
 	free   [][]float64 // Projection: rows that left the window, reused for rows entering it
+
+	// Projection: the chunks every row was carved from, whole, for Release.
+	// chunks starts on chunkBuf, so recording them allocates nothing for an
+	// array that carves at most four in its life: one for the first window
+	// and one per growth its free list cannot supply (the bench workloads'
+	// arrays carve up to three).
+	chunks   [][]float64
+	chunkBuf [4][]float64
 }
 
 // NewDense creates an empty dense array descriptor; call SetWindow to make
@@ -86,7 +98,9 @@ func NewDense(name string, globalRows, rowLen int, scheme Alloc, sink CostSink) 
 	if globalRows <= 0 || rowLen <= 0 {
 		panic(fmt.Sprintf("matrix: bad dense shape %dx%d", globalRows, rowLen))
 	}
-	return &Dense{Name: name, GlobalRows: globalRows, RowLen: rowLen, scheme: scheme, sink: sink}
+	d := &Dense{Name: name, GlobalRows: globalRows, RowLen: rowLen, scheme: scheme, sink: sink}
+	d.chunks = d.chunkBuf[:0]
+	return d
 }
 
 // Scheme reports the allocation scheme in use.
@@ -130,11 +144,13 @@ func (d *Dense) outside(g int) {
 // top-level vector alternates between two backings. Under Projection a row
 // leaving the window goes on the array's free list and a row entering it is
 // taken from there and zeroed; only when the list runs dry are the missing
-// rows carved from one fresh chunk. A row on the free list is referenced by
-// nothing else — Row never hands out a non-resident row, and bulk transfers
-// copy (CopyRowsTo, PutRows) — so a caller holding a slice from Row must drop
-// it when the row leaves the window, as with any reallocation. Emptying the
-// window (lo == hi) drops the free list.
+// rows carved from one chunk, which the process-wide store supplies (zeroed)
+// when it holds one of exactly that length, and make otherwise. A row on the
+// free list is referenced by nothing else — Row never hands out a
+// non-resident row, and bulk transfers copy (CopyRowsTo, PutRows) — so a
+// caller holding a slice from Row must drop it when the row leaves the
+// window, as with any reallocation. Emptying the window (lo == hi) drops the
+// free list and the chunks to the GC, so a removed rank pins no rows.
 func (d *Dense) SetWindow(lo, hi int) {
 	if lo < 0 || hi > d.GlobalRows || lo > hi {
 		panic(fmt.Sprintf("matrix: %s bad window [%d,%d) of %d", d.Name, lo, hi, d.GlobalRows))
@@ -160,7 +176,8 @@ func (d *Dense) SetWindow(lo, hi int) {
 		}
 		var chunk []float64 // fresh storage for the rows the free list cannot supply
 		if missing := n - retained - len(d.free); missing > 0 {
-			chunk = make([]float64, missing*d.RowLen)
+			chunk = rowChunks.get(missing * d.RowLen)
+			d.chunks = append(d.chunks, chunk)
 		}
 		for g := lo; g < hi; g++ {
 			switch {
@@ -180,6 +197,8 @@ func (d *Dense) SetWindow(lo, hi int) {
 		}
 		if n == 0 {
 			d.free = nil
+			clear(d.chunks)
+			d.chunks = d.chunks[:0]
 		}
 		if d.sink != nil {
 			// Top-level vector copy (8 bytes per pointer) plus zeroing the
@@ -209,6 +228,82 @@ func (d *Dense) SetWindow(lo, hi int) {
 		oldRows[i] = nil // the spare vector must not keep rows reachable
 	}
 	d.lo, d.hi, d.rows, d.spare = lo, hi, newRows, oldRows
+}
+
+// Release ends the array's use of its storage: it empties the window, drops
+// the row vectors and the free list, and hands the chunks the rows were
+// carved from to the process-wide store, where a later array's SetWindow
+// takes them. Afterwards Row panics as for any row outside the window, and
+// no slice Row returned may be used: its storage may already be another
+// array's. It charges nothing, since the model's run is over. Only the code
+// that owns the array's last reader may call it: under core that is the
+// rank harness, through core.Runtime.ReleaseArrays, and never Finalize. A
+// later SetWindow starts the array over.
+func (d *Dense) Release() {
+	for _, c := range d.chunks {
+		rowChunks.put(c)
+	}
+	clear(d.chunks)
+	d.chunks = d.chunks[:0]
+	d.lo, d.hi, d.rows, d.spare, d.free = 0, 0, nil, nil, nil
+}
+
+// rowChunks is the process-wide store of the chunks Projection rows are
+// carved from. It is bounded in bytes, like core's redistribution slab
+// lists, and for the same reason process-wide: a program runs world after
+// world (a study, a sweep, a bench repetition), and the next world's arrays
+// take the last one's storage. A chunk goes back whole and comes out only
+// for a request of exactly its length, so no array is handed storage it
+// does not need, and the next repetition of a world finds its lengths.
+var rowChunks = &chunkStore{max: maxChunkBytes}
+
+// maxChunkBytes bounds the storage rowChunks holds; a chunk that would take
+// it past the bound is left to the GC. The most any bench workload holds at
+// once is 1.19 MB (refresh_rma's 64 ranks; sweep_smoke 0.95 MB, adapt_dense
+// 0.29 MB, the sparse and collective workloads none), and no chunk was
+// turned away at this bound.
+const maxChunkBytes = 4 << 20
+
+// chunkStore is a mutex-guarded free store of float64 chunks, LIFO per
+// length.
+type chunkStore struct {
+	mu    sync.Mutex
+	free  map[int][][]float64 // by length
+	bytes int                 // the storage the free chunks hold
+	max   int
+}
+
+// get returns a zeroed chunk of n values: a stored one of that length, or a
+// new one.
+func (s *chunkStore) get(n int) []float64 {
+	s.mu.Lock()
+	l := s.free[n]
+	k := len(l)
+	if k == 0 {
+		s.mu.Unlock()
+		return make([]float64, n)
+	}
+	c := l[k-1]
+	l[k-1] = nil
+	s.free[n] = l[:k-1]
+	s.bytes -= 8 * n
+	s.mu.Unlock()
+	clear(c)
+	return c
+}
+
+// put stores c, unless that would take the store past its bound.
+func (s *chunkStore) put(c []float64) {
+	n := len(c)
+	s.mu.Lock()
+	if s.bytes+8*n <= s.max {
+		if s.free == nil {
+			s.free = make(map[int][][]float64)
+		}
+		s.free[n] = append(s.free[n], c)
+		s.bytes += 8 * n
+	}
+	s.mu.Unlock()
 }
 
 // CopyRowsTo copies global rows [lo,hi) into the contiguous slab dst, which

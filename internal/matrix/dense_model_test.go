@@ -43,6 +43,11 @@ func (r *refDense) setWindow(lo, hi int) {
 	r.lo, r.hi, r.rows = lo, hi, rows
 }
 
+// release is Dense.Release: an empty window that charged nothing.
+func (r *refDense) release() {
+	r.lo, r.hi, r.rows = 0, 0, nil
+}
+
 func (r *refDense) fill(f func(g, j int) float64) {
 	for g := r.lo; g < r.hi; g++ {
 		for j := range r.rows[g-r.lo] {
@@ -67,9 +72,10 @@ func (r *refDense) putRows(lo int, data []float64) {
 }
 
 // checkAgainst compares everything observable, then the storage: every
-// resident row is exactly one row long with no spare capacity, and no row's
+// resident row is exactly one row long with no spare capacity, no row's
 // storage is reachable twice — from two resident rows, or from a resident
-// row and the free list.
+// row and the free list — and under Projection every row, resident or free,
+// lies in a chunk the array recorded, so Release hands back all of it.
 func (r *refDense) checkAgainst(d *Dense) error {
 	if d.Lo() != r.lo || d.Hi() != r.hi {
 		return fmt.Errorf("window [%d,%d), want [%d,%d)", d.Lo(), d.Hi(), r.lo, r.hi)
@@ -94,11 +100,24 @@ func (r *refDense) checkAgainst(d *Dense) error {
 		}
 		owner[&row[0]] = -1
 	}
-	if r.lo == r.hi && d.free != nil {
-		return fmt.Errorf("empty window still holds %d recycled rows", len(d.free))
+	if r.lo == r.hi && (d.free != nil || len(d.chunks) > 0) {
+		return fmt.Errorf("empty window still holds %d recycled rows in %d chunks", len(d.free), len(d.chunks))
 	}
-	if d.scheme == Contiguous && d.free != nil {
-		return fmt.Errorf("contiguous scheme grew a free list")
+	if d.scheme == Contiguous && (d.free != nil || len(d.chunks) > 0) {
+		return fmt.Errorf("contiguous scheme grew a free list or chunks")
+	}
+	if d.scheme == Projection {
+		carved := map[*float64]bool{} // every row Release would hand back
+		for _, c := range d.chunks {
+			for i := 0; i < len(c); i += r.rowLen {
+				carved[&c[i]] = true
+			}
+		}
+		for p, g := range owner {
+			if !carved[p] {
+				return fmt.Errorf("row %d (-1: free) lies in no recorded chunk", g)
+			}
+		}
 	}
 	for _, row := range d.spare[:cap(d.spare)] {
 		if row != nil {
@@ -142,6 +161,12 @@ func TestDenseMatchesFreshAllocationOracle(t *testing.T) {
 					if !slices.Equal(gs, ws) {
 						t.Fatalf("%v seed %d step %d: %s = %v, want %v", scheme, seed, step, desc, gs, ws)
 					}
+				case op < 63:
+					// The world ends and the next one's array starts over on
+					// this one's storage.
+					desc = "Release"
+					d.Release()
+					ref.release()
 				case op < 65:
 					a := ref.lo + rng.Intn(ref.hi-ref.lo)
 					slab := make([]float64, rng.Intn(ref.hi-a+1)*rowLen)
