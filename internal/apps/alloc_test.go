@@ -165,7 +165,7 @@ func TestWorldAllocBudget(t *testing.T) {
 //
 // One holder keeps a finished world's rows on purpose: matrix's row store,
 // to which apps.Run releases every rank's dense arrays, keeps up to its
-// bound (4 MiB) of their chunks for the next world. The warm-up world fills
+// bound (1.5 MiB) of their chunks for the next world. The warm-up world fills
 // it before the first reading, and the measured world, of the same shape,
 // takes those chunks and hands them back, so the store holds as much at
 // both readings. What the bound still catches is anything else that keeps

@@ -258,11 +258,12 @@ func (d *Dense) Release() {
 var rowChunks = &chunkStore{max: maxChunkBytes}
 
 // maxChunkBytes bounds the storage rowChunks holds; a chunk that would take
-// it past the bound is left to the GC. The most any bench workload holds at
-// once is 1.19 MB (refresh_rma's 64 ranks; sweep_smoke 0.95 MB, adapt_dense
-// 0.29 MB, the sparse and collective workloads none), and no chunk was
-// turned away at this bound.
-const maxChunkBytes = 4 << 20
+// it past the bound is left to the GC. It is the most any bench workload
+// holds at once, 1.19 MB (refresh_rma's 64 ranks; sweep_smoke 0.95 MB,
+// adapt_dense 0.29 MB, the sparse and collective workloads none), plus a
+// third: no bench chunk is turned away, and a study with larger arrays
+// leaves the excess to the GC.
+const maxChunkBytes = 3 << 19 // 1.5 MiB
 
 // chunkStore is a mutex-guarded free store of float64 chunks, LIFO per
 // length.

@@ -161,12 +161,6 @@ func TestDenseMatchesFreshAllocationOracle(t *testing.T) {
 					if !slices.Equal(gs, ws) {
 						t.Fatalf("%v seed %d step %d: %s = %v, want %v", scheme, seed, step, desc, gs, ws)
 					}
-				case op < 63:
-					// The world ends and the next one's array starts over on
-					// this one's storage.
-					desc = "Release"
-					d.Release()
-					ref.release()
 				case op < 65:
 					a := ref.lo + rng.Intn(ref.hi-ref.lo)
 					slab := make([]float64, rng.Intn(ref.hi-a+1)*rowLen)
@@ -176,6 +170,12 @@ func TestDenseMatchesFreshAllocationOracle(t *testing.T) {
 					desc = fmt.Sprintf("PutRows(%d, %d rows)", a, len(slab)/rowLen)
 					d.PutRows(a, slab)
 					ref.putRows(a, slab)
+				case op < 67:
+					// The world ends and the next one's array starts over on
+					// this one's storage.
+					desc = "Release"
+					d.Release()
+					ref.release()
 				default:
 					lo := rng.Intn(rows + 1)
 					hi := lo + rng.Intn(rows-lo+1)
